@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench allocs allocs-baseline kernels kernels-baseline overlap shard hier chaos sim sim-calibrate lint clean
+.PHONY: all build test race bench allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate lint clean
 
 all: lint build test
 
@@ -35,15 +35,25 @@ allocs-baseline:
 
 # Compute-kernel throughput (GEMM GFLOP/s, conv fwd+bwd step time at 1 worker
 # vs the full pool, codec GB/s), gated against the committed
-# BENCH_kernels.json baseline (fails if any throughput drops > 2x, or if the
-# conv parallel speedup falls under 2x on a >= 4-CPU machine). Use
-# kernels-baseline to regenerate the committed baseline alongside an
-# intentional change.
+# BENCH_kernels.json baseline (fails if any throughput drops > 2x). The
+# baseline records the pool width and the GEMM kernel ("avx2" or "portable")
+# it was taken with, and the gate refuses to compare a run that differs in
+# either, so both targets pin -procs 2. Use kernels-baseline to regenerate
+# the committed baseline alongside an intentional change.
 kernels:
-	$(GO) run ./cmd/benchtool -kernels -kernels-baseline BENCH_kernels.json
+	$(GO) run ./cmd/benchtool -procs 2 -kernels -kernels-baseline BENCH_kernels.json
 
 kernels-baseline:
-	$(GO) run ./cmd/benchtool -kernels -kernels-baseline-update
+	$(GO) run ./cmd/benchtool -procs 2 -kernels -kernels-baseline-update
+
+# The pure-Go kernels, which an amd64 build otherwise never runs: the purego
+# tag is the one switch that forces them.
+kernels-purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/core
+
+# 20 s of the SIMD-vs-portable GEMM fuzz target, from its committed corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzGemmSIMDMatchesPortable -fuzztime 20s ./internal/tensor
 
 # The overlap workload CI runs: phased vs reactive schedules of the same
 # comm-heavy job, with the JSON report benchtool uploads as an artifact.

@@ -13,22 +13,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// gemmResult is one GEMM shape's throughput at single-worker and full-pool
-// widths. gflops_serial is always the streaming (unpacked) kernel at one
-// worker — the historical reference every baseline was recorded against —
-// while gflops_packed_serial is the cache-blocked packed path at one worker
-// and gflops_pool is the default routing (packed above the flop threshold)
-// on the full pool. parallel_gain is pool over streaming-serial: the
-// headline packed+parallel win the issue gates at >= 2x on >= 4 CPUs.
+// gemmResult is one GEMM shape's throughput at one worker (gflops_serial)
+// and on the full pool (gflops_pool); parallel_gain is their ratio, gated at
+// >= 2x for the 256^3 shape on >= 4 CPUs.
 type gemmResult struct {
-	M                  int     `json:"m"`
-	NDim               int     `json:"n"`
-	KDim               int     `json:"k"`
-	GFLOPSSerial       float64 `json:"gflops_serial"`
-	GFLOPSPackedSerial float64 `json:"gflops_packed_serial"`
-	GFLOPSPool         float64 `json:"gflops_pool"`
-	ParallelGain       float64 `json:"parallel_gain"`
-	IterationsRun      int     `json:"iterations"`
+	TransB        bool    `json:"trans_b"`
+	M             int     `json:"m"`
+	NDim          int     `json:"n"`
+	KDim          int     `json:"k"`
+	GFLOPSSerial  float64 `json:"gflops_serial"`
+	GFLOPSPool    float64 `json:"gflops_pool"`
+	ParallelGain  float64 `json:"parallel_gain"`
+	IterationsRun int     `json:"iterations"`
 }
 
 // kernelsReport is the JSON schema of the -kernels workload; BENCH_kernels.json
@@ -39,6 +35,10 @@ type kernelsReport struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	Workers    int    `json:"workers"`
+	// GemmKernel is the inner kernel tensor.Gemm chose at init ("avx2" or
+	// "portable"). Together with gomaxprocs it says what a report may be
+	// compared against: the baseline gate refuses a run that differs in either.
+	GemmKernel string `json:"gemm_kernel"`
 
 	Gemm []gemmResult `json:"gemm"`
 
@@ -95,13 +95,39 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Workers:    kernels.Workers(),
+		GemmKernel: tensor.GemmKernel(),
 	}
 
-	// GEMM: a square compute-bound shape and the short-wide im2col shape
-	// conv lowers to (outC x outH*outW with a small K).
-	shapes := []struct{ m, n, k int }{
-		{256, 256, 256},
-		{16, 784, 288}, // conv: 16 outC, 28x28 output, 8*6*6 columns
+	// Read the baseline before measuring anything: throughput at another
+	// pool width or through another kernel differs by more than the gate's
+	// tolerance for reasons that are not regressions, so such a pair is
+	// refused, not compared.
+	var base *kernelsReport
+	if baselinePath != "" {
+		raw, err := os.ReadFile(baselinePath)
+		if err != nil {
+			return fmt.Errorf("benchtool: reading kernels baseline: %w", err)
+		}
+		base = new(kernelsReport)
+		if err := json.Unmarshal(raw, base); err != nil {
+			return fmt.Errorf("benchtool: parsing kernels baseline %s: %w", baselinePath, err)
+		}
+		if base.GOMAXPROCS != rep.GOMAXPROCS || base.GemmKernel != rep.GemmKernel {
+			return fmt.Errorf("benchtool: kernels baseline %s was recorded at gomaxprocs=%d gemm_kernel=%q, this run is gomaxprocs=%d gemm_kernel=%q: not comparable (pin -procs %d on a machine whose Gemm runs the %q kernel, or re-record with -kernels-baseline-update)",
+				baselinePath, base.GOMAXPROCS, base.GemmKernel, rep.GOMAXPROCS, rep.GemmKernel, base.GOMAXPROCS, base.GemmKernel)
+		}
+	}
+
+	// GEMM: a square compute-bound shape, the short-wide im2col shape conv
+	// lowers to (outC x outH*outW with a small K) — both through the axpy
+	// kernel — and a dense layer's forward product, through the dot kernel.
+	shapes := []struct {
+		transB  bool
+		m, n, k int
+	}{
+		{false, 256, 256, 256},
+		{false, 16, 784, 288}, // conv: 16 outC, 28x28 output, 8*6*6 columns
+		{true, 16, 384, 768},  // linear forward: batch 16, 768 -> 384
 	}
 	for _, sh := range shapes {
 		a := make([]float32, sh.m*sh.k)
@@ -115,23 +141,18 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		}
 		flops := 2 * float64(sh.m) * float64(sh.n) * float64(sh.k)
 
-		// Streaming serial reference: packed routing disabled, one worker.
+		gemm := func() { tensor.Gemm(false, sh.transB, sh.m, sh.n, sh.k, 1, a, b, 0, c) }
 		prev := kernels.SetWorkers(1)
-		prevMin := tensor.SetPackedMinFlops(sh.m*sh.n*sh.k + 1)
-		sSerial, _ := timeIt(func() { tensor.Gemm(false, false, sh.m, sh.n, sh.k, 1, a, b, 0, c) })
-		tensor.SetPackedMinFlops(0) // force packed at one worker
-		sPacked1, _ := timeIt(func() { tensor.Gemm(false, false, sh.m, sh.n, sh.k, 1, a, b, 0, c) })
-		tensor.SetPackedMinFlops(prevMin)
+		sSerial, _ := timeIt(gemm)
 		kernels.SetWorkers(prev)
-		// Default routing on the full pool: the production hot path.
-		sPool, iters := timeIt(func() { tensor.Gemm(false, false, sh.m, sh.n, sh.k, 1, a, b, 0, c) })
+		// The full pool: the production hot path.
+		sPool, iters := timeIt(gemm)
 
 		r := gemmResult{
-			M: sh.m, NDim: sh.n, KDim: sh.k,
-			GFLOPSSerial:       flops / sSerial / 1e9,
-			GFLOPSPackedSerial: flops / sPacked1 / 1e9,
-			GFLOPSPool:         flops / sPool / 1e9,
-			IterationsRun:      iters,
+			TransB: sh.transB, M: sh.m, NDim: sh.n, KDim: sh.k,
+			GFLOPSSerial:  flops / sSerial / 1e9,
+			GFLOPSPool:    flops / sPool / 1e9,
+			IterationsRun: iters,
 		}
 		r.ParallelGain = r.GFLOPSPool / r.GFLOPSSerial
 		rep.Gemm = append(rep.Gemm, r)
@@ -189,10 +210,14 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 	rep.BF16EncodeGBs = encodeGBs(compress.BFloat16{})
 	rep.BF16DecodeAddGBs = decodeAddGBs(compress.BFloat16{})
 
-	fmt.Printf("kernels workload: GOMAXPROCS=%d cpus=%d pool workers=%d\n", rep.GOMAXPROCS, rep.NumCPU, rep.Workers)
+	fmt.Printf("kernels workload: GOMAXPROCS=%d cpus=%d pool workers=%d gemm kernel=%s\n", rep.GOMAXPROCS, rep.NumCPU, rep.Workers, rep.GemmKernel)
 	for _, g := range rep.Gemm {
-		fmt.Printf("  gemm %4dx%4dx%4d: %7.2f GFLOP/s stream-serial, %7.2f packed-serial, %7.2f pool (%.2fx)\n",
-			g.M, g.NDim, g.KDim, g.GFLOPSSerial, g.GFLOPSPackedSerial, g.GFLOPSPool, g.ParallelGain)
+		op := "A*B "
+		if g.TransB {
+			op = "A*Bt"
+		}
+		fmt.Printf("  gemm %s %4dx%4dx%4d: %7.2f GFLOP/s serial, %7.2f pool (%.2fx)\n",
+			op, g.M, g.NDim, g.KDim, g.GFLOPSSerial, g.GFLOPSPool, g.ParallelGain)
 	}
 	fmt.Printf("  conv fwd+bwd (batch %d): %7.2f ms serial, %7.2f ms pool (%.2fx, %.0f images/s)\n",
 		batch, rep.ConvMsSerial, rep.ConvMsPool, rep.ConvSpeedup, rep.ConvThroughputIS)
@@ -212,23 +237,15 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 			return fmt.Errorf("benchtool: conv fwd+bwd speedup %.2fx at %d procs, want >= 2x",
 				rep.ConvSpeedup, rep.GOMAXPROCS)
 		}
-		// The packed+parallel GEMM win at the compute-bound 256^3 shape:
-		// pool throughput over the streaming serial reference.
+		// The parallel GEMM win at the compute-bound 256^3 shape: pool
+		// throughput over one worker.
 		if g := rep.Gemm[0]; g.ParallelGain < 2 {
-			return fmt.Errorf("benchtool: gemm %dx%dx%d pool gain %.2fx over streaming serial at %d procs, want >= 2x",
+			return fmt.Errorf("benchtool: gemm %dx%dx%d pool gain %.2fx over one worker at %d procs, want >= 2x",
 				g.M, g.NDim, g.KDim, g.ParallelGain, rep.GOMAXPROCS)
 		}
 	}
 
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("benchtool: reading kernels baseline: %w", err)
-		}
-		var base kernelsReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("benchtool: parsing kernels baseline %s: %w", baselinePath, err)
-		}
+	if base != nil {
 		check := func(name string, got, want float64) error {
 			if want > 0 && got < want/maxRegress {
 				return fmt.Errorf("benchtool: %s regressed: %.2f vs baseline %.2f (limit %.1fx)",

@@ -1,0 +1,84 @@
+//go:build amd64 && !purego
+
+package tensor
+
+// The AVX2 kernels (gemm_amd64.s). Strides and leading dimensions are in
+// elements. They trust their arguments: gemmTileAVX2 checks the operand
+// extents once per tile before handing out raw pointers.
+
+//go:noescape
+func axpyRowAVX2(c *float32, n int, a *float32, astride, k int, b *float32, ldb int, alpha float32)
+
+//go:noescape
+func dotTile4AVX2(k int, a *float32, sap int, b *float32, ldb int, c *float32, ldc, lane0 int, alpha, beta float32, sai int)
+
+//go:noescape
+func dotTile1AVX2(k int, a *float32, sap int, b *float32, ldb int, c *float32, ldc, lane0 int, alpha, beta float32)
+
+// GemmKernel names the inner kernel Gemm runs on this machine: "avx2" or
+// "portable".
+func GemmKernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
+// gemmTile computes one C tile with the kernel chosen at init.
+func gemmTile(transA, transB bool, rlo, rhi, clo, chi, fullM, fullN, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+	if useAVX2 {
+		gemmTileAVX2(transA, transB, rlo, rhi, clo, chi, fullM, fullN, k, alpha, a, b, beta, c)
+		return
+	}
+	gemmTilePortable(transA, transB, rlo, rhi, clo, chi, fullM, fullN, k, alpha, a, b, beta, c)
+}
+
+// gemmTileAVX2 is gemmTilePortable on the AVX2 kernels: the same tile, the
+// same per-element operation sequence, eight C elements at a time.
+func gemmTileAVX2(transA, transB bool, rlo, rhi, clo, chi, fullM, fullN, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+	n := fullN
+	width := chi - clo
+	if transB && width < 8 {
+		// Narrower than one vector of outputs.
+		gemmTilePortable(transA, transB, rlo, rhi, clo, chi, fullM, fullN, k, alpha, a, b, beta, c)
+		return
+	}
+	// The kernels take raw pointers; a short operand must panic here, as the
+	// portable loops' bounds checks would, not be read past its end.
+	if len(a) < fullM*k || len(b) < k*n || len(c) < fullM*n {
+		panic("tensor: Gemm operand shorter than its dimensions")
+	}
+
+	// op(A)[i,p] = a[i*sai+p*sap].
+	sai, sap := k, 1
+	if transA {
+		sai, sap = 1, fullM
+	}
+	if !transB {
+		for i := rlo; i < rhi; i++ {
+			ci := c[i*n+clo : i*n+chi]
+			scaleRange(ci, beta)
+			axpyRowAVX2(&ci[0], width, &a[i*sai], sap, k, &b[clo], n, alpha)
+		}
+		return
+	}
+	// B stored n×k. Eight B rows — eight C columns — per kernel call; the
+	// last block is moved left to end at chi and stores only the lanes the
+	// previous block did not cover. Column blocks are the outer loop so a
+	// block's B rows are read from memory once for all the tile's C rows.
+	for j := clo; j < chi; j += 8 {
+		lane0 := 0
+		if j+8 > chi {
+			lane0 = j + 8 - chi
+			j = chi - 8
+		}
+		bj := &b[j*k]
+		i := rlo
+		for ; i+4 <= rhi; i += 4 {
+			dotTile4AVX2(k, &a[i*sai], sap, bj, k, &c[i*n+j], n, lane0, alpha, beta, sai)
+		}
+		for ; i < rhi; i++ {
+			dotTile1AVX2(k, &a[i*sai], sap, bj, k, &c[i*n+j], n, lane0, alpha, beta)
+		}
+	}
+}

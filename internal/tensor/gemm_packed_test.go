@@ -9,7 +9,7 @@ import (
 	"repro/internal/kernels"
 )
 
-// packedSlice fills test operands with adversarial values for the packed
+// packedSlice fills test operands with adversarial values for the GEMM
 // kernels: exact zeros (the axpy skip path), negative zeros (the
 // 0 + alpha*s store rule), and mixed-sign magnitudes spanning several
 // binades (so accumulation order differences cannot cancel out).
@@ -30,26 +30,22 @@ func packedSlice(rng *rand.Rand, n int) []float32 {
 	return s
 }
 
-// TestGemmPackedBitwiseSweep pins the packed microkernel path against the
-// serial reference over a randomized shape sweep — odd dimensions, m < mr,
-// n < nr, k ∈ {0, 1}, alpha/beta edge cases — bitwise, at worker widths
-// 1/2/GOMAXPROCS+3, for all four transpose cases. minPackedFlops is forced
-// to 0 so every shape, however small, routes through packing, the
-// microkernels, and the edge-strip fallback.
+// TestGemmPackedBitwiseSweep pins Gemm against the serial reference over a
+// randomized shape sweep — odd dimensions, m < 4, n < 4, k ∈ {0, 1},
+// alpha/beta edge cases, ±0 operands — bitwise, at worker widths
+// 1/2/GOMAXPROCS+3, for all four transpose cases. (Named for the packed
+// microkernel path it was written to pin; that path is gone and the sweep
+// now holds whichever kernel gemmTile selects to the same reference.)
 func TestGemmPackedBitwiseSweep(t *testing.T) {
-	prevMin := minPackedFlops
-	minPackedFlops = 1
-	defer func() { minPackedFlops = prevMin }()
-
 	widths := []int{1, 2, runtime.GOMAXPROCS(0) + 3}
 	shapes := []struct{ m, n, k int }{
-		{1, 1, 1},   // everything is edge strip
-		{3, 3, 3},   // below mr and nr: pure fallback
-		{4, 4, 1},   // exactly one micro-tile, k=1
-		{5, 7, 9},   // odd everything: packed core + both edge strips
-		{4, 4, 0},   // k = 0: pure beta pass (declines packing)
-		{2, 37, 11}, // m < mr
-		{23, 2, 13}, // n < nr
+		{1, 1, 1},
+		{3, 3, 3},
+		{4, 4, 1},   // k=1
+		{5, 7, 9},   // odd everything
+		{4, 4, 0},   // k = 0: pure beta pass
+		{2, 37, 11}, // m < 4: single-row dot kernel only
+		{23, 2, 13}, // n < 8: narrower than one vector of outputs
 		{8, 8, 64},  // aligned, deep k
 		{13, 29, 7},
 		{31, 17, 25},
@@ -92,15 +88,14 @@ func TestGemmPackedBitwiseSweep(t *testing.T) {
 	}
 }
 
-// TestGemmPackedLargeRouting checks the real threshold routing: a product
-// over minPackedFlops goes through the packed path (observable bitwise —
-// the result must still match the serial reference exactly at several
-// worker widths, which would fail if packing or tiling broke the operation
-// order on a shape big enough to engage every level).
+// TestGemmPackedLargeRouting checks a product big enough to be split into
+// tiles (over minFlopsPerTile): the result must still match the serial
+// reference exactly at several worker widths, which would fail if tiling
+// broke the per-element operation order.
 func TestGemmPackedLargeRouting(t *testing.T) {
-	m, n, k := 96, 160, 144 // 2.2 MFLOP-pairs ≥ minPackedFlops
-	if m*n*k < minPackedFlops {
-		t.Fatalf("shape %dx%dx%d below minPackedFlops %d: test no longer exercises the packed path", m, n, k, minPackedFlops)
+	m, n, k := 96, 160, 144 // 2.2 M multiply-adds ≥ minFlopsPerTile
+	if m*n*k < minFlopsPerTile {
+		t.Fatalf("shape %dx%dx%d below minFlopsPerTile %d: test no longer exercises tiling", m, n, k, minFlopsPerTile)
 	}
 	rng := rand.New(rand.NewSource(13))
 	for _, transA := range []bool{false, true} {

@@ -187,3 +187,60 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestIm2ColCol2ImMatchPerTapReference holds both lowerings to a
+// one-tap-at-a-time reference, exactly, over geometries that put the
+// unit-stride run's edges everywhere: no padding, padding wider than the
+// kernel, kernels wider than the padded input's interior, strides 1 and 2.
+func TestIm2ColCol2ImMatchPerTapReference(t *testing.T) {
+	g := NewRNG(17)
+	for _, w := range []int{1, 2, 5, 9} {
+		for _, kw := range []int{1, 2, 3, 6} {
+			for _, pw := range []int{0, 1, 3} {
+				for _, sw := range []int{1, 2} {
+					const c, h, kh, sh, ph = 2, 4, 3, 1, 1
+					if w+2*pw < kw {
+						continue
+					}
+					oh, ow := ConvOutSize(h, kh, sh, ph), ConvOutSize(w, kw, sw, pw)
+					src := randBuf(g, c*h*w)
+					cols := randBuf(g, c*kh*kw*oh*ow) // stale contents must be overwritten
+					wantCols := make([]float32, len(cols))
+					grad := randBuf(g, len(cols))
+					img := randBuf(g, c*h*w)
+					wantImg := append([]float32(nil), img...)
+					row := 0
+					for ch := 0; ch < c; ch++ {
+						for ky := 0; ky < kh; ky++ {
+							for kx := 0; kx < kw; kx++ {
+								for oy := 0; oy < oh; oy++ {
+									for ox := 0; ox < ow; ox++ {
+										iy, ix := oy*sh-ph+ky, ox*sw-pw+kx
+										if iy < 0 || iy >= h || ix < 0 || ix >= w {
+											continue
+										}
+										wantCols[(row*oh+oy)*ow+ox] = src[(ch*h+iy)*w+ix]
+										wantImg[(ch*h+iy)*w+ix] += grad[(row*oh+oy)*ow+ox]
+									}
+								}
+								row++
+							}
+						}
+					}
+					Im2Col(src, c, h, w, kh, kw, sh, sw, ph, pw, cols)
+					Col2Im(grad, c, h, w, kh, kw, sh, sw, ph, pw, img)
+					for i := range cols {
+						if cols[i] != wantCols[i] {
+							t.Fatalf("w%d kw%d pw%d sw%d: Im2Col[%d] = %v, want %v", w, kw, pw, sw, i, cols[i], wantCols[i])
+						}
+					}
+					for i := range img {
+						if math.Float32bits(img[i]) != math.Float32bits(wantImg[i]) {
+							t.Fatalf("w%d kw%d pw%d sw%d: Col2Im[%d] = %v, want %v", w, kw, pw, sw, i, img[i], wantImg[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

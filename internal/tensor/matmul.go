@@ -22,14 +22,23 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	return c, nil
 }
 
-// minFlopsPerTile is the smallest worthwhile unit of GEMM work: below it the
-// fork-join dispatch costs more than the arithmetic it parallelizes.
-const minFlopsPerTile = 1 << 17
+// minFlopsPerTile is the smallest worthwhile unit of GEMM work, in
+// multiply-adds: a tile has to outlast, several times over, the tens of
+// microseconds a parked pool worker takes to wake and be joined. Measured
+// with the AVX2 kernels (~15 G multiply-adds/s) at two workers: the 0.6–1.2 M
+// products training steps are made of ran 1.3–1.65× slower split in two
+// than on the caller alone, 3.6 M the same either way, 16.7 M 1.56× faster.
+const minFlopsPerTile = 1 << 21
 
-// minTileCols keeps column tiles wide enough that the inner contiguous runs
-// over B and C still amortize their slice setup (and, on real hardware,
-// still span full cache lines).
+// minTileCols keeps column tiles at least as wide as the axpy kernel's
+// widest register block (64 columns, eight vectors).
 const minTileCols = 64
+
+// tileRowQuantum is the dot kernel's tile height: row blocks are whole
+// multiples of it, so splitting rows across workers never turns one 4-row
+// kernel call (one in-register transpose of B per four C rows) into several
+// single-row ones.
+const tileRowQuantum = 4
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C over flat row-major buffers,
 // where op is identity or transpose per transA/transB. m, n, k are the
@@ -55,13 +64,6 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 		return
 	}
 
-	// Large products run the cache-blocked packed path (gemm_packed.go) —
-	// bitwise identical to the streaming kernels below, per the microkernel
-	// contracts there.
-	if gemmPacked(transA, transB, m, n, k, alpha, a, b, beta, c) {
-		return
-	}
-
 	flops := m * n * k
 	tiles := kernels.Workers()
 	if lim := flops/minFlopsPerTile + 1; tiles > lim {
@@ -74,8 +76,8 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 	// Prefer splitting rows (tiles stream through B once each); go 2-D when
 	// there are too few rows to occupy the pool — the conv shape.
 	rowBlocks := tiles
-	if rowBlocks > m {
-		rowBlocks = m
+	if lim := (m + tileRowQuantum - 1) / tileRowQuantum; rowBlocks > lim {
+		rowBlocks = lim
 	}
 	colBlocks := (tiles + rowBlocks - 1) / rowBlocks
 	if lim := n / minTileCols; colBlocks > lim {
@@ -85,6 +87,7 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 		colBlocks = 1
 	}
 	rowsPer := (m + rowBlocks - 1) / rowBlocks
+	rowsPer = (rowsPer + tileRowQuantum - 1) / tileRowQuantum * tileRowQuantum
 	colsPer := (n + colBlocks - 1) / colBlocks
 	kernels.Run(rowBlocks*colBlocks, func(t int) {
 		rlo := (t / colBlocks) * rowsPer
@@ -106,9 +109,7 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 // scaleRange applies the beta prologue to a flat range of C.
 func scaleRange(c []float32, beta float32) {
 	if beta == 0 {
-		for i := range c {
-			c[i] = 0
-		}
+		zeroFill(c)
 	} else if beta != 1 {
 		for i := range c {
 			c[i] *= beta
@@ -116,12 +117,14 @@ func scaleRange(c []float32, beta float32) {
 	}
 }
 
-// gemmTile computes the C tile rows [rlo,rhi) × cols [clo,chi) of
-// C = alpha*op(A)*op(B) + beta*C. fullM/fullN are the complete dimensions of
-// op(A)'s rows and op(B)'s columns — the storage strides. The tile applies
-// its own beta prologue: tiles cover C disjointly, so the scale-then-
-// accumulate order per element matches the serial kernel exactly.
-func gemmTile(transA, transB bool, rlo, rhi, clo, chi, fullM, fullN, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+// gemmTilePortable computes the C tile rows [rlo,rhi) × cols [clo,chi) of
+// C = alpha*op(A)*op(B) + beta*C in pure Go: the kernel of every build
+// without SIMD kernels and the reference the SIMD kernels are held to.
+// fullM/fullN are the complete dimensions of op(A)'s rows and op(B)'s
+// columns — the storage strides. The tile applies its own beta prologue:
+// tiles cover C disjointly, so the scale-then-accumulate order per element
+// matches the serial kernel exactly.
+func gemmTilePortable(transA, transB bool, rlo, rhi, clo, chi, fullM, fullN, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	n := fullN
 	for i := rlo; i < rhi; i++ {
 		scaleRange(c[i*n+clo:i*n+chi], beta)

@@ -179,3 +179,34 @@ func BenchmarkGemm128(b *testing.B) {
 		Gemm(false, false, n, n, n, 1, x, y, 0, z)
 	}
 }
+
+// TestGemmShortOperandPanics: an operand shorter than its dimensions say
+// must panic on every kernel — the SIMD kernels work from raw pointers, so
+// the check is theirs to make — never read or write past a slice's end.
+func TestGemmShortOperandPanics(t *testing.T) {
+	const m, n, k = 5, 9, 7
+	for _, short := range []string{"a", "b", "c"} {
+		for _, transB := range []bool{false, true} {
+			a, b, c := make([]float32, m*k), make([]float32, k*n), make([]float32, m*n)
+			for i := range a {
+				a[i] = 1 // a zero would let the axpy loops skip the short row of B
+			}
+			switch short {
+			case "a":
+				a = a[: len(a)-1 : len(a)-1]
+			case "b":
+				b = b[: len(b)-1 : len(b)-1]
+			default:
+				c = c[: len(c)-1 : len(c)-1]
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("short %s, transB %v: Gemm did not panic", short, transB)
+					}
+				}()
+				Gemm(false, transB, m, n, k, 1, a, b, 0, c)
+			}()
+		}
+	}
+}
