@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate lint clean
+.PHONY: all build test race bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate lint clean
 
 all: lint build test
 
@@ -20,6 +20,12 @@ race:
 # `go test -bench=. -benchtime=10x .` by hand.
 bench: allocs
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# The end-to-end benchmark is its own module (bench/go.mod), which the root
+# ./... patterns never compile: this is where an API change in
+# core/allreduce/dpt/mpi that breaks it shows up (~15 s).
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Allocation profile of the training hot path, gated against the committed
 # BENCH_alloc.json baseline (fails if allocs/op regresses > 2x). The run's

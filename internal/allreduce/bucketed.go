@@ -141,18 +141,14 @@ func BucketedReduceScatter(c *mpi.Comm, data []float32, codec compress.Codec, op
 // results land (nil Sums — unowned reduce-scatter buckets — only mark the
 // bucket's sends complete).
 func bucketedExchange(c *mpi.Comm, data []float32, codec compress.Codec, opts CompressedOptions) (CompressedStats, error) {
-	bf := opts.BucketFloats
-	if bf <= 0 {
-		bf = 16384
-	}
 	if opts.SelfDecoded != nil && len(opts.SelfDecoded) != len(data) {
 		return CompressedStats{}, fmt.Errorf("allreduce: SelfDecoded length %d, data length %d", len(opts.SelfDecoded), len(data))
 	}
 	if len(data) == 0 {
 		return CompressedStats{}, nil
 	}
-	nb := (len(data) + bf - 1) / bf
-	s := NewStream(c, codec, StreamOptions{SelfDecoded: opts.SelfDecoded, ShardBounds: opts.ShardBounds, Topology: opts.Topology, MaxInFlight: 4})
+	nb, bf := bucketSpans(len(data), opts.BucketFloats)
+	s := NewStream(c, codec, StreamOptions{SelfDecoded: opts.SelfDecoded, ShardBounds: opts.ShardBounds, Topology: opts.Topology})
 	go func() {
 		for b := 0; b < nb; b++ {
 			lo, hi := b*bf, min(b*bf+bf, len(data))

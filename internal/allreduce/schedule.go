@@ -174,8 +174,9 @@ func RabenseifnerSchedule(ranks, elems int) []RankSchedule {
 	return scheds
 }
 
-// bucketSpans iterates the bucketed pipeline's bucket layout, mirroring
-// bucketedExchange's split.
+// bucketSpans is the bucketed pipeline's bucket layout — the split
+// bucketedExchange submits and the schedule extraction replays: nb buckets
+// of bf floats (default 16384), the last one possibly short.
 func bucketSpans(elems, bucketFloats int) (nb, bf int) {
 	bf = bucketFloats
 	if bf <= 0 {

@@ -135,8 +135,6 @@ type Stream struct {
 
 // hierPlan is this rank's precomputed role in the hierarchical exchange.
 type hierPlan struct {
-	node        int   // this rank's node
-	nodes       int   // node count
 	leader      int   // this node's leader (its lowest rank)
 	isLeader    bool  // this rank IS its node's leader
 	members     []int // leader only: the node's other ranks, ascending
@@ -153,8 +151,6 @@ func newHierPlan(t *mpi.Topology, rank int) *hierPlan {
 	nodes := t.Nodes()
 	node := t.NodeOf(rank)
 	h := &hierPlan{
-		node:        node,
-		nodes:       nodes,
 		leader:      leaders[node],
 		isLeader:    leaders[node] == rank,
 		prevLeader:  -1,
@@ -187,16 +183,10 @@ func NewStream(c *mpi.Comm, codec compress.Codec, opts StreamOptions) *Stream {
 		opts.MaxInFlight = compressedTagSpan - 1
 	}
 	if sb := opts.ShardBounds; sb != nil {
-		if len(sb) != c.Size()+1 {
-			panic(fmt.Sprintf("allreduce: Stream ShardBounds has %d entries for %d ranks (want size+1)", len(sb), c.Size()))
-		}
-		if sb[0] != 0 {
-			panic(fmt.Sprintf("allreduce: Stream ShardBounds start at %d, want 0 (elements below it would never be reduced)", sb[0]))
-		}
-		for i := 1; i < len(sb); i++ {
-			if sb[i] < sb[i-1] {
-				panic(fmt.Sprintf("allreduce: Stream ShardBounds decrease at %d: %v", i, sb))
-			}
+		// The Stream never sees the vector, so the layout's own end stands
+		// in for its length; Submit holds every bucket to it.
+		if err := checkBounds(c, sb, sb[len(sb)-1]); err != nil {
+			panic(fmt.Sprintf("allreduce: Stream ShardBounds: %v", err))
 		}
 	}
 	var hier *hierPlan
@@ -267,10 +257,9 @@ func (s *Stream) Stats() (CompressedStats, error) {
 }
 
 // launch is stage 1+2: compress each submitted bucket and start its
-// non-blocking exchange, bounded by the in-flight cap. In allreduce mode the
-// exchange is all-to-all; in reduce-scatter mode (ShardBounds set) sends go
-// only to the bucket's shard owners and receives are posted only when this
-// rank is an owner.
+// non-blocking exchange, bounded by the in-flight cap. Which sends and
+// receives a bucket posts is the routing's business (postFlat / postHier);
+// everything else here is routing-blind.
 //
 // Encode is batch-parallel: when several buckets are already queued (a
 // backward pass finishing a burst of layers), launch drains as many as there
@@ -283,9 +272,6 @@ func (s *Stream) Stats() (CompressedStats, error) {
 // alone, and a slot is held for every drained bucket, so the in-flight cap
 // and the Results launch-order guarantee are unchanged.
 func (s *Stream) launch(inflight chan<- bucketJob) {
-	n := s.c.Size()
-	rank := s.c.Rank()
-	sb := s.opts.ShardBounds
 	batch := make([]streamSub, 0, s.opts.MaxInFlight)
 	jobs := make([]bucketJob, s.opts.MaxInFlight)
 	open := true
@@ -330,28 +316,33 @@ func (s *Stream) launch(inflight chan<- bucketJob) {
 			job := jobs[i]
 			jobs[i] = bucketJob{}
 			if s.hier != nil {
-				s.launchHier(&job)
-				inflight <- job
-				continue
-			}
-			tag := tagCompressed + job.idx%compressedTagSpan
-			for r := 0; r < n; r++ {
-				if r == rank {
-					continue
-				}
-				if sb == nil || shardOwns(sb, r, job.lo, job.hi) {
-					job.sendReqs = append(job.sendReqs, s.c.Isend(r, tag, job.payload))
-				}
-				if job.owned {
-					job.recvReqs[r] = s.c.Irecv(r, tag)
-				} else {
-					job.recvReqs[r] = nil
-				}
+				s.postHier(&job)
+			} else {
+				s.postFlat(&job)
 			}
 			inflight <- job
 		}
 	}
 	close(inflight)
+}
+
+// postFlat posts one bucket's flat exchange: the payload goes to every peer
+// that owns the bucket and an owner posts a receive from every peer — all
+// peers both ways in allreduce mode, where every rank owns every bucket.
+func (s *Stream) postFlat(job *bucketJob) {
+	sb := s.opts.ShardBounds
+	tag := tagCompressed + job.idx%compressedTagSpan
+	for r := 0; r < s.c.Size(); r++ {
+		if r == s.c.Rank() {
+			continue
+		}
+		if sb == nil || shardOwns(sb, r, job.lo, job.hi) {
+			job.sendReqs = append(job.sendReqs, s.c.Isend(r, tag, job.payload))
+		}
+		if job.owned {
+			job.recvReqs[r] = s.c.Irecv(r, tag)
+		}
+	}
 }
 
 // encodeBatch compresses batch into jobs[:len(batch)], recycling retired
@@ -392,13 +383,13 @@ func (s *Stream) encodeBatch(batch []streamSub, jobs []bucketJob) {
 	})
 }
 
-// launchHier posts one bucket's hierarchical sends and receives: members
+// postHier posts one bucket's hierarchical sends and receives: members
 // ship their compressed payload to their node's leader; leaders post
 // receives for member payloads and (beyond node 0) the previous leader's
 // chain partial; every rank expecting the bucket's final sum posts its down
 // receive. The leader-side chain and down SENDS happen in the reduce stage
 // — the partial does not exist before the fold.
-func (s *Stream) launchHier(job *bucketJob) {
+func (s *Stream) postHier(job *bucketJob) {
 	h := s.hier
 	t := job.idx % hierTagSpan
 	if !h.isLeader {
@@ -411,23 +402,19 @@ func (s *Stream) launchHier(job *bucketJob) {
 			job.chainReq = s.c.Irecv(h.prevLeader, tagHierChain+t)
 		}
 	}
-	if src := s.downSrc(job.owned); src >= 0 {
+	if src := hierDownSrc(h, s.c.Rank(), job.owned, s.opts.ShardBounds != nil); src >= 0 {
 		job.downReq = s.c.Irecv(src, tagHierDown+t)
 	}
 }
 
-// downSrc returns the rank this rank receives a bucket's final sum from, or
-// -1 when it computes the sum itself (the final leader) or never needs one
-// (a reduce-scatter non-owner). In allreduce mode the final leader fans out
-// to the other leaders and each leader relays to its members; in
-// reduce-scatter mode the final leader sends straight to each shard owner.
-func (s *Stream) downSrc(owned bool) int {
-	return hierDownSrc(s.hier, s.c.Rank(), owned, s.opts.ShardBounds != nil)
-}
-
-// hierDownSrc is the routing rule behind Stream.downSrc, standalone so the
-// schedule extraction (schedule.go) resolves down-message sources through
-// the exact same code the live exchange posts receives with.
+// hierDownSrc returns the rank this rank receives a bucket's final sum from,
+// or -1 when it computes the sum itself (the final leader) or never needs
+// one (a reduce-scatter non-owner). In allreduce mode the final leader fans
+// out to the other leaders and each leader relays to its members; in
+// reduce-scatter mode (sharded) the final leader sends straight to each
+// shard owner. Standalone so the schedule extraction (schedule.go) resolves
+// down-message sources through the exact code the live exchange posts
+// receives with.
 func hierDownSrc(h *hierPlan, rank int, owned, sharded bool) int {
 	if !owned || rank == h.finalLeader {
 		return -1
@@ -455,156 +442,132 @@ func (s *Stream) retire(job bucketJob) {
 	}
 }
 
-// reduce is stage 3: decode every rank's payload in rank order, sum, and
-// emit the result. Runs on its own goroutine; it alone mutates stats.
-// Non-owned buckets (reduce-scatter mode) skip the reduction: they decode
-// this rank's own payload for SelfDecoded, wait out the sends, and emit a
-// nil-Sum result.
+// reduce is stage 3: fold the bucket the way its routing prescribes and emit
+// the result. Runs on its own goroutine; it alone mutates stats.
 //
 // Payloads fold straight into the bucket sum via Codec.DecompressAdd — no
-// per-sender temp materialization or second memory pass. The fold visits
-// ranks in the same order and performs the same per-element FP adds as the
-// old decode-into-scratch-then-add loop, so sums are bitwise unchanged; the
-// one rank whose decode is also needed for the error-feedback contract
-// decodes into SelfDecoded first and accumulates from there.
+// per-sender temp materialization or second memory pass. Every routing
+// visits ranks in ascending order and performs the same per-element FP adds,
+// so sums are bitwise identical across routings.
 func (s *Stream) reduce(inflight <-chan bucketJob) {
-	n := s.c.Size()
-	rank := s.c.Rank()
 	for job := range inflight {
-		width := job.hi - job.lo
+		var sum []float32
+		var err error
 		if s.hier != nil {
-			s.reduceHier(job)
-			continue
-		}
-		if !job.owned {
-			s.finishUnowned(job)
-			continue
-		}
-		// Pooled, but zeroed: accumulating into exact +0 keeps the sum
-		// bitwise identical to the historical make-per-bucket path.
-		sum := mpi.GetFloatsZeroed(width)
-		payloadLen := len(job.payload)
-		sends := len(job.sendReqs)
-		var jobErr error
-		for r := 0; r < n; r++ {
-			if job.recvReqs[r] == nil && r != rank {
-				continue
-			}
-			var payload []byte
-			release := false
-			if r == rank {
-				payload = job.payload
-			} else {
-				req := job.recvReqs[r]
-				b, err := req.Wait()
-				req.Release()
-				if err != nil {
-					if jobErr == nil {
-						jobErr = err
-					}
-					continue
-				}
-				s.stats.BytesRecv += int64(len(b))
-				payload = b
-				release = true
-			}
-			if jobErr != nil {
-				if release {
-					mpi.PutBytes(payload)
-				}
-				continue
-			}
-			if r == rank && s.opts.SelfDecoded != nil {
-				// Error feedback needs this rank's full decode anyway:
-				// produce it in place, then fold it like any other sender.
-				self := s.opts.SelfDecoded[job.lo:job.hi]
-				if err := s.codec.Decompress(self, payload); err != nil {
-					jobErr = fmt.Errorf("allreduce: bucket %d from rank %d: %w", job.idx, r, err)
-				} else {
-					for i, v := range self {
-						sum[i] += v
-					}
-				}
-			} else if err := s.codec.DecompressAdd(sum, payload); err != nil {
-				jobErr = fmt.Errorf("allreduce: bucket %d from rank %d: %w", job.idx, r, err)
-			}
-			if release {
-				mpi.PutBytes(payload)
-			}
-		}
-		if err := mpi.WaitAll(job.sendReqs...); err != nil && jobErr == nil {
-			jobErr = err
-		}
-		for _, req := range job.sendReqs {
-			req.Release()
-		}
-		// Sends have completed, so the payload buffer is quiescent.
-		mpi.PutBytes(job.payload)
-		s.stats.Buckets++
-		res := BucketResult{Idx: job.idx, Lo: job.lo, Hi: job.hi}
-		if jobErr != nil {
-			if s.err == nil {
-				s.err = jobErr
-			}
-			res.Err = jobErr
-			mpi.PutFloats(sum)
+			sum, err = s.foldHier(&job)
 		} else {
-			s.stats.BytesSent += int64(payloadLen) * int64(sends)
-			s.stats.RawBytes += int64(4*width) * int64(sends)
-			res.Sum = sum
+			sum, err = s.foldFlat(&job)
 		}
-		s.retire(job)
-		s.results <- res
-		<-s.slots
+		s.emit(job, sum, err)
 	}
 	close(s.results)
 	close(s.done)
 }
 
-// finishUnowned completes a reduce-scatter bucket this rank does not own:
-// decode the rank's own payload for the error-feedback contract, wait for
-// the sends to drain, account the traffic, and emit a nil-Sum result.
-func (s *Stream) finishUnowned(job bucketJob) {
-	width := job.hi - job.lo
+// foldFlat is the flat routing's fold: every rank's decoded payload, in rank
+// order, into zeros. A reduce-scatter bucket this rank does not own is the
+// same fold with nothing to fold — no sum, no receives posted — which leaves
+// the own-payload decode (the SelfDecoded contract) and the send drain.
+func (s *Stream) foldFlat(job *bucketJob) ([]float32, error) {
+	var sum []float32
+	if job.owned {
+		// Pooled, but zeroed: accumulating into exact +0 keeps the sum
+		// bitwise identical to the historical make-per-bucket path.
+		sum = mpi.GetFloatsZeroed(job.hi - job.lo)
+	}
 	var jobErr error
-	if s.opts.SelfDecoded != nil {
-		if err := s.codec.Decompress(s.opts.SelfDecoded[job.lo:job.hi], job.payload); err != nil {
-			jobErr = fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err)
+	s.foldRanks(job, sum, 0, s.c.Size(), &jobErr)
+	s.drainSends(job, &jobErr)
+	return sum, jobErr
+}
+
+// foldRanks adds the decoded payloads of ranks [lo, hi) into sum in rank
+// order: this rank's own through decodeOwn, a peer's iff a receive was
+// posted for it. Receives are waited out and released even once the bucket
+// has failed, so peers' sends drain.
+func (s *Stream) foldRanks(job *bucketJob, sum []float32, lo, hi int, jobErr *error) {
+	for r := lo; r < hi; r++ {
+		if r == s.c.Rank() {
+			if *jobErr == nil {
+				*jobErr = s.decodeOwn(job, sum)
+			}
+			continue
+		}
+		req := job.recvReqs[r]
+		if req == nil {
+			continue
+		}
+		b, err := req.Wait()
+		req.Release()
+		if err != nil {
+			if *jobErr == nil {
+				*jobErr = err
+			}
+			continue
+		}
+		s.stats.BytesRecv += int64(len(b))
+		if *jobErr == nil {
+			if err := s.codec.DecompressAdd(sum, b); err != nil {
+				*jobErr = fmt.Errorf("allreduce: bucket %d from rank %d: %w", job.idx, r, err)
+			}
+		}
+		mpi.PutBytes(b)
+	}
+}
+
+// decodeOwn decodes this rank's own payload: into SelfDecoded when error
+// feedback wants the values the wire carried, and into sum when this rank
+// folds the bucket (sum is nil on a hierarchical member and on a
+// reduce-scatter non-owner, which owe only the SelfDecoded contract).
+func (s *Stream) decodeOwn(job *bucketJob, sum []float32) error {
+	var err error
+	if s.opts.SelfDecoded == nil {
+		if sum != nil {
+			err = s.codec.DecompressAdd(sum, job.payload)
+		}
+	} else {
+		// Error feedback needs the full decode anyway: produce it in place,
+		// then fold it like any other sender.
+		self := s.opts.SelfDecoded[job.lo:job.hi]
+		if err = s.codec.Decompress(self, job.payload); err == nil && sum != nil {
+			for i, v := range self {
+				sum[i] += v
+			}
 		}
 	}
-	if err := mpi.WaitAll(job.sendReqs...); err != nil && jobErr == nil {
-		jobErr = err
+	if err != nil {
+		return fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err)
+	}
+	return nil
+}
+
+// drainSends waits out the bucket's payload sends, accounts them, and
+// returns the payload scratch to the pool — the sends have completed, so the
+// buffer is quiescent. A hierarchical leader has no sends (its own payload
+// never hits the wire); for it this is just the release.
+func (s *Stream) drainSends(job *bucketJob, jobErr *error) {
+	if err := mpi.WaitAll(job.sendReqs...); err != nil && *jobErr == nil {
+		*jobErr = err
 	}
 	for _, req := range job.sendReqs {
 		req.Release()
 	}
-	payloadLen := len(job.payload)
-	sends := len(job.sendReqs)
-	mpi.PutBytes(job.payload)
-	s.stats.Buckets++
-	res := BucketResult{Idx: job.idx, Lo: job.lo, Hi: job.hi}
-	if jobErr != nil {
-		if s.err == nil {
-			s.err = jobErr
-		}
-		res.Err = jobErr
-	} else {
-		s.stats.BytesSent += int64(payloadLen) * int64(sends)
-		s.stats.RawBytes += int64(4*width) * int64(sends)
+	if *jobErr == nil {
+		sends := int64(len(job.sendReqs))
+		s.stats.BytesSent += int64(len(job.payload)) * sends
+		s.stats.RawBytes += int64(4*(job.hi-job.lo)) * sends
 	}
-	s.retire(job)
-	s.results <- res
-	<-s.slots
+	mpi.PutBytes(job.payload)
 }
 
-// reduceHier is stage 3 of the hierarchical exchange (StreamOptions
-// .Topology). Members have nothing to reduce — their payload went up to the
-// node leader at launch; leaders fold the previous nodes' chain partial and
-// then their node's decoded payloads in rank order, forward the partial to
-// the next leader, and the final leader distributes the completed rank-order
-// fold back down. Every value a rank emits as Sum is therefore bit for bit
-// the flat mode's sum of all decoded payloads in rank order.
-func (s *Stream) reduceHier(job bucketJob) {
+// foldHier is the hierarchical routing's fold (StreamOptions.Topology).
+// Members have nothing to reduce — their payload went up to the node leader
+// at launch; leaders fold the previous nodes' chain partial and then their
+// node's decoded payloads in rank order, forward the partial to the next
+// leader, and the final leader distributes the completed rank-order fold
+// back down. Every value a rank emits as Sum is therefore bit for bit the
+// flat routing's sum of all decoded payloads in rank order.
+func (s *Stream) foldHier(job *bucketJob) ([]float32, error) {
 	h := s.hier
 	width := job.hi - job.lo
 	t := job.idx % hierTagSpan
@@ -616,70 +579,24 @@ func (s *Stream) reduceHier(job bucketJob) {
 	}
 
 	if !h.isLeader {
-		// Member: the only local work is the SelfDecoded contract and
-		// (when owed one) receiving the final sum.
-		if s.opts.SelfDecoded != nil {
-			if err := s.codec.Decompress(s.opts.SelfDecoded[job.lo:job.hi], job.payload); err != nil {
-				fail(fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err))
-			}
-		}
-		fail(mpi.WaitAll(job.sendReqs...))
-		for _, req := range job.sendReqs {
-			req.Release()
-		}
-		if jobErr == nil {
-			s.stats.BytesSent += int64(len(job.payload)) * int64(len(job.sendReqs))
-			s.stats.RawBytes += int64(4*width) * int64(len(job.sendReqs))
-		}
-		mpi.PutBytes(job.payload)
-		sum := s.recvSumInto(nil, job.downReq, width, &jobErr)
-		s.emitHier(job, sum, jobErr)
-		return
+		// Member: the only local work is the SelfDecoded contract and (when
+		// owed one) receiving the final sum.
+		fail(s.decodeOwn(job, nil))
+		s.drainSends(job, &jobErr)
+		return s.recvSumInto(nil, job.downReq, width, &jobErr), jobErr
 	}
 
-	// Leader: start the fold from the previous nodes' partial — node 0
-	// starts from exact zeros, like the flat path — then add this node's
-	// decoded payloads in rank order: the leader's own first (it is the
-	// node's lowest rank), then each member's.
-	var sum []float32
-	if job.chainReq == nil {
+	// Leader: start the fold from the previous nodes' partial — node 0 (no
+	// chain receive) starts from exact zeros, like the flat fold, and so does
+	// a failed chain receive, to keep going so peers drain — then add this
+	// node's decoded payloads in rank order: the leader's own first (it is
+	// the node's lowest rank), then each member's.
+	sum := s.recvSumInto(nil, job.chainReq, width, &jobErr)
+	if sum == nil {
 		sum = mpi.GetFloatsZeroed(width)
-	} else if sum = s.recvSumInto(nil, job.chainReq, width, &jobErr); sum == nil {
-		sum = mpi.GetFloatsZeroed(width) // failed chain recv; keep going so peers drain
 	}
-	job.chainReq = nil
-	if s.opts.SelfDecoded != nil {
-		self := s.opts.SelfDecoded[job.lo:job.hi]
-		if err := s.codec.Decompress(self, job.payload); err != nil {
-			fail(fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err))
-		} else if jobErr == nil {
-			for i, v := range self {
-				sum[i] += v
-			}
-		}
-	} else if jobErr == nil {
-		if err := s.codec.DecompressAdd(sum, job.payload); err != nil {
-			fail(fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err))
-		}
-	}
-	mpi.PutBytes(job.payload) // a leader's own payload never hits the wire
-	for _, m := range h.members {
-		req := job.recvReqs[m]
-		job.recvReqs[m] = nil
-		b, err := req.Wait()
-		req.Release()
-		if err != nil {
-			fail(err)
-			continue
-		}
-		s.stats.BytesRecv += int64(len(b))
-		if jobErr == nil {
-			if err := s.codec.DecompressAdd(sum, b); err != nil {
-				fail(fmt.Errorf("allreduce: bucket %d from rank %d: %w", job.idx, m, err))
-			}
-		}
-		mpi.PutBytes(b)
-	}
+	s.foldRanks(job, sum, s.c.Rank(), s.c.Rank()+1+len(h.members), &jobErr)
+	s.drainSends(job, &jobErr)
 
 	// Forward and distribute. Sends happen even after a local error so
 	// downstream ranks never block on a message that would otherwise never
@@ -697,7 +614,6 @@ func (s *Stream) reduceHier(job bucketJob) {
 			if got := s.recvSumInto(sum, job.downReq, width, &jobErr); got != nil {
 				sum = got
 			}
-			job.downReq = nil
 			if s.opts.ShardBounds == nil {
 				for _, m := range h.members {
 					fail(s.forward(m, tagHierDown+t, sum, jobErr))
@@ -726,10 +642,11 @@ func (s *Stream) reduceHier(job bucketJob) {
 		}
 	}
 	if !job.owned {
+		// A leader folds every bucket but keeps only the ones it owns.
 		mpi.PutFloats(sum)
 		sum = nil
 	}
-	s.emitHier(job, sum, jobErr)
+	return sum, jobErr
 }
 
 // recvSumInto waits out a raw float32 message (a chain partial or a final
@@ -839,9 +756,9 @@ func (s *Stream) sendPoison(dst, tag, downRank int) error {
 	return err
 }
 
-// emitHier finishes a hierarchical bucket: account it, surface the result,
-// recycle the job, free the in-flight slot.
-func (s *Stream) emitHier(job bucketJob, sum []float32, jobErr error) {
+// emit finishes a bucket: account it, surface the result, recycle the job,
+// free the in-flight slot. sum is nil for a bucket this rank does not own.
+func (s *Stream) emit(job bucketJob, sum []float32, jobErr error) {
 	s.stats.Buckets++
 	res := BucketResult{Idx: job.idx, Lo: job.lo, Hi: job.hi}
 	if jobErr != nil {

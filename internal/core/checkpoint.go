@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/nn"
 )
 
 // CaptureCheckpoint snapshots the learner's training state — model weights,
@@ -19,8 +18,8 @@ import (
 // restores at any world W′ (RestoreCheckpoint), because the shard layout is
 // re-derived from the new world and each rank carves its own slice.
 func (l *Learner) CaptureCheckpoint(epoch float64) (*checkpoint.Checkpoint, error) {
-	if l.shardOpt != nil {
-		return checkpoint.CaptureSharded(l.comm, l.engine.Params(0), l.shardOpt, int64(l.step), epoch)
+	if l.cfg.ShardOptimizer {
+		return checkpoint.CaptureSharded(l.comm, l.engine.Params(0), l.opts[0], int64(l.step), epoch)
 	}
 	return checkpoint.Capture(l.engine.Params(0), l.opts[0], int64(l.step), epoch)
 }
@@ -33,24 +32,19 @@ func (l *Learner) CaptureCheckpoint(epoch float64) (*checkpoint.Checkpoint, erro
 // Purely local: the checkpoint is full-state, so no communication is needed
 // regardless of how many ranks are restoring.
 func (l *Learner) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
-	if l.shardOpt != nil {
-		if err := ck.Restore(l.engine.Params(0), l.shardOpt); err != nil {
-			return fmt.Errorf("core: restoring sharded checkpoint: %w", err)
+	for d, o := range l.opts {
+		if err := ck.Restore(l.engine.Params(d), o); err != nil {
+			return fmt.Errorf("core: restoring checkpoint into device %d: %w", d, err)
 		}
-		// Device 0 now holds the restored weights; refresh every replica.
-		flat := make([]float32, l.engine.GradSize())
-		if err := nn.FlattenValues(l.engine.Params(0), flat); err != nil {
-			return err
-		}
-		if err := l.engine.SetValues(flat); err != nil {
-			return err
-		}
-	} else {
-		for d := 0; d < l.engine.NumDevices(); d++ {
-			if err := ck.Restore(l.engine.Params(d), l.opts[d]); err != nil {
-				return fmt.Errorf("core: restoring checkpoint into device %d: %w", d, err)
-			}
-		}
+	}
+	// Device 0 now holds the restored weights; refresh every replica (the
+	// devices without an optimizer of their own, when sharded).
+	flat, err := l.FlatWeights()
+	if err != nil {
+		return err
+	}
+	if err := l.engine.SetValues(flat); err != nil {
+		return err
 	}
 	l.step = int(ck.Step)
 	return nil

@@ -11,24 +11,25 @@
 // the configured MPI allreduce, broadcast back to the devices, and every
 // device applies the SGD update — leaving all replicas bitwise identical.
 //
-// The step has four execution paths, all producing bitwise-identical
-// parameters under the same compression config (docs/ARCHITECTURE.md maps
-// them side by side):
+// There is one step — Learner.Step — built from three stages that each work
+// on a range [lo, hi) of the flattened gradient: pack (intra-node reduce +
+// error-feedback correct), exchange (the inter-node sum) and apply (scale,
+// hand to the optimizers' devices, step every parameter the range
+// completes). Everything else is a choice of order or of data, never of
+// arithmetic, so every combination ends in bitwise-identical parameters
+// under the same Compression config (docs/ARCHITECTURE.md has the tables):
 //
-//   - phased (the default): the strictly sequential Algorithm 1 above.
-//   - overlap (Config.Overlap, reactive.go): a reactive per-bucket pipeline
-//     — gradient buckets are reduced, compressed and exchanged while
-//     backward is still computing earlier layers, and updates apply per
-//     bucket as results land. Same arithmetic, same bits, less exposed
-//     communication time.
-//   - sharded (Config.ShardOptimizer, sharded.go): ZeRO-1 — the allreduce
-//     decomposes at the reduce-scatter boundary, each rank updates only its
-//     parameter shard with shard-local momentum, and the updated parameters
-//     are allgathered back.
-//   - hierarchical (Config.Topology): the exchange routes over the rank→node
-//     layout — node members to their node leader, leaders chaining partials
-//     across the inter-node fabric — multiplying down slow-link traffic.
-//     Composes with all of the above; it changes routing, never arithmetic.
+//   - Config.Overlap picks the order: stage-major runs each stage once over
+//     the whole vector on the stepping goroutine (Algorithm 1 as written,
+//     phases disjoint in wall time); bucket-major (reactive.go) runs them
+//     per bucket underneath backward, hiding communication under compute.
+//   - Config.ShardOptimizer (ZeRO-1, sharded.go) is data: the shard layout
+//     handed to the exchange, one optimizer over device 0 instead of one per
+//     device, and a parameter allgather closing the step.
+//   - Config.Topology is data: the node layout handed to the exchange.
+//   - Config.Compression selects the bucketed codec Stream; without it (and
+//     stage-major, replicated, flat) the exchange is one of the raw
+//     algorithms the paper compares (Config.Allreduce).
 package core
 
 import (
@@ -200,12 +201,15 @@ type Config struct {
 // decomposition the paper's evaluation reasons about (data loading vs
 // compute vs communication). All fields are cumulative seconds.
 //
-// Under the reactive pipeline (Config.Overlap) the phases are no longer
-// disjoint wall-clock intervals: Compute covers the backward pass with the
-// bucket pipeline running underneath it, IntraNode and Update are folded
-// into the pipeline, and AllReduce records only the EXPOSED communication —
-// the tail the step still waits on after backward finishes. A shrinking
-// AllReduce share against the phased baseline is the overlap win.
+// In stage-major order the phases are disjoint wall-clock intervals tiling
+// the step (error-feedback correction rides in IntraNode with the pack it
+// belongs to; the sharded parameter allgather counts as AllReduce). In
+// bucket-major order (Config.Overlap) they are not: Compute covers the
+// backward pass with the bucket pipeline running underneath it, IntraNode
+// and Update are folded into the pipeline, and AllReduce records only the
+// EXPOSED communication — the tail the step still waits on after backward
+// finishes. A shrinking AllReduce share against the stage-major baseline is
+// the overlap win.
 type PhaseTimes struct {
 	Data      float64 // batch sampling/decoding (DIMD or file I/O)
 	Compute   float64 // per-device forward/backward via the DPT engine
@@ -225,7 +229,6 @@ type Learner struct {
 	engine  *dpt.Engine
 	source  BatchSource
 	cfg     Config
-	opts    []*sgd.SGD
 	gradBuf []float32
 	x       *tensor.Tensor
 	labels  []int
@@ -233,31 +236,43 @@ type Learner struct {
 	scale   float32
 	phases  PhaseTimes
 
-	// Compressed-allreduce state (nil/empty when Compression is off and
-	// Overlap is off — the reactive pipeline always runs a codec, defaulting
-	// to identity).
-	codec       compress.Codec
+	// opts are the optimizers a step advances; opts[d] reads device d's
+	// replica. Replicated: one per device. Sharded: the single shard
+	// optimizer over device 0. apply hands the reduced gradient to exactly
+	// the devices that have one, and StepParam enforces shard ownership, so
+	// neither mode is a branch in the step.
+	opts []*sgd.SGD
+	// ownLo/ownHi is the element range this rank updates: the whole vector
+	// when replicated, its shard when sharded.
+	ownLo, ownHi int
+	// unapplied[p] counts parameter p's gradient elements that have yet to
+	// land this step; apply steps p when it reaches zero.
+	unapplied []int
+
+	// Exchange. codec nil selects the raw Config.Allreduce algorithm;
+	// otherwise stage-major calls bucketed (BucketedAllReduce, or
+	// BucketedReduceScatter when sharded) and bucket-major drives the Stream
+	// itself, both handing over elemBounds (the param-aligned shard layout,
+	// length Size+1; nil when replicated) and topo (nil when flat) as data.
+	codec      compress.Codec
+	bucketed   func(*mpi.Comm, []float32, compress.Codec, allreduce.CompressedOptions) (allreduce.CompressedStats, error)
+	elemBounds []int
+	topo       *mpi.Topology
+	commStats  allreduce.CompressedStats
+
+	// Error-feedback state (nil unless Compression.ErrorFeedback).
 	feedback    *compress.Feedback
 	corrected   []float32 // gradient after residual correction, pre-exchange
 	selfDecoded []float32 // decode of this rank's own transmitted payloads
-	commStats   allreduce.CompressedStats
 
-	// Reactive-pipeline state (nil when Overlap is off); see reactive.go.
+	// pipeline is the bucket-major order's plan (nil when Overlap is off);
+	// see reactive.go.
 	pipeline *bucketPlan
 
-	// Sharded-optimizer state (nil/empty when ShardOptimizer is off); see
-	// sharded.go. paramBounds/elemBounds are the param-aligned shard layout
-	// (length Size+1); shardOpt updates only this rank's shard of device
-	// 0's replica; flatParams is the allgather staging buffer.
-	paramBounds  []int
-	elemBounds   []int
-	shardOpt     *sgd.SGD
+	// Sharded tail (see sharded.go): flatParams is the parameter-allgather
+	// staging buffer, nil when replicated.
 	flatParams   []float32
 	paramAGBytes int64 // cumulative parameter-allgather wire bytes (send+recv)
-
-	// topo is the hierarchical routing layout (nil when Config.Topology is
-	// unset); handed to every bucketed exchange the learner launches.
-	topo *mpi.Topology
 }
 
 // NewLearner constructs a learner over comm from per-device model replicas.
@@ -300,9 +315,6 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 			return nil, err
 		}
 		l.codec = codec
-		if cfg.Compression.Enabled() {
-			engine.SetCompression(cfg.Compression)
-		}
 		if cfg.Compression.ErrorFeedback {
 			l.feedback = compress.NewFeedback(engine.GradSize())
 			l.corrected = make([]float32, engine.GradSize())
@@ -320,15 +332,21 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 	if l.scale == 0 {
 		l.scale = 1 / float32(comm.Size()*m)
 	}
+	l.unapplied = make([]int, engine.NumParams())
 	if cfg.ShardOptimizer {
-		l.paramBounds, l.elemBounds = paramShardBounds(engine, comm.Size())
+		paramBounds, elemBounds := paramShardBounds(engine, comm.Size())
 		rank := comm.Rank()
-		l.shardOpt = sgd.NewShard(engine.Params(0), cfg.SGD, l.paramBounds[rank], l.paramBounds[rank+1])
+		l.opts = []*sgd.SGD{sgd.NewShard(engine.Params(0), cfg.SGD, paramBounds[rank], paramBounds[rank+1])}
+		l.ownLo, l.ownHi = elemBounds[rank], elemBounds[rank+1]
+		l.elemBounds = elemBounds
+		l.bucketed = allreduce.BucketedReduceScatter
 		l.flatParams = make([]float32, engine.GradSize())
 	} else {
 		for d := 0; d < m; d++ {
 			l.opts = append(l.opts, sgd.New(engine.Params(d), cfg.SGD))
 		}
+		l.ownHi = engine.GradSize()
+		l.bucketed = allreduce.BucketedAllReduce
 	}
 	if err := l.broadcastInitialWeights(); err != nil {
 		engine.Close()
@@ -362,9 +380,10 @@ func (l *Learner) broadcastInitialWeights() error {
 }
 
 // Step runs one iteration of Algorithm 1 and returns this learner's local
-// mean loss. Per-phase wall times accumulate in Phases. With Config.Overlap
-// the phased body below is replaced by the reactive pipeline (reactive.go),
-// which produces bitwise-identical parameters.
+// mean loss. Per-phase wall times accumulate in Phases. The three stages
+// below (pack, exchange, apply) run in one of two orders — stage-major here,
+// bucket-major under backward in reactive.go — with the same arithmetic on
+// the same values, so the parameters come out bitwise identical.
 func (l *Learner) Step() (float64, error) {
 	// 1. Sample Bnode images locally (random from the in-memory store).
 	t0 := time.Now()
@@ -373,74 +392,143 @@ func (l *Learner) Step() (float64, error) {
 	}
 	t1 := time.Now()
 	l.phases.Data += t1.Sub(t0).Seconds()
-	if l.pipeline != nil {
-		return l.stepOverlapped(t1)
+	for p := range l.unapplied {
+		lo, hi := l.engine.ParamRange(p)
+		l.unapplied[p] = hi - lo
 	}
-	// 2-3. Per-device forward/backward; intra-node summation.
+	lr := l.currentLR()
+	var loss float64
+	var err error
+	if l.pipeline != nil {
+		loss, err = l.stepBucketMajor(t1, lr)
+	} else {
+		loss, err = l.stepStageMajor(t1, lr)
+	}
+	if err != nil {
+		return 0, err
+	}
+	// Shared tail: allgather the updated shards (nothing to do when every
+	// rank updated everything). Exposed communication in either order.
+	t5 := time.Now()
+	if err := l.allGatherParams(); err != nil {
+		return 0, err
+	}
+	l.phases.AllReduce += time.Since(t5).Seconds()
+	l.step++
+	return loss, nil
+}
+
+// stepStageMajor runs each stage once over the whole vector on the calling
+// goroutine: Algorithm 1 as written, its phases disjoint wall-clock
+// intervals. t1 is the batch-sampling end time (Data is already accounted).
+func (l *Learner) stepStageMajor(t1 time.Time, lr float32) (float64, error) {
+	// 2. Per-device forward/backward.
 	loss, err := l.engine.Step(l.x, l.labels)
 	if err != nil {
 		return 0, err
 	}
 	t2 := time.Now()
 	l.phases.Compute += t2.Sub(t1).Seconds()
-	if err := l.engine.SumGrads(l.gradBuf); err != nil {
+	// 3. Intra-node summation.
+	if err := l.pack(0, len(l.gradBuf)); err != nil {
 		return 0, err
 	}
 	t3 := time.Now()
 	l.phases.IntraNode += t3.Sub(t2).Seconds()
-	if l.shardOpt != nil {
-		return l.stepSharded(loss, t3)
+	// 4. Global inter-node summation. The residual is rank-local (own
+	// corrected gradient vs own transmitted payloads), so it closes over the
+	// whole vector even when the sum lands only on this rank's shard.
+	if err := l.exchange(); err != nil {
+		return 0, fmt.Errorf("core: gradient exchange: %w", err)
 	}
-	// 4. Global inter-node summation (MPI allreduce) — through the bucketed
-	// compressed path when a codec is configured.
-	if l.codec != nil {
-		if l.feedback != nil {
-			l.feedback.Correct(l.gradBuf)
-			copy(l.corrected, l.gradBuf)
-		}
-		st, err := allreduce.BucketedAllReduce(l.comm, l.gradBuf, l.codec, allreduce.CompressedOptions{
-			BucketFloats: l.cfg.Compression.BucketFloats,
-			SelfDecoded:  l.selfDecoded,
-			Topology:     l.topo,
-		})
-		if err != nil {
-			return 0, fmt.Errorf("core: compressed allreduce: %w", err)
-		}
-		l.commStats.Add(st)
-		l.engine.AddAllReduceBytes(st.BytesSent + st.BytesRecv)
-		if l.feedback != nil {
-			l.feedback.Update(l.corrected, l.selfDecoded)
-		}
-	} else if err := allreduce.AllReduce(l.comm, l.gradBuf, l.cfg.Allreduce, l.cfg.AllreduceOpts); err != nil {
-		return 0, fmt.Errorf("core: allreduce: %w", err)
-	}
+	l.residual(0, len(l.gradBuf))
 	t4 := time.Now()
 	l.phases.AllReduce += t4.Sub(t3).Seconds()
+	// 5. Broadcast to local devices; 6. each device performs SGD.
+	err = l.apply(l.ownLo, l.ownHi, l.gradBuf[l.ownLo:l.ownHi], lr)
+	l.phases.Update += time.Since(t4).Seconds()
+	return loss, err
+}
+
+// pack is the first stage over [lo, hi): the intra-node sum of the devices'
+// gradients into gradBuf, plus the error-feedback correction. Over the whole
+// vector it is bitwise dpt's SumGrads followed by Feedback.Correct.
+func (l *Learner) pack(lo, hi int) error {
+	seg := l.gradBuf[lo:hi]
+	if err := l.engine.ReduceRangeInto(seg, lo, hi); err != nil {
+		return err
+	}
+	if l.feedback != nil {
+		l.feedback.CorrectAt(lo, seg)
+		copy(l.corrected[lo:hi], seg)
+	}
+	return nil
+}
+
+// exchange is the second stage in stage-major order: gradBuf becomes the
+// global sum (over this rank's shard's buckets when sharded). This is the
+// one place that decides raw vs bucketed; bucket-major always runs the
+// bucketed Stream (stepBucketMajor).
+func (l *Learner) exchange() error {
+	if l.codec == nil {
+		return allreduce.AllReduce(l.comm, l.gradBuf, l.cfg.Allreduce, l.cfg.AllreduceOpts)
+	}
+	st, err := l.bucketed(l.comm, l.gradBuf, l.codec, allreduce.CompressedOptions{
+		BucketFloats: l.cfg.Compression.BucketFloats,
+		SelfDecoded:  l.selfDecoded,
+		ShardBounds:  l.elemBounds,
+		Topology:     l.topo,
+	})
+	l.commStats.Add(st)
+	return err
+}
+
+// residual closes the error-feedback loop over [lo, hi) once the exchange
+// has transmitted it: what the codec failed to carry becomes next step's
+// correction.
+func (l *Learner) residual(lo, hi int) {
+	if l.feedback != nil {
+		l.feedback.UpdateAt(lo, l.corrected[lo:hi], l.selfDecoded[lo:hi])
+	}
+}
+
+// apply is the third stage: sum, the global gradient sum over [lo, hi), is
+// normalized, handed to every device an optimizer reads, and every
+// parameter whose last outstanding elements this range delivers takes its
+// SGD step. Over the whole vector it is bitwise dpt's SetGrads followed by a
+// full optimizer Step; parameter updates are independent, so any split into
+// ranges gives the same bits.
+func (l *Learner) apply(lo, hi int, sum []float32, lr float32) error {
 	// Normalize the sum of per-device partition means to the global batch
 	// mean so the learning rate has the Goyal semantics.
 	if l.scale != 1 {
-		for i := range l.gradBuf {
-			l.gradBuf[i] *= l.scale
+		for i := range sum {
+			sum[i] *= l.scale
 		}
 	}
-	// 5. Broadcast to local devices; 6. each device performs SGD.
-	if err := l.engine.SetGrads(l.gradBuf); err != nil {
-		return 0, err
+	for d := range l.opts {
+		if err := l.engine.ScatterRangeDev(d, lo, hi, sum); err != nil {
+			return err
+		}
 	}
-	lr := l.currentLR()
-	for _, o := range l.opts {
-		o.Step(lr)
+	first, last := l.engine.ParamsOverlapping(lo, hi)
+	for p := first; p < last; p++ {
+		pLo, pHi := l.engine.ParamRange(p)
+		l.unapplied[p] -= min(pHi, hi) - max(pLo, lo)
+		if l.unapplied[p] == 0 {
+			for _, o := range l.opts {
+				o.StepParam(p, lr)
+			}
+		}
 	}
-	l.phases.Update += time.Since(t4).Seconds()
-	l.step++
-	return loss, nil
+	return nil
 }
 
 // Phases returns the cumulative per-phase wall times.
 func (l *Learner) Phases() PhaseTimes { return l.phases }
 
-// CommStats returns the cumulative compressed-allreduce traffic counters
-// (zero when compression is off).
+// CommStats returns the cumulative bucketed-exchange traffic counters (zero
+// when the exchange is a raw algorithm).
 func (l *Learner) CommStats() allreduce.CompressedStats { return l.commStats }
 
 func (l *Learner) currentLR() float32 {

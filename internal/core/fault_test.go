@@ -95,6 +95,11 @@ func TestRankDownAllSchedules(t *testing.T) {
 		"overlap":      func(c Config) Config { c.Overlap = true; return c },
 		"sharded":      func(c Config) Config { c.ShardOptimizer = true; return c },
 		"hierarchical": func(c Config) Config { c.Topology = topo; return c },
+		"sharded-hierarchical": func(c Config) Config {
+			c.ShardOptimizer = true
+			c.Topology = topo
+			return c
+		},
 	}
 	for name, mod := range schedules {
 		t.Run(name, func(t *testing.T) {

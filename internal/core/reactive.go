@@ -9,45 +9,57 @@ import (
 	"repro/internal/dpt"
 )
 
-// This file implements the reactive gradient pipeline behind Config.Overlap:
-// the strictly phased Algorithm 1 step (full backward → gradient exchange →
-// update) is replaced by a per-bucket dataflow that hides inter-node
-// communication under backward compute.
+// This file is the bucket-major order of Learner.Step (Config.Overlap): the
+// same pack → exchange → apply stages as the stage-major order, run per
+// bucket underneath backward so inter-node communication hides under
+// compute.
 //
 //	backward (per device, back-to-front)
 //	   └─ readiness hook per (device, param)
 //	        └─ tracker: bucket's contributions complete?
-//	             └─ packer: intra-node reduce bucket, error-feedback
-//	                correct, submit to allreduce.Stream  (launch order:
-//	                descending bucket index, agreed across ranks)
+//	             └─ packer: pack the bucket, submit to allreduce.Stream
+//	                (launch order: descending bucket index, agreed across
+//	                ranks)
 //	                  └─ stream: compress → Isend/Irecv → decode+sum
-//	                       └─ collector: feedback update, scale, scatter
-//	                          to devices, per-param SGD as params complete
+//	                       └─ collector: close the residual, apply
 //
 // Every stage performs element-for-element the same arithmetic as the
-// phased path, in the same order (devices in id order, ranks in rank
+// stage-major order, in the same order (devices in id order, ranks in rank
 // order), so the final parameters are bitwise identical — a test asserts it
 // across codecs.
 
 // bucketPlan is the static bucket layout of one learner's flattened
-// gradient: fixed-size buckets plus the param↔bucket incidence used to turn
-// per-param readiness into per-bucket readiness and per-bucket completion
-// into per-param updates.
+// gradient — fixed-size buckets plus the param→bucket incidence that turns
+// per-param readiness into per-bucket readiness — and the plumbing between
+// the order's goroutines. All of it is built once: the learner runs one step
+// at a time, so one set suffices and a step allocates none of it.
 type bucketPlan struct {
-	bucketFloats int
-	lo, hi       []int   // bucket b covers [lo[b], hi[b])
-	paramsOf     [][]int // bucket -> overlapping param indices
-	bucketsOf    [][]int // param -> overlapping bucket indices
+	lo, hi    []int   // bucket b covers [lo[b], hi[b])
+	bucketsOf [][]int // param -> overlapping bucket indices
+	contribs  []int   // bucket -> (param × device) readiness hooks it waits for
 
-	// Per-step countdown scratch, reset at the top of every step (the
-	// learner runs one step at a time, so one set suffices): pending[b] is
-	// the bucket's outstanding (param × device) contributions, remaining[p]
-	// the parameter's outstanding buckets, isReady the packer's
-	// out-of-order arrival mask.
-	pending   []int
-	remaining []int
-	isReady   []bool
+	// Per-step countdown scratch, reset at the top of every step: pending[b]
+	// is the bucket's outstanding contributions (guarded by mu — hooks from
+	// different devices run concurrently), isReady the packer's out-of-order
+	// arrival mask.
+	mu      sync.Mutex
+	pending []int
+	isReady []bool
+
+	// hook is the tracker: it counts down each bucket's contributions as
+	// readiness arrives from the device goroutines and queues completed
+	// buckets on ready. Capacity numBuckets+1 — every bucket once plus
+	// endOfStep — so a send never blocks, under mu or otherwise.
+	hook  dpt.GradHook
+	ready chan int
+	// packErr and collErr carry the packer's and collector's verdicts back
+	// to the stepping goroutine (one send per step each).
+	packErr, collErr chan error
 }
+
+// endOfStep on bucketPlan.ready tells the packer no more buckets will become
+// ready this step.
+const endOfStep = -1
 
 func newBucketPlan(engine *dpt.Engine, bucketFloats int) *bucketPlan {
 	if bucketFloats <= 0 {
@@ -56,14 +68,15 @@ func newBucketPlan(engine *dpt.Engine, bucketFloats int) *bucketPlan {
 	total := engine.GradSize()
 	nb := (total + bucketFloats - 1) / bucketFloats
 	p := &bucketPlan{
-		bucketFloats: bucketFloats,
-		lo:           make([]int, nb),
-		hi:           make([]int, nb),
-		paramsOf:     make([][]int, nb),
-		bucketsOf:    make([][]int, engine.NumParams()),
-		pending:      make([]int, nb),
-		remaining:    make([]int, engine.NumParams()),
-		isReady:      make([]bool, nb),
+		lo:        make([]int, nb),
+		hi:        make([]int, nb),
+		bucketsOf: make([][]int, engine.NumParams()),
+		contribs:  make([]int, nb),
+		pending:   make([]int, nb),
+		isReady:   make([]bool, nb),
+		ready:     make(chan int, nb+1),
+		packErr:   make(chan error, 1),
+		collErr:   make(chan error, 1),
 	}
 	for b := 0; b < nb; b++ {
 		p.lo[b] = b * bucketFloats
@@ -72,54 +85,21 @@ func newBucketPlan(engine *dpt.Engine, bucketFloats int) *bucketPlan {
 	for i := 0; i < engine.NumParams(); i++ {
 		pLo, pHi := engine.ParamRange(i)
 		for b := pLo / bucketFloats; b*bucketFloats < pHi; b++ {
-			p.paramsOf[b] = append(p.paramsOf[b], i)
 			p.bucketsOf[i] = append(p.bucketsOf[i], b)
+			p.contribs[b] += engine.NumDevices()
 		}
 	}
-	return p
-}
-
-// numBuckets returns the bucket count.
-func (p *bucketPlan) numBuckets() int { return len(p.lo) }
-
-// stepOverlapped runs one reactive iteration. t1 is the batch-sampling end
-// time (Data is already accounted).
-func (l *Learner) stepOverlapped(t1 time.Time) (float64, error) {
-	plan := l.pipeline
-	nb := plan.numBuckets()
-	devices := l.engine.NumDevices()
-	lr := l.currentLR()
-
-	// With ShardOptimizer the stream stops at the reduce-scatter boundary:
-	// bucket payloads travel only to their shard owners, and buckets this
-	// rank does not own surface with a nil Sum (elemBounds is nil otherwise,
-	// which keeps the full allreduce exchange).
-	stream := allreduce.NewStream(l.comm, l.codec, allreduce.StreamOptions{
-		MaxInFlight: l.cfg.OverlapInFlight,
-		SelfDecoded: l.selfDecoded,
-		ShardBounds: l.elemBounds,
-		Topology:    l.topo,
-	})
-
-	// Tracker: count down each bucket's (param × device) contributions as
-	// readiness hooks arrive from the device goroutines.
-	pending := plan.pending
-	for b := range pending {
-		pending[b] = len(plan.paramsOf[b]) * devices
-	}
-	ready := make(chan int, nb)
-	var trackMu sync.Mutex
-	hook := func(dev, param int) {
+	p.hook = func(dev, param int) {
 		fired := false
-		trackMu.Lock()
-		for _, b := range plan.bucketsOf[param] {
-			pending[b]--
-			if pending[b] == 0 {
-				ready <- b
+		p.mu.Lock()
+		for _, b := range p.bucketsOf[param] {
+			p.pending[b]--
+			if p.pending[b] == 0 {
+				p.ready <- b
 				fired = true
 			}
 		}
-		trackMu.Unlock()
+		p.mu.Unlock()
 		if fired {
 			// Hand the processor to the packer so the bucket's non-blocking
 			// exchange launches NOW, not when backward happens to preempt.
@@ -129,153 +109,103 @@ func (l *Learner) stepOverlapped(t1 time.Time) (float64, error) {
 			runtime.Gosched()
 		}
 	}
+	return p
+}
 
-	// Packer: serialize ready buckets into the launch order agreed across
-	// ranks — descending bucket index, i.e. backward order — then intra-node
-	// reduce, error-feedback correct, and submit. (The Stream's ordering
-	// contract forbids launching in raw readiness order: with a bounded
-	// in-flight window, ranks launching different orders can deadlock.)
-	packErr := make(chan error, 1)
-	go func() {
-		defer stream.CloseSend()
-		isReady := plan.isReady
-		for b := range isReady {
-			isReady[b] = false
-		}
-		next := nb - 1
-		for submitted := 0; submitted < nb; {
-			b, ok := <-ready
-			if !ok {
-				packErr <- nil // aborted by the learner; nothing left to do
-				return
-			}
-			isReady[b] = true
-			for next >= 0 && isReady[next] {
-				lo, hi := plan.lo[next], plan.hi[next]
-				seg := l.gradBuf[lo:hi]
-				if err := l.engine.ReduceRangeInto(seg, lo, hi); err != nil {
-					packErr <- err
-					return
-				}
-				if l.feedback != nil {
-					l.feedback.CorrectAt(lo, seg)
-					copy(l.corrected[lo:hi], seg)
-				}
-				stream.Submit(next, lo, hi, seg)
-				submitted++
-				next--
-			}
-		}
-		packErr <- nil
-	}()
+// stepBucketMajor runs the stages per bucket underneath backward. t1 is the
+// batch-sampling end time (Data is already accounted).
+func (l *Learner) stepBucketMajor(t1 time.Time, lr float32) (float64, error) {
+	p := l.pipeline
+	copy(p.pending, p.contribs)
+	clear(p.isReady)
+	// The exchange stage. With elemBounds set the stream stops at the
+	// reduce-scatter boundary: bucket payloads travel only to their shard
+	// owners, and buckets this rank does not own surface with a nil Sum.
+	stream := allreduce.NewStream(l.comm, l.codec, allreduce.StreamOptions{
+		MaxInFlight: l.cfg.OverlapInFlight,
+		SelfDecoded: l.selfDecoded,
+		ShardBounds: l.elemBounds,
+		Topology:    l.topo,
+	})
+	go l.packBuckets(stream)
+	go l.applyBuckets(stream, lr)
 
-	// Collector: as reduced buckets land, close the error-feedback loop,
-	// scale, scatter to the devices, and fire the SGD update for every
-	// parameter whose buckets have all arrived. Consumed Sum buffers are
-	// released back to the pool for the next buckets (and the next step).
-	//
-	// In sharded mode only owned buckets carry a Sum; the gradient lands on
-	// device 0 alone (the replica the shard optimizer reads), unowned
-	// buckets contribute just their error-feedback residual update (which is
-	// rank-local, hence full-length), and StepParam enforces shard ownership
-	// — so the countdown stays uniform across modes.
-	remaining := plan.remaining
-	for i := range remaining {
-		remaining[i] = len(plan.bucketsOf[i])
-	}
-	collErr := make(chan error, 1)
-	go func() {
-		var firstErr error
-		for res := range stream.Results() {
-			if firstErr != nil {
-				res.Release()
-				continue // drain
-			}
-			if res.Err != nil {
-				firstErr = res.Err
-				continue
-			}
-			if l.feedback != nil {
-				l.feedback.UpdateAt(res.Lo, l.corrected[res.Lo:res.Hi], l.selfDecoded[res.Lo:res.Hi])
-			}
-			if res.Sum != nil {
-				if l.scale != 1 {
-					for i := range res.Sum {
-						res.Sum[i] *= l.scale
-					}
-				}
-				var err error
-				if l.shardOpt != nil {
-					err = l.engine.ScatterRangeDev(0, res.Lo, res.Hi, res.Sum)
-				} else {
-					err = l.engine.ScatterRange(res.Lo, res.Hi, res.Sum)
-				}
-				if err != nil {
-					firstErr = err
-					res.Release()
-					continue
-				}
-				copy(l.gradBuf[res.Lo:res.Hi], res.Sum)
-			}
-			res.Release()
-			for _, p := range plan.paramsOf[res.Idx] {
-				remaining[p]--
-				if remaining[p] == 0 {
-					if l.shardOpt != nil {
-						l.shardOpt.StepParam(p, lr)
-					} else {
-						for _, o := range l.opts {
-							o.StepParam(p, lr)
-						}
-					}
-				}
-			}
-		}
-		collErr <- firstErr
-	}()
-
-	// 2. Per-device forward/backward with incremental gradient emission; the
+	// Per-device forward/backward with incremental gradient emission; the
 	// pipeline above is already reducing and exchanging buckets while this
 	// call is still computing earlier layers.
-	loss, stepErr := l.engine.StepWithGradHook(l.x, l.labels, hook)
+	loss, stepErr := l.engine.StepWithGradHook(l.x, l.labels, p.hook)
 	t2 := time.Now()
 	l.phases.Compute += t2.Sub(t1).Seconds()
-	if stepErr != nil {
-		// Hooks have quiesced (StepWithGradHook joins the devices before
-		// erroring; validation errors fire no hooks at all). Closing ready
-		// lets the packer drain whatever readiness arrived and shut the
-		// stream down so the collector terminates.
-		close(ready)
-	}
+	// Hooks have quiesced (StepWithGradHook joins the devices before
+	// returning, and validation errors fire none at all), so every bucket
+	// that will become ready is already queued ahead of this.
+	p.ready <- endOfStep
 
-	perr := <-packErr
-	cerr := <-collErr
+	perr := <-p.packErr
+	cerr := <-p.collErr
 	st, serr := stream.Stats()
-	if serr != nil && cerr == nil {
+	if cerr == nil {
 		cerr = serr
 	}
 	l.commStats.Add(st)
-	l.engine.AddAllReduceBytes(st.BytesSent + st.BytesRecv)
-	if stepErr == nil && perr == nil && cerr == nil && l.shardOpt != nil {
-		// Sharded tail: every owned parameter is updated by now; allgather
-		// the shards and refresh the devices. Exposed comm, like the tail
-		// the phased sharded step pays — accounted in AllReduce below.
-		if err := l.allGatherParams(); err != nil {
-			cerr = err
-		}
-	}
 	// Everything after backward returned is exposed (non-overlapped) comm +
 	// update tail.
 	l.phases.AllReduce += time.Since(t2).Seconds()
-	if stepErr != nil {
+	switch {
+	case stepErr != nil:
 		return 0, stepErr
-	}
-	if perr != nil {
+	case perr != nil:
 		return 0, perr
-	}
-	if cerr != nil {
+	case cerr != nil:
 		return 0, cerr
 	}
-	l.step++
 	return loss, nil
+}
+
+// packBuckets is the packer: it serializes ready buckets into the launch
+// order agreed across ranks — descending bucket index, i.e. backward order —
+// packs each and submits it. (The Stream's ordering contract forbids
+// launching in raw readiness order: with a bounded in-flight window, ranks
+// launching different orders can deadlock.) It runs until endOfStep, which
+// on a failed step arrives early and shuts the stream down so the collector
+// terminates; after an error of its own it keeps draining ready so nothing
+// stale is left for the next step.
+func (l *Learner) packBuckets(stream *allreduce.Stream) {
+	p := l.pipeline
+	var err error
+	next := len(p.lo) - 1
+	for b := <-p.ready; b != endOfStep; b = <-p.ready {
+		p.isReady[b] = true
+		for err == nil && next >= 0 && p.isReady[next] {
+			lo, hi := p.lo[next], p.hi[next]
+			if err = l.pack(lo, hi); err == nil {
+				stream.Submit(next, lo, hi, l.gradBuf[lo:hi])
+				next--
+			}
+		}
+	}
+	stream.CloseSend()
+	p.packErr <- err
+}
+
+// applyBuckets is the collector: as reduced buckets land it closes the
+// error-feedback loop and applies them, then releases the consumed Sum back
+// to the pool for the next buckets (and the next step). A bucket this rank
+// does not own (reduce-scatter) lands without a Sum and contributes only its
+// residual, which is rank-local. After a failure it keeps draining.
+func (l *Learner) applyBuckets(stream *allreduce.Stream, lr float32) {
+	var err error
+	for res := range stream.Results() {
+		if err == nil {
+			err = res.Err
+		}
+		if err == nil {
+			l.residual(res.Lo, res.Hi)
+			if res.Sum != nil {
+				err = l.apply(res.Lo, res.Hi, res.Sum, lr)
+			}
+		}
+		res.Release()
+	}
+	l.pipeline.collErr <- err
 }

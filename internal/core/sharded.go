@@ -2,16 +2,16 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/allreduce"
 	"repro/internal/dpt"
 )
 
-// This file implements ZeRO-1-style sharded data parallelism behind
-// Config.ShardOptimizer. The replicated Algorithm 1 step holds a full
-// optimizer-state replica and applies the full update on every rank; the
-// sharded step decomposes its allreduce at the reduce-scatter boundary:
+// This file holds what ZeRO-1-style sharded data parallelism
+// (Config.ShardOptimizer) adds to Learner.Step: the shard layout and the
+// parameter-allgather tail. The replicated step holds a full optimizer-state
+// replica and applies the full update on every rank; sharded, the same step
+// stops its exchange at the reduce-scatter boundary:
 //
 //	intra-node sum → reduce-scatter (each gradient bucket's compressed
 //	payload travels only to its shard owners) → this rank updates ONLY its
@@ -55,76 +55,19 @@ func paramShardBounds(engine *dpt.Engine, ranks int) (paramB, elemB []int) {
 	return paramB, elemB
 }
 
-// shardRange returns this rank's owned element range.
-func (l *Learner) shardRange() (lo, hi int) {
-	rank := l.comm.Rank()
-	return l.elemBounds[rank], l.elemBounds[rank+1]
-}
-
-// stepSharded finishes a phased training step in sharded mode: called after
-// batch sampling, compute and the intra-node sum (t3 is the intra-node end
-// time; loss is the step's local mean loss). Mirrors the tail of
-// Learner.Step with the allreduce decomposed.
-func (l *Learner) stepSharded(loss float64, t3 time.Time) (float64, error) {
-	// 4a. Reduce-scatter: after this, gradBuf holds the global sum over
-	// every bucket overlapping this rank's shard.
-	if l.feedback != nil {
-		l.feedback.Correct(l.gradBuf)
-		copy(l.corrected, l.gradBuf)
-	}
-	st, err := allreduce.BucketedReduceScatter(l.comm, l.gradBuf, l.codec, allreduce.CompressedOptions{
-		BucketFloats: l.cfg.Compression.BucketFloats,
-		SelfDecoded:  l.selfDecoded,
-		ShardBounds:  l.elemBounds,
-		Topology:     l.topo,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("core: reduce-scatter: %w", err)
-	}
-	l.commStats.Add(st)
-	l.engine.AddAllReduceBytes(st.BytesSent + st.BytesRecv)
-	if l.feedback != nil {
-		// The residual update is rank-local (own corrected gradient vs own
-		// transmitted payloads), so it stays full-length under sharding.
-		l.feedback.Update(l.corrected, l.selfDecoded)
-	}
-	t4 := time.Now()
-	l.phases.AllReduce += t4.Sub(t3).Seconds()
-
-	// 4b. Local shard update: scale, hand the shard's gradient to device
-	// 0's replica, and step only the owned parameters with the shard-local
-	// momentum. Element-for-element the same arithmetic as the replicated
-	// update over this range.
-	lo, hi := l.shardRange()
-	if l.scale != 1 {
-		seg := l.gradBuf[lo:hi]
-		for i := range seg {
-			seg[i] *= l.scale
-		}
-	}
-	if err := l.engine.ScatterRangeDev(0, lo, hi, l.gradBuf[lo:hi]); err != nil {
-		return 0, err
-	}
-	l.shardOpt.Step(l.currentLR())
-	t5 := time.Now()
-	l.phases.Update += t5.Sub(t4).Seconds()
-
-	// 4c. Allgather of updated parameters + intra-node weight broadcast.
-	if err := l.allGatherParams(); err != nil {
-		return 0, err
-	}
-	l.phases.AllReduce += time.Since(t5).Seconds()
-	l.step++
-	return loss, nil
-}
-
 // allGatherParams assembles this rank's updated shard from device 0,
 // allgathers every shard (ring, bitwise copies), and refreshes every
 // device's replica. The allgather's wire bytes are accounted in
 // paramAGBytes — it is real traffic the sharded step pays that the
 // replicated step does not, and the shard report must not hide it.
+//
+// It is the tail of every step: replicated (no staging buffer), every rank
+// has already updated every device, and there is nothing to gather.
 func (l *Learner) allGatherParams() error {
-	lo, hi := l.shardRange()
+	if l.flatParams == nil {
+		return nil
+	}
+	lo, hi := l.ownLo, l.ownHi
 	if err := l.engine.FlattenValuesRange(0, lo, hi, l.flatParams[lo:hi]); err != nil {
 		return err
 	}
@@ -148,7 +91,7 @@ func (l *Learner) allGatherParams() error {
 func (l *Learner) ParamAllGatherBytes() int64 { return l.paramAGBytes }
 
 // Sharded reports whether the learner runs the sharded-optimizer path.
-func (l *Learner) Sharded() bool { return l.shardOpt != nil }
+func (l *Learner) Sharded() bool { return l.cfg.ShardOptimizer }
 
 // ShardBounds returns the param-aligned element shard layout (length
 // Size+1), or nil when sharding is off.
@@ -158,9 +101,6 @@ func (l *Learner) ShardBounds() []int { return l.elemBounds }
 // learner holds: one shard in sharded mode, one full replica per device
 // otherwise — the quantity ZeRO-1 sharding shrinks by ~world-size.
 func (l *Learner) OptimizerStateBytes() int64 {
-	if l.shardOpt != nil {
-		return 4 * int64(l.shardOpt.StateLen())
-	}
 	var n int64
 	for _, o := range l.opts {
 		n += int64(o.StateLen())

@@ -23,10 +23,11 @@
 // Beyond the per-step Step/SumGrads pair, the engine exposes the
 // incremental surface the upper schedules are built on: StepWithGradHook
 // streams per-(device, param) gradient readiness into internal/core's
-// reactive pipeline, ReduceRangeInto/ScatterRange move single buckets for
-// the overlapped exchange, and ScatterRangeDev/FlattenValuesRange/SetValues
-// serve the sharded (ZeRO-1) update path. How the four execution paths
-// compose these is mapped in docs/ARCHITECTURE.md.
+// bucket-major step order, ReduceRangeInto/ScatterRangeDev move any range of
+// the flattened gradient (a bucket, or the whole vector — then bitwise equal
+// to SumGrads/SetGrads), and FlattenValuesRange/SetValues serve the sharded
+// (ZeRO-1) parameter allgather. How core's one step composes these is mapped
+// in docs/ARCHITECTURE.md.
 package dpt
 
 import (
@@ -34,7 +35,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/compress"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -52,11 +52,6 @@ type Stats struct {
 	// CriterionSerial counts criterion evaluations performed serially on
 	// the main thread (baseline) rather than on the devices.
 	CriterionSerial int64
-	// AllReduceBytes counts inter-node gradient-exchange wire bytes — the
-	// compressed payloads when a codec is configured. The training loop
-	// (core.Learner) reports them here so one Stats snapshot accounts for
-	// all of a node's data movement.
-	AllReduceBytes int64
 }
 
 // device is one worker owning a model replica.
@@ -102,13 +97,12 @@ func (d *device) submit(fn func()) {
 
 // Engine schedules training steps across the node's devices.
 type Engine struct {
-	devices     []*device
-	optimized   bool
-	gradSize    int
-	mu          sync.Mutex
-	stats       Stats
-	compression compress.Config
-	closed      bool
+	devices   []*device
+	optimized bool
+	gradSize  int
+	mu        sync.Mutex
+	stats     Stats
+	closed    bool
 
 	// sumScratch is SumGrads' flatten buffer, reused across steps.
 	sumScratch []float32
@@ -183,31 +177,6 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// SetCompression records the gradient-compression configuration this node
-// trains with. The compression itself runs in the allreduce path; the engine
-// carries the config so stats consumers (benchtool, examples) can attribute
-// the byte counts to a codec.
-func (e *Engine) SetCompression(cfg compress.Config) {
-	e.mu.Lock()
-	e.compression = cfg
-	e.mu.Unlock()
-}
-
-// Compression returns the recorded gradient-compression configuration.
-func (e *Engine) Compression() compress.Config {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.compression
-}
-
-// AddAllReduceBytes accumulates inter-node gradient-exchange wire bytes into
-// the engine's stats.
-func (e *Engine) AddAllReduceBytes(n int64) {
-	e.mu.Lock()
-	e.stats.AllReduceBytes += n
-	e.mu.Unlock()
-}
-
 // Close terminates the device workers.
 func (e *Engine) Close() {
 	if e.closed {
@@ -235,80 +204,33 @@ func (e *Engine) partition(n int) []int {
 // Step runs one forward+backward over the node batch x (N,C,H,W) with
 // labels, leaving per-device gradients accumulated and returning the
 // batch-weighted mean loss. Gradients are zeroed at entry, matching
-// Algorithm 1's per-iteration gradient computation.
+// Algorithm 1's per-iteration gradient computation. The optimized engine's
+// step is StepWithGradHook with nobody listening.
 func (e *Engine) Step(x *tensor.Tensor, labels []int) (float64, error) {
-	if e.closed {
-		return 0, errors.New("dpt: engine closed")
-	}
-	n := x.Dim(0)
-	if len(labels) != n {
-		return 0, fmt.Errorf("dpt: %d labels for batch %d", len(labels), n)
-	}
-	if n < len(e.devices) {
-		return 0, fmt.Errorf("dpt: batch %d smaller than device count %d", n, len(e.devices))
-	}
-	sizes := e.partition(n)
 	if e.optimized {
-		return e.stepOptimized(x, labels, sizes)
+		return e.StepWithGradHook(x, labels, nil)
+	}
+	sizes, err := e.partitionBatch(x, labels)
+	if err != nil {
+		return 0, err
 	}
 	return e.stepBaseline(x, labels, sizes)
 }
 
-// stepOptimized implements Figure 4: partition up front, direct transfer,
-// criterion on every device, one serialized callback per device.
-func (e *Engine) stepOptimized(x *tensor.Tensor, labels []int, sizes []int) (float64, error) {
-	rowLen := x.Len() / x.Dim(0)
-	off := 0
-	for i, d := range e.devices {
-		d := d // job closures must bind this iteration's device, not the shared range variable
-		lo, hi := off, off+sizes[i]
-		off = hi
-		d.partN = hi - lo
-		if d.partN == 0 {
-			// Empty row shard: nothing to forward, but grads must still be
-			// zeroed so SumGrads doesn't pick up a stale contribution.
-			d.submit(func() { nn.ZeroGrads(d.params) })
-			continue
-		}
-		part := x.MustSliceRows(lo, hi)
-		lbl := labels[lo:hi]
-		d.submit(func() {
-			// Direct host->device transfer of just this partition.
-			d.stageInput(part)
-			d.labelBuf = append(d.labelBuf[:0], lbl...)
-			nn.ZeroGrads(d.params)
-			out := d.model.Forward(d.input, true)
-			loss, err := d.crit.Forward(out, d.labelBuf)
-			if err != nil {
-				d.loss = -1
-				return
-			}
-			d.loss = loss
-			d.model.Backward(d.crit.Backward())
-		})
-		e.mu.Lock()
-		e.stats.BytesMoved += int64(4 * sizes[i] * rowLen)
-		e.mu.Unlock()
+// partitionBatch validates a step's inputs and splits the batch rows across
+// the devices.
+func (e *Engine) partitionBatch(x *tensor.Tensor, labels []int) ([]int, error) {
+	if e.closed {
+		return nil, errors.New("dpt: engine closed")
 	}
-	var loss float64
-	for _, d := range e.devices {
-		d.done.Wait()
-		// One ending callback per device per step.
-		e.mu.Lock()
-		e.stats.Serializations++
-		e.mu.Unlock()
-		if d.partN == 0 {
-			continue
-		}
-		if d.loss < 0 {
-			return 0, errors.New("dpt: criterion failed on device")
-		}
-		loss += d.loss * float64(d.partN)
+	n := x.Dim(0)
+	if len(labels) != n {
+		return nil, fmt.Errorf("dpt: %d labels for batch %d", len(labels), n)
 	}
-	e.mu.Lock()
-	e.stats.Steps++
-	e.mu.Unlock()
-	return loss / float64(x.Dim(0)), nil
+	if n < len(e.devices) {
+		return nil, fmt.Errorf("dpt: batch %d smaller than device count %d", n, len(e.devices))
+	}
+	return e.partition(n), nil
 }
 
 // stepBaseline implements Figure 3: the full batch is staged on device 0,

@@ -35,30 +35,26 @@ func (e *Engine) ParamRange(i int) (lo, hi int) {
 	return lo, e.gradSize
 }
 
-// StepWithGradHook is Step in optimized scheduling with incremental
-// gradient readiness: forward, criterion and backward all run on the
-// devices, and hook fires per (device, parameter) as soon as that replica's
-// gradient for the parameter is final — while earlier layers are still
-// computing backward. It returns after every device finishes, like Step; by
-// then hook has fired exactly NumDevices×NumParams times.
+// StepWithGradHook is the optimized engine's step (paper Figure 4:
+// partition up front, direct transfer, forward, criterion and backward all
+// on the devices, one serialized callback per device) with incremental
+// gradient readiness: hook fires per (device, parameter) as soon as that
+// replica's gradient for the parameter is final — while earlier layers are
+// still computing backward. It returns after every device finishes; by then
+// hook has fired exactly NumDevices×NumParams times. A nil hook is the plain
+// Step: backward runs without notification.
 //
 // The model replicas should implement nn.GradNotifier for real overlap;
 // plain layers degrade to whole-model notification after backward.
 func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook) (float64, error) {
-	if e.closed {
-		return 0, errors.New("dpt: engine closed")
-	}
 	if !e.optimized {
 		return 0, errors.New("dpt: StepWithGradHook requires the optimized engine (baseline scheduling serializes backward)")
 	}
+	sizes, err := e.partitionBatch(x, labels)
+	if err != nil {
+		return 0, err
+	}
 	n := x.Dim(0)
-	if len(labels) != n {
-		return 0, fmt.Errorf("dpt: %d labels for batch %d", len(labels), n)
-	}
-	if n < len(e.devices) {
-		return 0, fmt.Errorf("dpt: batch %d smaller than device count %d", n, len(e.devices))
-	}
-	sizes := e.partition(n)
 	rowLen := x.Len() / n
 	off := 0
 	for i, d := range e.devices {
@@ -66,37 +62,37 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 		lo, hi := off, off+sizes[i]
 		off = hi
 		d.partN = hi - lo
-		notifyAll := func() {
-			for p := range d.params {
-				hook(d.id, p)
-			}
-		}
 		if d.partN == 0 {
 			// Empty row shard: zeroed gradients still contribute to the
 			// intra-node sum, so readiness is immediate for every param.
 			d.submit(func() {
 				nn.ZeroGrads(d.params)
-				notifyAll()
+				d.notifyAll(hook)
 			})
 			continue
 		}
 		part := x.MustSliceRows(lo, hi)
 		lbl := labels[lo:hi]
 		d.submit(func() {
+			// Direct host->device transfer of just this partition.
 			d.stageInput(part)
 			d.labelBuf = append(d.labelBuf[:0], lbl...)
 			nn.ZeroGrads(d.params)
 			out := d.model.Forward(d.input, true)
 			loss, err := d.crit.Forward(out, d.labelBuf)
 			if err != nil {
-				// The step is failing; readiness must still complete so a
-				// pipelined caller can drain instead of deadlocking.
+				// The step is failing (gradients stay zero); readiness must
+				// still complete so a pipelined caller can drain instead of
+				// deadlocking.
 				d.loss = -1
-				nn.ZeroGrads(d.params)
-				notifyAll()
+				d.notifyAll(hook)
 				return
 			}
 			d.loss = loss
+			if hook == nil {
+				d.model.Backward(d.crit.Backward())
+				return
+			}
 			idx := e.paramIdx[d.id]
 			nn.BackwardNotify(d.model, d.crit.Backward(), func(p *nn.Param) {
 				hook(d.id, idx[p])
@@ -111,6 +107,7 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 	// goroutine may still be firing hooks.
 	for _, d := range e.devices {
 		d.done.Wait()
+		// One ending callback per device per step.
 		e.mu.Lock()
 		e.stats.Serializations++
 		e.mu.Unlock()
@@ -131,9 +128,20 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 	return loss / float64(n), nil
 }
 
-// paramsOverlapping returns the index range [first, last) of parameters
+// notifyAll reports every parameter of the device ready (no-op without a
+// hook).
+func (d *device) notifyAll(hook GradHook) {
+	if hook == nil {
+		return
+	}
+	for p := range d.params {
+		hook(d.id, p)
+	}
+}
+
+// ParamsOverlapping returns the index range [first, last) of parameters
 // whose flattened extent intersects [lo, hi).
-func (e *Engine) paramsOverlapping(lo, hi int) (first, last int) {
+func (e *Engine) ParamsOverlapping(lo, hi int) (first, last int) {
 	// First param whose end is beyond lo.
 	first = sort.Search(len(e.offsets), func(i int) bool {
 		_, end := e.ParamRange(i)
@@ -148,17 +156,15 @@ func (e *Engine) paramsOverlapping(lo, hi int) (first, last int) {
 // ReduceRangeInto sums the devices' gradients over the flattened range
 // [lo, hi) into dst (length hi-lo), device 0 first then adding device 1, 2,
 // … — element-for-element the same arithmetic order as SumGrads, so a
-// bucket-by-bucket reduction is bitwise identical to the full-vector one.
+// bucket-by-bucket reduction is bitwise identical to the full-vector one,
+// and ReduceRangeInto(dst, 0, GradSize) IS SumGrads without its scratch.
 // The caller must guarantee every overlapping parameter's gradient is final
 // on every device (readiness established through StepWithGradHook).
 func (e *Engine) ReduceRangeInto(dst []float32, lo, hi int) error {
-	if hi < lo || lo < 0 || hi > e.gradSize {
-		return fmt.Errorf("dpt: ReduceRangeInto range [%d,%d) outside gradient [0,%d)", lo, hi, e.gradSize)
+	if err := e.checkRange("ReduceRangeInto", lo, hi, len(dst)); err != nil {
+		return err
 	}
-	if len(dst) != hi-lo {
-		return fmt.Errorf("dpt: ReduceRangeInto dst %d, want %d", len(dst), hi-lo)
-	}
-	first, last := e.paramsOverlapping(lo, hi)
+	first, last := e.ParamsOverlapping(lo, hi)
 	for di, d := range e.devices {
 		for i := first; i < last; i++ {
 			pLo, pHi := e.ParamRange(i)
@@ -178,23 +184,22 @@ func (e *Engine) ReduceRangeInto(dst []float32, lo, hi int) error {
 }
 
 // ScatterRange writes src (length hi-lo) into every device's gradient
-// accumulators over the flattened range [lo, hi) — the per-bucket form of
-// SetGrads' intra-node broadcast.
+// accumulators over the flattened range [lo, hi) — the range form of
+// SetGrads' intra-node broadcast, bitwise equal to it over [0, GradSize).
 func (e *Engine) ScatterRange(lo, hi int, src []float32) error {
-	if err := e.checkRange("ScatterRange", lo, hi, len(src)); err != nil {
-		return err
-	}
-	first, last := e.paramsOverlapping(lo, hi)
 	for dev := range e.devices {
-		e.scatterRangeDev(dev, lo, hi, src, first, last)
+		if err := e.ScatterRangeDev(dev, lo, hi, src); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// ScatterRangeDev is ScatterRange restricted to one device — the sharded
-// optimizer's form: only the device whose replica the shard optimizer reads
-// needs the reduced gradient, the others receive updated *weights* via
-// SetValues after the parameter allgather.
+// ScatterRangeDev is ScatterRange restricted to one device: the training
+// step hands the reduced gradient only to the devices whose replica an
+// optimizer reads (every device when replicated, device 0 when sharded — the
+// others then receive updated *weights* via SetValues after the parameter
+// allgather).
 func (e *Engine) ScatterRangeDev(dev, lo, hi int, src []float32) error {
 	if dev < 0 || dev >= len(e.devices) {
 		return fmt.Errorf("dpt: ScatterRangeDev device %d of %d", dev, len(e.devices))
@@ -202,20 +207,14 @@ func (e *Engine) ScatterRangeDev(dev, lo, hi int, src []float32) error {
 	if err := e.checkRange("ScatterRangeDev", lo, hi, len(src)); err != nil {
 		return err
 	}
-	first, last := e.paramsOverlapping(lo, hi)
-	e.scatterRangeDev(dev, lo, hi, src, first, last)
-	return nil
-}
-
-// scatterRangeDev copies src into device dev's gradient accumulators over
-// [lo, hi); bounds and src length are already validated.
-func (e *Engine) scatterRangeDev(dev, lo, hi int, src []float32, first, last int) {
 	d := e.devices[dev]
+	first, last := e.ParamsOverlapping(lo, hi)
 	for i := first; i < last; i++ {
 		pLo, pHi := e.ParamRange(i)
 		s, t := max(pLo, lo), min(pHi, hi)
 		copy(d.params[i].Grad.Data[s-pLo:t-pLo], src[s-lo:t-lo])
 	}
+	return nil
 }
 
 // FlattenValuesRange copies device dev's parameter VALUES over the flattened
@@ -229,7 +228,7 @@ func (e *Engine) FlattenValuesRange(dev, lo, hi int, dst []float32) error {
 		return err
 	}
 	d := e.devices[dev]
-	first, last := e.paramsOverlapping(lo, hi)
+	first, last := e.ParamsOverlapping(lo, hi)
 	for i := first; i < last; i++ {
 		pLo, pHi := e.ParamRange(i)
 		s, t := max(pLo, lo), min(pHi, hi)

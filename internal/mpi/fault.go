@@ -252,7 +252,7 @@ func (t *faultTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) er
 }
 
 // Recv implements Transport, bounding the wait by the plan's detection
-// timeout. The topology and latency wrappers only override sends, so going
+// timeout. The topology wrapper only overrides sends, so going
 // straight to the mailbox here sees exactly the messages the inner transport
 // would deliver.
 func (t *faultTransport) Recv(src int, ctx uint64, tag int) ([]byte, error) {

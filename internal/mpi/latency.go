@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // LinkProfile models a network link for the in-process transport: each
 // message pays Latency plus len/BytesPerSec of wall time before delivery.
@@ -33,45 +30,11 @@ func (p LinkProfile) Delay(n int) time.Duration {
 // wire; non-blocking Isend pays it on the request's goroutine. Experiments
 // that need a comm-heavy configuration (the overlap benchmark) use this to
 // make inter-node traffic cost honest wall time instead of a free memcpy.
+//
+// It is the topology world with one rank per node: every message crosses
+// the inter-node link, so Traffic reports all sent bytes as InterBytes.
 func NewLatencyWorld(n int, link LinkProfile) *World {
 	w := NewWorld(n)
-	w.link = link
+	w.topo = &topoNet{topo: UniformTopology(n, 1), inter: link}
 	return w
 }
-
-// latencyTransport wraps another transport, charging every send the link
-// delay under a per-rank egress lock.
-type latencyTransport struct {
-	Transport
-	link LinkProfile
-	mu   sync.Mutex // serializes this rank's egress
-}
-
-// charge occupies this rank's egress link for the wall time an n-byte
-// message takes — the single place the link model is applied, so copying and
-// ownership-transfer sends always pay identical cost.
-func (t *latencyTransport) charge(n int) {
-	if d := t.link.Delay(n); d > 0 {
-		t.mu.Lock()
-		time.Sleep(d)
-		t.mu.Unlock()
-	}
-}
-
-// Send implements Transport.
-func (t *latencyTransport) Send(dst int, ctx uint64, tag int, data []byte) error {
-	t.charge(len(data))
-	return t.Transport.Send(dst, ctx, tag, data)
-}
-
-// SendOwned implements Transport, charging the same egress delay as Send.
-// (Without this override the embedded transport's zero-delay SendOwned would
-// leak through and make pooled sends free.)
-func (t *latencyTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) error {
-	t.charge(len(data))
-	return t.Transport.SendOwned(dst, ctx, tag, data)
-}
-
-// sendNeverBlocks overrides the embedded transport's promotion: a latency
-// send occupies the caller for the link delay, so Isend must stay async.
-func (t *latencyTransport) sendNeverBlocks() bool { return false }

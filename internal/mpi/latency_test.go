@@ -71,3 +71,23 @@ func TestLatencyWorldIsendOverlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLatencyWorldCountsTraffic: a latency world is the topology world with
+// one rank per node, so every sent byte is inter-node traffic.
+func TestLatencyWorldCountsTraffic(t *testing.T) {
+	w := NewLatencyWorld(2, LinkProfile{Latency: time.Microsecond})
+	defer w.Close()
+	err := w.Run(func(c *Comm) error {
+		if c.Rank() == 0 {
+			return c.Send(1, 5, []byte("ping"))
+		}
+		_, err := c.Recv(0, 5)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Traffic(); got != (Traffic{InterBytes: 4}) {
+		t.Fatalf("traffic %+v, want 4 inter-node bytes", got)
+	}
+}

@@ -221,12 +221,9 @@ func (m *mailbox) close() {
 // one-MPI-process-per-Minsky-node deployment.
 type World struct {
 	boxes []*mailbox
-	// link, when non-zero, charges every send the LinkProfile's delay
-	// (see NewLatencyWorld).
-	link LinkProfile
 	// topo, when non-nil, splits links into intra-node and inter-node
 	// classes with separate profiles and byte counters (see
-	// NewTopologyWorld).
+	// NewTopologyWorld; NewLatencyWorld is its one-rank-per-node case).
 	topo *topoNet
 	// faults, when non-nil, routes every communicator through the fault
 	// injector (see InjectFaults).
@@ -254,12 +251,10 @@ func (w *World) Comm(rank int) (*Comm, error) {
 	var tr Transport = &memTransport{world: w, rank: rank}
 	if w.topo != nil {
 		tr = &topoTransport{Transport: tr, net: w.topo, rank: rank}
-	} else if w.link != (LinkProfile{}) {
-		tr = &latencyTransport{Transport: tr, link: w.link}
 	}
 	if w.faults != nil {
-		// Outermost: the link wrappers only override sends, so the fault
-		// layer owns Recv (detection timeout) without bypassing them.
+		// Outermost: the link wrapper only overrides sends, so the fault
+		// layer owns Recv (detection timeout) without bypassing it.
 		tr = &faultTransport{Transport: tr, inj: w.faults, rank: rank}
 	}
 	return newComm(tr, rank, group, 1)

@@ -199,8 +199,8 @@ func (w *World) Traffic() Traffic {
 }
 
 // topoTransport wraps the in-memory transport with per-link-class delay and
-// byte accounting. Like latencyTransport it charges the sender, but the
-// profile depends on whether the destination shares the sender's node.
+// byte accounting. It charges the sender; the profile depends on whether the
+// destination shares the sender's node.
 type topoTransport struct {
 	Transport
 	net    *topoNet
@@ -208,7 +208,9 @@ type topoTransport struct {
 	egress sync.Mutex // serializes this rank's inter-node sends (its NIC share)
 }
 
-// charge accounts and delays an n-byte message from t.rank to dst.
+// charge accounts and delays an n-byte message from t.rank to dst — the
+// single place the link model is applied, so copying and ownership-transfer
+// sends always pay identical cost.
 func (t *topoTransport) charge(dst, n int) {
 	if t.net.topo.NodeOf(t.rank) == t.net.topo.NodeOf(dst) {
 		t.net.intraBytes.Add(int64(n))
@@ -231,8 +233,9 @@ func (t *topoTransport) Send(dst int, ctx uint64, tag int, data []byte) error {
 	return t.Transport.Send(dst, ctx, tag, data)
 }
 
-// SendOwned implements Transport, charging the same cost as Send (see
-// latencyTransport.SendOwned for why the override is required).
+// SendOwned implements Transport, charging the same cost as Send. (Without
+// this override the embedded transport's zero-delay SendOwned would leak
+// through and make pooled sends free.)
 func (t *topoTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) error {
 	t.charge(dst, len(data))
 	return t.Transport.SendOwned(dst, ctx, tag, data)
