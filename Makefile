@@ -40,7 +40,7 @@ allocs-baseline:
 		-allocs-baseline-update
 
 # Compute-kernel throughput (GEMM GFLOP/s, conv fwd+bwd step time at 1 worker
-# vs the full pool, codec GB/s), gated against the committed
+# vs the full pool, codec, vector-add and SGD-step GB/s), gated against the committed
 # BENCH_kernels.json baseline (fails if any throughput drops > 2x). The
 # baseline records the pool width and the GEMM kernel ("avx2" or "portable")
 # it was taken with, and the gate refuses to compare a run that differs in
@@ -52,14 +52,15 @@ kernels:
 kernels-baseline:
 	$(GO) run ./cmd/benchtool -procs 2 -kernels -kernels-baseline-update
 
-# The pure-Go kernels, which an amd64 build otherwise never runs: the purego
-# tag is the one switch that forces them.
+# The pure-Go kernels (GEMM, vector add, momentum step), which an amd64 build
+# otherwise never runs: the purego tag is the one switch that forces them.
 kernels-purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/core
+	$(GO) test -tags purego ./internal/kernels ./internal/tensor ./internal/nn ./internal/sgd ./internal/mpi ./internal/allreduce ./internal/dpt ./internal/core
 
-# 20 s of the SIMD-vs-portable GEMM fuzz target, from its committed corpus.
+# 20 s of each SIMD-vs-portable fuzz target, from its committed corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGemmSIMDMatchesPortable -fuzztime 20s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzVecKernelsMatchPortable -fuzztime 20s ./internal/kernels
 
 # The overlap workload CI runs: phased vs reactive schedules of the same
 # comm-heavy job, with the JSON report benchtool uploads as an artifact.

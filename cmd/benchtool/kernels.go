@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/kernels"
+	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -65,6 +66,14 @@ type kernelsReport struct {
 	BF16EncodeGBs     float64 `json:"bf16_encode_gbs"`
 	BF16DecodeAddGBs  float64 `json:"bf16_decode_add_gbs"`
 	CodecBucketFloats int     `json:"codec_bucket_floats"`
+
+	// The step's tail on the same bucket, GB/s of float bytes per operand:
+	// the receive-reduce add (kernels.AddInto), the one-pass SGD update
+	// (kernels.MomentumStep) and the float wire codec (mpi.EncodeFloat32s
+	// then DecodeFloat32s, counting both directions).
+	VecAddGBs     float64 `json:"vec_add_gb_s"`
+	SGDStepGBs    float64 `json:"sgd_step_gb_s"`
+	FloatCodecGBs float64 `json:"float_codec_gb_s"`
 }
 
 // timeIt runs fn repeatedly until the total exceeds a floor (after one
@@ -210,6 +219,18 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 	rep.BF16EncodeGBs = encodeGBs(compress.BFloat16{})
 	rep.BF16DecodeAddGBs = decodeAddGBs(compress.BFloat16{})
 
+	s, _ = timeIt(func() { kernels.AddInto(dst, src) })
+	rep.VecAddGBs = gb / s
+	weights, velocity := make([]float32, bucket), make([]float32, bucket)
+	s, _ = timeIt(func() { kernels.MomentumStep(weights, velocity, src, 0.25, 1e-4, 0.9, 0.005) })
+	rep.SGDStepGBs = gb / s
+	wire := make([]byte, 4*bucket)
+	s, _ = timeIt(func() {
+		mpi.EncodeFloat32s(wire, src)
+		mpi.DecodeFloat32s(dst, wire)
+	})
+	rep.FloatCodecGBs = 2 * gb / s
+
 	fmt.Printf("kernels workload: GOMAXPROCS=%d cpus=%d pool workers=%d gemm kernel=%s\n", rep.GOMAXPROCS, rep.NumCPU, rep.Workers, rep.GemmKernel)
 	for _, g := range rep.Gemm {
 		op := "A*B "
@@ -227,6 +248,8 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		rep.IdentityAddGBs, rep.TopKEncodeGBs)
 	fmt.Printf("  f16: encode %.2f GB/s, decode+add %.2f GB/s; bf16: encode %.2f GB/s, decode+add %.2f GB/s\n",
 		rep.F16EncodeGBs, rep.F16DecodeAddGBs, rep.BF16EncodeGBs, rep.BF16DecodeAddGBs)
+	fmt.Printf("  vector add %.2f GB/s, sgd momentum step %.2f GB/s, float codec %.2f GB/s\n",
+		rep.VecAddGBs, rep.SGDStepGBs, rep.FloatCodecGBs)
 
 	if err := writeReport(jsonPath, "BENCH_kernels.*.json", rep); err != nil {
 		return err
@@ -276,6 +299,9 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 			{"f16 decode+add GB/s", rep.F16DecodeAddGBs, base.F16DecodeAddGBs},
 			{"bf16 encode GB/s", rep.BF16EncodeGBs, base.BF16EncodeGBs},
 			{"bf16 decode+add GB/s", rep.BF16DecodeAddGBs, base.BF16DecodeAddGBs},
+			{"vector add GB/s", rep.VecAddGBs, base.VecAddGBs},
+			{"sgd step GB/s", rep.SGDStepGBs, base.SGDStepGBs},
+			{"float codec GB/s", rep.FloatCodecGBs, base.FloatCodecGBs},
 		} {
 			if err := check(m.name, m.got, m.want); err != nil {
 				return err

@@ -163,8 +163,6 @@ func pipelinedRing(c *mpi.Comm, data []float32, opts Options) error {
 	rank := c.Rank()
 	seg := opts.SegmentFloats
 	nseg := (len(data) + seg - 1) / seg
-	buf := mpi.GetFloats(seg)
-	defer mpi.PutFloats(buf)
 
 	// Reduction phase: data flows rank n-1 -> n-2 -> ... -> 0.
 	for s := 0; s < nseg; s++ {
@@ -174,12 +172,8 @@ func pipelinedRing(c *mpi.Comm, data []float32, opts Options) error {
 			hi = len(data)
 		}
 		if rank < n-1 {
-			part := buf[:hi-lo]
-			if err := c.RecvFloatsInto(part, rank+1, tagRingReduce); err != nil {
+			if err := c.RecvFloatsAdd(data[lo:hi], rank+1, tagRingReduce); err != nil {
 				return fmt.Errorf("allreduce: ring segment: %w", err)
-			}
-			for i, v := range part {
-				data[lo+i] += v
 			}
 		}
 		if rank > 0 {
@@ -242,14 +236,9 @@ func recursiveDoubling(c *mpi.Comm, data []float32) error {
 		}
 		return c.RecvFloatsInto(data, rank-p2, tagRD)
 	}
-	tmp := mpi.GetFloats(len(data))
-	defer mpi.PutFloats(tmp)
 	if rank < extra {
-		if err := c.RecvFloatsInto(tmp, rank+p2, tagRD); err != nil {
+		if err := c.RecvFloatsAdd(data, rank+p2, tagRD); err != nil {
 			return err
-		}
-		for i, v := range tmp {
-			data[i] += v
 		}
 	}
 	// Pairwise exchange-and-add over the power-of-two core.
@@ -258,11 +247,8 @@ func recursiveDoubling(c *mpi.Comm, data []float32) error {
 		if err := c.SendFloats(partner, tagRD+d, data); err != nil {
 			return err
 		}
-		if err := c.RecvFloatsInto(tmp, partner, tagRD+d); err != nil {
+		if err := c.RecvFloatsAdd(data, partner, tagRD+d); err != nil {
 			return err
-		}
-		for i, v := range tmp {
-			data[i] += v
 		}
 	}
 	// Unfold.

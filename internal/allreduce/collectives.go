@@ -19,9 +19,10 @@ import (
 // ChunkBounds layout. Empty shards are legal (more ranks than elements, or
 // param-aligned layouts that starve a rank).
 //
-// Buffer discipline follows the PR 3 ownership rules: receive scratch comes
-// from the shared mpi pool and is released before return; sends go through
-// SendFloats' pooled encode; nothing on the steady-state path allocates.
+// Buffer discipline follows the PR 3 ownership rules: receives reduce
+// straight from the transport buffer (RecvFloatsAdd) or decode into place,
+// releasing it either way; sends go through SendFloats' pooled encode;
+// nothing on the steady-state path allocates.
 
 // Variant selects a collective's communication pattern.
 type Variant string
@@ -125,17 +126,6 @@ func AllGather(c *mpi.Comm, data []float32, bounds []int, v Variant) error {
 	}
 }
 
-// maxShard returns the widest shard in the layout (receive-scratch size).
-func maxShard(bounds []int) int {
-	w := 0
-	for i := 1; i < len(bounds); i++ {
-		if s := bounds[i] - bounds[i-1]; s > w {
-			w = s
-		}
-	}
-	return w
-}
-
 // rsRingStep and agRingStep are the ring collectives' step geometry — which
 // shard index a rank sends and receives at step s (mod n). They are shared
 // by the live loops below and the schedule extraction (schedule.go), so the
@@ -158,20 +148,13 @@ func rsRing(c *mpi.Comm, data []float32, bounds []int) error {
 		i = ((i % n) + n) % n
 		return data[bounds[i]:bounds[i+1]]
 	}
-	tmp := mpi.GetFloats(maxShard(bounds))
-	defer mpi.PutFloats(tmp)
 	for s := 0; s < n-1; s++ {
 		sendShard, recvShard := rsRingStep(rank, s)
 		if err := c.SendFloats(right, tagRScoll+s, shard(sendShard)); err != nil {
 			return err
 		}
-		dst := shard(recvShard)
-		part := tmp[:len(dst)]
-		if err := c.RecvFloatsInto(part, left, tagRScoll+s); err != nil {
+		if err := c.RecvFloatsAdd(shard(recvShard), left, tagRScoll+s); err != nil {
 			return fmt.Errorf("allreduce: ring reduce-scatter step %d: %w", s, err)
-		}
-		for i, v := range part {
-			dst[i] += v
 		}
 	}
 	return nil
@@ -249,16 +232,7 @@ func rsHalving(c *mpi.Comm, data []float32, bounds []int) error {
 		if err := c.SendFloats(st.partner, tagRabRS+round, data[st.sendLo:st.sendHi]); err != nil {
 			return err
 		}
-		tmp := mpi.GetFloats(st.keepHi - st.keepLo)
-		part := tmp[:st.keepHi-st.keepLo]
-		err := c.RecvFloatsInto(part, st.partner, tagRabRS+round)
-		if err == nil {
-			for i, v := range part {
-				data[st.keepLo+i] += v
-			}
-		}
-		mpi.PutFloats(tmp)
-		if err != nil {
+		if err := c.RecvFloatsAdd(data[st.keepLo:st.keepHi], st.partner, tagRabRS+round); err != nil {
 			return fmt.Errorf("allreduce: recursive halving round %d: %w", round, err)
 		}
 		round++

@@ -13,22 +13,24 @@ import (
 // back down it. Chunks are further split into pipeline segments, and all k
 // colors progress concurrently with no cross-color synchronization —
 // mirroring the paper's description of concurrent per-color RDMA flows on
-// the fat-tree.
+// the fat-tree. The last color runs on the calling goroutine.
 func multiColor(c *mpi.Comm, data []float32, opts Options) error {
-	n := c.Size()
-	k := EffectiveColors(n, opts.Colors)
-	rotation := n / k
+	k := EffectiveColors(c.Size(), opts.Colors)
+	trees := colorTrees(c.Size(), k)
 	var wg sync.WaitGroup
 	errs := make([]error, k)
-	for color := 0; color < k; color++ {
+	run := func(color int) {
 		lo, hi := ChunkBounds(len(data), k, color)
-		tree := BuildTree(n, k, color, rotation)
-		wg.Add(1)
-		go func(color int, chunk []float32, tree Tree) {
-			defer wg.Done()
-			errs[color] = reduceBcastTree(c, chunk, tree, color, opts.SegmentFloats)
-		}(color, data[lo:hi], tree)
+		errs[color] = reduceBcastTree(c, data[lo:hi], trees[color], color, opts.SegmentFloats)
 	}
+	wg.Add(k - 1)
+	for color := 0; color < k-1; color++ {
+		go func(color int) {
+			defer wg.Done()
+			run(color)
+		}(color)
+	}
+	run(k - 1)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -36,6 +38,31 @@ func multiColor(c *mpi.Comm, data []float32, opts Options) error {
 		}
 	}
 	return nil
+}
+
+// treeCache holds the k color trees of every (ranks, colors) pair a
+// multi-color allreduce has run with: they are a function of that pair alone
+// and read-only once built, and a training job asks for the same pair every
+// step.
+var treeCache = struct {
+	sync.Mutex
+	trees map[[2]int][]Tree
+}{trees: make(map[[2]int][]Tree)}
+
+// colorTrees returns the k rotated k-ary trees over n ranks, building them
+// on first use.
+func colorTrees(n, k int) []Tree {
+	treeCache.Lock()
+	defer treeCache.Unlock()
+	trees, ok := treeCache.trees[[2]int{n, k}]
+	if !ok {
+		trees = make([]Tree, k)
+		for color := range trees {
+			trees[color] = BuildTree(n, k, color, n/k)
+		}
+		treeCache.trees[[2]int{n, k}] = trees
+	}
+	return trees
 }
 
 // reduceBcastTree pipelines one chunk up and back down one color's tree.
@@ -54,8 +81,6 @@ func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats i
 	if len(chunk) == 0 {
 		nseg = 0
 	}
-	tmp := mpi.GetFloats(segFloats)
-	defer mpi.PutFloats(tmp)
 
 	// Upward (reduce) pass, root turnaround included.
 	for s := 0; s < nseg; s++ {
@@ -66,12 +91,8 @@ func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats i
 		}
 		seg := chunk[lo:hi]
 		for _, ch := range children {
-			part := tmp[:len(seg)]
-			if err := c.RecvFloatsInto(part, ch, upTag); err != nil {
+			if err := c.RecvFloatsAdd(seg, ch, upTag); err != nil {
 				return fmt.Errorf("allreduce: multicolor segment from %d: %w", ch, err)
-			}
-			for i, v := range part {
-				seg[i] += v
 			}
 		}
 		if parent >= 0 {

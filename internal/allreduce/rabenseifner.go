@@ -31,15 +31,7 @@ func rabenseifner(c *mpi.Comm, data []float32) error {
 		return c.RecvFloatsInto(data, rank-p2, tagRabBack)
 	}
 	if rank < extra {
-		tmp := mpi.GetFloats(len(data))
-		err := c.RecvFloatsInto(tmp, rank+p2, tagRabFold)
-		if err == nil {
-			for i, v := range tmp {
-				data[i] += v
-			}
-		}
-		mpi.PutFloats(tmp)
-		if err != nil {
+		if err := c.RecvFloatsAdd(data, rank+p2, tagRabFold); err != nil {
 			return err
 		}
 	}

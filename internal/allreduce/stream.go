@@ -530,9 +530,7 @@ func (s *Stream) decodeOwn(job *bucketJob, sum []float32) error {
 		// then fold it like any other sender.
 		self := s.opts.SelfDecoded[job.lo:job.hi]
 		if err = s.codec.Decompress(self, job.payload); err == nil && sum != nil {
-			for i, v := range self {
-				sum[i] += v
-			}
+			kernels.AddInto(sum, self)
 		}
 	}
 	if err != nil {

@@ -49,28 +49,13 @@ func (Identity) Decompress(dst []float32, payload []byte) error {
 	return nil
 }
 
-// DecompressAdd implements Codec: dst[i] += decoded[i], 8-wide unrolled.
+// DecompressAdd implements Codec: the payload is summed into dst where it
+// lies (mpi.AddFloat32s, the raw allreduces' receive-reduce).
 func (Identity) DecompressAdd(dst []float32, payload []byte) error {
 	if len(payload) != 4*len(dst) {
 		return fmt.Errorf("compress: identity payload %d bytes, want %d", len(payload), 4*len(dst))
 	}
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := payload[4*i : 4*i+32 : 4*i+32]
-		d[0] += math.Float32frombits(binary.LittleEndian.Uint32(s[0:4]))
-		d[1] += math.Float32frombits(binary.LittleEndian.Uint32(s[4:8]))
-		d[2] += math.Float32frombits(binary.LittleEndian.Uint32(s[8:12]))
-		d[3] += math.Float32frombits(binary.LittleEndian.Uint32(s[12:16]))
-		d[4] += math.Float32frombits(binary.LittleEndian.Uint32(s[16:20]))
-		d[5] += math.Float32frombits(binary.LittleEndian.Uint32(s[20:24]))
-		d[6] += math.Float32frombits(binary.LittleEndian.Uint32(s[24:28]))
-		d[7] += math.Float32frombits(binary.LittleEndian.Uint32(s[28:32]))
-	}
-	for ; i < n; i++ {
-		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
+	mpi.AddFloat32s(dst, payload)
 	return nil
 }
 
@@ -94,10 +79,9 @@ func (Int8) MaxCompressedSize(n int) int { return 4 + n }
 const roundMagic = float32(3 << 22)
 
 // AppendCompress implements Codec. The scan and quantize loops are 8-wide
-// unrolled (the mpi.EncodeFloat32s treatment): |v| is an integer mask on the
-// float bits, the max-abs reduction is an integer compare (NaN bit patterns
-// exceed +Inf's, so non-finite inputs still poison the scale), and rounding
-// is the branchless magic-constant add.
+// unrolled: |v| is an integer mask on the float bits, the max-abs reduction
+// is an integer compare (NaN bit patterns exceed +Inf's, so non-finite inputs
+// still poison the scale), and rounding is the branchless magic-constant add.
 func (c Int8) AppendCompress(dst []byte, src []float32) []byte {
 	n := len(src)
 	scale := int8Scale(int8MaxBits(src))

@@ -12,12 +12,13 @@
 // device applies the SGD update — leaving all replicas bitwise identical.
 //
 // There is one step — Learner.Step — built from three stages that each work
-// on a range [lo, hi) of the flattened gradient: pack (intra-node reduce +
-// error-feedback correct), exchange (the inter-node sum) and apply (scale,
-// hand to the optimizers' devices, step every parameter the range
-// completes). Everything else is a choice of order or of data, never of
-// arithmetic, so every combination ends in bitwise-identical parameters
-// under the same Compression config (docs/ARCHITECTURE.md has the tables):
+// on a range [lo, hi) of the flattened gradient, in place in device 0's
+// gradient arena: pack (add the other devices' gradients in + error-feedback
+// correct), exchange (the inter-node sum) and apply (step every parameter the
+// range completes, reading the sum once and normalizing it on the way).
+// Everything else is a choice of order or of data, never of arithmetic, so
+// every combination ends in bitwise-identical parameters under the same
+// Compression config (docs/ARCHITECTURE.md has the tables):
 //
 //   - Config.Overlap picks the order: stage-major runs each stage once over
 //     the whole vector on the stepping goroutine (Algorithm 1 as written,
@@ -225,10 +226,13 @@ func (p PhaseTimes) Total() float64 {
 
 // Learner is one node of the distributed trainer.
 type Learner struct {
-	comm    *mpi.Comm
-	engine  *dpt.Engine
-	source  BatchSource
-	cfg     Config
+	comm   *mpi.Comm
+	engine *dpt.Engine
+	source BatchSource
+	cfg    Config
+	// gradBuf is device 0's gradient arena (engine.Grads(0)), not a copy:
+	// backward leaves device 0's gradient in it, pack adds the other
+	// devices' in, the exchange reduces it in place, apply reads it.
 	gradBuf []float32
 	x       *tensor.Tensor
 	labels  []int
@@ -236,11 +240,11 @@ type Learner struct {
 	scale   float32
 	phases  PhaseTimes
 
-	// opts are the optimizers a step advances; opts[d] reads device d's
+	// opts are the optimizers a step advances; opts[d] updates device d's
 	// replica. Replicated: one per device. Sharded: the single shard
-	// optimizer over device 0. apply hands the reduced gradient to exactly
-	// the devices that have one, and StepParam enforces shard ownership, so
-	// neither mode is a branch in the step.
+	// optimizer over device 0. They all read the one reduced gradient, and
+	// StepParamScaled enforces shard ownership, so neither mode is a branch
+	// in the step.
 	opts []*sgd.SGD
 	// ownLo/ownHi is the element range this rank updates: the whole vector
 	// when replicated, its shard when sharded.
@@ -269,10 +273,7 @@ type Learner struct {
 	// see reactive.go.
 	pipeline *bucketPlan
 
-	// Sharded tail (see sharded.go): flatParams is the parameter-allgather
-	// staging buffer, nil when replicated.
-	flatParams   []float32
-	paramAGBytes int64 // cumulative parameter-allgather wire bytes (send+recv)
+	paramAGBytes int64 // cumulative wire bytes (send+recv) of the sharded tail's parameter allgather
 }
 
 // NewLearner constructs a learner over comm from per-device model replicas.
@@ -299,7 +300,7 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 		engine:  engine,
 		source:  source,
 		cfg:     cfg,
-		gradBuf: make([]float32, engine.GradSize()),
+		gradBuf: engine.Grads(0),
 	}
 	if cfg.Topology.IsSet() {
 		if err := cfg.Topology.Validate(comm.Size()); err != nil {
@@ -340,7 +341,6 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 		l.ownLo, l.ownHi = elemBounds[rank], elemBounds[rank+1]
 		l.elemBounds = elemBounds
 		l.bucketed = allreduce.BucketedReduceScatter
-		l.flatParams = make([]float32, engine.GradSize())
 	} else {
 		for d := 0; d < m; d++ {
 			l.opts = append(l.opts, sgd.New(engine.Params(d), cfg.SGD))
@@ -358,12 +358,7 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 // broadcastInitialWeights synchronizes rank 0's replica-0 weights to every
 // device on every learner.
 func (l *Learner) broadcastInitialWeights() error {
-	flat := make([]float32, l.engine.GradSize())
-	if l.comm.Rank() == 0 {
-		if err := nn.FlattenValues(l.engine.Params(0), flat); err != nil {
-			return err
-		}
-	}
+	flat := l.engine.Values(0)
 	var payload []byte
 	if l.comm.Rank() == 0 {
 		payload = mpi.Float32sToBytes(flat)
@@ -384,6 +379,12 @@ func (l *Learner) broadcastInitialWeights() error {
 // below (pack, exchange, apply) run in one of two orders — stage-major here,
 // bucket-major under backward in reactive.go — with the same arithmetic on
 // the same values, so the parameters come out bitwise identical.
+//
+// What a step leaves behind is the updated weights, identical on every
+// replica. The replicas' Param.Grad tensors are the step's working storage
+// (see nn.Param.Grad): a replica's own gradient from backward's end until
+// the stages consume its range, then sums in progress on device 0 and stale
+// values elsewhere. The normalized global gradient is never materialized.
 func (l *Learner) Step() (float64, error) {
 	// 1. Sample Bnode images locally (random from the in-memory store).
 	t0 := time.Now()
@@ -444,15 +445,17 @@ func (l *Learner) stepStageMajor(t1 time.Time, lr float32) (float64, error) {
 	l.residual(0, len(l.gradBuf))
 	t4 := time.Now()
 	l.phases.AllReduce += t4.Sub(t3).Seconds()
-	// 5. Broadcast to local devices; 6. each device performs SGD.
-	err = l.apply(l.ownLo, l.ownHi, l.gradBuf[l.ownLo:l.ownHi], lr)
+	// 5+6. Each device performs SGD, reading the one reduced gradient (the
+	// paper's broadcast to local devices is that shared read).
+	l.apply(l.ownLo, l.ownHi, l.gradBuf[l.ownLo:l.ownHi], lr)
 	l.phases.Update += time.Since(t4).Seconds()
-	return loss, err
+	return loss, nil
 }
 
 // pack is the first stage over [lo, hi): the intra-node sum of the devices'
-// gradients into gradBuf, plus the error-feedback correction. Over the whole
-// vector it is bitwise dpt's SumGrads followed by Feedback.Correct.
+// gradients, in place in gradBuf — device 0's are already there, so with one
+// device this is nothing — plus the error-feedback correction. Over the
+// whole vector it is bitwise dpt's SumGrads followed by Feedback.Correct.
 func (l *Learner) pack(lo, hi int) error {
 	seg := l.gradBuf[lo:hi]
 	if err := l.engine.ReduceRangeInto(seg, lo, hi); err != nil {
@@ -492,24 +495,21 @@ func (l *Learner) residual(lo, hi int) {
 	}
 }
 
-// apply is the third stage: sum, the global gradient sum over [lo, hi), is
-// normalized, handed to every device an optimizer reads, and every
-// parameter whose last outstanding elements this range delivers takes its
-// SGD step. Over the whole vector it is bitwise dpt's SetGrads followed by a
-// full optimizer Step; parameter updates are independent, so any split into
-// ranges gives the same bits.
-func (l *Learner) apply(lo, hi int, sum []float32, lr float32) error {
-	// Normalize the sum of per-device partition means to the global batch
-	// mean so the learning rate has the Goyal semantics.
-	if l.scale != 1 {
-		for i := range sum {
-			sum[i] *= l.scale
-		}
-	}
-	for d := range l.opts {
-		if err := l.engine.ScatterRangeDev(d, lo, hi, sum); err != nil {
-			return err
-		}
+// apply is the third stage: every parameter whose last outstanding elements
+// sum — the global gradient sum over [lo, hi) — delivers takes its SGD step
+// on every replica an optimizer updates, in one pass that reads the sum
+// once and normalizes it on the way (scale turns the sum of per-device
+// partition means into the global batch mean, so the learning rate has the
+// Goyal semantics). Stage-major, sum is gradBuf's own window. Bucket-major it
+// is a Stream result the collector is about to release, so it is first
+// staged in gradBuf, where the pieces of a parameter that spans buckets
+// collect (the bucket's own gradient there has been encoded and sent; nobody
+// reads it again). Over the whole vector this is bitwise a scale pass, dpt's
+// SetGrads and a full optimizer Step; parameter updates are independent, so
+// any split into ranges gives the same bits.
+func (l *Learner) apply(lo, hi int, sum []float32, lr float32) {
+	if hi > lo && &sum[0] != &l.gradBuf[lo] {
+		copy(l.gradBuf[lo:hi], sum)
 	}
 	first, last := l.engine.ParamsOverlapping(lo, hi)
 	for p := first; p < last; p++ {
@@ -517,11 +517,10 @@ func (l *Learner) apply(lo, hi int, sum []float32, lr float32) error {
 		l.unapplied[p] -= min(pHi, hi) - max(pLo, lo)
 		if l.unapplied[p] == 0 {
 			for _, o := range l.opts {
-				o.StepParam(p, lr)
+				o.StepParamScaled(p, lr, l.gradBuf[pLo:pHi], l.scale)
 			}
 		}
 	}
-	return nil
 }
 
 // Phases returns the cumulative per-phase wall times.

@@ -202,7 +202,7 @@ func (l *Learner) applyBuckets(stream *allreduce.Stream, lr float32) {
 		if err == nil {
 			l.residual(res.Lo, res.Hi)
 			if res.Sum != nil {
-				err = l.apply(res.Lo, res.Hi, res.Sum, lr)
+				l.apply(res.Lo, res.Hi, res.Sum, lr)
 			}
 		}
 		res.Release()

@@ -55,35 +55,33 @@ func paramShardBounds(engine *dpt.Engine, ranks int) (paramB, elemB []int) {
 	return paramB, elemB
 }
 
-// allGatherParams assembles this rank's updated shard from device 0,
-// allgathers every shard (ring, bitwise copies), and refreshes every
-// device's replica. The allgather's wire bytes are accounted in
-// paramAGBytes — it is real traffic the sharded step pays that the
-// replicated step does not, and the shard report must not hide it.
+// allGatherParams allgathers every rank's updated shard (ring, bitwise
+// copies) in place in device 0's weight arena — the shard optimizer updated
+// this rank's shard right there — and refreshes the other devices' replicas
+// from it. The allgather's wire bytes are accounted in paramAGBytes — it is
+// real traffic the sharded step pays that the replicated step does not, and
+// the shard report must not hide it.
 //
-// It is the tail of every step: replicated (no staging buffer), every rank
+// It is the tail of every step: replicated (no shard layout), every rank
 // has already updated every device, and there is nothing to gather.
 func (l *Learner) allGatherParams() error {
-	if l.flatParams == nil {
+	if l.elemBounds == nil {
 		return nil
 	}
-	lo, hi := l.ownLo, l.ownHi
-	if err := l.engine.FlattenValuesRange(0, lo, hi, l.flatParams[lo:hi]); err != nil {
-		return err
-	}
-	if err := allreduce.AllGather(l.comm, l.flatParams, l.elemBounds, allreduce.VarRing); err != nil {
+	values := l.engine.Values(0)
+	if err := allreduce.AllGather(l.comm, values, l.elemBounds, allreduce.VarRing); err != nil {
 		return fmt.Errorf("core: parameter allgather: %w", err)
 	}
 	// Ring allgather schedule: over n-1 steps the rank forwards every shard
 	// except shard (rank+1) mod n and receives every shard except its own.
 	if n := l.comm.Size(); n > 1 {
-		total := int64(len(l.flatParams))
+		total := int64(len(values))
 		next := (l.comm.Rank() + 1) % n
 		sent := total - int64(l.elemBounds[next+1]-l.elemBounds[next])
-		recv := total - int64(hi-lo)
+		recv := total - int64(l.ownHi-l.ownLo)
 		l.paramAGBytes += 4 * (sent + recv)
 	}
-	return l.engine.SetValues(l.flatParams)
+	return l.engine.SetValues(values)
 }
 
 // ParamAllGatherBytes returns the cumulative wire bytes (send+recv) of the

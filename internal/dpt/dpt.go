@@ -20,14 +20,20 @@
 // The struct records byte/serialization counters so tests and the cluster
 // simulator can account for the difference.
 //
+// Every replica's parameters live in two flat arenas per device — values and
+// gradients, Torch's flattenParameters — so a range of the flattened
+// gradient is a window of a slice, not a walk over parameters: Grads(0) is
+// where the training step sums, exchanges and reads the gradient in place,
+// Values(0) where the sharded (ZeRO-1) step allgathers parameters in place.
+//
 // Beyond the per-step Step/SumGrads pair, the engine exposes the
 // incremental surface the upper schedules are built on: StepWithGradHook
 // streams per-(device, param) gradient readiness into internal/core's
-// bucket-major step order, ReduceRangeInto/ScatterRangeDev move any range of
+// bucket-major step order, ReduceRangeInto/ScatterRange move any range of
 // the flattened gradient (a bucket, or the whole vector — then bitwise equal
-// to SumGrads/SetGrads), and FlattenValuesRange/SetValues serve the sharded
-// (ZeRO-1) parameter allgather. How core's one step composes these is mapped
-// in docs/ARCHITECTURE.md.
+// to SumGrads/SetGrads), and SetValues copies a weight vector to every
+// device. How core's one step composes these is mapped in
+// docs/ARCHITECTURE.md.
 package dpt
 
 import (
@@ -67,6 +73,10 @@ type device struct {
 	loss     float64
 	partN    int
 	labelBuf []int
+
+	// values and grads are the arenas the params' Value and Grad tensors are
+	// windows of, in flattened order (nn.FlattenStorage).
+	values, grads []float32
 }
 
 // stageInput copies part into the device's staging tensor, reusing the
@@ -104,11 +114,9 @@ type Engine struct {
 	stats     Stats
 	closed    bool
 
-	// sumScratch is SumGrads' flatten buffer, reused across steps.
-	sumScratch []float32
-	// offsets[i] is parameter i's start in the flattened gradient; the
-	// reactive pipeline uses it to map parameters onto fixed-size buckets
-	// and to reduce/scatter sub-ranges without a full-vector flatten.
+	// offsets[i] is parameter i's start in the flattened gradient — and so
+	// in every device's arenas; the reactive pipeline uses it to map
+	// parameters onto fixed-size buckets.
 	offsets []int
 	// paramIdx maps any device's Param pointer back to its index (all
 	// replicas share the same parameter order).
@@ -117,7 +125,8 @@ type Engine struct {
 
 // New builds an engine over the given model replicas (one per device, same
 // architecture). Weights are synchronized from replica 0, mirroring Torch's
-// replica broadcast at construction.
+// replica broadcast at construction, and every replica's parameter storage
+// is re-homed into the device's two arenas (nn.FlattenStorage).
 func New(replicas []nn.Layer, optimized bool) (*Engine, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("dpt: need at least one device")
@@ -146,6 +155,7 @@ func New(replicas []nn.Layer, optimized bool) (*Engine, error) {
 		if len(d.params) != len(ref) {
 			return nil, fmt.Errorf("dpt: replica %d has %d params, replica 0 has %d", i, len(d.params), len(ref))
 		}
+		d.values, d.grads = nn.FlattenStorage(d.params)
 		idx := make(map[*nn.Param]int, len(d.params))
 		for j, p := range d.params {
 			idx[p] = j
@@ -166,6 +176,15 @@ func (e *Engine) GradSize() int { return e.gradSize }
 // Params returns device dev's parameter list (device 0 is the reference
 // replica for weight export).
 func (e *Engine) Params(dev int) []*nn.Param { return e.devices[dev].params }
+
+// Grads returns device dev's gradient arena: the storage of its parameters'
+// Grad tensors, back to back in flattened order (length GradSize). Backward
+// accumulates into it and each step clears it first.
+func (e *Engine) Grads(dev int) []float32 { return e.devices[dev].grads }
+
+// Values returns device dev's weight arena: the storage of its parameters'
+// Value tensors, back to back in flattened order (length GradSize).
+func (e *Engine) Values(dev int) []float32 { return e.devices[dev].values }
 
 // Optimized reports which scheduling mode the engine runs.
 func (e *Engine) Optimized() bool { return e.optimized }
@@ -256,13 +275,13 @@ func (e *Engine) stepBaseline(x *tensor.Tensor, labels []int, sizes []int) (floa
 		off = hi
 		d.partN = hi - lo
 		if d.partN == 0 {
-			d.submit(func() { nn.ZeroGrads(d.params) })
+			d.submit(func() { clear(d.grads) })
 			continue
 		}
 		part := staged.MustSliceRows(lo, hi)
 		d.submit(func() {
 			d.input = part.Clone() // GPU1 -> GPUi
-			nn.ZeroGrads(d.params)
+			clear(d.grads)
 		})
 		e.mu.Lock()
 		e.stats.BytesMoved += int64(4 * sizes[i] * rowLen)
@@ -323,44 +342,24 @@ func (e *Engine) stepBaseline(x *tensor.Tensor, labels []int, sizes []int) (floa
 }
 
 // SumGrads performs the intra-node gradient summation of Algorithm 1
-// (∆Wi = Σj ∆Wij): device gradients are flattened and summed into dst,
-// which must have length GradSize. The flatten scratch is held on the
-// engine — SumGrads runs once per step from the learner goroutine, so one
-// buffer suffices and the step stays allocation-free.
+// (∆Wi = Σj ∆Wij): the devices' gradient arenas are summed, device 0 first,
+// into dst, which must have length GradSize — ReduceRangeInto over the whole
+// vector.
 func (e *Engine) SumGrads(dst []float32) error {
 	if len(dst) != e.gradSize {
 		return fmt.Errorf("dpt: SumGrads dst %d, want %d", len(dst), e.gradSize)
 	}
-	if e.sumScratch == nil {
-		e.sumScratch = make([]float32, e.gradSize)
-	}
-	tmp := e.sumScratch
-	for i, d := range e.devices {
-		buf := tmp
-		if i == 0 {
-			buf = dst
-		}
-		if err := nn.FlattenGrads(d.params, buf); err != nil {
-			return err
-		}
-		if i > 0 {
-			for j, v := range buf {
-				dst[j] += v
-			}
-		}
-	}
-	return nil
+	return e.ReduceRangeInto(dst, 0, e.gradSize)
 }
 
 // SetGrads broadcasts a flattened gradient to every device (the intra-node
-// broadcast after the global allreduce in Algorithm 1).
+// broadcast after the global allreduce in Algorithm 1) — ScatterRange over
+// the whole vector.
 func (e *Engine) SetGrads(flat []float32) error {
-	for _, d := range e.devices {
-		if err := nn.UnflattenGrads(d.params, flat); err != nil {
-			return err
-		}
+	if len(flat) != e.gradSize {
+		return fmt.Errorf("dpt: SetGrads src %d, want %d", len(flat), e.gradSize)
 	}
-	return nil
+	return e.ScatterRange(0, e.gradSize, flat)
 }
 
 // Predict runs an inference pass (eval mode, no augmentation of state) over

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -66,7 +67,7 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 			// Empty row shard: zeroed gradients still contribute to the
 			// intra-node sum, so readiness is immediate for every param.
 			d.submit(func() {
-				nn.ZeroGrads(d.params)
+				clear(d.grads)
 				d.notifyAll(hook)
 			})
 			continue
@@ -77,7 +78,7 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 			// Direct host->device transfer of just this partition.
 			d.stageInput(part)
 			d.labelBuf = append(d.labelBuf[:0], lbl...)
-			nn.ZeroGrads(d.params)
+			clear(d.grads)
 			out := d.model.Forward(d.input, true)
 			loss, err := d.crit.Forward(out, d.labelBuf)
 			if err != nil {
@@ -156,97 +157,58 @@ func (e *Engine) ParamsOverlapping(lo, hi int) (first, last int) {
 // ReduceRangeInto sums the devices' gradients over the flattened range
 // [lo, hi) into dst (length hi-lo), device 0 first then adding device 1, 2,
 // … — element-for-element the same arithmetic order as SumGrads, so a
-// bucket-by-bucket reduction is bitwise identical to the full-vector one,
-// and ReduceRangeInto(dst, 0, GradSize) IS SumGrads without its scratch.
-// The caller must guarantee every overlapping parameter's gradient is final
-// on every device (readiness established through StepWithGradHook).
+// bucket-by-bucket reduction is bitwise identical to the full-vector one.
+// dst may be that very window of device 0's arena, Grads(0)[lo:hi] — the
+// training step's case: device 0's gradient is then already in place, and
+// with one device there is nothing to do at all. The caller must guarantee
+// every overlapping parameter's gradient is final on every device
+// (readiness established through StepWithGradHook).
 func (e *Engine) ReduceRangeInto(dst []float32, lo, hi int) error {
 	if err := e.checkRange("ReduceRangeInto", lo, hi, len(dst)); err != nil {
 		return err
 	}
-	first, last := e.ParamsOverlapping(lo, hi)
-	for di, d := range e.devices {
-		for i := first; i < last; i++ {
-			pLo, pHi := e.ParamRange(i)
-			s, t := max(pLo, lo), min(pHi, hi)
-			g := d.params[i].Grad.Data[s-pLo : t-pLo]
-			out := dst[s-lo : t-lo]
-			if di == 0 {
-				copy(out, g)
-			} else {
-				for j, v := range g {
-					out[j] += v
-				}
-			}
-		}
+	copyUnlessSame(dst, e.devices[0].grads[lo:hi])
+	for _, d := range e.devices[1:] {
+		kernels.AddInto(dst, d.grads[lo:hi])
 	}
 	return nil
 }
 
-// ScatterRange writes src (length hi-lo) into every device's gradient
-// accumulators over the flattened range [lo, hi) — the range form of
-// SetGrads' intra-node broadcast, bitwise equal to it over [0, GradSize).
+// ScatterRange writes src (length hi-lo) into every device's gradient arena
+// over the flattened range [lo, hi) — the range form of SetGrads' intra-node
+// broadcast, bitwise equal to it over [0, GradSize).
 func (e *Engine) ScatterRange(lo, hi int, src []float32) error {
-	for dev := range e.devices {
-		if err := e.ScatterRangeDev(dev, lo, hi, src); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScatterRangeDev is ScatterRange restricted to one device: the training
-// step hands the reduced gradient only to the devices whose replica an
-// optimizer reads (every device when replicated, device 0 when sharded — the
-// others then receive updated *weights* via SetValues after the parameter
-// allgather).
-func (e *Engine) ScatterRangeDev(dev, lo, hi int, src []float32) error {
-	if dev < 0 || dev >= len(e.devices) {
-		return fmt.Errorf("dpt: ScatterRangeDev device %d of %d", dev, len(e.devices))
-	}
-	if err := e.checkRange("ScatterRangeDev", lo, hi, len(src)); err != nil {
+	if err := e.checkRange("ScatterRange", lo, hi, len(src)); err != nil {
 		return err
 	}
-	d := e.devices[dev]
-	first, last := e.ParamsOverlapping(lo, hi)
-	for i := first; i < last; i++ {
-		pLo, pHi := e.ParamRange(i)
-		s, t := max(pLo, lo), min(pHi, hi)
-		copy(d.params[i].Grad.Data[s-pLo:t-pLo], src[s-lo:t-lo])
-	}
-	return nil
-}
-
-// FlattenValuesRange copies device dev's parameter VALUES over the flattened
-// range [lo, hi) into dst (length hi-lo) — how the sharded path assembles
-// its updated shard for the parameter allgather.
-func (e *Engine) FlattenValuesRange(dev, lo, hi int, dst []float32) error {
-	if dev < 0 || dev >= len(e.devices) {
-		return fmt.Errorf("dpt: FlattenValuesRange device %d of %d", dev, len(e.devices))
-	}
-	if err := e.checkRange("FlattenValuesRange", lo, hi, len(dst)); err != nil {
-		return err
-	}
-	d := e.devices[dev]
-	first, last := e.ParamsOverlapping(lo, hi)
-	for i := first; i < last; i++ {
-		pLo, pHi := e.ParamRange(i)
-		s, t := max(pLo, lo), min(pHi, hi)
-		copy(dst[s-lo:t-lo], d.params[i].Value.Data[s-pLo:t-pLo])
+	for _, d := range e.devices {
+		copyUnlessSame(d.grads[lo:hi], src)
 	}
 	return nil
 }
 
 // SetValues writes a full flattened weight vector into every device's
-// parameters — the intra-node broadcast of allgathered parameters in the
-// sharded update (the weight analogue of SetGrads).
+// weight arena — the intra-node broadcast of restored, broadcast or
+// allgathered parameters (the weight analogue of SetGrads). flat may be a
+// device's own arena (Values(0) after an in-place allgather), which is then
+// only copied to the others.
 func (e *Engine) SetValues(flat []float32) error {
+	if len(flat) != e.gradSize {
+		return fmt.Errorf("dpt: SetValues src %d, want %d", len(flat), e.gradSize)
+	}
 	for _, d := range e.devices {
-		if err := nn.UnflattenValues(d.params, flat); err != nil {
-			return err
-		}
+		copyUnlessSame(d.values, flat)
 	}
 	return nil
+}
+
+// copyUnlessSame is copy(dst, src) for equal-length slices that are either
+// disjoint or the very same window of an arena, in which case there is
+// nothing to move.
+func copyUnlessSame(dst, src []float32) {
+	if len(dst) > 0 && &dst[0] != &src[0] {
+		copy(dst, src)
+	}
 }
 
 // checkRange validates a flattened sub-range and its buffer length.

@@ -199,41 +199,3 @@ func TestStepWithGradHookRequiresOptimized(t *testing.T) {
 		t.Fatal("baseline engine should refuse StepWithGradHook")
 	}
 }
-
-// TestScatterRangeDevWholeVectorMatchesSetGrads: the stage-major training step hands
-// the reduced gradient over as one range per device; over [0, GradSize) that
-// must leave every device's accumulators exactly as SetGrads does.
-func TestScatterRangeDevWholeVectorMatchesSetGrads(t *testing.T) {
-	e, _, _ := reactiveFixture(t, 2)
-	flat := make([]float32, e.GradSize())
-	for i := range flat {
-		flat[i] = float32(i%13) - 6
-	}
-	if err := e.SetGrads(flat); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float32, e.GradSize())
-	if err := nn.FlattenGrads(e.Params(0), want); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetGrads(make([]float32, e.GradSize())); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float32, e.GradSize())
-	for d := 0; d < e.NumDevices(); d++ {
-		if err := e.ScatterRangeDev(d, 0, e.GradSize(), flat); err != nil {
-			t.Fatal(err)
-		}
-		if err := nn.FlattenGrads(e.Params(d), got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("device %d grad[%d]: scattered %v, SetGrads %v", d, i, got[i], want[i])
-			}
-		}
-	}
-	if err := e.ScatterRangeDev(e.NumDevices(), 0, 1, flat[:1]); err == nil {
-		t.Fatal("out-of-range device should error")
-	}
-}

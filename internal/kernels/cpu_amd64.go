@@ -1,16 +1,18 @@
 //go:build amd64 && !purego
 
-package tensor
+package kernels
 
 // cpuid and xgetbv are the two instructions feature detection needs
 // (cpu_amd64.s) — an in-tree stub so go.mod stays dependency-free.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// useAVX2 selects the SIMD GEMM kernels. It is decided once, here, from
-// what the CPU and the OS report. A variable only so the kernel-equivalence
-// tests can run the pure-Go loops on an AVX2 machine; nothing else sets it.
-var useAVX2 = detectAVX2()
+// UseAVX2 selects the SIMD kernels — the two vector kernels here and
+// tensor's GEMM kernels. It is decided once, here, from what the CPU and the
+// OS report. A variable, and exported, only so the kernel-equivalence tests
+// (this package's and tensor's) can run the pure-Go loops on an AVX2
+// machine; nothing else sets it.
+var UseAVX2 = detectAVX2()
 
 // detectAVX2 reports whether AVX2 instructions may run: the CPU implements
 // them (CPUID.7.0:EBX bit 5) and the OS saves the YMM state across context

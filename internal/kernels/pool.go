@@ -1,6 +1,10 @@
-// Package kernels provides the shared persistent worker pool behind the
-// compute hot paths (GEMM tiles, conv batch chunks, pooling/normalization
-// loops). One pool serves the whole process: device goroutines, the
+// Package kernels is the leaf under every compute hot path: the shared
+// persistent worker pool (this file), the process's one CPU-feature decision
+// (UseAVX2, cpu_amd64.go) and the two vector kernels of the training step's
+// tail (AddInto and MomentumStep, vec.go).
+//
+// The pool is behind GEMM tiles, conv batch chunks and pooling/normalization
+// loops. One pool serves the whole process: device goroutines, the
 // reactive pipeline, and nested kernel calls all dispatch onto the same
 // fixed set of workers instead of spawning goroutines per call.
 //

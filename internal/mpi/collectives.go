@@ -68,8 +68,6 @@ func (c *Comm) ReduceFloats(root int, data []float32) error {
 	vrank := (c.rank - root + n) % n
 	// Binomial reduction: in round `bit`, vranks with that bit set send to
 	// vrank-bit, then drop out.
-	buf := GetFloats(len(data))
-	defer PutFloats(buf)
 	for bit := 1; bit < n; bit <<= 1 {
 		if vrank&bit != 0 {
 			dst := ((vrank - bit) + root) % n
@@ -79,11 +77,8 @@ func (c *Comm) ReduceFloats(root int, data []float32) error {
 		if peer >= n {
 			continue
 		}
-		if err := c.RecvFloatsInto(buf, (peer+root)%n, tagReduce); err != nil {
+		if err := c.RecvFloatsAdd(data, (peer+root)%n, tagReduce); err != nil {
 			return fmt.Errorf("mpi: reduce: %w", err)
-		}
-		for i, v := range buf {
-			data[i] += v
 		}
 	}
 	return nil

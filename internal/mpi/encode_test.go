@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"strconv"
@@ -56,7 +58,122 @@ func TestEncodeDecodeUnrolledMatchesReference(t *testing.T) {
 					math.Float32bits(gotF[i]), math.Float32bits(wantF[i]))
 			}
 		}
+		// Destinations that start mid-buffer, the bytes off any float
+		// boundary: a frame's payload after its header, a window of an arena.
+		mid := make([]byte, 4*n+3)[3:]
+		EncodeFloat32s(mid, src)
+		if !bytes.Equal(mid, want) {
+			t.Fatalf("n=%d: encode into a misaligned destination differs", n)
+		}
+		midF := make([]float32, n+1)[1:]
+		DecodeFloat32s(midF, mid)
+		for i := range wantF {
+			if math.Float32bits(midF[i]) != math.Float32bits(wantF[i]) {
+				t.Fatalf("n=%d: decode of a misaligned payload, elem %d = %x, want %x", n, i,
+					math.Float32bits(midF[i]), math.Float32bits(wantF[i]))
+			}
+		}
 	}
+}
+
+// sameFloatBits reports bit equality with every NaN equal to every other:
+// which payload an add of two NaNs keeps is the compiler's operand order.
+func sameFloatBits(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+// TestRecvFloatsAddMatchesRecvThenAdd: summing a payload where it lies gives
+// the bits of decoding it into a scratch and adding that — over the wire,
+// and on payloads that start mid-buffer, on and off a 4-byte boundary (the
+// []float32 view and the per-element fallback) — and a payload of the wrong
+// length is an error that leaves dst alone and still releases the buffer.
+func TestRecvFloatsAddMatchesRecvThenAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	special := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)),
+		float32(math.Inf(-1)), math.SmallestNonzeroFloat32, math.MaxFloat32,
+	}
+	vec := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			if j := rng.Intn(3 * len(special)); j < len(special) {
+				v[i] = special[j]
+			} else {
+				v[i] = float32(rng.NormFloat64())
+			}
+		}
+		return v
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 33, 1000, 16384} {
+		src, dst := vec(n), vec(n)
+		want := append([]float32(nil), dst...)
+		for i, v := range src {
+			want[i] += v
+		}
+		check := func(what string, got []float32) {
+			t.Helper()
+			for i := range want {
+				if !sameFloatBits(got[i], want[i]) {
+					t.Fatalf("n=%d %s: elem %d = %x, want %x", n, what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+		w := NewWorld(2)
+		got := append([]float32(nil), dst...)
+		err := w.Run(func(c *Comm) error {
+			if c.Rank() == 1 {
+				return c.SendFloats(0, 5, src)
+			}
+			return c.RecvFloatsAdd(got, 1, 5)
+		})
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("over the wire", got)
+		for _, off := range []int{4, 1} {
+			payload := make([]byte, off+4*n)[off:]
+			EncodeFloat32s(payload, src)
+			got := append([]float32(nil), dst...)
+			AddFloat32s(got, payload)
+			check("payload at offset "+strconv.Itoa(off), got)
+		}
+	}
+
+	// Wrong length: one float too many. The sender's buffer is pooled and
+	// the mailbox delivers it as is, so after the error it must be back in
+	// its class.
+	const n = 700
+	var sent *byte
+	dst := vec(n)
+	before := append([]float32(nil), dst...)
+	w := NewWorld(2)
+	defer w.Close()
+	err := w.Run(func(c *Comm) error {
+		if c.Rank() == 1 {
+			b := GetBytes(4 * (n + 1))
+			sent = &b[0]
+			return c.SendOwned(0, 5, b)
+		}
+		if err := c.RecvFloatsAdd(dst, 1, 5); err == nil {
+			return errors.New("RecvFloatsAdd accepted a payload one float too long")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range dst {
+		if math.Float32bits(dst[i]) != math.Float32bits(before[i]) {
+			t.Fatalf("rejected payload still changed dst[%d]", i)
+		}
+	}
+	for i := 0; i <= poolSlots(poolClass(4*(n+1))); i++ {
+		if b := GetBytes(4 * (n + 1)); &b[0] == sent {
+			return
+		}
+	}
+	t.Fatal("the rejected payload's buffer never came back out of its pool class")
 }
 
 func benchSizes() []int { return []int{256, 16384} }

@@ -26,6 +26,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"unsafe"
+
+	"repro/internal/kernels"
 )
 
 // Maximum tag value usable by applications; larger tags are reserved for
@@ -185,6 +188,23 @@ func (c *Comm) RecvFloatsInto(dst []float32, src, tag int) error {
 	return nil
 }
 
+// RecvFloatsAdd receives a message sent with SendFloats and adds it into dst
+// element by element, straight from the transport buffer, which it releases
+// on every path — the receive-reduce of every allreduce hop, without a
+// scratch copy. The payload must describe exactly len(dst) floats.
+func (c *Comm) RecvFloatsAdd(dst []float32, src, tag int) error {
+	b, err := c.Recv(src, tag)
+	if err != nil {
+		return err
+	}
+	defer PutBytes(b)
+	if len(b) != 4*len(dst) {
+		return fmt.Errorf("mpi: float payload %d bytes, want %d", len(b), 4*len(dst))
+	}
+	AddFloat32s(dst, b)
+	return nil
+}
+
 // Sub collectively creates a sub-communicator containing the given
 // communicator ranks (same list, same order, on every participating rank).
 // Ranks not in the list must not call Sub for this group. This is the
@@ -234,27 +254,34 @@ func Float32sToBytes(src []float32) []byte {
 	return b
 }
 
-// EncodeFloat32s encodes src into dst, which must be at least 4*len(src).
-// The body is unrolled 8 wide with explicit sub-slices so the compiler hoists
-// the bounds checks out of each group — byte conversion must not become the
-// bottleneck of the pooled communication path.
-func EncodeFloat32s(dst []byte, src []float32) {
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s := src[i : i+8 : i+8]
-		d := dst[4*i : 4*i+32 : 4*i+32]
-		binary.LittleEndian.PutUint32(d[0:4], math.Float32bits(s[0]))
-		binary.LittleEndian.PutUint32(d[4:8], math.Float32bits(s[1]))
-		binary.LittleEndian.PutUint32(d[8:12], math.Float32bits(s[2]))
-		binary.LittleEndian.PutUint32(d[12:16], math.Float32bits(s[3]))
-		binary.LittleEndian.PutUint32(d[16:20], math.Float32bits(s[4]))
-		binary.LittleEndian.PutUint32(d[20:24], math.Float32bits(s[5]))
-		binary.LittleEndian.PutUint32(d[24:28], math.Float32bits(s[6]))
-		binary.LittleEndian.PutUint32(d[28:32], math.Float32bits(s[7]))
+// hostLittleEndian reports whether a float32 in this machine's memory
+// already has the wire's byte order, decided once: the codec below is then a
+// memmove, and a received payload can be summed where it lies.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// floatBytes views f's storage as bytes (any host, any alignment: bytes have
+// none).
+func floatBytes(f []float32) []byte {
+	if len(f) == 0 {
+		return nil
 	}
-	for ; i < n; i++ {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(src[i]))
+	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), 4*len(f))
+}
+
+// EncodeFloat32s encodes src into dst, which must be at least 4*len(src):
+// one copy on a little-endian host — byte conversion must not become the
+// bottleneck of the pooled communication path — and element by element
+// elsewhere (the wire format is little-endian float32 either way).
+func EncodeFloat32s(dst []byte, src []float32) {
+	if hostLittleEndian {
+		copy(dst[:4*len(src)], floatBytes(src))
+		return
+	}
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
 	}
 }
 
@@ -268,24 +295,37 @@ func BytesToFloat32s(b []byte) ([]float32, error) {
 	return out, nil
 }
 
-// DecodeFloat32s decodes b into dst, which must hold len(b)/4 floats.
-// Unrolled 8 wide, mirroring EncodeFloat32s.
+// DecodeFloat32s decodes b into dst, which must hold len(b)/4 floats —
+// EncodeFloat32s' mirror.
 func DecodeFloat32s(dst []float32, b []byte) {
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := b[4*i : 4*i+32 : 4*i+32]
-		d[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:4]))
-		d[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:8]))
-		d[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:12]))
-		d[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:16]))
-		d[4] = math.Float32frombits(binary.LittleEndian.Uint32(s[16:20]))
-		d[5] = math.Float32frombits(binary.LittleEndian.Uint32(s[20:24]))
-		d[6] = math.Float32frombits(binary.LittleEndian.Uint32(s[24:28]))
-		d[7] = math.Float32frombits(binary.LittleEndian.Uint32(s[28:32]))
+	if hostLittleEndian {
+		copy(floatBytes(dst), b[:4*len(dst)])
+		return
 	}
-	for ; i < n; i++ {
+	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+}
+
+// AddFloat32s adds the little-endian float32 payload b into dst element by
+// element — decode-then-add without the decoded copy. len(b) must be
+// 4*len(dst). On a little-endian host the payload is summed where it lies,
+// through a []float32 view of the bytes, when it starts on a 4-byte boundary
+// (every pool or make buffer does at offset 0; some GOARCHes fault on a
+// misaligned float load, and this keeps the view within the rules checkptr
+// enforces under -race); otherwise each element is decoded and added.
+func AddFloat32s(dst []float32, b []byte) {
+	if len(b) != 4*len(dst) {
+		panic("mpi: AddFloat32s payload is not 4 bytes per destination float")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
+		kernels.AddInto(dst, unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(dst)))
+		return
+	}
+	for i := range dst {
+		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 }

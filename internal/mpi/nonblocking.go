@@ -167,8 +167,6 @@ func (c *Comm) ReduceScatterFloats(data []float32) ([]float32, error) {
 	work := GetFloats(len(data))
 	defer PutFloats(work)
 	copy(work, data)
-	tmp := GetFloats(len(data)/n + 1)
-	defer PutFloats(tmp)
 	// Schedule offset -1 so the fully-reduced chunk lands at index rank.
 	for s := 0; s < n-1; s++ {
 		sLo, sHi := chunk(rank - s - 1)
@@ -176,12 +174,8 @@ func (c *Comm) ReduceScatterFloats(data []float32) ([]float32, error) {
 			return nil, err
 		}
 		rLo, rHi := chunk(rank - s - 2)
-		part := tmp[:rHi-rLo]
-		if err := c.RecvFloatsInto(part, left, tagReduce+1024+s); err != nil {
+		if err := c.RecvFloatsAdd(work[rLo:rHi], left, tagReduce+1024+s); err != nil {
 			return nil, fmt.Errorf("mpi: reduce-scatter chunk: %w", err)
-		}
-		for i, v := range part {
-			work[rLo+i] += v
 		}
 	}
 	lo, hi := chunk(rank)

@@ -30,19 +30,19 @@ const (
 	poolMaxClass = 24
 )
 
-// poolSlots bounds how many free buffers a class retains: generous for the
-// small classes that cycle fastest (tags, barrier tokens, segment headers),
-// tight for the multi-megabyte ones so a burst can't pin memory forever.
+// poolSlots bounds how many free buffers a class retains, by one rule: as
+// many as fit a fixed budget (poolClassBudget elements), never more than the
+// 256 the small classes that cycle fastest (tags, barrier tokens, segment
+// headers) get and never fewer than 4, so a burst of multi-megabyte buffers
+// can't pin memory forever. The 64 KiB class — one allreduce pipeline
+// segment — keeps 128: a 4-rank multi-color step has some 72 segments in
+// flight at once, and a class that retains fewer drops them on Put and
+// re-makes them on the next Get, every step.
 func poolSlots(class int) int {
-	switch {
-	case class <= 14: // <= 16 Ki
-		return 256
-	case class <= 19: // <= 512 Ki
-		return 32
-	default:
-		return 4
-	}
+	return min(max(poolClassBudget>>class, 4), 256)
 }
+
+const poolClassBudget = 8 << 20
 
 // poolClass returns the class whose capacity (1<<class) holds n, or -1 when
 // n exceeds the largest class.

@@ -40,17 +40,8 @@ func (c *Comm) Scatter(root int, send [][]byte) ([]byte, error) {
 func (c *Comm) ScanFloats(data []float32) error {
 	n := c.Size()
 	if c.rank > 0 {
-		b, err := c.Recv(c.rank-1, tagScan)
-		if err != nil {
-			return err
-		}
-		if len(b) != 4*len(data) {
-			return fmt.Errorf("mpi: scan payload %d bytes, want %d", len(b), 4*len(data))
-		}
-		prev := make([]float32, len(data))
-		DecodeFloat32s(prev, b)
-		for i, v := range prev {
-			data[i] += v
+		if err := c.RecvFloatsAdd(data, c.rank-1, tagScan); err != nil {
+			return fmt.Errorf("mpi: scan: %w", err)
 		}
 	}
 	if c.rank < n-1 {

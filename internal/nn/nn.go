@@ -18,7 +18,14 @@ type Param struct {
 	Name string
 	// Value is the parameter tensor, shared by reference with the layer.
 	Value *tensor.Tensor
-	// Grad accumulates the gradient; Layer.Backward adds into it.
+	// Grad accumulates the gradient; Layer.Backward adds into it. Under a
+	// trainer it is this replica's own gradient from the end of backward
+	// until the step's pack/exchange/apply stages consume it — then it is
+	// working storage (device 0's holds partial and global sums in place,
+	// the other devices' are left as backward wrote them) until the next
+	// step clears it. It is never "the averaged global gradient": the
+	// optimizer reads that once, from the reduced slice, and nothing writes
+	// it back.
 	Grad *tensor.Tensor
 	// NoWeightDecay marks parameters (BN scale/shift, biases) excluded from
 	// L2 regularization, following the Torch ResNet training recipe.
@@ -105,6 +112,30 @@ func ParamCount(ps []*Param) int {
 		n += p.Value.Len()
 	}
 	return n
+}
+
+// FlattenStorage re-homes the parameters' storage into two contiguous arenas
+// — Torch's flattenParameters: values holds every Value back-to-back in
+// parameter order (contents kept), grads every Grad, and each tensor's Data
+// becomes its window of the arena, capacity-limited so an append can never
+// run into a neighbour. Layers reach their parameters through the same
+// tensors, so they follow. Afterwards the whole model's gradient is one
+// slice that can be cleared, summed and exchanged in place, and a flattened
+// offset means the same element in the arena and in FlattenGrads' order.
+// Slices of a Data taken before the call keep pointing at the old storage.
+func FlattenStorage(ps []*Param) (values, grads []float32) {
+	n := ParamCount(ps)
+	values, grads = make([]float32, n), make([]float32, n)
+	off := 0
+	for _, p := range ps {
+		end := off + p.Value.Len()
+		copy(values[off:end], p.Value.Data)
+		copy(grads[off:end], p.Grad.Data)
+		p.Value.Data = values[off:end:end]
+		p.Grad.Data = grads[off:end:end]
+		off = end
+	}
+	return values, grads
 }
 
 // FlattenGrads copies every parameter gradient into dst back-to-back, in

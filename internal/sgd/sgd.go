@@ -9,6 +9,7 @@ package sgd
 import (
 	"fmt"
 
+	"repro/internal/kernels"
 	"repro/internal/nn"
 )
 
@@ -103,29 +104,32 @@ func (o *SGD) Step(lr float32) {
 }
 
 // StepParam updates the single parameter at index i (the optimizer's
-// construction order). Parameter updates are independent, so applying them
-// one at a time as reduced gradient buckets land — the reactive pipeline's
-// per-bucket update — is bitwise identical to a full Step. Indices outside
-// the shard are a no-op, so a per-bucket driver can count down every param
-// uniformly and let the optimizer enforce ownership.
+// construction order) from its own accumulated gradient. Parameter updates
+// are independent, so applying them one at a time as reduced gradient
+// buckets land — the reactive pipeline's per-bucket update — is bitwise
+// identical to a full Step. Indices outside the shard are a no-op, so a
+// per-bucket driver can count down every param uniformly and let the
+// optimizer enforce ownership.
 func (o *SGD) StepParam(i int, lr float32) {
+	o.StepParamScaled(i, lr, o.params[i].Grad.Data, 1)
+}
+
+// StepParamScaled is StepParam reading the gradient as g·scale from the
+// given slice (one element per weight) instead of the parameter's own
+// accumulator: v = m·v + (g·scale + wd·w); w -= lr·v, in one pass. It is how
+// a trainer applies a reduced gradient sum where it lies — no normalizing
+// pass, no copy into each replica — and gives the bits of scaling g first
+// and then calling StepParam.
+func (o *SGD) StepParamScaled(i int, lr float32, g []float32, scale float32) {
 	if !o.Owns(i) {
 		return
 	}
 	p := o.params[i]
-	v := o.velocity[i]
-	w := p.Value.Data
-	g := p.Grad.Data
 	wd := o.cfg.WeightDecay
 	if p.NoWeightDecay {
 		wd = 0
 	}
-	m := o.cfg.Momentum
-	for j := range w {
-		grad := g[j] + wd*w[j]
-		v[j] = m*v[j] + grad
-		w[j] -= lr * v[j]
-	}
+	kernels.MomentumStep(p.Value.Data, o.velocity[i], g, scale, wd, o.cfg.Momentum, lr)
 }
 
 // StateLen returns the number of momentum scalars this optimizer holds: the

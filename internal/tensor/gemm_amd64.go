@@ -2,6 +2,8 @@
 
 package tensor
 
+import "repro/internal/kernels"
+
 // The AVX2 kernels (gemm_amd64.s). Strides and leading dimensions are in
 // elements. They trust their arguments: gemmTileAVX2 checks the operand
 // extents once per tile before handing out raw pointers.
@@ -18,7 +20,7 @@ func dotTile1AVX2(k int, a *float32, sap int, b *float32, ldb int, c *float32, l
 // GemmKernel names the inner kernel Gemm runs on this machine: "avx2" or
 // "portable".
 func GemmKernel() string {
-	if useAVX2 {
+	if kernels.UseAVX2 {
 		return "avx2"
 	}
 	return "portable"
@@ -26,7 +28,7 @@ func GemmKernel() string {
 
 // gemmTile computes one C tile with the kernel chosen at init.
 func gemmTile(transA, transB bool, rlo, rhi, clo, chi, fullM, fullN, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	if useAVX2 {
+	if kernels.UseAVX2 {
 		gemmTileAVX2(transA, transB, rlo, rhi, clo, chi, fullM, fullN, k, alpha, a, b, beta, c)
 		return
 	}

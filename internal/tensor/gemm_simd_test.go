@@ -60,7 +60,7 @@ func sameBits(x, y float32) bool {
 }
 
 // gemmBothKernels runs one product through Gemm twice — on the AVX2 kernels
-// and, with the useAVX2 switch turned off around the call, on the pure-Go
+// and, with the kernels.UseAVX2 switch turned off around the call, on the pure-Go
 // ones — and returns the first mismatching index of C, or noMismatch. C sits
 // inside a longer array whose margins (indices outside C) must come back
 // untouched: a masked store that strays outside its tile shows up there.
@@ -72,8 +72,8 @@ func gemmBothKernels(transA, transB bool, m, n, k int, alpha float32, a, b []flo
 			buf[i] = -12345
 		}
 		copy(buf[margin:], c0)
-		useAVX2 = simd
-		defer func() { useAVX2 = true }()
+		kernels.UseAVX2 = simd
+		defer func() { kernels.UseAVX2 = true }()
 		Gemm(transA, transB, m, n, k, alpha, a, b, beta, buf[margin:margin+len(c0)])
 		return buf
 	}
@@ -97,7 +97,7 @@ var simdCoefs = []float32{0, 1, -0.75}
 // shapes, unaligned operands, hostile values — at one worker and at a width
 // that splits the larger products into tiles.
 func TestGemmSIMDMatchesPortable(t *testing.T) {
-	if !useAVX2 {
+	if !kernels.UseAVX2 {
 		t.Skip("no AVX2 on this machine: Gemm already runs the portable kernels")
 	}
 	type shape struct{ m, n, k int }
@@ -138,7 +138,7 @@ func TestGemmSIMDMatchesPortable(t *testing.T) {
 // the coefficients and the raw bits of every operand element (cycled from
 // the input), and holds the AVX2 kernels to the pure-Go ones on the result.
 func FuzzGemmSIMDMatchesPortable(f *testing.F) {
-	if !useAVX2 {
+	if !kernels.UseAVX2 {
 		f.Skip("no AVX2 on this machine: Gemm already runs the portable kernels")
 	}
 	f.Add(uint8(5), uint8(9), uint8(7), uint8(0), float32(1), float32(0), []byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 192, 127})
