@@ -57,10 +57,16 @@ kernels-baseline:
 kernels-purego:
 	$(GO) test -tags purego ./internal/kernels ./internal/tensor ./internal/nn ./internal/sgd ./internal/mpi ./internal/allreduce ./internal/dpt ./internal/core
 
-# 20 s of each SIMD-vs-portable fuzz target, from its committed corpus.
+# 20 s of each fuzz target, from its committed corpus: the SIMD-vs-portable
+# kernels, then the DIMD decoders (window decode vs the dense reference, the
+# shuffle's record frames). The decoders' inputs are kilobyte blobs, which the
+# fuzzer's default 60 s minimisation of every interesting input would spend
+# the whole smoke on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGemmSIMDMatchesPortable -fuzztime 20s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzVecKernelsMatchPortable -fuzztime 20s ./internal/kernels
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s -fuzzminimizetime 1s ./internal/imagecodec
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalRecords -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd
 
 # The overlap workload CI runs: phased vs reactive schedules of the same
 # comm-heavy job, with the JSON report benchtool uploads as an artifact.

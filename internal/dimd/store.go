@@ -13,8 +13,18 @@ import (
 // Store is one learner's in-memory partition of the dataset, exposing the
 // paper's three DIMD APIs: partitioned load, random in-memory batch load,
 // and cross-learner shuffle.
+//
+// A Store serves one sampler at a time: RandomBatch and SampleTensors draw
+// through scratch the Store owns (the index permutation, the batch's record
+// slice, the decoder's planes), so that a steady-state SampleTensors
+// allocates nothing. Each learner owns its Store; sampling one Store from
+// two goroutines at once is a data race.
 type Store struct {
 	recs []Record
+
+	perm  []int    // RandomBatch's index permutation, len(recs) once warm
+	batch []Record // SampleTensors' records
+	dec   imagecodec.CropDecoder
 }
 
 // LoadPartition implements the Partitioned Load API: learner rank of size
@@ -61,22 +71,35 @@ func (s *Store) Bytes() int64 {
 // sampled uniformly (with replacement across batches, without within one
 // batch when possible) from the local partition.
 func (s *Store) RandomBatch(rng *tensor.RNG, n int) ([]Record, error) {
-	if len(s.recs) == 0 {
-		return nil, errors.New("dimd: RandomBatch on empty store")
-	}
 	out := make([]Record, n)
-	if n <= len(s.recs) {
-		// Partial Fisher-Yates over indices: distinct samples.
-		idx := rng.Perm(len(s.recs))[:n]
-		for i, j := range idx {
-			out[i] = s.recs[j]
+	if err := s.randomBatchInto(rng, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// randomBatchInto fills out with a random batch.
+func (s *Store) randomBatchInto(rng *tensor.RNG, out []Record) error {
+	if len(s.recs) == 0 {
+		return errors.New("dimd: RandomBatch on empty store")
+	}
+	if len(out) <= len(s.recs) {
+		// A full permutation of the indices, of which the batch is the head:
+		// distinct samples.
+		if cap(s.perm) < len(s.recs) {
+			s.perm = make([]int, len(s.recs))
 		}
-		return out, nil
+		idx := s.perm[:len(s.recs)]
+		rng.PermInto(idx)
+		for i := range out {
+			out[i] = s.recs[idx[i]]
+		}
+		return nil
 	}
 	for i := range out {
 		out[i] = s.recs[rng.Intn(len(s.recs))]
 	}
-	return out, nil
+	return nil
 }
 
 // ShuffleOptions tunes the cross-learner shuffle.
@@ -163,6 +186,11 @@ func unmarshalRecords(b []byte) ([]Record, error) {
 		return nil, errors.New("dimd: record frame too short")
 	}
 	count := int(binary.LittleEndian.Uint32(b))
+	// Every record costs at least its 8-byte header, so the count field
+	// cannot claim more records than the frame has room for.
+	if count > (len(b)-4)/8 {
+		return nil, fmt.Errorf("dimd: record frame of %d bytes claims %d records", len(b), count)
+	}
 	pos := 4
 	recs := make([]Record, 0, count)
 	for i := 0; i < count; i++ {
@@ -207,19 +235,29 @@ func GroupRanks(size, numGroups, rank int) ([]int, error) {
 // SampleTensors decodes and augments a random mini-batch into x (shape
 // [n, 3, crop, crop]) and labels — the step that feeds the GPU compute in
 // the paper's Figure 1 ("in-memory JPEG decompresser ... generate image
-// tensor objects").
+// tensor objects"). It runs out of the Store's scratch; see Store for the
+// single-sampler rule.
 func (s *Store) SampleTensors(rng *tensor.RNG, aug imagecodec.Augment, x *tensor.Tensor, labels []int) error {
-	batch, err := s.RandomBatch(rng, x.Dim(0))
-	if err != nil {
+	n := x.Dim(0)
+	if cap(s.batch) < n {
+		s.batch = make([]Record, n)
+	}
+	batch := s.batch[:n]
+	if err := s.randomBatchInto(rng, batch); err != nil {
 		return err
 	}
-	return DecodeToTensors(batch, rng, aug, x, labels)
+	return decodeToTensors(&s.dec, batch, rng, aug, x, labels)
 }
 
 // DecodeToTensors decodes and augments records into x (shape
 // [len(recs), 3, crop, crop]) and labels. Both the DIMD store and the
 // baseline file loader feed the trainer through this path.
 func DecodeToTensors(recs []Record, rng *tensor.RNG, aug imagecodec.Augment, x *tensor.Tensor, labels []int) error {
+	var dec imagecodec.CropDecoder
+	return decodeToTensors(&dec, recs, rng, aug, x, labels)
+}
+
+func decodeToTensors(dec *imagecodec.CropDecoder, recs []Record, rng *tensor.RNG, aug imagecodec.Augment, x *tensor.Tensor, labels []int) error {
 	n := x.Dim(0)
 	if len(labels) != n || len(recs) != n {
 		return fmt.Errorf("dimd: batch %d records / %d labels for tensor dim0 %d", len(recs), len(labels), n)
@@ -229,12 +267,8 @@ func DecodeToTensors(recs []Record, rng *tensor.RNG, aug imagecodec.Augment, x *
 		return fmt.Errorf("dimd: tensor size %d, want %d", x.Len(), n*slab)
 	}
 	for i, r := range recs {
-		im, err := imagecodec.Decode(r.Data)
-		if err != nil {
+		if err := dec.DecodeApply(r.Data, aug, rng, x.Data[i*slab:(i+1)*slab]); err != nil {
 			return fmt.Errorf("dimd: decoding record: %w", err)
-		}
-		if err := aug.Apply(im, rng, x.Data[i*slab:(i+1)*slab]); err != nil {
-			return err
 		}
 		labels[i] = int(r.Label)
 	}

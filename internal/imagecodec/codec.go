@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/tensor"
 )
 
 // The codec follows the JPEG pipeline closely enough to have the same cost
@@ -122,61 +124,150 @@ func Encode(im *Image, quality int) []byte {
 	return out
 }
 
-// Decode decompresses a blob produced by Encode.
-func Decode(data []byte) (*Image, error) {
+// maxDim bounds each image side a header may declare.
+const maxDim = 1 << 16
+
+// parseHeader validates a blob's 16-byte header. Beyond the field checks it
+// rejects dimensions the payload cannot back: every 8×8 block of every
+// channel costs at least its end-marker byte, so a header cannot make the
+// decoder size buffers for more pixels than 64/3 per payload byte.
+func parseHeader(data []byte) (w, h, quality int, err error) {
 	if len(data) < 16 {
-		return nil, errors.New("imagecodec: blob too short")
+		return 0, 0, 0, errors.New("imagecodec: blob too short")
 	}
 	if binary.LittleEndian.Uint32(data[0:]) != magic {
-		return nil, errors.New("imagecodec: bad magic")
+		return 0, 0, 0, errors.New("imagecodec: bad magic")
 	}
-	w := int(binary.LittleEndian.Uint32(data[4:]))
-	h := int(binary.LittleEndian.Uint32(data[8:]))
-	quality := int(binary.LittleEndian.Uint32(data[12:]))
-	if w <= 0 || h <= 0 || w > 1<<16 || h > 1<<16 {
-		return nil, fmt.Errorf("imagecodec: bad dimensions %dx%d", w, h)
+	w = int(binary.LittleEndian.Uint32(data[4:]))
+	h = int(binary.LittleEndian.Uint32(data[8:]))
+	quality = int(binary.LittleEndian.Uint32(data[12:]))
+	if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
+		return 0, 0, 0, fmt.Errorf("imagecodec: bad dimensions %dx%d", w, h)
 	}
+	if blocks := 3 * ((w + 7) / 8) * ((h + 7) / 8); len(data)-16 < blocks {
+		return 0, 0, 0, fmt.Errorf("imagecodec: %dx%d needs %d blocks, payload is %d bytes", w, h, blocks, len(data)-16)
+	}
+	return w, h, quality, nil
+}
+
+// window is the pixel rectangle [x0,x1)×[y0,y1) of a frame that a decode
+// materialises.
+type window struct{ x0, y0, x1, y1 int }
+
+// decodeWindow is the codec's one block loop. It entropy-walks every block of
+// a w×h blob in stream order — a corrupt block anywhere fails the decode,
+// whatever the window — and dequantises and inverse-transforms only the
+// blocks that intersect win, computing only their samples inside it. planes
+// receives the window's Y−128, Cb and Cr samples, one plane after another,
+// each row-major at the window's width. Decode passes the whole frame, whose
+// right and bottom edges clip the last blocks of a frame whose sides are not
+// multiples of 8.
+func decodeWindow(data []byte, w, h, quality int, win window, planes []float64) error {
 	luma, chroma := scaledTables(quality)
-	im := NewImage(w, h)
+	bw, bh := (w+7)/8, (h+7)/8
+	ww, wh := win.x1-win.x0, win.y1-win.y0
 	pos := 16
-	bw := (w + 7) / 8
-	bh := (h + 7) / 8
-	var coef [64]int32
 	var block [64]float64
-	ycbcr := make([][]float64, 3)
-	for ch := range ycbcr {
-		ycbcr[ch] = make([]float64, w*h)
-	}
 	for ch := 0; ch < 3; ch++ {
 		table := &luma
 		if ch > 0 {
 			table = &chroma
 		}
+		plane := planes[ch*ww*wh : (ch+1)*ww*wh]
 		for by := 0; by < bh; by++ {
+			y0, y1 := max(by*8, win.y0), min(by*8+8, win.y1)
 			for bx := 0; bx < bw; bx++ {
+				x0, x1 := max(bx*8, win.x0), min(bx*8+8, win.x1)
 				var err error
-				pos, err = readRLE(data, pos, &coef)
-				if err != nil {
-					return nil, err
+				if y0 >= y1 || x0 >= x1 {
+					if pos, _, err = readRLE(data, pos, nil, nil); err != nil {
+						return err
+					}
+					continue
 				}
-				for i := 0; i < 64; i++ {
-					block[zigzag[i]] = float64(coef[i] * table[i])
+				block = [64]float64{}
+				var rows uint
+				if pos, rows, err = readRLE(data, pos, table, &block); err != nil {
+					return err
 				}
-				idct(&block)
-				storeBlock(ycbcr[ch], w, h, bx, by, &block)
+				idct(&block, rows, x0-bx*8, x1-bx*8, y0-by*8, y1-by*8, plane[(y0-win.y0)*ww+x0-win.x0:], ww)
 			}
 		}
 	}
-	// YCbCr -> RGB.
-	for i := 0; i < w*h; i++ {
-		y := ycbcr[0][i] + 128
-		cb := ycbcr[1][i]
-		cr := ycbcr[2][i]
-		im.Pix[3*i+0] = clampU8(y + 1.402*cr)
-		im.Pix[3*i+1] = clampU8(y - 0.344136*cb - 0.714136*cr)
-		im.Pix[3*i+2] = clampU8(y + 1.772*cb)
+	return nil
+}
+
+// rgb converts one centred YCbCr sample (Y−128, Cb, Cr) to 8-bit RGB.
+func rgb(y, cb, cr float64) (r, g, b uint8) {
+	y += 128
+	return clampU8(y + 1.402*cr), clampU8(y - 0.344136*cb - 0.714136*cr), clampU8(y + 1.772*cb)
+}
+
+// Decode decompresses a blob produced by Encode.
+func Decode(data []byte) (*Image, error) {
+	w, h, quality, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	n := w * h
+	planes := make([]float64, 3*n)
+	if err := decodeWindow(data, w, h, quality, window{0, 0, w, h}, planes); err != nil {
+		return nil, err
+	}
+	im := NewImage(w, h)
+	for i := 0; i < n; i++ {
+		im.Pix[3*i], im.Pix[3*i+1], im.Pix[3*i+2] = rgb(planes[i], planes[n+i], planes[2*n+i])
 	}
 	return im, nil
+}
+
+// CropDecoder decodes blobs straight to augmented tensor slabs. It owns the
+// window-sized scratch planes, so a sampler that keeps one decodes without
+// allocating; the zero value is ready and serves one goroutine at a time.
+type CropDecoder struct {
+	planes []float64
+}
+
+// DecodeApply writes what Decode followed by a.Apply would write into dst —
+// the same crop origin and flip drawn from rng, the same float32 bits —
+// without the frame in between: the crop is drawn first (Decode consumes no
+// randomness) and only the blocks under it are inverse-transformed, colour-
+// converted and normalised.
+func (d *CropDecoder) DecodeApply(data []byte, a Augment, rng *tensor.RNG, dst []float32) error {
+	w, h, quality, err := parseHeader(data)
+	if err != nil {
+		return err
+	}
+	if err := a.check(w, h, dst); err != nil {
+		return err
+	}
+	cx, cy, flip := a.draw(w, h, rng)
+	return d.crop(data, w, h, quality, a, cx, cy, flip, dst)
+}
+
+// crop is DecodeApply after the header and the draws: the a.Crop-sized
+// window at (cx, cy) of the w×h blob, mirrored when flip, into dst.
+func (d *CropDecoder) crop(data []byte, w, h, quality int, a Augment, cx, cy int, flip bool, dst []float32) error {
+	plane := a.Crop * a.Crop
+	if cap(d.planes) < 3*plane {
+		d.planes = make([]float64, 3*plane)
+	}
+	ycc := d.planes[:3*plane]
+	if err := decodeWindow(data, w, h, quality, window{cx, cy, cx + a.Crop, cy + a.Crop}, ycc); err != nil {
+		return err
+	}
+	for y := 0; y < a.Crop; y++ {
+		for x := 0; x < a.Crop; x++ {
+			s := y*a.Crop + x
+			if flip {
+				s = y*a.Crop + a.Crop - 1 - x
+			}
+			r, g, b := rgb(ycc[s], ycc[plane+s], ycc[2*plane+s])
+			o := y*a.Crop + x
+			dst[o], dst[plane+o], dst[2*plane+o] = a.norm(0, r), a.norm(1, g), a.norm(2, b)
+		}
+	}
+	return nil
 }
 
 // loadBlock extracts one 8×8 block of channel ch in YCbCr space, centered
@@ -206,24 +297,6 @@ func loadBlock(im *Image, ch, bx, by int, dst *[64]float64) {
 				v = 0.5*r - 0.418688*g - 0.081312*b
 			}
 			dst[y*8+x] = v
-		}
-	}
-}
-
-// storeBlock writes one decoded 8×8 block into the channel plane, clipping
-// at the image border.
-func storeBlock(plane []float64, w, h, bx, by int, src *[64]float64) {
-	for y := 0; y < 8; y++ {
-		sy := by*8 + y
-		if sy >= h {
-			break
-		}
-		for x := 0; x < 8; x++ {
-			sx := bx*8 + x
-			if sx >= w {
-				break
-			}
-			plane[sy*w+sx] = src[y*8+x]
 		}
 	}
 }
@@ -266,25 +339,52 @@ func fdct(b *[64]float64) {
 	}
 }
 
-// idct applies the 8×8 inverse DCT in place.
-func idct(b *[64]float64) {
+// idct inverse-transforms block b and stores its samples [x0,x1)×[y0,y1)
+// (block-local) to dst, whose rows are stride apart and whose first element
+// is sample (x0, y0). rows has bit v set for every coefficient row v that
+// holds a nonzero; the other rows, and the zero coefficients of those, are
+// skipped.
+//
+// Neither restriction moves a bit of any stored sample against the dense
+// transform (every sample an ascending sum over u, then over v, from +0).
+// Each sample is its own sum, so computing fewer of them changes none of the
+// others, and the loops below only interchange which sample advances next,
+// never the order of terms within one. A skipped term is ±0 — a dequantised
+// zero is +0, its products with a cosine ±0, a row of such sums +0 — and
+// adding ±0 never changes an accumulator that started at +0: a nonzero
+// partial sum absorbs it, and a zero one is +0 (only (−0)+(−0) gives −0)
+// and stays +0.
+func idct(b *[64]float64, rows uint, x0, x1, y0, y1 int, dst []float64, stride int) {
 	var tmp [64]float64
+	var live [8]int
+	n := 0
 	for v := 0; v < 8; v++ {
-		for x := 0; x < 8; x++ {
-			var s float64
-			for u := 0; u < 8; u++ {
-				s += b[v*8+u] * dctCos[u][x]
+		if rows&(1<<v) == 0 {
+			continue
+		}
+		live[n] = v
+		n++
+		t := tmp[v*8+x0 : v*8+x1]
+		for u := 0; u < 8; u++ {
+			c := b[v*8+u]
+			if c == 0 {
+				continue
 			}
-			tmp[v*8+x] = s
+			cos := dctCos[u][x0:x1]
+			for i := range t {
+				t[i] += c * cos[i]
+			}
 		}
 	}
-	for x := 0; x < 8; x++ {
-		for y := 0; y < 8; y++ {
-			var s float64
-			for v := 0; v < 8; v++ {
-				s += tmp[v*8+x] * dctCos[v][y]
+	for y := y0; y < y1; y++ {
+		out := dst[(y-y0)*stride:][:x1-x0]
+		clear(out)
+		for _, v := range live[:n] {
+			c := dctCos[v][y]
+			t := tmp[v*8+x0 : v*8+x1]
+			for i := range out {
+				out[i] += t[i] * c
 			}
-			b[y*8+x] = s
 		}
 	}
 }
@@ -318,42 +418,48 @@ func appendRLE(out []byte, coef *[64]int32) []byte {
 	return out
 }
 
-// readRLE decodes one block starting at pos; returns the next position.
-func readRLE(data []byte, pos int, coef *[64]int32) (int, error) {
-	for i := range coef {
-		coef[i] = 0
-	}
+// readRLE decodes one block starting at pos and returns the next position.
+// With a non-nil block it dequantises every coded coefficient by table into
+// its zigzag position of block — which the caller hands over zeroed — and
+// returns the mask of block rows it wrote a nonzero to. A nil block walks and
+// validates the stream identically and stores nothing.
+func readRLE(data []byte, pos int, table *[64]int32, block *[64]float64) (next int, rows uint, err error) {
 	i := 0
 	for {
 		if pos >= len(data) {
-			return 0, errors.New("imagecodec: truncated block")
+			return 0, 0, errors.New("imagecodec: truncated block")
 		}
 		run := int(data[pos])
 		pos++
 		if run == 255 {
-			return pos, nil
+			return pos, rows, nil
 		}
 		i += run
 		v, n := readZigzagVarint(data[pos:])
 		if n <= 0 {
-			return 0, errors.New("imagecodec: bad varint")
+			return 0, 0, errors.New("imagecodec: bad varint")
 		}
 		pos += n
 		if i > 63 {
-			return 0, errors.New("imagecodec: coefficient index overflow")
+			return 0, 0, errors.New("imagecodec: coefficient index overflow")
 		}
 		// A (254, 0) pair is a run continuation with no coefficient.
 		if run == 254 && v == 0 {
 			continue
 		}
-		coef[i] = int32(v)
+		if block != nil {
+			if q := int32(v) * table[i]; q != 0 {
+				block[zigzag[i]] = float64(q)
+				rows |= 1 << (zigzag[i] >> 3)
+			}
+		}
 		i++
 		if i == 64 {
 			// Expect the end marker next.
 			if pos >= len(data) || data[pos] != 255 {
-				return 0, errors.New("imagecodec: missing end marker")
+				return 0, 0, errors.New("imagecodec: missing end marker")
 			}
-			return pos + 1, nil
+			return pos + 1, rows, nil
 		}
 	}
 }

@@ -130,10 +130,21 @@ func TestRLEBlockRoundTrip(t *testing.T) {
 			}
 		}
 		blob := appendRLE(nil, &coef)
-		var got [64]int32
-		pos, err := readRLE(blob, 0, &got)
+		var ones [64]int32
+		for i := range ones {
+			ones[i] = 1
+		}
+		var block [64]float64
+		pos, _, err := readRLE(blob, 0, &ones, &block)
 		if err != nil || pos != len(blob) {
 			return false
+		}
+		if skipped, _, err := readRLE(blob, 0, nil, nil); err != nil || skipped != pos {
+			return false
+		}
+		var got [64]int32
+		for i := range got {
+			got[i] = int32(block[zigzag[i]])
 		}
 		return got == coef
 	}
@@ -194,10 +205,11 @@ func TestDCTRoundTrip(t *testing.T) {
 		orig[i] = b[i]
 	}
 	fdct(&b)
-	idct(&b)
-	for i := range b {
-		if math.Abs(b[i]-orig[i]) > 1e-9 {
-			t.Fatalf("DCT round trip error at %d: %v vs %v", i, b[i], orig[i])
+	var back [64]float64
+	idct(&b, 0xff, 0, 8, 0, 8, back[:], 8)
+	for i := range back {
+		if math.Abs(back[i]-orig[i]) > 1e-9 {
+			t.Fatalf("DCT round trip error at %d: %v vs %v", i, back[i], orig[i])
 		}
 	}
 }

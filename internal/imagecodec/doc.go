@@ -10,4 +10,12 @@
 // them on the fly with "an in-memory JPEG decompresser"; this codec plays
 // that role so the DIMD code path (pack → load → shuffle → random batch →
 // decode → augment → tensor) moves and decodes real bytes.
+//
+// There is one decoder, a block loop parameterised by a pixel window
+// (decodeWindow). Decode runs it over the whole frame; the training input
+// path, CropDecoder.DecodeApply, runs it over the crop the augmenter drew, so
+// every block is entropy-walked and validated but only the blocks under the
+// crop are dequantised, inverse-transformed, colour-converted and normalised
+// — straight into the batch tensor, with the bits Decode followed by
+// Augment.Apply would have written.
 package imagecodec

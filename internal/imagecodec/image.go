@@ -140,18 +140,39 @@ func DefaultAugment() Augment {
 	}
 }
 
-// Apply writes the augmented image into dst, a CHW tensor slab of size
-// 3*Crop*Crop. rng drives crop position and flip.
-func (a Augment) Apply(im *Image, rng *tensor.RNG, dst []float32) error {
-	if im.W < a.Crop || im.H < a.Crop {
-		return fmt.Errorf("imagecodec: image %dx%d smaller than crop %d", im.W, im.H, a.Crop)
+// check rejects a frame smaller than the crop and a dst that is not one CHW
+// slab.
+func (a Augment) check(w, h int, dst []float32) error {
+	if w < a.Crop || h < a.Crop {
+		return fmt.Errorf("imagecodec: image %dx%d smaller than crop %d", w, h, a.Crop)
 	}
 	if len(dst) != 3*a.Crop*a.Crop {
 		return fmt.Errorf("imagecodec: dst len %d, want %d", len(dst), 3*a.Crop*a.Crop)
 	}
-	cx := rng.Intn(im.W - a.Crop + 1)
-	cy := rng.Intn(im.H - a.Crop + 1)
-	flip := rng.Float32() < 0.5
+	return nil
+}
+
+// draw takes the training augmentation's three draws for a w×h frame: crop
+// origin x, crop origin y, flip.
+func (a Augment) draw(w, h int, rng *tensor.RNG) (cx, cy int, flip bool) {
+	cx = rng.Intn(w - a.Crop + 1)
+	cy = rng.Intn(h - a.Crop + 1)
+	return cx, cy, rng.Float32() < 0.5
+}
+
+// norm maps one 8-bit sample of channel ch to its normalized tensor value.
+func (a Augment) norm(ch int, p uint8) float32 {
+	v := float32(p) / 255
+	return (v - a.Mean[ch]) / a.Std[ch]
+}
+
+// Apply writes the augmented image into dst, a CHW tensor slab of size
+// 3*Crop*Crop. rng drives crop position and flip.
+func (a Augment) Apply(im *Image, rng *tensor.RNG, dst []float32) error {
+	if err := a.check(im.W, im.H, dst); err != nil {
+		return err
+	}
+	cx, cy, flip := a.draw(im.W, im.H, rng)
 	plane := a.Crop * a.Crop
 	for y := 0; y < a.Crop; y++ {
 		for x := 0; x < a.Crop; x++ {
@@ -161,8 +182,7 @@ func (a Augment) Apply(im *Image, rng *tensor.RNG, dst []float32) error {
 			}
 			i := 3 * ((cy+y)*im.W + sx)
 			for ch := 0; ch < 3; ch++ {
-				v := float32(im.Pix[i+ch]) / 255
-				dst[ch*plane+y*a.Crop+x] = (v - a.Mean[ch]) / a.Std[ch]
+				dst[ch*plane+y*a.Crop+x] = a.norm(ch, im.Pix[i+ch])
 			}
 		}
 	}
@@ -172,11 +192,8 @@ func (a Augment) Apply(im *Image, rng *tensor.RNG, dst []float32) error {
 // CenterCropTensor converts the center crop to a normalized CHW tensor slab
 // (the validation-time transform).
 func (a Augment) CenterCropTensor(im *Image, dst []float32) error {
-	if im.W < a.Crop || im.H < a.Crop {
-		return fmt.Errorf("imagecodec: image %dx%d smaller than crop %d", im.W, im.H, a.Crop)
-	}
-	if len(dst) != 3*a.Crop*a.Crop {
-		return fmt.Errorf("imagecodec: dst len %d, want %d", len(dst), 3*a.Crop*a.Crop)
+	if err := a.check(im.W, im.H, dst); err != nil {
+		return err
 	}
 	cx := (im.W - a.Crop) / 2
 	cy := (im.H - a.Crop) / 2
@@ -185,8 +202,7 @@ func (a Augment) CenterCropTensor(im *Image, dst []float32) error {
 		for x := 0; x < a.Crop; x++ {
 			i := 3 * ((cy+y)*im.W + cx + x)
 			for ch := 0; ch < 3; ch++ {
-				v := float32(im.Pix[i+ch]) / 255
-				dst[ch*plane+y*a.Crop+x] = (v - a.Mean[ch]) / a.Std[ch]
+				dst[ch*plane+y*a.Crop+x] = a.norm(ch, im.Pix[i+ch])
 			}
 		}
 	}

@@ -36,6 +36,19 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
+// PermInto fills dst with a random permutation of [0,len(dst)): the same
+// permutation from the same draws as Perm(len(dst)), without the allocation.
+func (g *RNG) PermInto(dst []int) {
+	// math/rand's Perm loop, whose draw sequence Go 1 compatibility pins —
+	// the i=0 iteration's draw included. dst[i] is read only at j <= i:
+	// already written, or about to be overwritten.
+	for i := range dst {
+		j := g.r.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
+}
+
 // Shuffle randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 

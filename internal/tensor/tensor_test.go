@@ -276,3 +276,29 @@ func TestPropSumLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPermIntoMatchesPerm: PermInto writes Perm's permutation from Perm's
+// draws — over scratch that still holds an earlier permutation — and leaves
+// the generator where Perm leaves it.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	scratch := make([]int, 256)
+	for i := range scratch {
+		scratch[i] = -7 - i
+	}
+	for _, n := range []int{0, 1, 2, 255, 256} {
+		for seed := int64(0); seed < 20; seed++ {
+			a, b := NewRNG(seed), NewRNG(seed)
+			want := a.Perm(n)
+			got := scratch[:n]
+			b.PermInto(got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d seed=%d: element %d is %d, Perm gives %d", n, seed, i, got[i], want[i])
+				}
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatalf("n=%d seed=%d: generators diverged after the permutation", n, seed)
+			}
+		}
+	}
+}
