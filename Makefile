@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate lint clean
+.PHONY: all build test race bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate sim-crossval lint clean
 
 all: lint build test
 
@@ -91,9 +91,10 @@ hier:
 chaos:
 	$(GO) run ./cmd/benchtool -chaos -chaos-seed 1 -learners 4 -steps 12 -chaos-kill-every 5 -json chaos.json
 
-# The discrete-event simulator sweep CI uploads: predicted step time,
-# per-link-class bytes, and fabric congestion hot spots for every
-# collective × codec at 2×4 / 16×8 / 64×8 on the Minsky fabric.
+# The network simulator sweep CI uploads: predicted step time,
+# per-link-class bytes, and the most loaded links for every collective ×
+# codec at 2×4 / 16×8 / 64×8 on the charged Minsky fabric (~15 s). Fails if
+# any link reports utilization above 1.
 sim:
 	$(GO) run ./cmd/benchtool -sim -sim-nodes 64 -sim-ranks 8 -json sim.json
 
@@ -102,6 +103,28 @@ sim:
 # predicted-vs-measured step time holds MAPE <= 15%.
 sim-calibrate:
 	$(GO) run ./cmd/benchtool -sim-calibrate -sim-mape-max 0.15 -json sim.json
+
+# The simulator's drift tripwires under -race, the step CI pins: byte
+# cross-validation of all seven extracted schedules against live
+# World.Traffic, same-seed determinism, the fabric-less rows recorded from
+# the pre-charging engine, the engine's schedule invariants, and what a
+# charged FatTree does to two or three messages (link rate, sharing, rails,
+# spine, pipelining). A -run pattern that matches nothing passes silently,
+# so the target counts what ran against the list.
+SIM_CROSSVAL := SimBytesMatchLiveTraffic ScheduleBytesMatchWireSizer \
+	SameSeedByteIdenticalTraces DifferentSeedsVaryOnlyJitter \
+	FabriclessWorldUnchanged DegradedSpineSlowsCrossLeafSteps \
+	NoLinkCarriesMoreThanItsBandwidth RecvSizeMustMatchSend TwoStreamsOnOneQueue \
+	PathBandwidth SingleHostProfiles OversubscribedCoreLinks AsymmetricUpDownProfiles \
+	SingleFlowTime TwoFlowsShareLink SeparateRailsDontShare CrossLeafRouteUsesFabric \
+	OversubscribedFabricSlower DependencyChainSerializes PipelineOverlaps
+empty :=
+space := $(empty) $(empty)
+sim-crossval:
+	$(GO) test -race -timeout 10m -v -run '^Test($(subst $(space),|,$(strip $(SIM_CROSSVAL))))$$' \
+		./internal/simevent ./internal/simnet > sim-crossval.log || { cat sim-crossval.log; exit 1; }
+	@ran=$$(grep -c '^--- PASS' sim-crossval.log); echo "sim-crossval: $$ran of $(words $(SIM_CROSSVAL)) tests passed"; \
+		test "$$ran" -eq $(words $(SIM_CROSSVAL))
 
 lint:
 	$(GO) vet ./...

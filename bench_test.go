@@ -1,6 +1,7 @@
 // Package repro_test holds the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (run with `go test -bench=. .`),
-// plus ablation benches for the design choices DESIGN.md calls out. Each
+// plus ablation benches for the design choices docs/ARCHITECTURE.md calls
+// out (the calibration constants and what multi-color's schedule costs). Each
 // BenchmarkFigN/BenchmarkTableN prints the reproduced rows once (visible
 // with -v or in bench output) and reports the experiment's headline metric
 // via b.ReportMetric so regressions are visible in benchstat diffs.
@@ -265,7 +266,7 @@ func BenchmarkTable2StateOfTheArt(b *testing.B) {
 	b.ReportMetric(minutes, "minutes/90epochs")
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (docs/ARCHITECTURE.md, "Calibration constants") ---
 
 // BenchmarkAblationColors sweeps the multi-color k: k=1 degenerates to a
 // single pipelined tree; gains should saturate once both rails are busy.

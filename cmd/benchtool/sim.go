@@ -29,10 +29,10 @@ type simEntry struct {
 	IntraBytes      int64   `json:"intra_bytes"`
 	InterBytes      int64   `json:"inter_bytes"`
 	TraceHash       string  `json:"trace_hash"`
-	// MaxLinkUtilization and HotLinks surface fabric congestion: busy time
-	// over makespan per traversed link, the top entries listed. Utilization
-	// above 1 flags an oversubscribed link the flow-level time model does
-	// not slow down.
+	// MaxLinkUtilization and HotLinks surface fabric load: busy time over
+	// makespan per traversed link, the top entries listed. The fabric is
+	// charged, so no link can exceed 1; the links near 1 are what bound the
+	// step.
 	MaxLinkUtilization float64             `json:"max_link_utilization"`
 	HotLinks           []simevent.LinkUtil `json:"hot_links,omitempty"`
 	SimWallMS          float64             `json:"sim_wall_ms"`
@@ -53,7 +53,9 @@ type simReport struct {
 // simWorkload sweeps the discrete-event simulator over cluster scales ×
 // collectives × codecs on the calibrated Minsky fabric (full speed, no
 // slowdown: these are predictions for the real cluster) and reports
-// predicted step time, per-link-class traffic, and congestion hot spots.
+// predicted step time, per-link-class traffic, and the most loaded links.
+// It fails if any link reports more traffic than its bandwidth could carry
+// in the predicted step.
 func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList string, topkRatio float64, seed uint64, overhead time.Duration, jsonPath string) error {
 	if nodes < 1 || ranksPerNode < 1 {
 		return fmt.Errorf("benchtool: -sim needs positive -sim-nodes and -sim-ranks (got %d×%d)", nodes, ranksPerNode)
@@ -90,10 +92,13 @@ func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList st
 		}
 		topo := mpi.UniformTopology(sc.Nodes*sc.RanksPerNode, sc.RanksPerNode)
 		for _, col := range simevent.Collectives() {
-			// The phased collectives carry raw float32 — codec-independent,
-			// so sweep them once under the "none" label.
+			if col == simevent.AllToAllV {
+				continue // the shuffle's exchange, not a gradient exchange
+			}
+			// The raw-wire collectives are codec-independent, so sweep them
+			// once under the "none" label.
 			cs := codecs
-			if col == simevent.BucketRing || col == simevent.Rabenseifner {
+			if !col.Compressed() {
 				cs = []string{"none"}
 			}
 			for _, codecName := range cs {
@@ -140,6 +145,10 @@ func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList st
 				fmt.Printf("  %2d×%d %-13s %-5s %8d msgs  step %9.3f ms  inter %12d B  maxutil %.2f  (sim %6.0f ms)\n",
 					sc.Nodes, sc.RanksPerNode, entry.Collective, entry.Codec, entry.Messages,
 					entry.PredictedStepMS, entry.InterBytes, entry.MaxLinkUtilization, entry.SimWallMS)
+				if entry.MaxLinkUtilization > 1 {
+					return fmt.Errorf("benchtool: %s is %.4f× busier than the predicted step allows — the fabric is not being charged",
+						links[0].Name, entry.MaxLinkUtilization)
+				}
 			}
 		}
 	}
@@ -178,19 +187,24 @@ func simCalibrateWorkload(topkRatio float64, mapeMax float64, jsonPath string) e
 	if err != nil {
 		return err
 	}
-	mk := func(col simevent.Collective, codec string) simevent.LiveCase {
+	topk, err := compress.New(compress.Config{Codec: "topk", TopKRatio: topkRatio})
+	if err != nil {
+		return err
+	}
+	mk := func(col simevent.Collective, codec compress.Codec) simevent.LiveCase {
 		return simevent.LiveCase{
-			Collective: col, Nodes: nodes, RanksPerNode: ranksPerNode,
-			Elems: gradFloats, BucketFloats: bucketFloats,
-			Codec: compress.Config{Codec: codec, TopKRatio: topkRatio},
+			Spec: simevent.Spec{
+				Collective: col, Topo: mpi.UniformTopology(nodes*ranksPerNode, ranksPerNode),
+				Elems: gradFloats, BucketFloats: bucketFloats, Codec: codec,
+			},
 			Intra: intra, Inter: inter,
 		}
 	}
 	cases := []simevent.LiveCase{
-		mk(simevent.BucketRing, "none"),
-		mk(simevent.Rabenseifner, "none"),
-		mk(simevent.Hierarchical, "int8"),
-		mk(simevent.ShardedRS, "topk"),
+		mk(simevent.BucketRing, nil),
+		mk(simevent.Rabenseifner, nil),
+		mk(simevent.Hierarchical, compress.Int8{}),
+		mk(simevent.ShardedRS, topk),
 	}
 	fmt.Printf("sim calibration: %d×%d grad=%d floats bucket=%d slowdown=%d reps=%d\n",
 		nodes, ranksPerNode, gradFloats, bucketFloats, slowdown, reps)

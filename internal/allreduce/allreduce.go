@@ -162,15 +162,11 @@ func pipelinedRing(c *mpi.Comm, data []float32, opts Options) error {
 	n := c.Size()
 	rank := c.Rank()
 	seg := opts.SegmentFloats
-	nseg := (len(data) + seg - 1) / seg
+	nseg := numSegs(len(data), seg)
 
 	// Reduction phase: data flows rank n-1 -> n-2 -> ... -> 0.
 	for s := 0; s < nseg; s++ {
-		lo := s * seg
-		hi := lo + seg
-		if hi > len(data) {
-			hi = len(data)
-		}
+		lo, hi := segSpan(s, seg, len(data))
 		if rank < n-1 {
 			if err := c.RecvFloatsAdd(data[lo:hi], rank+1, tagRingReduce); err != nil {
 				return fmt.Errorf("allreduce: ring segment: %w", err)
@@ -184,11 +180,7 @@ func pipelinedRing(c *mpi.Comm, data []float32, opts Options) error {
 	}
 	// Broadcast phase: result flows rank 0 -> 1 -> ... -> n-1.
 	for s := 0; s < nseg; s++ {
-		lo := s * seg
-		hi := lo + seg
-		if hi > len(data) {
-			hi = len(data)
-		}
+		lo, hi := segSpan(s, seg, len(data))
 		if rank > 0 {
 			if err := c.RecvFloatsInto(data[lo:hi], rank-1, tagRingBcast); err != nil {
 				return err

@@ -65,6 +65,19 @@ func colorTrees(n, k int) []Tree {
 	return trees
 }
 
+// mcTags is color's tag pair: segments travelling up its tree and back down.
+func mcTags(color int) (up, down int) { return tagMC + 2*color, tagMC + 2*color + 1 }
+
+// numSegs and segSpan are the pipelined collectives' segment geometry — how
+// many segFloats-sized segments n elements split into (the last possibly
+// short) and which elements segment s covers. Shared by the live loops
+// (reduceBcastTree, pipelinedRing) and their schedule extraction.
+func numSegs(n, segFloats int) int { return (n + segFloats - 1) / segFloats }
+func segSpan(s, segFloats, n int) (lo, hi int) {
+	lo = s * segFloats
+	return lo, min(lo+segFloats, n)
+}
+
 // reduceBcastTree pipelines one chunk up and back down one color's tree.
 // The node's role is fixed by the tree: leaves only send segments to their
 // parent; interior nodes sum their children's segments into their local
@@ -75,20 +88,12 @@ func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats i
 	rank := c.Rank()
 	parent := tree.Parent[rank]
 	children := tree.Children[rank]
-	upTag := tagMC + 2*color
-	downTag := tagMC + 2*color + 1
-	nseg := (len(chunk) + segFloats - 1) / segFloats
-	if len(chunk) == 0 {
-		nseg = 0
-	}
+	upTag, downTag := mcTags(color)
+	nseg := numSegs(len(chunk), segFloats)
 
 	// Upward (reduce) pass, root turnaround included.
 	for s := 0; s < nseg; s++ {
-		lo := s * segFloats
-		hi := lo + segFloats
-		if hi > len(chunk) {
-			hi = len(chunk)
-		}
+		lo, hi := segSpan(s, segFloats, len(chunk))
 		seg := chunk[lo:hi]
 		for _, ch := range children {
 			if err := c.RecvFloatsAdd(seg, ch, upTag); err != nil {
@@ -114,11 +119,7 @@ func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats i
 		return nil
 	}
 	for s := 0; s < nseg; s++ {
-		lo := s * segFloats
-		hi := lo + segFloats
-		if hi > len(chunk) {
-			hi = len(chunk)
-		}
+		lo, hi := segSpan(s, segFloats, len(chunk))
 		if err := c.RecvFloatsInto(chunk[lo:hi], parent, downTag); err != nil {
 			return fmt.Errorf("allreduce: multicolor bcast segment: %w", err)
 		}

@@ -16,10 +16,11 @@ import (
 // Drift discipline: the extractors do not re-derive the algorithms. They
 // call the same step-geometry hooks the live loops run — rsRingStep /
 // agRingStep, halvingRound / doublingRound, shardOwns, newHierPlan,
-// hierDownSrc — so a change to a collective's routing changes its extracted
-// schedule in lockstep. The residual risk (an extractor missing a message
-// class entirely) is pinned by the simevent cross-validation suite, which
-// requires simulated per-link-class byte totals to EXACTLY equal the live
+// hierDownSrc, colorTrees / mcTags, numSegs / segSpan, mpi.AllToAllStep — so
+// a change to a collective's routing changes its extracted schedule in
+// lockstep. The residual risk (an extractor missing a message class
+// entirely) is pinned by the simevent cross-validation suite, which requires
+// simulated per-link-class byte totals to EXACTLY equal the live
 // mpi.World.Traffic counters at small scale for every codec.
 
 // WireKind classifies a schedule operation.
@@ -57,34 +58,19 @@ type WireOp struct {
 	Peer  int
 	Tag   int
 	Bytes int
+	// Fold marks a receive the live code reduces into its local data
+	// (RecvFloatsAdd, DecompressAdd) instead of copying into place — the
+	// receives that cost the host a pass of arithmetic over the payload.
+	Fold bool
 }
 
-// RankSchedule is one rank's wire program, split the way the live Stream
-// splits work across goroutines: Launch ops post asynchronously ahead of
-// the fold (the compressed-payload Isends the launch goroutine issues),
-// Main ops run in strict program order (the blocking receive/fold/forward
-// sequence of the reduce goroutine, or the whole body of a phased
-// collective). Phased collectives leave Launch empty.
-type RankSchedule struct {
-	Launch []WireOp
-	Main   []WireOp
-}
-
-// Bytes returns the total bytes this rank's schedule sends.
-func (r RankSchedule) Bytes() int64 {
-	var n int64
-	for _, op := range r.Launch {
-		if op.Kind != WireRecv {
-			n += int64(op.Bytes)
-		}
-	}
-	for _, op := range r.Main {
-		if op.Kind != WireRecv {
-			n += int64(op.Bytes)
-		}
-	}
-	return n
-}
+// RankSchedule is one rank's wire program: any number of streams, each run
+// in strict program order and independent of the others, the way the live
+// code splits a rank's work across goroutines. A phased collective is one
+// stream; the bucketed Stream is two (the launch goroutine's compressed-
+// payload Isends, then the reduce goroutine's blocking receive/fold/forward
+// sequence); the multi-color allreduce is one per color.
+type RankSchedule [][]WireOp
 
 // BucketRingSchedule extracts AlgBucketRing's wire schedule: the ring
 // reduce-scatter (n-1 steps) composed with the ring allgather (n-1 steps)
@@ -108,7 +94,7 @@ func BucketRingSchedule(ranks, elems int) []RankSchedule {
 			sendShard, recvShard := rsRingStep(rank, s)
 			ops = append(ops,
 				WireOp{Kind: WireSend, Peer: right, Tag: tagRScoll + s, Bytes: shardBytes(sendShard)},
-				WireOp{Kind: WireRecv, Peer: left, Tag: tagRScoll + s, Bytes: shardBytes(recvShard)})
+				WireOp{Kind: WireRecv, Peer: left, Tag: tagRScoll + s, Bytes: shardBytes(recvShard), Fold: true})
 		}
 		for s := 0; s < ranks-1; s++ {
 			sendShard, recvShard := agRingStep(rank, s)
@@ -116,7 +102,7 @@ func BucketRingSchedule(ranks, elems int) []RankSchedule {
 				WireOp{Kind: WireSend, Peer: right, Tag: tagAGcoll + s, Bytes: shardBytes(sendShard)},
 				WireOp{Kind: WireRecv, Peer: left, Tag: tagAGcoll + s, Bytes: shardBytes(recvShard)})
 		}
-		scheds[rank].Main = ops
+		scheds[rank] = RankSchedule{ops}
 	}
 	return scheds
 }
@@ -142,11 +128,11 @@ func RabenseifnerSchedule(ranks, elems int) []RankSchedule {
 			ops = append(ops,
 				WireOp{Kind: WireSend, Peer: rank - p2, Tag: tagRabFold, Bytes: full},
 				WireOp{Kind: WireRecv, Peer: rank - p2, Tag: tagRabBack, Bytes: full})
-			scheds[rank].Main = ops
+			scheds[rank] = RankSchedule{ops}
 			continue
 		}
 		if rank < extra {
-			ops = append(ops, WireOp{Kind: WireRecv, Peer: rank + p2, Tag: tagRabFold, Bytes: full})
+			ops = append(ops, WireOp{Kind: WireRecv, Peer: rank + p2, Tag: tagRabFold, Bytes: full, Fold: true})
 		}
 		glo, ghi := 0, p2
 		round := 0
@@ -155,7 +141,7 @@ func RabenseifnerSchedule(ranks, elems int) []RankSchedule {
 			glo, ghi = st.glo, st.ghi
 			ops = append(ops,
 				WireOp{Kind: WireSend, Peer: st.partner, Tag: tagRabRS + round, Bytes: 4 * (st.sendHi - st.sendLo)},
-				WireOp{Kind: WireRecv, Peer: st.partner, Tag: tagRabRS + round, Bytes: 4 * (st.keepHi - st.keepLo)})
+				WireOp{Kind: WireRecv, Peer: st.partner, Tag: tagRabRS + round, Bytes: 4 * (st.keepHi - st.keepLo), Fold: true})
 			round++
 		}
 		round = 0
@@ -169,7 +155,122 @@ func RabenseifnerSchedule(ranks, elems int) []RankSchedule {
 		if rank < extra {
 			ops = append(ops, WireOp{Kind: WireSend, Peer: rank + p2, Tag: tagRabBack, Bytes: full})
 		}
-		scheds[rank].Main = ops
+		scheds[rank] = RankSchedule{ops}
+	}
+	return scheds
+}
+
+// MultiColorSchedule extracts AlgMultiColor's wire schedule: one stream per
+// color (the live collective runs one goroutine per color), each walking
+// that color's chunk up and back down its tree exactly as reduceBcastTree
+// does. A color whose chunk is empty keeps its (empty) stream, so stream i
+// is color i on every rank.
+func MultiColorSchedule(ranks, elems int, opts Options) []RankSchedule {
+	opts = opts.withDefaults()
+	scheds := make([]RankSchedule, ranks)
+	if ranks <= 1 {
+		return scheds
+	}
+	k := EffectiveColors(ranks, opts.Colors)
+	trees := colorTrees(ranks, k)
+	for rank := range scheds {
+		scheds[rank] = make(RankSchedule, k)
+		for color, tree := range trees {
+			lo, hi := ChunkBounds(elems, k, color)
+			scheds[rank][color] = treeOps(tree, rank, color, hi-lo, opts.SegmentFloats)
+		}
+	}
+	return scheds
+}
+
+// treeOps is reduceBcastTree's wire program for one rank: per segment, fold
+// every child's partial, then pass it up — or, at the root, turn it around
+// and start it down; afterwards non-roots relay the down pass.
+func treeOps(tree Tree, rank, color, chunk, segFloats int) []WireOp {
+	parent, children := tree.Parent[rank], tree.Children[rank]
+	upTag, downTag := mcTags(color)
+	nseg := numSegs(chunk, segFloats)
+	var ops []WireOp
+	sendDown := func(b int) {
+		for _, ch := range children {
+			ops = append(ops, WireOp{Kind: WireSend, Peer: ch, Tag: downTag, Bytes: b})
+		}
+	}
+	for s := 0; s < nseg; s++ {
+		lo, hi := segSpan(s, segFloats, chunk)
+		for _, ch := range children {
+			ops = append(ops, WireOp{Kind: WireRecv, Peer: ch, Tag: upTag, Bytes: 4 * (hi - lo), Fold: true})
+		}
+		if parent >= 0 {
+			ops = append(ops, WireOp{Kind: WireSend, Peer: parent, Tag: upTag, Bytes: 4 * (hi - lo)})
+		} else {
+			sendDown(4 * (hi - lo))
+		}
+	}
+	if parent < 0 {
+		return ops
+	}
+	for s := 0; s < nseg; s++ {
+		lo, hi := segSpan(s, segFloats, chunk)
+		ops = append(ops, WireOp{Kind: WireRecv, Peer: parent, Tag: downTag, Bytes: 4 * (hi - lo)})
+		sendDown(4 * (hi - lo))
+	}
+	return ops
+}
+
+// PipelinedRingSchedule extracts AlgRing's wire schedule: every segment
+// folded along the ring toward rank 0, then relayed back from rank 0 in the
+// opposite direction, one stream per rank.
+func PipelinedRingSchedule(ranks, elems int, opts Options) []RankSchedule {
+	opts = opts.withDefaults()
+	scheds := make([]RankSchedule, ranks)
+	if ranks <= 1 {
+		return scheds
+	}
+	nseg := numSegs(elems, opts.SegmentFloats)
+	for rank := range scheds {
+		var ops []WireOp
+		for pass, tag := range [2]int{tagRingReduce, tagRingBcast} {
+			// The reduce pass flows from rank+1 to rank-1, the broadcast back.
+			from, to := rank+1, rank-1
+			if pass == 1 {
+				from, to = to, from
+			}
+			for s := 0; s < nseg; s++ {
+				lo, hi := segSpan(s, opts.SegmentFloats, elems)
+				if from >= 0 && from < ranks {
+					ops = append(ops, WireOp{Kind: WireRecv, Peer: from, Tag: tag, Bytes: 4 * (hi - lo), Fold: pass == 0})
+				}
+				if to >= 0 && to < ranks {
+					ops = append(ops, WireOp{Kind: WireSend, Peer: to, Tag: tag, Bytes: 4 * (hi - lo)})
+				}
+			}
+		}
+		scheds[rank] = RankSchedule{ops}
+	}
+	return scheds
+}
+
+// AllToAllVSchedule extracts mpi.Comm.AllToAllV — the DIMD shuffle's
+// collective — over a ranks-sized communicator: every send posted up front
+// in shift order (Comm.Send returns once the transport has buffered the
+// message, so they are non-blocking posts), then the receives drained in
+// shift order. size(src, dst) is the payload in bytes src holds for dst;
+// zero-byte payloads still travel as messages, as they do live. The
+// self-destined payload is a local copy and never a wire op.
+func AllToAllVSchedule(ranks int, size func(src, dst int) int) []RankSchedule {
+	scheds := make([]RankSchedule, ranks)
+	for rank := range scheds {
+		ops := make([]WireOp, 0, 2*(ranks-1))
+		for s := 1; s < ranks; s++ {
+			dst, _, tag := mpi.AllToAllStep(rank, s, ranks)
+			ops = append(ops, WireOp{Kind: WireIsend, Peer: dst, Tag: tag, Bytes: size(rank, dst)})
+		}
+		for s := 1; s < ranks; s++ {
+			_, src, tag := mpi.AllToAllStep(rank, s, ranks)
+			ops = append(ops, WireOp{Kind: WireRecv, Peer: src, Tag: tag, Bytes: size(src, rank)})
+		}
+		scheds[rank] = RankSchedule{ops}
 	}
 	return scheds
 }
@@ -214,12 +315,12 @@ func ShardedReduceScatterSchedule(ranks, elems, bucketFloats int, bounds []int, 
 			if shardOwns(bounds, rank, lo, hi) {
 				for r := 0; r < ranks; r++ {
 					if r != rank {
-						main = append(main, WireOp{Kind: WireRecv, Peer: r, Tag: tag, Bytes: pb})
+						main = append(main, WireOp{Kind: WireRecv, Peer: r, Tag: tag, Bytes: pb, Fold: true})
 					}
 				}
 			}
 		}
-		scheds[rank] = RankSchedule{Launch: launch, Main: main}
+		scheds[rank] = RankSchedule{launch, main}
 	}
 	return scheds
 }
@@ -259,7 +360,7 @@ func HierarchicalSchedule(topo mpi.Topology, elems, bucketFloats int, wireSize f
 				main = append(main, WireOp{Kind: WireRecv, Peer: h.prevLeader, Tag: tagHierChain + t, Bytes: raw})
 			}
 			for _, m := range h.members {
-				main = append(main, WireOp{Kind: WireRecv, Peer: m, Tag: tagHierUp + t, Bytes: wireSize(hi - lo)})
+				main = append(main, WireOp{Kind: WireRecv, Peer: m, Tag: tagHierUp + t, Bytes: wireSize(hi - lo), Fold: true})
 			}
 			if h.nextLeader >= 0 {
 				main = append(main, WireOp{Kind: WireSend, Peer: h.nextLeader, Tag: tagHierChain + t, Bytes: raw})
@@ -280,7 +381,7 @@ func HierarchicalSchedule(topo mpi.Topology, elems, bucketFloats int, wireSize f
 				}
 			}
 		}
-		scheds[rank] = RankSchedule{Launch: launch, Main: main}
+		scheds[rank] = RankSchedule{launch, main}
 	}
 	return scheds, nil
 }

@@ -152,20 +152,28 @@ func (c *Comm) AllToAllV(send [][]byte) ([][]byte, error) {
 	// Sends can all be enqueued up front (buffered transport); receives then
 	// drain in shift order.
 	for s := 1; s < n; s++ {
-		dst := (c.rank + s) % n
-		if err := c.Send(dst, tagAllToAll+s, send[dst]); err != nil {
+		dst, _, tag := AllToAllStep(c.rank, s, n)
+		if err := c.Send(dst, tag, send[dst]); err != nil {
 			return nil, err
 		}
 	}
 	for s := 1; s < n; s++ {
-		src := (c.rank - s + n) % n
-		b, err := c.Recv(src, tagAllToAll+s)
+		_, src, tag := AllToAllStep(c.rank, s, n)
+		b, err := c.Recv(src, tag)
 		if err != nil {
 			return nil, err
 		}
 		out[src] = b
 	}
 	return out, nil
+}
+
+// AllToAllStep is AllToAllV's shift geometry: in step s (1..n-1) rank sends
+// to dst and receives from src, both under tag. Shared by the loop above and
+// its schedule extraction (allreduce.AllToAllVSchedule), so the simulated
+// shuffle replays the steps the wire carries.
+func AllToAllStep(rank, s, n int) (dst, src, tag int) {
+	return (rank + s) % n, (rank - s + n) % n, tagAllToAll + s
 }
 
 // Large-payload allreduce delegation: internal/allreduce registers its

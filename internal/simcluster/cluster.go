@@ -55,7 +55,8 @@ func PayloadBytes(m Model) float64 {
 // Params calibrates the single-node performance model. The GPU rates are
 // the fully-optimized per-P100 throughputs implied by Table 1 (1.28 M images
 // / epoch-time / 32 GPUs at 8 nodes); overheads are fit to the component
-// studies (Figures 10-12). EXPERIMENTS.md records the fit.
+// studies (Figures 10-12). The table under "Calibration constants" in
+// docs/ARCHITECTURE.md records each fit.
 type Params struct {
 	// GPURate maps model -> images/second/GPU with the optimized DPT.
 	GPURate map[Model]float64
@@ -74,7 +75,7 @@ type Params struct {
 	// 102 MB); GoogLeNetBN's payload is spread across many small inception
 	// layers whose gradients finish (and can start reducing) early, while
 	// ResNet-50 concentrates most of its payload in the final stage. See
-	// EXPERIMENTS.md "Calibration" for the fit. Applies only to
+	// docs/ARCHITECTURE.md "Calibration constants" for the fit. Applies only to
 	// AlgDefault; the paper's own ring/multi-color implementations are
 	// invoked synchronously after the backward pass.
 	BaseCommOverlap map[Model]float64
@@ -135,20 +136,12 @@ func OptimizedOpts() RunOpts {
 type Cluster struct {
 	Params Params
 	topo   *simnet.FatTree
-	// memoized allreduce times: key by (alg, nodes, payload)
-	arCache map[arKey]float64
-}
-
-type arKey struct {
-	alg     allreduce.Algorithm
-	nodes   int
-	payload int64
 }
 
 // New builds a cluster model over a Minsky fabric with capacity for
 // maxNodes learners.
 func New(maxNodes int, p Params) *Cluster {
-	return &Cluster{Params: p, topo: simnet.MinskyFabric(maxNodes), arCache: make(map[arKey]float64)}
+	return &Cluster{Params: p, topo: simnet.MinskyFabric(maxNodes)}
 }
 
 // Topology exposes the simulated fabric.
@@ -157,16 +150,7 @@ func (c *Cluster) Topology() *simnet.FatTree { return c.topo }
 // AllReduce returns the simulated allreduce time for the given algorithm,
 // learner count and payload.
 func (c *Cluster) AllReduce(alg allreduce.Algorithm, nodes int, payloadBytes float64) (float64, error) {
-	k := arKey{alg: alg, nodes: nodes, payload: int64(payloadBytes)}
-	if t, ok := c.arCache[k]; ok {
-		return t, nil
-	}
-	t, err := AllReduceTime(c.topo, nodes, alg, payloadBytes, c.Params.Comm)
-	if err != nil {
-		return 0, err
-	}
-	c.arCache[k] = t
-	return t, nil
+	return AllReduceTime(c.topo, nodes, alg, payloadBytes, c.Params.Comm)
 }
 
 // StepTime returns the simulated time of one training iteration on `nodes`

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/allreduce"
+	"repro/internal/mpi"
+	"repro/internal/simevent"
 	"repro/internal/simnet"
 )
 
@@ -16,14 +18,16 @@ type CommParams struct {
 	// CopyRate models the default OpenMPI path's extra staging copies
 	// through host buffers (no direct verbs pipelining), bytes/s.
 	CopyRate float64
-	// Segments is the pipeline depth simulated for the ring and
-	// multi-color schedules.
+	// Segments is the pipeline depth of the ring and multi-color schedules:
+	// the ring's payload, or one color's chunk, travels in this many
+	// segments.
 	Segments int
 	// Colors is the multi-color k (paper: 4).
 	Colors int
 }
 
-// DefaultCommParams returns the calibrated constants (see EXPERIMENTS.md).
+// DefaultCommParams returns the calibrated constants (the table under
+// "Calibration constants" in docs/ARCHITECTURE.md records each fit).
 func DefaultCommParams() CommParams {
 	return CommParams{
 		SumRate:  18e9,
@@ -33,9 +37,17 @@ func DefaultCommParams() CommParams {
 	}
 }
 
-// AllReduceTime simulates one allreduce of payloadBytes across the first
-// `nodes` hosts of topo under the named algorithm and returns the makespan
-// in seconds.
+// AllReduceTime replays one allreduce of payloadBytes across the first
+// `nodes` hosts of topo, one learner per host, under the named algorithm and
+// returns the makespan in seconds. The schedule is the live collective's own
+// (allreduce's extraction), pipelined p.Segments deep; the fabric is
+// charged. Multi-color's color c rides rail c mod Rails (a color is a stream,
+// a stream picks its rail), so colors use both adapters; the ring and the
+// default have one connection path — the limitation the multi-color design
+// removes. The
+// default is the stock OpenMPI large-message path: Rabenseifner with every
+// round's payload staged through host buffers at CopyRate, the copy-bound
+// path the paper replaces with direct Infiniband verbs.
 func AllReduceTime(topo *simnet.FatTree, nodes int, alg allreduce.Algorithm, payloadBytes float64, p CommParams) (float64, error) {
 	if nodes < 1 || nodes > topo.Hosts {
 		return 0, fmt.Errorf("simcluster: %d nodes on %d-host fabric", nodes, topo.Hosts)
@@ -43,269 +55,82 @@ func AllReduceTime(topo *simnet.FatTree, nodes int, alg allreduce.Algorithm, pay
 	if nodes == 1 || payloadBytes == 0 {
 		return 0, nil
 	}
+	elems := int(payloadBytes) / 4
+	opts := allreduce.Options{Colors: max(p.Colors, 1)}
+	perSegment := func(chunk int) int { // SegmentFloats splitting chunk elements into p.Segments
+		segs := max(p.Segments, 1)
+		return max((chunk+segs-1)/segs, 1)
+	}
+	cfg := simevent.Config{SumRate: p.SumRate}
+	var scheds []allreduce.RankSchedule
 	switch alg {
 	case allreduce.AlgMultiColor:
-		return multiColorTime(topo, nodes, payloadBytes, p)
+		k := allreduce.EffectiveColors(nodes, opts.Colors)
+		opts.SegmentFloats = perSegment((elems + k - 1) / k)
+		scheds = allreduce.MultiColorSchedule(nodes, elems, opts)
 	case allreduce.AlgRing:
-		return ringTime(topo, nodes, payloadBytes, p)
+		opts.SegmentFloats = perSegment(elems)
+		scheds = allreduce.PipelinedRingSchedule(nodes, elems, opts)
 	case allreduce.AlgDefault, allreduce.AlgRabenseifner:
-		return defaultMPITime(topo, nodes, payloadBytes, p)
+		cfg.CopyRate = p.CopyRate
+		scheds = allreduce.RabenseifnerSchedule(nodes, elems)
 	default:
-		return 0, fmt.Errorf("simcluster: no schedule builder for %q", alg)
+		return 0, fmt.Errorf("simcluster: no schedule extraction for %q", alg)
 	}
+	return replay(topo, scheds, cfg)
 }
 
-// multiColorTime builds the paper's k-color tree schedule: chunk c reduced
-// up color c's k-ary tree and broadcast back down, segments pipelined, each
-// color on its own rail (mod the rail count) so colors progress concurrently
-// on disjoint links.
-func multiColorTime(topo *simnet.FatTree, nodes int, payload float64, p CommParams) (float64, error) {
-	k := allreduce.EffectiveColors(nodes, p.Colors)
-	sim := simnet.NewSim(topo)
-	segs := p.Segments
-	if segs < 1 {
-		segs = 1
+// replay runs one rank per host of topo through the event engine with the
+// fabric charged and returns the makespan in seconds.
+func replay(topo *simnet.FatTree, scheds []allreduce.RankSchedule, cfg simevent.Config) (float64, error) {
+	var err error
+	if cfg.Intra, cfg.Inter, err = topo.LinkProfiles(1); err != nil {
+		return 0, err
 	}
-	for color := 0; color < k; color++ {
-		lo, hi := allreduce.ChunkBounds(int(payload), k, color)
-		chunk := float64(hi - lo)
-		if chunk == 0 {
-			continue
-		}
-		tree := allreduce.BuildTree(nodes, k, color, nodes/k)
-		rail := color % topo.Rails
-		segBytes := chunk / float64(segs)
-		sumDelay := segBytes / p.SumRate
-
-		// upDone[node] per segment: flow id whose completion means node's
-		// fully-summed segment is available.
-		prevUpSend := make(map[int]simnet.FlowID) // node -> its last up-send
-		prevDownSend := make(map[[2]int]simnet.FlowID)
-		upDone := make(map[int]simnet.FlowID)
-		prevRootSync := simnet.FlowID(-1)
-		var order []int // BFS order: parents before children; process reversed
-		order = append(order, tree.Root)
-		for i := 0; i < len(order); i++ {
-			order = append(order, tree.Children[order[i]]...)
-		}
-		downReady := make(map[int]simnet.FlowID)
-		for s := 0; s < segs; s++ {
-			// Reduce: process leaves first (reverse BFS).
-			for i := len(order) - 1; i >= 0; i-- {
-				node := order[i]
-				var deps []simnet.FlowID
-				for _, ch := range tree.Children[node] {
-					deps = append(deps, upDone[ch])
-				}
-				delay := 0.0
-				if len(tree.Children[node]) > 0 {
-					delay = sumDelay * float64(len(tree.Children[node]))
-				}
-				if tree.Parent[node] < 0 {
-					// Root: a zero-byte sync marks the segment reduced.
-					sync := sim.MustAddFlow(node, node, rail, 0, deps, delay)
-					upDone[node] = sync
-					prevRootSync = sync
-					continue
-				}
-				if prev, ok := prevUpSend[node]; ok {
-					deps = append(deps, prev) // sender serializes its segments
-				}
-				id := sim.MustAddFlow(node, tree.Parent[node], rail, segBytes, deps, delay)
-				prevUpSend[node] = id
-				upDone[node] = id
-			}
-			// Broadcast: parents forward down in BFS order.
-			downReady[tree.Root] = prevRootSync
-			for _, node := range order {
-				for _, ch := range tree.Children[node] {
-					deps := []simnet.FlowID{downReady[node]}
-					key := [2]int{node, ch}
-					if prev, ok := prevDownSend[key]; ok {
-						deps = append(deps, prev)
-					}
-					id := sim.MustAddFlow(node, ch, rail, segBytes, deps, 0)
-					prevDownSend[key] = id
-					downReady[ch] = id
-				}
-			}
-		}
+	cfg.Topo = mpi.UniformTopology(len(scheds), 1)
+	cfg.Fabric = topo
+	res, err := simevent.Run(scheds, cfg)
+	if err != nil {
+		return 0, err
 	}
-	_, makespan, err := sim.Run()
-	return makespan, err
+	return res.Makespan.Seconds(), nil
 }
 
-// ringTime builds the paper's ring baseline: segments reduced along the ring
-// to a single root then broadcast in the opposite direction, pipelined, on a
-// single rail (one connection path — the limitation the multi-color design
-// removes).
-func ringTime(topo *simnet.FatTree, nodes int, payload float64, p CommParams) (float64, error) {
-	sim := simnet.NewSim(topo)
-	segs := p.Segments
-	if segs < 1 {
-		segs = 1
-	}
-	segBytes := payload / float64(segs)
-	sumDelay := segBytes / p.SumRate
-	prevSend := make(map[int]simnet.FlowID)
-	prevDown := make(map[int]simnet.FlowID)
-	var rootHas simnet.FlowID = -1
-	for s := 0; s < segs; s++ {
-		// Reduce phase: node n-1 -> n-2 -> ... -> 0.
-		var arrived simnet.FlowID = -1 // at current node, this segment
-		for node := nodes - 1; node >= 1; node-- {
-			var deps []simnet.FlowID
-			if arrived >= 0 {
-				deps = append(deps, arrived)
-			}
-			if prev, ok := prevSend[node]; ok {
-				deps = append(deps, prev)
-			}
-			delay := 0.0
-			if node < nodes-1 {
-				delay = sumDelay // folded the received segment into local data
-			}
-			id := sim.MustAddFlow(node, node-1, 0, segBytes, deps, delay)
-			prevSend[node] = id
-			arrived = id
-		}
-		// Root sums the last arrival.
-		rootSync := sim.MustAddFlow(0, 0, 0, 0, []simnet.FlowID{arrived}, sumDelay)
-		rootHas = rootSync
-		// Broadcast phase: 0 -> 1 -> ... -> n-1.
-		prevArrival := rootHas
-		for node := 0; node < nodes-1; node++ {
-			deps := []simnet.FlowID{prevArrival}
-			if prev, ok := prevDown[node]; ok {
-				deps = append(deps, prev)
-			}
-			id := sim.MustAddFlow(node, node+1, 0, segBytes, deps, 0)
-			prevDown[node] = id
-			prevArrival = id
-		}
-	}
-	_, makespan, err := sim.Run()
-	return makespan, err
-}
-
-// defaultMPITime models the stock OpenMPI large-message allreduce:
-// Rabenseifner reduce-scatter + allgather, rounds strictly serialized (no
-// cross-round pipelining) with every round's payload staged through host
-// buffers at CopyRate — the copy-bound path the paper replaces with direct
-// Infiniband verbs.
-func defaultMPITime(topo *simnet.FatTree, nodes int, payload float64, p CommParams) (float64, error) {
-	sim := simnet.NewSim(topo)
-	p2 := 1
-	for p2*2 <= nodes {
-		p2 *= 2
-	}
-	last := make(map[int]simnet.FlowID) // per node: its latest operation
-	dep := func(node int) []simnet.FlowID {
-		if id, ok := last[node]; ok {
-			return []simnet.FlowID{id}
-		}
-		return nil
-	}
-	// Fold extras into the power-of-two core.
-	for r := p2; r < nodes; r++ {
-		id := sim.MustAddFlow(r, r-p2, 0, payload, nil, payload/p.CopyRate)
-		last[r-p2] = id
-	}
-	// Reduce-scatter: recursive halving.
-	size := payload / 2
-	for d := p2 / 2; d >= 1; d /= 2 {
-		ids := make(map[int]simnet.FlowID)
-		for node := 0; node < p2; node++ {
-			partner := node ^ d
-			deps := append(dep(node), dep(partner)...)
-			ids[node] = sim.MustAddFlow(node, partner, 0, size, deps, size/p.CopyRate+size/p.SumRate)
-		}
-		for node := 0; node < p2; node++ {
-			// Node continues once it has both sent and received.
-			sync := sim.MustAddFlow(node, node, 0, 0, []simnet.FlowID{ids[node], ids[node^d]}, 0)
-			last[node] = sync
-		}
-		size /= 2
-	}
-	// Allgather: recursive doubling with growing payloads.
-	size = payload / float64(p2)
-	for d := 1; d < p2; d *= 2 {
-		ids := make(map[int]simnet.FlowID)
-		for node := 0; node < p2; node++ {
-			partner := node ^ d
-			deps := append(dep(node), dep(partner)...)
-			ids[node] = sim.MustAddFlow(node, partner, 0, size, deps, size/p.CopyRate)
-		}
-		for node := 0; node < p2; node++ {
-			sync := sim.MustAddFlow(node, node, 0, 0, []simnet.FlowID{ids[node], ids[node^d]}, 0)
-			last[node] = sync
-		}
-		size *= 2
-	}
-	// Fan results back to the folded extras.
-	for r := p2; r < nodes; r++ {
-		sim.MustAddFlow(r-p2, r, 0, payload, dep(r-p2), payload/p.CopyRate)
-	}
-	_, makespan, err := sim.Run()
-	return makespan, err
-}
-
-// AllToAllVTime simulates the DIMD shuffle (Figures 7-9): every learner
-// scatters its partition uniformly to its shuffle group. perNodeBytes is the
-// partition size held by each learner; packRate models the serialized
-// pack/unpack of image records through MPI buffers on each host (the
-// dominant cost at these message sizes, calibrated in EXPERIMENTS.md).
-// groups > 1 restricts traffic to contiguous groups of learners.
+// AllToAllVTime replays the DIMD shuffle (Figures 7-9): every learner
+// scatters its partition uniformly over its shuffle group with
+// mpi.AllToAllV. perNodeBytes is the partition size held by each learner;
+// packRate is the rate at which a host marshals image records into MPI
+// buffers, one destination at a time ahead of that destination's send — the
+// dominant cost at these message sizes (docs/ARCHITECTURE.md, "Calibration
+// constants"). groups > 1 restricts traffic to contiguous groups of
+// learners, each its own communicator.
+//
+// The host marshals every local record, self-destined ones included, since
+// the whole partition is re-permuted (Algorithm 2's final local shuffle);
+// that share never reaches the wire, so its pack time — paid ahead of the
+// first send — is added to the replayed exchange. Because the per-node
+// marshalling volume is the whole partition regardless of group size,
+// group-restricted shuffles on a symmetric fabric take about the same time
+// as the flat shuffle — the paper's Figure 9 observation.
 func AllToAllVTime(topo *simnet.FatTree, nodes int, perNodeBytes float64, groups int, packRate float64) (float64, error) {
-	if groups < 1 {
-		groups = 1
-	}
 	if nodes < 1 || nodes > topo.Hosts {
 		return 0, fmt.Errorf("simcluster: %d nodes on %d-host fabric", nodes, topo.Hosts)
 	}
-	sim := simnet.NewSim(topo)
-	per := nodes / groups
-	if per < 1 {
-		per = 1
-	}
-	for src := 0; src < nodes; src++ {
-		g := src / per
-		lo := g * per
-		hi := lo + per
-		if hi > nodes {
-			hi = nodes
-		}
-		members := hi - lo
-		if members < 1 {
-			members = 1
-		}
+	per := max(nodes/max(groups, 1), 1)
+	scheds := make([]allreduce.RankSchedule, 0, nodes)
+	selfPack := 0.0
+	for lo := 0; lo < nodes; lo += per {
+		members := min(per, nodes-lo)
 		pair := perNodeBytes / float64(members)
-		// The host CPU marshals every local record — self-destined ones
-		// included, since the whole partition is re-permuted (Algorithm 2's
-		// final local shuffle) — one destination buffer at a time, modeled
-		// as chained zero-byte flows carrying the pack delay. Each network
-		// transfer starts as soon as its buffer is packed and overlaps the
-		// remaining packing. Destinations are shifted by rank, matching
-		// mpi.AllToAllV. Because the per-node marshalling volume is the
-		// whole partition regardless of group size, group-restricted
-		// shuffles on a symmetric fabric take about the same time as the
-		// flat shuffle — the paper's Figure 9 observation.
-		var prevPack simnet.FlowID = -1
-		for s := 0; s < members; s++ {
-			dst := lo + (src-lo+s)%members
-			var packDeps []simnet.FlowID
-			if prevPack >= 0 {
-				packDeps = append(packDeps, prevPack)
+		selfPack = max(selfPack, pair/packRate)
+		group := allreduce.AllToAllVSchedule(members, func(_, _ int) int { return int(pair) })
+		for _, rank := range group { // group ranks are world ranks lo..lo+members-1
+			for i := range rank[0] {
+				rank[0][i].Peer += lo
 			}
-			pack := sim.MustAddFlow(src, src, 0, 0, packDeps, pair/packRate)
-			prevPack = pack
-			if dst == src {
-				continue // local copy: no network flow
-			}
-			rail := s % topo.Rails
-			sim.MustAddFlow(src, dst, rail, pair, []simnet.FlowID{pack}, 0)
 		}
+		scheds = append(scheds, group...)
 	}
-	_, makespan, err := sim.Run()
-	return makespan, err
+	t, err := replay(topo, scheds, simevent.Config{CopyRate: packRate})
+	return selfPack + t, err
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"repro/internal/allreduce"
 )
 
 // Calibration is the outcome of fitting the simulator against live runs.
@@ -62,22 +64,19 @@ func Calibrate(cases []LiveCase, reps int) (*Calibration, error) {
 	slope := make([]float64, len(cases)) // d(makespan)/d(overhead), unitless
 	meas := make([]float64, len(cases))  // measured, seconds
 
+	scheds := make([][]allreduce.RankSchedule, len(cases))
 	for i, lc := range cases {
-		spec, err := lc.Spec()
-		if err != nil {
+		var err error
+		if scheds[i], err = BuildSchedule(lc.Spec); err != nil {
 			return nil, err
 		}
-		scheds, err := BuildSchedule(spec)
-		if err != nil {
-			return nil, err
-		}
-		cfg := Config{Topo: spec.Topo, Intra: lc.Intra, Inter: lc.Inter}
-		r0, err := Run(scheds, cfg)
+		cfg := Config{Topo: lc.Topo, Intra: lc.Intra, Inter: lc.Inter}
+		r0, err := Run(scheds[i], cfg)
 		if err != nil {
 			return nil, err
 		}
 		cfg.HostOverhead = probe
-		r1, err := Run(scheds, cfg)
+		r1, err := Run(scheds[i], cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -92,13 +91,16 @@ func Calibrate(cases []LiveCase, reps int) (*Calibration, error) {
 
 		cc := CalibrationCase{
 			Collective:     string(lc.Collective),
-			Codec:          lc.Codec.Codec,
+			Codec:          "none",
 			MeasuredMS:     1e3 * meas[i],
 			LiveIntraBytes: live.Traffic.IntraBytes,
 			LiveInterBytes: live.Traffic.InterBytes,
 			SimIntraBytes:  r0.Traffic.IntraBytes,
 			SimInterBytes:  r0.Traffic.InterBytes,
 			BytesMatch:     live.Traffic == r0.Traffic,
+		}
+		if lc.Codec != nil {
+			cc.Codec = lc.Codec.Name()
 		}
 		if !cc.BytesMatch {
 			cal.BytesExact = false
@@ -124,15 +126,7 @@ func Calibrate(cases []LiveCase, reps int) (*Calibration, error) {
 
 	var sum float64
 	for i, lc := range cases {
-		spec, err := lc.Spec()
-		if err != nil {
-			return nil, err
-		}
-		scheds, err := BuildSchedule(spec)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Run(scheds, Config{Topo: spec.Topo, Intra: lc.Intra, Inter: lc.Inter, HostOverhead: cal.HostOverhead})
+		r, err := Run(scheds[i], Config{Topo: lc.Topo, Intra: lc.Intra, Inter: lc.Inter, HostOverhead: cal.HostOverhead})
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/mpi"
 	"repro/internal/simnet"
 )
 
@@ -21,10 +22,11 @@ func TestCalibrateAgainstLiveRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	topo := mpi.UniformTopology(8, 4)
 	cases := []LiveCase{
-		{Collective: BucketRing, Nodes: 2, RanksPerNode: 4, Elems: 4096, Intra: intra, Inter: inter},
-		{Collective: ShardedRS, Nodes: 2, RanksPerNode: 4, Elems: 4096, BucketFloats: 1024,
-			Codec: compress.Config{Codec: "int8"}, Intra: intra, Inter: inter},
+		{Spec: Spec{Collective: BucketRing, Topo: topo, Elems: 4096}, Intra: intra, Inter: inter},
+		{Spec: Spec{Collective: ShardedRS, Topo: topo, Elems: 4096, BucketFloats: 1024, Codec: compress.Int8{}},
+			Intra: intra, Inter: inter},
 	}
 	cal, err := Calibrate(cases, 3)
 	if err != nil {

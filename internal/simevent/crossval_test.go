@@ -25,36 +25,38 @@ func TestSimBytesMatchLiveTraffic(t *testing.T) {
 		nodes, rpn, elems, bucket int
 	}
 	layouts := []layout{
-		{2, 4, 1000, 256}, // uneven shards, partial last bucket
+		{2, 4, 1000, 256}, // uneven shards, partial last bucket and ring segment; 4 colors
 		{2, 4, 5, 0},      // fewer elements than ranks: empty shards, zero-byte messages
-		{2, 3, 999, 128},  // non-power-of-two ranks: Rabenseifner fold-in path
+		{2, 4, 3, 0},      // fewer elements than colors: an empty chunk sends nothing
+		{2, 3, 999, 128},  // non-power-of-two ranks: Rabenseifner fold-in path; colors degrade to 3
 	}
 	for _, lay := range layouts {
 		for _, col := range Collectives() {
-			// The phased collectives put raw floats on the wire; their
-			// traffic is codec-independent, so one probe suffices.
+			// The raw-wire collectives' traffic is codec-independent, so one
+			// probe suffices.
 			cs := codecs
-			if col == BucketRing || col == Rabenseifner {
+			if !col.Compressed() {
 				cs = codecs[:1]
 			}
 			for _, cc := range cs {
-				lc := LiveCase{
+				lay := lay
+				codec, err := compress.New(cc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := Spec{
 					Collective:   col,
-					Nodes:        lay.nodes,
-					RanksPerNode: lay.rpn,
+					Topo:         mpi.UniformTopology(lay.nodes*lay.rpn, lay.rpn),
 					Elems:        lay.elems,
 					BucketFloats: lay.bucket,
-					Codec:        cc,
+					Codec:        codec,
+					PairBytes:    func(src, dst int) int { return unevenPair(src, dst, lay.elems) },
 				}
 				name := fmt.Sprintf("%s/%s/%dx%d/e%d", col, cc.Codec, lay.nodes, lay.rpn, lay.elems)
 				t.Run(name, func(t *testing.T) {
-					live, err := RunLive(lc)
+					live, err := RunLive(LiveCase{Spec: spec})
 					if err != nil {
 						t.Fatalf("live run: %v", err)
-					}
-					spec, err := lc.Spec()
-					if err != nil {
-						t.Fatalf("spec: %v", err)
 					}
 					scheds, err := BuildSchedule(spec)
 					if err != nil {
@@ -83,13 +85,18 @@ func TestSimBytesMatchLiveTraffic(t *testing.T) {
 	}
 }
 
+// unevenPair is the AllToAllV test pattern: per-pair sizes of 0, 1, 2 or 3
+// times unit bytes, asymmetric in (src, dst).
+func unevenPair(src, dst, unit int) int { return (5*src + 3*dst) % 4 * unit }
+
 // TestScheduleBytesMatchWireSizer pins the schedule-level invariant behind
 // the cross-validation: every send in a schedule has a matching receive of
 // the same size, so the engine's sent and received totals agree.
 func TestScheduleBytesMatchWireSizer(t *testing.T) {
 	topo := mpi.UniformTopology(8, 4)
 	for _, col := range Collectives() {
-		scheds, err := BuildSchedule(Spec{Collective: col, Topo: topo, Elems: 777, BucketFloats: 100, Codec: compress.Int8{}})
+		scheds, err := BuildSchedule(Spec{Collective: col, Topo: topo, Elems: 777, BucketFloats: 100, Codec: compress.Int8{},
+			PairBytes: func(src, dst int) int { return unevenPair(src, dst, 777) }})
 		if err != nil {
 			t.Fatalf("%s: %v", col, err)
 		}

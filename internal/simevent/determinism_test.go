@@ -11,8 +11,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// simConfig is the shared fixture: a profiled 4×4 world with fabric
-// accounting, nonzero host overhead, and jitter — every source of timing
+// simFixture is the shared fixture: a profiled 4×4 world on a charged
+// fabric, nonzero host overhead, and jitter — every source of timing
 // variation enabled, so determinism is tested under the hardest config.
 func simFixture(t *testing.T, seed uint64) ([]Result, Config) {
 	t.Helper()
@@ -31,7 +31,8 @@ func simFixture(t *testing.T, seed uint64) ([]Result, Config) {
 	for _, col := range Collectives() {
 		scheds, err := BuildSchedule(Spec{
 			Collective: col, Topo: topo, Elems: 4000, BucketFloats: 512,
-			Codec: compress.TopK{Ratio: 0.1},
+			Codec:     compress.TopK{Ratio: 0.1},
+			PairBytes: func(src, dst int) int { return unevenPair(src, dst, 4000) },
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", col, err)

@@ -1,35 +1,48 @@
-// Package simevent is a discrete-event simulator for the repository's
-// collectives: it replays the wire schedules extracted from the live
-// allreduce implementations (allreduce.BucketRingSchedule and friends) over
-// a virtual clock, predicting step time, per-link-class traffic, and fabric
-// congestion at scales the goroutine-per-rank worlds cannot reach — 64
-// nodes × 8 ranks sweeps take seconds instead of machines.
+// Package simevent is the repository's network simulator: a discrete-event
+// engine that replays the wire schedules extracted from the live
+// collectives (allreduce.BucketRingSchedule and friends) over a virtual
+// clock, predicting step time, per-link-class traffic, and fabric load at
+// scales the goroutine-per-rank worlds cannot reach — 64 nodes × 8 ranks
+// sweeps take seconds instead of machines. The paper-figure model
+// (internal/simcluster) and the forward-prediction sweep (benchtool -sim)
+// both run on it.
 //
-// The time model mirrors mpi's topology transport exactly:
+// A rank's schedule is any number of streams, each a program-order op list
+// (allreduce.RankSchedule). The time model mirrors mpi's topology transport:
 //
 //   - an intra-node message delays Intra.Delay(bytes) with no serialization
 //     (shared memory has no single bottleneck link);
-//   - an inter-node message serializes through the sender's egress queue —
-//     one NIC share per rank — and delays Inter.Delay(bytes) once the queue
-//     reaches it;
-//   - a blocking send occupies the sender until its transfer completes, a
+//   - an inter-node message waits its turn in the sender's egress FIFO — one
+//     NIC share per rank, the live transport's egress mutex — and, at the
+//     head, pays Inter.Latency and then its bytes;
+//   - without a Fabric those bytes drain at Inter.BytesPerSec, so the
+//     transfer takes Inter.Delay(bytes), exactly what a live world sleeps;
+//   - with a Fabric a rank has one egress FIFO per rail, and the transfers at
+//     the heads of all FIFOs share the links of their FatTree.Route max-min
+//     fairly, re-rated whenever one joins or drains: a congested link slows
+//     the clock;
+//   - a blocking send occupies its stream until the transfer is delivered, a
 //     non-blocking send only until the next event;
-//   - a receive blocks until the matching message arrives, where matching is
-//     the transport's rule: per-(source, tag) FIFO;
+//   - a receive blocks until the matching message is delivered, where
+//     matching is the transport's rule: per-(source, tag) FIFO;
+//   - SumRate and CopyRate charge per-byte host work on the stream — after a
+//     folding receive, before a send;
 //   - every completed operation additionally pays HostOverhead, the
 //     calibrated per-message software cost (encode, matching, scheduling),
 //     optionally jittered by a seeded per-rank RNG.
 //
-// Byte accounting never depends on HostOverhead, jitter, or the seed: a
-// schedule's traffic is a function of the schedule alone, which is what the
-// determinism and cross-validation suites pin. The engine is
+// Byte accounting never depends on rates, HostOverhead, jitter, or the seed:
+// a schedule's traffic is a function of the schedule alone, which is what
+// the determinism and cross-validation suites pin. The engine is
 // single-threaded and breaks event-time ties by insertion order, so a run
 // is a pure function of (schedules, Config) — byte-identical traces on
 // every replay.
 package simevent
 
 import (
+	"container/heap"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/allreduce"
@@ -56,10 +69,17 @@ type Config struct {
 	// Seed drives the jitter RNG. Two runs with equal Config (including
 	// Seed) produce byte-identical traces and results.
 	Seed uint64
-	// Fabric, when non-nil, attributes every inter-node message to the
-	// fat-tree links its route traverses (node = fat-tree host, rail =
-	// sending rank mod Rails) for the utilization and hot-spot report.
-	// Accounting only: timing always comes from the Intra/Inter profiles.
+	// SumRate and CopyRate are per-byte host costs in bytes/s, charged on
+	// the stream that runs the op: a folding receive (WireOp.Fold) completes
+	// Bytes/SumRate after its message arrives, and a send is posted
+	// Bytes/CopyRate after its stream reaches it (a staging copy, a shuffle's
+	// record packing). Zero is free.
+	SumRate, CopyRate float64
+	// Fabric, when non-nil, carries every inter-node message: node k is
+	// fat-tree host k, a transfer shares the links of its FatTree.Route with
+	// every other transfer crossing them, and its bandwidth comes from those
+	// links alone (Inter still supplies the latency). Result.Links reports
+	// each link's load.
 	Fabric *simnet.FatTree
 	// Record retains the full event trace in Result.Trace (the trace hash
 	// is always computed).
@@ -68,7 +88,7 @@ type Config struct {
 
 // RankStats is one rank's simulated outcome.
 type RankStats struct {
-	// Finish is when the rank's last operation (either stream) completed.
+	// Finish is when the rank's last operation (on any stream) completed.
 	Finish time.Duration `json:"finish_ns"`
 	// SentBytes and RecvBytes are the rank's wire totals.
 	SentBytes int64 `json:"sent_bytes"`
@@ -81,10 +101,9 @@ type LinkUtil struct {
 	Name  string `json:"name"`
 	Bytes int64  `json:"bytes"`
 	// BusySeconds is the serialization time the link's own bandwidth implies
-	// for its bytes; Utilization is that over the step's makespan. Values
-	// above 1 mean the link is oversubscribed — a congestion hot spot the
-	// flow-level profiles do not slow down (see the package comment on what
-	// is not modeled).
+	// for its bytes; Utilization is that over the step's makespan. A link
+	// cannot carry more than its bandwidth, so Utilization never exceeds 1;
+	// near 1 the link is what bounds the step.
 	BusySeconds float64 `json:"busy_seconds"`
 	Utilization float64 `json:"utilization"`
 }
@@ -121,12 +140,18 @@ type Result struct {
 	Trace []TraceEvent `json:"trace,omitempty"`
 }
 
-// stream is one rank's launch or main program counter.
+// stream is one program-order op list of one rank.
 type stream struct {
-	rank      int
+	rank, idx int // idx is the stream's position in its rank's schedule
 	ops       []allreduce.WireOp
 	pc        int
-	blockedAt int64 // virtual time the pending recv started waiting
+}
+
+// at names the stream's pending op for error messages.
+func (st *stream) at() string {
+	op := st.ops[st.pc]
+	return fmt.Sprintf("rank %d stream %d op %d (%s peer %d tag %d, %d bytes)",
+		st.rank, st.idx, st.pc, op.Kind, op.Peer, op.Tag, op.Bytes)
 }
 
 // msgKey identifies a FIFO message queue: the transport matches receives
@@ -135,30 +160,74 @@ type msgKey struct {
 	src, dst, tag int
 }
 
-// msgQueue is one (src, dst, tag) FIFO: arrival times in send order, the
-// count already consumed by receives, and the at-most-one blocked receiver
-// (a destination's main stream consumes any given queue sequentially).
+// arrival is one delivered, not yet received message.
+type arrival struct {
+	at    int64
+	bytes int
+}
+
+// msgQueue is one (src, dst, tag) FIFO: delivered messages in send order,
+// the count already consumed by receives, and the one stream blocked on it.
 type msgQueue struct {
-	arrivals []int64
+	arrivals []arrival
 	taken    int
 	waiter   *stream
 }
 
-// event is a scheduled stream continuation. seq breaks time ties in
-// insertion order, making the engine's schedule total and deterministic.
+// xfer is one message between its post and its delivery.
+type xfer struct {
+	src, dst, tag, bytes int
+	sender               *stream // the blocking send to resume at delivery, if any
+	egress               int     // index of the sender's egress FIFO; -1 within a node
+	// route is the fabric links the transfer shares with others; empty within
+	// a node and in a world without a Fabric, where the link profile alone
+	// times the transfer.
+	route []simnet.LinkID
+	// A routed transfer is re-rated while it runs: rem bytes were left at
+	// virtual time since, draining at rate bytes/s, to end at end.
+	rate, rem  float64
+	since, end int64
+	slot       int // index in engine.active
+}
+
+// event is a scheduled stream continuation (st) or transfer step (x). seq
+// breaks time ties in insertion order, making the engine's schedule total
+// and deterministic.
 type event struct {
 	at  int64
 	seq uint64
 	st  *stream
+	x   *xfer
 }
+
+// eventHeap orders events by (at, seq) under container/heap.
+type eventHeap []event
+
+func (h eventHeap) Len() int      { return len(h) }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h eventHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
+}
+func (h *eventHeap) Push(ev any) { *h = append(*h, ev.(event)) }
+func (h *eventHeap) Pop() any {
+	last := len(*h) - 1
+	ev := (*h)[last]
+	*h = (*h)[:last]
+	return ev
+}
+
+const never = int64(math.MaxInt64)
 
 type engine struct {
 	cfg      Config
-	node     []int
-	heap     []event
+	node     []int // rank -> node
+	first    []int // node -> its lowest rank
+	rails    int
+	heap     eventHeap
 	seq      uint64
+	now      int64
 	inbox    map[msgKey]*msgQueue
-	egress   []int64 // per-rank inter-node egress availability
+	egress   [][]*xfer // per (rank, rail): the head is on the wire, the rest wait
 	rng      []uint64
 	perRank  []RankStats
 	traffic  mpi.Traffic
@@ -167,7 +236,18 @@ type engine struct {
 	hash     uint64
 	trace    []TraceEvent
 	linkB    []int64
-	linkBusy []float64
+	// Routed transfers past their latency, at most one per egress FIFO.
+	// stale says their rates predate the last join or leave; next is the one
+	// ending soonest under the current rates.
+	active []*xfer
+	stale  bool
+	next   *xfer
+	// share's scratch. Per link: unrated transfers crossing it, capacity not
+	// yet handed out, and the equal split of one over the other.
+	cnt         []int
+	room, split []float64
+	links       []simnet.LinkID
+	todo        []*xfer
 }
 
 const (
@@ -188,9 +268,11 @@ func splitmix64(s *uint64) uint64 {
 
 // Run simulates one collective step described by scheds over cfg and
 // returns the predicted outcome. scheds must have one entry per rank of
-// cfg.Topo. An unsatisfiable schedule (a receive whose message is never
-// sent — impossible for the extracted collectives, possible for hand-built
-// ones) returns a deadlock error naming the first stuck rank.
+// cfg.Topo. A schedule the transport could not run is an error naming the
+// rank, stream and op: a peer outside the world, a receive whose message is
+// never sent (deadlock) or is sized differently from the send it matches,
+// two streams of one rank waiting on the same (peer, tag) queue —
+// impossible for the extracted collectives, possible for hand-built ones.
 func Run(scheds []allreduce.RankSchedule, cfg Config) (*Result, error) {
 	n := len(scheds)
 	if err := cfg.Topo.Validate(n); err != nil {
@@ -202,8 +284,9 @@ func Run(scheds []allreduce.RankSchedule, cfg Config) (*Result, error) {
 	e := &engine{
 		cfg:     cfg,
 		node:    cfg.Topo.Node,
+		first:   cfg.Topo.NodeBounds(),
+		rails:   1,
 		inbox:   make(map[msgKey]*msgQueue),
-		egress:  make([]int64, n),
 		rng:     make([]uint64, n),
 		perRank: make([]RankStats, n),
 		hash:    fnvOffset,
@@ -211,40 +294,71 @@ func Run(scheds []allreduce.RankSchedule, cfg Config) (*Result, error) {
 	for r := range e.rng {
 		e.rng[r] = cfg.Seed ^ (uint64(r+1) * 0x9E3779B97F4A7C15)
 	}
-	if cfg.Fabric != nil {
-		e.linkB = make([]int64, cfg.Fabric.NumLinks())
-		e.linkBusy = make([]float64, cfg.Fabric.NumLinks())
+	if f := cfg.Fabric; f != nil {
+		e.rails = f.Rails
+		e.linkB = make([]int64, f.NumLinks())
+		e.cnt = make([]int, f.NumLinks())
+		e.room = make([]float64, f.NumLinks())
+		e.split = make([]float64, f.NumLinks())
 	}
+	e.egress = make([][]*xfer, n*e.rails)
 
-	streams := make([]*stream, 0, 2*n)
+	var streams []*stream
 	for r, sc := range scheds {
-		if err := checkOps(sc.Launch, r, n, true); err != nil {
-			return nil, err
-		}
-		if err := checkOps(sc.Main, r, n, false); err != nil {
-			return nil, err
-		}
-		if len(sc.Launch) > 0 {
-			st := &stream{rank: r, ops: sc.Launch}
-			streams = append(streams, st)
-			e.push(0, st)
-		}
-		if len(sc.Main) > 0 {
-			st := &stream{rank: r, ops: sc.Main}
-			streams = append(streams, st)
-			e.push(0, st)
+		for i, ops := range sc {
+			for pc, op := range ops {
+				if op.Peer < 0 || op.Peer >= n || op.Bytes < 0 {
+					st := &stream{rank: r, idx: i, ops: ops, pc: pc}
+					return nil, fmt.Errorf("simevent: %s: peer outside %d ranks or negative size", st.at(), n)
+				}
+			}
+			if len(ops) > 0 {
+				st := &stream{rank: r, idx: i, ops: ops}
+				streams = append(streams, st)
+				e.resume(st, 0)
+			}
 		}
 	}
 
-	for len(e.heap) > 0 {
-		ev := e.pop()
-		e.exec(ev.st, ev.at)
+	for {
+		// The next thing to happen is the earlier of the heap's top and the
+		// first routed transfer to drain (the heap wins ties). Rates are only
+		// brought up to date when the clock is about to move, so everything
+		// that joins or leaves the links at one instant costs one re-rating.
+		at := never
+		if len(e.heap) > 0 {
+			at = e.heap[0].at
+		}
+		routed := e.next != nil && e.next.end < at
+		if routed {
+			at = e.next.end
+		}
+		if e.stale && at > e.now {
+			e.share()
+			continue
+		}
+		if at == never {
+			break
+		}
+		e.now = at
+		if routed {
+			e.leave(e.next)
+			continue
+		}
+		switch ev := heap.Pop(&e.heap).(event); {
+		case ev.st != nil:
+			if err := e.exec(ev.st); err != nil {
+				return nil, err
+			}
+		case len(ev.x.route) > 0:
+			e.join(ev.x)
+		default:
+			e.deliver(ev.x)
+		}
 	}
 	for _, st := range streams {
 		if st.pc < len(st.ops) {
-			op := st.ops[st.pc]
-			return nil, fmt.Errorf("simevent: deadlock: rank %d stuck at op %d (%s peer %d tag %d) — no matching message",
-				st.rank, st.pc, op.Kind, op.Peer, op.Tag)
+			return nil, fmt.Errorf("simevent: deadlock: %s — no matching message", st.at())
 		}
 	}
 
@@ -256,126 +370,88 @@ func Run(scheds []allreduce.RankSchedule, cfg Config) (*Result, error) {
 		TraceHash: e.hash,
 		Trace:     e.trace,
 	}
-	if cfg.Fabric != nil {
-		for l, b := range e.linkB {
-			if b == 0 {
-				continue
-			}
-			u := LinkUtil{Link: l, Name: cfg.Fabric.LinkName(simnet.LinkID(l)), Bytes: b, BusySeconds: e.linkBusy[l]}
-			if res.Makespan > 0 {
-				u.Utilization = u.BusySeconds / res.Makespan.Seconds()
-			}
-			res.Links = append(res.Links, u)
+	for l, b := range e.linkB {
+		if b == 0 {
+			continue
 		}
+		u := LinkUtil{Link: l, Name: cfg.Fabric.LinkName(simnet.LinkID(l)), Bytes: b,
+			BusySeconds: float64(b) / cfg.Fabric.Bandwidth(simnet.LinkID(l))}
+		if res.Makespan > 0 {
+			u.Utilization = u.BusySeconds / res.Makespan.Seconds()
+		}
+		res.Links = append(res.Links, u)
 	}
 	return res, nil
 }
 
-// checkOps validates one stream's ops against the world size. Launch
-// streams model the live pipelines' asynchronous send goroutines and may
-// not block on receives.
-func checkOps(ops []allreduce.WireOp, rank, n int, launch bool) error {
-	for i, op := range ops {
-		if op.Peer < 0 || op.Peer >= n {
-			return fmt.Errorf("simevent: rank %d op %d: peer %d outside %d ranks", rank, i, op.Peer, n)
-		}
-		if op.Bytes < 0 {
-			return fmt.Errorf("simevent: rank %d op %d: negative size %d", rank, i, op.Bytes)
-		}
-		if launch && op.Kind == allreduce.WireRecv {
-			return fmt.Errorf("simevent: rank %d launch op %d: receives must live on the main stream", rank, i)
-		}
-	}
-	return nil
-}
-
-func (e *engine) push(at int64, st *stream) {
+func (e *engine) push(ev event) {
 	e.seq++
-	e.heap = append(e.heap, event{at: at, seq: e.seq, st: st})
-	i := len(e.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.less(i, p) {
-			break
-		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
-		i = p
-	}
+	ev.seq = e.seq
+	heap.Push(&e.heap, ev)
 }
 
-func (e *engine) pop() event {
-	top := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap = e.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < last && e.less(l, s) {
-			s = l
-		}
-		if r < last && e.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		e.heap[i], e.heap[s] = e.heap[s], e.heap[i]
-		i = s
+// perByte is the virtual time n bytes take at rate bytes/s; a zero rate is
+// free (an unset host cost).
+func perByte(n, rate float64) int64 {
+	if rate <= 0 {
+		return 0
 	}
-	return top
+	return int64(n / rate * float64(time.Second))
 }
 
-func (e *engine) less(i, j int) bool {
-	a, b := e.heap[i], e.heap[j]
-	if a.at != b.at {
-		return a.at < b.at
+// resume schedules st's pending op for when the stream reaches it at
+// virtual time at; a send first costs the host its staging copy.
+func (e *engine) resume(st *stream, at int64) {
+	if op := st.ops[st.pc]; op.Kind != allreduce.WireRecv {
+		at += perByte(float64(op.Bytes), e.cfg.CopyRate)
 	}
-	return a.seq < b.seq
+	e.push(event{at: at, st: st})
 }
 
-// exec runs the stream's current op at virtual time now.
-func (e *engine) exec(st *stream, now int64) {
+// exec runs the stream's current op at e.now.
+func (e *engine) exec(st *stream) error {
 	op := st.ops[st.pc]
-	switch op.Kind {
-	case allreduce.WireIsend:
-		e.post(st.rank, op, now)
-		e.complete(st, now)
-	case allreduce.WireSend:
-		done := e.post(st.rank, op, now)
-		e.complete(st, done)
-	case allreduce.WireRecv:
-		q := e.queue(op.Peer, st.rank, op.Tag)
-		if q.taken >= len(q.arrivals) {
-			q.waiter = st
-			st.blockedAt = now
-			return
+	if op.Kind != allreduce.WireRecv {
+		e.post(st, op)
+		if op.Kind == allreduce.WireIsend {
+			e.complete(st, e.now)
 		}
-		a := q.arrivals[q.taken]
-		q.taken++
-		done := max(now, a)
-		e.perRank[st.rank].RecvBytes += int64(op.Bytes)
-		e.record(st.rank, op, done)
-		e.complete(st, done)
-	default:
-		panic(fmt.Sprintf("simevent: unknown wire kind %d", op.Kind))
+		return nil
 	}
+	q := e.queue(op.Peer, st.rank, op.Tag)
+	if q.taken == len(q.arrivals) {
+		// Which of two waiters a message wakes would be the engine's choice,
+		// not the transport's.
+		if q.waiter != nil && q.waiter != st {
+			return fmt.Errorf("simevent: %s and stream %d of the same rank wait on one (peer, tag) queue", st.at(), q.waiter.idx)
+		}
+		q.waiter = st // deliver re-runs the op when the message lands
+		return nil
+	}
+	a := q.arrivals[q.taken]
+	q.taken++
+	if a.bytes != op.Bytes {
+		return fmt.Errorf("simevent: %s matches a %d-byte send", st.at(), a.bytes)
+	}
+	done := max(e.now, a.at)
+	if op.Fold {
+		done += perByte(float64(op.Bytes), e.cfg.SumRate)
+	}
+	e.perRank[st.rank].RecvBytes += int64(op.Bytes)
+	e.record(st.rank, op, done)
+	e.complete(st, done)
+	return nil
 }
 
 // complete finishes the stream's current op at virtual time at, charges
 // the host overhead, and schedules the next op.
 func (e *engine) complete(st *stream, at int64) {
 	at += e.overhead(st.rank)
-	if at > e.maxT {
-		e.maxT = at
-	}
-	if d := time.Duration(at); d > e.perRank[st.rank].Finish {
-		e.perRank[st.rank].Finish = d
-	}
+	e.maxT = max(e.maxT, at)
+	e.perRank[st.rank].Finish = max(e.perRank[st.rank].Finish, time.Duration(at))
 	st.pc++
 	if st.pc < len(st.ops) {
-		e.push(at, st)
+		e.resume(st, at)
 	}
 }
 
@@ -392,50 +468,171 @@ func (e *engine) overhead(rank int) int64 {
 	return int64(float64(h) * (1 + e.cfg.JitterFrac*(2*u-1)))
 }
 
-// post charges and delivers one message from rank at virtual time now,
-// returning when the sender's transfer completes (what a blocking send
-// waits for). Mirrors topoTransport.charge: intra-node messages delay
-// concurrently; inter-node messages serialize through the sender's egress.
-func (e *engine) post(rank int, op allreduce.WireOp, now int64) int64 {
-	dst := op.Peer
+// post puts st's send on the wire at e.now. Mirrors topoTransport.charge:
+// intra-node messages start at once and delay concurrently; inter-node
+// messages queue on the sender's egress — one FIFO per rank, and with a
+// Fabric one per rail the rank drives, stream i of a node's j-th rank
+// riding rail (i+j) mod Rails.
+func (e *engine) post(st *stream, op allreduce.WireOp) {
+	x := &xfer{src: st.rank, dst: op.Peer, tag: op.Tag, bytes: op.Bytes, egress: -1}
+	if op.Kind == allreduce.WireSend {
+		x.sender = st
+	}
 	e.messages++
-	e.perRank[rank].SentBytes += int64(op.Bytes)
-	var arrival int64
-	if e.node[rank] == e.node[dst] {
+	e.perRank[st.rank].SentBytes += int64(op.Bytes)
+	e.record(st.rank, op, e.now)
+	src, dst := e.node[x.src], e.node[x.dst]
+	if src == dst {
 		e.traffic.IntraBytes += int64(op.Bytes)
-		arrival = now + int64(e.cfg.Intra.Delay(op.Bytes))
-	} else {
-		e.traffic.InterBytes += int64(op.Bytes)
-		d := int64(e.cfg.Inter.Delay(op.Bytes))
-		if d > 0 {
-			start := max(now, e.egress[rank])
-			arrival = start + d
-			e.egress[rank] = arrival
-		} else {
-			arrival = now
+		e.start(x)
+		return
+	}
+	e.traffic.InterBytes += int64(op.Bytes)
+	rail := 0
+	if f := e.cfg.Fabric; f != nil {
+		rail = (x.src - e.first[src] + st.idx) % f.Rails
+		x.route, _ = f.Route(src, dst, rail) // hosts were bounds-checked in Run
+	}
+	x.egress = x.src*e.rails + rail
+	e.egress[x.egress] = append(e.egress[x.egress], x)
+	if len(e.egress[x.egress]) == 1 {
+		e.start(x)
+	}
+}
+
+// start begins x's transfer at e.now. A routed transfer joins its links
+// once its latency has passed; any other is delivered after exactly the
+// delay a live world sleeps.
+func (e *engine) start(x *xfer) {
+	link := e.cfg.Inter
+	if x.egress < 0 {
+		link = e.cfg.Intra
+	}
+	d := link.Latency
+	if len(x.route) == 0 {
+		d = link.Delay(x.bytes)
+	}
+	e.push(event{at: e.now + int64(d), x: x})
+}
+
+// join puts x on its route's links; share rates it before the clock moves.
+func (e *engine) join(x *xfer) {
+	for _, l := range x.route {
+		e.linkB[l] += int64(x.bytes)
+	}
+	x.rem, x.since, x.end = float64(x.bytes), e.now, never
+	x.slot = len(e.active)
+	e.active = append(e.active, x)
+	e.stale = true
+}
+
+// leave takes the drained x off its links and delivers it.
+func (e *engine) leave(x *xfer) {
+	last := len(e.active) - 1
+	e.active[x.slot] = e.active[last]
+	e.active[x.slot].slot = x.slot
+	e.active = e.active[:last]
+	e.stale = true
+	e.soonest()
+	e.deliver(x)
+}
+
+// soonest points next at the active transfer ending first.
+func (e *engine) soonest() {
+	e.next = nil
+	for _, x := range e.active {
+		if e.next == nil || x.end < e.next.end {
+			e.next = x
 		}
-		if f := e.cfg.Fabric; f != nil {
-			links, err := f.Route(e.node[rank], e.node[dst], rank%f.Rails)
-			if err == nil { // bounds pre-validated in Run
-				for _, l := range links {
-					e.linkB[l] += int64(op.Bytes)
-					e.linkBusy[l] += float64(op.Bytes) / f.Bandwidth(l)
-				}
+	}
+}
+
+// share re-rates the active transfers at e.now by progressive filling
+// (max-min fairness): find the links whose equal split of what capacity is
+// left is smallest, fix every transfer crossing one of them at that share,
+// take those transfers' share out of every link they cross, and repeat with
+// the rest. A transfer whose rate does not move keeps its end to the
+// nanosecond.
+func (e *engine) share() {
+	e.stale = false
+	links := e.links[:0] // links that unrated transfers still cross
+	for _, x := range e.active {
+		for _, l := range x.route {
+			if e.cnt[l] == 0 {
+				links = append(links, l)
+				e.room[l] = e.cfg.Fabric.Bandwidth(l)
+			}
+			e.cnt[l]++
+		}
+	}
+	todo := append(e.todo[:0], e.active...)
+	for len(todo) > 0 {
+		least := math.Inf(1)
+		live := links[:0]
+		for _, l := range links {
+			if e.cnt[l] > 0 {
+				live = append(live, l)
+				e.split[l] = e.room[l] / float64(e.cnt[l])
+				least = min(least, e.split[l])
 			}
 		}
+		links = live
+		lim := least * (1 + 1e-12) // splits tied up to rounding freeze together
+		rest := todo[:0]
+		for _, x := range todo {
+			if !e.bottlenecked(x, lim) {
+				rest = append(rest, x)
+				continue
+			}
+			for _, l := range x.route {
+				e.room[l] = max(0, e.room[l]-least)
+				e.cnt[l]--
+			}
+			if least != x.rate {
+				x.rem = max(0, x.rem-x.rate*float64(e.now-x.since)/float64(time.Second))
+				x.rate, x.since = least, e.now
+				x.end = e.now + perByte(x.rem, least)
+			}
+		}
+		todo = rest
 	}
-	e.record(rank, op, now)
-	if arrival > e.maxT {
-		e.maxT = arrival
+	e.links, e.todo = links, todo
+	e.soonest()
+}
+
+// bottlenecked reports whether x crosses a link whose split is within lim.
+// (A link every transfer has left keeps an old split, but then no unrated
+// transfer crosses it.)
+func (e *engine) bottlenecked(x *xfer, lim float64) bool {
+	for _, l := range x.route {
+		if e.split[l] <= lim {
+			return true
+		}
 	}
-	q := e.queue(rank, dst, op.Tag)
-	q.arrivals = append(q.arrivals, arrival)
-	if q.waiter != nil {
-		w := q.waiter
+	return false
+}
+
+// deliver lands x at e.now: the message becomes receivable (waking a
+// receiver blocked on it), a blocking sender resumes, and the sender's
+// egress moves on to its next message.
+func (e *engine) deliver(x *xfer) {
+	e.maxT = max(e.maxT, e.now)
+	q := e.queue(x.src, x.dst, x.tag)
+	q.arrivals = append(q.arrivals, arrival{at: e.now, bytes: x.bytes})
+	if w := q.waiter; w != nil {
 		q.waiter = nil
-		e.push(max(arrival, w.blockedAt), w)
+		e.push(event{at: e.now, st: w})
 	}
-	return arrival
+	if x.sender != nil {
+		e.complete(x.sender, e.now)
+	}
+	if x.egress >= 0 {
+		fifo := e.egress[x.egress][1:]
+		e.egress[x.egress] = fifo
+		if len(fifo) > 0 {
+			e.start(fifo[0])
+		}
+	}
 }
 
 func (e *engine) queue(src, dst, tag int) *msgQueue {

@@ -11,41 +11,13 @@ import (
 )
 
 // LiveCase describes one small-scale live run of a collective — the
-// measurement side of calibration and cross-validation. The same fields
-// drive the corresponding Spec, so simulated and measured runs are
-// parameterized identically by construction.
+// measurement side of calibration and cross-validation: the Spec the
+// simulated twin is extracted from, plus the world's link profiles.
 type LiveCase struct {
-	Collective   Collective
-	Nodes        int
-	RanksPerNode int
-	Elems        int
-	BucketFloats int
-	// Codec configures the hierarchical/sharded codec (zero value = the
-	// identity "none" path); ignored by the raw-wire collectives.
-	Codec compress.Config
+	Spec
 	// Intra and Inter are the world's link profiles; zero values cost no
 	// wall time but still count bytes — the cross-validation configuration.
 	Intra, Inter mpi.LinkProfile
-}
-
-// Topo returns the case's rank→node layout.
-func (lc LiveCase) Topo() mpi.Topology {
-	return mpi.UniformTopology(lc.Nodes*lc.RanksPerNode, lc.RanksPerNode)
-}
-
-// Spec returns the simulation spec matching the live case.
-func (lc LiveCase) Spec() (Spec, error) {
-	codec, err := compress.New(lc.Codec)
-	if err != nil {
-		return Spec{}, err
-	}
-	return Spec{
-		Collective:   lc.Collective,
-		Topo:         lc.Topo(),
-		Elems:        lc.Elems,
-		BucketFloats: lc.BucketFloats,
-		Codec:        codec,
-	}, nil
 }
 
 // LiveResult is one measured collective step.
@@ -61,14 +33,16 @@ type LiveResult struct {
 // one goroutine per rank, the profiled transport charging every message —
 // and returns measured wall time and exact wire-byte counters.
 func RunLive(lc LiveCase) (LiveResult, error) {
-	ranks := lc.Nodes * lc.RanksPerNode
-	if ranks <= 0 {
-		return LiveResult{}, fmt.Errorf("simevent: live case has %d ranks", ranks)
+	ranks := len(lc.Topo.Node)
+	if ranks == 0 {
+		return LiveResult{}, fmt.Errorf("simevent: live case has no ranks")
 	}
-	topo := lc.Topo()
-	codec, err := compress.New(lc.Codec)
-	if err != nil {
-		return LiveResult{}, err
+	if lc.Collective == AllToAllV && lc.PairBytes == nil {
+		return LiveResult{}, fmt.Errorf("simevent: %s needs Spec.PairBytes", AllToAllV)
+	}
+	topo, codec := lc.Topo, lc.Codec
+	if codec == nil {
+		codec = compress.Identity{}
 	}
 	w, err := mpi.NewTopologyWorld(ranks, topo, lc.Intra, lc.Inter)
 	if err != nil {
@@ -86,6 +60,10 @@ func RunLive(lc LiveCase) (LiveResult, error) {
 			return allreduce.AllReduce(c, data, allreduce.AlgBucketRing, allreduce.Options{})
 		case Rabenseifner:
 			return allreduce.AllReduce(c, data, allreduce.AlgRabenseifner, allreduce.Options{})
+		case MultiColor:
+			return allreduce.AllReduce(c, data, allreduce.AlgMultiColor, allreduce.Options{SegmentFloats: lc.BucketFloats})
+		case PipelinedRing:
+			return allreduce.AllReduce(c, data, allreduce.AlgRing, allreduce.Options{SegmentFloats: lc.BucketFloats})
 		case Hierarchical:
 			_, err := allreduce.BucketedAllReduce(c, data, codec, allreduce.CompressedOptions{
 				BucketFloats: lc.BucketFloats,
@@ -96,6 +74,13 @@ func RunLive(lc LiveCase) (LiveResult, error) {
 			_, err := allreduce.BucketedReduceScatter(c, data, codec, allreduce.CompressedOptions{
 				BucketFloats: lc.BucketFloats,
 			})
+			return err
+		case AllToAllV:
+			send := make([][]byte, ranks)
+			for dst := range send {
+				send[dst] = make([]byte, lc.PairBytes(c.Rank(), dst))
+			}
+			_, err := c.AllToAllV(send)
 			return err
 		default:
 			return fmt.Errorf("simevent: unknown collective %q", lc.Collective)

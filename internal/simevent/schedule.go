@@ -8,7 +8,7 @@ import (
 	"repro/internal/mpi"
 )
 
-// Collective names one of the four simulated exchange patterns.
+// Collective names one of the simulated exchange patterns.
 type Collective string
 
 const (
@@ -25,12 +25,26 @@ const (
 	// ShardedRS is allreduce.BucketedReduceScatter over the uniform shard
 	// layout: codec-compressed bucket payloads to each bucket's owners.
 	ShardedRS Collective = "sharded-rs"
+	// MultiColor is allreduce.AlgMultiColor, the paper's algorithm: the
+	// vector split across k color trees, each chunk pipelined up and back
+	// down its tree in BucketFloats-sized segments, raw float32 wire.
+	MultiColor Collective = "multicolor"
+	// PipelinedRing is allreduce.AlgRing, the paper's ring baseline:
+	// BucketFloats-sized segments folded toward rank 0 and relayed back.
+	PipelinedRing Collective = "ring"
+	// AllToAllV is mpi.Comm.AllToAllV, the DIMD shuffle's exchange, with
+	// Spec.PairBytes bytes from each rank to each other.
+	AllToAllV Collective = "alltoallv"
 )
 
-// Collectives returns the four simulated collectives in canonical order.
+// Collectives returns the simulated collectives in canonical order.
 func Collectives() []Collective {
-	return []Collective{BucketRing, Rabenseifner, Hierarchical, ShardedRS}
+	return []Collective{BucketRing, Rabenseifner, Hierarchical, ShardedRS, MultiColor, PipelinedRing, AllToAllV}
 }
+
+// Compressed reports whether the collective puts codec payloads on the wire
+// (the others carry raw float32 or bytes and ignore Spec.Codec).
+func (c Collective) Compressed() bool { return c == Hierarchical || c == ShardedRS }
 
 // WireSizer maps a bucket's element count to the exact payload bytes a
 // codec puts on the wire, by probing the real encoder. Every codec in the
@@ -66,18 +80,21 @@ func (w *WireSizer) Size(elems int) int {
 // Spec describes one collective step to extract a schedule for.
 type Spec struct {
 	Collective Collective
-	// Topo is the rank→node layout (also fixes the rank count). The two
-	// phased collectives ignore the node structure for routing but their
-	// messages are still classified intra/inter by it in the engine.
+	// Topo is the rank→node layout (also fixes the rank count). Only the
+	// hierarchical collective routes by it, but every message is still
+	// classified intra/inter by it in the engine.
 	Topo mpi.Topology
 	// Elems is the gradient vector length in float32 elements.
 	Elems int
-	// BucketFloats is the bucketed pipelines' bucket size (0 = the live
-	// default); the phased collectives ignore it.
+	// BucketFloats is the bucketed pipelines' bucket size and the pipelined
+	// multi-color and ring collectives' segment size (0 = the live default);
+	// the other collectives ignore it.
 	BucketFloats int
 	// Codec compresses the hierarchical up leg and the sharded payloads
 	// (nil = identity). The raw-wire collectives ignore it.
 	Codec compress.Codec
+	// PairBytes is AllToAllV's payload in bytes from rank src to rank dst.
+	PairBytes func(src, dst int) int
 }
 
 // BuildSchedule extracts the wire schedule for one collective step. The
@@ -101,6 +118,15 @@ func BuildSchedule(spec Spec) ([]allreduce.RankSchedule, error) {
 	case Hierarchical:
 		sizer := NewWireSizer(spec.Codec)
 		return allreduce.HierarchicalSchedule(spec.Topo, spec.Elems, spec.BucketFloats, sizer.Size)
+	case MultiColor:
+		return allreduce.MultiColorSchedule(ranks, spec.Elems, allreduce.Options{SegmentFloats: spec.BucketFloats}), nil
+	case PipelinedRing:
+		return allreduce.PipelinedRingSchedule(ranks, spec.Elems, allreduce.Options{SegmentFloats: spec.BucketFloats}), nil
+	case AllToAllV:
+		if spec.PairBytes == nil {
+			return nil, fmt.Errorf("simevent: %s needs Spec.PairBytes", AllToAllV)
+		}
+		return allreduce.AllToAllVSchedule(ranks, spec.PairBytes), nil
 	default:
 		return nil, fmt.Errorf("simevent: unknown collective %q", spec.Collective)
 	}

@@ -87,10 +87,10 @@ func (t *FatTree) SetBandwidth(l LinkID, bw float64) error {
 // HostUp and HostDown return a host's rail links; LeafUp and LeafDown a
 // leaf's spine links. Exported so tests and reports can address specific
 // links (SetBandwidth, LinkName) without duplicating the layout math.
-func (t *FatTree) HostUp(h, rail int) LinkID   { return t.hostUp(h, rail) }
-func (t *FatTree) HostDown(h, rail int) LinkID { return t.hostDown(h, rail) }
-func (t *FatTree) LeafUp(l, s int) LinkID      { return t.leafUp(l, s) }
-func (t *FatTree) LeafDown(l, s int) LinkID    { return t.leafDown(l, s) }
+func (t *FatTree) HostUp(h, rail int) LinkID   { return LinkID((h*t.Rails + rail) * 2) }
+func (t *FatTree) HostDown(h, rail int) LinkID { return t.HostUp(h, rail) + 1 }
+func (t *FatTree) LeafUp(l, s int) LinkID      { return LinkID(t.Hosts*t.Rails*2 + (l*t.Spines+s)*2) }
+func (t *FatTree) LeafDown(l, s int) LinkID    { return t.LeafUp(l, s) + 1 }
 
 // LinkName renders a link id human-readably: host3/rail1/up,
 // leaf0-spine2/down.
@@ -115,17 +115,6 @@ func (t *FatTree) LinkName(l LinkID) string {
 	return fmt.Sprintf("leaf%d-spine%d/%s", i/2/t.Spines, (i/2)%t.Spines, dir)
 }
 
-func (t *FatTree) hostUp(h, rail int) LinkID   { return LinkID((h*t.Rails + rail) * 2) }
-func (t *FatTree) hostDown(h, rail int) LinkID { return LinkID((h*t.Rails+rail)*2 + 1) }
-
-func (t *FatTree) leafUp(leaf, spine int) LinkID {
-	return LinkID(t.Hosts*t.Rails*2 + (leaf*t.Spines+spine)*2)
-}
-
-func (t *FatTree) leafDown(leaf, spine int) LinkID {
-	return LinkID(t.Hosts*t.Rails*2 + (leaf*t.Spines+spine)*2 + 1)
-}
-
 func (t *FatTree) leafOf(h int) int { return h / t.HostsPerLeaf }
 
 // Route returns the directed links a flow from src to dst traverses using
@@ -141,14 +130,14 @@ func (t *FatTree) Route(src, dst, rail int) ([]LinkID, error) {
 	rail = ((rail % t.Rails) + t.Rails) % t.Rails
 	sl, dl := t.leafOf(src), t.leafOf(dst)
 	if sl == dl {
-		return []LinkID{t.hostUp(src, rail), t.hostDown(dst, rail)}, nil
+		return []LinkID{t.HostUp(src, rail), t.HostDown(dst, rail)}, nil
 	}
 	spine := (src*31 + dst*17 + rail*7) % t.Spines
 	return []LinkID{
-		t.hostUp(src, rail),
-		t.leafUp(sl, spine),
-		t.leafDown(dl, spine),
-		t.hostDown(dst, rail),
+		t.HostUp(src, rail),
+		t.LeafUp(sl, spine),
+		t.LeafDown(dl, spine),
+		t.HostDown(dst, rail),
 	}, nil
 }
 
