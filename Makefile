@@ -52,19 +52,21 @@ kernels:
 kernels-baseline:
 	$(GO) run ./cmd/benchtool -procs 2 -kernels -kernels-baseline-update
 
-# The pure-Go kernels (GEMM, vector add, momentum step), which an amd64 build
-# otherwise never runs: the purego tag is the one switch that forces them.
+# The pure-Go kernels (GEMM, the packed convolution's tap axpy and dot, vector
+# add, momentum step), which an amd64 build otherwise never runs: the purego
+# tag is the one switch that forces them.
 kernels-purego:
 	$(GO) test -tags purego ./internal/kernels ./internal/tensor ./internal/nn ./internal/sgd ./internal/mpi ./internal/allreduce ./internal/dpt ./internal/core
 
 # 20 s of each fuzz target, from its committed corpus: the SIMD-vs-portable
-# kernels, then the DIMD decoders (window decode vs the dense reference, the
+# kernels, the packed convolution vs Im2Col+Gemm+Col2Im, then the DIMD decoders (window decode vs the dense reference, the
 # shuffle's record frames). The decoders' inputs are kilobyte blobs, which the
 # fuzzer's default 60 s minimisation of every interesting input would spend
 # the whole smoke on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGemmSIMDMatchesPortable -fuzztime 20s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzVecKernelsMatchPortable -fuzztime 20s ./internal/kernels
+	$(GO) test -run '^$$' -fuzz FuzzConvPackedMatchesIm2Col -fuzztime 20s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s -fuzzminimizetime 1s ./internal/imagecodec
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalRecords -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd
 

@@ -28,6 +28,20 @@ type gemmResult struct {
 	IterationsRun int     `json:"iterations"`
 }
 
+// convResult is one more convolution geometry's forward+backward step, timed
+// like the headline conv row: at one worker and on the full pool.
+type convResult struct {
+	Name         string  `json:"name"`
+	Batch        int     `json:"batch"`
+	InC          int     `json:"in_c"`
+	OutC         int     `json:"out_c"`
+	Size         int     `json:"size"`
+	Stride       int     `json:"stride"`
+	MsSerial     float64 `json:"ms_serial"`
+	MsPool       float64 `json:"ms_pool"`
+	ImagesPerSec float64 `json:"images_per_sec"`
+}
+
 // kernelsReport is the JSON schema of the -kernels workload; BENCH_kernels.json
 // at the repo root is one of these, and CI gates on it. Throughput numbers are
 // all higher-is-better, which is what the baseline check assumes.
@@ -50,6 +64,10 @@ type kernelsReport struct {
 	ConvMsPool       float64 `json:"conv_ms_pool"`
 	ConvSpeedup      float64 `json:"conv_speedup"`
 	ConvThroughputIS float64 `json:"conv_images_per_sec"`
+	// ConvShapes are the bias-free 3×3 geometries watched beside it: the
+	// shape that dominates the conv_phased benchmark workload (stride 1, the
+	// packed path) and a stride-2 layer of the same net (the im2col path).
+	ConvShapes []convResult `json:"conv_shapes"`
 
 	// Codec throughputs in GB/s of uncompressed float bytes processed.
 	// Encodes go through AppendCompressAuto — the production Stream path —
@@ -169,24 +187,34 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 
 	// Conv forward+backward: the batch-parallel hot path. One layer, reused
 	// scratch — the steady-state per-step cost.
-	const batch, inC, outC, size = 16, 8, 16, 24
-	rep.ConvBatch = batch
 	rng := tensor.NewRNG(5)
-	conv := nn.NewConv2D("bench", inC, outC, 3, 3, 1, 1, 1, 1, nn.ConvOpts{Bias: true}, rng)
-	x := tensor.New(batch, inC, size, size)
-	rng.FillNormal(x, 0, 1)
-	convStep := func() {
-		out := conv.Forward(x, true)
-		conv.Backward(out)
+	convStep := func(batch, inC, outC, size, stride int, bias bool) (sSerial, sPool float64) {
+		conv := nn.NewConv2D("bench", inC, outC, 3, 3, stride, stride, 1, 1, nn.ConvOpts{Bias: bias}, rng)
+		x := tensor.New(batch, inC, size, size)
+		rng.FillNormal(x, 0, 1)
+		step := func() { conv.Backward(conv.Forward(x, true)) }
+		prev := kernels.SetWorkers(1)
+		sSerial, _ = timeIt(step)
+		kernels.SetWorkers(prev)
+		sPool, _ = timeIt(step)
+		return sSerial, sPool
 	}
-	prev := kernels.SetWorkers(1)
-	sSerial, _ := timeIt(convStep)
-	kernels.SetWorkers(prev)
-	sPool, _ := timeIt(convStep)
+	const batch = 16
+	rep.ConvBatch = batch
+	sSerial, sPool := convStep(batch, 8, 16, 24, 1, true)
 	rep.ConvMsSerial = 1e3 * sSerial
 	rep.ConvMsPool = 1e3 * sPool
 	rep.ConvSpeedup = sSerial / sPool
 	rep.ConvThroughputIS = float64(batch) / sPool
+	for _, sh := range []convResult{
+		{Name: "conv_phased 16->16 3x3 on 16x16", Batch: 4, InC: 16, OutC: 16, Size: 16, Stride: 1},
+		{Name: "conv_phased 16->32 3x3/2 on 16x16", Batch: 4, InC: 16, OutC: 32, Size: 16, Stride: 2},
+	} {
+		sSerial, sPool := convStep(sh.Batch, sh.InC, sh.OutC, sh.Size, sh.Stride, false)
+		sh.MsSerial, sh.MsPool = 1e3*sSerial, 1e3*sPool
+		sh.ImagesPerSec = float64(sh.Batch) / sPool
+		rep.ConvShapes = append(rep.ConvShapes, sh)
+	}
 
 	// Codecs on a 1M-float bucket; GB/s counts uncompressed float bytes.
 	const bucket = 1 << 20
@@ -242,6 +270,10 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 	}
 	fmt.Printf("  conv fwd+bwd (batch %d): %7.2f ms serial, %7.2f ms pool (%.2fx, %.0f images/s)\n",
 		batch, rep.ConvMsSerial, rep.ConvMsPool, rep.ConvSpeedup, rep.ConvThroughputIS)
+	for _, c := range rep.ConvShapes {
+		fmt.Printf("  %s (batch %d): %7.3f ms serial, %7.3f ms pool (%.0f images/s)\n",
+			c.Name, c.Batch, c.MsSerial, c.MsPool, c.ImagesPerSec)
+	}
 	fmt.Printf("  int8: encode %.2f GB/s, decode %.2f GB/s, decode+add %.2f GB/s\n",
 		rep.Int8EncodeGBs, rep.Int8DecodeGBs, rep.Int8DecodeAddGBs)
 	fmt.Printf("  identity decode+add %.2f GB/s, topk(0.1) encode %.2f GB/s\n",
@@ -282,6 +314,14 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 				break
 			}
 			if err := check(fmt.Sprintf("gemm[%d] GFLOP/s", i), g.GFLOPSPool, base.Gemm[i].GFLOPSPool); err != nil {
+				return err
+			}
+		}
+		for i, c := range rep.ConvShapes {
+			if i >= len(base.ConvShapes) {
+				break
+			}
+			if err := check(c.Name+" images/s", c.ImagesPerSec, base.ConvShapes[i].ImagesPerSec); err != nil {
 				return err
 			}
 		}

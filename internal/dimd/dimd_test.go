@@ -330,6 +330,87 @@ func TestGroupShuffleStaysInGroup(t *testing.T) {
 	}
 }
 
+// shuffleThroughTheWire is Shuffle as it was before the records bound for the
+// sending rank itself stopped being framed: every bucket, the rank's own
+// included, goes through marshalRecords, AllToAllV and unmarshalRecords.
+func shuffleThroughTheWire(s *Store, comm *mpi.Comm, opts ShuffleOptions) error {
+	m := max(opts.Segments, 1)
+	n := comm.Size()
+	rng := tensor.NewRNG(opts.Seed*1_000_000_007 + int64(comm.Rank()) + 1)
+	var received []Record
+	total := len(s.recs)
+	for seg := 0; seg < m; seg++ {
+		buckets := make([][]Record, n)
+		for _, r := range s.recs[seg*total/m : (seg+1)*total/m] {
+			d := rng.Intn(n)
+			buckets[d] = append(buckets[d], r)
+		}
+		send := make([][]byte, n)
+		for d, b := range buckets {
+			send[d] = marshalRecords(b)
+		}
+		got, err := comm.AllToAllV(send)
+		if err != nil {
+			return err
+		}
+		for _, b := range got {
+			recs, err := unmarshalRecords(b)
+			if err != nil {
+				return err
+			}
+			received = append(received, recs...)
+		}
+	}
+	rng.Shuffle(len(received), func(i, j int) {
+		received[i], received[j] = received[j], received[i]
+	})
+	s.recs = received
+	return nil
+}
+
+// TestShuffleKeepsOwnRecords: the records a rank draws itself as destination
+// for never touch the wire, and the store must come out record for record, in
+// order, what sending them through it gives — on a single rank, where every
+// record stays, and on four, where a quarter do.
+func TestShuffleKeepsOwnRecords(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		for _, segments := range []int{1, 3} {
+			p := buildTestPack(90)
+			w := mpi.NewWorld(n)
+			err := w.Run(func(c *mpi.Comm) error {
+				opts := ShuffleOptions{Segments: segments, Seed: 19}
+				got, err := LoadPartition(p, c.Rank(), n)
+				if err != nil {
+					return err
+				}
+				want, err := LoadPartition(p, c.Rank(), n)
+				if err != nil {
+					return err
+				}
+				if err := got.Shuffle(c, opts); err != nil {
+					return err
+				}
+				if err := shuffleThroughTheWire(want, c, opts); err != nil {
+					return err
+				}
+				if got.Len() != want.Len() {
+					return fmt.Errorf("rank %d holds %d records, %d through the wire", c.Rank(), got.Len(), want.Len())
+				}
+				for i := 0; i < want.Len(); i++ {
+					if g, w := got.Record(i), want.Record(i); g.Label != w.Label || !bytes.Equal(g.Data, w.Data) {
+						return fmt.Errorf("rank %d record %d is %q, %q through the wire", c.Rank(), i, recordKey(g), recordKey(w))
+					}
+				}
+				return nil
+			})
+			w.Close()
+			if err != nil {
+				t.Fatalf("n=%d segments=%d: %v", n, segments, err)
+			}
+		}
+	}
+}
+
 func TestGroupRanks(t *testing.T) {
 	ranks, err := GroupRanks(8, 4, 5)
 	if err != nil {

@@ -138,15 +138,25 @@ func (s *Store) Shuffle(comm *mpi.Comm, opts ShuffleOptions) error {
 			d := rng.Intn(n)
 			buckets[d] = append(buckets[d], r)
 		}
+		// The records that stay on this rank are kept as they are: a frame,
+		// AllToAllV's copy of it and the decoded copy would be three more
+		// live copies of 1/n of the store at the shuffle's peak.
+		self := comm.Rank()
 		send := make([][]byte, n)
 		for d, b := range buckets {
-			send[d] = marshalRecords(b)
+			if d != self {
+				send[d] = marshalRecords(b)
+			}
 		}
 		got, err := comm.AllToAllV(send)
 		if err != nil {
 			return fmt.Errorf("dimd: shuffle alltoallv: %w", err)
 		}
-		for _, b := range got {
+		for src, b := range got {
+			if src == self {
+				received = append(received, buckets[self]...)
+				continue
+			}
 			recs, err := unmarshalRecords(b)
 			if err != nil {
 				return fmt.Errorf("dimd: shuffle decode: %w", err)

@@ -203,10 +203,11 @@ func Run(n int, fn func(i int)) {
 	j.release()
 }
 
-// chunkBounds returns the [lo, hi) bounds of chunk i when total items are
+// ChunkBounds returns the [lo, hi) bounds of chunk i when total items are
 // split into chunks nearly-equal contiguous pieces (the first total%chunks
-// chunks get one extra item).
-func chunkBounds(total, chunks, i int) (lo, hi int) {
+// chunks get one extra item) — RunChunks' partition, for a kernel that walks
+// several chunks inside one task.
+func ChunkBounds(total, chunks, i int) (lo, hi int) {
 	base := total / chunks
 	rem := total % chunks
 	lo = i*base + minInt(i, rem)
@@ -229,7 +230,7 @@ func RunChunks(total, chunks int, fn func(chunk, lo, hi int)) {
 		chunks = total
 	}
 	Run(chunks, func(c int) {
-		lo, hi := chunkBounds(total, chunks, c)
+		lo, hi := ChunkBounds(total, chunks, c)
 		fn(c, lo, hi)
 	})
 }
@@ -254,7 +255,7 @@ func RunRange(total, grain int, fn func(lo, hi int)) {
 		return
 	}
 	Run(chunks, func(c int) {
-		lo, hi := chunkBounds(total, chunks, c)
+		lo, hi := ChunkBounds(total, chunks, c)
 		fn(lo, hi)
 	})
 }

@@ -93,7 +93,7 @@ func TestChunkBounds(t *testing.T) {
 	for _, tc := range []struct{ total, chunks int }{{10, 3}, {16, 16}, {7, 2}, {100, 16}, {5, 5}} {
 		next := 0
 		for i := 0; i < tc.chunks; i++ {
-			lo, hi := chunkBounds(tc.total, tc.chunks, i)
+			lo, hi := ChunkBounds(tc.total, tc.chunks, i)
 			if lo != next {
 				t.Fatalf("total %d chunks %d: chunk %d starts at %d, want %d", tc.total, tc.chunks, i, lo, next)
 			}

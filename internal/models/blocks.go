@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 
+	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -15,6 +16,9 @@ type Residual struct {
 	Body     nn.Layer
 	Shortcut nn.Layer // nil means identity
 	mask     []bool   // post-add ReLU mask
+	// out and masked (gradOut through the ReLU mask) are the block's own,
+	// reused while the shape repeats (nn.Layer, "Activation lifetime").
+	out, masked *tensor.Tensor
 }
 
 // NewResidual constructs a residual block. shortcut may be nil for identity.
@@ -44,20 +48,15 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !main.SameShape(short) {
 		panic(fmt.Sprintf("models: %s residual shapes differ: %v vs %v", r.name, main.Shape(), short.Shape()))
 	}
-	out := tensor.New(main.Shape()...)
-	if len(r.mask) < out.Len() {
-		r.mask = make([]bool, out.Len())
+	r.out = tensor.Reuse(r.out, main.Shape()...)
+	if len(r.mask) < r.out.Len() {
+		r.mask = make([]bool, r.out.Len())
 	}
-	for i := range main.Data {
-		v := main.Data[i] + short.Data[i]
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-		}
+	out, mask, sd := r.out.Data, r.mask[:r.out.Len()], short.Data[:r.out.Len()]
+	for i, v := range main.Data {
+		out[i], mask[i] = kernels.Rectify(v + sd[i])
 	}
-	return out
+	return r.out
 }
 
 // Backward implements nn.Layer.
@@ -69,11 +68,11 @@ func (r *Residual) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // notification into both the main path and the shortcut projection — the
 // branch parameters a child-granularity hook would miss.
 func (r *Residual) BackwardWithGradHook(gradOut *tensor.Tensor, hook nn.ParamHook) *tensor.Tensor {
-	g := tensor.New(gradOut.Shape()...)
+	r.masked = tensor.Reuse(r.masked, gradOut.Shape()...)
+	g := r.masked
+	mask := r.mask[:len(g.Data)]
 	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			g.Data[i] = v
-		}
+		g.Data[i] = kernels.Gate(v, mask[i])
 	}
 	gradIn := nn.BackwardNotify(r.Body, g, hook)
 	if r.Shortcut != nil {
@@ -92,6 +91,11 @@ type Branches struct {
 	Paths    []nn.Layer
 	chansOut []int
 	inShape  []int
+	// The concatenated output, the summed input gradient and each path's
+	// slice of the output gradient are the container's own, reused while the
+	// shapes repeat.
+	out, gradIn *tensor.Tensor
+	outs, split []*tensor.Tensor
 }
 
 // NewBranches constructs a channel-concat container over paths.
@@ -114,7 +118,10 @@ func (b *Branches) Params() []*nn.Param {
 // Forward implements nn.Layer.
 func (b *Branches) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.inShape = append(b.inShape[:0], x.Shape()...)
-	outs := make([]*tensor.Tensor, len(b.Paths))
+	if len(b.outs) != len(b.Paths) {
+		b.outs, b.split = make([]*tensor.Tensor, len(b.Paths)), make([]*tensor.Tensor, len(b.Paths))
+	}
+	outs := b.outs
 	b.chansOut = b.chansOut[:0]
 	totalC := 0
 	for i, p := range b.Paths {
@@ -128,7 +135,8 @@ func (b *Branches) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		totalC += outs[i].Dim(1)
 	}
 	n, h, w := outs[0].Dim(0), outs[0].Dim(2), outs[0].Dim(3)
-	out := tensor.New(n, totalC, h, w)
+	b.out = tensor.Reuse(b.out, n, totalC, h, w)
+	out := b.out
 	hw := h * w
 	for img := 0; img < n; img++ {
 		cOff := 0
@@ -155,11 +163,14 @@ func (b *Branches) BackwardWithGradHook(gradOut *tensor.Tensor, hook nn.ParamHoo
 	n, h, w := gradOut.Dim(0), gradOut.Dim(2), gradOut.Dim(3)
 	totalC := gradOut.Dim(1)
 	hw := h * w
-	gradIn := tensor.New(b.inShape...)
+	b.gradIn = tensor.Reuse(b.gradIn, b.inShape...)
+	gradIn := b.gradIn
+	gradIn.Zero()
 	cOff := 0
 	for i, p := range b.Paths {
 		c := b.chansOut[i]
-		gb := tensor.New(n, c, h, w)
+		b.split[i] = tensor.Reuse(b.split[i], n, c, h, w)
+		gb := b.split[i]
 		for img := 0; img < n; img++ {
 			src := gradOut.Data[(img*totalC+cOff)*hw : (img*totalC+cOff+c)*hw]
 			dst := gb.Data[img*c*hw : (img+1)*c*hw]

@@ -17,9 +17,9 @@ type ReLU struct {
 	// through these fields: a func literal handed to kernels.Run escapes,
 	// so per-call closures would put an allocation per activation on the
 	// training hot path (gated by benchtool -allocs).
-	fwdX, fwdOut  *tensor.Tensor
-	bwdOut, bwdIn *tensor.Tensor
-	fwdFn, bwdFn  func(lo, hi int)
+	x, gradOut   *tensor.Tensor
+	out, gradIn  *tensor.Tensor // layer-owned results, reused while the shape repeats
+	fwdFn, bwdFn func(lo, hi int)
 }
 
 // NewReLU constructs a ReLU layer.
@@ -33,58 +33,52 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	r.out = tensor.Reuse(r.out, x.Shape()...)
 	if len(r.mask) < x.Len() {
 		r.mask = make([]bool, x.Len())
 	}
-	r.fwdX, r.fwdOut = x, out
+	r.x = x
 	if r.fwdFn == nil {
 		// Elementwise with disjoint writes: range boundaries cannot affect
-		// bits.
+		// bits. The zeros are stored, not assumed: out is reused.
 		r.fwdFn = func(lo, hi int) {
-			x, out := r.fwdX, r.fwdOut
-			for i, v := range x.Data[lo:hi] {
-				if v > 0 {
-					out.Data[lo+i] = v
-					r.mask[lo+i] = true
-				} else {
-					r.mask[lo+i] = false
-				}
+			out, mask := r.out.Data[lo:hi], r.mask[lo:hi]
+			for i, v := range r.x.Data[lo:hi] {
+				out[i], mask[i] = kernels.Rectify(v)
 			}
 		}
 	}
 	kernels.RunRange(x.Len(), reluGrain, r.fwdFn)
-	r.fwdX, r.fwdOut = nil, nil
-	return out
+	r.x = nil
+	return r.out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(gradOut.Shape()...)
-	r.bwdOut, r.bwdIn = gradOut, gradIn
+	r.gradIn = tensor.Reuse(r.gradIn, gradOut.Shape()...)
+	r.gradOut = gradOut
 	if r.bwdFn == nil {
 		r.bwdFn = func(lo, hi int) {
-			gradOut, gradIn := r.bwdOut, r.bwdIn
-			for i, g := range gradOut.Data[lo:hi] {
-				if r.mask[lo+i] {
-					gradIn.Data[lo+i] = g
-				}
+			gradIn, mask := r.gradIn.Data[lo:hi], r.mask[lo:hi]
+			for i, g := range r.gradOut.Data[lo:hi] {
+				gradIn[i] = kernels.Gate(g, mask[i])
 			}
 		}
 	}
 	kernels.RunRange(gradOut.Len(), reluGrain, r.bwdFn)
-	r.bwdOut, r.bwdIn = nil, nil
-	return gradIn
+	r.gradOut = nil
+	return r.gradIn
 }
 
 // Dropout zeroes a fraction P of activations during training and rescales
 // the survivors by 1/(1-P) (inverted dropout); it is the identity at
 // inference. GoogLeNet uses dropout before its classifier.
 type Dropout struct {
-	name string
-	P    float32
-	rng  *tensor.RNG
-	mask []float32
+	name        string
+	P           float32
+	rng         *tensor.RNG
+	mask        []float32
+	out, gradIn *tensor.Tensor // layer-owned results, reused while the shape repeats
 }
 
 // NewDropout constructs a dropout layer with drop probability p.
@@ -105,7 +99,7 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		d.mask = nil
 		return x
 	}
-	out := tensor.New(x.Shape()...)
+	d.out = tensor.Reuse(d.out, x.Shape()...)
 	if cap(d.mask) < x.Len() {
 		d.mask = make([]float32, x.Len())
 	}
@@ -114,12 +108,13 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i, v := range x.Data {
 		if d.rng.Float32() >= d.P {
 			d.mask[i] = scale
-			out.Data[i] = v * scale
+			d.out.Data[i] = v * scale
 		} else {
 			d.mask[i] = 0
+			d.out.Data[i] = 0
 		}
 	}
-	return out
+	return d.out
 }
 
 // Backward implements Layer.
@@ -127,9 +122,9 @@ func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if d.mask == nil {
 		return gradOut
 	}
-	gradIn := tensor.New(gradOut.Shape()...)
+	d.gradIn = tensor.Reuse(d.gradIn, gradOut.Shape()...)
 	for i, g := range gradOut.Data {
-		gradIn.Data[i] = g * d.mask[i]
+		d.gradIn.Data[i] = g * d.mask[i]
 	}
-	return gradIn
+	return d.gradIn
 }

@@ -7,20 +7,33 @@ import (
 	"repro/internal/tensor"
 )
 
-// convScratch is one batch chunk's private workspace: im2col/col2im column
-// buffers plus partial weight/bias gradient accumulators. Chunks run
-// concurrently on the kernels pool, each touching only its own scratch.
+// convScratch is one batch chunk's private workspace: the lowered image and
+// the lowered gradient (input pack and gradOut pack on the packed path,
+// im2col columns and their gradient on the strided one) plus the partial
+// weight/bias gradient accumulators. Chunks run concurrently on the kernels
+// pool, each touching only its own scratch.
 type convScratch struct {
-	cols     []float32
-	gradCols []float32
-	dW       []float32
-	dB       []float32
+	image, grad []float32
+	// imageZeroedFor and gradZeroedFor are the pack geometry whose padding
+	// rows the buffers currently hold as zeros. Packing writes image rows
+	// only and trusts the rest, so a buffer last used under another geometry
+	// is cleared first.
+	imageZeroedFor, gradZeroedFor *tensor.ConvPack
+	dW, dB                        []float32
 }
 
-// Conv2D is a 2-D convolution over NCHW input, lowered to GEMM via im2col —
-// the same lowering cuDNN's IMPLICIT_GEMM algorithm uses on the paper's P100
-// GPUs. Weight layout is (outC, inC, kh, kw); bias is optional (the ResNet
-// and GoogLeNetBN recipes run conv without bias when followed by BN).
+// Conv2D is a 2-D convolution over NCHW input. Weight layout is
+// (outC, inC, kh, kw); bias is optional (the ResNet and GoogLeNetBN recipes
+// run conv without bias when followed by BN).
+//
+// Layer geometry alone picks one of two lowerings, both producing the same
+// bits (docs/ARCHITECTURE.md, "Convolution without the column matrix"):
+//
+//   - stride 1 runs on tensor.ConvPack: the image is packed into kw shifted
+//     copies of each padded plane and the forward, weight-gradient and
+//     input-gradient products read their operands from the pack in place —
+//     the column matrix is never written;
+//   - any other stride lowers to GEMM through Im2Col/Col2Im.
 //
 // Forward and Backward parallelize across batch images on the shared
 // kernels pool. Output activations and input gradients are written to
@@ -29,6 +42,9 @@ type convScratch struct {
 // fixed kernels.GradChunks batch partition and are folded in chunk order —
 // a pure function of the batch size, never of the worker count — so dW is
 // bitwise identical whether the pool runs 1-wide or GOMAXPROCS-wide.
+//
+// The tensors Forward and Backward return are owned by the layer and reused
+// while the shape repeats: each is valid until the same method's next call.
 type Conv2D struct {
 	name                     string
 	InC, OutC                int
@@ -37,9 +53,19 @@ type Conv2D struct {
 	PadH, PadW               int
 	Weight, Bias             *Param
 	lastInput                *tensor.Tensor
-	scratch                  []convScratch  // per-chunk workspaces, reused across steps
-	gradIn                   *tensor.Tensor // layer-owned Backward output, reused across steps
+	scratch                  []convScratch // per-chunk workspaces, reused across steps
+	out, gradIn              *tensor.Tensor
 	lastH, lastW, outH, outW int
+	// pack is the geometry of the last Forward of a stride-1 layer; nil on the
+	// im2col path.
+	pack *tensor.ConvPack
+
+	// The pool tasks are built once and read the current call's tensors
+	// through these fields, for the reason ReLU's comment gives.
+	gradOut          *tensor.Tensor
+	chunks           int
+	fwdTask, bwdTask func(chunk int)
+	foldTask         func(lo, hi int)
 }
 
 // ConvOpts selects optional conv features.
@@ -60,6 +86,7 @@ func NewConv2D(name string, inC, outC, kh, kw, strideH, strideW, padH, padW int,
 	if opts.Bias {
 		c.Bias = &Param{Name: name + ".bias", Value: tensor.New(outC), Grad: tensor.New(outC), NoWeightDecay: true}
 	}
+	c.fwdTask, c.bwdTask, c.foldTask = c.forwardChunk, c.backwardChunk, c.foldWeightGrad
 	return c
 }
 
@@ -74,23 +101,26 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.Weight}
 }
 
-// ensureScratch sizes the per-chunk workspaces: cols for every chunk, and —
-// when backward is set — gradCols plus the partial dW/dB accumulators.
-func (c *Conv2D) ensureScratch(chunks, colFloats int, backward bool) {
-	if len(c.scratch) < chunks {
-		c.scratch = append(c.scratch, make([]convScratch, chunks-len(c.scratch))...)
+// ensureScratch sizes the per-chunk workspaces for the current geometry and
+// batch: the lowered image for every chunk, and — when backward is set — the
+// lowered gradient plus the partial dW/dB accumulators. Everything the tasks
+// index is sized here, never per call.
+func (c *Conv2D) ensureScratch(backward bool) {
+	if len(c.scratch) < c.chunks {
+		c.scratch = append(c.scratch, make([]convScratch, c.chunks-len(c.scratch))...)
 	}
-	for ci := 0; ci < chunks; ci++ {
-		s := &c.scratch[ci]
-		if len(s.cols) < colFloats {
-			s.cols = make([]float32, colFloats)
-		}
+	image := c.InC * c.KH * c.KW * c.outH * c.outW
+	grad := image
+	if c.pack != nil {
+		image, grad = c.pack.InputPackLen(), c.pack.GradOutPackLen()
+	}
+	for i := range c.scratch[:c.chunks] {
+		s := &c.scratch[i]
+		s.image, s.imageZeroedFor = sizePack(s.image, image, s.imageZeroedFor, c.pack)
 		if !backward {
 			continue
 		}
-		if len(s.gradCols) < colFloats {
-			s.gradCols = make([]float32, colFloats)
-		}
+		s.grad, s.gradZeroedFor = sizePack(s.grad, grad, s.gradZeroedFor, c.pack)
 		if wLen := c.Weight.Value.Len(); len(s.dW) < wLen {
 			s.dW = make([]float32, wLen)
 		}
@@ -100,131 +130,168 @@ func (c *Conv2D) ensureScratch(chunks, colFloats int, backward bool) {
 	}
 }
 
+// sizePack grows buf to n floats and, when it is about to hold a pack of a
+// geometry other than the one it was last zeroed for, clears it: the stale
+// contents would otherwise sit where the new geometry's padding rows are.
+func sizePack(buf []float32, n int, zeroedFor, pack *tensor.ConvPack) ([]float32, *tensor.ConvPack) {
+	if len(buf) < n {
+		return make([]float32, n), pack
+	}
+	if pack != nil && zeroedFor != pack {
+		clear(buf[:n])
+	}
+	return buf, pack
+}
+
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.NumDims() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s forward shape %v, want [N %d H W]", c.name, x.Shape(), c.InC))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	outH := tensor.ConvOutSize(h, c.KH, c.StrideH, c.PadH)
+	outW := tensor.ConvOutSize(w, c.KW, c.StrideW, c.PadW)
+	if outH == 0 || outW == 0 {
+		panic(fmt.Sprintf("nn: %s forward shape %v: %d×%d kernel does not fit the input padded by %d×%d", c.name, x.Shape(), c.KH, c.KW, c.PadH, c.PadW))
+	}
+	if c.StrideH == 1 && c.StrideW == 1 && (c.pack == nil || c.pack.H != h || c.pack.W != w) {
+		c.pack = tensor.NewConvPack(c.InC, c.OutC, h, w, c.KH, c.KW, c.PadH, c.PadW)
+	}
 	c.lastInput = x
-	c.lastH, c.lastW = h, w
-	c.outH = tensor.ConvOutSize(h, c.KH, c.StrideH, c.PadH)
-	c.outW = tensor.ConvOutSize(w, c.KW, c.StrideW, c.PadW)
-	colRows := c.InC * c.KH * c.KW
-	colN := c.outH * c.outW
-	chunks := kernels.GradChunks(n)
-	c.ensureScratch(chunks, colRows*colN, false)
-	out := tensor.New(n, c.OutC, c.outH, c.outW)
-	inPlane := c.InC * h * w
-	outPlane := c.OutC * colN
-	kernels.RunChunks(n, chunks, func(ci, lo, hi int) {
-		cols := c.scratch[ci].cols[:colRows*colN]
-		for i := lo; i < hi; i++ {
-			src := x.Data[i*inPlane : (i+1)*inPlane]
-			tensor.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
-			dst := out.Data[i*outPlane : (i+1)*outPlane]
-			tensor.Gemm(false, false, c.OutC, colN, colRows, 1, c.Weight.Value.Data, cols, 0, dst)
-			if c.Bias != nil {
-				for oc := 0; oc < c.OutC; oc++ {
-					b := c.Bias.Value.Data[oc]
-					row := dst[oc*colN : (oc+1)*colN]
-					for j := range row {
-						row[j] += b
-					}
+	c.lastH, c.lastW, c.outH, c.outW = h, w, outH, outW
+	c.out = tensor.Reuse(c.out, n, c.OutC, outH, outW)
+	// The fixed kernels.GradChunks partition, one pool task per chunk: what
+	// the weight gradient's fold order hangs on.
+	c.chunks = kernels.GradChunks(n)
+	c.ensureScratch(false)
+	kernels.Run(c.chunks, c.fwdTask)
+	return c.out
+}
+
+// forwardChunk computes the outputs of one chunk's images.
+func (c *Conv2D) forwardChunk(ci int) {
+	lo, hi := kernels.ChunkBounds(c.lastInput.Dim(0), c.chunks, ci)
+	lowered := c.scratch[ci].image
+	x, weights := c.lastInput, c.Weight.Value.Data
+	colRows, colN := c.InC*c.KH*c.KW, c.outH*c.outW
+	inPlane, outPlane := c.InC*c.lastH*c.lastW, c.OutC*colN
+	for i := lo; i < hi; i++ {
+		src := x.Data[i*inPlane : (i+1)*inPlane]
+		dst := c.out.Data[i*outPlane : (i+1)*outPlane]
+		if c.pack != nil {
+			c.pack.PackInput(lowered, src)
+			c.pack.Forward(weights, lowered, dst)
+		} else {
+			tensor.Im2Col(src, c.InC, c.lastH, c.lastW, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, lowered)
+			tensor.Gemm(false, false, c.OutC, colN, colRows, 1, weights, lowered, 0, dst)
+		}
+		if c.Bias != nil {
+			for oc := 0; oc < c.OutC; oc++ {
+				b := c.Bias.Value.Data[oc]
+				row := dst[oc*colN : (oc+1)*colN]
+				for j := range row {
+					row[j] += b
 				}
 			}
 		}
-	})
-	return out
+	}
 }
 
-// Backward implements Layer. The returned gradient tensor is owned by the
-// layer and reused on the next Backward call; callers must consume it before
-// then (the per-step training loop does).
+// Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
 	if x == nil {
 		panic("nn: " + c.name + " Backward before Forward")
 	}
-	n, h, w := x.Dim(0), c.lastH, c.lastW
-	colRows := c.InC * c.KH * c.KW
-	colN := c.outH * c.outW
-	inPlane := c.InC * h * w
-	outPlane := c.OutC * colN
-	if c.gradIn == nil || c.gradIn.NumDims() != 4 || c.gradIn.Dim(0) != n ||
-		c.gradIn.Dim(1) != c.InC || c.gradIn.Dim(2) != h || c.gradIn.Dim(3) != w {
-		c.gradIn = tensor.New(n, c.InC, h, w)
+	n := x.Dim(0)
+	if gradOut.NumDims() != 4 || gradOut.Dim(0) != n || gradOut.Dim(1) != c.OutC || gradOut.Dim(2) != c.outH || gradOut.Dim(3) != c.outW {
+		panic(fmt.Sprintf("nn: %s backward gradient shape %v, forward produced [%d %d %d %d]", c.name, gradOut.Shape(), n, c.OutC, c.outH, c.outW))
 	}
-	gradIn := c.gradIn
-	chunks := kernels.GradChunks(n)
-	c.ensureScratch(chunks, colRows*colN, true)
-	wLen := c.Weight.Value.Len()
-	kernels.RunChunks(n, chunks, func(ci, lo, hi int) {
-		s := &c.scratch[ci]
-		cols := s.cols[:colRows*colN]
-		gradCols := s.gradCols[:colRows*colN]
-		dW := s.dW[:wLen]
-		for i := range dW {
-			dW[i] = 0
-		}
-		var dB []float32
-		if c.Bias != nil {
-			dB = s.dB[:c.OutC]
-			for i := range dB {
-				dB[i] = 0
-			}
-		}
-		for i := lo; i < hi; i++ {
-			src := x.Data[i*inPlane : (i+1)*inPlane]
-			g := gradOut.Data[i*outPlane : (i+1)*outPlane]
-
-			// dW += g · colsᵀ, recomputing the columns (saves memory over
-			// caching all per-image column matrices, the standard recompute
-			// trade-off). Accumulates into the chunk's partial buffer.
-			tensor.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
-			tensor.Gemm(false, true, c.OutC, colRows, colN, 1, g, cols, 1, dW)
-
-			// dCols = Wᵀ · g, then scatter back to the input gradient. The
-			// reused gradIn must present Col2Im a zeroed adjoint target.
-			tensor.Gemm(true, false, colRows, colN, c.OutC, 1, c.Weight.Value.Data, g, 0, gradCols)
-			gi := gradIn.Data[i*inPlane : (i+1)*inPlane]
-			for j := range gi {
-				gi[j] = 0
-			}
-			tensor.Col2Im(gradCols, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, gi)
-
-			if dB != nil {
-				for oc := 0; oc < c.OutC; oc++ {
-					var sum float32
-					row := g[oc*colN : (oc+1)*colN]
-					for _, v := range row {
-						sum += v
-					}
-					dB[oc] += sum
-				}
-			}
-		}
-	})
+	c.gradIn = tensor.Reuse(c.gradIn, n, c.InC, c.lastH, c.lastW)
+	if n == 0 {
+		return c.gradIn // no chunk ran, so no partial holds this step's gradient
+	}
+	c.gradOut = gradOut
+	c.ensureScratch(true)
+	kernels.Run(c.chunks, c.bwdTask)
+	c.gradOut = nil
 	// Fold the partials in chunk order — ascending chunks cover ascending
 	// image ranges, so the fold is the fixed-image-order left fold no matter
 	// how many workers computed the partials. Parallel over weight elements:
 	// each element's chunk-order sum is independent.
-	kernels.RunRange(wLen, 4096, func(lo, hi int) {
-		wg := c.Weight.Grad.Data
-		for ci := 0; ci < chunks; ci++ {
-			dW := c.scratch[ci].dW
-			for j := lo; j < hi; j++ {
-				wg[j] += dW[j]
-			}
-		}
-	})
+	kernels.RunRange(c.Weight.Value.Len(), 4096, c.foldTask)
 	if c.Bias != nil {
 		bg := c.Bias.Grad.Data
-		for ci := 0; ci < chunks; ci++ {
+		for ci := range c.scratch[:c.chunks] {
 			for j, v := range c.scratch[ci].dB[:c.OutC] {
 				bg[j] += v
 			}
 		}
 	}
-	return gradIn
+	return c.gradIn
+}
+
+// backwardChunk accumulates the weight and bias gradients of one chunk's
+// images into the chunk's partials and writes their input gradients.
+func (c *Conv2D) backwardChunk(ci int) {
+	lo, hi := kernels.ChunkBounds(c.lastInput.Dim(0), c.chunks, ci)
+	s := &c.scratch[ci]
+	x, weights := c.lastInput, c.Weight.Value.Data
+	h, w := c.lastH, c.lastW
+	colRows, colN := c.InC*c.KH*c.KW, c.outH*c.outW
+	inPlane, outPlane := c.InC*h*w, c.OutC*colN
+	dW := s.dW[:len(weights)]
+	var dB []float32
+	if c.Bias != nil {
+		dB = s.dB[:c.OutC]
+		clear(dB)
+	}
+	for i := lo; i < hi; i++ {
+		src := x.Data[i*inPlane : (i+1)*inPlane]
+		g := c.gradOut.Data[i*outPlane : (i+1)*outPlane]
+		gi := c.gradIn.Data[i*inPlane : (i+1)*inPlane]
+		// The chunk's first image stores its weight gradient (beta 0: 0 + the
+		// sum, what adding it to a cleared partial gives) and the rest add to
+		// it, so the partial is never cleared.
+		first := i == lo
+		beta := float32(1)
+		if first {
+			beta = 0
+		}
+		// The lowered image is recomputed, not cached from Forward (saves
+		// holding one per image, the standard recompute trade-off).
+		if c.pack != nil {
+			c.pack.PackInput(s.image, src)
+			c.pack.GradWeight(g, s.image, dW, !first)
+			c.pack.PackGradOut(s.grad, g)
+			c.pack.GradInput(weights, s.grad, gi)
+		} else {
+			// dW += g · colsᵀ; dCols = Wᵀ · g, scattered back onto a cleared
+			// input gradient.
+			tensor.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, s.image)
+			tensor.Gemm(false, true, c.OutC, colRows, colN, 1, g, s.image, beta, dW)
+			tensor.Gemm(true, false, colRows, colN, c.OutC, 1, weights, g, 0, s.grad)
+			clear(gi)
+			tensor.Col2Im(s.grad, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, gi)
+		}
+		if dB != nil {
+			for oc := 0; oc < c.OutC; oc++ {
+				var sum float32
+				row := g[oc*colN : (oc+1)*colN]
+				for _, v := range row {
+					sum += v
+				}
+				dB[oc] += sum
+			}
+		}
+	}
+}
+
+// foldWeightGrad adds every chunk's partial into weight-gradient elements
+// [lo,hi), in chunk order.
+func (c *Conv2D) foldWeightGrad(lo, hi int) {
+	wg := c.Weight.Grad.Data[lo:hi]
+	for ci := range c.scratch[:c.chunks] {
+		kernels.AddInto(wg, c.scratch[ci].dW[lo:hi])
+	}
 }

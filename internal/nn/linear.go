@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -13,6 +14,7 @@ type Linear struct {
 	In, Out      int
 	Weight, Bias *Param
 	lastInput    *tensor.Tensor
+	out, gradIn  *tensor.Tensor // layer-owned results, reused while the shape repeats
 }
 
 // NewLinear constructs a fully-connected layer with Kaiming init.
@@ -39,7 +41,8 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n := x.Dim(0)
 	l.lastInput = x
-	out := tensor.New(n, l.Out)
+	l.out = tensor.Reuse(l.out, n, l.Out)
+	out := l.out
 	// y (n×out) = x (n×in) · Wᵀ (in×out); W stored out×in so transB.
 	tensor.Gemm(false, true, n, l.Out, l.In, 1, x.Data, l.Weight.Value.Data, 0, out.Data)
 	for i := 0; i < n; i++ {
@@ -68,15 +71,18 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dx (n×in) = g (n×out) · W (out×in)
-	gradIn := tensor.New(n, l.In)
-	tensor.Gemm(false, false, n, l.In, l.Out, 1, gradOut.Data, l.Weight.Value.Data, 0, gradIn.Data)
-	return gradIn
+	l.gradIn = tensor.Reuse(l.gradIn, n, l.In)
+	tensor.Gemm(false, false, n, l.In, l.Out, 1, gradOut.Data, l.Weight.Value.Data, 0, l.gradIn.Data)
+	return l.gradIn
 }
 
 // Flatten reshapes (N, C, H, W) to (N, C*H*W) ahead of a Linear layer.
 type Flatten struct {
 	name      string
 	lastShape []int
+	// The two views are reused while the shapes repeat; only their Data is
+	// repointed at the tensor being viewed.
+	out, gradIn *tensor.Tensor
 }
 
 // NewFlatten constructs a flattening layer.
@@ -90,14 +96,23 @@ func (f *Flatten) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if f.out != nil && slices.Equal(f.lastShape, x.Shape()) {
+		f.out.Data = x.Data
+		return f.out
+	}
 	f.lastShape = append(f.lastShape[:0], x.Shape()...)
 	n := x.Dim(0)
-	return x.MustView(n, x.Len()/maxInt(n, 1))
+	f.out, f.gradIn = x.MustView(n, x.Len()/maxInt(n, 1)), nil
+	return f.out
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return gradOut.MustView(f.lastShape...)
+	if f.gradIn == nil || len(f.gradIn.Data) != len(gradOut.Data) {
+		f.gradIn = gradOut.MustView(f.lastShape...)
+	}
+	f.gradIn.Data = gradOut.Data
+	return f.gradIn
 }
 
 func maxInt(a, b int) int {

@@ -12,8 +12,8 @@ import (
 // is the LogSoftMax+ClassNLLCriterion pair whose evaluation the paper's
 // optimized Data-Parallel Table moves onto every GPU (Section 4.3).
 type SoftmaxCrossEntropy struct {
-	probs  *tensor.Tensor
-	labels []int
+	probs, grad *tensor.Tensor // reused while the batch shape repeats
+	labels      []int
 }
 
 // NewSoftmaxCrossEntropy constructs the criterion.
@@ -29,7 +29,7 @@ func (s *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) (floa
 	if len(labels) != n {
 		return 0, fmt.Errorf("nn: criterion got %d labels for batch %d", len(labels), n)
 	}
-	s.probs = tensor.New(n, k)
+	s.probs = tensor.Reuse(s.probs, n, k)
 	s.labels = append(s.labels[:0], labels...)
 	var loss float64
 	for i := 0; i < n; i++ {
@@ -65,12 +65,15 @@ func (s *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) (floa
 }
 
 // Backward returns dLoss/dLogits for the last Forward: (softmax - onehot)/N.
+// The tensor is the criterion's own, valid until the next Backward.
 func (s *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 	if s.probs == nil {
 		panic("nn: criterion Backward before Forward")
 	}
 	n, k := s.probs.Dim(0), s.probs.Dim(1)
-	grad := s.probs.Clone()
+	s.grad = tensor.Reuse(s.grad, n, k)
+	grad := s.grad
+	copy(grad.Data, s.probs.Data)
 	invN := float32(1) / float32(n)
 	for i := 0; i < n; i++ {
 		grad.Data[i*k+s.labels[i]] -= 1

@@ -24,6 +24,8 @@ type LRN struct {
 	denom     []float32   // (k + alpha/n·sum)^beta per element
 	sums      []float32   // raw windowed square sums per element
 	ratio     [][]float32 // per-chunk Backward scratch, reused across steps
+
+	out, gradIn *tensor.Tensor // layer-owned results, reused while the shape repeats
 }
 
 // NewLRN constructs an LRN layer with the AlexNet constants.
@@ -47,7 +49,8 @@ func (l *LRN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	l.lastInput = x
-	out := tensor.New(n, c, h, w)
+	l.out = tensor.Reuse(l.out, n, c, h, w)
+	out := l.out
 	if len(l.denom) < x.Len() {
 		l.denom = make([]float32, x.Len())
 		l.sums = make([]float32, x.Len())
@@ -97,7 +100,8 @@ func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	hw := h * w
 	half := l.Size / 2
 	scale := l.Alpha / float32(l.Size)
-	gradIn := tensor.New(n, c, h, w)
+	l.gradIn = tensor.Reuse(l.gradIn, n, c, h, w)
+	gradIn := l.gradIn
 	// ratio[c] = dy[c]·x[c]/(s[c]^(β+1)) precomputed per position, one
 	// layer-owned scratch row per batch chunk (reused across steps — no
 	// per-call allocation).

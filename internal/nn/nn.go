@@ -1,9 +1,10 @@
 // Package nn implements neural-network layers with full forward and backward
-// passes on NCHW float32 tensors: convolution (im2col+GEMM), batch
-// normalization, pooling, linear, ReLU, dropout and the softmax cross-entropy
-// criterion. It replaces the cuDNN kernels the paper's Torch stack schedules;
-// the layer/criterion split mirrors Torch so the Data-Parallel Table engine
-// in internal/dpt can reproduce the paper's scheduling structure.
+// passes on NCHW float32 tensors: convolution (packed at stride 1, im2col+GEMM
+// otherwise), batch normalization, pooling, linear, ReLU, dropout and the
+// softmax cross-entropy criterion. It replaces the cuDNN kernels the paper's
+// Torch stack schedules; the layer/criterion split mirrors Torch so the
+// Data-Parallel Table engine in internal/dpt can reproduce the paper's
+// scheduling structure.
 package nn
 
 import (
@@ -36,6 +37,16 @@ type Param struct {
 // with a gradient of the same shape as Forward's output, and returns the
 // gradient with respect to Forward's input. Layers cache whatever they need
 // from the forward pass; a layer instance processes one batch at a time.
+//
+// Activation lifetime: the tensor Forward returns and the tensor Backward
+// returns belong to the layer, which reuses them while the shape repeats (a
+// shape change — a last short batch, train/eval alternation — reallocates).
+// Each is valid until that layer's next Forward, respectively Backward; a
+// caller that wants one step's result across the next clones it. The next
+// layer may keep a pointer to its input until its own Backward (that is
+// within the lifetime) and a container may add into a child's result in
+// place. Every layer therefore writes every element of what it returns,
+// zeros included — nothing relies on a fresh allocation being clear.
 type Layer interface {
 	// Forward computes the layer output. train selects training behaviour
 	// (batch statistics, active dropout).

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,15 +39,64 @@ func TestConvOutputShape(t *testing.T) {
 	}
 }
 
+// panicMessage runs fn and returns what it panicked with ("" if it returned).
+func panicMessage(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
 func TestConvShapeMismatchPanics(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	conv := NewConv2D("c", 3, 4, 3, 3, 1, 1, 1, 1, ConvOpts{}, rng)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong channel count did not panic")
+	if panicMessage(func() { conv.Forward(tensor.New(1, 2, 5, 5), false) }) == "" {
+		t.Fatal("wrong channel count did not panic")
+	}
+	// A kernel that does not fit the padded input must be refused by the
+	// layer, by name — not lowered into a window hanging off the edge
+	// (stride 2) or surface as a negative dimension (stride 1).
+	for _, tc := range []struct {
+		layer Layer
+		x     *tensor.Tensor
+	}{
+		{NewConv2D("narrow", 3, 4, 3, 3, 2, 2, 0, 0, ConvOpts{}, rng), tensor.New(1, 3, 2, 2)},
+		{NewConv2D("narrow", 3, 4, 3, 3, 1, 1, 0, 0, ConvOpts{}, rng), tensor.New(1, 3, 5, 1)},
+		{NewMaxPool2D("narrow", 3, 3, 2, 2, 0, 0), tensor.New(1, 3, 2, 2)},
+		{NewAvgPool2D("narrow", 3, 3, 1, 1, 0, 0), tensor.New(1, 3, 1, 4)},
+	} {
+		msg := panicMessage(func() { tc.layer.Forward(tc.x, false) })
+		if !strings.Contains(msg, "narrow") || !strings.Contains(msg, fmt.Sprint(tc.x.Shape())) || !strings.Contains(msg, "3×3") {
+			t.Fatalf("%T over %v: panic %q, want the layer name, input shape and kernel", tc.layer, tc.x.Shape(), msg)
 		}
-	}()
-	conv.Forward(tensor.New(1, 2, 5, 5), false)
+	}
+}
+
+// TestBackwardGradientShapeChecked: Conv2D and BatchNorm2D index gradOut by
+// the geometry Forward cached, so a gradient of any other shape must be
+// refused on the caller's goroutine, naming the layer and both shapes — not
+// silently truncated, and not an index panic inside a pool task.
+func TestBackwardGradientShapeChecked(t *testing.T) {
+	rng := tensor.NewRNG(2)
+	x := tensor.New(2, 3, 6, 6)
+	rng.FillNormal(x, 0, 1)
+	for _, l := range []Layer{
+		NewConv2D("checked", 3, 4, 3, 3, 1, 1, 1, 1, ConvOpts{}, rng),
+		NewConv2D("checked", 3, 4, 3, 3, 2, 2, 1, 1, ConvOpts{}, rng),
+		NewBatchNorm2D("checked", 3, rng),
+	} {
+		want := l.Forward(x, true).Shape()
+		for _, bad := range [][]int{{2, want[1], want[2] + 1, want[3]}, {1, want[1], want[2], want[3]}, {2, want[1], want[2] * want[3]}} {
+			msg := panicMessage(func() { l.Backward(tensor.New(bad...)) })
+			if !strings.Contains(msg, "checked") || !strings.Contains(msg, fmt.Sprint(bad)) || !strings.Contains(msg, fmt.Sprint(want)) {
+				t.Fatalf("%T backward with %v after forward %v: panic %q, want the layer name and both shapes", l, bad, want, msg)
+			}
+		}
+		l.Backward(tensor.New(want...)) // the right shape still goes through
+	}
 }
 
 func TestBatchNormNormalizesTrainOutput(t *testing.T) {

@@ -10,7 +10,20 @@ import (
 
 // Pooling layers parallelize across batch images on the shared kernels
 // pool: every image's output (and argmax/gradient) range is disjoint, so
-// the parallel schedule is bitwise identical to the serial loop.
+// the parallel schedule is bitwise identical to the serial loop. Each layer
+// owns the tensors its Forward and Backward return and reuses them while the
+// shape repeats, so every element is written, zeros included.
+
+// poolOutSize returns the output size of a pooling window over x, or panics
+// naming the layer when the window does not fit the padded input.
+func poolOutSize(name string, x *tensor.Tensor, kh, kw, strideH, strideW, padH, padW int) (oh, ow int) {
+	oh = tensor.ConvOutSize(x.Dim(2), kh, strideH, padH)
+	ow = tensor.ConvOutSize(x.Dim(3), kw, strideW, padW)
+	if oh == 0 || ow == 0 {
+		panic(fmt.Sprintf("nn: %s forward shape %v: %d×%d window does not fit the input padded by %d×%d", name, x.Shape(), kh, kw, padH, padW))
+	}
+	return oh, ow
+}
 
 // MaxPool2D is a max pooling layer over NCHW input.
 type MaxPool2D struct {
@@ -19,8 +32,9 @@ type MaxPool2D struct {
 	StrideH, StrideW int
 	PadH, PadW       int
 
-	lastShape []int
-	argmax    []int32 // flat input index chosen for each output element
+	lastShape   []int
+	argmax      []int32 // flat input index chosen for each output element
+	out, gradIn *tensor.Tensor
 }
 
 // NewMaxPool2D constructs a max pool with the given geometry.
@@ -40,10 +54,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s forward shape %v, want 4-D", p.name, x.Shape()))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := tensor.ConvOutSize(h, p.KH, p.StrideH, p.PadH)
-	ow := tensor.ConvOutSize(w, p.KW, p.StrideW, p.PadW)
-	out := tensor.New(n, c, oh, ow)
-	p.lastShape = []int{n, c, h, w}
+	oh, ow := poolOutSize(p.name, x, p.KH, p.KW, p.StrideH, p.StrideW, p.PadH, p.PadW)
+	p.out = tensor.Reuse(p.out, n, c, oh, ow)
+	out := p.out
+	p.lastShape = append(p.lastShape[:0], n, c, h, w)
 	if len(p.argmax) < out.Len() {
 		p.argmax = make([]int32, out.Len())
 	}
@@ -90,11 +104,13 @@ func (p *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if p.lastShape == nil {
 		panic("nn: " + p.name + " Backward before Forward")
 	}
-	gradIn := tensor.New(p.lastShape...)
+	p.gradIn = tensor.Reuse(p.gradIn, p.lastShape...)
+	gradIn := p.gradIn
 	n := p.lastShape[0]
-	perImage := gradOut.Len() / n
+	perImage, inPerImage := gradOut.Len()/n, gradIn.Len()/n
 	kernels.Run(n, func(i int) {
 		lo := i * perImage
+		clear(gradIn.Data[i*inPerImage : (i+1)*inPerImage])
 		for oi, g := range gradOut.Data[lo : lo+perImage] {
 			if idx := p.argmax[lo+oi]; idx >= 0 {
 				gradIn.Data[idx] += g
@@ -116,7 +132,8 @@ type AvgPool2D struct {
 	// for SpatialAveragePooling without the :setCountExcludePad flag).
 	CountIncludePad bool
 
-	lastShape []int
+	lastShape   []int
+	out, gradIn *tensor.Tensor
 }
 
 // NewAvgPool2D constructs an average pool.
@@ -136,10 +153,10 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s forward shape %v, want 4-D", p.name, x.Shape()))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := tensor.ConvOutSize(h, p.KH, p.StrideH, p.PadH)
-	ow := tensor.ConvOutSize(w, p.KW, p.StrideW, p.PadW)
-	out := tensor.New(n, c, oh, ow)
-	p.lastShape = []int{n, c, h, w}
+	oh, ow := poolOutSize(p.name, x, p.KH, p.KW, p.StrideH, p.StrideW, p.PadH, p.PadW)
+	p.out = tensor.Reuse(p.out, n, c, oh, ow)
+	out := p.out
+	p.lastShape = append(p.lastShape[:0], n, c, h, w)
 	kernels.Run(n, func(i int) {
 		oi := i * c * oh * ow
 		for ch := 0; ch < c; ch++ {
@@ -162,6 +179,8 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					}
 					if count > 0 {
 						out.Data[oi] = sum / float32(count)
+					} else {
+						out.Data[oi] = 0
 					}
 					oi++
 				}
@@ -179,11 +198,13 @@ func (p *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	n, c, h, w := p.lastShape[0], p.lastShape[1], p.lastShape[2], p.lastShape[3]
 	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
-	gradIn := tensor.New(n, c, h, w)
+	p.gradIn = tensor.Reuse(p.gradIn, n, c, h, w)
+	gradIn := p.gradIn
 	kernels.Run(n, func(i int) {
 		oi := i * c * oh * ow
 		for ch := 0; ch < c; ch++ {
 			plane := gradIn.Data[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
+			clear(plane)
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
 					// Recompute the divisor exactly as Forward did.
@@ -228,8 +249,9 @@ func (p *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // GlobalAvgPool averages each channel plane to a single value, producing
 // (N, C, 1, 1).
 type GlobalAvgPool struct {
-	name      string
-	lastShape []int
+	name        string
+	lastShape   []int
+	out, gradIn *tensor.Tensor
 }
 
 // NewGlobalAvgPool constructs a global average pool.
@@ -244,8 +266,9 @@ func (p *GlobalAvgPool) Params() []*Param { return nil }
 // Forward implements Layer.
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	p.lastShape = []int{n, c, h, w}
-	out := tensor.New(n, c, 1, 1)
+	p.lastShape = append(p.lastShape[:0], n, c, h, w)
+	p.out = tensor.Reuse(p.out, n, c, 1, 1)
+	out := p.out
 	hw := float32(h * w)
 	kernels.RunRange(n*c, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -262,7 +285,8 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (p *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := p.lastShape[0], p.lastShape[1], p.lastShape[2], p.lastShape[3]
-	gradIn := tensor.New(n, c, h, w)
+	p.gradIn = tensor.Reuse(p.gradIn, n, c, h, w)
+	gradIn := p.gradIn
 	hw := float32(h * w)
 	kernels.RunRange(n*c, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

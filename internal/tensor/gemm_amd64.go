@@ -84,3 +84,45 @@ func gemmTileAVX2(transA, transB bool, rlo, rhi, clo, chi, fullM, fullN, k int, 
 		}
 	}
 }
+
+//go:noescape
+func tapAxpyAVX2(c *float32, n int, a *float32, astride, k int, b *float32, offs *int, add bool)
+
+// tapAxpy is ConvPack's axpy: c[j] = Σ_p a[p·astride]·b[offs[p]+j], added to
+// c[j] when add is set — see tapAxpyPortable. The caller has checked that
+// every window offs[p]+len(c) lies inside b and every a[p·astride] inside a.
+func tapAxpy(c, a []float32, astride int, b []float32, offs []int, add bool) {
+	if kernels.UseAVX2 && len(c) > 0 && len(offs) > 0 {
+		tapAxpyAVX2(&c[0], len(c), &a[0], astride, len(offs), &b[0], &offs[0], add)
+		return
+	}
+	tapAxpyPortable(c, a, astride, b, offs, add)
+}
+
+//go:noescape
+func dotTapsAVX2(k int, a *float32, sai, rows int, b *float32, offs *int, c *float32, ldc, lane0 int, add bool)
+
+// gradWeightRows is GradWeight's output channels [lo,hi): the NT loop of
+// gemmTileAVX2 — eight taps a kernel call, the last block moved left to end
+// at the last tap — with B's rows found through the tap offsets.
+func (g *ConvPack) gradWeightRows(lo, hi int, gradOut, xpack, partial []float32, add bool) {
+	k, n := len(g.tapOffs), g.OutH*g.OutW
+	if !kernels.UseAVX2 || k < 8 {
+		g.gradWeightRowsPortable(lo, hi, gradOut, xpack, partial, add)
+		return
+	}
+	for j := 0; j < k; j += 8 {
+		lane0 := 0
+		if j+8 > k {
+			lane0 = j + 8 - k
+			j = k - 8
+		}
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			dotTapsAVX2(n, &gradOut[i*n], n, 4, &xpack[0], &g.tapOffs[j], &partial[i*k+j], k, lane0, add)
+		}
+		for ; i < hi; i++ {
+			dotTapsAVX2(n, &gradOut[i*n], n, 1, &xpack[0], &g.tapOffs[j], &partial[i*k+j], k, lane0, add)
+		}
+	}
+}

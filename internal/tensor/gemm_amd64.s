@@ -189,6 +189,203 @@ done:
 	VZEROUPPER
 	RET
 
+// The tap axpy forms each block's sums in registers from +0 and walks B
+// through a table of row offsets instead of a leading dimension: BX steps
+// through the table, R12 is the current B row at the block's first column.
+#define TAP_RESET \
+	MOVQ SI, R11; \
+	MOVQ R10, BX; \
+	MOVQ R9, R13
+
+// TAP_S is AXPY_S without the alpha product (the convolution's alpha is 1,
+// and 1*a is a bit for bit): s = a[p] broadcast to Y8, or a jump to skip
+// when s == 0. It first points R12 at B row p.
+#define TAP_S(skip) \
+	MOVQ      (BX), R12; \
+	LEAQ      (DX)(R12*4), R12; \
+	VMOVSS    (R11), X8; \
+	VUCOMISS  X14, X8; \
+	JNE       2(PC); \
+	JPC       skip; \
+	VBROADCASTSS X8, Y8
+
+#define TAP_NEXT(loop) \
+	ADDQ R8, R11; \
+	ADDQ $8, BX; \
+	DECQ R13; \
+	JNZ  loop
+
+// TAP_ADDC adds the C values at off(DI) to a block's sums: c + sum.
+#define TAP_ADDC(off, acc, tmp) \
+	VMOVUPS off(DI), tmp; \
+	VADDPS  acc, tmp, acc
+
+// func tapAxpyAVX2(c *float32, n int, a *float32, astride, k int, b *float32, offs *int, add bool)
+//
+// c[j] = sum_p a[p*astride] * b[offs[p]+j] for j in [0,n) — or c[j] plus that
+// sum when add is set — each sum formed from +0 over ascending p in [0,k),
+// skipping every p whose A element is zero. k is at least 1. The column
+// blocks are axpyRowAVX2's.
+TEXT ·tapAxpyAVX2(SB), NOSPLIT, $0-57
+	MOVQ  c+0(FP), DI
+	MOVQ  n+8(FP), CX
+	MOVQ  a+16(FP), SI
+	MOVQ  astride+24(FP), R8
+	MOVQ  k+32(FP), R9
+	MOVQ  b+40(FP), DX
+	MOVQ  offs+48(FP), R10
+	SHLQ  $2, R8
+	VXORPS X14, X14, X14
+
+tblock64:
+	CMPQ CX, $64
+	JLT  tblock32
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TAP_RESET
+tloop64:
+	TAP_S(tskip64)
+	MADD(0, Y0, Y9)
+	MADD(32, Y1, Y10)
+	MADD(64, Y2, Y11)
+	MADD(96, Y3, Y12)
+	MADD(128, Y4, Y9)
+	MADD(160, Y5, Y10)
+	MADD(192, Y6, Y11)
+	MADD(224, Y7, Y12)
+tskip64:
+	TAP_NEXT(tloop64)
+	CMPB add+56(FP), $0
+	JEQ  tstore64
+	TAP_ADDC(0, Y0, Y9)
+	TAP_ADDC(32, Y1, Y10)
+	TAP_ADDC(64, Y2, Y11)
+	TAP_ADDC(96, Y3, Y12)
+	TAP_ADDC(128, Y4, Y9)
+	TAP_ADDC(160, Y5, Y10)
+	TAP_ADDC(192, Y6, Y11)
+	TAP_ADDC(224, Y7, Y12)
+tstore64:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $64, CX
+	JMP  tblock64
+
+tblock32:
+	CMPQ CX, $32
+	JLT  tblock16
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	TAP_RESET
+tloop32:
+	TAP_S(tskip32)
+	MADD(0, Y0, Y9)
+	MADD(32, Y1, Y10)
+	MADD(64, Y2, Y11)
+	MADD(96, Y3, Y12)
+tskip32:
+	TAP_NEXT(tloop32)
+	CMPB add+56(FP), $0
+	JEQ  tstore32
+	TAP_ADDC(0, Y0, Y9)
+	TAP_ADDC(32, Y1, Y10)
+	TAP_ADDC(64, Y2, Y11)
+	TAP_ADDC(96, Y3, Y12)
+tstore32:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, CX
+
+tblock16:
+	CMPQ CX, $16
+	JLT  tblock8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	TAP_RESET
+tloop16:
+	TAP_S(tskip16)
+	MADD(0, Y0, Y9)
+	MADD(32, Y1, Y10)
+tskip16:
+	TAP_NEXT(tloop16)
+	CMPB add+56(FP), $0
+	JEQ  tstore16
+	TAP_ADDC(0, Y0, Y9)
+	TAP_ADDC(32, Y1, Y10)
+tstore16:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $16, CX
+
+tblock8:
+	CMPQ CX, $8
+	JLT  ttail
+	VXORPS Y0, Y0, Y0
+	TAP_RESET
+tloop8:
+	TAP_S(tskip8)
+	MADD(0, Y0, Y9)
+tskip8:
+	TAP_NEXT(tloop8)
+	CMPB add+56(FP), $0
+	JEQ  tstore8
+	TAP_ADDC(0, Y0, Y9)
+tstore8:
+	VMOVUPS Y0, 0(DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, CX
+
+ttail:
+	// The last n%8 columns through masked loads and a masked store.
+	TESTQ CX, CX
+	JZ    tdone
+	LEAQ  lanemask<>+64(SB), AX
+	SHLQ  $2, CX
+	SUBQ  CX, AX
+	VMOVDQU (AX), Y13
+	VXORPS Y0, Y0, Y0
+	TAP_RESET
+tlooptail:
+	TAP_S(tskiptail)
+	VMASKMOVPS (R12), Y13, Y9
+	VMULPS Y9, Y8, Y9
+	VADDPS Y9, Y0, Y0
+tskiptail:
+	TAP_NEXT(tlooptail)
+	CMPB add+56(FP), $0
+	JEQ  tstoretail
+	VMASKMOVPS (DI), Y13, Y9
+	VADDPS Y0, Y9, Y0
+tstoretail:
+	VMASKMOVPS Y0, Y13, (DI)
+
+tdone:
+	VZEROUPPER
+	RET
+
 // TRANSPOSE4 turns Y0..Y3 — each holding four consecutive k of B row r in
 // its low half and of B row r+4 in its high half — into Y0..Y3 each holding
 // one k of all eight B rows, lane j = row j. Y4..Y7 are scratch.
@@ -447,5 +644,161 @@ store1beta0:
 	RET
 store1beta1:
 	STORE_BETA1(Y8)
+	VZEROUPPER
+	RET
+
+// TAP_DOT4 is DOT4 for A rows contiguous along k: off is the byte offset of
+// this k within the current quad, and SI moves once per quad.
+#define TAP_DOT4(bt, off) \
+	VBROADCASTSS off(SI), Y12; \
+	VBROADCASTSS off(SI)(R8*1), Y13; \
+	VBROADCASTSS off(SI)(R8*2), Y14; \
+	VBROADCASTSS off(SI)(R9*1), Y15; \
+	VMULPS bt, Y12, Y12; \
+	VMULPS bt, Y13, Y13; \
+	VMULPS bt, Y14, Y14; \
+	VMULPS bt, Y15, Y15; \
+	VADDPS Y12, Y8, Y8; \
+	VADDPS Y13, Y9, Y9; \
+	VADDPS Y14, Y10, Y10; \
+	VADDPS Y15, Y11, Y11
+
+// TAP_FIRST lands a row of sums on C as the first image of a chunk does on a
+// cleared partial, 0 + sum; TAP_ACCUM as every later one, c + sum. Y7 is the
+// lane mask, Y4 zero, DI the row of C.
+#define TAP_FIRST(acc) \
+	VADDPS acc, Y4, acc; \
+	VMASKMOVPS acc, Y7, (DI)
+
+#define TAP_ACCUM(acc) \
+	VMASKMOVPS (DI), Y7, Y12; \
+	VADDPS acc, Y12, acc; \
+	VMASKMOVPS acc, Y7, (DI)
+
+// func dotTapsAVX2(k int, a *float32, sai, rows int, b *float32, offs *int, c *float32, ldc, lane0 int, add bool)
+//
+// dotTile4AVX2 with alpha 1 for B rows that sit at eight arbitrary offsets
+// from b (offs[0..8), in elements) instead of a leading dimension apart: lane
+// j of accumulator r sums a[r*sai+p] * b[offs[j]+p] for ascending p, k never
+// split, and lands as 0 + sum, or c + sum when add is set. rows is 4, or 1 —
+// then only the first row of C is stored (the other three accumulators
+// recompute row 0: sai is ignored).
+TEXT ·dotTapsAVX2(SB), NOSPLIT, $0-73
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+32(FP), DX
+	MOVQ offs+40(FP), R9
+	MOVQ 0(R9), AX
+	MOVQ 8(R9), BX
+	MOVQ 16(R9), DI
+	MOVQ 24(R9), R10
+	MOVQ 32(R9), R11
+	MOVQ 40(R9), R12
+	MOVQ 48(R9), R13
+	MOVQ 56(R9), R14
+	SHLQ $2, AX
+	SHLQ $2, BX
+	SHLQ $2, DI
+	SHLQ $2, R10
+	SHLQ $2, R11
+	SHLQ $2, R12
+	SHLQ $2, R13
+	SHLQ $2, R14
+	MOVQ sai+16(FP), R8
+	SHLQ $2, R8
+	CMPQ rows+24(FP), $4
+	JEQ  tapstrides
+	XORQ R8, R8
+tapstrides:
+	LEAQ (R8)(R8*2), R9
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	SHRQ $2, CX
+	JZ   taptail
+tapquad:
+	VMOVUPS     (DX)(AX*1), X0
+	VMOVUPS     (DX)(BX*1), X1
+	VMOVUPS     (DX)(DI*1), X2
+	VMOVUPS     (DX)(R10*1), X3
+	VINSERTF128 $1, (DX)(R11*1), Y0, Y0
+	VINSERTF128 $1, (DX)(R12*1), Y1, Y1
+	VINSERTF128 $1, (DX)(R13*1), Y2, Y2
+	VINSERTF128 $1, (DX)(R14*1), Y3, Y3
+	TRANSPOSE4
+	TAP_DOT4(Y0, 0)
+	TAP_DOT4(Y1, 4)
+	TAP_DOT4(Y2, 8)
+	TAP_DOT4(Y3, 12)
+	ADDQ $16, SI
+	ADDQ $16, DX
+	DECQ CX
+	JNZ  tapquad
+taptail:
+	// The last k%4 columns through a masked load.
+	MOVQ k+0(FP), CX
+	ANDQ $3, CX
+	JZ   tapstore
+	CMPQ CX, $2
+	JEQ  tapmask2
+	JGT  tapmask3
+	VMOVDQU lanemask<>+60(SB), X15
+	JMP  taploadtail
+tapmask2:
+	VMOVDQU lanemask<>+56(SB), X15
+	JMP  taploadtail
+tapmask3:
+	VMOVDQU lanemask<>+52(SB), X15
+taploadtail:
+	VMASKMOVPS  (DX)(AX*1), X15, X0
+	VMASKMOVPS  (DX)(BX*1), X15, X1
+	VMASKMOVPS  (DX)(DI*1), X15, X2
+	VMASKMOVPS  (DX)(R10*1), X15, X3
+	VMASKMOVPS  (DX)(R11*1), X15, X4
+	VMASKMOVPS  (DX)(R12*1), X15, X5
+	VMASKMOVPS  (DX)(R13*1), X15, X6
+	VMASKMOVPS  (DX)(R14*1), X15, X7
+	VINSERTF128 $1, X4, Y0, Y0
+	VINSERTF128 $1, X5, Y1, Y1
+	VINSERTF128 $1, X6, Y2, Y2
+	VINSERTF128 $1, X7, Y3, Y3
+	TRANSPOSE4
+	TAP_DOT4(Y0, 0)
+	DECQ CX
+	JZ   tapstore
+	TAP_DOT4(Y1, 4)
+	DECQ CX
+	JZ   tapstore
+	TAP_DOT4(Y2, 8)
+tapstore:
+	MOVQ c+48(FP), DI
+	MOVQ ldc+56(FP), AX
+	MOVQ lane0+64(FP), CX
+	DOT_STORE_SETUP
+	CMPB add+72(FP), $0
+	JNE  tapaccum
+	TAP_FIRST(Y8)
+	CMPQ rows+24(FP), $4
+	JNE  tapdone
+	ADDQ AX, DI
+	TAP_FIRST(Y9)
+	ADDQ AX, DI
+	TAP_FIRST(Y10)
+	ADDQ AX, DI
+	TAP_FIRST(Y11)
+	VZEROUPPER
+	RET
+tapaccum:
+	TAP_ACCUM(Y8)
+	CMPQ rows+24(FP), $4
+	JNE  tapdone
+	ADDQ AX, DI
+	TAP_ACCUM(Y9)
+	ADDQ AX, DI
+	TAP_ACCUM(Y10)
+	ADDQ AX, DI
+	TAP_ACCUM(Y11)
+tapdone:
 	VZEROUPPER
 	RET

@@ -11,3 +11,11 @@ func GemmKernel() string { return "portable" }
 func gemmTile(transA, transB bool, rlo, rhi, clo, chi, fullM, fullN, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	gemmTilePortable(transA, transB, rlo, rhi, clo, chi, fullM, fullN, k, alpha, a, b, beta, c)
 }
+
+func tapAxpy(c, a []float32, astride int, b []float32, offs []int, add bool) {
+	tapAxpyPortable(c, a, astride, b, offs, add)
+}
+
+func (g *ConvPack) gradWeightRows(lo, hi int, gradOut, xpack, partial []float32, add bool) {
+	g.gradWeightRowsPortable(lo, hi, gradOut, xpack, partial, add)
+}

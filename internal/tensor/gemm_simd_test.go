@@ -52,13 +52,6 @@ func hostileSlice(rng *rand.Rand, n int, hostile bool) []float32 {
 	return buf[off : off+n : off+n]
 }
 
-// sameBits reports bit equality, with every NaN equal to every other: which
-// operand's payload an x86 add or multiply of two NaNs keeps depends on the
-// operand order the compiler happened to pick, which Go does not define.
-func sameBits(x, y float32) bool {
-	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
-}
-
 // gemmBothKernels runs one product through Gemm twice — on the AVX2 kernels
 // and, with the kernels.UseAVX2 switch turned off around the call, on the pure-Go
 // ones — and returns the first mismatching index of C, or noMismatch. C sits

@@ -9,8 +9,8 @@ package tensor
 // the input row, so it is copied whole and only the padded edges are
 // zero-filled; other strides test each tap.
 func Im2Col(src []float32, channels, height, width, kh, kw, strideH, strideW, padH, padW int, dst []float32) (outH, outW int) {
-	outH = (height+2*padH-kh)/strideH + 1
-	outW = (width+2*padW-kw)/strideW + 1
+	outH = ConvOutSize(height, kh, strideH, padH)
+	outW = ConvOutSize(width, kw, strideW, padW)
 	cols := outH * outW
 	row := 0
 	for c := 0; c < channels; c++ {
@@ -84,8 +84,8 @@ func zeroFill(s []float32) {
 // row's in-bounds taps are added as one contiguous run, in the same ascending
 // order as the per-tap loop.
 func Col2Im(cols []float32, channels, height, width, kh, kw, strideH, strideW, padH, padW int, dst []float32) {
-	outH := (height+2*padH-kh)/strideH + 1
-	outW := (width+2*padW-kw)/strideW + 1
+	outH := ConvOutSize(height, kh, strideH, padH)
+	outW := ConvOutSize(width, kw, strideW, padW)
 	n := outH * outW
 	row := 0
 	for c := 0; c < channels; c++ {
@@ -129,7 +129,12 @@ func Col2Im(cols []float32, channels, height, width, kh, kw, strideH, strideW, p
 }
 
 // ConvOutSize returns the spatial output size of a convolution/pooling with
-// the given geometry.
+// the given geometry: 0 when the kernel does not fit inside the padded input
+// (Go's division truncates toward zero, so the bare formula would give 1 for
+// a window hanging one off the edge at stride 2, and -1 further out).
 func ConvOutSize(in, kernel, stride, pad int) int {
+	if in+2*pad < kernel {
+		return 0
+	}
 	return (in+2*pad-kernel)/stride + 1
 }

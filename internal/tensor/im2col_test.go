@@ -123,6 +123,18 @@ func TestConvOutSize(t *testing.T) {
 	if got := ConvOutSize(56, 1, 2, 0); got != 28 {
 		t.Fatalf("1x1 stride-2 out = %d, want 28", got)
 	}
+	// A kernel larger than the padded input has no output; integer division
+	// truncating toward zero must not turn -1/2 into a window.
+	for _, tc := range []struct{ in, kernel, stride, pad int }{
+		{2, 3, 2, 0}, {1, 3, 1, 0}, {1, 5, 1, 1}, {4, 7, 3, 1},
+	} {
+		if got := ConvOutSize(tc.in, tc.kernel, tc.stride, tc.pad); got != 0 {
+			t.Fatalf("ConvOutSize(%d, %d, %d, %d) = %d, want 0", tc.in, tc.kernel, tc.stride, tc.pad, got)
+		}
+	}
+	if got := ConvOutSize(1, 3, 2, 1); got != 1 {
+		t.Fatalf("kernel exactly filling the padded input out = %d, want 1", got)
+	}
 }
 
 func TestRNGDeterminism(t *testing.T) {

@@ -1,14 +1,18 @@
 // Package tensor implements dense float32 tensors and the numeric kernels
-// (matrix multiply, im2col, reductions, elementwise arithmetic) that the
-// neural-network layers in internal/nn are built on. It is a from-scratch,
-// stdlib-only substitute for the cuDNN/CUDA kernels used by the paper's Torch
-// stack; the layout is NCHW throughout, matching Torch.
+// (matrix multiply, the packed and im2col convolution lowerings, reductions,
+// elementwise arithmetic) that the neural-network layers in internal/nn are
+// built on. It is a from-scratch, stdlib-only substitute for the cuDNN/CUDA
+// kernels used by the paper's Torch stack; the layout is NCHW throughout,
+// matching Torch.
 package tensor
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+
+	"repro/internal/kernels"
 )
 
 // Tensor is a dense, row-major float32 tensor. The zero value is an empty
@@ -31,6 +35,19 @@ func New(shape ...int) *Tensor {
 		n *= d
 	}
 	return &Tensor{Data: make([]float32, n), shape: append([]int(nil), shape...)}
+}
+
+// Reuse returns t when it already has exactly the given shape and a fresh
+// zero-filled tensor otherwise (t may be nil). It is how a layer keeps the
+// tensor it returns across steps: the contents of a reused tensor are
+// whatever the last step left, so the caller writes every element.
+func Reuse(t *Tensor, shape ...int) *Tensor {
+	if t != nil && slices.Equal(t.shape, shape) {
+		return t
+	}
+	// New's panic message retains its argument; the copy keeps that from
+	// forcing every caller's shape list onto the heap.
+	return New(append([]int(nil), shape...)...)
 }
 
 // FromSlice wraps data in a tensor of the given shape without copying.
@@ -202,9 +219,7 @@ func (t *Tensor) Fill(v float32) {
 // Add adds u into t elementwise (t += u).
 func (t *Tensor) Add(u *Tensor) {
 	checkSameLen(t, u, "Add")
-	for i, v := range u.Data {
-		t.Data[i] += v
-	}
+	kernels.AddInto(t.Data, u.Data)
 }
 
 // Sub subtracts u from t elementwise (t -= u).
