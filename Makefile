@@ -40,7 +40,7 @@ allocs-baseline:
 		-allocs-baseline-update
 
 # Compute-kernel throughput (GEMM GFLOP/s, conv fwd+bwd step time at 1 worker
-# vs the full pool, codec, vector-add and SGD-step GB/s), gated against the committed
+# vs the full pool, ReLU and 2x2 max-pool, codec, vector-add and SGD-step GB/s), gated against the committed
 # BENCH_kernels.json baseline (fails if any throughput drops > 2x). The
 # baseline records the pool width and the GEMM kernel ("avx2" or "portable")
 # it was taken with, and the gate refuses to compare a run that differs in
@@ -53,10 +53,11 @@ kernels-baseline:
 	$(GO) run ./cmd/benchtool -procs 2 -kernels -kernels-baseline-update
 
 # The pure-Go kernels (GEMM, the packed convolution's tap axpy and dot, vector
-# add, momentum step), which an amd64 build otherwise never runs: the purego
-# tag is the one switch that forces them.
+# add, momentum step, rectify / add-rectify / gate, the 2x2 max pool), which an
+# amd64 build otherwise never runs: the purego tag is the one switch that
+# forces them.
 kernels-purego:
-	$(GO) test -tags purego ./internal/kernels ./internal/tensor ./internal/nn ./internal/sgd ./internal/mpi ./internal/allreduce ./internal/dpt ./internal/core
+	$(GO) test -tags purego ./internal/kernels ./internal/tensor ./internal/nn ./internal/models ./internal/sgd ./internal/mpi ./internal/allreduce ./internal/dpt ./internal/core
 
 # 20 s of each fuzz target, from its committed corpus: the SIMD-vs-portable
 # kernels, the packed convolution vs Im2Col+Gemm+Col2Im, then the DIMD decoders (window decode vs the dense reference, the

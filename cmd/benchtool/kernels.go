@@ -42,6 +42,14 @@ type convResult struct {
 	ImagesPerSec float64 `json:"images_per_sec"`
 }
 
+// layerResult is one pass of a layer between the convolutions, in GB/s of
+// input float bytes, at one worker and on the full pool.
+type layerResult struct {
+	Name      string  `json:"name"`
+	GBsSerial float64 `json:"gb_s_serial"`
+	GBsPool   float64 `json:"gb_s_pool"`
+}
+
 // kernelsReport is the JSON schema of the -kernels workload; BENCH_kernels.json
 // at the repo root is one of these, and CI gates on it. Throughput numbers are
 // all higher-is-better, which is what the baseline check assumes.
@@ -68,6 +76,10 @@ type kernelsReport struct {
 	// shape that dominates the conv_phased benchmark workload (stride 1, the
 	// packed path) and a stride-2 layer of the same net (the im2col path).
 	ConvShapes []convResult `json:"conv_shapes"`
+	// Layers are the vector kernels under ReLU (kernels.RectifyInto forward,
+	// GateInto backward) and the 2×2 max pool (kernels.MaxPool2x2), through
+	// their layers on a batch-16 activation of a small CNN's first block.
+	Layers []layerResult `json:"layers"`
 
 	// Codec throughputs in GB/s of uncompressed float bytes processed.
 	// Encodes go through AppendCompressAuto — the production Stream path —
@@ -216,6 +228,28 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		rep.ConvShapes = append(rep.ConvShapes, sh)
 	}
 
+	// The layers between the convolutions, on what a 3→16 convolution of a
+	// batch of sixteen 24×24 images hands them.
+	act := tensor.New(16, 16, 24, 24)
+	rng.FillNormal(act, 0, 1)
+	relu, pool := nn.NewReLU("bench"), nn.NewMaxPool2D("bench", 2, 2, 2, 2, 0, 0)
+	actGB := 4 * float64(act.Len()) / 1e9
+	for _, l := range []struct {
+		name string
+		pass func()
+	}{
+		{"relu_fwd", func() { relu.Forward(act, true) }},
+		{"relu_bwd", func() { relu.Backward(act) }}, // gated on the output relu_fwd left
+
+		{"maxpool2x2", func() { pool.Forward(act, true) }},
+	} {
+		prev := kernels.SetWorkers(1)
+		sSerial, _ := timeIt(l.pass)
+		kernels.SetWorkers(prev)
+		sPool, _ := timeIt(l.pass)
+		rep.Layers = append(rep.Layers, layerResult{Name: l.name, GBsSerial: actGB / sSerial, GBsPool: actGB / sPool})
+	}
+
 	// Codecs on a 1M-float bucket; GB/s counts uncompressed float bytes.
 	const bucket = 1 << 20
 	rep.CodecBucketFloats = bucket
@@ -274,6 +308,9 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		fmt.Printf("  %s (batch %d): %7.3f ms serial, %7.3f ms pool (%.0f images/s)\n",
 			c.Name, c.Batch, c.MsSerial, c.MsPool, c.ImagesPerSec)
 	}
+	for _, l := range rep.Layers {
+		fmt.Printf("  %-10s %7.2f GB/s serial, %7.2f pool\n", l.Name, l.GBsSerial, l.GBsPool)
+	}
 	fmt.Printf("  int8: encode %.2f GB/s, decode %.2f GB/s, decode+add %.2f GB/s\n",
 		rep.Int8EncodeGBs, rep.Int8DecodeGBs, rep.Int8DecodeAddGBs)
 	fmt.Printf("  identity decode+add %.2f GB/s, topk(0.1) encode %.2f GB/s\n",
@@ -322,6 +359,17 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 				break
 			}
 			if err := check(c.Name+" images/s", c.ImagesPerSec, base.ConvShapes[i].ImagesPerSec); err != nil {
+				return err
+			}
+		}
+		for i, l := range rep.Layers {
+			if i >= len(base.Layers) {
+				break
+			}
+			// The better of the two columns: microseconds of memory-bound work
+			// either forks or does not, so scheduling noise moves one column
+			// at a time, a slower kernel both.
+			if err := check(l.Name+" GB/s", max(l.GBsSerial, l.GBsPool), max(base.Layers[i].GBsSerial, base.Layers[i].GBsPool)); err != nil {
 				return err
 			}
 		}

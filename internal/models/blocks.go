@@ -15,9 +15,9 @@ type Residual struct {
 	name     string
 	Body     nn.Layer
 	Shortcut nn.Layer // nil means identity
-	mask     []bool   // post-add ReLU mask
-	// out and masked (gradOut through the ReLU mask) are the block's own,
-	// reused while the shape repeats (nn.Layer, "Activation lifetime").
+	// out and masked (gradOut gated by the post-add ReLU) are the block's
+	// own, reused while the shape repeats (nn.Layer, "Activation lifetime").
+	// out is positive exactly where the sum was, so it is the gate.
 	out, masked *tensor.Tensor
 }
 
@@ -49,13 +49,7 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("models: %s residual shapes differ: %v vs %v", r.name, main.Shape(), short.Shape()))
 	}
 	r.out = tensor.Reuse(r.out, main.Shape()...)
-	if len(r.mask) < r.out.Len() {
-		r.mask = make([]bool, r.out.Len())
-	}
-	out, mask, sd := r.out.Data, r.mask[:r.out.Len()], short.Data[:r.out.Len()]
-	for i, v := range main.Data {
-		out[i], mask[i] = kernels.Rectify(v + sd[i])
-	}
+	kernels.AddRectifyInto(r.out.Data, main.Data, short.Data)
 	return r.out
 }
 
@@ -70,10 +64,7 @@ func (r *Residual) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 func (r *Residual) BackwardWithGradHook(gradOut *tensor.Tensor, hook nn.ParamHook) *tensor.Tensor {
 	r.masked = tensor.Reuse(r.masked, gradOut.Shape()...)
 	g := r.masked
-	mask := r.mask[:len(g.Data)]
-	for i, v := range gradOut.Data {
-		g.Data[i] = kernels.Gate(v, mask[i])
-	}
+	kernels.GateInto(g.Data, gradOut.Data, r.out.Data)
 	gradIn := nn.BackwardNotify(r.Body, g, hook)
 	if r.Shortcut != nil {
 		gradIn.Add(nn.BackwardNotify(r.Shortcut, g, hook))

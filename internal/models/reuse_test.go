@@ -46,8 +46,7 @@ func TestWarmStepAllocatesNoActivations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perStep := (after.TotalAlloc - before.TotalAlloc) / runs
-	// 2 today: the closure the global pool hands RunRange, forward and
-	// backward (conv, batch norm and ReLU build their pool tasks once).
+	// 0 today: every layer builds its pool tasks once.
 	if allocs > 8 {
 		t.Fatalf("warmed step allocates %v objects, want a small constant (<= 8)", allocs)
 	}

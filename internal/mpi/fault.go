@@ -268,9 +268,7 @@ func (t *faultTransport) Recv(src int, ctx uint64, tag int) ([]byte, error) {
 // delay charges this rank's straggler profile, if any.
 func (t *faultTransport) delay(n int) {
 	if p, ok := t.inj.plan.Slow[t.rank]; ok {
-		if d := p.Delay(n); d > 0 {
-			time.Sleep(d)
-		}
+		p.wait(n)
 	}
 }
 

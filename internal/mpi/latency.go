@@ -21,6 +21,17 @@ func (p LinkProfile) Delay(n int) time.Duration {
 	return d
 }
 
+// wait occupies the caller for the wall time an n-byte message occupies the
+// link — the one way a transport charges a profile. The delay counts from the
+// call (a sender queued on an egress link calls it once the link is its own)
+// and is delivered as the profile states it, not rounded up to a runtime
+// timer tick: see sleepUntil.
+func (p LinkProfile) wait(n int) {
+	if d := p.Delay(n); d > 0 {
+		sleepUntil(time.Now().Add(d))
+	}
+}
+
 // NewLatencyWorld creates an in-process world whose sends pay the link
 // profile's delay before the message is enqueued at the destination. Each
 // rank's outbound messages serialize through one egress link (one NIC per

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Topology maps communicator ranks onto physical nodes, so collectives can
@@ -214,15 +213,13 @@ type topoTransport struct {
 func (t *topoTransport) charge(dst, n int) {
 	if t.net.topo.NodeOf(t.rank) == t.net.topo.NodeOf(dst) {
 		t.net.intraBytes.Add(int64(n))
-		if d := t.net.intra.Delay(n); d > 0 {
-			time.Sleep(d)
-		}
+		t.net.intra.wait(n)
 		return
 	}
 	t.net.interBytes.Add(int64(n))
-	if d := t.net.inter.Delay(n); d > 0 {
+	if t.net.inter.Delay(n) > 0 { // a free message does not queue
 		t.egress.Lock()
-		time.Sleep(d)
+		t.net.inter.wait(n)
 		t.egress.Unlock()
 	}
 }

@@ -44,9 +44,12 @@ type Param struct {
 // Each is valid until that layer's next Forward, respectively Backward; a
 // caller that wants one step's result across the next clones it. The next
 // layer may keep a pointer to its input until its own Backward (that is
-// within the lifetime) and a container may add into a child's result in
-// place. Every layer therefore writes every element of what it returns,
-// zeros included — nothing relies on a fresh allocation being clear.
+// within the lifetime) and a container may add into a child's Backward result
+// in place. Every layer therefore writes every element of what it returns,
+// zeros included — nothing relies on a fresh allocation being clear. Nobody
+// but the layer itself writes a Forward result before that layer's Backward:
+// the result doubles as the layer's forward cache (ReLU gates the gradient on
+// its own output).
 type Layer interface {
 	// Forward computes the layer output. train selects training behaviour
 	// (batch statistics, active dropout).

@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,6 +190,46 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 	for i := range want {
 		if g.Data[i] != want[i] {
 			t.Fatalf("maxpool grad %v, want %v", g.Data, want)
+		}
+	}
+}
+
+// TestMaxPool2x2MatchesGeneralLoop holds the 2×2 / stride 2 / unpadded path
+// (kernels.MaxPool2x2, a row at a time) to the general window loop, values and
+// argmax, over planes of ordinary values and planes drawn from a handful of
+// values — so that most windows tie, in every tap position, zeros of both
+// signs meet, and whole windows are NaN or −Inf — at the output widths the
+// models use (6, 8, 12), narrower than one vector, and odd input sizes.
+func TestMaxPool2x2MatchesGeneralLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	nan, ninf := float32(math.NaN()), float32(math.Inf(-1))
+	few := []float32{nan, ninf, -1, float32(math.Copysign(0, -1)), 0, 1, 1, float32(math.Inf(1))}
+	for _, shape := range [][]int{{3, 5, 12, 12}, {2, 4, 24, 24}, {2, 3, 16, 16}, {2, 3, 13, 11}, {1, 2, 2, 2}, {2, 2, 7, 6}, {1, 2, 5, 67}} {
+		x := tensor.New(shape...)
+		for i := range x.Data {
+			if plane := i / (shape[2] * shape[3]); plane%2 == 0 {
+				x.Data[i] = few[rng.Intn(len(few))]
+			} else {
+				x.Data[i] = float32(rng.NormFloat64())
+			}
+		}
+		w := shape[3]
+		x.Data[0], x.Data[1], x.Data[w], x.Data[w+1] = nan, nan, nan, nan // the first window: nothing to pick
+
+		p := NewMaxPool2D("mp", 2, 2, 2, 2, 0, 0)
+		out := p.Forward(x, true).Clone()
+		argmax := slices.Clone(p.argmax[:out.Len()])
+		if out.Data[0] != ninf || argmax[0] != -1 {
+			t.Fatalf("shape %v: an all-NaN window pooled to (%v, %d), want (-Inf, -1)", shape, out.Data[0], argmax[0])
+		}
+		p.x = x
+		for i := 0; i < shape[0]; i++ {
+			p.forwardImage(i)
+		}
+		for i := range out.Data {
+			if math.Float32bits(out.Data[i]) != math.Float32bits(p.out.Data[i]) || argmax[i] != p.argmax[i] {
+				t.Fatalf("shape %v output %d: kernel path (%v, %d), general loop (%v, %d)", shape, i, out.Data[i], argmax[i], p.out.Data[i], p.argmax[i])
+			}
 		}
 	}
 }
