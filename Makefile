@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate sim-crossval lint clean
+.PHONY: all build test race race-ownership bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate sim-crossval lint clean
 
 all: lint build test
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on -timeout 40m ./...
+
+# The buffer-ownership suite CI pins under -race (checkptr on): pooled
+# send/receive hand-offs, the float wire's views, lent segments and shared
+# buffers (internal/mpi), and the lending multi-colour tree against the
+# copying one on multi-level trees (internal/allreduce).
+race-ownership:
+	$(GO) test -race -timeout 10m -run 'Pool|SendThenMutate|SendOwned|SendRecvSteadyState|IsendInline|RecvFloatsAdd|EncodeDecode|LentSegment|SharedBuffer|LendShare|FaultAndTCPWorldsCopy|TreeLendShare|MultiColorReusesCallState' ./internal/mpi ./internal/allreduce
 
 # Every benchmark once — the CI smoke run. Full measurement runs want
 # `go test -bench=. -benchtime=10x .` by hand.

@@ -18,6 +18,7 @@ import (
 // and on the full pool (gflops_pool); parallel_gain is their ratio, gated at
 // >= 2x for the 256^3 shape on >= 4 CPUs.
 type gemmResult struct {
+	TransA        bool    `json:"trans_a,omitempty"`
 	TransB        bool    `json:"trans_b"`
 	M             int     `json:"m"`
 	NDim          int     `json:"n"`
@@ -159,14 +160,17 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 
 	// GEMM: a square compute-bound shape, the short-wide im2col shape conv
 	// lowers to (outC x outH*outW with a small K) — both through the axpy
-	// kernel — and a dense layer's forward product, through the dot kernel.
+	// kernel — a dense layer's forward product, through the dot kernel, and
+	// the same layer's weight gradient at batch 4: k is so short that the
+	// product is one pass over C, stored by the axpy kernel at beta 0.
 	shapes := []struct {
-		transB  bool
-		m, n, k int
+		transA, transB bool
+		m, n, k        int
 	}{
-		{false, 256, 256, 256},
-		{false, 16, 784, 288}, // conv: 16 outC, 28x28 output, 8*6*6 columns
-		{true, 16, 384, 768},  // linear forward: batch 16, 768 -> 384
+		{false, false, 256, 256, 256},
+		{false, false, 16, 784, 288}, // conv: 16 outC, 28x28 output, 8*6*6 columns
+		{false, true, 16, 384, 768},  // linear forward: batch 16, 768 -> 384
+		{true, false, 384, 768, 4},   // linear dW = gT*x: 768 -> 384 at batch 4 (wide_multicolor's fc1)
 	}
 	for _, sh := range shapes {
 		a := make([]float32, sh.m*sh.k)
@@ -180,7 +184,7 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		}
 		flops := 2 * float64(sh.m) * float64(sh.n) * float64(sh.k)
 
-		gemm := func() { tensor.Gemm(false, sh.transB, sh.m, sh.n, sh.k, 1, a, b, 0, c) }
+		gemm := func() { tensor.Gemm(sh.transA, sh.transB, sh.m, sh.n, sh.k, 1, a, b, 0, c) }
 		prev := kernels.SetWorkers(1)
 		sSerial, _ := timeIt(gemm)
 		kernels.SetWorkers(prev)
@@ -188,7 +192,7 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		sPool, iters := timeIt(gemm)
 
 		r := gemmResult{
-			TransB: sh.transB, M: sh.m, NDim: sh.n, KDim: sh.k,
+			TransA: sh.transA, TransB: sh.transB, M: sh.m, NDim: sh.n, KDim: sh.k,
 			GFLOPSSerial:  flops / sSerial / 1e9,
 			GFLOPSPool:    flops / sPool / 1e9,
 			IterationsRun: iters,
@@ -298,6 +302,8 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		op := "A*B "
 		if g.TransB {
 			op = "A*Bt"
+		} else if g.TransA {
+			op = "At*B"
 		}
 		fmt.Printf("  gemm %s %4dx%4dx%4d: %7.2f GFLOP/s serial, %7.2f pool (%.2fx)\n",
 			op, g.M, g.NDim, g.KDim, g.GFLOPSSerial, g.GFLOPSPool, g.ParallelGain)

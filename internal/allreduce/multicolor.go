@@ -13,31 +13,76 @@ import (
 // back down it. Chunks are further split into pipeline segments, and all k
 // colors progress concurrently with no cross-color synchronization —
 // mirroring the paper's description of concurrent per-color RDMA flows on
-// the fat-tree. The last color runs on the calling goroutine.
+// the fat-tree. The last color runs on the calling goroutine; no goroutine
+// outlives the call.
 func multiColor(c *mpi.Comm, data []float32, opts Options) error {
 	k := EffectiveColors(c.Size(), opts.Colors)
-	trees := colorTrees(c.Size(), k)
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	run := func(color int) {
-		lo, hi := ChunkBounds(len(data), k, color)
-		errs[color] = reduceBcastTree(c, data[lo:hi], trees[color], color, opts.SegmentFloats)
-	}
-	wg.Add(k - 1)
+	r := getColorRun(k)
+	r.c, r.data, r.segFloats, r.trees = c, data, opts.SegmentFloats, colorTrees(c.Size(), k)
+	r.wg.Add(k - 1)
 	for color := 0; color < k-1; color++ {
-		go func(color int) {
-			defer wg.Done()
-			run(color)
-		}(color)
+		go r.tasks[color]()
 	}
-	run(k - 1)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	r.run(k - 1)
+	r.wg.Wait()
+	var first error
+	for _, err := range r.errs[:k] {
+		if err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	r.c, r.data, r.trees = nil, nil, nil
+	clear(r.errs)
+	select {
+	case colorRuns <- r:
+	default:
+	}
+	return first
+}
+
+// colorRun is one multiColor call's fan-out state: the arguments the colors
+// read, their error slots, the WaitGroup, and one argument-less closure per
+// color — a func value `go` starts as it is, where a call with arguments is
+// wrapped in a fresh closure every time. It is recycled through colorRuns,
+// so a training step's allreduce allocates none of it.
+type colorRun struct {
+	c         *mpi.Comm
+	data      []float32
+	segFloats int
+	trees     []Tree
+	wg        sync.WaitGroup
+	errs      []error
+	tasks     []func()
+}
+
+// colorRuns holds idle colorRuns, one per concurrent caller at most: 64
+// covers every rank of the in-process worlds this repository builds, and a
+// state that does not fit is simply collected.
+var colorRuns = make(chan *colorRun, 64)
+
+// getColorRun returns a state with at least k error slots and tasks.
+func getColorRun(k int) *colorRun {
+	var r *colorRun
+	select {
+	case r = <-colorRuns:
+	default:
+		r = new(colorRun)
+	}
+	for color := len(r.tasks); color < k; color++ {
+		color := color
+		r.errs = append(r.errs, nil)
+		r.tasks = append(r.tasks, func() {
+			defer r.wg.Done()
+			r.run(color)
+		})
+	}
+	return r
+}
+
+// run takes one color's chunk up and down its tree.
+func (r *colorRun) run(color int) {
+	lo, hi := ChunkBounds(len(r.data), len(r.trees), color)
+	r.errs[color] = reduceBcastTree(r.c, r.data[lo:hi], r.trees[color], color, r.segFloats)
 }
 
 // treeCache holds the k color trees of every (ranks, colors) pair a
@@ -84,6 +129,21 @@ func segSpan(s, segFloats, n int) (lo, hi int) {
 // contribution and forward; the root additionally turns each fully-reduced
 // segment around and starts the downward broadcast immediately, so the
 // reduce and broadcast phases overlap segment-by-segment.
+//
+// Neither phase copies a segment per message where the transport can avoid
+// it. Going up, a node LENDS its window of the segment to its parent
+// (mpi.Comm.LendFloats): the parent sums straight from the child's memory.
+// That needs no synchronisation beyond the messages themselves, at any tree
+// depth: every read of an up-lent view of segment s happens-before the
+// root's reduction of s (the parent's add completes before it lends or turns
+// s around, and a mailbox hand-off orders the two sides), which
+// happens-before every down message of s; and a node's next write of its
+// window of s is the RecvFloatsInto of that down message — or, after the
+// call returns, whatever the caller does next, which is later still. Going
+// down, a node encodes a reduced segment once for all its children
+// (SendFloatsAll). On transports that cannot lend or share both calls send
+// one private copy per message; messages have the same size, tag and order
+// either way.
 func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats int) error {
 	rank := c.Rank()
 	parent := tree.Parent[rank]
@@ -100,17 +160,15 @@ func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats i
 				return fmt.Errorf("allreduce: multicolor segment from %d: %w", ch, err)
 			}
 		}
+		var err error
 		if parent >= 0 {
-			if err := c.SendFloats(parent, upTag, seg); err != nil {
-				return err
-			}
+			err = c.LendFloats(parent, upTag, seg)
 		} else {
 			// Root: this segment is globally reduced; broadcast it down.
-			for _, ch := range children {
-				if err := c.SendFloats(ch, downTag, seg); err != nil {
-					return err
-				}
-			}
+			err = c.SendFloatsAll(children, downTag, seg)
+		}
+		if err != nil {
+			return err
 		}
 	}
 
@@ -123,10 +181,8 @@ func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats i
 		if err := c.RecvFloatsInto(chunk[lo:hi], parent, downTag); err != nil {
 			return fmt.Errorf("allreduce: multicolor bcast segment: %w", err)
 		}
-		for _, ch := range children {
-			if err := c.SendFloats(ch, downTag, chunk[lo:hi]); err != nil {
-				return err
-			}
+		if err := c.SendFloatsAll(children, downTag, chunk[lo:hi]); err != nil {
+			return err
 		}
 	}
 	return nil

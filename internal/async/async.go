@@ -246,7 +246,6 @@ func runWorker(comm *mpi.Comm, replica nn.Layer, source core.BatchSource, inputC
 		if err := source.NextBatch(x, labels); err != nil {
 			return fmt.Errorf("async: worker batch: %w", err)
 		}
-		nn.ZeroGrads(params)
 		out := replica.Forward(x, true)
 		if _, err := crit.Forward(out, labels); err != nil {
 			return err

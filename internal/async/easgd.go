@@ -177,7 +177,6 @@ func runEASGDWorker(comm *mpi.Comm, replica nn.Layer, source core.BatchSource, i
 		if err := source.NextBatch(x, labels); err != nil {
 			return err
 		}
-		nn.ZeroGrads(params)
 		out := replica.Forward(x, true)
 		if _, err := crit.Forward(out, labels); err != nil {
 			return err

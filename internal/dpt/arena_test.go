@@ -44,7 +44,8 @@ func TestParamsAreWindowsOfTheArenas(t *testing.T) {
 }
 
 // TestStepClearsStaleGradients: whatever the previous step's pack, exchange
-// and apply left in the arenas, a step's gradients start from zero.
+// and apply left in the arenas, a step's gradients are as if they had started
+// from zero — backward stores them, nothing clears the arena first.
 func TestStepClearsStaleGradients(t *testing.T) {
 	e, x, labels := reactiveFixture(t, 2)
 	fresh, _, _ := reactiveFixture(t, 2)
@@ -65,6 +66,65 @@ func TestStepClearsStaleGradients(t *testing.T) {
 				t.Fatalf("device %d grad[%d] = %v after a poisoned arena, %v from a fresh engine", d, i, g, fresh.Grads(d)[i])
 			}
 		}
+	}
+}
+
+// TestFailedStepStoresZeros: a device whose criterion fails runs no
+// backward, so nothing stores its gradient; the engine stores the zeros
+// itself, over whatever the arena held. The optimized engine fails per
+// device (the others have run their backward by then), the baseline, whose
+// criterion runs before any backward, as a whole. (The other path without a
+// backward, an empty row shard, cannot be reached through Step:
+// partitionBatch refuses a batch smaller than the device count.)
+func TestFailedStepStoresZeros(t *testing.T) {
+	for _, optimized := range []bool{true, false} {
+		e, err := New(buildReplicas(2, 1), optimized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, labels := makeBatch(8, 13)
+		labels[6] = 99 // on the second device: the first has already passed the criterion
+		for d := 0; d < e.NumDevices(); d++ {
+			for i := range e.Grads(d) {
+				e.Grads(d)[i] = float32(math.NaN())
+			}
+		}
+		if _, err := e.Step(x, labels); err == nil {
+			t.Fatalf("optimized=%v: a label outside the classes must fail the step", optimized)
+		}
+		first := 0
+		if optimized {
+			first = 1
+		}
+		for d := first; d < e.NumDevices(); d++ {
+			for i, g := range e.Grads(d) {
+				if math.Float32bits(g) != 0 {
+					t.Fatalf("optimized=%v: device %d grad[%d] = %v after a failed step, want +0", optimized, d, i, g)
+				}
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestNewSkipsReplicaInputGrad: the engine drops what Backward returns, and
+// says so to the replicas — a replica's backward stops at its first layer's
+// parameter gradients.
+func TestNewSkipsReplicaInputGrad(t *testing.T) {
+	replicas := buildReplicas(1, 1)
+	x, _ := makeBatch(4, 13)
+	out := replicas[0].Forward(x, true)
+	if replicas[0].Backward(out) == nil {
+		t.Fatal("a replica outside an engine returns its input gradient")
+	}
+	e, err := New(replicas, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	out = replicas[0].Forward(x, true)
+	if replicas[0].Backward(out) != nil {
+		t.Fatal("a replica under an engine still computes its input gradient")
 	}
 }
 

@@ -125,8 +125,10 @@ type Engine struct {
 
 // New builds an engine over the given model replicas (one per device, same
 // architecture). Weights are synchronized from replica 0, mirroring Torch's
-// replica broadcast at construction, and every replica's parameter storage
-// is re-homed into the device's two arenas (nn.FlattenStorage).
+// replica broadcast at construction, every replica's parameter storage is
+// re-homed into the device's two arenas (nn.FlattenStorage), and every
+// replica is told that its input gradient has no reader (nn.SkipInputGrad:
+// a replica's input is data, and the engine drops what Backward returns).
 func New(replicas []nn.Layer, optimized bool) (*Engine, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("dpt: need at least one device")
@@ -156,6 +158,7 @@ func New(replicas []nn.Layer, optimized bool) (*Engine, error) {
 			return nil, fmt.Errorf("dpt: replica %d has %d params, replica 0 has %d", i, len(d.params), len(ref))
 		}
 		d.values, d.grads = nn.FlattenStorage(d.params)
+		nn.SkipInputGrad(m)
 		idx := make(map[*nn.Param]int, len(d.params))
 		for j, p := range d.params {
 			idx[p] = j
@@ -178,8 +181,9 @@ func (e *Engine) GradSize() int { return e.gradSize }
 func (e *Engine) Params(dev int) []*nn.Param { return e.devices[dev].params }
 
 // Grads returns device dev's gradient arena: the storage of its parameters'
-// Grad tensors, back to back in flattened order (length GradSize). Backward
-// accumulates into it and each step clears it first.
+// Grad tensors, back to back in flattened order (length GradSize). Each
+// step's backward stores into it (nn.Layer), so nothing clears it between
+// steps; a step that runs no backward on the device stores zeros.
 func (e *Engine) Grads(dev int) []float32 { return e.devices[dev].grads }
 
 // Values returns device dev's weight arena: the storage of its parameters'
@@ -221,10 +225,11 @@ func (e *Engine) partition(n int) []int {
 }
 
 // Step runs one forward+backward over the node batch x (N,C,H,W) with
-// labels, leaving per-device gradients accumulated and returning the
-// batch-weighted mean loss. Gradients are zeroed at entry, matching
-// Algorithm 1's per-iteration gradient computation. The optimized engine's
-// step is StepWithGradHook with nobody listening.
+// labels, leaving each device's gradient arena holding this step's gradient
+// — Algorithm 1's per-iteration gradient computation: backward stores it,
+// nothing carries over from the step before — and returning the
+// batch-weighted mean loss. The optimized engine's step is StepWithGradHook
+// with nobody listening.
 func (e *Engine) Step(x *tensor.Tensor, labels []int) (float64, error) {
 	if e.optimized {
 		return e.StepWithGradHook(x, labels, nil)
@@ -275,14 +280,11 @@ func (e *Engine) stepBaseline(x *tensor.Tensor, labels []int, sizes []int) (floa
 		off = hi
 		d.partN = hi - lo
 		if d.partN == 0 {
-			d.submit(func() { clear(d.grads) })
+			d.submit(func() { clear(d.grads) }) // no backward will store this device's zeros
 			continue
 		}
 		part := staged.MustSliceRows(lo, hi)
-		d.submit(func() {
-			d.input = part.Clone() // GPU1 -> GPUi
-			clear(d.grads)
-		})
+		d.submit(func() { d.input = part.Clone() }) // GPU1 -> GPUi
 		e.mu.Lock()
 		e.stats.BytesMoved += int64(4 * sizes[i] * rowLen)
 		e.mu.Unlock()
@@ -313,6 +315,14 @@ func (e *Engine) stepBaseline(x *tensor.Tensor, labels []int, sizes []int) (floa
 		// thread per partition.
 		l, err := d.crit.Forward(d.logits, labels[lo:hi])
 		if err != nil {
+			// No backward runs on any device: the step's gradient is zero.
+			for _, d := range e.devices {
+				d := d
+				d.submit(func() { clear(d.grads) })
+			}
+			for _, d := range e.devices {
+				d.done.Wait()
+			}
 			return 0, err
 		}
 		e.mu.Lock()

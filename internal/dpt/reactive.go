@@ -64,8 +64,9 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 		off = hi
 		d.partN = hi - lo
 		if d.partN == 0 {
-			// Empty row shard: zeroed gradients still contribute to the
-			// intra-node sum, so readiness is immediate for every param.
+			// Empty row shard: no backward runs, so the zeros that still
+			// contribute to the intra-node sum are stored here, and readiness
+			// is immediate for every param.
 			d.submit(func() {
 				clear(d.grads)
 				d.notifyAll(hook)
@@ -78,14 +79,14 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 			// Direct host->device transfer of just this partition.
 			d.stageInput(part)
 			d.labelBuf = append(d.labelBuf[:0], lbl...)
-			clear(d.grads)
 			out := d.model.Forward(d.input, true)
 			loss, err := d.crit.Forward(out, d.labelBuf)
 			if err != nil {
-				// The step is failing (gradients stay zero); readiness must
-				// still complete so a pipelined caller can drain instead of
-				// deadlocking.
+				// The step is failing and no backward will run: the gradient
+				// is zero, and readiness must still complete so a pipelined
+				// caller can drain instead of deadlocking.
 				d.loss = -1
+				clear(d.grads)
 				d.notifyAll(hook)
 				return
 			}

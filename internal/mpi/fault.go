@@ -260,7 +260,8 @@ func (t *faultTransport) Recv(src int, ctx uint64, tag int) ([]byte, error) {
 		return nil, &RankDownError{Rank: t.rank, Cause: errInjectedCrash}
 	}
 	if d := t.inj.plan.DetectTimeout; d > 0 {
-		return t.inj.world.boxes[t.rank].getTimeout(msgKey{src: src, ctx: ctx, tag: tag}, d)
+		m, err := t.inj.world.boxes[t.rank].getTimeout(msgKey{src: src, ctx: ctx, tag: tag}, d)
+		return m.owned(), err
 	}
 	return t.Transport.Recv(src, ctx, tag)
 }

@@ -5,22 +5,64 @@ import (
 	"time"
 )
 
+// message is one mailbox entry: a payload and who owns it. The zero
+// ownership is plain — the buffer travels with the message and whoever
+// consumes it owns it (release: PutBytes). The other two exist only between
+// ranks of one address space (viewTransport) and never reach a caller of
+// Recv, which gets an owned copy:
+//
+//   - lent: data is a view of the SENDER's own memory (Comm.LendFloats). The
+//     receiver reads it in place and releases nothing; it must never be put
+//     in the pool, whatever its capacity.
+//   - shared: data belongs to a refcounted buffer several receivers read
+//     (Comm.SendFloatsAll); release drops one reference and the last one
+//     recycles the buffer.
+type message struct {
+	data   []byte
+	shared *sharedBuf
+	lent   bool
+}
+
+// release gives up the consumer's claim on the payload, once per message.
+func (m message) release() {
+	switch {
+	case m.lent:
+	case m.shared != nil:
+		m.shared.drop(1)
+	default:
+		PutBytes(m.data)
+	}
+}
+
+// owned returns the payload as a buffer the caller owns — Recv's contract:
+// a plain message's buffer itself, a pooled copy of a lent or shared one
+// (which is then released).
+func (m message) owned() []byte {
+	if !m.lent && m.shared == nil {
+		return m.data
+	}
+	b := GetBytes(len(m.data))
+	copy(b, m.data)
+	m.release()
+	return b
+}
+
 // msgQueue is one (src, ctx, tag) FIFO. It is a sliding window over items:
 // pop advances head, and when the queue drains the slice is reset to reuse
 // its capacity — steady-state traffic on a recurring key never allocates.
 type msgQueue struct {
-	items [][]byte
+	items []message
 	head  int
 }
 
-func (q *msgQueue) push(data []byte) { q.items = append(q.items, data) }
+func (q *msgQueue) push(m message) { q.items = append(q.items, m) }
 
-func (q *msgQueue) pop() ([]byte, bool) {
+func (q *msgQueue) pop() (message, bool) {
 	if q.head == len(q.items) {
-		return nil, false
+		return message{}, false
 	}
 	msg := q.items[q.head]
-	q.items[q.head] = nil
+	q.items[q.head] = message{}
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
@@ -60,7 +102,7 @@ func newMailbox(owner int) *mailbox {
 	return m
 }
 
-func (m *mailbox) put(k msgKey, data []byte) error {
+func (m *mailbox) put(k msgKey, msg message) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -74,12 +116,12 @@ func (m *mailbox) put(k msgKey, data []byte) error {
 		q = &msgQueue{}
 		m.queues[k] = q
 	}
-	q.push(data)
+	q.push(msg)
 	m.cond.Broadcast()
 	return nil
 }
 
-func (m *mailbox) get(k msgKey) ([]byte, error) {
+func (m *mailbox) get(k msgKey) (message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -89,10 +131,10 @@ func (m *mailbox) get(k msgKey) ([]byte, error) {
 			}
 		}
 		if m.closed {
-			return nil, ErrClosed
+			return message{}, ErrClosed
 		}
 		if err := m.downErr(k.src); err != nil {
-			return nil, err
+			return message{}, err
 		}
 		m.cond.Wait()
 	}
@@ -102,7 +144,7 @@ func (m *mailbox) get(k msgKey) ([]byte, error) {
 // message arrives within d, the source is presumed dead and a RankDownError
 // is returned. sync.Cond has no timed wait, so a timer broadcasts the
 // condition at the deadline to wake the waiter.
-func (m *mailbox) getTimeout(k msgKey, d time.Duration) ([]byte, error) {
+func (m *mailbox) getTimeout(k msgKey, d time.Duration) (message, error) {
 	deadline := time.Now().Add(d)
 	timer := time.AfterFunc(d, func() {
 		m.mu.Lock()
@@ -119,13 +161,13 @@ func (m *mailbox) getTimeout(k msgKey, d time.Duration) ([]byte, error) {
 			}
 		}
 		if m.closed {
-			return nil, ErrClosed
+			return message{}, ErrClosed
 		}
 		if err := m.downErr(k.src); err != nil {
-			return nil, err
+			return message{}, err
 		}
 		if !time.Now().Before(deadline) {
-			return nil, &RankDownError{Rank: k.src, Cause: errDetectTimeout}
+			return message{}, &RankDownError{Rank: k.src, Cause: errDetectTimeout}
 		}
 		m.cond.Wait()
 	}
@@ -133,7 +175,7 @@ func (m *mailbox) getTimeout(k msgKey, d time.Duration) ([]byte, error) {
 
 // tryGet is get without blocking; ok reports whether a message was available
 // (or the mailbox is closed or the source crashed, in which case err is set).
-func (m *mailbox) tryGet(k msgKey) (data []byte, ok bool, err error) {
+func (m *mailbox) tryGet(k msgKey) (msg message, ok bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if q := m.queues[k]; q != nil {
@@ -142,12 +184,12 @@ func (m *mailbox) tryGet(k msgKey) (data []byte, ok bool, err error) {
 		}
 	}
 	if m.closed {
-		return nil, true, ErrClosed
+		return message{}, true, ErrClosed
 	}
 	if err := m.downErr(k.src); err != nil {
-		return nil, true, err
+		return message{}, true, err
 	}
-	return nil, false, nil
+	return message{}, false, nil
 }
 
 // downErr builds the typed failure for a down-marked source, nil when the
@@ -248,9 +290,10 @@ func (w *World) Comm(rank int) (*Comm, error) {
 	for i := range group {
 		group[i] = i
 	}
-	var tr Transport = &memTransport{world: w, rank: rank}
+	mem := &memTransport{world: w, rank: rank}
+	var tr Transport = mem
 	if w.topo != nil {
-		tr = &topoTransport{Transport: tr, net: w.topo, rank: rank}
+		tr = &topoTransport{memTransport: mem, net: w.topo}
 	}
 	if w.faults != nil {
 		// Outermost: the link wrapper only overrides sends, so the fault
@@ -338,6 +381,7 @@ func (w *World) Run(fn func(c *Comm) error) error {
 // mailbox; Send is buffered and never blocks on the receiver. Copies come
 // from the shared buffer pool, and SendOwned skips the copy entirely: the
 // sender's pooled buffer itself travels to the receiver, which releases it.
+// Sender and receiver share an address space, so it is also a viewTransport.
 type memTransport struct {
 	world *World
 	rank  int
@@ -347,18 +391,26 @@ type memTransport struct {
 func (t *memTransport) Send(dst int, ctx uint64, tag int, data []byte) error {
 	cp := GetBytes(len(data))
 	copy(cp, data)
-	if err := t.world.boxes[dst].put(msgKey{src: t.rank, ctx: ctx, tag: tag}, cp); err != nil {
-		PutBytes(cp)
-		return err
-	}
-	return nil
+	return t.sendMsg(dst, ctx, tag, message{data: cp})
 }
 
 // SendOwned implements Transport: the buffer is delivered as-is (zero copy)
 // and ownership passes through the mailbox to the receiver.
 func (t *memTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) error {
-	if err := t.world.boxes[dst].put(msgKey{src: t.rank, ctx: ctx, tag: tag}, data); err != nil {
-		PutBytes(data)
+	return t.sendMsg(dst, ctx, tag, message{data: data})
+}
+
+// canLend implements viewTransport: ranks of a world with a fault injector
+// can fail on their own, so no communicator of such a world lends or shares
+// — the control communicator, which bypasses the injector's transport,
+// included.
+func (t *memTransport) canLend() bool { return t.world.faults == nil }
+
+// sendMsg implements viewTransport: m is enqueued as it is, and released if
+// the mailbox refuses it.
+func (t *memTransport) sendMsg(dst int, ctx uint64, tag int, m message) error {
+	if err := t.world.boxes[dst].put(msgKey{src: t.rank, ctx: ctx, tag: tag}, m); err != nil {
+		m.release()
 		return err
 	}
 	return nil
@@ -366,12 +418,19 @@ func (t *memTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) erro
 
 // Recv implements Transport.
 func (t *memTransport) Recv(src int, ctx uint64, tag int) ([]byte, error) {
+	m, err := t.recvMsg(src, ctx, tag)
+	return m.owned(), err
+}
+
+// recvMsg implements viewTransport.
+func (t *memTransport) recvMsg(src int, ctx uint64, tag int) (message, error) {
 	return t.world.boxes[t.rank].get(msgKey{src: src, ctx: ctx, tag: tag})
 }
 
 // TryRecv implements Transport.
 func (t *memTransport) TryRecv(src int, ctx uint64, tag int) ([]byte, bool, error) {
-	return t.world.boxes[t.rank].tryGet(msgKey{src: src, ctx: ctx, tag: tag})
+	m, ok, err := t.world.boxes[t.rank].tryGet(msgKey{src: src, ctx: ctx, tag: tag})
+	return m.owned(), ok, err
 }
 
 // sendNeverBlocks implements nonBlockingSender: mailbox delivery is buffered.

@@ -83,6 +83,26 @@ type nonBlockingSender interface {
 	sendNeverBlocks() bool
 }
 
+// viewTransport is the seam a transport implements when sender and receiver
+// share an address space and no rank can fail on its own: a message may then
+// carry a payload the receiver does not own — a view of the sender's memory
+// (LendFloats) or a buffer shared with other receivers (SendFloatsAll) —
+// instead of a private copy. The plain and topology in-memory worlds
+// implement it. faultTransport and TCPWorld do not, and so keep the copy: a
+// rank of a fault-injected world that errors out of a collective may rewrite
+// memory a peer is still reading, and a TCP peer has no memory to view.
+type viewTransport interface {
+	// canLend reports whether the preconditions hold for this transport's
+	// world as it stands when a communicator is built over it.
+	canLend() bool
+	// sendMsg enqueues m at dst as it is — charged like a Send of the same
+	// bytes — and releases it if it cannot be delivered.
+	sendMsg(dst int, ctx uint64, tag int, m message) error
+	// recvMsg is Recv without the copy-out: the caller reads m.data in place
+	// and calls m.release exactly once.
+	recvMsg(src int, ctx uint64, tag int) (message, error)
+}
+
 // Comm is a communicator: an ordered group of ranks with an isolated message
 // context. The zero value is not usable; obtain communicators from a World
 // or from Comm.Sub.
@@ -91,6 +111,9 @@ type Comm struct {
 	group []int // communicator rank -> global rank
 	ctx   uint64
 	tr    Transport
+	// views is tr's viewTransport face where it has one and this host's
+	// float32 layout is the wire's; nil means every float send copies.
+	views viewTransport
 }
 
 // newComm builds a communicator over the given global ranks.
@@ -105,7 +128,11 @@ func newComm(tr Transport, globalRank int, group []int, ctx uint64) (*Comm, erro
 	if rank < 0 {
 		return nil, fmt.Errorf("mpi: global rank %d not in group %v", globalRank, group)
 	}
-	return &Comm{rank: rank, group: append([]int(nil), group...), ctx: ctx, tr: tr}, nil
+	c := &Comm{rank: rank, group: append([]int(nil), group...), ctx: ctx, tr: tr}
+	if vt, ok := tr.(viewTransport); ok && hostLittleEndian && vt.canLend() {
+		c.views = vt
+	}
+	return c, nil
 }
 
 // Rank returns this process's rank within the communicator.
@@ -117,14 +144,22 @@ func (c *Comm) Size() int { return len(c.group) }
 // GlobalRank returns the world rank behind communicator rank r.
 func (c *Comm) GlobalRank(r int) int { return c.group[r] }
 
-// Send delivers data to communicator rank dst with the given tag (blocking,
-// buffered: returns once the message is enqueued at the destination).
-func (c *Comm) Send(dst, tag int, data []byte) error {
+// checkSend validates a send's destination rank and tag.
+func (c *Comm) checkSend(dst, tag int) error {
 	if dst < 0 || dst >= len(c.group) {
 		return fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, len(c.group))
 	}
 	if tag < 0 {
 		return fmt.Errorf("mpi: negative tag %d", tag)
+	}
+	return nil
+}
+
+// Send delivers data to communicator rank dst with the given tag (blocking,
+// buffered: returns once the message is enqueued at the destination).
+func (c *Comm) Send(dst, tag int, data []byte) error {
+	if err := c.checkSend(dst, tag); err != nil {
+		return err
 	}
 	return c.tr.Send(c.group[dst], c.ctx, tag, data)
 }
@@ -133,11 +168,8 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // the transport: no defensive copy is made, and the caller must not reuse
 // data afterwards. Pair with GetBytes for an allocation-free send.
 func (c *Comm) SendOwned(dst, tag int, data []byte) error {
-	if dst < 0 || dst >= len(c.group) {
-		return fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, len(c.group))
-	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: negative tag %d", tag)
+	if err := c.checkSend(dst, tag); err != nil {
+		return err
 	}
 	return c.tr.SendOwned(c.group[dst], c.ctx, tag, data)
 }
@@ -162,6 +194,74 @@ func (c *Comm) SendFloats(dst, tag int, data []float32) error {
 	return c.SendOwned(dst, tag, b)
 }
 
+// LendFloats is SendFloats without the copy where the transport allows it
+// (viewTransport): the receiver's RecvFloatsAdd or RecvFloatsInto reads seg
+// where it lies in the sender's memory. The caller keeps ownership of seg but
+// must not write it until the protocol it is running tells it the receiver
+// has read it — there is no completion to wait on. The tree allreduce's up
+// phase is the one user: a node's next write of a lent segment is the receive
+// of the reduced segment coming back down, which happens-after every read of
+// it (docs/ARCHITECTURE.md, "Flat storage and the float wire"). On any other
+// transport this is SendFloats; either way the receiver sees the same
+// message: same size, tag and order.
+func (c *Comm) LendFloats(dst, tag int, seg []float32) error {
+	if c.views == nil {
+		return c.SendFloats(dst, tag, seg)
+	}
+	if err := c.checkSend(dst, tag); err != nil {
+		return err
+	}
+	return c.views.sendMsg(c.group[dst], c.ctx, tag, message{data: floatBytes(seg), lent: true})
+}
+
+// SendFloatsAll sends the same float32 slice to every rank in dsts, in
+// order — one SendFloats per destination as far as any receiver or byte
+// counter can tell. Where the transport allows it (viewTransport) seg is
+// encoded once into one pooled buffer all the receivers read, recycled by
+// the last of them. seg is the caller's again on return.
+func (c *Comm) SendFloatsAll(dsts []int, tag int, seg []float32) error {
+	if c.views == nil {
+		for _, dst := range dsts {
+			if err := c.SendFloats(dst, tag, seg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, dst := range dsts {
+		if err := c.checkSend(dst, tag); err != nil {
+			return err
+		}
+	}
+	if len(dsts) == 0 {
+		return nil
+	}
+	sb := getShared(4*len(seg), len(dsts))
+	EncodeFloat32s(sb.buf, seg)
+	for i, dst := range dsts {
+		if err := c.views.sendMsg(c.group[dst], c.ctx, tag, message{data: sb.buf, shared: sb}); err != nil {
+			// The transport released the refused message's reference; the
+			// destinations never reached are given up here.
+			sb.drop(len(dsts) - i - 1)
+			return err
+		}
+	}
+	return nil
+}
+
+// recvMsg receives the next matching message without taking ownership of a
+// lent or shared payload: read m.data, then m.release().
+func (c *Comm) recvMsg(src, tag int) (message, error) {
+	if c.views == nil {
+		b, err := c.Recv(src, tag)
+		return message{data: b}, err
+	}
+	if src < 0 || src >= len(c.group) {
+		return message{}, fmt.Errorf("mpi: recv from invalid rank %d (size %d)", src, len(c.group))
+	}
+	return c.views.recvMsg(c.group[src], c.ctx, tag)
+}
+
 // RecvFloats receives a float32 slice sent with SendFloats.
 func (c *Comm) RecvFloats(src, tag int) ([]float32, error) {
 	b, err := c.Recv(src, tag)
@@ -171,37 +271,39 @@ func (c *Comm) RecvFloats(src, tag int) ([]float32, error) {
 	return BytesToFloat32s(b)
 }
 
-// RecvFloatsInto receives a message sent with SendFloats, decodes it into
-// dst, and releases the transport buffer — the allocation-free counterpart
-// of RecvFloats. The payload must describe exactly len(dst) floats.
+// RecvFloatsInto receives a message sent with SendFloats, LendFloats or
+// SendFloatsAll, decodes it into dst, and releases the payload — the
+// allocation-free counterpart of RecvFloats. The payload must describe
+// exactly len(dst) floats.
 func (c *Comm) RecvFloatsInto(dst []float32, src, tag int) error {
-	b, err := c.Recv(src, tag)
+	m, err := c.recvMsg(src, tag)
 	if err != nil {
 		return err
 	}
-	if len(b) != 4*len(dst) {
-		PutBytes(b)
-		return fmt.Errorf("mpi: float payload %d bytes, want %d", len(b), 4*len(dst))
+	defer m.release()
+	if len(m.data) != 4*len(dst) {
+		return fmt.Errorf("mpi: float payload %d bytes, want %d", len(m.data), 4*len(dst))
 	}
-	DecodeFloat32s(dst, b)
-	PutBytes(b)
+	DecodeFloat32s(dst, m.data)
 	return nil
 }
 
-// RecvFloatsAdd receives a message sent with SendFloats and adds it into dst
-// element by element, straight from the transport buffer, which it releases
-// on every path — the receive-reduce of every allreduce hop, without a
-// scratch copy. The payload must describe exactly len(dst) floats.
+// RecvFloatsAdd receives a message sent with SendFloats, LendFloats or
+// SendFloatsAll and adds it into dst element by element, straight from the
+// payload where it lies — a transport buffer, the sender's own memory, a
+// shared buffer — which it releases on every path: the receive-reduce of
+// every allreduce hop, without a scratch copy. The payload must describe
+// exactly len(dst) floats.
 func (c *Comm) RecvFloatsAdd(dst []float32, src, tag int) error {
-	b, err := c.Recv(src, tag)
+	m, err := c.recvMsg(src, tag)
 	if err != nil {
 		return err
 	}
-	defer PutBytes(b)
-	if len(b) != 4*len(dst) {
-		return fmt.Errorf("mpi: float payload %d bytes, want %d", len(b), 4*len(dst))
+	defer m.release()
+	if len(m.data) != 4*len(dst) {
+		return fmt.Errorf("mpi: float payload %d bytes, want %d", len(m.data), 4*len(dst))
 	}
-	AddFloat32s(dst, b)
+	AddFloat32s(dst, m.data)
 	return nil
 }
 

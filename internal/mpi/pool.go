@@ -1,6 +1,9 @@
 package mpi
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Shared, size-classed buffer pools for the communication hot path. Buffers
 // are recycled through bounded per-class freelists (buffered channels, so a
@@ -19,6 +22,14 @@ import "math/bits"
 //     releases (or delivers) it, and the caller must not reuse it.
 //   - Comm.Recv returns a buffer the RECEIVER owns; release it with PutBytes
 //     when decoded, or keep it indefinitely (it is then simply collected).
+//   - Comm.LendFloats hands the receiver a VIEW of the sender's slice (on the
+//     transports that can; the others copy): the sender keeps ownership but
+//     must not write the slice until the protocol tells it the receiver is
+//     done, the receiver (RecvFloatsAdd/RecvFloatsInto) reads it in place and
+//     releases nothing, and the view never enters the pool.
+//   - Comm.SendFloatsAll encodes once into one pooled buffer every
+//     destination reads; each receiver drops one reference and the last one
+//     returns the buffer to the pool (sharedBuf).
 //
 // Returned buffers carry arbitrary stale contents; callers that need zeroed
 // memory must clear them (GetFloatsZeroed does).
@@ -144,6 +155,48 @@ func PutFloats(f []float32) {
 	}
 	select {
 	case floatClasses[c] <- f[:0]:
+	default:
+	}
+}
+
+// sharedBuf is one pooled payload read by several receivers — the down-phase
+// broadcast of a tree collective encodes a segment once for all children.
+// refs counts the readers still to come; the last release recycles both the
+// bytes and the header, so a steady-state broadcast allocates nothing.
+type sharedBuf struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+// sharedFree recycles sharedBuf headers. 256 covers the segments a 4-colour
+// step keeps in flight several times over; beyond it headers are collected.
+var sharedFree = make(chan *sharedBuf, 256)
+
+// getShared returns a length-n pooled buffer that refs receivers will release.
+func getShared(n, refs int) *sharedBuf {
+	var s *sharedBuf
+	select {
+	case s = <-sharedFree:
+	default:
+		s = new(sharedBuf)
+	}
+	s.buf = GetBytes(n)
+	s.refs.Store(int32(refs))
+	return s
+}
+
+// drop gives up n references — one for a receiver done reading, several for
+// a sender abandoning the destinations it never reached; whoever brings the
+// count to zero recycles the buffer. Dropping none must not look at the
+// count: it may already be zero, and the buffer somebody else's.
+func (s *sharedBuf) drop(n int) {
+	if n == 0 || s.refs.Add(int32(-n)) != 0 {
+		return
+	}
+	PutBytes(s.buf)
+	s.buf = nil
+	select {
+	case sharedFree <- s:
 	default:
 	}
 }

@@ -175,7 +175,7 @@ func (w *TCPWorld) readLoop(conn net.Conn) {
 			return
 		}
 		lastSrc = src
-		if w.box.put(msgKey{src: src, ctx: ctx, tag: tag}, payload) != nil {
+		if w.box.put(msgKey{src: src, ctx: ctx, tag: tag}, message{data: payload}) != nil {
 			PutBytes(payload)
 			return
 		}
@@ -213,7 +213,7 @@ func (w *TCPWorld) Send(dst int, ctx uint64, tag int, data []byte) error {
 	if dst == w.rank {
 		cp := GetBytes(len(data))
 		copy(cp, data)
-		if err := w.box.put(msgKey{src: w.rank, ctx: ctx, tag: tag}, cp); err != nil {
+		if err := w.box.put(msgKey{src: w.rank, ctx: ctx, tag: tag}, message{data: cp}); err != nil {
 			PutBytes(cp)
 			return err
 		}
@@ -288,7 +288,7 @@ func (w *TCPWorld) writeFrame(dst int, frame []byte) error {
 // frame and then released to the pool (self-sends deliver it directly).
 func (w *TCPWorld) SendOwned(dst int, ctx uint64, tag int, data []byte) error {
 	if dst == w.rank {
-		if err := w.box.put(msgKey{src: w.rank, ctx: ctx, tag: tag}, data); err != nil {
+		if err := w.box.put(msgKey{src: w.rank, ctx: ctx, tag: tag}, message{data: data}); err != nil {
 			PutBytes(data)
 			return err
 		}
@@ -348,21 +348,23 @@ func (w *TCPWorld) Recv(src int, ctx uint64, tag int) ([]byte, error) {
 	k := msgKey{src: src, ctx: ctx, tag: tag}
 	d := time.Duration(w.detect.Load())
 	if d <= 0 {
-		return w.box.get(k)
+		m, err := w.box.get(k)
+		return m.data, err
 	}
-	b, err := w.box.getTimeout(k, d)
+	m, err := w.box.getTimeout(k, d)
 	if err != nil && errors.Is(err, errDetectTimeout) {
 		// Keep the marking presumptive: later receives fail fast but stay
 		// transient-typed (IsDetectTimeout), so a recovery protocol waiting
 		// on a slow-but-live peer retries instead of evicting it.
 		w.box.markDownCause(src, errDetectTimeout)
 	}
-	return b, err
+	return m.data, err
 }
 
 // TryRecv implements Transport.
 func (w *TCPWorld) TryRecv(src int, ctx uint64, tag int) ([]byte, bool, error) {
-	return w.box.tryGet(msgKey{src: src, ctx: ctx, tag: tag})
+	m, ok, err := w.box.tryGet(msgKey{src: src, ctx: ctx, tag: tag})
+	return m.data, ok, err
 }
 
 // NumRanks implements Transport.

@@ -201,15 +201,14 @@ func (w *World) Traffic() Traffic {
 // byte accounting. It charges the sender; the profile depends on whether the
 // destination shares the sender's node.
 type topoTransport struct {
-	Transport
+	*memTransport
 	net    *topoNet
-	rank   int
 	egress sync.Mutex // serializes this rank's inter-node sends (its NIC share)
 }
 
 // charge accounts and delays an n-byte message from t.rank to dst — the
-// single place the link model is applied, so copying and ownership-transfer
-// sends always pay identical cost.
+// single place the link model is applied, so copying, ownership-transfer,
+// lent and shared sends always pay identical cost.
 func (t *topoTransport) charge(dst, n int) {
 	if t.net.topo.NodeOf(t.rank) == t.net.topo.NodeOf(dst) {
 		t.net.intraBytes.Add(int64(n))
@@ -227,7 +226,7 @@ func (t *topoTransport) charge(dst, n int) {
 // Send implements Transport.
 func (t *topoTransport) Send(dst int, ctx uint64, tag int, data []byte) error {
 	t.charge(dst, len(data))
-	return t.Transport.Send(dst, ctx, tag, data)
+	return t.memTransport.Send(dst, ctx, tag, data)
 }
 
 // SendOwned implements Transport, charging the same cost as Send. (Without
@@ -235,7 +234,14 @@ func (t *topoTransport) Send(dst int, ctx uint64, tag int, data []byte) error {
 // through and make pooled sends free.)
 func (t *topoTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) error {
 	t.charge(dst, len(data))
-	return t.Transport.SendOwned(dst, ctx, tag, data)
+	return t.memTransport.SendOwned(dst, ctx, tag, data)
+}
+
+// sendMsg implements viewTransport: a lent or shared payload is charged per
+// destination exactly as the copy it replaces.
+func (t *topoTransport) sendMsg(dst int, ctx uint64, tag int, m message) error {
+	t.charge(dst, len(m.data))
+	return t.memTransport.sendMsg(dst, ctx, tag, m)
 }
 
 // sendNeverBlocks overrides the embedded transport's promotion: a send may

@@ -173,8 +173,10 @@ func (b *BatchNorm2D) backwardChannel(c int) {
 			sumDyXhat += dy * float64(xhat[j])
 		}
 	}
-	b.Beta.Grad.Data[c] += float32(sumDy)
-	b.Gamma.Grad.Data[c] += float32(sumDyXhat)
+	// Stored as +0 + x, what adding to a cleared gradient gives: a negative
+	// sum too small for float32 rounds to -0, and +0 + -0 is +0.
+	b.Beta.Grad.Data[c] = 0 + float32(sumDy)
+	b.Gamma.Grad.Data[c] = 0 + float32(sumDyXhat)
 	k1 := float32(sumDy) / m
 	k2 := float32(sumDyXhat) / m
 	scale := g * invStd

@@ -59,6 +59,9 @@ type Conv2D struct {
 	// pack is the geometry of the last Forward of a stride-1 layer; nil on the
 	// im2col path.
 	pack *tensor.ConvPack
+	// noInputGrad (SkipInputGrad): Backward computes the parameter gradients
+	// only and returns nil — gradIn stays nil.
+	noInputGrad bool
 
 	// The pool tasks are built once and read the current call's tensors
 	// through these fields, for the reason ReLU's comment gives.
@@ -101,10 +104,16 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.Weight}
 }
 
+// skipInputGrad implements SkipInputGrad: Backward leaves out the input-
+// gradient product and everything that only feeds it — PackGradOut and
+// GradInput on the packed path, the Wᵀ·g GEMM and Col2Im on the strided one,
+// the lowered-gradient scratch on both — and returns nil.
+func (c *Conv2D) skipInputGrad() { c.noInputGrad, c.gradIn = true, nil }
+
 // ensureScratch sizes the per-chunk workspaces for the current geometry and
 // batch: the lowered image for every chunk, and — when backward is set — the
-// lowered gradient plus the partial dW/dB accumulators. Everything the tasks
-// index is sized here, never per call.
+// partial dW/dB accumulators plus, unless the input gradient is skipped, the
+// lowered gradient. Everything the tasks index is sized here, never per call.
 func (c *Conv2D) ensureScratch(backward bool) {
 	if len(c.scratch) < c.chunks {
 		c.scratch = append(c.scratch, make([]convScratch, c.chunks-len(c.scratch))...)
@@ -120,7 +129,9 @@ func (c *Conv2D) ensureScratch(backward bool) {
 		if !backward {
 			continue
 		}
-		s.grad, s.gradZeroedFor = sizePack(s.grad, grad, s.gradZeroedFor, c.pack)
+		if !c.noInputGrad {
+			s.grad, s.gradZeroedFor = sizePack(s.grad, grad, s.gradZeroedFor, c.pack)
+		}
 		if wLen := c.Weight.Value.Len(); len(s.dW) < wLen {
 			s.dW = make([]float32, wLen)
 		}
@@ -207,9 +218,16 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if gradOut.NumDims() != 4 || gradOut.Dim(0) != n || gradOut.Dim(1) != c.OutC || gradOut.Dim(2) != c.outH || gradOut.Dim(3) != c.outW {
 		panic(fmt.Sprintf("nn: %s backward gradient shape %v, forward produced [%d %d %d %d]", c.name, gradOut.Shape(), n, c.OutC, c.outH, c.outW))
 	}
-	c.gradIn = tensor.Reuse(c.gradIn, n, c.InC, c.lastH, c.lastW)
+	if !c.noInputGrad {
+		c.gradIn = tensor.Reuse(c.gradIn, n, c.InC, c.lastH, c.lastW)
+	}
 	if n == 0 {
-		return c.gradIn // no chunk ran, so no partial holds this step's gradient
+		// No chunk ran, so no partial holds this step's gradient: it is zero.
+		c.Weight.Grad.Zero()
+		if c.Bias != nil {
+			c.Bias.Grad.Zero()
+		}
+		return c.gradIn
 	}
 	c.gradOut = gradOut
 	c.ensureScratch(true)
@@ -222,7 +240,8 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	kernels.RunRange(c.Weight.Value.Len(), 4096, c.foldTask)
 	if c.Bias != nil {
 		bg := c.Bias.Grad.Data
-		for ci := range c.scratch[:c.chunks] {
+		copy(bg, c.scratch[0].dB[:c.OutC]) // formed from +0, like the dW partials
+		for ci := 1; ci < c.chunks; ci++ {
 			for j, v := range c.scratch[ci].dB[:c.OutC] {
 				bg[j] += v
 			}
@@ -249,7 +268,6 @@ func (c *Conv2D) backwardChunk(ci int) {
 	for i := lo; i < hi; i++ {
 		src := x.Data[i*inPlane : (i+1)*inPlane]
 		g := c.gradOut.Data[i*outPlane : (i+1)*outPlane]
-		gi := c.gradIn.Data[i*inPlane : (i+1)*inPlane]
 		// The chunk's first image stores its weight gradient (beta 0: 0 + the
 		// sum, what adding it to a cleared partial gives) and the rest add to
 		// it, so the partial is never cleared.
@@ -263,16 +281,21 @@ func (c *Conv2D) backwardChunk(ci int) {
 		if c.pack != nil {
 			c.pack.PackInput(s.image, src)
 			c.pack.GradWeight(g, s.image, dW, !first)
-			c.pack.PackGradOut(s.grad, g)
-			c.pack.GradInput(weights, s.grad, gi)
+			if !c.noInputGrad {
+				c.pack.PackGradOut(s.grad, g)
+				c.pack.GradInput(weights, s.grad, c.gradIn.Data[i*inPlane:(i+1)*inPlane])
+			}
 		} else {
 			// dW += g · colsᵀ; dCols = Wᵀ · g, scattered back onto a cleared
 			// input gradient.
 			tensor.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, s.image)
 			tensor.Gemm(false, true, c.OutC, colRows, colN, 1, g, s.image, beta, dW)
-			tensor.Gemm(true, false, colRows, colN, c.OutC, 1, weights, g, 0, s.grad)
-			clear(gi)
-			tensor.Col2Im(s.grad, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, gi)
+			if !c.noInputGrad {
+				gi := c.gradIn.Data[i*inPlane : (i+1)*inPlane]
+				tensor.Gemm(true, false, colRows, colN, c.OutC, 1, weights, g, 0, s.grad)
+				clear(gi)
+				tensor.Col2Im(s.grad, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, gi)
+			}
 		}
 		if dB != nil {
 			for oc := 0; oc < c.OutC; oc++ {
@@ -287,11 +310,14 @@ func (c *Conv2D) backwardChunk(ci int) {
 	}
 }
 
-// foldWeightGrad adds every chunk's partial into weight-gradient elements
-// [lo,hi), in chunk order.
+// foldWeightGrad stores the chunk-order sum of every chunk's partial into
+// weight-gradient elements [lo,hi). The first partial is copied: its sums
+// were formed from +0 and are never -0, so the copy is bit for bit the
+// 0 + partial that adding it to a cleared gradient gave.
 func (c *Conv2D) foldWeightGrad(lo, hi int) {
 	wg := c.Weight.Grad.Data[lo:hi]
-	for ci := range c.scratch[:c.chunks] {
+	copy(wg, c.scratch[0].dW[lo:hi])
+	for ci := 1; ci < c.chunks; ci++ {
 		kernels.AddInto(wg, c.scratch[ci].dW[lo:hi])
 	}
 }

@@ -15,6 +15,7 @@ type Linear struct {
 	Weight, Bias *Param
 	lastInput    *tensor.Tensor
 	out, gradIn  *tensor.Tensor // layer-owned results, reused while the shape repeats
+	noInputGrad  bool           // SkipInputGrad: Backward returns nil
 }
 
 // NewLinear constructs a fully-connected layer with Kaiming init.
@@ -33,6 +34,11 @@ func (l *Linear) Name() string { return l.name }
 
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
+
+// skipInputGrad implements SkipInputGrad: Backward stops after the parameter
+// gradients — the g·W product reads the whole weight matrix for a result
+// nobody wants — and returns nil.
+func (l *Linear) skipInputGrad() { l.noInputGrad = true }
 
 // Forward implements Layer.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -61,14 +67,20 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		panic("nn: " + l.name + " Backward before Forward")
 	}
 	n := x.Dim(0)
-	// dW (out×in) += gᵀ (out×n) · x (n×in)
-	tensor.Gemm(true, false, l.Out, l.In, n, 1, gradOut.Data, x.Data, 1, l.Weight.Grad.Data)
-	// db += column sums of g
+	// dW (out×in) = gᵀ (out×n) · x (n×in), stored: beta 0 forms every sum
+	// from +0 without reading the gradient's old contents.
+	tensor.Gemm(true, false, l.Out, l.In, n, 1, gradOut.Data, x.Data, 0, l.Weight.Grad.Data)
+	// db = column sums of g, from +0.
+	db := l.Bias.Grad.Data
+	clear(db)
 	for i := 0; i < n; i++ {
 		row := gradOut.Data[i*l.Out : (i+1)*l.Out]
 		for j, v := range row {
-			l.Bias.Grad.Data[j] += v
+			db[j] += v
 		}
+	}
+	if l.noInputGrad {
+		return nil
 	}
 	// dx (n×in) = g (n×out) · W (out×in)
 	l.gradIn = tensor.Reuse(l.gradIn, n, l.In)
@@ -106,8 +118,12 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return f.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A nil gradient — the layer after it was told
+// nobody reads its input gradient (SkipInputGrad) — passes through.
 func (f *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	if gradOut == nil {
+		return nil
+	}
 	if f.gradIn == nil || len(f.gradIn.Data) != len(gradOut.Data) {
 		f.gradIn = gradOut.MustView(f.lastShape...)
 	}

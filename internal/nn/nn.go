@@ -19,14 +19,15 @@ type Param struct {
 	Name string
 	// Value is the parameter tensor, shared by reference with the layer.
 	Value *tensor.Tensor
-	// Grad accumulates the gradient; Layer.Backward adds into it. Under a
-	// trainer it is this replica's own gradient from the end of backward
-	// until the step's pack/exchange/apply stages consume it — then it is
-	// working storage (device 0's holds partial and global sums in place,
-	// the other devices' are left as backward wrote them) until the next
-	// step clears it. It is never "the averaged global gradient": the
-	// optimizer reads that once, from the reduced slice, and nothing writes
-	// it back.
+	// Grad holds the gradient; Layer.Backward stores into it — every element,
+	// whatever it held before, with the bits that adding to a cleared
+	// gradient would give. Under a trainer it is this replica's own gradient
+	// from the end of backward until the step's pack/exchange/apply stages
+	// consume it — then it is working storage (device 0's holds partial and
+	// global sums in place, the other devices' are left as backward wrote
+	// them) until the next backward overwrites it. It is never "the averaged
+	// global gradient": the optimizer reads that once, from the reduced
+	// slice, and nothing writes it back.
 	Grad *tensor.Tensor
 	// NoWeightDecay marks parameters (BN scale/shift, biases) excluded from
 	// L2 regularization, following the Torch ResNet training recipe.
@@ -54,8 +55,10 @@ type Layer interface {
 	// Forward computes the layer output. train selects training behaviour
 	// (batch statistics, active dropout).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	// Backward consumes dL/d(output), accumulates parameter gradients, and
-	// returns dL/d(input).
+	// Backward consumes dL/d(output), stores the parameter gradients —
+	// overwriting Param.Grad, never adding to it: a caller that wants to
+	// accumulate over several passes sums them itself — and returns
+	// dL/d(input), or nil from a layer told nobody reads it (SkipInputGrad).
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's learnable parameters (possibly empty).
 	Params() []*Param
@@ -85,7 +88,8 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It returns what the first layer returns: nil
+// when that layer skips its input gradient (SkipInputGrad).
 func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		gradOut = s.Layers[i].Backward(gradOut)
@@ -105,6 +109,32 @@ func (s *Sequential) BackwardWithGradHook(gradOut *tensor.Tensor, hook ParamHook
 		gradOut = BackwardNotify(s.Layers[i], gradOut, hook)
 	}
 	return gradOut
+}
+
+// skipInputGrad implements SkipInputGrad: the chain's input gradient is its
+// first layer's, so the mark goes there — past a leading Flatten, which
+// computes nothing and hands a nil gradient through.
+func (s *Sequential) skipInputGrad() {
+	for _, l := range s.Layers {
+		if _, ok := l.(*Flatten); !ok {
+			SkipInputGrad(l)
+			return
+		}
+	}
+}
+
+// SkipInputGrad tells model that nobody reads the gradient with respect to
+// its input — the case of a whole network under a trainer, whose input is
+// data — so its input-side layer may skip computing it: Backward on the
+// model then returns nil. Linear and Conv2D honour the mark (their
+// parameter gradients and everything downstream are untouched, bit for bit),
+// Sequential hands it to its first layer; every other layer ignores it and
+// keeps returning its input gradient. The mark is permanent: do not set it on
+// a layer whose Backward result something consumes.
+func SkipInputGrad(model Layer) {
+	if s, ok := model.(interface{ skipInputGrad() }); ok {
+		s.skipInputGrad()
+	}
 }
 
 // Params implements Layer.
@@ -223,7 +253,9 @@ func UnflattenValues(ps []*Param, src []float32) error {
 	return nil
 }
 
-// ZeroGrads clears every gradient accumulator.
+// ZeroGrads clears every gradient. Backward does not need it — it stores —
+// but a caller that sums gradients over several passes, or wants the
+// parameters a partial backward never reaches to read zero, does.
 func ZeroGrads(ps []*Param) {
 	for _, p := range ps {
 		p.Grad.Zero()

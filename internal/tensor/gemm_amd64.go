@@ -9,7 +9,7 @@ import "repro/internal/kernels"
 // extents once per tile before handing out raw pointers.
 
 //go:noescape
-func axpyRowAVX2(c *float32, n int, a *float32, astride, k int, b *float32, ldb int, alpha float32)
+func axpyRowAVX2(c *float32, n int, a *float32, astride, k int, b *float32, ldb int, alpha float32, store bool)
 
 //go:noescape
 func dotTile4AVX2(k int, a *float32, sap int, b *float32, ldb int, c *float32, ldc, lane0 int, alpha, beta float32, sai int)
@@ -57,10 +57,16 @@ func gemmTileAVX2(transA, transB bool, rlo, rhi, clo, chi, fullM, fullN, k int, 
 		sai, sap = 1, fullM
 	}
 	if !transB {
+		// At beta 0 the kernel stores: the sums are formed in registers from
+		// +0 and C is neither zero-filled nor read — the bits of the portable
+		// tile's fill-then-accumulate, without its two extra passes over C.
+		store := beta == 0
 		for i := rlo; i < rhi; i++ {
 			ci := c[i*n+clo : i*n+chi]
-			scaleRange(ci, beta)
-			axpyRowAVX2(&ci[0], width, &a[i*sai], sap, k, &b[clo], n, alpha)
+			if !store {
+				scaleRange(ci, beta)
+			}
+			axpyRowAVX2(&ci[0], width, &a[i*sai], sap, k, &b[clo], n, alpha, store)
 		}
 		return
 	}

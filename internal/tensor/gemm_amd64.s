@@ -50,13 +50,26 @@ GLOBL lanemask<>(SB), RODATA|NOPTR, $96
 	VMULPS off(R12), Y8, tmp; \
 	VADDPS tmp, acc, acc
 
-// func axpyRowAVX2(c *float32, n int, a *float32, astride, k int, b *float32, ldb int, alpha float32)
+// AXPY_C0 starts a block's C registers: a jump to zero (which clears them,
+// +0) when the call stores, or falling through to the loads of C when it
+// accumulates. BX is the store flag.
+#define AXPY_C0(zero) \
+	TESTQ BX, BX; \
+	JNZ   zero
+
+// func axpyRowAVX2(c *float32, n int, a *float32, astride, k int, b *float32, ldb int, alpha float32, store bool)
 //
 // c[j] += (alpha*a[p*astride]) * b[p*ldb+j] for j in [0,n), p ascending in
 // [0,k), skipping every p whose scaled A element is zero. Columns are taken
 // in blocks of 64, 32, 16, 8 and a masked remainder; a block's C values stay
 // in registers across the whole p loop, which changes nothing per element.
-TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-60
+//
+// With store set the sums start from +0 instead of from C, which is then
+// written without being read: Gemm's beta 0 without the zero-fill pass, bit
+// for bit what adding to a cleared C gives (a row whose every scaled A
+// element is zero stores +0). k must be at least 1 then — with k <= 0 the
+// kernel touches nothing.
+TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-61
 	MOVQ  c+0(FP), DI
 	MOVQ  n+8(FP), CX
 	MOVQ  a+16(FP), SI
@@ -65,6 +78,7 @@ TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-60
 	MOVQ  b+40(FP), DX
 	MOVQ  ldb+48(FP), R10
 	VMOVSS alpha+56(FP), X15
+	MOVBQZX store+60(FP), BX
 	SHLQ  $2, R8
 	SHLQ  $2, R10
 	VXORPS X14, X14, X14
@@ -74,6 +88,7 @@ TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-60
 block64:
 	CMPQ CX, $64
 	JLT  block32
+	AXPY_C0(zero64)
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
 	VMOVUPS 64(DI), Y2
@@ -82,6 +97,17 @@ block64:
 	VMOVUPS 160(DI), Y5
 	VMOVUPS 192(DI), Y6
 	VMOVUPS 224(DI), Y7
+	JMP  start64
+zero64:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+start64:
 	AXPY_RESET
 loop64:
 	AXPY_S(skip64)
@@ -111,10 +137,18 @@ skip64:
 block32:
 	CMPQ CX, $32
 	JLT  block16
+	AXPY_C0(zero32)
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
 	VMOVUPS 64(DI), Y2
 	VMOVUPS 96(DI), Y3
+	JMP  start32
+zero32:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+start32:
 	AXPY_RESET
 loop32:
 	AXPY_S(skip32)
@@ -135,8 +169,14 @@ skip32:
 block16:
 	CMPQ CX, $16
 	JLT  block8
+	AXPY_C0(zero16)
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
+	JMP  start16
+zero16:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+start16:
 	AXPY_RESET
 loop16:
 	AXPY_S(skip16)
@@ -153,7 +193,12 @@ skip16:
 block8:
 	CMPQ CX, $8
 	JLT  tail
+	AXPY_C0(zero8)
 	VMOVUPS 0(DI), Y0
+	JMP  start8
+zero8:
+	VXORPS Y0, Y0, Y0
+start8:
 	AXPY_RESET
 loop8:
 	AXPY_S(skip8)
@@ -174,7 +219,12 @@ tail:
 	SHLQ  $2, CX
 	SUBQ  CX, AX
 	VMOVDQU (AX), Y13
+	AXPY_C0(zerotail)
 	VMASKMOVPS (DI), Y13, Y0
+	JMP  starttail
+zerotail:
+	VXORPS Y0, Y0, Y0
+starttail:
 	AXPY_RESET
 looptail:
 	AXPY_S(skiptail)

@@ -121,3 +121,58 @@ func TestGemmPackedLargeRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestGemmStoreNeverReadsC pins the beta-0 contract of the axpy (!transB)
+// kernels: C is written, never read. C arrives full of NaN — one read of it
+// poisons the result — at widths that end in every column block of the AVX2
+// kernel (64, 32, 16, 8, masked remainder) and at the three weight-gradient
+// shapes of the wide MLP (op(A) = gᵀ, k = batch 4). Some op(A) rows are all
+// zero, so every product of those C rows takes the `s == 0` skip: they must
+// come back +0, not as found. Bitwise against the serial reference, at one
+// worker and at a width that tiles the larger products.
+func TestGemmStoreNeverReadsC(t *testing.T) {
+	shapes := []struct{ m, n, k int }{
+		{3, 64, 4}, {3, 96, 5}, {2, 48, 3}, {5, 24, 4}, {4, 8, 2}, {3, 71, 4}, {6, 13, 7}, {2, 5, 1},
+		{384, 768, 4}, {256, 384, 4}, {8, 256, 4},
+	}
+	nan := float32(math.NaN())
+	rng := rand.New(rand.NewSource(17))
+	for _, sh := range shapes {
+		for _, transA := range []bool{false, true} {
+			a := packedSlice(rng, sh.m*sh.k)
+			b := packedSlice(rng, sh.k*sh.n)
+			for i := 0; i < sh.m; i += 2 { // op(A) rows 0, 2, 4, …: all zero, of both signs
+				for p := 0; p < sh.k; p++ {
+					z := float32(math.Copysign(0, float64(1-2*(p%2))))
+					if transA {
+						a[p*sh.m+i] = z
+					} else {
+						a[i*sh.k+p] = z
+					}
+				}
+			}
+			want := make([]float32, sh.m*sh.n)
+			gemmSerial(transA, false, sh.m, sh.n, sh.k, 1, a, b, 0, want)
+			for _, w := range []int{1, 3} {
+				prev := kernels.SetWorkers(w)
+				got := make([]float32, sh.m*sh.n)
+				for i := range got {
+					got[i] = nan
+				}
+				Gemm(transA, false, sh.m, sh.n, sh.k, 1, a, b, 0, got)
+				kernels.SetWorkers(prev)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("m%d n%d k%d tA%v width %d: C[%d] = %v (bits %x), want %v (bits %x)",
+							sh.m, sh.n, sh.k, transA, w, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
+				}
+				for j := 0; j < sh.n; j++ {
+					if bits := math.Float32bits(got[j]); bits != 0 {
+						t.Fatalf("m%d n%d k%d tA%v width %d: all-zero op(A) row 0 stored bits %x at column %d, want +0", sh.m, sh.n, sh.k, transA, w, bits, j)
+					}
+				}
+			}
+		}
+	}
+}

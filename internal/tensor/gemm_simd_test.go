@@ -130,6 +130,9 @@ func TestGemmSIMDMatchesPortable(t *testing.T) {
 // FuzzGemmSIMDMatchesPortable lets the fuzzer pick the shape, the transposes,
 // the coefficients and the raw bits of every operand element (cycled from
 // the input), and holds the AVX2 kernels to the pure-Go ones on the result.
+// Bit 2 of trans hands both kernels a C full of NaN: at beta 0 neither may
+// read it, so the portable result has none that A and B did not put there,
+// and a kernel that loads C differs from it.
 func FuzzGemmSIMDMatchesPortable(f *testing.F) {
 	if !kernels.UseAVX2 {
 		f.Skip("no AVX2 on this machine: Gemm already runs the portable kernels")
@@ -157,6 +160,11 @@ func FuzzGemmSIMDMatchesPortable(f *testing.F) {
 		a := fill(mi*ki, 0)
 		b := fill(ki*ni, len(a))
 		c := fill(mi*ni, len(a)+len(b))
+		if trans&4 != 0 {
+			for i := range c {
+				c[i] = float32(math.NaN())
+			}
+		}
 		if i := gemmBothKernels(trans&1 != 0, trans&2 != 0, mi, ni, ki, alpha, a, b, beta, c); i != noMismatch {
 			t.Fatalf("m%d n%d k%d trans%02b alpha%v beta%v: avx2 and portable differ at C[%d]", mi, ni, ki, trans&3, alpha, beta, i)
 		}
