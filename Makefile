@@ -3,12 +3,19 @@
 
 GO ?= go
 
-.PHONY: all build test race race-ownership bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate sim-crossval lint clean
+.PHONY: all build cross test race race-ownership bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate sim-crossval lint clean
 
 all: lint build test
 
 build:
 	$(GO) build ./...
+
+# The GOARCHes no other target compiles: a 32-bit int (untyped constants that
+# overflow only there) and one without the AVX2 kernels (the !amd64 halves of
+# the kernel build tags).
+cross:
+	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -67,7 +74,7 @@ kernels-purego:
 	$(GO) test -tags purego ./internal/kernels ./internal/tensor ./internal/nn ./internal/models ./internal/sgd ./internal/mpi ./internal/allreduce ./internal/dpt ./internal/core
 
 # 20 s of each fuzz target, from its committed corpus: the SIMD-vs-portable
-# kernels, the packed convolution vs Im2Col+Gemm+Col2Im, then the DIMD decoders (window decode vs the dense reference, the
+# kernels, the packed convolution vs Im2Col+Gemm+Col2Im (internal/tensor/convref, the tests' reference), then the DIMD decoders (window decode vs the dense reference, the
 # shuffle's record frames). The decoders' inputs are kilobyte blobs, which the
 # fuzzer's default 60 s minimisation of every interesting input would spend
 # the whole smoke on.

@@ -37,6 +37,7 @@ type convResult struct {
 	InC          int     `json:"in_c"`
 	OutC         int     `json:"out_c"`
 	Size         int     `json:"size"`
+	Kernel       int     `json:"kernel"`
 	Stride       int     `json:"stride"`
 	MsSerial     float64 `json:"ms_serial"`
 	MsPool       float64 `json:"ms_pool"`
@@ -73,9 +74,10 @@ type kernelsReport struct {
 	ConvMsPool       float64 `json:"conv_ms_pool"`
 	ConvSpeedup      float64 `json:"conv_speedup"`
 	ConvThroughputIS float64 `json:"conv_images_per_sec"`
-	// ConvShapes are the bias-free 3×3 geometries watched beside it: the
-	// shape that dominates the conv_phased benchmark workload (stride 1, the
-	// packed path) and a stride-2 layer of the same net (the im2col path).
+	// ConvShapes are the bias-free geometries watched beside it: the 3×3
+	// stride-1 shape that dominates the conv_phased benchmark workload and
+	// the four stride-2 layers of the same net — the two 3×3 stage
+	// transitions and their 1×1 projections.
 	ConvShapes []convResult `json:"conv_shapes"`
 	// Layers are the vector kernels under ReLU (kernels.RectifyInto forward,
 	// GateInto backward) and the 2×2 max pool (kernels.MaxPool2x2), through
@@ -204,8 +206,8 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 	// Conv forward+backward: the batch-parallel hot path. One layer, reused
 	// scratch — the steady-state per-step cost.
 	rng := tensor.NewRNG(5)
-	convStep := func(batch, inC, outC, size, stride int, bias bool) (sSerial, sPool float64) {
-		conv := nn.NewConv2D("bench", inC, outC, 3, 3, stride, stride, 1, 1, nn.ConvOpts{Bias: bias}, rng)
+	convStep := func(batch, inC, outC, size, k, stride int, bias bool) (sSerial, sPool float64) {
+		conv := nn.NewConv2D("bench", inC, outC, k, k, stride, stride, k/2, k/2, nn.ConvOpts{Bias: bias}, rng)
 		x := tensor.New(batch, inC, size, size)
 		rng.FillNormal(x, 0, 1)
 		step := func() { conv.Backward(conv.Forward(x, true)) }
@@ -217,16 +219,19 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 	}
 	const batch = 16
 	rep.ConvBatch = batch
-	sSerial, sPool := convStep(batch, 8, 16, 24, 1, true)
+	sSerial, sPool := convStep(batch, 8, 16, 24, 3, 1, true)
 	rep.ConvMsSerial = 1e3 * sSerial
 	rep.ConvMsPool = 1e3 * sPool
 	rep.ConvSpeedup = sSerial / sPool
 	rep.ConvThroughputIS = float64(batch) / sPool
 	for _, sh := range []convResult{
-		{Name: "conv_phased 16->16 3x3 on 16x16", Batch: 4, InC: 16, OutC: 16, Size: 16, Stride: 1},
-		{Name: "conv_phased 16->32 3x3/2 on 16x16", Batch: 4, InC: 16, OutC: 32, Size: 16, Stride: 2},
+		{Name: "conv_phased 16->16 3x3 on 16x16", Batch: 4, InC: 16, OutC: 16, Size: 16, Kernel: 3, Stride: 1},
+		{Name: "conv_phased 16->32 3x3/2 on 16x16", Batch: 4, InC: 16, OutC: 32, Size: 16, Kernel: 3, Stride: 2},
+		{Name: "conv_phased 32->64 3x3/2 on 8x8", Batch: 4, InC: 32, OutC: 64, Size: 8, Kernel: 3, Stride: 2},
+		{Name: "conv_phased 16->32 1x1/2 on 16x16", Batch: 4, InC: 16, OutC: 32, Size: 16, Kernel: 1, Stride: 2},
+		{Name: "conv_phased 32->64 1x1/2 on 8x8", Batch: 4, InC: 32, OutC: 64, Size: 8, Kernel: 1, Stride: 2},
 	} {
-		sSerial, sPool := convStep(sh.Batch, sh.InC, sh.OutC, sh.Size, sh.Stride, false)
+		sSerial, sPool := convStep(sh.Batch, sh.InC, sh.OutC, sh.Size, sh.Kernel, sh.Stride, false)
 		sh.MsSerial, sh.MsPool = 1e3*sSerial, 1e3*sPool
 		sh.ImagesPerSec = float64(sh.Batch) / sPool
 		rep.ConvShapes = append(rep.ConvShapes, sh)

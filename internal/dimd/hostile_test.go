@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/imagecodec"
@@ -57,6 +58,16 @@ func TestReadPackHostileHeader(t *testing.T) {
 	}
 	if got > 4*readChunk {
 		t.Fatalf("ReadPack allocated %d bytes for a 112-byte stream", got)
+	}
+
+	// Counts no int holds — the sign bit, and (where int is 32 bits) anything
+	// whose 12-byte-an-image index passes 2³¹ — are refused by the header
+	// check, before conversion.
+	for _, count := range []uint64{1 << 63, 1<<64 - 1, 1<<40 + 1} {
+		binary.LittleEndian.PutUint64(hdr[4:], count)
+		if _, err = ReadPack(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "implausible image count") {
+			t.Fatalf("image count %d: err = %v, want it called implausible", count, err)
+		}
 	}
 
 	var pack bytes.Buffer

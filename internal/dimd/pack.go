@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Record is one stored image: its label and encoded bytes.
@@ -113,10 +114,14 @@ func ReadPack(r io.Reader) (*Pack, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != packMagic {
 		return nil, errors.New("dimd: bad pack magic")
 	}
-	n := int(binary.LittleEndian.Uint64(hdr[4:]))
-	if n < 0 || n > 1<<40 {
-		return nil, fmt.Errorf("dimd: implausible image count %d", n)
+	// Checked as the uint64 it arrives as: the index is 12 bytes an image, and
+	// a count whose index an int cannot size (a 32-bit int, or the sign bit)
+	// is as implausible as one past 2^40.
+	count := binary.LittleEndian.Uint64(hdr[4:])
+	if count > 1<<40 || count > (math.MaxInt-8)/12 {
+		return nil, fmt.Errorf("dimd: implausible image count %d", count)
 	}
+	n := int(count)
 	idx, err := readN(r, int64(8*(n+1)+4*n))
 	if err != nil {
 		return nil, fmt.Errorf("dimd: reading pack index: %w", err)

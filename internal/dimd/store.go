@@ -195,24 +195,27 @@ func unmarshalRecords(b []byte) ([]Record, error) {
 	if len(b) < 4 {
 		return nil, errors.New("dimd: record frame too short")
 	}
-	count := int(binary.LittleEndian.Uint32(b))
 	// Every record costs at least its 8-byte header, so the count field
-	// cannot claim more records than the frame has room for.
-	if count > (len(b)-4)/8 {
+	// cannot claim more records than the frame has room for. Both lengths
+	// are compared as they arrive, unsigned: where int is 32 bits a
+	// converted field may be negative.
+	count := binary.LittleEndian.Uint32(b)
+	if uint64(count) > uint64(len(b)-4)/8 {
 		return nil, fmt.Errorf("dimd: record frame of %d bytes claims %d records", len(b), count)
 	}
 	pos := 4
 	recs := make([]Record, 0, count)
-	for i := 0; i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		if pos+8 > len(b) {
 			return nil, errors.New("dimd: truncated record header")
 		}
 		label := int32(binary.LittleEndian.Uint32(b[pos:]))
-		n := int(binary.LittleEndian.Uint32(b[pos+4:]))
+		size := binary.LittleEndian.Uint32(b[pos+4:])
 		pos += 8
-		if pos+n > len(b) {
+		if uint64(size) > uint64(len(b)-pos) {
 			return nil, errors.New("dimd: truncated record payload")
 		}
+		n := int(size)
 		data := make([]byte, n)
 		copy(data, b[pos:pos+n])
 		pos += n

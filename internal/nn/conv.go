@@ -7,13 +7,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// convScratch is one batch chunk's private workspace: the lowered image and
-// the lowered gradient (input pack and gradOut pack on the packed path,
-// im2col columns and their gradient on the strided one) plus the partial
-// weight/bias gradient accumulators. Chunks run concurrently on the kernels
-// pool, each touching only its own scratch.
+// convScratch is one batch chunk's private workspace: the input pack and the
+// gradOut pack plus the partial weight/bias gradient accumulators. Chunks run
+// concurrently on the kernels pool, each touching only its own scratch.
 type convScratch struct {
 	image, grad []float32
+	// held is the image of lastInput whose pack image holds, -1 when that is
+	// not known: every Forward records it, Backward skips PackInput for that
+	// image, and re-sizing or re-zeroing the buffer forgets it.
+	held int
 	// imageZeroedFor and gradZeroedFor are the pack geometry whose padding
 	// rows the buffers currently hold as zeros. Packing writes image rows
 	// only and trusts the rest, so a buffer last used under another geometry
@@ -26,14 +28,13 @@ type convScratch struct {
 // (outC, inC, kh, kw); bias is optional (the ResNet and GoogLeNetBN recipes
 // run conv without bias when followed by BN).
 //
-// Layer geometry alone picks one of two lowerings, both producing the same
-// bits (docs/ARCHITECTURE.md, "Convolution without the column matrix"):
-//
-//   - stride 1 runs on tensor.ConvPack: the image is packed into kw shifted
-//     copies of each padded plane and the forward, weight-gradient and
-//     input-gradient products read their operands from the pack in place —
-//     the column matrix is never written;
-//   - any other stride lowers to GEMM through Im2Col/Col2Im.
+// Every geometry runs on tensor.ConvPack (docs/ARCHITECTURE.md, "Convolution
+// without the column matrix"): the image is packed into kw shifted, strided
+// copies of each padded plane and the forward, weight-gradient and
+// input-gradient products read their operands from the pack in place — the
+// column matrix is never written. Backward packs an image again only when the
+// chunk's pack no longer holds it: with at most kernels.GradChunks images a
+// batch a chunk is one image, still packed from Forward.
 //
 // Forward and Backward parallelize across batch images on the shared
 // kernels pool. Output activations and input gradients are written to
@@ -56,8 +57,7 @@ type Conv2D struct {
 	scratch                  []convScratch // per-chunk workspaces, reused across steps
 	out, gradIn              *tensor.Tensor
 	lastH, lastW, outH, outW int
-	// pack is the geometry of the last Forward of a stride-1 layer; nil on the
-	// im2col path.
+	// pack is the geometry of the last Forward.
 	pack *tensor.ConvPack
 	// noInputGrad (SkipInputGrad): Backward computes the parameter gradients
 	// only and returns nil — gradIn stays nil.
@@ -79,6 +79,10 @@ type ConvOpts struct {
 
 // NewConv2D constructs a convolution with Kaiming-normal initialized weights.
 func NewConv2D(name string, inC, outC, kh, kw, strideH, strideW, padH, padW int, opts ConvOpts, rng *tensor.RNG) *Conv2D {
+	checkGeometry(name, kh, kw, strideH, strideW, padH, padW)
+	if inC < 1 || outC < 1 {
+		panic(fmt.Sprintf("nn: %s: %d input and %d output channels, want at least 1 of each", name, inC, outC))
+	}
 	w := tensor.New(outC, inC, kh, kw)
 	rng.FillKaiming(w, inC*kh*kw)
 	c := &Conv2D{
@@ -105,32 +109,28 @@ func (c *Conv2D) Params() []*Param {
 }
 
 // skipInputGrad implements SkipInputGrad: Backward leaves out the input-
-// gradient product and everything that only feeds it — PackGradOut and
-// GradInput on the packed path, the Wᵀ·g GEMM and Col2Im on the strided one,
-// the lowered-gradient scratch on both — and returns nil.
+// gradient product and everything that only feeds it — PackGradOut, GradInput
+// and the gradOut pack's scratch — and returns nil.
 func (c *Conv2D) skipInputGrad() { c.noInputGrad, c.gradIn = true, nil }
 
 // ensureScratch sizes the per-chunk workspaces for the current geometry and
-// batch: the lowered image for every chunk, and — when backward is set — the
+// batch: the input pack for every chunk, and — when backward is set — the
 // partial dW/dB accumulators plus, unless the input gradient is skipped, the
-// lowered gradient. Everything the tasks index is sized here, never per call.
+// gradOut pack. Everything the tasks index is sized here, never per call.
 func (c *Conv2D) ensureScratch(backward bool) {
 	if len(c.scratch) < c.chunks {
 		c.scratch = append(c.scratch, make([]convScratch, c.chunks-len(c.scratch))...)
 	}
-	image := c.InC * c.KH * c.KW * c.outH * c.outW
-	grad := image
-	if c.pack != nil {
-		image, grad = c.pack.InputPackLen(), c.pack.GradOutPackLen()
-	}
 	for i := range c.scratch[:c.chunks] {
 		s := &c.scratch[i]
-		s.image, s.imageZeroedFor = sizePack(s.image, image, s.imageZeroedFor, c.pack)
+		if n := c.pack.InputPackLen(); len(s.image) < n || s.imageZeroedFor != c.pack {
+			s.image, s.imageZeroedFor, s.held = sizePack(s.image, n), c.pack, -1
+		}
 		if !backward {
 			continue
 		}
-		if !c.noInputGrad {
-			s.grad, s.gradZeroedFor = sizePack(s.grad, grad, s.gradZeroedFor, c.pack)
+		if n := c.pack.GradOutPackLen(); !c.noInputGrad && (len(s.grad) < n || s.gradZeroedFor != c.pack) {
+			s.grad, s.gradZeroedFor = sizePack(s.grad, n), c.pack
 		}
 		if wLen := c.Weight.Value.Len(); len(s.dW) < wLen {
 			s.dW = make([]float32, wLen)
@@ -141,17 +141,16 @@ func (c *Conv2D) ensureScratch(backward bool) {
 	}
 }
 
-// sizePack grows buf to n floats and, when it is about to hold a pack of a
-// geometry other than the one it was last zeroed for, clears it: the stale
-// contents would otherwise sit where the new geometry's padding rows are.
-func sizePack(buf []float32, n int, zeroedFor, pack *tensor.ConvPack) ([]float32, *tensor.ConvPack) {
+// sizePack returns n zeroed floats for a pack of a geometry other than the
+// one buf was last zeroed for — buf itself, cleared, when it is long enough:
+// its stale contents would otherwise sit where the new geometry's padding
+// rows are.
+func sizePack(buf []float32, n int) []float32 {
 	if len(buf) < n {
-		return make([]float32, n), pack
+		return make([]float32, n)
 	}
-	if pack != nil && zeroedFor != pack {
-		clear(buf[:n])
-	}
-	return buf, pack
+	clear(buf[:n])
+	return buf
 }
 
 // Forward implements Layer.
@@ -165,8 +164,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if outH == 0 || outW == 0 {
 		panic(fmt.Sprintf("nn: %s forward shape %v: %d×%d kernel does not fit the input padded by %d×%d", c.name, x.Shape(), c.KH, c.KW, c.PadH, c.PadW))
 	}
-	if c.StrideH == 1 && c.StrideW == 1 && (c.pack == nil || c.pack.H != h || c.pack.W != w) {
-		c.pack = tensor.NewConvPack(c.InC, c.OutC, h, w, c.KH, c.KW, c.PadH, c.PadW)
+	if p := c.pack; p == nil || p.H != h || p.W != w { // the first Forward, or a new input size
+		c.pack = tensor.NewConvPack(c.InC, c.OutC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW)
 	}
 	c.lastInput = x
 	c.lastH, c.lastW, c.outH, c.outW = h, w, outH, outW
@@ -179,23 +178,19 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.out
 }
 
-// forwardChunk computes the outputs of one chunk's images.
+// forwardChunk computes the outputs of one chunk's images and leaves the
+// last of them packed in the chunk's scratch.
 func (c *Conv2D) forwardChunk(ci int) {
 	lo, hi := kernels.ChunkBounds(c.lastInput.Dim(0), c.chunks, ci)
-	lowered := c.scratch[ci].image
+	s := &c.scratch[ci]
 	x, weights := c.lastInput, c.Weight.Value.Data
-	colRows, colN := c.InC*c.KH*c.KW, c.outH*c.outW
+	colN := c.outH * c.outW
 	inPlane, outPlane := c.InC*c.lastH*c.lastW, c.OutC*colN
+	s.held = hi - 1
 	for i := lo; i < hi; i++ {
-		src := x.Data[i*inPlane : (i+1)*inPlane]
 		dst := c.out.Data[i*outPlane : (i+1)*outPlane]
-		if c.pack != nil {
-			c.pack.PackInput(lowered, src)
-			c.pack.Forward(weights, lowered, dst)
-		} else {
-			tensor.Im2Col(src, c.InC, c.lastH, c.lastW, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, lowered)
-			tensor.Gemm(false, false, c.OutC, colN, colRows, 1, weights, lowered, 0, dst)
-		}
+		c.pack.PackInput(s.image, x.Data[i*inPlane:(i+1)*inPlane])
+		c.pack.Forward(weights, s.image, dst)
 		if c.Bias != nil {
 			for oc := 0; oc < c.OutC; oc++ {
 				b := c.Bias.Value.Data[oc]
@@ -256,9 +251,8 @@ func (c *Conv2D) backwardChunk(ci int) {
 	lo, hi := kernels.ChunkBounds(c.lastInput.Dim(0), c.chunks, ci)
 	s := &c.scratch[ci]
 	x, weights := c.lastInput, c.Weight.Value.Data
-	h, w := c.lastH, c.lastW
-	colRows, colN := c.InC*c.KH*c.KW, c.outH*c.outW
-	inPlane, outPlane := c.InC*h*w, c.OutC*colN
+	colN := c.outH * c.outW
+	inPlane, outPlane := c.InC*c.lastH*c.lastW, c.OutC*colN
 	dW := s.dW[:len(weights)]
 	var dB []float32
 	if c.Bias != nil {
@@ -266,36 +260,20 @@ func (c *Conv2D) backwardChunk(ci int) {
 		clear(dB)
 	}
 	for i := lo; i < hi; i++ {
-		src := x.Data[i*inPlane : (i+1)*inPlane]
 		g := c.gradOut.Data[i*outPlane : (i+1)*outPlane]
-		// The chunk's first image stores its weight gradient (beta 0: 0 + the
-		// sum, what adding it to a cleared partial gives) and the rest add to
-		// it, so the partial is never cleared.
-		first := i == lo
-		beta := float32(1)
-		if first {
-			beta = 0
+		// The pack is recomputed, not kept per image from Forward (the
+		// standard recompute trade-off) — unless it is the one Forward left.
+		if s.held != i {
+			c.pack.PackInput(s.image, x.Data[i*inPlane:(i+1)*inPlane])
+			s.held = i
 		}
-		// The lowered image is recomputed, not cached from Forward (saves
-		// holding one per image, the standard recompute trade-off).
-		if c.pack != nil {
-			c.pack.PackInput(s.image, src)
-			c.pack.GradWeight(g, s.image, dW, !first)
-			if !c.noInputGrad {
-				c.pack.PackGradOut(s.grad, g)
-				c.pack.GradInput(weights, s.grad, c.gradIn.Data[i*inPlane:(i+1)*inPlane])
-			}
-		} else {
-			// dW += g · colsᵀ; dCols = Wᵀ · g, scattered back onto a cleared
-			// input gradient.
-			tensor.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, s.image)
-			tensor.Gemm(false, true, c.OutC, colRows, colN, 1, g, s.image, beta, dW)
-			if !c.noInputGrad {
-				gi := c.gradIn.Data[i*inPlane : (i+1)*inPlane]
-				tensor.Gemm(true, false, colRows, colN, c.OutC, 1, weights, g, 0, s.grad)
-				clear(gi)
-				tensor.Col2Im(s.grad, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, gi)
-			}
+		// The chunk's first image stores its weight gradient (0 + the sum,
+		// what adding it to a cleared partial gives) and the rest add to it,
+		// so the partial is never cleared.
+		c.pack.GradWeight(g, s.image, dW, i > lo)
+		if !c.noInputGrad {
+			c.pack.PackGradOut(s.grad, g)
+			c.pack.GradInput(weights, s.grad, c.gradIn.Data[i*inPlane:(i+1)*inPlane])
 		}
 		if dB != nil {
 			for oc := 0; oc < c.OutC; oc++ {

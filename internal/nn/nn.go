@@ -1,6 +1,6 @@
 // Package nn implements neural-network layers with full forward and backward
-// passes on NCHW float32 tensors: convolution (packed at stride 1, im2col+GEMM
-// otherwise), batch normalization, pooling, linear, ReLU, dropout and the
+// passes on NCHW float32 tensors: convolution (on tensor.ConvPack, at any
+// stride), batch normalization, pooling, linear, ReLU, dropout and the
 // softmax cross-entropy criterion. It replaces the cuDNN kernels the paper's
 // Torch stack schedules; the layer/criterion split mirrors Torch so the
 // Data-Parallel Table engine in internal/dpt can reproduce the paper's

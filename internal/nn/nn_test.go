@@ -534,3 +534,36 @@ func TestSequentialParamsAndNames(t *testing.T) {
 		t.Fatalf("decayable params %d, want 1 (conv weight)", decayable)
 	}
 }
+
+// TestConstructorsRejectBadGeometry: a geometry no input can satisfy panics
+// where the layer is built, naming the layer and the value, not at the first
+// Forward as a bare divide by zero.
+func TestConstructorsRejectBadGeometry(t *testing.T) {
+	rng := tensor.NewRNG(1)
+	for _, tc := range []struct {
+		want  string // the offending value, as the panic words it
+		build func() // builds a layer named "bad"
+	}{
+		{"stride 0×1", func() { NewConv2D("bad", 3, 4, 3, 3, 0, 1, 1, 1, ConvOpts{}, rng) }},
+		{"stride 2×-1", func() { NewConv2D("bad", 3, 4, 3, 3, 2, -1, 1, 1, ConvOpts{}, rng) }},
+		{"0×3 window", func() { NewConv2D("bad", 3, 4, 0, 3, 1, 1, 1, 1, ConvOpts{}, rng) }},
+		{"padding 1×-1", func() { NewConv2D("bad", 3, 4, 3, 3, 1, 1, 1, -1, ConvOpts{}, rng) }},
+		{"0 input and 4 output channels", func() { NewConv2D("bad", 0, 4, 3, 3, 1, 1, 1, 1, ConvOpts{}, rng) }},
+		{"3 input and -2 output channels", func() { NewConv2D("bad", 3, -2, 3, 3, 1, 1, 1, 1, ConvOpts{}, rng) }},
+		{"stride 0×0", func() { NewMaxPool2D("bad", 2, 2, 0, 0, 0, 0) }},
+		{"2×0 window", func() { NewMaxPool2D("bad", 2, 0, 2, 2, 0, 0) }},
+		{"padding -1×0", func() { NewMaxPool2D("bad", 2, 2, 2, 2, -1, 0) }},
+		{"stride 1×0", func() { NewAvgPool2D("bad", 2, 2, 1, 0, 0, 0) }},
+		{"-1×2 window", func() { NewAvgPool2D("bad", -1, 2, 2, 2, 0, 0) }},
+		{"padding 0×-3", func() { NewAvgPool2D("bad", 2, 2, 2, 2, 0, -3) }},
+	} {
+		msg := panicMessage(tc.build)
+		if !strings.HasPrefix(msg, "nn: bad: ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("panic %q, want one naming the layer and %q", msg, tc.want)
+		}
+	}
+	// Every geometry the models build still constructs.
+	NewConv2D("stem", 3, 8, 7, 7, 2, 2, 3, 3, ConvOpts{}, rng)
+	NewMaxPool2D("mp", 3, 3, 2, 2, 1, 1)
+	NewAvgPool2D("ap", 7, 7, 1, 1, 0, 0)
+}

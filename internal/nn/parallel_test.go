@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/tensor/convref"
 )
 
 // layerRun captures everything a layer computes in one train step: forward
@@ -216,11 +217,11 @@ func im2colConv(c *Conv2D, x, gradOut *tensor.Tensor) layerRun {
 			src := x.Data[i*inPlane : (i+1)*inPlane]
 			dst := r.out.Data[i*outPlane : (i+1)*outPlane]
 			g := gradOut.Data[i*outPlane : (i+1)*outPlane]
-			tensor.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
+			convref.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
 			tensor.Gemm(false, false, c.OutC, colN, colRows, 1, weights, cols, 0, dst)
 			tensor.Gemm(false, true, c.OutC, colRows, colN, 1, g, cols, 1, pW)
 			tensor.Gemm(true, false, colRows, colN, c.OutC, 1, weights, g, 0, gradCols)
-			tensor.Col2Im(gradCols, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, r.gradIn.Data[i*inPlane:(i+1)*inPlane])
+			convref.Col2Im(gradCols, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, r.gradIn.Data[i*inPlane:(i+1)*inPlane])
 			for oc := 0; oc < c.OutC; oc++ {
 				var sum float32
 				for j, v := range g[oc*colN : (oc+1)*colN] {
@@ -331,6 +332,51 @@ func TestConvBackwardScratchReuse(t *testing.T) {
 				t.Fatalf("%s: a shape change kept the old tensors", label)
 			}
 			prev = got
+		}
+	}
+}
+
+// TestConvBackwardReusesForwardPack: Backward skips PackInput for the image a
+// chunk's scratch still holds from Forward, and only for that one. Batches
+// whose chunks hold one image (1, 2, 16) and several (17, 40), an eval
+// Forward on other data between the train Forward and the Backward, two
+// shapes alternating on one layer, and a second Backward after one Forward
+// must all give the dW and dX of the im2col reference, which lowers every
+// image again.
+func TestConvBackwardReusesForwardPack(t *testing.T) {
+	rng := tensor.NewRNG(71)
+	for _, g := range []struct{ kh, stride, pad int }{{3, 1, 1}, {3, 2, 1}, {1, 2, 0}} {
+		conv := NewConv2D("conv", 3, 5, g.kh, g.kh, g.stride, g.stride, g.pad, g.pad, ConvOpts{Bias: true}, rng)
+		check := func(label string, x, gradOut *tensor.Tensor) {
+			t.Helper()
+			poisonGrads(conv.Params())
+			gradIn := conv.Backward(gradOut)
+			want := im2colConv(conv, x, gradOut)
+			bitsEqual(t, label+" gradIn", x.Dim(0), gradIn.Data, want.gradIn.Data)
+			for i, p := range conv.Params() {
+				bitsEqual(t, label+" "+p.Name, x.Dim(0), p.Grad.Data, want.paramGrads[i])
+			}
+		}
+		draw := func(n, h, w int) (x, gradOut *tensor.Tensor) {
+			x = tensor.New(n, 3, h, w)
+			rng.FillNormal(x, 0, 1)
+			gradOut = tensor.New(n, 5, tensor.ConvOutSize(h, g.kh, g.stride, g.pad), tensor.ConvOutSize(w, g.kh, g.stride, g.pad))
+			rng.FillNormal(gradOut, 0, 1)
+			return x, gradOut
+		}
+		for step, n := range []int{1, 2, 16, 17, 40, 2, 17} {
+			h, w := 8, 8
+			if step%2 == 1 {
+				h, w = 7, 10 // the other shape: every pack buffer changes geometry
+			}
+			label := fmt.Sprintf("%+v step %d batch %d", g, step, n)
+			x1, _ := draw(n, h, w)
+			x2, g2 := draw(n, h, w)
+			conv.Forward(x1, true)
+			conv.Forward(x2, false) // the Backward below is of this one
+			check(label, x2, g2)
+			_, g3 := draw(n, h, w)
+			check(label+", second Backward", x2, g3)
 		}
 	}
 }

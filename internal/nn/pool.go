@@ -16,6 +16,20 @@ import (
 // are built once and read the call's tensors through the layer's x and
 // gradOut fields, for the reason ReLU's comment gives.
 
+// checkGeometry panics, naming the layer and the offending value, on a window
+// geometry no input can satisfy — which would otherwise surface at the first
+// Forward as a bare divide by zero out of tensor.ConvOutSize.
+func checkGeometry(name string, kh, kw, strideH, strideW, padH, padW int) {
+	switch {
+	case kh < 1 || kw < 1:
+		panic(fmt.Sprintf("nn: %s: %d×%d window, want at least 1×1", name, kh, kw))
+	case strideH < 1 || strideW < 1:
+		panic(fmt.Sprintf("nn: %s: stride %d×%d, want at least 1×1", name, strideH, strideW))
+	case padH < 0 || padW < 0:
+		panic(fmt.Sprintf("nn: %s: padding %d×%d, want no less than 0", name, padH, padW))
+	}
+}
+
 // poolOutSize returns the output size of a pooling window over x, or panics
 // naming the layer when the window does not fit the padded input.
 func poolOutSize(name string, x *tensor.Tensor, kh, kw, strideH, strideW, padH, padW int) (oh, ow int) {
@@ -44,6 +58,7 @@ type MaxPool2D struct {
 
 // NewMaxPool2D constructs a max pool with the given geometry.
 func NewMaxPool2D(name string, kh, kw, strideH, strideW, padH, padW int) *MaxPool2D {
+	checkGeometry(name, kh, kw, strideH, strideW, padH, padW)
 	p := &MaxPool2D{name: name, KH: kh, KW: kw, StrideH: strideH, StrideW: strideW, PadH: padH, PadW: padW}
 	p.fwdTask, p.fwd2x2Task, p.bwdTask = p.forwardImage, p.forwardImage2x2, p.backwardImage
 	return p
@@ -184,6 +199,7 @@ type AvgPool2D struct {
 
 // NewAvgPool2D constructs an average pool.
 func NewAvgPool2D(name string, kh, kw, strideH, strideW, padH, padW int) *AvgPool2D {
+	checkGeometry(name, kh, kw, strideH, strideW, padH, padW)
 	p := &AvgPool2D{name: name, KH: kh, KW: kw, StrideH: strideH, StrideW: strideW, PadH: padH, PadW: padW}
 	p.fwdTask, p.bwdTask = p.forwardImage, p.backwardImage
 	return p

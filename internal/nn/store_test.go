@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/tensor/convref"
 )
 
 // The store contract (Layer.Backward, Param.Grad): backward writes every
@@ -109,7 +110,7 @@ func refConvGrads(c *Conv2D, x, g *tensor.Tensor) (dW, dB []float32) {
 		lo, hi := kernels.ChunkBounds(n, chunks, ci)
 		pW, pB := make([]float32, len(dW)), make([]float32, len(dB))
 		for i := lo; i < hi; i++ {
-			tensor.Im2Col(x.Data[i*c.InC*h*w:(i+1)*c.InC*h*w], c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
+			convref.Im2Col(x.Data[i*c.InC*h*w:(i+1)*c.InC*h*w], c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
 			gi := g.Data[i*c.OutC*colN : (i+1)*c.OutC*colN]
 			for oc := 0; oc < c.OutC; oc++ {
 				row := gi[oc*colN : (oc+1)*colN]

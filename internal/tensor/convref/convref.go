@@ -1,4 +1,9 @@
-package tensor
+// Package convref is the column-matrix lowering of a convolution — Im2Col,
+// one GEMM, Col2Im — that tensor.ConvPack replaced and is held to, bit for
+// bit. It is imported from _test.go files only (tensor's and nn's) and is
+// linked into no binary; it stands alone so that tensor's own tests can
+// import it.
+package convref
 
 // Im2Col lowers a single image (C×H×W, flat row-major in src) into a column
 // matrix of shape (C*kh*kw) × (outH*outW) stored flat row-major in dst, so a
@@ -9,8 +14,8 @@ package tensor
 // the input row, so it is copied whole and only the padded edges are
 // zero-filled; other strides test each tap.
 func Im2Col(src []float32, channels, height, width, kh, kw, strideH, strideW, padH, padW int, dst []float32) (outH, outW int) {
-	outH = ConvOutSize(height, kh, strideH, padH)
-	outW = ConvOutSize(width, kw, strideW, padW)
+	outH = outSize(height, kh, strideH, padH)
+	outW = outSize(width, kw, strideW, padW)
 	cols := outH * outW
 	row := 0
 	for c := 0; c < channels; c++ {
@@ -56,6 +61,14 @@ func Im2Col(src []float32, channels, height, width, kh, kw, strideH, strideW, pa
 	return outH, outW
 }
 
+// outSize is tensor.ConvOutSize.
+func outSize(in, kernel, stride, pad int) int {
+	if in+2*pad < kernel {
+		return 0
+	}
+	return (in+2*pad-kernel)/stride + 1
+}
+
 // unitStrideRun returns the output columns [lo,hi) of one output row whose
 // tap ix = ox - padW + kx lands inside [0,width) when strideW is 1; columns
 // outside it read padding.
@@ -84,8 +97,8 @@ func zeroFill(s []float32) {
 // row's in-bounds taps are added as one contiguous run, in the same ascending
 // order as the per-tap loop.
 func Col2Im(cols []float32, channels, height, width, kh, kw, strideH, strideW, padH, padW int, dst []float32) {
-	outH := ConvOutSize(height, kh, strideH, padH)
-	outW := ConvOutSize(width, kw, strideW, padW)
+	outH := outSize(height, kh, strideH, padH)
+	outW := outSize(width, kw, strideW, padW)
 	n := outH * outW
 	row := 0
 	for c := 0; c < channels; c++ {
@@ -126,15 +139,4 @@ func Col2Im(cols []float32, channels, height, width, kh, kw, strideH, strideW, p
 			}
 		}
 	}
-}
-
-// ConvOutSize returns the spatial output size of a convolution/pooling with
-// the given geometry: 0 when the kernel does not fit inside the padded input
-// (Go's division truncates toward zero, so the bare formula would give 1 for
-// a window hanging one off the edge at stride 2, and -1 further out).
-func ConvOutSize(in, kernel, stride, pad int) int {
-	if in+2*pad < kernel {
-		return 0
-	}
-	return (in+2*pad-kernel)/stride + 1
 }

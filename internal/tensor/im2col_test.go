@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tensor/convref"
 )
 
 // naiveConv computes a direct convolution for one image, used as the oracle
@@ -51,7 +53,7 @@ func TestIm2ColGemmMatchesDirectConv(t *testing.T) {
 		oh := ConvOutSize(tc.h, tc.kh, tc.sh, tc.ph)
 		ow := ConvOutSize(tc.w, tc.kw, tc.sw, tc.pw)
 		cols := make([]float32, tc.c*tc.kh*tc.kw*oh*ow)
-		gotOH, gotOW := Im2Col(src, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.sh, tc.sw, tc.ph, tc.pw, cols)
+		gotOH, gotOW := convref.Im2Col(src, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.sh, tc.sw, tc.ph, tc.pw, cols)
 		if gotOH != oh || gotOW != ow {
 			t.Fatalf("%+v: out size %dx%d, want %dx%d", tc, gotOH, gotOW, oh, ow)
 		}
@@ -94,14 +96,14 @@ func TestPropCol2ImAdjoint(t *testing.T) {
 		y := randBuf(g, rows*oh*ow)
 
 		cx := make([]float32, rows*oh*ow)
-		Im2Col(x, c, h, w, kh, kw, sh, sw, ph, pw, cx)
+		convref.Im2Col(x, c, h, w, kh, kw, sh, sw, ph, pw, cx)
 		var lhs float64
 		for i := range cx {
 			lhs += float64(cx[i]) * float64(y[i])
 		}
 
 		xg := make([]float32, c*h*w)
-		Col2Im(y, c, h, w, kh, kw, sh, sw, ph, pw, xg)
+		convref.Col2Im(y, c, h, w, kh, kw, sh, sw, ph, pw, xg)
 		var rhs float64
 		for i := range xg {
 			rhs += float64(x[i]) * float64(xg[i])
@@ -239,8 +241,8 @@ func TestIm2ColCol2ImMatchPerTapReference(t *testing.T) {
 							}
 						}
 					}
-					Im2Col(src, c, h, w, kh, kw, sh, sw, ph, pw, cols)
-					Col2Im(grad, c, h, w, kh, kw, sh, sw, ph, pw, img)
+					convref.Im2Col(src, c, h, w, kh, kw, sh, sw, ph, pw, cols)
+					convref.Col2Im(grad, c, h, w, kh, kw, sh, sw, ph, pw, img)
 					for i := range cols {
 						if cols[i] != wantCols[i] {
 							t.Fatalf("w%d kw%d pw%d sw%d: Im2Col[%d] = %v, want %v", w, kw, pw, sw, i, cols[i], wantCols[i])

@@ -1,5 +1,5 @@
 // Package tensor implements dense float32 tensors and the numeric kernels
-// (matrix multiply, the packed and im2col convolution lowerings, reductions,
+// (matrix multiply, the packed convolution lowering, reductions,
 // elementwise arithmetic) that the neural-network layers in internal/nn are
 // built on. It is a from-scratch, stdlib-only substitute for the cuDNN/CUDA
 // kernels used by the paper's Torch stack; the layout is NCHW throughout,
