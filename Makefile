@@ -44,27 +44,28 @@ bench-module:
 # Allocation profile of the training hot path, gated against the committed
 # BENCH_alloc.json baseline (fails if allocs/op regresses > 2x). The run's
 # own report goes to the OS temp dir; use allocs-baseline to regenerate the
-# committed baseline alongside an intentional change.
+# committed baseline alongside an intentional change. The baseline was
+# recorded at one proc: on a multi-core box, GOMAXPROCS=1 make allocs.
 allocs:
-	$(GO) run ./cmd/benchtool -allocs -learners 2 -devices 1 -steps 25 \
-		-allocs-baseline BENCH_alloc.json
+	$(GO) run ./cmd/benchtool allocs -learners 2 -devices 1 -steps 25 \
+		-baseline BENCH_alloc.json
 
 allocs-baseline:
-	$(GO) run ./cmd/benchtool -allocs -learners 2 -devices 1 -steps 25 \
-		-allocs-baseline-update
+	$(GO) run ./cmd/benchtool allocs -learners 2 -devices 1 -steps 25 \
+		-json BENCH_alloc.json
 
 # Compute-kernel throughput (GEMM GFLOP/s, conv fwd+bwd step time at 1 worker
 # vs the full pool, ReLU and 2x2 max-pool, codec, vector-add and SGD-step GB/s), gated against the committed
 # BENCH_kernels.json baseline (fails if any throughput drops > 2x). The
 # baseline records the pool width and the GEMM kernel ("avx2" or "portable")
 # it was taken with, and the gate refuses to compare a run that differs in
-# either, so both targets pin -procs 2. Use kernels-baseline to regenerate
+# either, so both targets pin GOMAXPROCS=2. Use kernels-baseline to regenerate
 # the committed baseline alongside an intentional change.
 kernels:
-	$(GO) run ./cmd/benchtool -procs 2 -kernels -kernels-baseline BENCH_kernels.json
+	GOMAXPROCS=2 $(GO) run ./cmd/benchtool kernels -baseline BENCH_kernels.json
 
 kernels-baseline:
-	$(GO) run ./cmd/benchtool -procs 2 -kernels -kernels-baseline-update
+	GOMAXPROCS=2 $(GO) run ./cmd/benchtool kernels -json BENCH_kernels.json
 
 # The pure-Go kernels (GEMM, the packed convolution's tap axpy and dot, vector
 # add, momentum step, rectify / add-rectify / gate, the 2x2 max pool), which an
@@ -86,40 +87,41 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalRecords -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd
 
 # The overlap workload CI runs: phased vs reactive schedules of the same
-# comm-heavy job, with the JSON report benchtool uploads as an artifact.
+# comm-heavy job, with the JSON report benchtool uploads as an artifact —
+# fails unless the final weights stay bitwise identical, as shard and hier do.
 overlap:
-	$(GO) run ./cmd/benchtool -overlap -learners 2 -devices 1 -steps 10 -json overlap.json
+	$(GO) run ./cmd/benchtool overlap -learners 2 -devices 1 -steps 10 -json overlap.json
 
 # The ZeRO-1 sharded-optimizer workload CI runs: replicated vs sharded state,
 # per-rank optimizer bytes, step time, and the bitwise equivalence check.
 shard:
-	$(GO) run ./cmd/benchtool -shard -learners 4 -devices 1 -steps 10 -json shard.json
+	$(GO) run ./cmd/benchtool shard -learners 4 -devices 1 -steps 10 -json shard.json
 
 # The hierarchical-collectives workload CI runs: flat vs topology-routed
 # gradient exchange on an asymmetric fabric — fails unless the slow-link
 # bytes drop >= 2x and the final weights stay bitwise identical.
 hier:
-	$(GO) run ./cmd/benchtool -hier -hier-nodes 2 -hier-ranks 4 -devices 1 -steps 6 -json hier.json
+	$(GO) run ./cmd/benchtool hier -nodes 2 -ranks 4 -devices 1 -steps 6 -json hier.json
 
 # The chaos-resilience workload CI runs: a rank is killed every 5 steps of an
 # elastic training run (with rejoins), and the job fails unless every
 # recovery completes and the final loss stays within tolerance of the
 # failure-free baseline.
 chaos:
-	$(GO) run ./cmd/benchtool -chaos -chaos-seed 1 -learners 4 -steps 12 -chaos-kill-every 5 -json chaos.json
+	$(GO) run ./cmd/benchtool chaos -seed 1 -learners 4 -steps 12 -json chaos.json
 
 # The network simulator sweep CI uploads: predicted step time,
 # per-link-class bytes, and the most loaded links for every collective ×
 # codec at 2×4 / 16×8 / 64×8 on the charged Minsky fabric (~15 s). Fails if
 # any link reports utilization above 1.
 sim:
-	$(GO) run ./cmd/benchtool -sim -sim-nodes 64 -sim-ranks 8 -json sim.json
+	$(GO) run ./cmd/benchtool sim -nodes 64 -ranks 8 -json sim.json
 
 # The calibration gate CI runs: fit the simulator's host-overhead knob
 # against live 2×4 runs and fail unless byte counts agree exactly and the
 # predicted-vs-measured step time holds MAPE <= 15%.
 sim-calibrate:
-	$(GO) run ./cmd/benchtool -sim-calibrate -sim-mape-max 0.15 -json sim.json
+	$(GO) run ./cmd/benchtool sim-calibrate -json sim.json
 
 # The simulator's drift tripwires under -race, the step CI pins: byte
 # cross-validation of all seven extracted schedules against live

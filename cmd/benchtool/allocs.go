@@ -1,17 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 
-	"repro/internal/allreduce"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/nn"
-	"repro/internal/sgd"
 )
 
 // allocsRun is one schedule's steady-state allocation profile, measured
@@ -23,7 +18,7 @@ type allocsRun struct {
 	NumGC            uint32  `json:"num_gc"`
 }
 
-// allocsReport is the JSON schema of the -allocs workload; BENCH_alloc.json
+// allocsReport is the JSON schema of the allocs workload; BENCH_alloc.json
 // at the repo root is one of these, and CI gates on it.
 type allocsReport struct {
 	Workload       string    `json:"workload"`
@@ -38,53 +33,62 @@ type allocsReport struct {
 	Overlapped     allocsRun `json:"overlapped"`
 }
 
-// allocsWorkload measures allocations per training step for the phased and
-// overlapped schedules of a comm-dominated job on an in-process cluster.
-// Warmup steps run first so the shared buffer pools are populated and the
-// numbers reflect steady state. When baselinePath is set, the run fails if
-// either schedule's allocs/op regresses by more than maxRegress versus the
-// committed baseline — the CI gate. The JSON report always lands somewhere
-// inspectable: at jsonPath when given, in the OS temp directory otherwise
-// (so routine gate runs never leave stray report files in the tree).
-func allocsWorkload(codec string, topkRatio float64, learners, devices, steps int, jsonPath, baselinePath string, maxRegress float64) error {
-	const classes, size, batchPerDevice = 8, 16, 8
-	const bucketFloats = 1024
-	const warmup = 5
-	if codec == "" {
-		codec = "none"
-	}
-	if learners < 2 {
-		return fmt.Errorf("benchtool: -allocs needs at least 2 learners (got %d) to exercise the exchange", learners)
-	}
-	images := batchPerDevice * devices * learners
-	dataX, dataLabels := core.SyntheticTensorData(images, classes, size, 23)
+// allocsMaxRegress is the gate: allocs/step may grow by this factor over
+// the committed baseline before the run fails.
+const allocsMaxRegress = 2.0
 
-	measure := func(overlap bool) (allocsRun, int, error) {
-		world := mpi.NewWorld(learners)
+// allocsRow is the job whose hot path is profiled: the overlap row's two
+// schedules on a comm-dominated MLP, over a free world.
+func allocsRow() pairSpec {
+	return pairSpec{
+		name: "allocs", arms: [2]string{"phased", "overlapped"},
+		model: core.AllocBenchModel, seed: 700,
+		classes: 8, size: 16, batch: 8, bucket: 1024,
+		arm: overlapArm,
+	}
+}
+
+// gate fails if either schedule allocates more than allocsMaxRegress times
+// what base recorded.
+func (rep *allocsReport) gate(base *allocsReport) error {
+	for _, m := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"phased", rep.Phased.AllocsPerStep, base.Phased.AllocsPerStep},
+		{"overlapped", rep.Overlapped.AllocsPerStep, base.Overlapped.AllocsPerStep},
+	} {
+		if m.want > 0 && m.got > m.want*allocsMaxRegress {
+			return fmt.Errorf("benchtool: %s allocs/step regressed: %.0f vs baseline %.0f (limit %.1fx)",
+				m.name, m.got, m.want, allocsMaxRegress)
+		}
+		fmt.Printf("  %-10s allocs/step %.0f within %.1fx of baseline %.0f\n", m.name, m.got, allocsMaxRegress, m.want)
+	}
+	return nil
+}
+
+// allocsWorkload measures allocations per training step for the two arms of
+// s on an in-process cluster. Warmup steps run first so the shared buffer
+// pools are populated and the numbers reflect steady state. When
+// baselinePath is set, the run is gated against that report.
+func allocsWorkload(s pairSpec, jsonPath, baselinePath string) error {
+	const warmup = 5
+	if s.learners < 2 {
+		return fmt.Errorf("benchtool: allocs needs at least 2 learners (got %d) to exercise the exchange", s.learners)
+	}
+	x, labels := s.data()
+
+	measure := func(second bool) (allocsRun, int, error) {
+		world := mpi.NewWorld(s.learners)
 		defer world.Close()
 		var m0, m1 runtime.MemStats
 		gradFloats := 0
 		err := world.Run(func(c *mpi.Comm) error {
-			replicas := make([]nn.Layer, devices)
+			replicas := make([]nn.Layer, s.devices)
 			for d := range replicas {
-				replicas[d] = core.AllocBenchModel(classes, size, int64(700+c.Rank()*devices+d))
+				replicas[d] = s.replica(int64(c.Rank()*s.devices + d))
 			}
-			l, err := core.NewLearner(c, replicas, &core.SliceSource{
-				X: dataX, Labels: dataLabels, Rank: c.Rank(), Ranks: learners,
-			}, 3, size, size, core.Config{
-				BatchPerDevice: batchPerDevice,
-				Allreduce:      allreduce.AlgMultiColor,
-				Schedule:       sgd.Const(0.05),
-				SGD:            sgd.DefaultConfig(),
-				Compression: compress.Config{
-					Codec:         codec,
-					TopKRatio:     topkRatio,
-					ErrorFeedback: codec == "topk",
-					BucketFloats:  bucketFloats,
-				},
-				Overlap:         overlap,
-				OverlapInFlight: 16,
-			})
+			l, err := core.NewLearner(c, replicas, s.source(x, labels, c.Rank()), 3, s.size, s.size, s.config(second))
 			if err != nil {
 				return err
 			}
@@ -111,7 +115,7 @@ func allocsWorkload(codec string, topkRatio float64, learners, devices, steps in
 			if err := c.Barrier(); err != nil {
 				return err
 			}
-			for t := 0; t < steps; t++ {
+			for t := 0; t < s.steps; t++ {
 				if _, err := l.Step(); err != nil {
 					return err
 				}
@@ -127,11 +131,11 @@ func allocsWorkload(codec string, topkRatio float64, learners, devices, steps in
 		if err != nil {
 			return allocsRun{}, 0, err
 		}
-		s := float64(steps)
+		n := float64(s.steps)
 		return allocsRun{
-			AllocsPerStep:    float64(m1.Mallocs-m0.Mallocs) / s,
-			BytesPerStep:     float64(m1.TotalAlloc-m0.TotalAlloc) / s,
-			GCPauseNsPerStep: float64(m1.PauseTotalNs-m0.PauseTotalNs) / s,
+			AllocsPerStep:    float64(m1.Mallocs-m0.Mallocs) / n,
+			BytesPerStep:     float64(m1.TotalAlloc-m0.TotalAlloc) / n,
+			GCPauseNsPerStep: float64(m1.PauseTotalNs-m0.PauseTotalNs) / n,
 			NumGC:            m1.NumGC - m0.NumGC,
 		}, gradFloats, nil
 	}
@@ -146,54 +150,33 @@ func allocsWorkload(codec string, topkRatio float64, learners, devices, steps in
 	}
 
 	rep := allocsReport{
-		Workload:       "allocs",
-		Codec:          codec,
-		Learners:       learners,
-		DevicesPerNode: devices,
+		Workload:       s.name,
+		Codec:          pairCodec,
+		Learners:       s.learners,
+		DevicesPerNode: s.devices,
 		WarmupSteps:    warmup,
-		Steps:          steps,
-		BucketFloats:   bucketFloats,
+		Steps:          s.steps,
+		BucketFloats:   s.bucket,
 		GradFloats:     gradFloats,
 		Phased:         phased,
 		Overlapped:     overlapped,
 	}
 	fmt.Printf("allocs workload: codec=%s learners=%d devices=%d steps=%d (+%d warmup) grad=%d floats buckets=%d floats\n",
-		codec, learners, devices, steps, warmup, gradFloats, bucketFloats)
-	for _, row := range []struct {
-		name string
-		r    allocsRun
-	}{{"phased", phased}, {"overlapped", overlapped}} {
+		rep.Codec, s.learners, s.devices, s.steps, warmup, gradFloats, s.bucket)
+	for i, r := range []allocsRun{phased, overlapped} {
 		fmt.Printf("  %-10s %10.0f allocs/step  %12.0f bytes/step  gc pause %8.0f ns/step  (%d GCs)\n",
-			row.name, row.r.AllocsPerStep, row.r.BytesPerStep, row.r.GCPauseNsPerStep, row.r.NumGC)
+			s.arms[i], r.AllocsPerStep, r.BytesPerStep, r.GCPauseNsPerStep, r.NumGC)
 	}
 
 	if err := writeReport(jsonPath, "BENCH_alloc.*.json", rep); err != nil {
 		return err
 	}
-
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("benchtool: reading allocs baseline: %w", err)
-		}
-		var base allocsReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("benchtool: parsing allocs baseline %s: %w", baselinePath, err)
-		}
-		check := func(name string, got, want float64) error {
-			if want > 0 && got > want*maxRegress {
-				return fmt.Errorf("benchtool: %s allocs/step regressed: %.0f vs baseline %.0f (limit %.1fx)",
-					name, got, want, maxRegress)
-			}
-			fmt.Printf("  %-10s allocs/step %.0f within %.1fx of baseline %.0f\n", name, got, maxRegress, want)
-			return nil
-		}
-		if err := check("phased", phased.AllocsPerStep, base.Phased.AllocsPerStep); err != nil {
-			return err
-		}
-		if err := check("overlapped", overlapped.AllocsPerStep, base.Overlapped.AllocsPerStep); err != nil {
-			return err
-		}
+	if baselinePath == "" {
+		return nil
 	}
-	return nil
+	var base allocsReport
+	if err := readReport(baselinePath, &base); err != nil {
+		return err
+	}
+	return rep.gate(&base)
 }

@@ -24,35 +24,38 @@ type chaosStep struct {
 	Delta    float64 `json:"delta"`
 }
 
+// What every chaos run holds fixed.
+const (
+	// chaosTolerance is the gate: the allowed relative drift of the final
+	// loss from the failure-free run's.
+	chaosTolerance = 0.1
+	// chaosKillEvery is the number of steps between rank kills; each victim
+	// is backfilled two steps after its crash.
+	chaosKillEvery = 5
+	// chaosHeartbeat is the failure monitor's send period. Suspicion waits
+	// for the receive detect timeout (elastic's SuspectAfter zero value).
+	chaosHeartbeat = 50 * time.Millisecond
+	// chaosCodec is the gradient wire format of both the chaos run and its
+	// baseline: the gate measures crash damage, not compression error.
+	chaosCodec = "none"
+)
+
 // chaosOpts parameterizes one chaos run.
 type chaosOpts struct {
-	seed      int64
-	learners  int
-	steps     int
-	killEvery int
-	rejoin    bool
+	seed     int64
+	learners int
+	steps    int
 	// scenario: "kill" (plain crashes), "kill-negotiation" (a second victim
 	// dies inside the membership negotiation), "kill-restore" (a second
 	// victim dies after applying the restored checkpoint), or "netsplit"
 	// (crashes under seeded message loss, mailbox transport only).
 	scenario string
-	// transport: "mem" (default) or "tcp" for real loopback sockets.
+	// transport: "mem" or "tcp" for real loopback sockets.
 	transport string
-	// codec/topkRatio select the gradient wire format for BOTH the chaos run
-	// and its failure-free baseline, so lossy codecs stay comparable: the
-	// tolerance gate measures crash damage, not compression error.
-	codec     string
-	topkRatio float64
-	// spares backfills up to this many victims with standby identities
-	// instead of rejoining them — the spare-pool admission path.
-	spares            int
-	heartbeatInterval time.Duration
-	suspectAfter      time.Duration
-	tolerance         float64
-	jsonPath          string
+	jsonPath  string
 }
 
-// chaosReport is the JSON schema of the -chaos workload; CI uploads one per
+// chaosReport is the JSON schema of the chaos workload; CI uploads one per
 // scenario×transport cell as the chaos.json artifact and gates on Passed.
 type chaosReport struct {
 	Workload             string          `json:"workload"`
@@ -86,36 +89,27 @@ type chaosReport struct {
 }
 
 // chaosPlan builds the fault schedule for one scenario. The plain kill
-// schedule murders the highest identities first, one every killEvery steps,
-// leaving identity 0 alive to the end. The recovery-phase scenarios land a
-// SECOND victim inside the recovery of the first — in the membership
-// negotiation or in the restore window. Backfill brings each victim's
-// capacity back two steps after the loss: rejoining the victim itself, or
-// (with spares budgeted) admitting a standby identity in its place, so the
-// world-size trajectory is identical either way.
-func chaosPlan(o chaosOpts, globalBatch int) (elastic.Plan, error) {
+// schedule murders the highest identities first, one every chaosKillEvery
+// steps, leaving identity 0 alive to the end. The recovery-phase scenarios
+// land a SECOND victim inside the recovery of the first — in the membership
+// negotiation or in the restore window. Unless rejoin is off, each victim
+// rejoins two steps after its loss.
+func chaosPlan(o chaosOpts, rejoin bool, globalBatch int) (elastic.Plan, error) {
 	plan := elastic.Plan{
 		Seed:               o.seed,
 		CrashAtStep:        map[int]int{},
 		CrashInNegotiation: map[int]int{},
 		CrashInRestore:     map[int]int{},
 		RejoinAtStep:       map[int]int{},
-		SpareJoinAtStep:    map[int]int{},
 		DetectTimeout:      2 * time.Second,
 	}
-	sparesLeft := o.spares
-	nextSpare := o.learners
+	if o.steps <= chaosKillEvery {
+		return plan, fmt.Errorf("benchtool: chaos kills its first rank at step %d and this run has %d steps; lengthen it", chaosKillEvery, o.steps)
+	}
 	backfill := func(victim, step int) {
-		if !o.rejoin || step+2 >= o.steps {
-			return
+		if rejoin && step+2 < o.steps {
+			plan.RejoinAtStep[victim] = step + 2
 		}
-		if sparesLeft > 0 {
-			plan.SpareJoinAtStep[nextSpare] = step + 2
-			nextSpare++
-			sparesLeft--
-			return
-		}
-		plan.RejoinAtStep[victim] = step + 2
 	}
 
 	switch o.scenario {
@@ -130,11 +124,11 @@ func chaosPlan(o chaosOpts, globalBatch int) (elastic.Plan, error) {
 			// on top of the real kills.
 			plan.DropProb = 0.01
 		}
-		step := o.killEvery
+		step := chaosKillEvery
 		for id := o.learners - 1; id >= 1 && step < o.steps; id-- {
 			plan.CrashAtStep[id] = step
 			backfill(id, step)
-			step += o.killEvery
+			step += chaosKillEvery
 		}
 	case "kill-negotiation", "kill-restore":
 		if o.learners < 3 {
@@ -143,25 +137,19 @@ func chaosPlan(o chaosOpts, globalBatch int) (elastic.Plan, error) {
 		if rest := o.learners - 2; globalBatch%rest != 0 {
 			return plan, fmt.Errorf("benchtool: scenario %s shrinks the world to %d ranks, which does not divide the fixed global batch %d", o.scenario, rest, globalBatch)
 		}
-		if o.killEvery >= o.steps {
-			return plan, fmt.Errorf("benchtool: -chaos-kill-every %d never fires within %d steps", o.killEvery, o.steps)
-		}
 		first, second := o.learners-1, o.learners-2
-		plan.CrashAtStep[first] = o.killEvery
+		plan.CrashAtStep[first] = chaosKillEvery
 		if o.scenario == "kill-negotiation" {
-			plan.CrashInNegotiation[second] = o.killEvery
+			plan.CrashInNegotiation[second] = chaosKillEvery
 		} else {
 			// Per-step capture cadence: the recovery resumes at the crash
 			// step itself, which is where the restore-window victim dies.
-			plan.CrashInRestore[second] = o.killEvery
+			plan.CrashInRestore[second] = chaosKillEvery
 		}
-		backfill(first, o.killEvery)
-		backfill(second, o.killEvery)
+		backfill(first, chaosKillEvery)
+		backfill(second, chaosKillEvery)
 	default:
 		return plan, fmt.Errorf("benchtool: unknown chaos scenario %q (want kill, kill-negotiation, kill-restore, or netsplit)", o.scenario)
-	}
-	if len(plan.CrashAtStep) == 0 {
-		return plan, fmt.Errorf("benchtool: -chaos schedule kills nobody (steps=%d, kill-every=%d); lengthen the run", o.steps, o.killEvery)
 	}
 	return plan, nil
 }
@@ -194,29 +182,13 @@ func percentile(sorted []float64, p float64) float64 {
 func chaosWorkload(o chaosOpts) error {
 	const classes, size, images, globalBatch = 4, 8, 72, 12
 	if o.learners < 2 || globalBatch%o.learners != 0 {
-		return fmt.Errorf("benchtool: -chaos needs 2..%d learners dividing the fixed global batch (got %d)", globalBatch, o.learners)
+		return fmt.Errorf("benchtool: chaos needs 2..%d learners dividing the fixed global batch (got %d)", globalBatch, o.learners)
 	}
-	if o.killEvery < 1 {
-		return fmt.Errorf("benchtool: -chaos-kill-every must be >= 1 (got %d)", o.killEvery)
-	}
-	if o.scenario == "" {
-		o.scenario = "kill"
-	}
-	if o.codec == "" {
-		o.codec = "none"
-	}
-	if o.transport == "" {
-		o.transport = elastic.TransportMem
-	}
-	if o.scenario == "netsplit" {
-		// Backfill is disabled under message loss: growing the world
-		// requires a clean collective checkpoint at the boundary, which a
-		// lossy fabric cannot promise.
-		o.rejoin = false
-		o.spares = 0
-	}
-
-	plan, err := chaosPlan(o, globalBatch)
+	// Backfill is disabled under message loss: growing the world requires a
+	// clean collective checkpoint at the boundary, which a lossy fabric
+	// cannot promise.
+	rejoin := o.scenario != "netsplit"
+	plan, err := chaosPlan(o, rejoin, globalBatch)
 	if err != nil {
 		return err
 	}
@@ -228,20 +200,15 @@ func chaosWorkload(o chaosOpts) error {
 			GlobalBatch:       globalBatch,
 			Steps:             o.steps,
 			Transport:         o.transport,
-			HeartbeatInterval: o.heartbeatInterval,
-			SuspectAfter:      o.suspectAfter,
+			HeartbeatInterval: chaosHeartbeat,
 			NewReplica:        func(s int64) nn.Layer { return core.SmallBNFreeCNN(classes, size, 500+s) },
 			Data:              dataX,
 			Labels:            dataLabels,
 			InputC:            3, InputH: size, InputW: size,
 			Learner: core.Config{
-				Schedule: sgd.Const(0.05),
-				SGD:      sgd.DefaultConfig(),
-				Compression: compress.Config{
-					Codec:         o.codec,
-					TopKRatio:     o.topkRatio,
-					ErrorFeedback: o.codec == "topk",
-				},
+				Schedule:       sgd.Const(0.05),
+				SGD:            sgd.DefaultConfig(),
+				Compression:    compress.Config{Codec: chaosCodec},
 				ShardOptimizer: true,
 			},
 			Plan: plan,
@@ -269,18 +236,16 @@ func chaosWorkload(o chaosOpts) error {
 		Workload:             "chaos",
 		Scenario:             o.scenario,
 		Transport:            o.transport,
-		Codec:                o.codec,
+		Codec:                chaosCodec,
 		Seed:                 o.seed,
 		Learners:             o.learners,
 		GlobalBatch:          globalBatch,
 		Steps:                o.steps,
-		KillEvery:            o.killEvery,
-		Rejoin:               o.rejoin,
-		Spares:               o.spares,
+		KillEvery:            chaosKillEvery,
+		Rejoin:               rejoin,
 		DetectTimeoutSec:     plan.DetectTimeout.Seconds(),
-		HeartbeatIntervalSec: o.heartbeatInterval.Seconds(),
-		SuspectAfterSec:      o.suspectAfter.Seconds(),
-		Tolerance:            o.tolerance,
+		HeartbeatIntervalSec: chaosHeartbeat.Seconds(),
+		Tolerance:            chaosTolerance,
 		Incarnations:         chaos.Incarnations,
 		Events:               chaos.Events,
 		EventsByKind:         map[string]int{},
@@ -314,10 +279,10 @@ func chaosWorkload(o chaosOpts) error {
 	}
 	rep.BaselineFinalLoss = baseline.FinalLoss
 	rep.FinalLossDeltaRel = math.Abs(chaos.FinalLoss-baseline.FinalLoss) / math.Abs(baseline.FinalLoss)
-	rep.Passed = rep.FinalLossDeltaRel <= o.tolerance
+	rep.Passed = rep.FinalLossDeltaRel <= chaosTolerance
 
-	fmt.Printf("chaos workload: scenario=%s transport=%s codec=%s seed=%d learners=%d steps=%d kill-every=%d rejoin=%v spares=%d batch=%d\n",
-		o.scenario, o.transport, o.codec, o.seed, o.learners, o.steps, o.killEvery, o.rejoin, o.spares, globalBatch)
+	fmt.Printf("chaos workload: scenario=%s transport=%s codec=%s seed=%d learners=%d steps=%d kill-every=%d rejoin=%v batch=%d\n",
+		o.scenario, o.transport, chaosCodec, o.seed, o.learners, o.steps, chaosKillEvery, rejoin, globalBatch)
 	for _, ev := range chaos.Events {
 		fmt.Printf("  %-6s identity %d at step %2d: world %d→%d, resumed at step %d (%d steps lost, recovery %.3fs)\n",
 			ev.Kind, ev.Identity, ev.Step, ev.OldWorld, ev.NewWorld, ev.ResumeStep, ev.StepsLost, ev.RecoverySec)
@@ -332,7 +297,7 @@ func chaosWorkload(o chaosOpts) error {
 	}
 	if !rep.Passed {
 		return fmt.Errorf("benchtool: chaos run drifted %.4f (relative) from the failure-free loss, tolerance %.4f",
-			rep.FinalLossDeltaRel, o.tolerance)
+			rep.FinalLossDeltaRel, chaosTolerance)
 	}
 	return nil
 }

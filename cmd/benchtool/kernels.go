@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -52,7 +50,7 @@ type layerResult struct {
 	GBsPool   float64 `json:"gb_s_pool"`
 }
 
-// kernelsReport is the JSON schema of the -kernels workload; BENCH_kernels.json
+// kernelsReport is the JSON schema of the kernels workload; BENCH_kernels.json
 // at the repo root is one of these, and CI gates on it. Throughput numbers are
 // all higher-is-better, which is what the baseline check assumes.
 type kernelsReport struct {
@@ -124,14 +122,39 @@ func timeIt(fn func()) (secs float64, iters int) {
 	return elapsed.Seconds() / float64(iters), iters
 }
 
+// serialAndPool times fn at one worker, then on the full pool — the
+// production hot path.
+func serialAndPool(fn func()) (serial, pool float64, iters int) {
+	prev := kernels.SetWorkers(1)
+	serial, _ = timeIt(fn)
+	kernels.SetWorkers(prev)
+	pool, iters = timeIt(fn)
+	return serial, pool, iters
+}
+
+// kernelsMaxRegress is the gate: a throughput may shrink by this factor
+// under the committed baseline before the run fails.
+const kernelsMaxRegress = 2.0
+
+// comparable refuses a baseline recorded at another pool width or through
+// another GEMM kernel: throughput then differs by more than the gate's
+// tolerance for reasons that are not regressions.
+func (rep *kernelsReport) comparable(base *kernelsReport, path string) error {
+	if base.GOMAXPROCS != rep.GOMAXPROCS || base.GemmKernel != rep.GemmKernel {
+		return fmt.Errorf("benchtool: kernels baseline %s was recorded at gomaxprocs=%d gemm_kernel=%q, this run is gomaxprocs=%d gemm_kernel=%q: not comparable (run with GOMAXPROCS=%d on a machine whose Gemm runs the %q kernel, or re-record with -json %s)",
+			path, base.GOMAXPROCS, base.GemmKernel, rep.GOMAXPROCS, rep.GemmKernel, base.GOMAXPROCS, base.GemmKernel, path)
+	}
+	return nil
+}
+
 // kernelsWorkload measures compute-kernel throughput: GEMM GFLOP/s at
 // representative shapes, conv forward+backward step time at one worker vs
 // the full pool, and codec encode/decode/fused-accumulate bandwidth. When
-// baselinePath is set, the run fails if any throughput falls below
-// baseline/maxRegress — the CI gate (BENCH_kernels.json). The conv speedup
-// itself is enforced only on machines with >= 4 CPUs, where the >= 2x
-// parallel win is actually available.
-func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
+// baselinePath is set, the run is gated against that report
+// (BENCH_kernels.json in CI). The conv speedup itself is enforced only on
+// machines with >= 4 CPUs, where the >= 2x parallel win is actually
+// available.
+func kernelsWorkload(jsonPath, baselinePath string) error {
 	rep := kernelsReport{
 		Workload:   "kernels",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -140,23 +163,16 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		GemmKernel: tensor.GemmKernel(),
 	}
 
-	// Read the baseline before measuring anything: throughput at another
-	// pool width or through another kernel differs by more than the gate's
-	// tolerance for reasons that are not regressions, so such a pair is
-	// refused, not compared.
+	// Read the baseline before measuring anything, so a pair that cannot be
+	// compared is refused in a second, not after the run.
 	var base *kernelsReport
 	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("benchtool: reading kernels baseline: %w", err)
-		}
 		base = new(kernelsReport)
-		if err := json.Unmarshal(raw, base); err != nil {
-			return fmt.Errorf("benchtool: parsing kernels baseline %s: %w", baselinePath, err)
+		if err := readReport(baselinePath, base); err != nil {
+			return err
 		}
-		if base.GOMAXPROCS != rep.GOMAXPROCS || base.GemmKernel != rep.GemmKernel {
-			return fmt.Errorf("benchtool: kernels baseline %s was recorded at gomaxprocs=%d gemm_kernel=%q, this run is gomaxprocs=%d gemm_kernel=%q: not comparable (pin -procs %d on a machine whose Gemm runs the %q kernel, or re-record with -kernels-baseline-update)",
-				baselinePath, base.GOMAXPROCS, base.GemmKernel, rep.GOMAXPROCS, rep.GemmKernel, base.GOMAXPROCS, base.GemmKernel)
+		if err := rep.comparable(base, baselinePath); err != nil {
+			return err
 		}
 	}
 
@@ -186,12 +202,7 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		}
 		flops := 2 * float64(sh.m) * float64(sh.n) * float64(sh.k)
 
-		gemm := func() { tensor.Gemm(sh.transA, sh.transB, sh.m, sh.n, sh.k, 1, a, b, 0, c) }
-		prev := kernels.SetWorkers(1)
-		sSerial, _ := timeIt(gemm)
-		kernels.SetWorkers(prev)
-		// The full pool: the production hot path.
-		sPool, iters := timeIt(gemm)
+		sSerial, sPool, iters := serialAndPool(func() { tensor.Gemm(sh.transA, sh.transB, sh.m, sh.n, sh.k, 1, a, b, 0, c) })
 
 		r := gemmResult{
 			TransA: sh.transA, TransB: sh.transB, M: sh.m, NDim: sh.n, KDim: sh.k,
@@ -210,11 +221,7 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		conv := nn.NewConv2D("bench", inC, outC, k, k, stride, stride, k/2, k/2, nn.ConvOpts{Bias: bias}, rng)
 		x := tensor.New(batch, inC, size, size)
 		rng.FillNormal(x, 0, 1)
-		step := func() { conv.Backward(conv.Forward(x, true)) }
-		prev := kernels.SetWorkers(1)
-		sSerial, _ = timeIt(step)
-		kernels.SetWorkers(prev)
-		sPool, _ = timeIt(step)
+		sSerial, sPool, _ = serialAndPool(func() { conv.Backward(conv.Forward(x, true)) })
 		return sSerial, sPool
 	}
 	const batch = 16
@@ -252,10 +259,7 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 
 		{"maxpool2x2", func() { pool.Forward(act, true) }},
 	} {
-		prev := kernels.SetWorkers(1)
-		sSerial, _ := timeIt(l.pass)
-		kernels.SetWorkers(prev)
-		sPool, _ := timeIt(l.pass)
+		sSerial, sPool, _ := serialAndPool(l.pass)
 		rep.Layers = append(rep.Layers, layerResult{Name: l.name, GBsSerial: actGB / sSerial, GBsPool: actGB / sPool})
 	}
 
@@ -349,63 +353,53 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 	}
 
 	if base != nil {
-		check := func(name string, got, want float64) error {
-			if want > 0 && got < want/maxRegress {
-				return fmt.Errorf("benchtool: %s regressed: %.2f vs baseline %.2f (limit %.1fx)",
-					name, got, want, maxRegress)
-			}
-			fmt.Printf("  %-24s %8.2f within %.1fx of baseline %.2f\n", name, got, maxRegress, want)
-			return nil
+		return rep.gate(base)
+	}
+	return nil
+}
+
+// gate fails if any throughput fell below base's by more than
+// kernelsMaxRegress. Every gated number is higher-is-better.
+func (rep *kernelsReport) gate(base *kernelsReport) error {
+	type metric struct {
+		name      string
+		got, want float64
+	}
+	var ms []metric
+	for i := 0; i < min(len(rep.Gemm), len(base.Gemm)); i++ {
+		ms = append(ms, metric{fmt.Sprintf("gemm[%d] GFLOP/s", i), rep.Gemm[i].GFLOPSPool, base.Gemm[i].GFLOPSPool})
+	}
+	for i := 0; i < min(len(rep.ConvShapes), len(base.ConvShapes)); i++ {
+		ms = append(ms, metric{rep.ConvShapes[i].Name + " images/s", rep.ConvShapes[i].ImagesPerSec, base.ConvShapes[i].ImagesPerSec})
+	}
+	for i := 0; i < min(len(rep.Layers), len(base.Layers)); i++ {
+		// The better of the two columns: microseconds of memory-bound work
+		// either forks or does not, so scheduling noise moves one column
+		// at a time, a slower kernel both.
+		l, b := rep.Layers[i], base.Layers[i]
+		ms = append(ms, metric{l.Name + " GB/s", max(l.GBsSerial, l.GBsPool), max(b.GBsSerial, b.GBsPool)})
+	}
+	ms = append(ms,
+		metric{"conv images/s", rep.ConvThroughputIS, base.ConvThroughputIS},
+		metric{"int8 encode GB/s", rep.Int8EncodeGBs, base.Int8EncodeGBs},
+		metric{"int8 decode GB/s", rep.Int8DecodeGBs, base.Int8DecodeGBs},
+		metric{"int8 decode+add GB/s", rep.Int8DecodeAddGBs, base.Int8DecodeAddGBs},
+		metric{"identity decode+add GB/s", rep.IdentityAddGBs, base.IdentityAddGBs},
+		metric{"topk encode GB/s", rep.TopKEncodeGBs, base.TopKEncodeGBs},
+		metric{"f16 encode GB/s", rep.F16EncodeGBs, base.F16EncodeGBs},
+		metric{"f16 decode+add GB/s", rep.F16DecodeAddGBs, base.F16DecodeAddGBs},
+		metric{"bf16 encode GB/s", rep.BF16EncodeGBs, base.BF16EncodeGBs},
+		metric{"bf16 decode+add GB/s", rep.BF16DecodeAddGBs, base.BF16DecodeAddGBs},
+		metric{"vector add GB/s", rep.VecAddGBs, base.VecAddGBs},
+		metric{"sgd step GB/s", rep.SGDStepGBs, base.SGDStepGBs},
+		metric{"float codec GB/s", rep.FloatCodecGBs, base.FloatCodecGBs},
+	)
+	for _, m := range ms {
+		if m.want > 0 && m.got < m.want/kernelsMaxRegress {
+			return fmt.Errorf("benchtool: %s regressed: %.2f vs baseline %.2f (limit %.1fx)",
+				m.name, m.got, m.want, kernelsMaxRegress)
 		}
-		for i, g := range rep.Gemm {
-			if i >= len(base.Gemm) {
-				break
-			}
-			if err := check(fmt.Sprintf("gemm[%d] GFLOP/s", i), g.GFLOPSPool, base.Gemm[i].GFLOPSPool); err != nil {
-				return err
-			}
-		}
-		for i, c := range rep.ConvShapes {
-			if i >= len(base.ConvShapes) {
-				break
-			}
-			if err := check(c.Name+" images/s", c.ImagesPerSec, base.ConvShapes[i].ImagesPerSec); err != nil {
-				return err
-			}
-		}
-		for i, l := range rep.Layers {
-			if i >= len(base.Layers) {
-				break
-			}
-			// The better of the two columns: microseconds of memory-bound work
-			// either forks or does not, so scheduling noise moves one column
-			// at a time, a slower kernel both.
-			if err := check(l.Name+" GB/s", max(l.GBsSerial, l.GBsPool), max(base.Layers[i].GBsSerial, base.Layers[i].GBsPool)); err != nil {
-				return err
-			}
-		}
-		for _, m := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"conv images/s", rep.ConvThroughputIS, base.ConvThroughputIS},
-			{"int8 encode GB/s", rep.Int8EncodeGBs, base.Int8EncodeGBs},
-			{"int8 decode GB/s", rep.Int8DecodeGBs, base.Int8DecodeGBs},
-			{"int8 decode+add GB/s", rep.Int8DecodeAddGBs, base.Int8DecodeAddGBs},
-			{"identity decode+add GB/s", rep.IdentityAddGBs, base.IdentityAddGBs},
-			{"topk encode GB/s", rep.TopKEncodeGBs, base.TopKEncodeGBs},
-			{"f16 encode GB/s", rep.F16EncodeGBs, base.F16EncodeGBs},
-			{"f16 decode+add GB/s", rep.F16DecodeAddGBs, base.F16DecodeAddGBs},
-			{"bf16 encode GB/s", rep.BF16EncodeGBs, base.BF16EncodeGBs},
-			{"bf16 decode+add GB/s", rep.BF16DecodeAddGBs, base.BF16DecodeAddGBs},
-			{"vector add GB/s", rep.VecAddGBs, base.VecAddGBs},
-			{"sgd step GB/s", rep.SGDStepGBs, base.SGDStepGBs},
-			{"float codec GB/s", rep.FloatCodecGBs, base.FloatCodecGBs},
-		} {
-			if err := check(m.name, m.got, m.want); err != nil {
-				return err
-			}
-		}
+		fmt.Printf("  %-24s %8.2f within %.1fx of baseline %.2f\n", m.name, m.got, kernelsMaxRegress, m.want)
 	}
 	return nil
 }

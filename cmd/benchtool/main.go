@@ -1,208 +1,215 @@
-// benchtool regenerates any table or figure of the paper's evaluation from
-// the calibrated cluster model. Each experiment prints the same rows/series
-// the paper reports. With -compress it instead runs a real (in-process)
-// training workload through the bucketed compressed allreduce and reports
-// wire bytes moved and final loss, for codec trade-off comparisons.
+// benchtool runs the repository's measured workloads, one subcommand each:
 //
-// With -overlap it runs the reactive-pipeline workload on a latency-injected
-// cluster — phased vs overlapped schedules of the same training job — and
-// reports compute time, comm time and overlap efficiency, optionally as a
-// JSON report (-json).
+//	benchtool exp [-nodes N] [fig5 … fig16 table1 table2]   paper tables/figures from the calibrated cluster model (default: all)
+//	benchtool compress -codec int8                          codec trade-off of a real training run: wire bytes vs final loss
+//	benchtool overlap|shard|hier                            pair rows: one job under two settings, compared (pair.go)
+//	benchtool allocs [-baseline BENCH_alloc.json]           allocations per step, gated against a committed report
+//	benchtool kernels [-baseline BENCH_kernels.json]        kernel throughput, gated against a committed report
+//	benchtool chaos -scenario kill -transport tcp           elastic recovery under a seeded fault schedule
+//	benchtool sim | sim-calibrate                           network-simulator sweep, and its live calibration gate
 //
-//	benchtool -exp table1
-//	benchtool -exp fig5 -nodes 16
-//	benchtool -exp all
-//	benchtool -compress=int8      # vs: benchtool -compress=none
-//	benchtool -overlap -steps 16 -json overlap.json
+// Every workload but exp and compress writes a JSON report: to -json when
+// given (which is how BENCH_alloc.json and BENCH_kernels.json are
+// re-recorded), to a fresh file in the OS temp directory otherwise — and
+// writes it before any of its gates can fail the run. The pool width of
+// every workload is the runtime's: GOMAXPROCS=2 benchtool kernels.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/allreduce"
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/elastic"
 	"repro/internal/nn"
 	"repro/internal/sgd"
 	"repro/internal/simcluster"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id: fig5..fig16, table1, table2, or all")
-	nodes := flag.Int("nodes", 16, "node count for fig5")
-	plot := flag.Bool("plot", false, "render figs 13-16 as ASCII charts instead of tables")
-	compressAlg := flag.String("compress", "", "run the compression workload with this codec (none|int8|topk|f16|bf16) instead of the paper experiments; also selects the wire format for the overlap/allocs/hier/shard/chaos workloads")
-	topkRatio := flag.Float64("topk-ratio", 0.1, "kept fraction per bucket for -compress=topk")
-	learners := flag.Int("learners", 4, "learner count for the compression/overlap workloads")
-	steps := flag.Int("steps", 60, "steps for the compression/overlap workloads")
-	overlap := flag.Bool("overlap", false, "run the reactive-pipeline overlap workload (phased vs overlapped schedules)")
-	devices := flag.Int("devices", 2, "devices per learner for the overlap workload")
-	jsonPath := flag.String("json", "", "write the workload report (overlap/allocs/shard/hier/chaos/kernels) to this JSON file instead of a temp path")
-	allocs := flag.Bool("allocs", false, "run the allocation-profile workload (allocs/op, bytes/op, GC pauses per step)")
-	shard := flag.Bool("shard", false, "run the ZeRO-1 sharded-optimizer workload (replicated vs sharded: per-rank optimizer-state bytes, step time, bitwise equivalence)")
-	allocsBaseline := flag.String("allocs-baseline", "", "compare the -allocs run against this committed baseline JSON and fail on regression")
-	allocsMaxRegress := flag.Float64("allocs-max-regress", 2.0, "allowed allocs/op growth factor vs the -allocs-baseline")
-	allocsUpdate := flag.Bool("allocs-baseline-update", false, "write the -allocs report over the committed BENCH_alloc.json baseline (without it, a run with no -json writes to a temp path instead of littering the tree)")
-	hier := flag.Bool("hier", false, "run the topology-aware hierarchical-collectives workload (flat vs hierarchical routing on an asymmetric fast-intra/slow-inter fabric: step time, slow-link bytes, bitwise equivalence)")
-	hierNodes := flag.Int("hier-nodes", 2, "simulated node count for the -hier workload")
-	hierRanks := flag.Int("hier-ranks", 4, "learner ranks per node for the -hier workload")
-	chaos := flag.Bool("chaos", false, "run the elastic fault-tolerance workload (kill a rank every -chaos-kill-every steps, recover by resizing, compare the loss trajectory against a failure-free run)")
-	chaosKillEvery := flag.Int("chaos-kill-every", 5, "steps between rank kills for the -chaos workload")
-	chaosRejoin := flag.Bool("chaos-rejoin", true, "rejoin each killed rank two steps after its crash, exercising world growth as well as shrinkage")
-	chaosTolerance := flag.Float64("chaos-tolerance", 0.1, "allowed relative final-loss drift vs the failure-free baseline before -chaos exits nonzero")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed for the -chaos workload (equal seeds reproduce the run bit for bit)")
-	chaosScenario := flag.String("chaos-scenario", "kill", "fault scenario for -chaos: kill (plain crashes), kill-negotiation (a second victim dies inside the membership negotiation), kill-restore (a second victim dies after applying the restored checkpoint), or netsplit (crashes under seeded message loss, mailbox only)")
-	chaosTransport := flag.String("chaos-transport", "mem", "fabric for the -chaos workload: mem (in-process mailboxes) or tcp (real loopback sockets)")
-	spares := flag.Int("spares", 0, "standby identities for -chaos: up to this many victims are backfilled by spare-pool admission instead of rejoining")
-	heartbeatInterval := flag.Duration("heartbeat-interval", 50*time.Millisecond, "heartbeat send period for the -chaos failure monitor")
-	suspectAfter := flag.Duration("suspect-after", 0, "heartbeat silence before a peer is suspected dead in -chaos (0: match the 2s receive detect timeout)")
-	sim := flag.Bool("sim", false, "run the discrete-event collective simulator sweep (predicted step time, per-link traffic, congestion hot spots over scales × collectives × codecs)")
-	simNodes := flag.Int("sim-nodes", 64, "largest node count for the -sim sweep")
-	simRanks := flag.Int("sim-ranks", 8, "ranks per node for the -sim sweep")
-	simGrad := flag.Int("sim-grad", 1<<20, "gradient vector length in float32 elements for the -sim sweep")
-	simBucket := flag.Int("sim-bucket", 16384, "bucket size in float32 elements for the -sim sweep")
-	simCodecs := flag.String("sim-codecs", "none,int8,topk", "comma-separated codecs for the -sim sweep's compressed collectives")
-	simSeed := flag.Uint64("sim-seed", 1, "jitter seed for the -sim sweep (equal seeds reproduce runs bit for bit)")
-	simOverhead := flag.Duration("sim-overhead", 0, "per-message host overhead for the -sim sweep (0 = pure link model; take the fitted value from -sim-calibrate)")
-	simCalibrate := flag.Bool("sim-calibrate", false, "run the simulator calibration gate: live 2×4 runs per collective, exact byte-count check, step-time MAPE gate")
-	simMAPEMax := flag.Float64("sim-mape-max", 0.15, "allowed predicted-vs-measured step-time MAPE for -sim-calibrate")
-	kernelsBench := flag.Bool("kernels", false, "run the compute-kernels throughput workload (GEMM GFLOP/s, conv step time, codec GB/s)")
-	kernelsBaseline := flag.String("kernels-baseline", "", "compare the -kernels run against this committed baseline JSON and fail on regression")
-	kernelsMaxRegress := flag.Float64("kernels-max-regress", 2.0, "allowed throughput shrink factor vs the -kernels-baseline")
-	kernelsUpdate := flag.Bool("kernels-baseline-update", false, "write the -kernels report over the committed BENCH_kernels.json baseline (without it, a run with no -json writes to a temp path instead of littering the tree)")
-	procs := flag.Int("procs", 0, "pin GOMAXPROCS (and the kernels pool width) for the overlap/kernels workloads; 0 keeps the runtime default")
-	flag.Parse()
+// commands is every subcommand, in usage order. Each parses its own flags:
+// a flag exists where the Makefile, CI or the docs vary it, or where it is
+// a size, seed or path of the run; the rest are constants beside their use.
+var commands = []struct {
+	name string
+	run  func(args []string) error
+}{
+	{"exp", cmdExp},
+	{"compress", cmdCompress},
+	{"overlap", func(args []string) error { return cmdPair(overlapRow(), args) }},
+	{"shard", func(args []string) error { return cmdPair(shardRow(), args) }},
+	{"hier", cmdHier},
+	{"allocs", cmdAllocs},
+	{"kernels", cmdKernels},
+	{"chaos", cmdChaos},
+	{"sim", cmdSim},
+	{"sim-calibrate", cmdSimCalibrate},
+}
 
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
-	}
+func main() { os.Exit(dispatch(os.Args[1:], os.Stderr)) }
 
-	if *simCalibrate {
-		if err := simCalibrateWorkload(*topkRatio, *simMAPEMax, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *sim {
-		if err := simWorkload(*simNodes, *simRanks, *simGrad, *simBucket, *simCodecs, *topkRatio, *simSeed, *simOverhead, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *kernelsBench {
-		path := *jsonPath
-		if *kernelsUpdate {
-			if path != "" {
-				log.Fatal("benchtool: -json conflicts with -kernels-baseline-update (the update writes BENCH_kernels.json); pass one or the other")
+// dispatch runs the subcommand args names and returns the exit status: 2
+// when no subcommand matches (a FlagSet exits 2 on its own for a bad flag),
+// 1 when the subcommand returns an error — a bad size, a failed run or gate.
+func dispatch(args []string, stderr io.Writer) int {
+	if len(args) > 0 {
+		for _, c := range commands {
+			if c.name == args[0] {
+				if err := c.run(args[1:]); err != nil {
+					fmt.Fprintln(stderr, err)
+					return 1
+				}
+				return 0
 			}
-			path = "BENCH_kernels.json"
 		}
-		if err := kernelsWorkload(path, *kernelsBaseline, *kernelsMaxRegress); err != nil {
-			log.Fatal(err)
-		}
-		return
+		fmt.Fprintf(stderr, "benchtool: unknown subcommand %q\n", args[0])
 	}
+	fmt.Fprint(stderr, "usage: benchtool <subcommand> [flags]; subcommands:")
+	for _, c := range commands {
+		fmt.Fprint(stderr, " ", c.name)
+	}
+	fmt.Fprintln(stderr, "\n       benchtool <subcommand> -h lists a subcommand's flags")
+	return 2
+}
 
-	if *chaos {
-		err := chaosWorkload(chaosOpts{
-			seed:              *chaosSeed,
-			learners:          *learners,
-			steps:             *steps,
-			killEvery:         *chaosKillEvery,
-			rejoin:            *chaosRejoin,
-			scenario:          *chaosScenario,
-			transport:         *chaosTransport,
-			codec:             *compressAlg,
-			topkRatio:         *topkRatio,
-			spares:            *spares,
-			heartbeatInterval: *heartbeatInterval,
-			suspectAfter:      *suspectAfter,
-			tolerance:         *chaosTolerance,
-			jsonPath:          *jsonPath,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+// Flags several subcommands share, so each keeps one spelling.
+func jsonFlag(fs *flag.FlagSet) *string {
+	return fs.String("json", "", "write the report to this file instead of a temp path")
+}
 
-	if *allocs {
-		path := *jsonPath
-		if *allocsUpdate {
-			if path != "" {
-				log.Fatal("benchtool: -json conflicts with -allocs-baseline-update (the update writes BENCH_alloc.json); pass one or the other")
-			}
-			path = "BENCH_alloc.json"
-		}
-		if err := allocsWorkload(*compressAlg, *topkRatio, *learners, *devices, *steps, path, *allocsBaseline, *allocsMaxRegress); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *hier {
-		if err := hierWorkload(*compressAlg, *topkRatio, *hierNodes, *hierRanks, *devices, *steps, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *shard {
-		if err := shardWorkload(*compressAlg, *topkRatio, *learners, *devices, *steps, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *overlap {
-		if err := overlapWorkload(*compressAlg, *topkRatio, *learners, *devices, *steps, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *compressAlg != "" {
-		if err := compressWorkload(*compressAlg, *topkRatio, *learners, *steps); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+func baselineFlag(fs *flag.FlagSet) *string {
+	return fs.String("baseline", "", "compare the run against this committed report and fail on regression")
+}
 
+func learnersFlag(fs *flag.FlagSet, p *int) { fs.IntVar(p, "learners", 4, "learner (rank) count") }
+
+func stepsFlag(fs *flag.FlagSet, p *int) { fs.IntVar(p, "steps", 60, "training steps") }
+
+func devicesFlag(fs *flag.FlagSet, p *int) { fs.IntVar(p, "devices", 2, "devices per learner") }
+
+// cmdPair runs one pair row at the sizes its flags give.
+func cmdPair(s pairSpec, args []string) error {
+	fs := flag.NewFlagSet(s.name, flag.ExitOnError)
+	learnersFlag(fs, &s.learners)
+	devicesFlag(fs, &s.devices)
+	stepsFlag(fs, &s.steps)
+	jsonPath := jsonFlag(fs)
+	fs.Parse(args)
+	return runPair(s, *jsonPath)
+}
+
+func cmdHier(args []string) error {
+	fs := flag.NewFlagSet("hier", flag.ExitOnError)
+	nodes := fs.Int("nodes", 2, "simulated node count")
+	ranks := fs.Int("ranks", 4, "learner ranks per node")
+	var devices, steps int
+	devicesFlag(fs, &devices)
+	stepsFlag(fs, &steps)
+	jsonPath := jsonFlag(fs)
+	fs.Parse(args)
+	s, err := hierRow(*nodes, *ranks)
+	if err != nil {
+		return err
+	}
+	s.devices, s.steps = devices, steps
+	return runPair(s, *jsonPath)
+}
+
+func cmdAllocs(args []string) error {
+	s := allocsRow()
+	fs := flag.NewFlagSet(s.name, flag.ExitOnError)
+	learnersFlag(fs, &s.learners)
+	devicesFlag(fs, &s.devices)
+	stepsFlag(fs, &s.steps)
+	jsonPath, baseline := jsonFlag(fs), baselineFlag(fs)
+	fs.Parse(args)
+	return allocsWorkload(s, *jsonPath, *baseline)
+}
+
+func cmdKernels(args []string) error {
+	fs := flag.NewFlagSet("kernels", flag.ExitOnError)
+	jsonPath, baseline := jsonFlag(fs), baselineFlag(fs)
+	fs.Parse(args)
+	return kernelsWorkload(*jsonPath, *baseline)
+}
+
+func cmdChaos(args []string) error {
+	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
+	var o chaosOpts
+	learnersFlag(fs, &o.learners)
+	stepsFlag(fs, &o.steps)
+	fs.Int64Var(&o.seed, "seed", 1, "fault-injection seed (equal seeds reproduce the run bit for bit)")
+	fs.StringVar(&o.scenario, "scenario", "kill", "kill (plain crashes), kill-negotiation (a second victim dies inside the membership negotiation), kill-restore (a second victim dies after applying the restored checkpoint), or netsplit (crashes under seeded message loss, mem only)")
+	fs.StringVar(&o.transport, "transport", elastic.TransportMem, "mem (in-process mailboxes) or tcp (real loopback sockets)")
+	jsonPath := jsonFlag(fs)
+	fs.Parse(args)
+	o.jsonPath = *jsonPath
+	return chaosWorkload(o)
+}
+
+func cmdSim(args []string) error {
+	fs := flag.NewFlagSet("sim", flag.ExitOnError)
+	nodes := fs.Int("nodes", 64, "largest swept node count (2×4 and 16×ranks are always included)")
+	ranks := fs.Int("ranks", 8, "ranks per node")
+	seed := fs.Uint64("seed", 1, "jitter seed (equal seeds reproduce traces bit for bit)")
+	jsonPath := jsonFlag(fs)
+	fs.Parse(args)
+	return simWorkload(*nodes, *ranks, *seed, *jsonPath)
+}
+
+func cmdSimCalibrate(args []string) error {
+	fs := flag.NewFlagSet("sim-calibrate", flag.ExitOnError)
+	jsonPath := jsonFlag(fs)
+	fs.Parse(args)
+	return simCalibrateWorkload(*jsonPath)
+}
+
+func cmdCompress(args []string) error {
+	fs := flag.NewFlagSet("compress", flag.ExitOnError)
+	codec := fs.String("codec", "none", "gradient wire format: none, int8, topk, f16 or bf16")
+	var learners, steps int
+	learnersFlag(fs, &learners)
+	stepsFlag(fs, &steps)
+	fs.Parse(args)
+	return compressWorkload(*codec, learners, steps)
+}
+
+// expIDs is every experiment, in the paper's order.
+var expIDs = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+	"fig13", "fig14", "fig15", "fig16", "table1", "table2"}
+
+func cmdExp(args []string) error {
+	fs := flag.NewFlagSet("exp", flag.ExitOnError)
+	nodes := fs.Int("nodes", 16, "node count for fig5")
+	fs.Parse(args)
+	ids := fs.Args()
+	if len(ids) == 0 {
+		ids = expIDs
+	}
 	c := simcluster.New(64, simcluster.DefaultParams())
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-			"fig13", "fig14", "fig15", "fig16", "table1", "table2"}
-	}
 	for _, id := range ids {
-		if *plot {
-			if chart, ok, err := plotCurve(c, id); err != nil {
-				log.Fatalf("%s: %v", id, err)
-			} else if ok {
-				fmt.Println(chart)
-				continue
-			}
-		}
-		tbl, err := run(c, id, *nodes)
+		tbl, err := runExp(c, id, *nodes)
 		if err != nil {
-			log.Fatalf("%s: %v", id, err)
+			return fmt.Errorf("benchtool: %s: %w", id, err)
 		}
 		fmt.Println(tbl)
 	}
+	return nil
 }
 
 // compressWorkload trains a fixed synthetic workload through the bucketed
 // compressed allreduce and prints the codec's bytes-moved/accuracy trade-off.
 // Every parameter except the codec is held constant (fixed seeds, slice-
-// dealt batches), so runs with different -compress values are directly
+// dealt batches), so runs with different -codec values are directly
 // comparable: same data, same model, same schedule.
-func compressWorkload(codec string, topkRatio float64, learners, steps int) error {
+func compressWorkload(codec string, learners, steps int) error {
 	const classes, size, images, globalBatch = 3, 8, 24, 12
-	if learners <= 0 || globalBatch%learners != 0 {
-		return fmt.Errorf("benchtool: -learners must divide the fixed global batch %d (got %d) so runs stay comparable", globalBatch, learners)
+	if learners <= 0 || globalBatch%learners != 0 || steps < 1 {
+		return fmt.Errorf("benchtool: compress needs at least one step and -learners dividing the fixed global batch %d (got %d) so runs stay comparable", globalBatch, learners)
 	}
 	dataX, dataLabels := core.SyntheticTensorData(images, classes, size, 23)
 	newReplica := func(seed int64) nn.Layer {
@@ -224,7 +231,7 @@ func compressWorkload(codec string, topkRatio float64, learners, steps int) erro
 			SGD:            sgd.DefaultConfig(),
 			Compression: compress.Config{
 				Codec:         codec,
-				TopKRatio:     topkRatio,
+				TopKRatio:     0.1,
 				ErrorFeedback: true,
 				BucketFloats:  2048,
 			},
@@ -252,28 +259,7 @@ func compressWorkload(codec string, topkRatio float64, learners, steps int) erro
 	return nil
 }
 
-// plotCurve renders figs 13-16 as ASCII charts; ok is false for other ids.
-func plotCurve(c *simcluster.Cluster, id string) (string, bool, error) {
-	counts := []int{8, 16, 32}
-	var m simcluster.Model
-	var errCurve bool
-	switch strings.ToLower(id) {
-	case "fig13":
-		m, errCurve = simcluster.ResNet50, false
-	case "fig14":
-		m, errCurve = simcluster.GoogLeNetBN, false
-	case "fig15":
-		m, errCurve = simcluster.ResNet50, true
-	case "fig16":
-		m, errCurve = simcluster.GoogLeNetBN, true
-	default:
-		return "", false, nil
-	}
-	chart, err := c.PlotFigure(m, errCurve, counts, 72, 18)
-	return chart, true, err
-}
-
-func run(c *simcluster.Cluster, id string, fig5Nodes int) (*simcluster.Table, error) {
+func runExp(c *simcluster.Cluster, id string, fig5Nodes int) (*simcluster.Table, error) {
 	counts := []int{8, 16, 32}
 	switch strings.ToLower(id) {
 	case "fig5":
@@ -315,8 +301,6 @@ func run(c *simcluster.Cluster, id string, fig5Nodes int) (*simcluster.Table, er
 		_, tbl, err := c.Table2()
 		return tbl, err
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-		os.Exit(2)
-		return nil, nil
+		return nil, fmt.Errorf("unknown experiment (want one of %s)", strings.Join(expIDs, " "))
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // writeReport lands a workload's JSON report somewhere inspectable: at
-// jsonPath when the user passed -json, otherwise at a fresh file in the OS
-// temp directory named after tempPattern (os.CreateTemp semantics — the `*`
+// jsonPath when the user passed -json (which is also how a committed
+// baseline is re-recorded), otherwise at a fresh file in the OS temp
+// directory named after tempPattern (os.CreateTemp semantics — the `*`
 // becomes a unique suffix). Every workload routes through here so none of
 // them silently discards its report or litters the working tree; a fixed
 // temp path would collide across users on a shared machine, hence the
@@ -30,5 +31,18 @@ func writeReport(jsonPath, tempPattern string, report any) error {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", jsonPath)
+	return nil
+}
+
+// readReport parses a committed baseline into the report struct its
+// workload writes.
+func readReport(path string, into any) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("benchtool: reading baseline: %w", err)
+	}
+	if err := json.Unmarshal(raw, into); err != nil {
+		return fmt.Errorf("benchtool: parsing baseline %s: %w", path, err)
+	}
 	return nil
 }

@@ -2,8 +2,8 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/compress"
@@ -38,7 +38,7 @@ type simEntry struct {
 	SimWallMS          float64             `json:"sim_wall_ms"`
 }
 
-// simReport is the JSON schema of the -sim sweep.
+// simReport is the JSON schema of the sim sweep.
 type simReport struct {
 	Workload     string     `json:"workload"`
 	GradFloats   int        `json:"grad_floats"`
@@ -50,40 +50,42 @@ type simReport struct {
 	WallSeconds  float64    `json:"wall_seconds"`
 }
 
+// simTopKRatio is the kept fraction of the top-k codec wherever the
+// simulator sizes or measures it.
+const simTopKRatio = 0.1
+
 // simWorkload sweeps the discrete-event simulator over cluster scales ×
 // collectives × codecs on the calibrated Minsky fabric (full speed, no
-// slowdown: these are predictions for the real cluster) and reports
-// predicted step time, per-link-class traffic, and the most loaded links.
-// It fails if any link reports more traffic than its bandwidth could carry
-// in the predicted step.
-func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList string, topkRatio float64, seed uint64, overhead time.Duration, jsonPath string) error {
+// slowdown, no per-message host overhead: these are the pure link model's
+// predictions for the real cluster) and reports predicted step time,
+// per-link-class traffic, and the most loaded links. It fails if any link
+// reports more traffic than its bandwidth could carry in the predicted
+// step.
+func simWorkload(nodes, ranksPerNode int, seed uint64, jsonPath string) error {
+	const gradFloats, bucketFloats = 1 << 20, 16384
+	codecs := []string{"none", "int8", "topk"}
 	if nodes < 1 || ranksPerNode < 1 {
-		return fmt.Errorf("benchtool: -sim needs positive -sim-nodes and -sim-ranks (got %d×%d)", nodes, ranksPerNode)
+		return fmt.Errorf("benchtool: sim needs positive -nodes and -ranks (got %d×%d)", nodes, ranksPerNode)
 	}
-	scales := []simScale{{2, 4}, {16, ranksPerNode}, {nodes, ranksPerNode}}
-	// Dedup while preserving order (a small -sim-nodes can collide).
-	seen := map[simScale]bool{}
-	uniq := scales[:0]
-	for _, s := range scales {
-		if s.Nodes*s.RanksPerNode > 0 && !seen[s] && s.Nodes <= nodes {
-			seen[s] = true
-			uniq = append(uniq, s)
+	// 2×4 and 16×ranks ride along below the largest scale; a small -nodes
+	// can collide with them.
+	var scales []simScale
+	for _, s := range []simScale{{2, 4}, {16, ranksPerNode}, {nodes, ranksPerNode}} {
+		if s.Nodes <= nodes && !slices.Contains(scales, s) {
+			scales = append(scales, s)
 		}
 	}
-	scales = uniq
 
-	codecs := strings.Split(codecList, ",")
 	rep := simReport{
 		Workload:     "sim",
 		GradFloats:   gradFloats,
 		BucketFloats: bucketFloats,
 		Seed:         seed,
-		HostOverhead: overhead.String(),
+		HostOverhead: "0s",
 		Scales:       scales,
 	}
 	start := time.Now()
-	fmt.Printf("sim workload: grad=%d floats bucket=%d floats codecs=%s seed=%d overhead=%s\n",
-		gradFloats, bucketFloats, codecList, seed, overhead)
+	fmt.Printf("sim workload: grad=%d floats bucket=%d floats codecs=%v seed=%d\n", gradFloats, bucketFloats, codecs, seed)
 	for _, sc := range scales {
 		fabric := simnet.MinskyFabric(sc.Nodes)
 		intra, inter, err := fabric.LinkProfiles(1)
@@ -102,7 +104,7 @@ func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList st
 				cs = []string{"none"}
 			}
 			for _, codecName := range cs {
-				codec, err := compress.New(compress.Config{Codec: strings.TrimSpace(codecName), TopKRatio: topkRatio})
+				codec, err := compress.New(compress.Config{Codec: codecName, TopKRatio: simTopKRatio})
 				if err != nil {
 					return err
 				}
@@ -116,7 +118,7 @@ func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList st
 				t0 := time.Now()
 				res, err := simevent.Run(scheds, simevent.Config{
 					Topo: topo, Intra: intra, Inter: inter,
-					HostOverhead: overhead, JitterFrac: 0, Seed: seed,
+					JitterFrac: 0, Seed: seed,
 					Fabric: fabric,
 				})
 				if err != nil {
@@ -157,7 +159,7 @@ func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList st
 	return writeReport(jsonPath, "BENCH_sim.*.json", rep)
 }
 
-// simCalibrateReport is the JSON schema of the -sim-calibrate gate (the
+// simCalibrateReport is the JSON schema of the sim-calibrate gate (the
 // sim.json CI artifact).
 type simCalibrateReport struct {
 	Workload     string                `json:"workload"`
@@ -171,11 +173,16 @@ type simCalibrateReport struct {
 	Calibration  *simevent.Calibration `json:"calibration"`
 }
 
+// simCalibrateMaxMAPE is the calibration gate: the allowed mean absolute
+// percentage error of predicted against measured step time.
+const simCalibrateMaxMAPE = 0.15
+
 // simCalibrateWorkload runs the calibration gate: measure every collective
 // live at a small scale on slowed-down Minsky profiles (sleeps dominate
 // scheduler noise), fit the simulator's host overhead, and fail unless
-// byte counts agree exactly and the step-time MAPE stays within mapeMax.
-func simCalibrateWorkload(topkRatio float64, mapeMax float64, jsonPath string) error {
+// byte counts agree exactly and the step-time MAPE stays within
+// simCalibrateMaxMAPE.
+func simCalibrateWorkload(jsonPath string) error {
 	const (
 		nodes, ranksPerNode = 2, 4
 		gradFloats          = 8192
@@ -187,7 +194,7 @@ func simCalibrateWorkload(topkRatio float64, mapeMax float64, jsonPath string) e
 	if err != nil {
 		return err
 	}
-	topk, err := compress.New(compress.Config{Codec: "topk", TopKRatio: topkRatio})
+	topk, err := compress.New(compress.Config{Codec: "topk", TopKRatio: simTopKRatio})
 	if err != nil {
 		return err
 	}
@@ -217,12 +224,12 @@ func simCalibrateWorkload(topkRatio float64, mapeMax float64, jsonPath string) e
 			c.Collective, c.Codec, c.MeasuredMS, c.PredictedMS, 100*c.AbsPctErr, c.BytesMatch)
 	}
 	fmt.Printf("  fitted host overhead %s   MAPE %.1f%% (gate %.0f%%)   bytes exact: %v\n",
-		cal.HostOverhead, 100*cal.MAPE, 100*mapeMax, cal.BytesExact)
+		cal.HostOverhead, 100*cal.MAPE, 100*simCalibrateMaxMAPE, cal.BytesExact)
 	rep := simCalibrateReport{
 		Workload: "sim-calibrate",
 		Nodes:    nodes, RanksPerNode: ranksPerNode,
 		GradFloats: gradFloats, BucketFloats: bucketFloats,
-		Slowdown: slowdown, Reps: reps, MAPEMax: mapeMax,
+		Slowdown: slowdown, Reps: reps, MAPEMax: simCalibrateMaxMAPE,
 		Calibration: cal,
 	}
 	if err := writeReport(jsonPath, "BENCH_sim_calibrate.*.json", rep); err != nil {
@@ -231,8 +238,8 @@ func simCalibrateWorkload(topkRatio float64, mapeMax float64, jsonPath string) e
 	if !cal.BytesExact {
 		return fmt.Errorf("benchtool: simulated byte counts diverge from live World.Traffic — schedule extraction drifted")
 	}
-	if cal.MAPE > mapeMax {
-		return fmt.Errorf("benchtool: calibration MAPE %.1f%% exceeds the %.0f%% gate", 100*cal.MAPE, 100*mapeMax)
+	if cal.MAPE > simCalibrateMaxMAPE {
+		return fmt.Errorf("benchtool: calibration MAPE %.1f%% exceeds the %.0f%% gate", 100*cal.MAPE, 100*simCalibrateMaxMAPE)
 	}
 	return nil
 }

@@ -7,16 +7,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// Register the default algorithm as mpi.Comm.AllReduceFloats' large-payload
-// path: the naive reduce+broadcast composition stays for small vectors, but
-// any program linking this package gets recursive doubling / Rabenseifner
-// above the crossover for free (mpi itself cannot import the algorithms).
-func init() {
-	mpi.SetLargeAllReduceDelegate(func(c *mpi.Comm, data []float32) error {
-		return AllReduce(c, data, AlgDefault, Options{})
-	}, Options{}.withDefaults().DefaultCrossover)
-}
-
 // Algorithm names an allreduce implementation.
 type Algorithm string
 
@@ -100,10 +90,7 @@ func AllReduce(c *mpi.Comm, data []float32, alg Algorithm, opts Options) error {
 	opts = opts.withDefaults()
 	switch alg {
 	case AlgNaive:
-		// Explicitly the naive composition: the benchmarked baseline must not
-		// route through the large-payload delegate registered above (which
-		// would silently measure AlgDefault against itself).
-		return c.AllReduceFloatsNaive(data)
+		return c.AllReduceFloats(data)
 	case AlgRing:
 		return pipelinedRing(c, data, opts)
 	case AlgBucketRing:

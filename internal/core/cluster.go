@@ -63,6 +63,9 @@ type ClusterResult struct {
 	// bytes (send+recv) — the traffic the sharded step adds in exchange for
 	// the owner-routed gradient reduce-scatter; zero when sharding is off.
 	ParamAGBytes []int64
+	// Traffic is the world's wire bytes per link class over the run (zeros
+	// unless NewWorld built a topology world).
+	Traffic mpi.Traffic
 }
 
 // RunCluster executes the job on an in-process world and returns per-step
@@ -149,14 +152,15 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Traffic = world.Traffic()
 	return res, nil
 }
 
 // SmallBNFreeCNN builds the batch-norm-free reference CNN shared by the
-// functional experiments, the benchtool compression workload, and the
-// compressed example. BN computes statistics per device partition, so
-// cross-configuration comparisons (serial vs distributed, codec vs codec)
-// need a BN-free model; keeping one definition keeps those runs comparable.
+// functional experiments and the benchtool compress workload. BN computes
+// statistics per device partition, so cross-configuration comparisons
+// (serial vs distributed, codec vs codec) need a BN-free model; keeping one
+// definition keeps those runs comparable.
 func SmallBNFreeCNN(classes, size int, seed int64) nn.Layer {
 	rng := tensor.NewRNG(seed)
 	final := size / 2
@@ -170,12 +174,12 @@ func SmallBNFreeCNN(classes, size int, seed int64) nn.Layer {
 }
 
 // OverlapBenchModel builds the BN-free two-conv CNN shared by the overlap
-// drivers (benchtool's overlap workload, the root overlap benchmark, and
-// examples/overlap): enough conv compute that backward takes real time per
-// layer — giving the reactive pipeline something to hide communication
-// under — while the fc layer holds most of the parameters, so the bulk of
-// the gradient becomes ready at the very start of backward. One definition
-// keeps the three drivers' reported numbers comparable.
+// drivers (benchtool's overlap row and the root overlap benchmark): enough
+// conv compute that backward takes real time per layer — giving the
+// reactive pipeline something to hide communication under — while the fc
+// layer holds most of the parameters, so the bulk of the gradient becomes
+// ready at the very start of backward. One definition keeps the two
+// drivers' reported numbers comparable.
 func OverlapBenchModel(classes, size int, seed int64) nn.Layer {
 	rng := tensor.NewRNG(seed)
 	final := size / 4
@@ -192,7 +196,7 @@ func OverlapBenchModel(classes, size int, seed int64) nn.Layer {
 }
 
 // AllocBenchModel builds the parameter-heavy, compute-light MLP behind
-// benchtool's -allocs workload: the ~400k-float gradient dwarfs the few
+// benchtool's allocs workload: the ~400k-float gradient dwarfs the few
 // dense-layer activations, so per-step allocation counts measure the
 // communication hot path (bucketing, codecs, transport) rather than conv
 // compute. Shared so the committed BENCH_alloc.json baseline and any local
@@ -210,7 +214,7 @@ func AllocBenchModel(classes, size int, seed int64) nn.Layer {
 	)
 }
 
-// ShardBenchModel builds the many-equal-layer MLP behind benchtool's -shard
+// ShardBenchModel builds the many-equal-layer MLP behind benchtool's shard
 // workload. Its parameter mass is spread over ten same-sized 192×192 dense
 // layers (the input is flattened to 192 at size 8, so the first layer is no
 // bigger than the rest) — whole-parameter contiguous shards therefore

@@ -48,7 +48,7 @@ const gradChunkCap = 16
 // goroutine count is fixed at maxWorkers-1 (idle workers cost a few KiB of
 // stack each and no CPU); how many of them a Run actually enlists is the
 // separate, adjustable width below — so raising GOMAXPROCS after startup
-// (benchtool's -procs sweep) still widens the kernels.
+// still widens the kernels.
 var (
 	poolOnce sync.Once
 	poolJobs chan *job

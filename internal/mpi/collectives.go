@@ -84,29 +84,6 @@ func (c *Comm) ReduceFloats(root int, data []float32) error {
 	return nil
 }
 
-// Gather collects each rank's payload on the root. The returned slice (root
-// only) has one entry per rank, in rank order; non-roots receive nil.
-func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	if c.rank != root {
-		return nil, c.Send(root, tagGather, data)
-	}
-	out := make([][]byte, c.Size())
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	out[c.rank] = cp
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		b, err := c.Recv(r, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = b
-	}
-	return out, nil
-}
-
 // AllGather collects every rank's payload on every rank (ring algorithm:
 // n-1 steps, each forwarding the newest block to the right neighbour).
 func (c *Comm) AllGather(data []byte) ([][]byte, error) {
@@ -176,44 +153,11 @@ func AllToAllStep(rank, s, n int) (dst, src, tag int) {
 	return (rank + s) % n, (rank - s + n) % n, tagAllToAll + s
 }
 
-// Large-payload allreduce delegation: internal/allreduce registers its
-// default algorithm (recursive doubling / Rabenseifner) here at init, so
-// AllReduceFloats callers get the optimized path for big vectors without
-// this package importing the algorithms (which would cycle).
-var (
-	largeAllReduce    func(c *Comm, data []float32) error
-	largeAllReduceMin = 4096
-)
-
-// SetLargeAllReduceDelegate installs fn as the allreduce used for payloads
-// above minFloats elements (minFloats <= 0 keeps the default threshold).
-// Intended to be called from an init function, before any communication.
-func SetLargeAllReduceDelegate(fn func(c *Comm, data []float32) error, minFloats int) {
-	largeAllReduce = fn
-	if minFloats > 0 {
-		largeAllReduceMin = minFloats
-	}
-}
-
-// LargeAllReduceDelegateInstalled reports whether a delegate is registered.
-func LargeAllReduceDelegateInstalled() bool { return largeAllReduce != nil }
-
 // AllReduceFloats sums equal-length float32 vectors across all ranks,
-// leaving the result on every rank. Small payloads use the naive
-// reduce+broadcast composition; payloads above the delegation threshold are
-// routed to internal/allreduce's default algorithm when that package is
-// linked in (it registers itself at init).
+// leaving the result on every rank: a reduce to rank 0, then a broadcast.
+// It is what allreduce.AlgNaive measures and what small control-plane sums
+// use; gradient-sized vectors go through internal/allreduce.
 func (c *Comm) AllReduceFloats(data []float32) error {
-	if largeAllReduce != nil && len(data) > largeAllReduceMin && c.Size() > 1 {
-		return largeAllReduce(c, data)
-	}
-	return c.AllReduceFloatsNaive(data)
-}
-
-// AllReduceFloatsNaive is the reduce+broadcast composition, kept as the
-// small-payload path and as the explicit "naive" baseline in the allreduce
-// benchmarks (which must not silently measure the delegated algorithm).
-func (c *Comm) AllReduceFloatsNaive(data []float32) error {
 	if err := c.ReduceFloats(0, data); err != nil {
 		return err
 	}

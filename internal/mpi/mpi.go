@@ -40,7 +40,7 @@ const (
 	tagBarrier = MaxUserTag + iota<<20
 	tagBcast
 	tagReduce
-	tagGather
+	_ // a band no collective uses; reserved so the tags below keep their values
 	tagAllGather
 	tagAllToAll
 	tagAllReduce

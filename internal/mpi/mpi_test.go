@@ -228,34 +228,6 @@ func TestReduceFloatsAllRoots(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	const n = 5
-	w := NewWorld(n)
-	defer w.Close()
-	err := w.Run(func(c *Comm) error {
-		data := []byte(fmt.Sprintf("r%d", c.Rank()))
-		got, err := c.Gather(2, data)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 2 {
-			if got != nil {
-				return fmt.Errorf("non-root got %v", got)
-			}
-			return nil
-		}
-		for r := 0; r < n; r++ {
-			if string(got[r]) != fmt.Sprintf("r%d", r) {
-				return fmt.Errorf("gather[%d] = %q", r, got[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllGatherVariedSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 6} {
 		w := NewWorld(n)

@@ -145,41 +145,3 @@ func WaitAll(reqs ...*Request) error {
 	}
 	return first
 }
-
-// ReduceScatterFloats sums equal-length vectors across all ranks and leaves
-// each rank with its ChunkBounds-style share of the result: rank r receives
-// the summed elements [r·L/n, (r+1)·L/n). Ring algorithm, n-1 steps.
-func (c *Comm) ReduceScatterFloats(data []float32) ([]float32, error) {
-	n := c.Size()
-	rank := c.Rank()
-	chunk := func(i int) (int, int) {
-		i = ((i % n) + n) % n
-		return i * len(data) / n, (i + 1) * len(data) / n
-	}
-	if n == 1 {
-		lo, hi := chunk(0)
-		out := make([]float32, hi-lo)
-		copy(out, data[lo:hi])
-		return out, nil
-	}
-	right := (rank + 1) % n
-	left := (rank - 1 + n) % n
-	work := GetFloats(len(data))
-	defer PutFloats(work)
-	copy(work, data)
-	// Schedule offset -1 so the fully-reduced chunk lands at index rank.
-	for s := 0; s < n-1; s++ {
-		sLo, sHi := chunk(rank - s - 1)
-		if err := c.SendFloats(right, tagReduce+1024+s, work[sLo:sHi]); err != nil {
-			return nil, err
-		}
-		rLo, rHi := chunk(rank - s - 2)
-		if err := c.RecvFloatsAdd(work[rLo:rHi], left, tagReduce+1024+s); err != nil {
-			return nil, fmt.Errorf("mpi: reduce-scatter chunk: %w", err)
-		}
-	}
-	lo, hi := chunk(rank)
-	out := make([]float32, hi-lo)
-	copy(out, work[lo:hi])
-	return out, nil
-}

@@ -64,44 +64,3 @@ func TestRequestTest(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReduceScatter(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7} {
-		for _, length := range []int{1, 7, 64} {
-			if length < n {
-				continue
-			}
-			w := NewWorld(n)
-			err := w.Run(func(c *Comm) error {
-				data := make([]float32, length)
-				for i := range data {
-					data[i] = float32((c.Rank() + 1) * (i + 1))
-				}
-				got, err := c.ReduceScatterFloats(data)
-				if err != nil {
-					return err
-				}
-				lo := c.Rank() * length / n
-				hi := (c.Rank() + 1) * length / n
-				if len(got) != hi-lo {
-					return fmt.Errorf("rank %d got %d elems, want %d", c.Rank(), len(got), hi-lo)
-				}
-				var rankSum float32
-				for r := 1; r <= n; r++ {
-					rankSum += float32(r)
-				}
-				for i, v := range got {
-					want := rankSum * float32(lo+i+1)
-					if v != want {
-						return fmt.Errorf("rank %d elem %d = %v, want %v", c.Rank(), i, v, want)
-					}
-				}
-				return nil
-			})
-			w.Close()
-			if err != nil {
-				t.Fatalf("n=%d len=%d: %v", n, length, err)
-			}
-		}
-	}
-}

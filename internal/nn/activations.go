@@ -18,7 +18,7 @@ type ReLU struct {
 	// The kernel closures are built once and read the current tensors
 	// through these fields: a func literal handed to kernels.Run escapes,
 	// so per-call closures would put an allocation per activation on the
-	// training hot path (gated by benchtool -allocs).
+	// training hot path (gated by benchtool allocs).
 	x, gradOut *tensor.Tensor
 	// Layer-owned results, reused while the shape repeats. out is also the
 	// forward cache: it is positive exactly where the input was, so Backward

@@ -9,5 +9,5 @@
 // and the DIMD shuffle, workloads.go holds the calibrated per-model
 // compute/data constants, experiments.go reproduces the numbered figures
 // and tables, accuracy.go and memory.go the statistical-efficiency and
-// footprint models, plot.go the ASCII charts behind benchtool -plot.
+// footprint models.
 package simcluster

@@ -4,7 +4,7 @@
 // clock, predicting step time, per-link-class traffic, and fabric load at
 // scales the goroutine-per-rank worlds cannot reach — 64 nodes × 8 ranks
 // sweeps take seconds instead of machines. The paper-figure model
-// (internal/simcluster) and the forward-prediction sweep (benchtool -sim)
+// (internal/simcluster) and the forward-prediction sweep (benchtool sim)
 // both run on it.
 //
 // A rank's schedule is any number of streams, each a program-order op list
