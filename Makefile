@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build cross test race race-ownership bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate sim-crossval lint clean
+.PHONY: all build cross test race race-overlap race-ownership race-sharded race-hierarchical race-elastic race-kernels bench bench-module allocs allocs-baseline kernels kernels-baseline kernels-purego fuzz-smoke overlap shard hier chaos sim sim-calibrate sim-crossval lint clean
 
 all: lint build test
 
@@ -23,12 +23,75 @@ test:
 race:
 	$(GO) test -race -shuffle=on -timeout 40m ./...
 
-# The buffer-ownership suite CI pins under -race (checkptr on): pooled
-# send/receive hand-offs, the float wire's views, lent segments and shared
-# buffers (internal/mpi), and the lending multi-colour tree against the
-# copying one on multi-level trees (internal/allreduce).
+# The suites CI pins under -race, one target each, so the -run list lives
+# here and nowhere else. $(call pinned,name,fragments,packages) runs every
+# test whose name contains one of the fragments and then holds the list to
+# what ran: a -run pattern that matches nothing passes silently, so a
+# fragment no top-level test passed under (a renamed or deleted suite) fails
+# the target.
+empty :=
+space := $(empty) $(empty)
+define pinned
+	$(GO) test -race -timeout 10m -v -run '$(subst $(space),|,$(strip $(2)))' $(3) > $(1).log || { cat $(1).log; exit 1; }
+	@for f in $(2); do grep -q "^--- PASS: [A-Za-z0-9_]*$$f" $(1).log || { echo "$(1): no test matching '$$f' ran"; exit 1; }; done; \
+		echo "$(1): $$(grep -c '^--- PASS' $(1).log) tests passed, all $(words $(2)) name fragments matched"
+endef
+
+# The reactive-pipeline equivalence suite: the overlapped path against the
+# phased one, so a test reshuffle can't silently drop its race coverage.
+race-overlap:
+	$(call pinned,race-overlap,Overlap Stream GradNotify BackwardNotify StepWithGradHook ReduceRange ScatterRange ParamRange StepParam Arena StaleGradients,\
+		./internal/core ./internal/allreduce ./internal/dpt ./internal/models ./internal/nn ./internal/sgd)
+
+# The buffer-ownership suite (checkptr on): pooled send/receive hand-offs
+# (Send-then-mutate, SendOwned, Recv-release-reuse, TCP included), the float
+# wire's byte/float views (RecvFloatsAdd summing a payload where it lies and
+# releasing it on every path), a lent segment never entering the pool and a
+# shared buffer recycled once by its last release, the one buffer contract
+# over the four worlds, fault and TCP worlds copying (internal/mpi) — and the
+# lending, sharing multi-colour tree held to the copying one on multi-level
+# trees, where a read of a lent window that outlived the protocol's
+# happens-before edge is a reported race (internal/allreduce).
 race-ownership:
-	$(GO) test -race -timeout 10m -run 'Pool|SendThenMutate|SendOwned|SendRecvSteadyState|IsendInline|RecvFloatsAdd|EncodeDecode|LentSegment|SharedBuffer|LendShare|FaultAndTCPWorldsCopy|TreeLendShare|MultiColorReusesCallState' ./internal/mpi ./internal/allreduce
+	$(call pinned,race-ownership,Pool SendThenMutate SendOwned SendRecvSteadyState IsendInline RecvFloatsAdd EncodeDecode LentSegment SharedBuffer LendShare TransportContract FaultAndTCPWorldsCopy TreeLendShare MultiColorReusesCallState,\
+		./internal/mpi ./internal/allreduce)
+
+# The sharded-vs-replicated (ZeRO-1) equivalence suite: the collectives
+# decomposition, the owner-routed reduce-scatter stream, the shard-aware
+# optimizers, and the sharded<->replicated checkpoint round trips.
+race-sharded:
+	$(call pinned,race-sharded,Shard ReduceScatter AllGather UniformBounds,\
+		./internal/core ./internal/allreduce ./internal/sgd ./internal/checkpoint ./internal/dpt)
+
+# The hierarchical-vs-flat equivalence suite: the topology layout and its
+# link accounting, the leader-chain stream routing (allreduce and
+# reduce-scatter modes, all codecs), and the end-to-end training equivalence
+# across phased/overlap/sharded schedules.
+race-hierarchical:
+	$(call pinned,race-hierarchical,Hierarchical Topology,\
+		./internal/core ./internal/allreduce ./internal/mpi)
+
+# The fault-tolerance suite: fault injection and detection timeouts (the
+# seeded drop schedule as the wire sees it), ErrRankDown surfacing on every
+# survivor under all four schedules, the poison path through the compressed
+# stream, the checkpoint resize round trip, the heartbeat monitor and spare
+# pool, hostile TCP frame headers, and the elastic shrink/rejoin protocol end
+# to end over both the mailbox and TCP loopback fabrics. No collective may
+# deadlock on rank death.
+race-elastic:
+	$(call pinned,race-elastic,Fault RankDown Chaos Resize Elastic Monitor Spare TCP,\
+		./internal/mpi ./internal/allreduce ./internal/core ./internal/elastic ./internal/checkpoint ./internal/detect)
+
+# The compute-kernel determinism suite: the worker pool's fork-join
+# accounting, parallel kernels bitwise-identical to the serial reference
+# across worker counts (the adversarial-shape GEMM sweep, the AVX2-vs-pure-Go
+# GEMM, vector-add and momentum-step sweeps and fuzz seeds), DecompressAdd
+# (the fused reduce path) equal to decode-then-add for every codec, parallel
+# encode byte-identical to serial encode, and the 16-bit wire formats'
+# round-to-nearest-even / round-trip properties.
+race-kernels:
+	$(call pinned,race-kernels,Run SetWorkers ChunkBounds GradChunks GemmBitwise GemmPacked GemmSIMD GemmStore GemmShortOperand VecKernels ActivationKernels MomentumStep AddInto MaxPool2x2 Im2Col ConvPacked PackInput PackWindows LayersBitwise LayersReuse BackwardStores SkipInputGrad ConvMatchesIm2Col ConvBackwardScratch ConvBackwardReuses DecompressAdd Int8Vectorized TopKQuickselect ParallelEncode AppendCompressAuto Half F16Encode BF16Encode,\
+		./internal/kernels ./internal/tensor ./internal/nn ./internal/compress)
 
 # Every benchmark once — the CI smoke run. Full measurement runs want
 # `go test -bench=. -benchtime=10x .` by hand.
@@ -128,8 +191,8 @@ sim-calibrate:
 # World.Traffic, same-seed determinism, the fabric-less rows recorded from
 # the pre-charging engine, the engine's schedule invariants, and what a
 # charged FatTree does to two or three messages (link rate, sharing, rails,
-# spine, pipelining). A -run pattern that matches nothing passes silently,
-# so the target counts what ran against the list.
+# spine, pipelining) — a pinned suite like the race-* ones above, its list
+# named because it is long.
 SIM_CROSSVAL := SimBytesMatchLiveTraffic ScheduleBytesMatchWireSizer \
 	SameSeedByteIdenticalTraces DifferentSeedsVaryOnlyJitter \
 	FabriclessWorldUnchanged DegradedSpineSlowsCrossLeafSteps \
@@ -137,13 +200,8 @@ SIM_CROSSVAL := SimBytesMatchLiveTraffic ScheduleBytesMatchWireSizer \
 	PathBandwidth SingleHostProfiles OversubscribedCoreLinks AsymmetricUpDownProfiles \
 	SingleFlowTime TwoFlowsShareLink SeparateRailsDontShare CrossLeafRouteUsesFabric \
 	OversubscribedFabricSlower DependencyChainSerializes PipelineOverlaps
-empty :=
-space := $(empty) $(empty)
 sim-crossval:
-	$(GO) test -race -timeout 10m -v -run '^Test($(subst $(space),|,$(strip $(SIM_CROSSVAL))))$$' \
-		./internal/simevent ./internal/simnet > sim-crossval.log || { cat sim-crossval.log; exit 1; }
-	@ran=$$(grep -c '^--- PASS' sim-crossval.log); echo "sim-crossval: $$ran of $(words $(SIM_CROSSVAL)) tests passed"; \
-		test "$$ran" -eq $(words $(SIM_CROSSVAL))
+	$(call pinned,sim-crossval,$(SIM_CROSSVAL),./internal/simevent ./internal/simnet)
 
 lint:
 	$(GO) vet ./...

@@ -34,7 +34,7 @@ func main() {
 		steps        = flag.Int("steps", 100, "training steps")
 		batch        = flag.Int("batch", 4, "batch per device")
 		model        = flag.String("model", "smallcnn", "smallcnn | tinyresnet | tinyinception")
-		alg          = flag.String("alg", "multicolor", "allreduce algorithm: naive|ring|bucketring|rdoubling|rabenseifner|default|multicolor")
+		alg          = flag.String("alg", "multicolor", "allreduce algorithm: ring|bucketring|rabenseifner|default|multicolor")
 		lr           = flag.Float64("lr", 0.05, "peak learning rate")
 		classes      = flag.Int("classes", 4, "number of classes")
 		size         = flag.Int("size", 12, "image size (multiple of 4)")

@@ -3,38 +3,30 @@ package allreduce
 import (
 	"fmt"
 
-	"repro/internal/compress"
 	"repro/internal/mpi"
 )
 
 // Algorithm names an allreduce implementation.
 type Algorithm string
 
-// The implemented algorithms. AlgDefault mirrors what the paper calls
-// "default OpenMPI": recursive doubling for small payloads, Rabenseifner
-// (reduce-scatter + allgather) for large ones.
+// The implemented algorithms: the paper's three — its multi-colour tree, its
+// pipelined ring baseline, and AlgDefault, which mirrors what it calls
+// "default OpenMPI" (recursive doubling for small payloads, Rabenseifner's
+// reduce-scatter + allgather for large ones) — plus the two the rest of the
+// tree composes or extracts: AlgRabenseifner on its own (the simulator's and
+// the benchmark's large-payload row) and AlgBucketRing, the ring
+// reduce-scatter + allgather the sharded step is built from.
 const (
-	AlgNaive             Algorithm = "naive"
-	AlgRing              Algorithm = "ring"
-	AlgBucketRing        Algorithm = "bucketring"
-	AlgRecursiveDoubling Algorithm = "rdoubling"
-	AlgRabenseifner      Algorithm = "rabenseifner"
-	AlgDefault           Algorithm = "default"
-	AlgMultiColor        Algorithm = "multicolor"
-	// AlgHierarchical is the topology-aware exchange: node members talk
-	// only to their node leader, leaders chain-fold partials across the
-	// inter-node fabric in node order, and the final leader distributes the
-	// result — O(nodes) slow-link messages per segment instead of a dense
-	// exchange. Requires Options.Topology; bitwise identical to the flat
-	// bucketed path (rank-order fold). See StreamOptions.Topology.
-	AlgHierarchical Algorithm = "hierarchical"
+	AlgRing         Algorithm = "ring"
+	AlgBucketRing   Algorithm = "bucketring"
+	AlgRabenseifner Algorithm = "rabenseifner"
+	AlgDefault      Algorithm = "default"
+	AlgMultiColor   Algorithm = "multicolor"
 )
 
 // Algorithms lists every implemented algorithm, for sweeps and CLIs.
-// AlgHierarchical is excluded: it additionally needs Options.Topology, so
-// flat sweeps cannot run it.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgNaive, AlgRing, AlgBucketRing, AlgRecursiveDoubling, AlgRabenseifner, AlgDefault, AlgMultiColor}
+	return []Algorithm{AlgRing, AlgBucketRing, AlgRabenseifner, AlgDefault, AlgMultiColor}
 }
 
 // Options tunes the algorithms.
@@ -48,9 +40,6 @@ type Options struct {
 	// DefaultCrossover is the payload (elements) above which AlgDefault
 	// switches from recursive doubling to Rabenseifner. Default 4096.
 	DefaultCrossover int
-	// Topology is the rank→node layout AlgHierarchical routes over
-	// (required by it, ignored by every other algorithm).
-	Topology *mpi.Topology
 }
 
 func (o Options) withDefaults() Options {
@@ -89,14 +78,10 @@ func AllReduce(c *mpi.Comm, data []float32, alg Algorithm, opts Options) error {
 	}
 	opts = opts.withDefaults()
 	switch alg {
-	case AlgNaive:
-		return c.AllReduceFloats(data)
 	case AlgRing:
 		return pipelinedRing(c, data, opts)
 	case AlgBucketRing:
 		return bucketRing(c, data)
-	case AlgRecursiveDoubling:
-		return recursiveDoubling(c, data)
 	case AlgRabenseifner:
 		return rabenseifner(c, data)
 	case AlgDefault:
@@ -106,38 +91,9 @@ func AllReduce(c *mpi.Comm, data []float32, alg Algorithm, opts Options) error {
 		return rabenseifner(c, data)
 	case AlgMultiColor:
 		return multiColor(c, data, opts)
-	case AlgHierarchical:
-		return hierarchicalAllReduce(c, data, opts)
 	default:
 		return fmt.Errorf("allreduce: unknown algorithm %q", alg)
 	}
-}
-
-// hierarchicalAllReduce is AlgHierarchical: the topology-aware exchange as
-// a plain synchronous collective. It is deliberately a thin front over the
-// bucketed identity-codec pipeline (the Stream's hierarchical mode): the
-// vector is segmented, members ship segments to their node leader, leaders
-// chain-fold partials across nodes in rank order, and the final leader
-// distributes the completed fold — which makes the result bitwise identical
-// to BucketedAllReduce with the "none" codec, the equivalence the training
-// paths are pinned to. A reduce-scatter + leader-allreduce + allgather
-// composition of the PR 4 primitives would move slightly fewer bytes but
-// re-associates the sum, breaking the repository's bitwise-equivalence
-// invariant; routing, not association, is what this algorithm changes.
-func hierarchicalAllReduce(c *mpi.Comm, data []float32, opts Options) error {
-	if opts.Topology == nil || !opts.Topology.IsSet() {
-		return fmt.Errorf("allreduce: %s requires Options.Topology", AlgHierarchical)
-	}
-	// Validate here so a mismatched layout surfaces as an error like every
-	// other AllReduce misuse (NewStream would panic on it).
-	if err := opts.Topology.Validate(c.Size()); err != nil {
-		return fmt.Errorf("allreduce: %s: %w", AlgHierarchical, err)
-	}
-	_, err := bucketedExchange(c, data, compress.Identity{}, CompressedOptions{
-		BucketFloats: opts.SegmentFloats,
-		Topology:     opts.Topology,
-	})
-	return err
 }
 
 // pipelinedRing is the paper's ring baseline: segments are reduced along the

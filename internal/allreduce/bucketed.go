@@ -81,19 +81,13 @@ type bucketJob struct {
 	lo, hi   int
 	owned    bool // this rank receives/produces the bucket's Sum
 	payload  []byte
-	sendReqs []*mpi.Request
-	recvReqs []*mpi.Request // indexed by communicator rank; nil at own rank / non-owner
-	// Hierarchical-mode receives (nil otherwise): chainReq is a leader's
-	// pending partial from the previous node's leader, downReq this rank's
-	// pending final sum (see StreamOptions.Topology).
-	chainReq *mpi.Request
-	downReq  *mpi.Request
+	sendReqs []*mpi.Request // the payload's sends, in a window of Stream.sendRing
 }
 
 // BucketedAllReduce sums data across every rank of c through the given
 // compression codec. It is the phased front of the streaming pipeline: the
 // vector is split into fixed-size buckets, every bucket is submitted to a
-// Stream — compress, exchange (Isend/Irecv to all peers), decompress+reduce,
+// Stream — compress, exchange (Isend to all peers, Recv from each), decompress+reduce,
 // with the stages on separate goroutines so communication of bucket i
 // overlaps compression of bucket i+1 — and the call returns when the last
 // bucket lands. The reactive training path uses the same Stream directly,

@@ -6,36 +6,32 @@ import (
 	"repro/internal/mpi"
 )
 
-// This file is the composable collectives layer: ReduceScatter and AllGather
-// as first-class primitives over an explicit shard layout. Every ring-style
-// allreduce *is* a reduce-scatter followed by an allgather; exposing the two
-// halves lets callers stop at the reduce-scatter boundary — the enabler for
-// ZeRO-1-style sharded optimization, where each rank applies only its shard's
-// update and the updated parameters are allgathered back.
+// This file is the composable collectives layer: reduce-scatter and allgather
+// over an explicit shard layout, in ring (rsRing, agRing) and recursive
+// halving / doubling (rsHalving, agDoubling) forms. Every ring-style
+// allreduce *is* a reduce-scatter followed by an allgather — bucketRing and
+// rabenseifner are literally those compositions — and the allgather half is
+// public (AllGather): it is how a ZeRO-1-style sharded step, where each rank
+// applies only its shard's update, gets the updated parameters back to every
+// rank. (The reduce-scatter the sharded step uses is the bucketed, compressed
+// one: BucketedReduceScatter.)
 //
 // Shard layout: a bounds slice of length Size+1 with bounds[0] == 0,
 // bounds[Size] == len(data), nondecreasing; rank r owns the contiguous
-// element range [bounds[r], bounds[r+1]). Pass nil for the uniform
-// ChunkBounds layout. Empty shards are legal (more ranks than elements, or
-// param-aligned layouts that starve a rank).
+// element range [bounds[r], bounds[r+1]). Empty shards are legal (more ranks
+// than elements, or param-aligned layouts that starve a rank).
 //
 // Buffer discipline follows the PR 3 ownership rules: receives reduce
 // straight from the transport buffer (RecvFloatsAdd) or decode into place,
 // releasing it either way; sends go through SendFloats' pooled encode;
 // nothing on the steady-state path allocates.
 
-// Variant selects a collective's communication pattern.
+// Variant selects AllGather's communication pattern.
 type Variant string
 
-const (
-	// VarRing is the bandwidth-optimal ring: n-1 steps, each rank moving one
-	// shard-sized block per step. Works for any rank count.
-	VarRing Variant = "ring"
-	// VarRabenseifner is recursive halving (reduce-scatter) / recursive
-	// doubling (allgather): log2(n) rounds of pairwise exchange. Requires a
-	// power-of-two rank count; other counts fall back to the ring.
-	VarRabenseifner Variant = "rabenseifner"
-)
+// VarRing is the bandwidth-optimal ring: n-1 steps, each rank moving one
+// shard-sized block per step. Works for any rank count.
+const VarRing Variant = "ring"
 
 // Collective tag bases inside the package's reserved band (see allreduce.go).
 // Ring variants use base+step, halving/doubling use base+round.
@@ -70,35 +66,6 @@ func checkBounds(c *mpi.Comm, bounds []int, length int) error {
 	return nil
 }
 
-// ReduceScatter sums data elementwise across every rank of c, leaving rank
-// r's shard [bounds[r], bounds[r+1]) of the global sum in that range of data
-// on rank r. The rest of data is scratch on return (partially reduced values,
-// not the global sum). bounds nil means UniformBounds. A single-rank
-// communicator is a no-op (its shard is the whole vector).
-func ReduceScatter(c *mpi.Comm, data []float32, bounds []int, v Variant) error {
-	n := c.Size()
-	if bounds == nil {
-		bounds = UniformBounds(len(data), n)
-	}
-	if err := checkBounds(c, bounds, len(data)); err != nil {
-		return err
-	}
-	if n == 1 {
-		return nil
-	}
-	switch v {
-	case VarRing, "":
-		return rsRing(c, data, bounds)
-	case VarRabenseifner:
-		if n&(n-1) == 0 {
-			return rsHalving(c, data, bounds)
-		}
-		return rsRing(c, data, bounds)
-	default:
-		return fmt.Errorf("allreduce: unknown reduce-scatter variant %q", v)
-	}
-}
-
 // AllGather distributes each rank's shard [bounds[r], bounds[r+1]) of data to
 // every rank: on return the whole vector is identical everywhere, assembled
 // from bitwise copies of each owner's shard. bounds nil means UniformBounds.
@@ -113,17 +80,10 @@ func AllGather(c *mpi.Comm, data []float32, bounds []int, v Variant) error {
 	if n == 1 {
 		return nil
 	}
-	switch v {
-	case VarRing, "":
-		return agRing(c, data, bounds)
-	case VarRabenseifner:
-		if n&(n-1) == 0 {
-			return agDoubling(c, data, bounds)
-		}
-		return agRing(c, data, bounds)
-	default:
+	if v != VarRing && v != "" {
 		return fmt.Errorf("allreduce: unknown allgather variant %q", v)
 	}
+	return agRing(c, data, bounds)
 }
 
 // rsRingStep and agRingStep are the ring collectives' step geometry — which

@@ -41,11 +41,11 @@ func ownerOf(bounds []int, i int) int {
 
 // TestReduceScatterAllGatherRandomized is the collectives' property test:
 // over randomized world sizes, vector lengths (including empty), shard
-// layouts (including empty shards), and both variants, (1) ReduceScatter
+// layouts (including empty shards), and both forms, (1) reduce-scatter
 // leaves each rank's shard equal to the serial elementwise reference sum,
-// (2) AllGather reassembles every element as a BITWISE copy of its owner's
+// (2) allgather reassembles every element as a BITWISE copy of its owner's
 // value, and (3) their composition completes an allreduce that is bitwise
-// identical across ranks. Rabenseifner draws cover power-of-two worlds
+// identical across ranks. Halving draws cover power-of-two worlds
 // (native recursive halving/doubling) and others (ring fallback) alike.
 func TestReduceScatterAllGatherRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
@@ -55,7 +55,7 @@ func TestReduceScatterAllGatherRandomized(t *testing.T) {
 		bounds := randomBounds(rng, length, n)
 		variant := VarRing
 		if rng.Intn(2) == 0 {
-			variant = VarRabenseifner
+			variant = varHalving
 		}
 		label := fmt.Sprintf("iter=%d n=%d len=%d variant=%s bounds=%v", iter, n, length, variant, bounds)
 
@@ -71,7 +71,7 @@ func TestReduceScatterAllGatherRandomized(t *testing.T) {
 			rank := c.Rank()
 			// (1) Reduce-scatter: the shard carries the reference sum.
 			data := rankVec(length, rank)
-			if err := ReduceScatter(c, data, bounds, variant); err != nil {
+			if err := reduceScatter(c, data, bounds, variant); err != nil {
 				return err
 			}
 			for i := effective[rank]; i < effective[rank+1]; i++ {
@@ -84,7 +84,7 @@ func TestReduceScatterAllGatherRandomized(t *testing.T) {
 			stamped := make([]float32, length)
 			own := rankVec(length, rank)
 			copy(stamped[effective[rank]:effective[rank+1]], own[effective[rank]:effective[rank+1]])
-			if err := AllGather(c, stamped, bounds, variant); err != nil {
+			if err := allGather(c, stamped, bounds, variant); err != nil {
 				return err
 			}
 			for i := range stamped {
@@ -94,7 +94,7 @@ func TestReduceScatterAllGatherRandomized(t *testing.T) {
 				}
 			}
 			// (3) Composition: RS ∘ AG completes the allreduce.
-			if err := AllGather(c, data, bounds, variant); err != nil {
+			if err := allGather(c, data, bounds, variant); err != nil {
 				return err
 			}
 			for i := range data {

@@ -9,6 +9,38 @@ import (
 	"repro/internal/mpi"
 )
 
+// varHalving names, for these tests, the recursive halving / doubling forms
+// (rsHalving, agDoubling): log2(n) rounds of pairwise exchange over a
+// power-of-two group. The package's callers compose them directly
+// (rabenseifner); only AllGather's ring is public.
+const varHalving Variant = "halving"
+
+// reduceScatter runs the in-package reduce-scatter of the given form over
+// bounds (nil: uniform); the halving form falls back to the ring where the
+// rank count is not a power of two.
+func reduceScatter(c *mpi.Comm, data []float32, bounds []int, v Variant) error {
+	n := c.Size()
+	if bounds == nil {
+		bounds = UniformBounds(len(data), n)
+	}
+	if v == varHalving && n&(n-1) == 0 {
+		return rsHalving(c, data, bounds)
+	}
+	return rsRing(c, data, bounds)
+}
+
+// allGather is reduceScatter's counterpart: the public ring, or agDoubling.
+func allGather(c *mpi.Comm, data []float32, bounds []int, v Variant) error {
+	n := c.Size()
+	if v == varHalving && n&(n-1) == 0 {
+		if bounds == nil {
+			bounds = UniformBounds(len(data), n)
+		}
+		return agDoubling(c, data, bounds)
+	}
+	return AllGather(c, data, bounds, VarRing)
+}
+
 // runReduceScatter checks that after the collective every rank's shard of
 // data equals the elementwise sum of all ranks' inputs over that range.
 func runReduceScatter(t *testing.T, v Variant, n, length int, bounds []int) {
@@ -18,7 +50,7 @@ func runReduceScatter(t *testing.T, v Variant, n, length int, bounds []int) {
 	want := sumVec(length, n)
 	err := w.Run(func(c *mpi.Comm) error {
 		data := rankVec(length, c.Rank())
-		if err := ReduceScatter(c, data, bounds, v); err != nil {
+		if err := reduceScatter(c, data, bounds, v); err != nil {
 			return err
 		}
 		b := bounds
@@ -51,7 +83,7 @@ func runAllGather(t *testing.T, v Variant, n, length int, bounds []int) {
 		}
 		data := make([]float32, length)
 		copy(data[b[c.Rank()]:b[c.Rank()+1]], ref[b[c.Rank()]:b[c.Rank()+1]])
-		if err := AllGather(c, data, bounds, v); err != nil {
+		if err := allGather(c, data, bounds, v); err != nil {
 			return err
 		}
 		for i := range data {
@@ -67,7 +99,7 @@ func runAllGather(t *testing.T, v Variant, n, length int, bounds []int) {
 }
 
 func TestReduceScatterVariantsAllSizes(t *testing.T) {
-	for _, v := range []Variant{VarRing, VarRabenseifner} {
+	for _, v := range []Variant{VarRing, varHalving} {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
 			for _, length := range []int{1, 13, 1000} {
 				runReduceScatter(t, v, n, length, nil)
@@ -77,7 +109,7 @@ func TestReduceScatterVariantsAllSizes(t *testing.T) {
 }
 
 func TestAllGatherVariantsAllSizes(t *testing.T) {
-	for _, v := range []Variant{VarRing, VarRabenseifner} {
+	for _, v := range []Variant{VarRing, varHalving} {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
 			for _, length := range []int{1, 13, 1000} {
 				runAllGather(t, v, n, length, nil)
@@ -89,7 +121,7 @@ func TestAllGatherVariantsAllSizes(t *testing.T) {
 // Uneven, empty-shard-bearing layouts: the param-aligned layouts the sharded
 // optimizer produces (including ranks starved of parameters entirely).
 func TestCollectivesUnevenAndEmptyShards(t *testing.T) {
-	for _, v := range []Variant{VarRing, VarRabenseifner} {
+	for _, v := range []Variant{VarRing, varHalving} {
 		runReduceScatter(t, v, 4, 100, []int{0, 90, 90, 95, 100})
 		runAllGather(t, v, 4, 100, []int{0, 90, 90, 95, 100})
 		runReduceScatter(t, v, 4, 7, []int{0, 7, 7, 7, 7})
@@ -104,16 +136,16 @@ func TestCollectivesRejectBadBounds(t *testing.T) {
 	defer w.Close()
 	err := w.Run(func(c *mpi.Comm) error {
 		data := make([]float32, 10)
-		if err := ReduceScatter(c, data, []int{0, 10}, VarRing); err == nil {
+		if err := AllGather(c, data, []int{0, 10}, VarRing); err == nil {
 			return fmt.Errorf("short bounds should error")
 		}
 		if err := AllGather(c, data, []int{0, 4, 9}, VarRing); err == nil {
 			return fmt.Errorf("non-covering bounds should error")
 		}
-		if err := ReduceScatter(c, data, []int{0, 7, 10}, Variant("bogus")); err == nil {
+		if err := AllGather(c, data, []int{0, 7, 10}, Variant("bogus")); err == nil {
 			return fmt.Errorf("unknown variant should error")
 		}
-		if err := ReduceScatter(c, data, []int{0, 8, 10}, VarRing); err != nil {
+		if err := AllGather(c, data, []int{0, 8, 10}, VarRing); err != nil {
 			return err
 		}
 		return nil
@@ -123,19 +155,19 @@ func TestCollectivesRejectBadBounds(t *testing.T) {
 	}
 }
 
-// ReduceScatter composed with AllGather over the same bounds must be a full
+// Reduce-scatter composed with allgather over the same bounds must be a full
 // allreduce — the decomposition identity the refactor rests on.
 func TestReduceScatterPlusAllGatherIsAllReduce(t *testing.T) {
 	const n, length = 5, 333
-	for _, v := range []Variant{VarRing, VarRabenseifner} {
+	for _, v := range []Variant{VarRing, varHalving} {
 		w := mpi.NewWorld(n)
 		want := sumVec(length, n)
 		err := w.Run(func(c *mpi.Comm) error {
 			data := rankVec(length, c.Rank())
-			if err := ReduceScatter(c, data, nil, v); err != nil {
+			if err := reduceScatter(c, data, nil, v); err != nil {
 				return err
 			}
-			if err := AllGather(c, data, nil, v); err != nil {
+			if err := allGather(c, data, nil, v); err != nil {
 				return err
 			}
 			for i := range data {

@@ -7,19 +7,19 @@
 // float32 vector in place with summation, leaving the result on every rank.
 //
 // Underneath the allreduce algorithms sits a composable collectives layer
-// (collectives.go): ReduceScatter and AllGather over an explicit shard
-// layout, in ring and Rabenseifner (recursive halving/doubling) variants.
-// The bucket ring and Rabenseifner allreduces are literally compositions of
-// the two primitives, and the compressed bucketed Stream can stop at the
+// (collectives.go): reduce-scatter and allgather over an explicit shard
+// layout, in ring and recursive halving/doubling forms. The bucket ring and
+// Rabenseifner allreduces are literally compositions of the two, AllGather
+// is public, and the compressed bucketed Stream can stop at the
 // reduce-scatter boundary (StreamOptions.ShardBounds) — the foundation for
 // ZeRO-1-style sharded optimization in internal/core.
 //
-// The Stream is also topology-aware (StreamOptions.Topology, surfaced as
-// AlgHierarchical): under an mpi.Topology describing the rank→node layout,
-// bucket payloads route hierarchically — node members to their node leader
-// over the cheap intra-node links, leaders chaining partial sums across the
-// inter-node fabric in node order, the final leader fanning the result back
-// out — cutting slow-link traffic per bucket from (size-1) payloads per
+// The Stream is also topology-aware (StreamOptions.Topology,
+// CompressedOptions.Topology): under an mpi.Topology describing the rank→node
+// layout, bucket payloads route hierarchically — node members to their node
+// leader over the cheap intra-node links, leaders chaining partial sums across
+// the inter-node fabric in node order, the final leader fanning the result
+// back out — cutting slow-link traffic per bucket from (size-1) payloads per
 // rank to O(nodes) messages in total while staying bitwise identical to the
 // flat exchange's rank-order reduction.
 package allreduce

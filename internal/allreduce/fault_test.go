@@ -15,7 +15,8 @@ import (
 // and returns the per-rank bucket errors. The victim is crashed before the
 // exchange starts; every survivor must see each bucket fail with ErrRankDown
 // naming the victim — and must NOT deadlock, which is the failure mode this
-// layer exists to prevent.
+// layer exists to prevent — and must have received everything its live peers
+// sent it by the time the streams end.
 func streamSurvivors(t *testing.T, ranks, victim int, opts func(c *mpi.Comm) StreamOptions) map[int][]error {
 	t.Helper()
 	const n, bf = 96, 32
@@ -65,6 +66,29 @@ func streamSurvivors(t *testing.T, ranks, victim int, opts func(c *mpi.Comm) Str
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("stream deadlocked with rank %d dead", victim)
+	}
+	// A failed bucket is still received in full: the fold names its peers
+	// from the routing and calls Recv on each of them whatever the bucket's
+	// state, so nothing a live peer sent is left in a survivor's mailbox. (A
+	// fold that stopped at its first error would strand the later payloads —
+	// and, on a charged link, block the peers sending them.)
+	for rank := 0; rank < ranks; rank++ {
+		if rank == victim {
+			continue
+		}
+		c := w.MustComm(rank)
+		for peer := 0; peer < ranks; peer++ {
+			if peer == rank || peer == victim {
+				continue
+			}
+			for b := 0; b*bf < n; b++ {
+				for _, tag := range []int{tagCompressed + b, tagHierUp + b, tagHierChain + b, tagHierDown + b} {
+					if msg, ok, err := c.TryRecv(peer, tag); ok && err == nil {
+						t.Fatalf("rank %d never received %d bytes rank %d sent it for bucket %d (tag %d)", rank, len(msg), peer, b, tag)
+					}
+				}
+			}
+		}
 	}
 	return bucketErrs
 }

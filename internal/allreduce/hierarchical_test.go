@@ -2,7 +2,6 @@ package allreduce
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -146,48 +145,6 @@ func TestHierarchicalReduceScatterMatchesFlat(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestAlgHierarchicalMatchesBucketedNone: the synchronous AlgHierarchical
-// front must produce exactly the bits of the flat bucketed identity-codec
-// path — the equivalence its doc comment promises.
-func TestAlgHierarchicalMatchesBucketedNone(t *testing.T) {
-	const n, length = 4, 700
-	topo := mpi.UniformTopology(n, 2)
-	w := mpi.NewWorld(n)
-	defer w.Close()
-	err := w.Run(func(c *mpi.Comm) error {
-		hier := rankVec(length, c.Rank())
-		if err := AllReduce(c, hier, AlgHierarchical, Options{Topology: &topo, SegmentFloats: 128}); err != nil {
-			return err
-		}
-		flat := rankVec(length, c.Rank())
-		if _, err := BucketedAllReduce(c, flat, compress.Identity{}, CompressedOptions{BucketFloats: 128}); err != nil {
-			return err
-		}
-		for i := range flat {
-			if flat[i] != hier[i] {
-				return fmt.Errorf("rank %d elem %d: bucketed %v, hierarchical %v", c.Rank(), i, flat[i], hier[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAlgHierarchicalRequiresTopology: without a topology the algorithm
-// must refuse rather than silently fall back to a flat exchange.
-func TestAlgHierarchicalRequiresTopology(t *testing.T) {
-	w := mpi.NewWorld(2)
-	defer w.Close()
-	err := w.Run(func(c *mpi.Comm) error {
-		return AllReduce(c, make([]float32, 8), AlgHierarchical, Options{})
-	})
-	if err == nil || !strings.Contains(err.Error(), "Topology") {
-		t.Fatalf("AlgHierarchical without topology: err = %v, want Topology requirement", err)
 	}
 }
 

@@ -92,7 +92,8 @@ type streamSub struct {
 // Stream is the asynchronous front-end over the bucketed compressed
 // exchange: buckets are submitted one at a time — typically as backward
 // compute finalizes their gradients — and each immediately enters the
-// three-stage compress / exchange (Isend/Irecv) / decode+reduce pipeline
+// three-stage compress / exchange (Isend, then Recv where the fold needs the
+// message) / decode+reduce pipeline
 // while the caller keeps computing. Completed buckets surface on Results in
 // launch order.
 //
@@ -116,9 +117,9 @@ type streamSub struct {
 // Buffer discipline (the zero-allocation path): payloads are compressed into
 // pooled scratch released after the sends complete; received payloads are
 // pooled transport buffers released after decode; Sum buffers are pooled and
-// released by the consumer via BucketResult.Release; request handles and the
-// per-bucket request tables recycle through a free list sized to the
-// in-flight window. Steady state allocates nothing per bucket.
+// released by the consumer via BucketResult.Release; each bucket's send
+// requests sit in one of MaxInFlight windows of a table allocated once
+// (sendWindow). Steady state allocates nothing per bucket.
 type Stream struct {
 	c       *mpi.Comm
 	codec   compress.Codec
@@ -127,10 +128,13 @@ type Stream struct {
 	subs    chan streamSub
 	results chan BucketResult
 	slots   chan struct{}
-	free    chan bucketJob // retired jobs whose request tables get reused
-	done    chan struct{}
-	stats   CompressedStats
-	err     error
+	// sendRing is MaxInFlight windows of Size send requests and launched the
+	// number of buckets given one so far: see sendWindow.
+	sendRing []*mpi.Request
+	launched int
+	done     chan struct{}
+	stats    CompressedStats
+	err      error
 }
 
 // hierPlan is this rank's precomputed role in the hierarchical exchange.
@@ -200,15 +204,15 @@ func NewStream(c *mpi.Comm, codec compress.Codec, opts StreamOptions) *Stream {
 		}
 	}
 	s := &Stream{
-		c:       c,
-		codec:   codec,
-		opts:    opts,
-		hier:    hier,
-		subs:    make(chan streamSub),
-		results: make(chan BucketResult, opts.MaxInFlight),
-		slots:   make(chan struct{}, opts.MaxInFlight),
-		free:    make(chan bucketJob, opts.MaxInFlight),
-		done:    make(chan struct{}),
+		c:        c,
+		codec:    codec,
+		opts:     opts,
+		hier:     hier,
+		subs:     make(chan streamSub),
+		results:  make(chan BucketResult, opts.MaxInFlight),
+		slots:    make(chan struct{}, opts.MaxInFlight),
+		sendRing: make([]*mpi.Request, opts.MaxInFlight*c.Size()),
+		done:     make(chan struct{}),
 	}
 	inflight := make(chan bucketJob, opts.MaxInFlight)
 	go s.launch(inflight)
@@ -256,10 +260,9 @@ func (s *Stream) Stats() (CompressedStats, error) {
 	return s.stats, s.err
 }
 
-// launch is stage 1+2: compress each submitted bucket and start its
-// non-blocking exchange, bounded by the in-flight cap. Which sends and
-// receives a bucket posts is the routing's business (postFlat / postHier);
-// everything else here is routing-blind.
+// launch is stage 1+2: compress each submitted bucket and start its payload
+// sends, bounded by the in-flight cap. Whom a bucket's payload goes to is the
+// routing's business (post); everything else here is routing-blind.
 //
 // Encode is batch-parallel: when several buckets are already queued (a
 // backward pass finishing a burst of layers), launch drains as many as there
@@ -315,59 +318,64 @@ func (s *Stream) launch(inflight chan<- bucketJob) {
 		for i := range batch {
 			job := jobs[i]
 			jobs[i] = bucketJob{}
-			if s.hier != nil {
-				s.postHier(&job)
-			} else {
-				s.postFlat(&job)
-			}
+			s.post(&job)
 			inflight <- job
 		}
 	}
 	close(inflight)
 }
 
-// postFlat posts one bucket's flat exchange: the payload goes to every peer
-// that owns the bucket and an owner posts a receive from every peer — all
-// peers both ways in allreduce mode, where every rank owns every bucket.
-func (s *Stream) postFlat(job *bucketJob) {
+// post starts one bucket's payload sends. Flat routing: to every peer that
+// owns the bucket — every peer, in allreduce mode. Hierarchical routing: a
+// member's to its node's leader; a leader's own payload never hits the wire,
+// and its chain and down sends happen in the reduce stage (the partial does
+// not exist before the fold). Nothing is posted for the receives: the fold
+// calls Recv where it needs each message, on the peers the same routing
+// names (foldRanks, recvSumInto).
+func (s *Stream) post(job *bucketJob) {
+	if h := s.hier; h != nil {
+		if !h.isLeader {
+			job.sendReqs = append(job.sendReqs, s.c.Isend(h.leader, tagHierUp+job.idx%hierTagSpan, job.payload))
+		}
+		return
+	}
 	sb := s.opts.ShardBounds
 	tag := tagCompressed + job.idx%compressedTagSpan
 	for r := 0; r < s.c.Size(); r++ {
-		if r == s.c.Rank() {
-			continue
-		}
-		if sb == nil || shardOwns(sb, r, job.lo, job.hi) {
+		if r != s.c.Rank() && (sb == nil || shardOwns(sb, r, job.lo, job.hi)) {
 			job.sendReqs = append(job.sendReqs, s.c.Isend(r, tag, job.payload))
-		}
-		if job.owned {
-			job.recvReqs[r] = s.c.Irecv(r, tag)
 		}
 	}
 }
 
-// encodeBatch compresses batch into jobs[:len(batch)], recycling retired
-// request tables. A single bucket encodes inline (the codec may still go
+// sendWindow returns an empty send table for the next bucket: window
+// launched mod MaxInFlight of sendRing. Launch alone calls it, a slot in
+// hand; results surface in launch order and a bucket's slot is freed after
+// its sends are drained, so the bucket that last used the window is done
+// with it — the slot semaphore is the happens-before edge. A bucket sends to
+// fewer than Size peers and the window's capacity is Size, so append never
+// leaves it.
+func (s *Stream) sendWindow() []*mpi.Request {
+	n := s.c.Size()
+	w := s.launched % s.opts.MaxInFlight * n
+	s.launched++
+	return s.sendRing[w : w : w+n]
+}
+
+// encodeBatch compresses batch into jobs[:len(batch)]. A single bucket
+// encodes inline (the codec may still go
 // chunk-parallel internally); multiple buckets fan out one-per-task on the
 // pool, nesting-safe with the per-bucket parallelism. The pooled scratch
 // freelists are concurrency-safe channels, so pool workers may Get
 // concurrently.
 func (s *Stream) encodeBatch(batch []streamSub, jobs []bucketJob) {
-	n := s.c.Size()
-	rank := s.c.Rank()
 	sb := s.opts.ShardBounds
 	for i, sub := range batch {
-		var job bucketJob
-		select {
-		case job = <-s.free:
-		default:
+		jobs[i] = bucketJob{
+			idx: sub.idx, lo: sub.lo, hi: sub.hi,
+			owned:    sb == nil || shardOwns(sb, s.c.Rank(), sub.lo, sub.hi),
+			sendReqs: s.sendWindow(),
 		}
-		job.idx, job.lo, job.hi = sub.idx, sub.lo, sub.hi
-		if job.recvReqs == nil {
-			job.recvReqs = make([]*mpi.Request, n)
-		}
-		job.sendReqs = job.sendReqs[:0]
-		job.owned = sb == nil || shardOwns(sb, rank, job.lo, job.hi)
-		jobs[i] = job
 	}
 	if len(batch) == 1 || kernels.Workers() <= 1 {
 		for i, sub := range batch {
@@ -383,38 +391,14 @@ func (s *Stream) encodeBatch(batch []streamSub, jobs []bucketJob) {
 	})
 }
 
-// postHier posts one bucket's hierarchical sends and receives: members
-// ship their compressed payload to their node's leader; leaders post
-// receives for member payloads and (beyond node 0) the previous leader's
-// chain partial; every rank expecting the bucket's final sum posts its down
-// receive. The leader-side chain and down SENDS happen in the reduce stage
-// — the partial does not exist before the fold.
-func (s *Stream) postHier(job *bucketJob) {
-	h := s.hier
-	t := job.idx % hierTagSpan
-	if !h.isLeader {
-		job.sendReqs = append(job.sendReqs, s.c.Isend(h.leader, tagHierUp+t, job.payload))
-	} else {
-		for _, m := range h.members {
-			job.recvReqs[m] = s.c.Irecv(m, tagHierUp+t)
-		}
-		if h.prevLeader >= 0 {
-			job.chainReq = s.c.Irecv(h.prevLeader, tagHierChain+t)
-		}
-	}
-	if src := hierDownSrc(h, s.c.Rank(), job.owned, s.opts.ShardBounds != nil); src >= 0 {
-		job.downReq = s.c.Irecv(src, tagHierDown+t)
-	}
-}
-
 // hierDownSrc returns the rank this rank receives a bucket's final sum from,
 // or -1 when it computes the sum itself (the final leader) or never needs
 // one (a reduce-scatter non-owner). In allreduce mode the final leader fans
 // out to the other leaders and each leader relays to its members; in
 // reduce-scatter mode (sharded) the final leader sends straight to each
 // shard owner. Standalone so the schedule extraction (schedule.go) resolves
-// down-message sources through the exact code the live exchange posts
-// receives with.
+// down-message sources through the exact code the live exchange receives
+// with.
 func hierDownSrc(h *hierPlan, rank int, owned, sharded bool) int {
 	if !owned || rank == h.finalLeader {
 		return -1
@@ -423,23 +407,6 @@ func hierDownSrc(h *hierPlan, rank int, owned, sharded bool) int {
 		return h.finalLeader
 	}
 	return h.leader
-}
-
-// retire recycles a finished job's request tables for the next bucket.
-func (s *Stream) retire(job bucketJob) {
-	for i := range job.recvReqs {
-		job.recvReqs[i] = nil
-	}
-	for i := range job.sendReqs {
-		job.sendReqs[i] = nil
-	}
-	job.payload = nil
-	job.chainReq = nil
-	job.downReq = nil
-	select {
-	case s.free <- job:
-	default:
-	}
 }
 
 // reduce is stage 3: fold the bucket the way its routing prescribes and emit
@@ -466,26 +433,29 @@ func (s *Stream) reduce(inflight <-chan bucketJob) {
 
 // foldFlat is the flat routing's fold: every rank's decoded payload, in rank
 // order, into zeros. A reduce-scatter bucket this rank does not own is the
-// same fold with nothing to fold — no sum, no receives posted — which leaves
-// the own-payload decode (the SelfDecoded contract) and the send drain.
+// same fold over this rank alone — no sum, and nobody sends it a payload —
+// which leaves the own-payload decode (the SelfDecoded contract) and the send
+// drain.
 func (s *Stream) foldFlat(job *bucketJob) ([]float32, error) {
 	var sum []float32
+	lo, hi := s.c.Rank(), s.c.Rank()+1
 	if job.owned {
 		// Pooled, but zeroed: accumulating into exact +0 keeps the sum
 		// bitwise identical to the historical make-per-bucket path.
 		sum = mpi.GetFloatsZeroed(job.hi - job.lo)
+		lo, hi = 0, s.c.Size()
 	}
 	var jobErr error
-	s.foldRanks(job, sum, 0, s.c.Size(), &jobErr)
+	s.foldRanks(job, sum, lo, hi, tagCompressed+job.idx%compressedTagSpan, &jobErr)
 	s.drainSends(job, &jobErr)
 	return sum, jobErr
 }
 
 // foldRanks adds the decoded payloads of ranks [lo, hi) into sum in rank
-// order: this rank's own through decodeOwn, a peer's iff a receive was
-// posted for it. Receives are waited out and released even once the bucket
-// has failed, so peers' sends drain.
-func (s *Stream) foldRanks(job *bucketJob, sum []float32, lo, hi int, jobErr *error) {
+// order: this rank's own through decodeOwn, each peer's received under tag.
+// Every peer in the range is received from and its buffer released even once
+// the bucket has failed, so peers' sends drain.
+func (s *Stream) foldRanks(job *bucketJob, sum []float32, lo, hi, tag int, jobErr *error) {
 	for r := lo; r < hi; r++ {
 		if r == s.c.Rank() {
 			if *jobErr == nil {
@@ -493,12 +463,7 @@ func (s *Stream) foldRanks(job *bucketJob, sum []float32, lo, hi int, jobErr *er
 			}
 			continue
 		}
-		req := job.recvReqs[r]
-		if req == nil {
-			continue
-		}
-		b, err := req.Wait()
-		req.Release()
+		b, err := s.c.Recv(r, tag)
 		if err != nil {
 			if *jobErr == nil {
 				*jobErr = err
@@ -547,9 +512,6 @@ func (s *Stream) drainSends(job *bucketJob, jobErr *error) {
 	if err := mpi.WaitAll(job.sendReqs...); err != nil && *jobErr == nil {
 		*jobErr = err
 	}
-	for _, req := range job.sendReqs {
-		req.Release()
-	}
 	if *jobErr == nil {
 		sends := int64(len(job.sendReqs))
 		s.stats.BytesSent += int64(len(job.payload)) * sends
@@ -569,6 +531,8 @@ func (s *Stream) foldHier(job *bucketJob) ([]float32, error) {
 	h := s.hier
 	width := job.hi - job.lo
 	t := job.idx % hierTagSpan
+	// down is whom this rank gets the bucket's final sum from, -1 for nobody.
+	down := hierDownSrc(h, s.c.Rank(), job.owned, s.opts.ShardBounds != nil)
 	var jobErr error
 	fail := func(err error) {
 		if err != nil && jobErr == nil {
@@ -581,19 +545,19 @@ func (s *Stream) foldHier(job *bucketJob) ([]float32, error) {
 		// owed one) receiving the final sum.
 		fail(s.decodeOwn(job, nil))
 		s.drainSends(job, &jobErr)
-		return s.recvSumInto(nil, job.downReq, width, &jobErr), jobErr
+		return s.recvSumInto(nil, down, tagHierDown+t, width, &jobErr), jobErr
 	}
 
 	// Leader: start the fold from the previous nodes' partial — node 0 (no
-	// chain receive) starts from exact zeros, like the flat fold, and so does
+	// previous leader) starts from exact zeros, like the flat fold, and so does
 	// a failed chain receive, to keep going so peers drain — then add this
 	// node's decoded payloads in rank order: the leader's own first (it is
 	// the node's lowest rank), then each member's.
-	sum := s.recvSumInto(nil, job.chainReq, width, &jobErr)
+	sum := s.recvSumInto(nil, h.prevLeader, tagHierChain+t, width, &jobErr)
 	if sum == nil {
 		sum = mpi.GetFloatsZeroed(width)
 	}
-	s.foldRanks(job, sum, s.c.Rank(), s.c.Rank()+1+len(h.members), &jobErr)
+	s.foldRanks(job, sum, s.c.Rank(), s.c.Rank()+1+len(h.members), tagHierUp+t, &jobErr)
 	s.drainSends(job, &jobErr)
 
 	// Forward and distribute. Sends happen even after a local error so
@@ -608,8 +572,8 @@ func (s *Stream) foldHier(job *bucketJob) ([]float32, error) {
 		// leader (always in allreduce mode; only for shard owners in
 		// reduce-scatter mode), and allreduce-mode leaders relay it to
 		// their members.
-		if job.downReq != nil {
-			if got := s.recvSumInto(sum, job.downReq, width, &jobErr); got != nil {
+		if down >= 0 {
+			if got := s.recvSumInto(sum, down, tagHierDown+t, width, &jobErr); got != nil {
 				sum = got
 			}
 			if s.opts.ShardBounds == nil {
@@ -647,16 +611,15 @@ func (s *Stream) foldHier(job *bucketJob) ([]float32, error) {
 	return sum, jobErr
 }
 
-// recvSumInto waits out a raw float32 message (a chain partial or a final
-// sum), decodes it into reuse — allocated from the pool when nil — and
-// releases the transport buffer. nil req is a no-op; on failure the error
-// lands in *jobErr and nil is returned.
-func (s *Stream) recvSumInto(reuse []float32, req *mpi.Request, width int, jobErr *error) []float32 {
-	if req == nil {
+// recvSumInto receives a raw float32 message (a chain partial or a final sum)
+// from src, decodes it into reuse — allocated from the pool when nil — and
+// releases the transport buffer. src < 0 (nobody sends this rank one) is a
+// no-op; on failure the error lands in *jobErr and nil is returned.
+func (s *Stream) recvSumInto(reuse []float32, src, tag, width int, jobErr *error) []float32 {
+	if src < 0 {
 		return nil
 	}
-	b, err := req.Wait()
-	req.Release()
+	b, err := s.c.Recv(src, tag)
 	if err != nil {
 		if *jobErr == nil {
 			*jobErr = err
@@ -754,8 +717,8 @@ func (s *Stream) sendPoison(dst, tag, downRank int) error {
 	return err
 }
 
-// emit finishes a bucket: account it, surface the result, recycle the job,
-// free the in-flight slot. sum is nil for a bucket this rank does not own.
+// emit finishes a bucket: account it, surface the result, free the in-flight
+// slot. sum is nil for a bucket this rank does not own.
 func (s *Stream) emit(job bucketJob, sum []float32, jobErr error) {
 	s.stats.Buckets++
 	res := BucketResult{Idx: job.idx, Lo: job.lo, Hi: job.hi}
@@ -768,7 +731,6 @@ func (s *Stream) emit(job bucketJob, sum []float32, jobErr error) {
 	} else {
 		res.Sum = sum
 	}
-	s.retire(job)
 	s.results <- res
 	<-s.slots
 }

@@ -56,7 +56,7 @@ func TestSerialVsDistributedEquivalence(t *testing.T) {
 		return res.FinalWeights[0]
 	}
 
-	serial := run(1, 1, allreduce.AlgNaive)
+	serial := run(1, 1, allreduce.AlgDefault)
 	for _, tc := range []struct {
 		learners, devices int
 		alg               allreduce.Algorithm
@@ -165,7 +165,7 @@ func TestAccuracyInvarianceAcrossNodeCounts(t *testing.T) {
 		learners int
 		alg      allreduce.Algorithm
 	}{
-		{"1node-naive", 1, allreduce.AlgNaive},
+		{"1node-default", 1, allreduce.AlgDefault},
 		{"2node-multicolor", 2, allreduce.AlgMultiColor},
 		{"4node-ring", 4, allreduce.AlgRing},
 	} {
@@ -358,7 +358,7 @@ func TestLearnerCurrentLRFollowsSchedule(t *testing.T) {
 			3, size, size,
 			Config{
 				BatchPerDevice: 4,
-				Allreduce:      allreduce.AlgNaive,
+				Allreduce:      allreduce.AlgDefault,
 				Schedule:       sgd.WarmupStep{Base: 0.1, Peak: 0.2, WarmupEpochs: 2, DropEvery: 30, DropFactor: 0.1},
 				StepsPerEpoch:  2,
 			})

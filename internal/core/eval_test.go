@@ -79,7 +79,7 @@ func TestEvaluateDistributedErrors(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		l, err := NewLearner(c, []nn.Layer{bnFreeCNN(2, size, 3)},
 			&SliceSource{X: dataX, Labels: dataLabels, Rank: 0, Ranks: 1},
-			3, size, size, Config{BatchPerDevice: 4, Allreduce: allreduce.AlgNaive})
+			3, size, size, Config{BatchPerDevice: 4, Allreduce: allreduce.AlgDefault})
 		if err != nil {
 			return err
 		}

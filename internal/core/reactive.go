@@ -20,7 +20,7 @@ import (
 //	             └─ packer: pack the bucket, submit to allreduce.Stream
 //	                (launch order: descending bucket index, agreed across
 //	                ranks)
-//	                  └─ stream: compress → Isend/Irecv → decode+sum
+//	                  └─ stream: compress → Isend/Recv → decode+sum
 //	                       └─ collector: close the residual, apply
 //
 // Every stage performs element-for-element the same arithmetic as the

@@ -45,9 +45,13 @@ import (
 	"repro/internal/mpi"
 )
 
-// Heartbeat frame: [epoch:8][identity:4][flags:1].
+// Heartbeat frame: [identity:4][flags:1]. It carries no membership epoch
+// because no frame can cross one: every incarnation of a job builds a fresh
+// world (elastic.newClusterWorld — new mailboxes, or new listeners on new
+// ports), so a monitor only ever hears peers of its own epoch, and a stamp
+// nobody could see mismatch was never read.
 const (
-	hbFrameLen   = 13
+	hbFrameLen   = 5
 	flagStandby  = 1 << 0
 	DefaultTag   = 1 // user-tag on the monitor's comm; all monitor traffic uses it
 	MissFactor   = 8 // default SuspectAfter = MissFactor × Interval
@@ -66,8 +70,6 @@ type Config struct {
 	// suspect (default MissFactor × Interval). It must comfortably exceed
 	// one interval; values below 2× are raised to 2×.
 	SuspectAfter time.Duration
-	// Epoch is the membership epoch stamped on outgoing heartbeats.
-	Epoch uint64
 	// Identity is the stable trainer identity stamped on outgoing
 	// heartbeats (defaults to the comm rank). Standby registration reports
 	// this identity to the spare pool.
@@ -197,10 +199,9 @@ func (m *Monitor) sendLoop() {
 	defer m.done.Done()
 	rng := rand.New(rand.NewSource(m.cfg.Seed ^ int64(uint64(m.comm.Rank()+1)*0x9e3779b97f4a7c15)))
 	var frame [hbFrameLen]byte
-	binary.LittleEndian.PutUint64(frame[0:], m.cfg.Epoch)
-	binary.LittleEndian.PutUint32(frame[8:], uint32(m.cfg.Identity))
+	binary.LittleEndian.PutUint32(frame[0:], uint32(m.cfg.Identity))
 	if m.cfg.Standby {
-		frame[12] |= flagStandby
+		frame[4] |= flagStandby
 	}
 	for {
 		for p := 0; p < m.comm.Size(); p++ {
@@ -251,8 +252,8 @@ func (m *Monitor) drain(p int) {
 			return // down, closed, or nothing queued: the judge decides
 		}
 		if len(b) == hbFrameLen {
-			identity := int(binary.LittleEndian.Uint32(b[8:]))
-			standby := b[12]&flagStandby != 0
+			identity := int(binary.LittleEndian.Uint32(b[0:]))
+			standby := b[4]&flagStandby != 0
 			now := time.Now()
 			m.mu.Lock()
 			if !m.lastSeen[p].IsZero() {

@@ -63,6 +63,36 @@ func TestMonitorSuspectsSilentPeerMailbox(t *testing.T) {
 	}
 }
 
+// Only a heartbeat frame is liveness. A peer whose monitor is gone but which
+// still writes something else on the monitor's tag — here the 13-byte frame
+// heartbeats had while they carried a membership epoch nobody read — is as
+// silent as one that writes nothing.
+func TestMonitorIgnoresFramesThatAreNotHeartbeats(t *testing.T) {
+	w := mpi.NewWorld(2)
+	defer w.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		c := w.MustComm(1)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+				_ = c.Send(0, DefaultTag, make([]byte, 13))
+			}
+		}
+	}()
+	m := NewMonitor(w.MustComm(0), monCfg())
+	m.Start()
+	defer m.Stop()
+	for deadline := time.Now().Add(5 * time.Second); !m.Suspected(1); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a peer sending only malformed frames was never suspected")
+		}
+	}
+}
+
 // Live, heartbeating peers must never be suspected across many windows.
 func TestMonitorNoFalsePositivesMailbox(t *testing.T) {
 	const n = 3

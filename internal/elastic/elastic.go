@@ -496,7 +496,6 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 		monitor := detect.NewMonitor(monC, detect.Config{
 			Interval:     cfg.HeartbeatInterval,
 			SuspectAfter: cfg.SuspectAfter,
-			Epoch:        baseEpoch,
 			Identity:     id,
 			Seed:         cfg.Plan.Seed,
 			OnSuspect:    func(peer int) { cw.suspect(rank, peer) },

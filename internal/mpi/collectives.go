@@ -155,8 +155,8 @@ func AllToAllStep(rank, s, n int) (dst, src, tag int) {
 
 // AllReduceFloats sums equal-length float32 vectors across all ranks,
 // leaving the result on every rank: a reduce to rank 0, then a broadcast.
-// It is what allreduce.AlgNaive measures and what small control-plane sums
-// use; gradient-sized vectors go through internal/allreduce.
+// It is what small control-plane sums use (evaluation counts); gradient-sized
+// vectors go through internal/allreduce.
 func (c *Comm) AllReduceFloats(data []float32) error {
 	if err := c.ReduceFloats(0, data); err != nil {
 		return err

@@ -118,7 +118,8 @@ type FaultInjector struct {
 }
 
 // InjectFaults attaches a fault plan to the world. Must be called before
-// Comm: communicators created afterwards route through the injector.
+// Comm: communicators created afterwards crash, drop, straggle and time out
+// by it (memTransport).
 func (w *World) InjectFaults(plan FaultPlan) *FaultInjector {
 	inj := &FaultInjector{
 		world:   w,
@@ -212,73 +213,4 @@ func (w *World) DownRanks() []int {
 	}
 	sort.Ints(ranks)
 	return ranks
-}
-
-// faultTransport is the outermost transport wrapper of a fault-injected
-// world: it owns the straggler delay, the deterministic message drops, and
-// timeout-based failure detection on Recv. Crash-state checks live in the
-// mailboxes themselves (put/get), so every transport layering sees them.
-type faultTransport struct {
-	Transport
-	inj  *FaultInjector
-	rank int
-}
-
-// Send implements Transport.
-func (t *faultTransport) Send(dst int, ctx uint64, tag int, data []byte) error {
-	if t.inj.crashed[t.rank].Load() {
-		return &RankDownError{Rank: t.rank, Cause: errInjectedCrash}
-	}
-	if t.inj.drop(t.rank) {
-		return nil // lost on the wire
-	}
-	t.delay(len(data))
-	return t.Transport.Send(dst, ctx, tag, data)
-}
-
-// SendOwned implements Transport; a dropped or refused buffer is released to
-// the pool, honoring the ownership transfer.
-func (t *faultTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) error {
-	if t.inj.crashed[t.rank].Load() {
-		PutBytes(data)
-		return &RankDownError{Rank: t.rank, Cause: errInjectedCrash}
-	}
-	if t.inj.drop(t.rank) {
-		PutBytes(data)
-		return nil // lost on the wire
-	}
-	t.delay(len(data))
-	return t.Transport.SendOwned(dst, ctx, tag, data)
-}
-
-// Recv implements Transport, bounding the wait by the plan's detection
-// timeout. The topology wrapper only overrides sends, so going
-// straight to the mailbox here sees exactly the messages the inner transport
-// would deliver.
-func (t *faultTransport) Recv(src int, ctx uint64, tag int) ([]byte, error) {
-	if t.inj.crashed[t.rank].Load() {
-		return nil, &RankDownError{Rank: t.rank, Cause: errInjectedCrash}
-	}
-	if d := t.inj.plan.DetectTimeout; d > 0 {
-		m, err := t.inj.world.boxes[t.rank].getTimeout(msgKey{src: src, ctx: ctx, tag: tag}, d)
-		return m.owned(), err
-	}
-	return t.Transport.Recv(src, ctx, tag)
-}
-
-// delay charges this rank's straggler profile, if any.
-func (t *faultTransport) delay(n int) {
-	if p, ok := t.inj.plan.Slow[t.rank]; ok {
-		p.wait(n)
-	}
-}
-
-// sendNeverBlocks keeps Isend async when this rank pays a straggler delay;
-// otherwise it defers to the wrapped transport's promotion.
-func (t *faultTransport) sendNeverBlocks() bool {
-	if _, ok := t.inj.plan.Slow[t.rank]; ok {
-		return false
-	}
-	nb, ok := t.Transport.(nonBlockingSender)
-	return ok && nb.sendNeverBlocks()
 }

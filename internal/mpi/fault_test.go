@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -146,6 +147,83 @@ func TestFaultDeterministicDrops(t *testing.T) {
 	if drops == 0 || drops == len(a) {
 		t.Fatalf("drop count %d/%d not probabilistic", drops, len(a))
 	}
+
+	// The schedule as the wire sees it: which of rank 0's first 200 messages
+	// reach rank 1 under FaultPlan{Seed: 42, DropProb: 0.3}, one bit per
+	// message, recorded when the injector was a wrapper transport of its own
+	// (5ccdc85). A send path that consults drop twice, or not at all, or lets
+	// a control-plane send tick the counter shifts every later bit.
+	const golden = "f9fbb379fffe7f1ffc46e92f7fdb7dfe3f7ff1aefcbf779edb"
+	topo, err := NewTopologyWorld(2, UniformTopology(2, 1), LinkProfile{}, LinkProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*World{"plain": NewWorld(2), "topology": topo} {
+		w.InjectFaults(FaultPlan{Seed: 42, DropProb: 0.3})
+		if got := wireDropSchedule(t, w); got != golden {
+			t.Errorf("%s world: arrivals %s, want %s", name, got, golden)
+		}
+		w.Close()
+	}
+}
+
+// wireDropSchedule sends 200 numbered messages from rank 0 to rank 1 through
+// Send, SendOwned and SendFloats in turn, a control-plane send between every
+// fourth pair, and returns the arrivals as a hex bitmap. Every control send
+// must arrive: the control plane is not subject to drops.
+func wireDropSchedule(t *testing.T, w *World) string {
+	t.Helper()
+	const n, tag = 200, 5
+	c0, c1 := w.MustComm(0), w.MustComm(1)
+	ctl0, err := w.ControlComm(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl1, err := w.ControlComm(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		v := []float32{float32(i)}
+		switch i % 3 {
+		case 0:
+			err = c0.Send(1, tag, Float32sToBytes(v))
+		case 1:
+			b := GetBytes(4)
+			EncodeFloat32s(b, v)
+			err = c0.SendOwned(1, tag, b)
+		case 2:
+			err = c0.SendFloats(1, tag, v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			if err := ctl0.Send(1, tag, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	arrived := make([]byte, n/8)
+	for {
+		b, ok, err := c1.TryRecv(0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		var v [1]float32
+		DecodeFloat32s(v[:], b)
+		arrived[int(v[0])/8] |= 1 << (int(v[0]) % 8)
+		PutBytes(b)
+	}
+	for i := 0; i < n; i += 4 {
+		if b, ok, err := ctl1.TryRecv(0, tag); !ok || err != nil || b[0] != byte(i) {
+			t.Fatalf("control send %d: got %v, %v, %v — the control plane must not drop", i, b, ok, err)
+		}
+	}
+	return hex.EncodeToString(arrived)
 }
 
 // With drops on and a detection timeout, a lost message surfaces as a

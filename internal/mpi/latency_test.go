@@ -61,8 +61,7 @@ func TestLatencyWorldIsendOverlaps(t *testing.T) {
 			if el := time.Since(start); el >= lat {
 				t.Errorf("Isend blocked %v, should return immediately", el)
 			}
-			_, err := req.Wait()
-			return err
+			return req.Wait()
 		}
 		_, err := c.Recv(0, 5)
 		return err

@@ -8,8 +8,8 @@ import (
 // message is one mailbox entry: a payload and who owns it. The zero
 // ownership is plain — the buffer travels with the message and whoever
 // consumes it owns it (release: PutBytes). The other two exist only between
-// ranks of one address space (viewTransport) and never reach a caller of
-// Recv, which gets an owned copy:
+// ranks of an in-memory world that lends (memTransport.lends) and never reach
+// a caller of Recv, which gets an owned copy:
 //
 //   - lent: data is a view of the SENDER's own memory (Comm.LendFloats). The
 //     receiver reads it in place and releases nothing; it must never be put
@@ -73,11 +73,11 @@ func (q *msgQueue) pop() (message, bool) {
 
 // mailbox holds undelivered messages for one rank, matched by (src, ctx, tag).
 // Queue entries persist after draining (keys recur across steps: collective
-// tags cycle in fixed bands), keeping put/get allocation-free in steady state.
+// tags cycle in fixed bands), keeping put/wait allocation-free in steady state.
 //
 // The mailbox is also where failure detection meets message matching: a
 // crashed owner refuses puts (sends to a dead rank fail with ErrRankDown),
-// and a crashed source fails gets once its already-queued messages drain —
+// and a crashed source fails waits once its already-queued messages drain —
 // in-flight data survives the crash, like frames already on a real wire.
 type mailbox struct {
 	mu        sync.Mutex
@@ -86,7 +86,7 @@ type mailbox struct {
 	closed    bool
 	owner     int  // world rank owning this mailbox, for rank-down errors
 	ownerDown bool // owner crashed: puts fail with ErrRankDown
-	// down records source ranks marked dead; gets from them fail once their
+	// down records source ranks marked dead; waits on them fail once their
 	// queues drain. The value is the observation that marked them: nil means
 	// CONFIRMED (a crash, a suspicion verdict), errDetectTimeout means
 	// PRESUMED from silence — the returned RankDownError carries it as the
@@ -121,75 +121,49 @@ func (m *mailbox) put(k msgKey, msg message) error {
 	return nil
 }
 
-func (m *mailbox) get(k msgKey) (message, error) {
+// wait is the one match-or-fail loop behind every receive of both transports.
+// It pops the next message under k; failing that it fails with ErrClosed on a
+// closed mailbox and with a RankDownError once a down-marked source's queue
+// has drained; failing that it waits for a put, a marking or a close — unless
+// block is false, when it reports ok false (ok is true for a message or an
+// error: something final was available). d > 0 is a failure-detection
+// deadline on the blocking wait: when no matching message arrives within d
+// the source is presumed dead and a RankDownError says so. sync.Cond has no
+// timed wait, so a timer broadcasts the condition at the deadline to wake the
+// waiter.
+func (m *mailbox) wait(k msgKey, block bool, d time.Duration) (msg message, ok bool, err error) {
+	var deadline time.Time
+	if block && d > 0 {
+		deadline = time.Now().Add(d)
+		timer := time.AfterFunc(d, func() {
+			m.mu.Lock()
+			m.cond.Broadcast()
+			m.mu.Unlock()
+		})
+		defer timer.Stop()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		if q := m.queues[k]; q != nil {
-			if msg, ok := q.pop(); ok {
-				return msg, nil
+			if msg, found := q.pop(); found {
+				return msg, true, nil
 			}
 		}
 		if m.closed {
-			return message{}, ErrClosed
+			return message{}, true, ErrClosed
 		}
 		if err := m.downErr(k.src); err != nil {
-			return message{}, err
+			return message{}, true, err
+		}
+		if !block {
+			return message{}, false, nil
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return message{}, true, &RankDownError{Rank: k.src, Cause: errDetectTimeout}
 		}
 		m.cond.Wait()
 	}
-}
-
-// getTimeout is get with a failure-detection deadline: when no matching
-// message arrives within d, the source is presumed dead and a RankDownError
-// is returned. sync.Cond has no timed wait, so a timer broadcasts the
-// condition at the deadline to wake the waiter.
-func (m *mailbox) getTimeout(k msgKey, d time.Duration) (message, error) {
-	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer timer.Stop()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if q := m.queues[k]; q != nil {
-			if msg, ok := q.pop(); ok {
-				return msg, nil
-			}
-		}
-		if m.closed {
-			return message{}, ErrClosed
-		}
-		if err := m.downErr(k.src); err != nil {
-			return message{}, err
-		}
-		if !time.Now().Before(deadline) {
-			return message{}, &RankDownError{Rank: k.src, Cause: errDetectTimeout}
-		}
-		m.cond.Wait()
-	}
-}
-
-// tryGet is get without blocking; ok reports whether a message was available
-// (or the mailbox is closed or the source crashed, in which case err is set).
-func (m *mailbox) tryGet(k msgKey) (msg message, ok bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if q := m.queues[k]; q != nil {
-		if msg, found := q.pop(); found {
-			return msg, true, nil
-		}
-	}
-	if m.closed {
-		return message{}, true, ErrClosed
-	}
-	if err := m.downErr(k.src); err != nil {
-		return message{}, true, err
-	}
-	return message{}, false, nil
 }
 
 // downErr builds the typed failure for a down-marked source, nil when the
@@ -203,7 +177,7 @@ func (m *mailbox) downErr(src int) error {
 }
 
 // markDown records a CONFIRMED failure of the given source rank — a crash or
-// an explicit suspicion verdict; blocked gets matching it wake up and fail
+// an explicit suspicion verdict; blocked waits matching it wake up and fail
 // once their queues drain. Overwrites an earlier presumptive marking.
 func (m *mailbox) markDown(rank int) {
 	m.mu.Lock()
@@ -267,8 +241,8 @@ type World struct {
 	// classes with separate profiles and byte counters (see
 	// NewTopologyWorld; NewLatencyWorld is its one-rank-per-node case).
 	topo *topoNet
-	// faults, when non-nil, routes every communicator through the fault
-	// injector (see InjectFaults).
+	// faults, when non-nil, has every communicator built afterwards crash,
+	// drop, straggle and time out by its plan (see InjectFaults).
 	faults *FaultInjector
 	downMu sync.Mutex
 	down   map[int]bool // ranks crashed via Crash
@@ -286,21 +260,16 @@ func NewWorld(n int) *World {
 // Comm returns the world communicator for the given global rank. Each rank's
 // goroutine must use its own Comm.
 func (w *World) Comm(rank int) (*Comm, error) {
-	group := make([]int, len(w.boxes))
+	return newComm(newMemTransport(w, rank, false), rank, worldGroup(len(w.boxes)), 1)
+}
+
+// worldGroup is the group of a world communicator: all n ranks, in order.
+func worldGroup(n int) []int {
+	group := make([]int, n)
 	for i := range group {
 		group[i] = i
 	}
-	mem := &memTransport{world: w, rank: rank}
-	var tr Transport = mem
-	if w.topo != nil {
-		tr = &topoTransport{memTransport: mem, net: w.topo}
-	}
-	if w.faults != nil {
-		// Outermost: the link wrapper only overrides sends, so the fault
-		// layer owns Recv (detection timeout) without bypassing it.
-		tr = &faultTransport{Transport: tr, inj: w.faults, rank: rank}
-	}
-	return newComm(tr, rank, group, 1)
+	return group
 }
 
 // MustComm is Comm but panics on error; for tests and examples.
@@ -327,11 +296,7 @@ const controlCtx uint64 = 0xC0
 // verdicts fed back through Suspect affect the whole mailbox, control
 // traffic included.
 func (w *World) ControlComm(rank int) (*Comm, error) {
-	group := make([]int, len(w.boxes))
-	for i := range group {
-		group[i] = i
-	}
-	return newComm(&memTransport{world: w, rank: rank}, rank, group, controlCtx)
+	return newComm(newMemTransport(w, rank, true), rank, worldGroup(len(w.boxes)), controlCtx)
 }
 
 // Suspect records a LOCAL failure verdict: observer presumes rank dead, so
@@ -377,14 +342,49 @@ func (w *World) Run(fn func(c *Comm) error) error {
 	return first
 }
 
-// memTransport delivers messages by appending copies to the destination
-// mailbox; Send is buffered and never blocks on the receiver. Copies come
-// from the shared buffer pool, and SendOwned skips the copy entirely: the
-// sender's pooled buffer itself travels to the receiver, which releases it.
-// Sender and receiver share an address space, so it is also a viewTransport.
+// memTransport is the in-memory transport, one per (world, rank, plane): a
+// send appends to the destination rank's mailbox — buffered, never blocking
+// on the receiver — and a receive waits on this rank's own. What a
+// send costs and whether it arrives is the world's business, fixed when the
+// communicator is built: a world that holds a FaultInjector has its ranks
+// crash, lose messages, straggle and time out by the plan, a world that holds
+// a link model charges and counts every message, and the control plane
+// (World.ControlComm) does neither. Copies come from the shared buffer pool,
+// and SendOwned skips the copy entirely: the sender's pooled buffer itself
+// travels to the receiver, which releases it.
 type memTransport struct {
 	world *World
 	rank  int
+	inj   *FaultInjector // nil: nothing fails (always nil on the control plane)
+	net   *topoNet       // nil: links cost and count nothing (likewise)
+	// lends: a message may carry a payload its receiver does not own — a view
+	// of the sender's memory (LendFloats), a buffer shared with other
+	// receivers (SendFloatsAll) — instead of a private copy. That takes this
+	// host's float32 layout being the wire's and a world that holds no fault
+	// injector: a rank that can fail on its own may error out of a collective
+	// and rewrite memory a peer is still reading. The control communicator of
+	// a fault-injected world skips the injector, not the rule.
+	lends bool
+	// inline: a send never occupies the caller — no straggler profile for
+	// this rank, no link that costs time — so Isend completes on the spot.
+	inline bool
+	egress sync.Mutex // serializes this rank's inter-node sends (its NIC share)
+}
+
+func newMemTransport(w *World, rank int, control bool) *memTransport {
+	t := &memTransport{world: w, rank: rank, lends: hostLittleEndian && w.faults == nil, inline: true}
+	if control {
+		return t
+	}
+	t.inj, t.net = w.faults, w.topo
+	if t.inj != nil {
+		_, slow := t.inj.plan.Slow[rank]
+		t.inline = !slow
+	}
+	if t.net != nil && (t.net.intra != LinkProfile{} || t.net.inter != LinkProfile{}) {
+		t.inline = false
+	}
+	return t
 }
 
 // Send implements Transport.
@@ -400,15 +400,28 @@ func (t *memTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) erro
 	return t.sendMsg(dst, ctx, tag, message{data: data})
 }
 
-// canLend implements viewTransport: ranks of a world with a fault injector
-// can fail on their own, so no communicator of such a world lends or shares
-// — the control communicator, which bypasses the injector's transport,
-// included.
-func (t *memTransport) canLend() bool { return t.world.faults == nil }
-
-// sendMsg implements viewTransport: m is enqueued as it is, and released if
-// the mailbox refuses it.
+// sendMsg is the one send path — copied, owned, lent and shared payloads all
+// arrive here as a message, so they fail, straggle, pay and count alike: the
+// sender's own crash, then the seeded drop (silent: lost on the wire), then
+// this rank's straggler delay, then the link charge, then the put. m is
+// released wherever it is not delivered.
 func (t *memTransport) sendMsg(dst int, ctx uint64, tag int, m message) error {
+	if f := t.inj; f != nil {
+		if f.crashed[t.rank].Load() {
+			m.release()
+			return &RankDownError{Rank: t.rank, Cause: errInjectedCrash}
+		}
+		if f.drop(t.rank) {
+			m.release()
+			return nil
+		}
+		if p, ok := f.plan.Slow[t.rank]; ok {
+			p.wait(len(m.data))
+		}
+	}
+	if t.net != nil {
+		t.charge(dst, len(m.data))
+	}
 	if err := t.world.boxes[dst].put(msgKey{src: t.rank, ctx: ctx, tag: tag}, m); err != nil {
 		m.release()
 		return err
@@ -422,19 +435,27 @@ func (t *memTransport) Recv(src int, ctx uint64, tag int) ([]byte, error) {
 	return m.owned(), err
 }
 
-// recvMsg implements viewTransport.
+// recvMsg is Recv without the copy-out: the caller reads m.data in place and
+// calls m.release exactly once. A crashed rank receives nothing, and the
+// plan's detection timeout, if any, bounds the wait. (Crashes of OTHER ranks
+// are the mailbox's to report, so every plane and both transports see them.)
 func (t *memTransport) recvMsg(src int, ctx uint64, tag int) (message, error) {
-	return t.world.boxes[t.rank].get(msgKey{src: src, ctx: ctx, tag: tag})
+	var detect time.Duration
+	if f := t.inj; f != nil {
+		if f.crashed[t.rank].Load() {
+			return message{}, &RankDownError{Rank: t.rank, Cause: errInjectedCrash}
+		}
+		detect = f.plan.DetectTimeout
+	}
+	m, _, err := t.world.boxes[t.rank].wait(msgKey{src: src, ctx: ctx, tag: tag}, true, detect)
+	return m, err
 }
 
 // TryRecv implements Transport.
 func (t *memTransport) TryRecv(src int, ctx uint64, tag int) ([]byte, bool, error) {
-	m, ok, err := t.world.boxes[t.rank].tryGet(msgKey{src: src, ctx: ctx, tag: tag})
+	m, ok, err := t.world.boxes[t.rank].wait(msgKey{src: src, ctx: ctx, tag: tag}, false, 0)
 	return m.owned(), ok, err
 }
-
-// sendNeverBlocks implements nonBlockingSender: mailbox delivery is buffered.
-func (t *memTransport) sendNeverBlocks() bool { return true }
 
 // NumRanks implements Transport.
 func (t *memTransport) NumRanks() int { return len(t.world.boxes) }

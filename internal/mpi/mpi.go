@@ -1,23 +1,27 @@
 // Package mpi implements the message-passing runtime the paper's distributed
 // SGD is programmed against: communicators with ranks, blocking point-to-point
 // send/receive, and the collectives Algorithm 1 and the DIMD shuffle use
-// (barrier, broadcast, reduce, gather, allgather, alltoallv). Transports are
-// pluggable: an in-process channel transport (the default for experiments,
-// standing in for shared-memory + InfiniBand on one simulated cluster) and a
-// TCP transport over net for genuinely separate processes.
+// (barrier, broadcast, reduce, allgather, alltoallv).
+//
+// There are two transports and Transport is the seam between them and Comm:
+// the in-memory one (World, memTransport — the default for experiments,
+// standing in for shared memory + InfiniBand on one simulated cluster) and
+// TCP sockets for genuinely separate processes (TCPWorld). Both deliver into
+// the same mailbox and wait on it through the same loop. Everything else an
+// in-memory world can do to a message is a property of the World, not another
+// transport: a world built with a Topology and LinkProfiles (NewTopologyWorld,
+// NewLatencyWorld) charges each send its link's wall time and counts its bytes
+// per link class — the asymmetric fabric every real cluster has — and a world
+// given a FaultPlan (InjectFaults) crashes ranks, loses messages by a seeded
+// schedule, slows stragglers and bounds receives by a detection timeout. One
+// send path applies, in order, whichever of those the world holds.
 //
 // The package deliberately mirrors MPI semantics — communicators own an
 // isolated message context, sub-communicators are created collectively, and
 // message matching is (source, tag, context) — so the collective algorithms
-// in internal/allreduce read like their MPI counterparts in the paper.
-//
-// Physical layout is modeled explicitly: a Topology maps ranks onto nodes
-// (the layout internal/allreduce's hierarchical collectives route over),
-// SplitComm derives intra-node and leader sub-communicators from it for
-// group-restricted communication, and NewTopologyWorld builds in-process
-// worlds whose intra-node and inter-node links carry separate LinkProfiles
-// (and per-class byte counters) — the asymmetric fabric every real cluster
-// has.
+// in internal/allreduce read like their MPI counterparts in the paper. A
+// Topology maps ranks onto nodes: the layout internal/allreduce's
+// hierarchical routing and the link model above share.
 package mpi
 
 import (
@@ -76,33 +80,6 @@ type Transport interface {
 	NumRanks() int
 }
 
-// nonBlockingSender marks transports whose Send enqueues without blocking on
-// the receiver or the wire; Isend completes such sends inline instead of
-// spawning a goroutine.
-type nonBlockingSender interface {
-	sendNeverBlocks() bool
-}
-
-// viewTransport is the seam a transport implements when sender and receiver
-// share an address space and no rank can fail on its own: a message may then
-// carry a payload the receiver does not own — a view of the sender's memory
-// (LendFloats) or a buffer shared with other receivers (SendFloatsAll) —
-// instead of a private copy. The plain and topology in-memory worlds
-// implement it. faultTransport and TCPWorld do not, and so keep the copy: a
-// rank of a fault-injected world that errors out of a collective may rewrite
-// memory a peer is still reading, and a TCP peer has no memory to view.
-type viewTransport interface {
-	// canLend reports whether the preconditions hold for this transport's
-	// world as it stands when a communicator is built over it.
-	canLend() bool
-	// sendMsg enqueues m at dst as it is — charged like a Send of the same
-	// bytes — and releases it if it cannot be delivered.
-	sendMsg(dst int, ctx uint64, tag int, m message) error
-	// recvMsg is Recv without the copy-out: the caller reads m.data in place
-	// and calls m.release exactly once.
-	recvMsg(src int, ctx uint64, tag int) (message, error)
-}
-
 // Comm is a communicator: an ordered group of ranks with an isolated message
 // context. The zero value is not usable; obtain communicators from a World
 // or from Comm.Sub.
@@ -111,9 +88,11 @@ type Comm struct {
 	group []int // communicator rank -> global rank
 	ctx   uint64
 	tr    Transport
-	// views is tr's viewTransport face where it has one and this host's
-	// float32 layout is the wire's; nil means every float send copies.
-	views viewTransport
+	// mem is tr when that is the in-memory transport — the one whose sends
+	// may complete inline (Isend) and whose messages may carry a payload the
+	// receiver does not own (lends) — and nil over TCP or a wrapper of either
+	// transport, where every send copies.
+	mem *memTransport
 }
 
 // newComm builds a communicator over the given global ranks.
@@ -129,20 +108,19 @@ func newComm(tr Transport, globalRank int, group []int, ctx uint64) (*Comm, erro
 		return nil, fmt.Errorf("mpi: global rank %d not in group %v", globalRank, group)
 	}
 	c := &Comm{rank: rank, group: append([]int(nil), group...), ctx: ctx, tr: tr}
-	if vt, ok := tr.(viewTransport); ok && hostLittleEndian && vt.canLend() {
-		c.views = vt
-	}
+	c.mem, _ = tr.(*memTransport)
 	return c, nil
 }
+
+// lends reports whether this communicator's float sends may lend or share
+// their payload instead of copying it (memTransport.lends).
+func (c *Comm) lends() bool { return c.mem != nil && c.mem.lends }
 
 // Rank returns this process's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
-
-// GlobalRank returns the world rank behind communicator rank r.
-func (c *Comm) GlobalRank(r int) int { return c.group[r] }
 
 // checkSend validates a send's destination rank and tag.
 func (c *Comm) checkSend(dst, tag int) error {
@@ -151,6 +129,14 @@ func (c *Comm) checkSend(dst, tag int) error {
 	}
 	if tag < 0 {
 		return fmt.Errorf("mpi: negative tag %d", tag)
+	}
+	return nil
+}
+
+// checkRecv validates a receive's source rank.
+func (c *Comm) checkRecv(src int) error {
+	if src < 0 || src >= len(c.group) {
+		return fmt.Errorf("mpi: recv from invalid rank %d (size %d)", src, len(c.group))
 	}
 	return nil
 }
@@ -179,8 +165,8 @@ func (c *Comm) SendOwned(dst, tag int, data []byte) error {
 // with PutBytes after decoding keeps the hot path allocation-free (keeping
 // it is also fine — it is then simply garbage collected).
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
-	if src < 0 || src >= len(c.group) {
-		return nil, fmt.Errorf("mpi: recv from invalid rank %d (size %d)", src, len(c.group))
+	if err := c.checkRecv(src); err != nil {
+		return nil, err
 	}
 	return c.tr.Recv(c.group[src], c.ctx, tag)
 }
@@ -194,8 +180,8 @@ func (c *Comm) SendFloats(dst, tag int, data []float32) error {
 	return c.SendOwned(dst, tag, b)
 }
 
-// LendFloats is SendFloats without the copy where the transport allows it
-// (viewTransport): the receiver's RecvFloatsAdd or RecvFloatsInto reads seg
+// LendFloats is SendFloats without the copy where the communicator lends
+// (memTransport.lends): the receiver's RecvFloatsAdd or RecvFloatsInto reads seg
 // where it lies in the sender's memory. The caller keeps ownership of seg but
 // must not write it until the protocol it is running tells it the receiver
 // has read it — there is no completion to wait on. The tree allreduce's up
@@ -205,22 +191,22 @@ func (c *Comm) SendFloats(dst, tag int, data []float32) error {
 // transport this is SendFloats; either way the receiver sees the same
 // message: same size, tag and order.
 func (c *Comm) LendFloats(dst, tag int, seg []float32) error {
-	if c.views == nil {
+	if !c.lends() {
 		return c.SendFloats(dst, tag, seg)
 	}
 	if err := c.checkSend(dst, tag); err != nil {
 		return err
 	}
-	return c.views.sendMsg(c.group[dst], c.ctx, tag, message{data: floatBytes(seg), lent: true})
+	return c.mem.sendMsg(c.group[dst], c.ctx, tag, message{data: floatBytes(seg), lent: true})
 }
 
 // SendFloatsAll sends the same float32 slice to every rank in dsts, in
 // order — one SendFloats per destination as far as any receiver or byte
-// counter can tell. Where the transport allows it (viewTransport) seg is
+// counter can tell. Where the communicator lends (memTransport.lends) seg is
 // encoded once into one pooled buffer all the receivers read, recycled by
 // the last of them. seg is the caller's again on return.
 func (c *Comm) SendFloatsAll(dsts []int, tag int, seg []float32) error {
-	if c.views == nil {
+	if !c.lends() {
 		for _, dst := range dsts {
 			if err := c.SendFloats(dst, tag, seg); err != nil {
 				return err
@@ -239,7 +225,7 @@ func (c *Comm) SendFloatsAll(dsts []int, tag int, seg []float32) error {
 	sb := getShared(4*len(seg), len(dsts))
 	EncodeFloat32s(sb.buf, seg)
 	for i, dst := range dsts {
-		if err := c.views.sendMsg(c.group[dst], c.ctx, tag, message{data: sb.buf, shared: sb}); err != nil {
+		if err := c.mem.sendMsg(c.group[dst], c.ctx, tag, message{data: sb.buf, shared: sb}); err != nil {
 			// The transport released the refused message's reference; the
 			// destinations never reached are given up here.
 			sb.drop(len(dsts) - i - 1)
@@ -252,29 +238,19 @@ func (c *Comm) SendFloatsAll(dsts []int, tag int, seg []float32) error {
 // recvMsg receives the next matching message without taking ownership of a
 // lent or shared payload: read m.data, then m.release().
 func (c *Comm) recvMsg(src, tag int) (message, error) {
-	if c.views == nil {
+	if c.mem == nil {
 		b, err := c.Recv(src, tag)
 		return message{data: b}, err
 	}
-	if src < 0 || src >= len(c.group) {
-		return message{}, fmt.Errorf("mpi: recv from invalid rank %d (size %d)", src, len(c.group))
+	if err := c.checkRecv(src); err != nil {
+		return message{}, err
 	}
-	return c.views.recvMsg(c.group[src], c.ctx, tag)
-}
-
-// RecvFloats receives a float32 slice sent with SendFloats.
-func (c *Comm) RecvFloats(src, tag int) ([]float32, error) {
-	b, err := c.Recv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	return BytesToFloat32s(b)
+	return c.mem.recvMsg(c.group[src], c.ctx, tag)
 }
 
 // RecvFloatsInto receives a message sent with SendFloats, LendFloats or
-// SendFloatsAll, decodes it into dst, and releases the payload — the
-// allocation-free counterpart of RecvFloats. The payload must describe
-// exactly len(dst) floats.
+// SendFloatsAll, decodes it into dst, and releases the payload. The payload
+// must describe exactly len(dst) floats.
 func (c *Comm) RecvFloatsInto(dst []float32, src, tag int) error {
 	m, err := c.recvMsg(src, tag)
 	if err != nil {

@@ -1,11 +1,14 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
 
-func TestIsendIrecv(t *testing.T) {
+// Two Isends under different tags are matched by tag, not by arrival order:
+// the receiver takes the second first.
+func TestIsendMatchedByTag(t *testing.T) {
 	w := NewWorld(2)
 	defer w.Close()
 	err := w.Run(func(c *Comm) error {
@@ -14,14 +17,11 @@ func TestIsendIrecv(t *testing.T) {
 			r2 := c.Isend(1, 2, []byte("b"))
 			return WaitAll(r1, r2)
 		}
-		// Post receives before looking at either: out-of-order completion.
-		r2 := c.Irecv(0, 2)
-		r1 := c.Irecv(0, 1)
-		b2, err := r2.Wait()
+		b2, err := c.Recv(0, 2)
 		if err != nil {
 			return err
 		}
-		b1, err := r1.Wait()
+		b1, err := c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
@@ -35,32 +35,22 @@ func TestIsendIrecv(t *testing.T) {
 	}
 }
 
-func TestRequestTest(t *testing.T) {
-	w := NewWorld(2)
-	defer w.Close()
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			return c.Send(1, 5, []byte("x"))
+// A failed send surfaces from Wait and WaitAll whichever way it ran: inline
+// (plain world) or on the request's goroutine (a charged link).
+func TestIsendErrorSurfacesFromWait(t *testing.T) {
+	for _, w := range []*World{NewWorld(2), NewLatencyWorld(2, LinkProfile{Latency: 1})} {
+		c0 := w.MustComm(0)
+		w.Crash(1)
+		r := c0.Isend(1, 3, []byte("x"))
+		if (r.done == nil) != c0.mem.inline {
+			t.Fatalf("inline=%v world ran its Isend with done=%v", c0.mem.inline, r.done)
 		}
-		r := c.Irecv(0, 5)
-		if r.Test() {
-			return fmt.Errorf("request complete before send")
+		if err := r.Wait(); !errors.Is(err, ErrRankDown) {
+			t.Fatalf("Wait after a send to a dead rank: %v, want ErrRankDown", err)
 		}
-		if err := c.Barrier(); err != nil {
-			return err
+		if err := WaitAll(completedSend, r); !errors.Is(err, ErrRankDown) {
+			t.Fatalf("WaitAll: %v, want ErrRankDown", err)
 		}
-		if _, err := r.Wait(); err != nil {
-			return err
-		}
-		if !r.Test() {
-			return fmt.Errorf("request not complete after Wait")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		w.Close()
 	}
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -70,7 +71,7 @@ func TestLentSegmentNeverEntersPool(t *testing.T) {
 		}
 		w := newWorld()
 		c0, c1 := w.MustComm(0), w.MustComm(1)
-		if c0.views == nil {
+		if !c0.lends() {
 			t.Fatalf("topology=%v: in-memory world without a fault injector must lend", topo)
 		}
 		seg, p := lentSegment(1)
@@ -114,8 +115,8 @@ func TestLentSegmentNeverEntersPool(t *testing.T) {
 		}
 		check("length mismatch")
 
-		// Recv, TryRecv and Irecv keep their contract — the caller owns what
-		// it gets — by copying out: releasing that copy recycles the copy.
+		// Recv and TryRecv keep their contract — the caller owns what it
+		// gets — by copying out: releasing that copy recycles the copy.
 		takes := map[string]func() ([]byte, error){
 			"Recv": func() ([]byte, error) { return c1.Recv(0, tag) },
 			"TryRecv": func() ([]byte, error) {
@@ -124,11 +125,6 @@ func TestLentSegmentNeverEntersPool(t *testing.T) {
 					return nil, errors.New("TryRecv found no message")
 				}
 				return b, err
-			},
-			"Irecv": func() ([]byte, error) {
-				r := c1.Irecv(0, tag)
-				defer r.Release()
-				return r.Wait()
 			},
 		}
 		for name, take := range takes {
@@ -264,16 +260,16 @@ func TestLendShareSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// A world with a fault injector and a TCP world never lend or share: their
-// transports do not implement the seam, so every float send is a private
-// copy — the receiver reads what the segment held when it was sent, whatever
+// A world with a fault injector and a TCP world never lend or share: a rank
+// of the one can fail on its own and the other has no memory to view, so
+// every float send is a private copy — the receiver reads what the segment held when it was sent, whatever
 // the sender wrote since.
 func TestFaultAndTCPWorldsCopy(t *testing.T) {
 	const tag = 23
 	check := func(name string, c0, c1, c2 *Comm) {
 		t.Helper()
-		if c0.views != nil {
-			t.Fatalf("%s: communicator has the lend/share seam", name)
+		if c0.lends() {
+			t.Fatalf("%s: communicator lends", name)
 		}
 		seg, _ := lentSegment(1)
 		dst := make([]float32, lentFloats)
@@ -309,8 +305,8 @@ func TestFaultAndTCPWorldsCopy(t *testing.T) {
 	defer w.Close()
 	w.InjectFaults(FaultPlan{})
 	check("fault world", w.MustComm(0), w.MustComm(1), w.MustComm(2))
-	if cc, err := w.ControlComm(0); err != nil || cc.views != nil {
-		t.Fatalf("fault world's control communicator: err %v, lend/share seam %v — it bypasses the injector, not the rule", err, cc.views != nil)
+	if cc, err := w.ControlComm(0); err != nil || cc.lends() {
+		t.Fatalf("fault world's control communicator: err %v, lends %v — it bypasses the injector, not the rule", err, cc.lends())
 	}
 
 	worlds := startTCPCluster(t, 3)
@@ -323,4 +319,154 @@ func TestFaultAndTCPWorldsCopy(t *testing.T) {
 		comms = append(comms, c)
 	}
 	check("TCP world", comms[0], comms[1], comms[2])
+}
+
+// The buffer contract, held by every world a communicator can be built over.
+// What differs between them is one fact — may a float send lend or share its
+// payload — and that only where no rank can fail on its own and both ends
+// share memory; who owns which buffer after a call, and what a byte counter
+// sees, does not differ at all.
+func TestTransportContractFourWorlds(t *testing.T) {
+	const tag, n = 24, lentFloats
+	charged, err := NewTopologyWorld(3, UniformTopology(3, 1), LinkProfile{}, LinkProfile{Latency: 20 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := NewTopologyWorld(3, UniformTopology(3, 1), LinkProfile{}, LinkProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty.InjectFaults(FaultPlan{DetectTimeout: time.Minute})
+	comms := func(w *World) []*Comm { return []*Comm{w.MustComm(0), w.MustComm(1), w.MustComm(2)} }
+	var tcp []*Comm
+	for _, tw := range startTCPCluster(t, 3) {
+		c, err := tw.Comm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcp = append(tcp, c)
+	}
+	for _, tc := range []struct {
+		name    string
+		world   *World // nil over TCP
+		c       []*Comm
+		lends   bool
+		traffic bool // the world counts bytes
+	}{
+		{"plain", NewWorld(3), nil, true, false},
+		{"topology-charged", charged, nil, true, true},
+		{"fault-injected", faulty, nil, false, true},
+		{"TCP loopback", nil, tcp, false, false},
+	} {
+		c := tc.c
+		if tc.world != nil {
+			c = comms(tc.world)
+			defer tc.world.Close()
+		}
+		if got := c[0].lends(); got != tc.lends {
+			t.Fatalf("%s: lends = %v, want %v", tc.name, got, tc.lends)
+		}
+		sent := int64(0) // bytes the world should have counted so far
+		counted := func(what string) {
+			t.Helper()
+			if !tc.traffic {
+				return
+			}
+			if got := tc.world.Traffic(); got != (Traffic{InterBytes: sent}) {
+				t.Fatalf("%s: after %s the world counts %+v, want %d inter-node bytes", tc.name, what, got, sent)
+			}
+		}
+		dst := make([]float32, n)
+
+		// Send copies: the caller's buffer is its own again on return.
+		seg, p := lentSegment(1)
+		b := floatBytes(seg)
+		if err := c[0].Send(1, tag, b); err != nil {
+			t.Fatal(err)
+		}
+		seg[0] = 2
+		got, err := c[1].Recv(0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] == p {
+			t.Fatalf("%s: Send delivered the caller's buffer", tc.name)
+		}
+		DecodeFloat32s(dst, got)
+		requireAll(t, tc.name+": Send then mutate", dst, 1)
+		PutBytes(got)
+		sent += 4 * n
+		counted("a copied send")
+
+		// SendOwned hands off: in memory the buffer itself arrives, and
+		// either way it is the receiver's (or the pool's), not the sender's.
+		own := GetBytes(4 * n)
+		EncodeFloat32s(own, seg)
+		po := &own[0]
+		if err := c[0].SendOwned(1, tag, own); err != nil {
+			t.Fatal(err)
+		}
+		got, err = c[1].Recv(0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inMemory := tc.world != nil; (&got[0] == po) != inMemory {
+			t.Fatalf("%s: SendOwned delivered the sender's buffer: %v, want %v", tc.name, &got[0] == po, inMemory)
+		}
+		PutBytes(got)
+		sent += 4 * n
+		counted("an owned send")
+
+		// LendFloats: a view where the world lends, a copy elsewhere — and
+		// Recv's buffer is the receiver's own in both.
+		seg[0] = 1
+		if err := c[0].LendFloats(1, tag, seg); err != nil {
+			t.Fatal(err)
+		}
+		seg[0] = 3
+		if err := c[1].RecvFloatsInto(dst, 0, tag); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]float32{true: 3, false: 1}[tc.lends]; dst[0] != want {
+			t.Fatalf("%s: receiver of a lent segment read %v, want %v", tc.name, dst[0], want)
+		}
+		sent += 4 * n
+		counted("a lent send")
+		if err := c[0].LendFloats(1, tag, seg); err != nil {
+			t.Fatal(err)
+		}
+		got, err = c[1].Recv(0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] == p {
+			t.Fatalf("%s: Recv returned the sender's lent memory", tc.name)
+		}
+		PutBytes(got)
+		if in := timesInPool(p, 4*n); in != 0 {
+			t.Fatalf("%s: the lent segment sits in the pool %d times", tc.name, in)
+		}
+		sent += 4 * n
+
+		// SendFloatsAll: one SendFloats per destination to any counter, one
+		// buffer where the world lends, private copies elsewhere.
+		if err := c[0].SendFloatsAll([]int{1, 2}, tag, seg); err != nil {
+			t.Fatal(err)
+		}
+		sent += 2 * 4 * n
+		counted("a shared send")
+		m1, err := c[1].recvMsg(0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := c[2].recvMsg(0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same := &m1.data[0] == &m2.data[0]; same != tc.lends {
+			t.Fatalf("%s: the two destinations read one buffer: %v, want %v", tc.name, same, tc.lends)
+		}
+		m1.release()
+		m2.release()
+	}
 }

@@ -244,14 +244,14 @@ func TestSendOwnedOverTCP(t *testing.T) {
 }
 
 // Isend on the buffered in-process transport completes inline: no goroutine,
-// and the returned request is immediately done.
+// and the returned request is the shared completed one.
 func TestIsendInlineOnBufferedTransport(t *testing.T) {
 	w := NewWorld(2)
 	defer w.Close()
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			r := c.Isend(1, 11, []byte("hi"))
-			if !r.Test() {
+			if r != completedSend {
 				return fmt.Errorf("buffered-transport Isend should complete inline")
 			}
 			return WaitAll(r)

@@ -66,6 +66,13 @@ func DefaultReconnectPolicy() ReconnectPolicy {
 
 const tcpFrameHeader = 4 + 8 + 4 + 4
 
+// maxTCPFrame bounds the payload length a frame header may announce. The
+// reader allocates the payload before a byte of it arrives, so the bound is
+// what one corrupt or hostile header can cost: 1 GiB (a 256 Mi-float vector
+// in one message, more than any collective here sends) instead of the 4 GiB
+// a uint32 can say.
+const maxTCPFrame = 1 << 30
+
 // NewTCPWorld creates the transport endpoint for one rank. addrs lists every
 // rank's listen address in rank order; addrs[rank] is bound locally. Call
 // Close when done.
@@ -169,6 +176,14 @@ func (w *TCPWorld) readLoop(conn net.Conn) {
 		ctx := binary.LittleEndian.Uint64(hdr[4:])
 		tag := int(int32(binary.LittleEndian.Uint32(hdr[12:])))
 		n := binary.LittleEndian.Uint32(hdr[16:])
+		if src < 0 || src >= len(w.addrs) || n > maxTCPFrame {
+			// Not a frame any rank of this world sends: a source nobody
+			// receives from would park in the mailbox for ever, and the
+			// length is an allocation. The stream cannot be resynchronised,
+			// so the connection goes; if a live peer was behind it, its
+			// silence surfaces through the detection paths above.
+			return
+		}
 		payload := GetBytes(int(n))
 		if _, err := io.ReadFull(conn, payload); err != nil {
 			PutBytes(payload)
@@ -184,11 +199,7 @@ func (w *TCPWorld) readLoop(conn net.Conn) {
 
 // Comm returns the world communicator for this rank.
 func (w *TCPWorld) Comm() (*Comm, error) {
-	group := make([]int, len(w.addrs))
-	for i := range group {
-		group[i] = i
-	}
-	return newComm(w, w.rank, group, 1)
+	return newComm(w, w.rank, worldGroup(len(w.addrs)), 1)
 }
 
 // ControlComm returns a communicator on the reserved control context,
@@ -197,11 +208,7 @@ func (w *TCPWorld) Comm() (*Comm, error) {
 // peer's single connection with application traffic, so they double as the
 // connection-level liveness signal the read deadline watches.
 func (w *TCPWorld) ControlComm() (*Comm, error) {
-	group := make([]int, len(w.addrs))
-	for i := range group {
-		group[i] = i
-	}
-	return newComm(w, w.rank, group, controlCtx)
+	return newComm(w, w.rank, worldGroup(len(w.addrs)), controlCtx)
 }
 
 // Send implements Transport. A broken connection is redialed under the
@@ -210,6 +217,9 @@ func (w *TCPWorld) ControlComm() (*Comm, error) {
 // retries against an unmarked peer fail transient (IsReconnecting) so
 // recovery protocols can retry rather than evict.
 func (w *TCPWorld) Send(dst int, ctx uint64, tag int, data []byte) error {
+	if len(data) > maxTCPFrame {
+		return fmt.Errorf("mpi: tcp payload of %d bytes exceeds the %d-byte frame bound", len(data), maxTCPFrame)
+	}
 	if dst == w.rank {
 		cp := GetBytes(len(data))
 		copy(cp, data)
@@ -345,14 +355,8 @@ func (w *TCPWorld) dropConn(dst int, c net.Conn) {
 // is presumed dead: the Recv returns a *RankDownError and the source is
 // marked down so later receives fail without waiting out the timeout again.
 func (w *TCPWorld) Recv(src int, ctx uint64, tag int) ([]byte, error) {
-	k := msgKey{src: src, ctx: ctx, tag: tag}
-	d := time.Duration(w.detect.Load())
-	if d <= 0 {
-		m, err := w.box.get(k)
-		return m.data, err
-	}
-	m, err := w.box.getTimeout(k, d)
-	if err != nil && errors.Is(err, errDetectTimeout) {
+	m, _, err := w.box.wait(msgKey{src: src, ctx: ctx, tag: tag}, true, time.Duration(w.detect.Load()))
+	if errors.Is(err, errDetectTimeout) {
 		// Keep the marking presumptive: later receives fail fast but stay
 		// transient-typed (IsDetectTimeout), so a recovery protocol waiting
 		// on a slow-but-live peer retries instead of evicting it.
@@ -363,7 +367,7 @@ func (w *TCPWorld) Recv(src int, ctx uint64, tag int) ([]byte, error) {
 
 // TryRecv implements Transport.
 func (w *TCPWorld) TryRecv(src int, ctx uint64, tag int) ([]byte, bool, error) {
-	m, ok, err := w.box.tryGet(msgKey{src: src, ctx: ctx, tag: tag})
+	m, ok, err := w.box.wait(msgKey{src: src, ctx: ctx, tag: tag}, false, 0)
 	return m.data, ok, err
 }
 

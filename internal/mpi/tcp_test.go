@@ -1,8 +1,12 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -316,4 +320,74 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 			t.Fatal("restarted peer never received a frame")
 		}
 	}
+}
+
+// A frame header is four fields nobody has authenticated. One that names a
+// source outside the world, or a length past maxTCPFrame, is answered by
+// closing the connection: nothing is allocated for its payload, nothing parks
+// in the mailbox, and the reader goroutine ends.
+func TestTCPHostileFrameHeaderClosesConnection(t *testing.T) {
+	w, err := NewTCPWorld(0, []string{"127.0.0.1:0", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	header := func(src int32, n uint32) []byte {
+		var h [tcpFrameHeader]byte
+		binary.LittleEndian.PutUint32(h[0:], uint32(src))
+		binary.LittleEndian.PutUint64(h[4:], 1)
+		binary.LittleEndian.PutUint32(h[12:], 7)
+		binary.LittleEndian.PutUint32(h[16:], n)
+		return h[:]
+	}
+	for name, hdr := range map[string][]byte{
+		"4 GiB length":      header(1, 0xFFFFFFFF),
+		"length past bound": header(1, maxTCPFrame+1),
+		"source past world": header(2, 0),
+		"negative source":   header(-3, 0),
+	} {
+		ours, theirs := net.Pipe()
+		w.wg.Add(1)
+		done := make(chan struct{})
+		go func() {
+			w.readLoop(ours)
+			close(done)
+		}()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := theirs.Write(hdr); err != nil {
+			t.Fatalf("%s: writing the header: %v", name, err)
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the reader is still waiting for a payload", name)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: the header cost %d bytes of allocation", name, grew)
+		}
+		theirs.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := theirs.Read(make([]byte, 1)); err != io.EOF && err != io.ErrClosedPipe {
+			t.Fatalf("%s: the peer's read returned %v, want a closed connection", name, err)
+		}
+		theirs.Close()
+		if n := len(w.box.queues); n != 0 {
+			t.Fatalf("%s: %d queues in the mailbox, want none", name, n)
+		}
+	}
+
+	// The same reader still takes a well-formed frame.
+	ours, theirs := net.Pipe()
+	w.wg.Add(1)
+	go w.readLoop(ours)
+	go theirs.Write(append(header(1, 2), 'o', 'k'))
+	c, err := w.Comm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := c.Recv(1, 7); err != nil || string(b) != "ok" {
+		t.Fatalf("well-formed frame: %q, %v", b, err)
+	}
+	theirs.Close()
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -85,29 +84,6 @@ func (t Topology) NodeBounds() []int {
 	return b
 }
 
-// RanksOn returns the communicator ranks hosted on the given node, in rank
-// order.
-func (t Topology) RanksOn(node int) []int {
-	var ranks []int
-	for r, n := range t.Node {
-		if n == node {
-			ranks = append(ranks, r)
-		}
-	}
-	return ranks
-}
-
-// LeaderOf returns the node's leader: its lowest rank. Leaders are the ranks
-// that speak on the inter-node fabric in the hierarchical collectives.
-func (t Topology) LeaderOf(node int) int {
-	for r, n := range t.Node {
-		if n == node {
-			return r
-		}
-	}
-	return -1
-}
-
 // Leaders returns every node's leader rank, in node order.
 func (t Topology) Leaders() []int {
 	leaders := make([]int, 0, t.Nodes())
@@ -117,33 +93,6 @@ func (t Topology) Leaders() []int {
 		}
 	}
 	return leaders
-}
-
-// SplitComm splits c along the topology's two levels for group-restricted
-// communication (node-local shuffles, leader-only collectives): intra spans
-// the ranks of the calling rank's node (every rank gets one), leaders spans
-// the per-node leader ranks — non-nil only on leaders, since a rank must
-// belong to a sub-communicator to construct it. Contexts are derived
-// deterministically (Comm.Sub), so no communication happens here. (The
-// hierarchical allreduce Stream routes over the SAME layout but addresses
-// peers directly on the parent communicator: its per-bucket nonblocking
-// exchange needs one tag space across both levels.)
-func SplitComm(c *Comm, t Topology) (intra, leaders *Comm, err error) {
-	if err := t.Validate(c.Size()); err != nil {
-		return nil, nil, err
-	}
-	node := t.NodeOf(c.Rank())
-	intra, err = c.Sub(t.RanksOn(node))
-	if err != nil {
-		return nil, nil, err
-	}
-	if t.LeaderOf(node) == c.Rank() {
-		leaders, err = c.Sub(t.Leaders())
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return intra, leaders, nil
 }
 
 // Traffic is a world's cumulative wire-byte accounting, split by link class.
@@ -197,55 +146,22 @@ func (w *World) Traffic() Traffic {
 	}
 }
 
-// topoTransport wraps the in-memory transport with per-link-class delay and
-// byte accounting. It charges the sender; the profile depends on whether the
-// destination shares the sender's node.
-type topoTransport struct {
-	*memTransport
-	net    *topoNet
-	egress sync.Mutex // serializes this rank's inter-node sends (its NIC share)
-}
-
-// charge accounts and delays an n-byte message from t.rank to dst — the
-// single place the link model is applied, so copying, ownership-transfer,
-// lent and shared sends always pay identical cost.
-func (t *topoTransport) charge(dst, n int) {
-	if t.net.topo.NodeOf(t.rank) == t.net.topo.NodeOf(dst) {
-		t.net.intraBytes.Add(int64(n))
-		t.net.intra.wait(n)
+// charge accounts and delays an n-byte message from t.rank to dst on a world
+// with a link model; the profile depends on whether the destination shares
+// the sender's node. It charges the sender, and memTransport.sendMsg is its
+// only caller, so copying, ownership-transfer, lent and shared sends always
+// pay identical cost.
+func (t *memTransport) charge(dst, n int) {
+	net := t.net
+	if net.topo.NodeOf(t.rank) == net.topo.NodeOf(dst) {
+		net.intraBytes.Add(int64(n))
+		net.intra.wait(n)
 		return
 	}
-	t.net.interBytes.Add(int64(n))
-	if t.net.inter.Delay(n) > 0 { // a free message does not queue
+	net.interBytes.Add(int64(n))
+	if net.inter.Delay(n) > 0 { // a free message does not queue
 		t.egress.Lock()
-		t.net.inter.wait(n)
+		net.inter.wait(n)
 		t.egress.Unlock()
 	}
-}
-
-// Send implements Transport.
-func (t *topoTransport) Send(dst int, ctx uint64, tag int, data []byte) error {
-	t.charge(dst, len(data))
-	return t.memTransport.Send(dst, ctx, tag, data)
-}
-
-// SendOwned implements Transport, charging the same cost as Send. (Without
-// this override the embedded transport's zero-delay SendOwned would leak
-// through and make pooled sends free.)
-func (t *topoTransport) SendOwned(dst int, ctx uint64, tag int, data []byte) error {
-	t.charge(dst, len(data))
-	return t.memTransport.SendOwned(dst, ctx, tag, data)
-}
-
-// sendMsg implements viewTransport: a lent or shared payload is charged per
-// destination exactly as the copy it replaces.
-func (t *topoTransport) sendMsg(dst int, ctx uint64, tag int, m message) error {
-	t.charge(dst, len(m.data))
-	return t.memTransport.sendMsg(dst, ctx, tag, m)
-}
-
-// sendNeverBlocks overrides the embedded transport's promotion: a send may
-// occupy the caller for the link delay, so Isend must stay async.
-func (t *topoTransport) sendNeverBlocks() bool {
-	return t.net.intra == (LinkProfile{}) && t.net.inter == (LinkProfile{})
 }

@@ -19,9 +19,6 @@ func TestUniformTopologyLayout(t *testing.T) {
 	if got := topo.Leaders(); len(got) != 2 || got[0] != 0 || got[1] != 4 {
 		t.Fatalf("Leaders() = %v, want [0 4]", got)
 	}
-	if got := topo.RanksOn(1); len(got) != 4 || got[0] != 4 || got[3] != 7 {
-		t.Fatalf("RanksOn(1) = %v, want [4 5 6 7]", got)
-	}
 	// Ragged tail: 7 ranks at 3 per node → nodes of 3, 3, 1.
 	ragged := UniformTopology(7, 3)
 	if err := ragged.Validate(7); err != nil {
@@ -30,8 +27,8 @@ func TestUniformTopologyLayout(t *testing.T) {
 	if got := ragged.Nodes(); got != 3 {
 		t.Fatalf("ragged Nodes() = %d, want 3", got)
 	}
-	if got := ragged.LeaderOf(2); got != 6 {
-		t.Fatalf("ragged LeaderOf(2) = %d, want 6", got)
+	if got := ragged.Leaders(); len(got) != 3 || got[2] != 6 {
+		t.Fatalf("ragged Leaders() = %v, want [0 3 6]", got)
 	}
 }
 
@@ -53,59 +50,6 @@ func TestTopologyValidateRejectsBadLayouts(t *testing.T) {
 	}
 	if (Topology{}).IsSet() {
 		t.Error("zero topology reports IsSet")
-	}
-}
-
-// TestSplitComm checks the derived sub-communicators: every rank lands in
-// its node's intra comm at the right sub-rank, only leaders get the leader
-// comm, and both comms actually carry messages (isolated contexts).
-func TestSplitComm(t *testing.T) {
-	const ranksPerNode, nodes = 3, 2
-	topo := UniformTopology(ranksPerNode*nodes, ranksPerNode)
-	w := NewWorld(ranksPerNode * nodes)
-	defer w.Close()
-	err := w.Run(func(c *Comm) error {
-		intra, leaders, err := SplitComm(c, topo)
-		if err != nil {
-			return err
-		}
-		if intra.Size() != ranksPerNode {
-			t.Errorf("rank %d: intra size %d, want %d", c.Rank(), intra.Size(), ranksPerNode)
-		}
-		if intra.Rank() != c.Rank()%ranksPerNode {
-			t.Errorf("rank %d: intra rank %d", c.Rank(), intra.Rank())
-		}
-		isLeader := c.Rank()%ranksPerNode == 0
-		if (leaders != nil) != isLeader {
-			t.Errorf("rank %d: leader comm presence %v, want %v", c.Rank(), leaders != nil, isLeader)
-		}
-		// Intra allreduce: each node sums only its own ranks' values.
-		v := []float32{float32(c.Rank())}
-		if err := intra.AllReduceFloats(v); err != nil {
-			return err
-		}
-		node := topo.NodeOf(c.Rank())
-		want := float32(0)
-		for _, r := range topo.RanksOn(node) {
-			want += float32(r)
-		}
-		if v[0] != want {
-			t.Errorf("rank %d: intra sum %v, want %v", c.Rank(), v[0], want)
-		}
-		// Leader allreduce: sums one value per node.
-		if leaders != nil {
-			lv := []float32{1}
-			if err := leaders.AllReduceFloats(lv); err != nil {
-				return err
-			}
-			if lv[0] != float32(nodes) {
-				t.Errorf("rank %d: leader sum %v, want %v", c.Rank(), lv[0], nodes)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -468,7 +468,7 @@ func (e *engine) overhead(rank int) int64 {
 	return int64(float64(h) * (1 + e.cfg.JitterFrac*(2*u-1)))
 }
 
-// post puts st's send on the wire at e.now. Mirrors topoTransport.charge:
+// post puts st's send on the wire at e.now. Mirrors memTransport.charge:
 // intra-node messages start at once and delay concurrently; inter-node
 // messages queue on the sender's egress — one FIFO per rank, and with a
 // Fabric one per rail the rank drives, stream i of a node's j-th rank
