@@ -11,10 +11,11 @@ build:
 	$(GO) build ./...
 
 # The GOARCHes no other target compiles: a 32-bit int (untyped constants that
-# overflow only there) and one without the AVX2 kernels (the !amd64 halves of
-# the kernel build tags).
+# overflow only there — vetted too, so test files count) and one without the
+# AVX2 kernels (the !amd64 halves of the kernel build tags).
 cross:
 	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 
 test:
@@ -74,9 +75,9 @@ race-hierarchical:
 # The fault-tolerance suite: fault injection and detection timeouts (the
 # seeded drop schedule as the wire sees it), ErrRankDown surfacing on every
 # survivor under all four schedules, the poison path through the compressed
-# stream, the checkpoint resize round trip, the heartbeat monitor and spare
-# pool, hostile TCP frame headers, and the elastic shrink/rejoin protocol end
-# to end over both the mailbox and TCP loopback fabrics. No collective may
+# stream, the checkpoint resize round trip, the heartbeat monitor, hostile TCP
+# frame headers, and the elastic shrink/rejoin/spare-join protocol end to end
+# over both the mailbox and TCP loopback fabrics. No collective may
 # deadlock on rank death.
 race-elastic:
 	$(call pinned,race-elastic,Fault RankDown Chaos Resize Elastic Monitor Spare TCP,\
@@ -137,17 +138,22 @@ kernels-baseline:
 kernels-purego:
 	$(GO) test -tags purego ./internal/kernels ./internal/tensor ./internal/nn ./internal/models ./internal/sgd ./internal/mpi ./internal/allreduce ./internal/dpt ./internal/core
 
-# 20 s of each fuzz target, from its committed corpus: the SIMD-vs-portable
-# kernels, the packed convolution vs Im2Col+Gemm+Col2Im (internal/tensor/convref, the tests' reference), then the DIMD decoders (window decode vs the dense reference, the
-# shuffle's record frames). The decoders' inputs are kilobyte blobs, which the
-# fuzzer's default 60 s minimisation of every interesting input would spend
-# the whole smoke on.
+# 20 s of each fuzz target, from its committed corpus — CI's one fuzz step, so
+# the list lives here: the SIMD-vs-portable kernels, the packed convolution vs
+# Im2Col+Gemm+Col2Im (internal/tensor/convref, the tests' reference), then the
+# parsers of bytes that arrive off a disk or a wire (window decode vs the dense
+# reference, the shuffle's record frames, a checkpoint, a recovery verdict):
+# never a panic, never an allocation a header alone can size. The parsers'
+# inputs are kilobyte blobs, which the fuzzer's default 60 s minimisation of
+# every interesting input would spend the whole smoke on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGemmSIMDMatchesPortable -fuzztime 20s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzVecKernelsMatchPortable -fuzztime 20s ./internal/kernels
 	$(GO) test -run '^$$' -fuzz FuzzConvPackedMatchesIm2Col -fuzztime 20s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s -fuzzminimizetime 1s ./internal/imagecodec
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalRecords -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd
+	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 20s -fuzzminimizetime 1s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzParseVerdict -fuzztime 20s -fuzzminimizetime 1s ./internal/elastic
 
 # The overlap workload CI runs: phased vs reactive schedules of the same
 # comm-heavy job, with the JSON report benchtool uploads as an artifact —

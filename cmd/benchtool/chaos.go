@@ -100,7 +100,7 @@ func chaosPlan(o chaosOpts, rejoin bool, globalBatch int) (elastic.Plan, error) 
 		CrashAtStep:        map[int]int{},
 		CrashInNegotiation: map[int]int{},
 		CrashInRestore:     map[int]int{},
-		RejoinAtStep:       map[int]int{},
+		JoinAtStep:         map[int]int{},
 		DetectTimeout:      2 * time.Second,
 	}
 	if o.steps <= chaosKillEvery {
@@ -108,7 +108,7 @@ func chaosPlan(o chaosOpts, rejoin bool, globalBatch int) (elastic.Plan, error) 
 	}
 	backfill := func(victim, step int) {
 		if rejoin && step+2 < o.steps {
-			plan.RejoinAtStep[victim] = step + 2
+			plan.JoinAtStep[victim] = step + 2
 		}
 	}
 

@@ -4,7 +4,11 @@
 // inference. The format is self-describing: parameter names and sizes are
 // stored, and Load verifies them against the target model, so loading a
 // checkpoint into the wrong architecture fails loudly instead of silently
-// scrambling weights.
+// scrambling weights. It is rank-count independent: momentum shards gather
+// into one full-state file and carve back down to any world's shards, through
+// the one Optimizer contract sgd.SGD satisfies. Read trusts no length field:
+// a checkpoint may arrive inside a recovery verdict off the network, so
+// payloads are read as the reader supplies them, never sized by a header.
 package checkpoint
 
 import (
@@ -18,33 +22,23 @@ import (
 	"repro/internal/nn"
 )
 
-// Optimizer is the state-carrying optimizer interface both sgd.SGD and
-// sgd.LARS satisfy: momentum buffers exported/imported as one flat slice.
+// Optimizer is the state a checkpoint carries besides the weights — what
+// sgd.SGD holds: momentum exported/imported as one flat slice, which may be
+// only one rank's contiguous shard of the full state (sgd.NewShard; a
+// replicated optimizer's shard is everything). StateBounds locates the held
+// state within the full flat vector, which lets CaptureSharded gather shards
+// into a rank-count-independent checkpoint and Restore carve a full
+// checkpoint back down to one rank's shard.
 type Optimizer interface {
+	// StateLen returns the held state's element count.
 	StateLen() int
-	ExportState(dst []float32) error
-	ImportState(src []float32) error
-}
-
-// ShardedOptimizer is implemented by optimizers that may hold only one
-// rank's contiguous shard of the full state (sgd.NewShard / sgd.NewLARSShard
-// — and their replicated forms, whose shard is everything). StateBounds
-// locates the held state within the full flat vector, which lets Capture
-// gather shards into a rank-count-independent checkpoint and Restore carve a
-// full checkpoint back down to one rank's shard.
-type ShardedOptimizer interface {
-	Optimizer
+	// FullStateLen returns the whole model's state element count.
+	FullStateLen() int
 	// StateBounds returns the element range [lo, hi) the held state occupies
 	// within the full flat state vector (hi-lo == StateLen()).
 	StateBounds() (lo, hi int)
-	// FullStateLen returns the whole model's state element count.
-	FullStateLen() int
-}
-
-// partialShard reports whether opt holds strictly less than the full state.
-func partialShard(opt Optimizer) (ShardedOptimizer, bool) {
-	so, ok := opt.(ShardedOptimizer)
-	return so, ok && so.StateLen() != so.FullStateLen()
+	ExportState(dst []float32) error
+	ImportState(src []float32) error
 }
 
 const (
@@ -69,12 +63,10 @@ type Checkpoint struct {
 // part of the state cannot be captured without its peers — use
 // CaptureSharded with the training communicator instead.
 func Capture(params []*nn.Param, opt Optimizer, step int64, epoch float64) (*Checkpoint, error) {
-	if opt != nil {
-		if so, partial := partialShard(opt); partial {
-			lo, hi := so.StateBounds()
-			return nil, fmt.Errorf("checkpoint: optimizer holds shard [%d,%d) of %d state elements; use CaptureSharded",
-				lo, hi, so.FullStateLen())
-		}
+	if opt != nil && opt.StateLen() != opt.FullStateLen() {
+		lo, hi := opt.StateBounds()
+		return nil, fmt.Errorf("checkpoint: optimizer holds shard [%d,%d) of %d state elements; use CaptureSharded",
+			lo, hi, opt.FullStateLen())
 	}
 	c := &Checkpoint{Step: step, Epoch: epoch}
 	for _, p := range params {
@@ -98,7 +90,7 @@ func Capture(params []*nn.Param, opt Optimizer, step int64, epoch float64) (*Che
 // full flat state), and every rank returns an identical, rank-count-
 // independent Checkpoint — bitwise the file a replicated run would have
 // written. Collective: every rank of c must call it.
-func CaptureSharded(c *mpi.Comm, params []*nn.Param, opt ShardedOptimizer, step int64, epoch float64) (*Checkpoint, error) {
+func CaptureSharded(c *mpi.Comm, params []*nn.Param, opt Optimizer, step int64, epoch float64) (*Checkpoint, error) {
 	if opt.StateLen() == opt.FullStateLen() {
 		// Replicated form (the shard is everything): the state is already
 		// complete and identical on every rank, nothing to gather.
@@ -152,8 +144,8 @@ func CaptureSharded(c *mpi.Comm, params []*nn.Param, opt ShardedOptimizer, step 
 
 // Restore writes the snapshot back into the model (and optimizer when both
 // the checkpoint and opt carry state). Parameter names and sizes must match.
-// A sharded optimizer receives only its own StateBounds slice of the
-// checkpoint's full state — the scatter half of rank-count-independent
+// The optimizer receives only its own StateBounds slice of the checkpoint's
+// full state — the scatter half of rank-count-independent
 // checkpointing, needing no communication because every rank reads the same
 // file. Replicated checkpoints therefore load into sharded runs of any world
 // size, and vice versa.
@@ -172,20 +164,14 @@ func (c *Checkpoint) Restore(params []*nn.Param, opt Optimizer) error {
 	for i, p := range params {
 		copy(p.Value.Data, c.values[i])
 	}
-	if opt != nil && len(c.optState) > 0 {
-		if so, partial := partialShard(opt); partial {
-			if len(c.optState) != so.FullStateLen() {
-				return fmt.Errorf("checkpoint: %d state elements for a model with %d (sharded restore needs a full checkpoint)",
-					len(c.optState), so.FullStateLen())
-			}
-			lo, hi := so.StateBounds()
-			return so.ImportState(c.optState[lo:hi])
-		}
-		if err := opt.ImportState(c.optState); err != nil {
-			return err
-		}
+	if opt == nil || len(c.optState) == 0 {
+		return nil
 	}
-	return nil
+	if len(c.optState) != opt.FullStateLen() {
+		return fmt.Errorf("checkpoint: %d state elements for a model with %d", len(c.optState), opt.FullStateLen())
+	}
+	lo, hi := opt.StateBounds()
+	return opt.ImportState(c.optState[lo:hi])
 }
 
 // WriteTo implements io.WriterTo: a little-endian framed encoding.
@@ -264,17 +250,13 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		if _, err := io.ReadFull(r, szBuf[:]); err != nil {
 			return nil, fmt.Errorf("checkpoint: param %d size: %w", i, err)
 		}
-		sz := int(binary.LittleEndian.Uint32(szBuf[:]))
-		if sz < 0 || sz > 1<<30 {
+		sz := binary.LittleEndian.Uint32(szBuf[:])
+		if sz > 1<<30 {
 			return nil, fmt.Errorf("checkpoint: implausible param size %d", sz)
 		}
-		raw := make([]byte, 4*sz)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, fmt.Errorf("checkpoint: param %d data: %w", i, err)
-		}
-		vals, err := mpi.BytesToFloat32s(raw)
+		vals, err := readFloats(r, sz)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("checkpoint: param %d data: %w", i, err)
 		}
 		c.names = append(c.names, string(name))
 		c.values = append(c.values, vals)
@@ -283,19 +265,24 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if _, err := io.ReadFull(r, optHdr[:]); err != nil {
 		return nil, fmt.Errorf("checkpoint: optimizer header: %w", err)
 	}
-	optLen := int(binary.LittleEndian.Uint32(optHdr[:]))
-	if optLen > 0 {
-		raw := make([]byte, 4*optLen)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, fmt.Errorf("checkpoint: optimizer state: %w", err)
-		}
-		vals, err := mpi.BytesToFloat32s(raw)
+	if optLen := binary.LittleEndian.Uint32(optHdr[:]); optLen > 0 {
+		vals, err := readFloats(r, optLen)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("checkpoint: optimizer state: %w", err)
 		}
 		c.optState = vals
 	}
 	return c, nil
+}
+
+// readFloats reads n little-endian float32s. n is a header field, so the
+// bytes are read through mpi.ReadN: memory follows what the reader holds.
+func readFloats(r io.Reader, n uint32) ([]float32, error) {
+	raw, err := mpi.ReadN(r, 4*int64(n))
+	if err != nil {
+		return nil, err
+	}
+	return mpi.BytesToFloat32s(raw)
 }
 
 func float64bits(f float64) uint64     { return math.Float64bits(f) }

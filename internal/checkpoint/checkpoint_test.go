@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/models"
@@ -158,42 +160,81 @@ func TestReadErrors(t *testing.T) {
 	if _, err := Read(bytes.NewReader(full[:len(full)/3])); err == nil {
 		t.Fatal("truncated checkpoint should error")
 	}
-}
 
-func TestCheckpointWithLARS(t *testing.T) {
-	// The Optimizer interface must accept LARS too: capture under one LARS
-	// instance and restore into another with exact state equality.
-	rng := tensor.NewRNG(20)
-	net := models.NewSmallCNN(3, 8, rng)
-	lars := sgd.NewLARS(net.Params(), sgd.DefaultConfig(), 0.01)
-	// Create momentum by stepping once on synthetic gradients.
-	for _, p := range net.Params() {
-		rng.FillNormal(p.Grad, 0, 1)
-	}
-	lars.Step(0.1)
-	ck, err := Capture(net.Params(), lars, 7, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net2 := models.NewSmallCNN(3, 8, tensor.NewRNG(21))
-	lars2 := sgd.NewLARS(net2.Params(), sgd.DefaultConfig(), 0.01)
-	if err := ck.Restore(net2.Params(), lars2); err != nil {
-		t.Fatal(err)
-	}
-	// Identical next updates prove the momentum round-tripped.
-	for i, p := range net.Params() {
-		copy(net2.Params()[i].Grad.Data, p.Grad.Data)
-	}
-	lars.Step(0.1)
-	lars2.Step(0.1)
-	for i, p := range net.Params() {
-		p2 := net2.Params()[i]
-		for j := range p.Value.Data {
-			if p.Value.Data[j] != p2.Value.Data[j] {
-				t.Fatal("LARS state not restored: updates diverge")
-			}
+	// Headers whose length fields promise what the stream does not hold: 16
+	// GiB of optimizer state in a 32-byte checkpoint, and one 4 GiB parameter
+	// (4·sz overflowed a 32-bit int). Read must fail having allocated about
+	// what it was given.
+	for name, hostile := range map[string][]byte{
+		"optimizer state": hostileHeader(0),
+		"param size":      hostileHeader(1),
+	} {
+		var err error
+		if got := allocatedBytes(func() { _, err = Read(bytes.NewReader(hostile)) }); got >= 1<<20 {
+			t.Errorf("%s: Read allocated %d bytes for a %d-byte checkpoint", name, got, len(hostile))
+		}
+		if err == nil {
+			t.Errorf("%s: a payload the stream does not hold should fail", name)
 		}
 	}
+}
+
+// hostileHeader is a checkpoint header with params parameters: none, then
+// 2³²−1 optimizer state elements; or one unnamed parameter of 2³⁰ elements.
+func hostileHeader(params uint32) []byte {
+	b := make([]byte, 28, 32)
+	binary.LittleEndian.PutUint32(b[0:], magic)
+	binary.LittleEndian.PutUint32(b[4:], version)
+	binary.LittleEndian.PutUint32(b[24:], params)
+	if params == 0 {
+		return binary.LittleEndian.AppendUint32(b, 1<<32-1)
+	}
+	return binary.LittleEndian.AppendUint32(append(b, 0, 0), 1<<30)
+}
+
+// allocatedBytes reports the heap bytes the process allocates while fn runs.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzReadCheckpoint: Read never panics, never allocates past a small
+// multiple of its input, and what it accepts writes back as the bytes it
+// consumed.
+func FuzzReadCheckpoint(f *testing.F) {
+	net := models.NewSmallCNN(3, 4, tensor.NewRNG(1))
+	ck, err := Capture(net.Params()[:2], sgd.New(net.Params()[:2], sgd.DefaultConfig()), 3, 0.5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ck.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		var got *Checkpoint
+		var err error
+		// A parameter costs its name, two slice headers and their append
+		// growth; a payload two copies of itself.
+		if n := allocatedBytes(func() { got, err = Read(r) }); n > uint64(32*len(b))+1<<18 {
+			t.Fatalf("Read allocated %d bytes for a %d-byte input", n, len(b))
+		}
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if _, err := got.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := b[:len(b)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("accepted checkpoint does not round-trip: %d bytes read, %d written", len(consumed), again.Len())
+		}
+	})
 }
 
 func TestSGDStateExportImportErrors(t *testing.T) {

@@ -181,108 +181,6 @@ func TestReplicatedSaveShardedLoad(t *testing.T) {
 	}
 }
 
-// LARS state must survive the disk round trip (serialization, not just
-// Capture/Restore) and the sharded gather, producing identical next updates.
-func TestLARSCheckpointDiskRoundTripAndSharded(t *testing.T) {
-	rng := tensor.NewRNG(40)
-	net := models.NewSmallCNN(3, 8, rng)
-	lars := sgd.NewLARS(net.Params(), sgd.DefaultConfig(), 0.01)
-	fillGrads(net.Params())
-	lars.Step(0.1)
-	ck, err := Capture(net.Params(), lars, 11, 2.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ck.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != 11 || got.Epoch != 2.25 {
-		t.Fatalf("counters %d/%v after disk round trip", got.Step, got.Epoch)
-	}
-
-	// Replicated restore.
-	net2 := models.NewSmallCNN(3, 8, tensor.NewRNG(41))
-	lars2 := sgd.NewLARS(net2.Params(), sgd.DefaultConfig(), 0.01)
-	if err := got.Restore(net2.Params(), lars2); err != nil {
-		t.Fatal(err)
-	}
-	// Sharded restore of the same file.
-	const ranks = 2
-	nets := make([]*nn.Sequential, ranks)
-	shards := make([]*sgd.LARS, ranks)
-	for r := 0; r < ranks; r++ {
-		nets[r] = models.NewSmallCNN(3, 8, tensor.NewRNG(42+int64(r)))
-		cuts := paramShardCuts(nets[r].Params(), ranks)
-		shards[r] = sgd.NewLARSShard(nets[r].Params(), sgd.DefaultConfig(), 0.01, cuts[r], cuts[r+1])
-		if err := got.Restore(nets[r].Params(), shards[r]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Identical next update across all three restores.
-	fillGrads(net.Params())
-	fillGrads(net2.Params())
-	lars.Step(0.1)
-	lars2.Step(0.1)
-	for r := 0; r < ranks; r++ {
-		fillGrads(nets[r].Params())
-		shards[r].Step(0.1)
-	}
-	for i, p := range net.Params() {
-		for j := range p.Value.Data {
-			if p.Value.Data[j] != net2.Params()[i].Value.Data[j] {
-				t.Fatal("replicated LARS restore diverges")
-			}
-		}
-	}
-	for r := 0; r < ranks; r++ {
-		cuts := paramShardCuts(nets[r].Params(), ranks)
-		for i := cuts[r]; i < cuts[r+1]; i++ {
-			for j := range net.Params()[i].Value.Data {
-				if nets[r].Params()[i].Value.Data[j] != net.Params()[i].Value.Data[j] {
-					t.Fatalf("sharded LARS restore diverges at rank %d param %d", r, i)
-				}
-			}
-		}
-	}
-
-	// Gather a sharded LARS save over a communicator and compare bytes.
-	var shardedCk *Checkpoint
-	w := mpi.NewWorld(ranks)
-	defer w.Close()
-	err = w.Run(func(c *mpi.Comm) error {
-		ckr, err := CaptureSharded(c, nets[c.Rank()].Params(), shards[c.Rank()], 12, 2.5)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			shardedCk = ckr
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCk, err := Capture(net.Params(), lars, 12, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weights differ across nets (only shards are synced), so compare just
-	// the gathered optimizer state against the replicated export.
-	if len(shardedCk.optState) != len(refCk.optState) {
-		t.Fatalf("gathered LARS state %d elems, replicated %d", len(shardedCk.optState), len(refCk.optState))
-	}
-	for i := range refCk.optState {
-		if shardedCk.optState[i] != refCk.optState[i] {
-			t.Fatalf("gathered LARS state diverges at %d", i)
-		}
-	}
-}
-
 // A partial shard must be refused by plain Capture, and a sharded restore
 // must refuse a checkpoint whose state is not the full model's.
 func TestShardedCaptureRestoreGuards(t *testing.T) {

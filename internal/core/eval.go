@@ -44,49 +44,3 @@ func (l *Learner) EvaluateDistributed(x *tensor.Tensor, labels []int) (acc float
 	}
 	return float64(stats[0] / stats[1]), float64(stats[2] / stats[1]), nil
 }
-
-// StepMetric is one recorded training step.
-type StepMetric struct {
-	Step   int
-	Loss   float64
-	LR     float32
-	Millis float64
-}
-
-// Metrics accumulates a training trace for reporting (CSV-ready rows).
-type Metrics struct {
-	Steps []StepMetric
-}
-
-// Record appends one step.
-func (m *Metrics) Record(s StepMetric) { m.Steps = append(m.Steps, s) }
-
-// MeanLoss returns the average loss over the last k steps (all if k <= 0 or
-// k exceeds the trace length).
-func (m *Metrics) MeanLoss(k int) float64 {
-	n := len(m.Steps)
-	if n == 0 {
-		return 0
-	}
-	if k <= 0 || k > n {
-		k = n
-	}
-	var s float64
-	for _, st := range m.Steps[n-k:] {
-		s += st.Loss
-	}
-	return s / float64(k)
-}
-
-// Throughput returns images/second given the per-step global batch size,
-// from the recorded wall times.
-func (m *Metrics) Throughput(globalBatch int) float64 {
-	var ms float64
-	for _, st := range m.Steps {
-		ms += st.Millis
-	}
-	if ms == 0 {
-		return 0
-	}
-	return float64(len(m.Steps)*globalBatch) / (ms / 1000)
-}

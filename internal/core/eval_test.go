@@ -170,27 +170,3 @@ func TestPhaseTimesAccumulate(t *testing.T) {
 		})
 	}
 }
-
-func TestMetrics(t *testing.T) {
-	var m Metrics
-	for i := 0; i < 10; i++ {
-		m.Record(StepMetric{Step: i, Loss: float64(10 - i), LR: 0.1, Millis: 50})
-	}
-	if got := m.MeanLoss(2); math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("MeanLoss(2) = %v, want 1.5", got)
-	}
-	if got := m.MeanLoss(0); math.Abs(got-5.5) > 1e-9 {
-		t.Fatalf("MeanLoss(all) = %v, want 5.5", got)
-	}
-	if got := m.MeanLoss(100); math.Abs(got-5.5) > 1e-9 {
-		t.Fatalf("MeanLoss(overlong) = %v, want 5.5", got)
-	}
-	// 10 steps × 64 images in 0.5 s = 1280 img/s.
-	if got := m.Throughput(64); math.Abs(got-1280) > 1e-6 {
-		t.Fatalf("Throughput = %v, want 1280", got)
-	}
-	var empty Metrics
-	if empty.MeanLoss(5) != 0 || empty.Throughput(64) != 0 {
-		t.Fatal("empty metrics should report zeros")
-	}
-}

@@ -18,8 +18,8 @@ import (
 //	contiguous parameter shard, with only that shard's momentum → allgather
 //	of the updated parameters → every device's replica refreshed
 //
-// Shards are whole parameters (balanced by element count), so LARS-style
-// per-layer norms and NoWeightDecay flags stay rank-local. A bucket's
+// Shards are whole parameters (balanced by element count), so per-parameter
+// rules — NoWeightDecay flags, any per-layer norm — stay rank-local. A bucket's
 // reduced sum is accumulated in rank order from the same decoded payloads
 // the replicated path sums, the shard update runs the same arithmetic on the
 // same values, and the allgather moves bitwise copies — which is why the

@@ -1,7 +1,5 @@
 // Package detect is the failure-detection subsystem: a per-rank heartbeat
-// monitor that turns silence into suspicion, and a spare pool that lets
-// standby identities announce themselves for admission at the next
-// membership epoch.
+// monitor that turns silence into suspicion.
 //
 // The monitor runs over an ordinary *mpi.Comm — ideally a dedicated
 // sub-communicator, whose isolated message context keeps heartbeat traffic
@@ -34,26 +32,22 @@
 package detect
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/mpi"
 )
 
-// Heartbeat frame: [identity:4][flags:1]. It carries no membership epoch
-// because no frame can cross one: every incarnation of a job builds a fresh
-// world (elastic.newClusterWorld — new mailboxes, or new listeners on new
-// ports), so a monitor only ever hears peers of its own epoch, and a stamp
-// nobody could see mismatch was never read.
+// Heartbeat frame: hbFrameLen zero bytes. Its length is all drain reads:
+// arrival from a peer is the liveness signal, and whatever else lands on the
+// tag is noise. It carries no membership epoch because no frame can cross
+// one: every incarnation of a job builds a fresh world
+// (elastic.newClusterWorld — new mailboxes, or new listeners on new ports),
+// so a monitor only ever hears peers of its own epoch.
 const (
 	hbFrameLen   = 5
-	flagStandby  = 1 << 0
-	DefaultTag   = 1 // user-tag on the monitor's comm; all monitor traffic uses it
+	hbTag        = 1 // user-tag on the monitor's comm; all monitor traffic uses it
 	MissFactor   = 8 // default SuspectAfter = MissFactor × Interval
 	pollDivisor  = 4 // receiver polls at Interval/pollDivisor
 	jitterFactor = 0.25
@@ -70,25 +64,12 @@ type Config struct {
 	// suspect (default MissFactor × Interval). It must comfortably exceed
 	// one interval; values below 2× are raised to 2×.
 	SuspectAfter time.Duration
-	// Identity is the stable trainer identity stamped on outgoing
-	// heartbeats (defaults to the comm rank). Standby registration reports
-	// this identity to the spare pool.
-	Identity int
-	// Standby marks this member as a spare: its heartbeats carry the
-	// standby flag, and peers with an attached SparePool register the
-	// identity for admission at the next membership epoch.
-	Standby bool
 	// Seed drives the send jitter (default: rank-mixed constant).
 	Seed int64
 	// OnSuspect is invoked exactly once per suspected peer rank, from the
 	// monitor's receiver goroutine. It should down-mark the rank at the
 	// local transport so receives fail typed; it must not block.
 	OnSuspect func(rank int)
-	// Spares, when non-nil, collects standby identities observed in
-	// incoming heartbeats.
-	Spares *SparePool
-	// Tag overrides the user-tag heartbeats travel on (default DefaultTag).
-	Tag int
 }
 
 // Monitor is one rank's heartbeat failure detector. Create with NewMonitor,
@@ -118,12 +99,6 @@ func NewMonitor(c *mpi.Comm, cfg Config) *Monitor {
 	}
 	if cfg.SuspectAfter < 2*cfg.Interval {
 		cfg.SuspectAfter = 2 * cfg.Interval
-	}
-	if cfg.Tag <= 0 {
-		cfg.Tag = DefaultTag
-	}
-	if cfg.Identity == 0 {
-		cfg.Identity = c.Rank()
 	}
 	m := &Monitor{
 		comm:      c,
@@ -199,10 +174,6 @@ func (m *Monitor) sendLoop() {
 	defer m.done.Done()
 	rng := rand.New(rand.NewSource(m.cfg.Seed ^ int64(uint64(m.comm.Rank()+1)*0x9e3779b97f4a7c15)))
 	var frame [hbFrameLen]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(m.cfg.Identity))
-	if m.cfg.Standby {
-		frame[4] |= flagStandby
-	}
 	for {
 		for p := 0; p < m.comm.Size(); p++ {
 			if p == m.comm.Rank() {
@@ -211,7 +182,7 @@ func (m *Monitor) sendLoop() {
 			// A failed send means the peer is already known dead (or the
 			// transport is reconnecting); either way the silence on their
 			// side does the detecting — nothing to do here.
-			_ = m.comm.Send(p, m.cfg.Tag, frame[:])
+			_ = m.comm.Send(p, hbTag, frame[:])
 		}
 		jitter := 1 + jitterFactor*(2*rng.Float64()-1)
 		select {
@@ -247,13 +218,11 @@ func (m *Monitor) recvLoop() {
 // drain consumes every queued heartbeat from peer p without blocking.
 func (m *Monitor) drain(p int) {
 	for {
-		b, ok, err := m.comm.TryRecv(p, m.cfg.Tag)
+		b, ok, err := m.comm.TryRecv(p, hbTag)
 		if err != nil || !ok {
 			return // down, closed, or nothing queued: the judge decides
 		}
 		if len(b) == hbFrameLen {
-			identity := int(binary.LittleEndian.Uint32(b[0:]))
-			standby := b[4]&flagStandby != 0
 			now := time.Now()
 			m.mu.Lock()
 			if !m.lastSeen[p].IsZero() {
@@ -266,9 +235,6 @@ func (m *Monitor) drain(p int) {
 			}
 			m.lastSeen[p] = now
 			m.mu.Unlock()
-			if standby && m.cfg.Spares != nil {
-				m.cfg.Spares.Register(identity)
-			}
 		}
 		mpi.PutBytes(b)
 	}
@@ -294,91 +260,4 @@ func (m *Monitor) judge() {
 			m.cfg.OnSuspect(p)
 		}
 	}
-}
-
-// SparePool is the standby registry: identities that are alive and willing
-// to join the job but hold no rank in the current membership. Standbys
-// register (directly or via the heartbeat standby flag); the membership
-// orchestrator drains the pool at an epoch boundary and admits the pending
-// identities through the same grow path a rejoin uses — no prior crash
-// required.
-type SparePool struct {
-	mu      sync.Mutex
-	pending map[int]bool
-	members map[int]bool
-}
-
-// NewSparePool creates an empty pool. members lists the identities already
-// holding ranks; their registrations are ignored.
-func NewSparePool(members []int) *SparePool {
-	p := &SparePool{pending: make(map[int]bool), members: make(map[int]bool)}
-	for _, m := range members {
-		p.members[m] = true
-	}
-	return p
-}
-
-// Register announces a standby identity. Registering a current member or a
-// duplicate is a no-op, so heartbeat-driven registration is idempotent.
-func (p *SparePool) Register(identity int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.members[identity] {
-		return
-	}
-	p.pending[identity] = true
-}
-
-// Pending returns the registered standbys awaiting admission, sorted.
-func (p *SparePool) Pending() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := make([]int, 0, len(p.pending))
-	for id := range p.pending {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// Admit moves an identity from pending to member at an epoch boundary.
-// It errors if the identity was never registered.
-func (p *SparePool) Admit(identity int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.pending[identity] {
-		return fmt.Errorf("detect: identity %d is not a pending spare", identity)
-	}
-	delete(p.pending, identity)
-	p.members[identity] = true
-	return nil
-}
-
-// Evict returns an identity to non-member status (a shrink); it may
-// re-register later.
-func (p *SparePool) Evict(identity int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.members, identity)
-}
-
-// ErrNoSpares is returned by Take when the pool is empty.
-var ErrNoSpares = errors.New("detect: no pending spares")
-
-// Take admits and returns the lowest pending identity, or ErrNoSpares.
-func (p *SparePool) Take() (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	best := -1
-	for id := range p.pending {
-		if best < 0 || id < best {
-			best = id
-		}
-	}
-	if best < 0 {
-		return 0, ErrNoSpares
-	}
-	delete(p.pending, best)
-	p.members[best] = true
-	return best, nil
 }

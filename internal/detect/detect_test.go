@@ -79,7 +79,7 @@ func TestMonitorIgnoresFramesThatAreNotHeartbeats(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(5 * time.Millisecond):
-				_ = c.Send(0, DefaultTag, make([]byte, 13))
+				_ = c.Send(0, hbTag, make([]byte, 13))
 			}
 		}
 	}()
@@ -144,54 +144,6 @@ func TestMonitorPhiGrowsWithSilence(t *testing.T) {
 	}
 }
 
-// A standby's flagged heartbeats must register its identity in the spare
-// pool on every member that carries one.
-func TestMonitorStandbyRegistersInSparePool(t *testing.T) {
-	const n = 3
-	w := mpi.NewWorld(n)
-	defer w.Close()
-	pool := NewSparePool([]int{0, 1})
-	mons := make([]*Monitor, n)
-	for r := 0; r < n; r++ {
-		cfg := monCfg()
-		if r == 2 {
-			cfg.Standby = true
-			cfg.Identity = 7 // the standby's stable identity, not its comm rank
-		} else {
-			cfg.Spares = pool
-		}
-		mons[r] = NewMonitor(w.MustComm(r), cfg)
-		mons[r].Start()
-	}
-	defer func() {
-		for _, m := range mons {
-			m.Stop()
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p := pool.Pending()
-		if len(p) == 1 && p[0] == 7 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("standby identity never registered; pending %v", p)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := pool.Admit(7); err != nil {
-		t.Fatal(err)
-	}
-	if len(pool.Pending()) != 0 {
-		t.Fatalf("admitted spare still pending: %v", pool.Pending())
-	}
-	// Re-registration of a member is a no-op.
-	pool.Register(7)
-	if len(pool.Pending()) != 0 {
-		t.Fatalf("member re-registration must be ignored; pending %v", pool.Pending())
-	}
-}
-
 // The monitor must work identically over real sockets: kill one TCP rank
 // abruptly and the survivor's monitor — not a blocked Recv — must detect it
 // and down-mark the rank so the next receive fails typed.
@@ -246,30 +198,5 @@ func TestMonitorSuspectsKilledPeerTCP(t *testing.T) {
 	// Sends to a down-marked rank fail fast and confirmed, not transient.
 	if err := c0.Send(1, 9, []byte("x")); !errors.Is(err, mpi.ErrRankDown) || mpi.IsTransient(err) {
 		t.Fatalf("send to down-marked TCP rank got %v, want confirmed ErrRankDown", err)
-	}
-}
-
-func TestSparePoolTakeOrdersByIdentity(t *testing.T) {
-	pool := NewSparePool(nil)
-	if _, err := pool.Take(); !errors.Is(err, ErrNoSpares) {
-		t.Fatalf("empty pool Take got %v, want ErrNoSpares", err)
-	}
-	pool.Register(5)
-	pool.Register(3)
-	pool.Register(3)
-	id, err := pool.Take()
-	if err != nil || id != 3 {
-		t.Fatalf("Take got (%d, %v), want lowest pending 3", id, err)
-	}
-	if err := pool.Admit(5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Take(); !errors.Is(err, ErrNoSpares) {
-		t.Fatalf("drained pool Take got %v, want ErrNoSpares", err)
-	}
-	pool.Evict(3)
-	pool.Register(3)
-	if p := pool.Pending(); len(p) != 1 || p[0] != 3 {
-		t.Fatalf("evicted identity must re-register; pending %v", p)
 	}
 }

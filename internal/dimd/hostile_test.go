@@ -56,7 +56,7 @@ func TestReadPackHostileHeader(t *testing.T) {
 	if err == nil {
 		t.Fatal("an index the stream does not supply should fail")
 	}
-	if got > 4*readChunk {
+	if got > 1<<20 {
 		t.Fatalf("ReadPack allocated %d bytes for a 112-byte stream", got)
 	}
 
@@ -80,14 +80,14 @@ func TestReadPackHostileHeader(t *testing.T) {
 	if err == nil {
 		t.Fatal("a blob the stream does not supply should fail")
 	}
-	if got > 4*readChunk {
+	if got > 1<<20 {
 		t.Fatalf("ReadPack allocated %d bytes for a %d-byte stream", got, len(hostile))
 	}
 }
 
-// TestReadPackLargerThanOneChunk drives readN through its growth steps.
+// TestReadPackLargerThanOneChunk drives mpi.ReadN through its growth steps.
 func TestReadPackLargerThanOneChunk(t *testing.T) {
-	payload := make([]byte, readChunk+readChunk/2+7)
+	payload := make([]byte, 1<<20+1<<19+7)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}

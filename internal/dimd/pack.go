@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/mpi"
 )
 
 // Record is one stored image: its label and encoded bytes.
@@ -82,29 +84,6 @@ func (p *Pack) WriteTo(w io.Writer) (int64, error) {
 	return written, err
 }
 
-// readChunk is the most readN allocates ahead of the bytes it has received.
-const readChunk = 1 << 20
-
-// readN reads exactly n bytes. n comes from a length field nobody has
-// vouched for, so the buffer starts at no more than readChunk and doubles
-// only once it is full: allocation follows the bytes the reader actually
-// supplied, not the bytes the header promised.
-func readN(r io.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, min(n, readChunk))
-	for filled := 0; ; {
-		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
-			return nil, err
-		}
-		if int64(len(buf)) == n {
-			return buf, nil
-		}
-		filled = len(buf)
-		grown := make([]byte, min(n, 2*int64(filled)))
-		copy(grown, buf)
-		buf = grown
-	}
-}
-
 // ReadPack deserializes a pack written with WriteTo.
 func ReadPack(r io.Reader) (*Pack, error) {
 	hdr := make([]byte, 12)
@@ -122,7 +101,7 @@ func ReadPack(r io.Reader) (*Pack, error) {
 		return nil, fmt.Errorf("dimd: implausible image count %d", count)
 	}
 	n := int(count)
-	idx, err := readN(r, int64(8*(n+1)+4*n))
+	idx, err := mpi.ReadN(r, int64(8*(n+1)+4*n))
 	if err != nil {
 		return nil, fmt.Errorf("dimd: reading pack index: %w", err)
 	}
@@ -142,7 +121,7 @@ func ReadPack(r io.Reader) (*Pack, error) {
 			return nil, fmt.Errorf("dimd: pack offsets not monotone at %d", i)
 		}
 	}
-	if p.Blob, err = readN(r, p.Offsets[n]); err != nil {
+	if p.Blob, err = mpi.ReadN(r, p.Offsets[n]); err != nil {
 		return nil, fmt.Errorf("dimd: reading pack blob: %w", err)
 	}
 	return p, nil

@@ -2,7 +2,7 @@
 // runtime: a cluster that survives rank crashes by shrinking to the live
 // membership, restoring from the latest rank-count-independent checkpoint,
 // and resuming — and that grows back through the same resize path when a
-// rank rejoins or a standby spare is admitted.
+// crashed identity rejoins or a spare joins for the first time.
 //
 // The unit of execution is an incarnation: one world at the current
 // membership size running the training loop from the resume step. The world
@@ -104,7 +104,7 @@ const (
 
 // Plan declares the faults an elastic run is subjected to, keyed by trainer
 // identity (the stable id, not the per-incarnation world rank). It extends
-// mpi.FaultPlan with rejoin scheduling and recovery-phase fault injection.
+// mpi.FaultPlan with join scheduling and recovery-phase fault injection.
 type Plan struct {
 	// Seed drives the deterministic message-drop decisions and the
 	// heartbeat send jitter.
@@ -127,15 +127,12 @@ type Plan struct {
 	// the checkpoint is full-state), and the identity may rejoin at the
 	// very step it died on.
 	CrashInRestore map[int]int
-	// RejoinAtStep brings a previously crashed identity back at that global
-	// step: the cluster checkpoints, tears down, and restarts one rank
-	// larger — the same resize path a crash uses, grown instead of shrunk.
-	RejoinAtStep map[int]int
-	// SpareJoinAtStep admits a standby identity — one that was never a
-	// member and never crashed — at the given global step through the same
-	// grow path. Spare identities must lie outside the initial member range
-	// so they cannot collide with a crashed identity's rejoin.
-	SpareJoinAtStep map[int]int
+	// JoinAtStep adds the identity to the world at that global step: the
+	// cluster checkpoints, tears down, and restarts one rank larger — the
+	// same resize path a crash uses, grown instead of shrunk. An identity
+	// below Config.Identities rejoins after its crash (KindRejoin); one at
+	// or above it is a spare, never a member before (KindSpare).
+	JoinAtStep map[int]int
 	// DropProb / DetectTimeout / Slow pass through to mpi.FaultPlan for
 	// every incarnation. DetectTimeout defaults to 5s when zero: elastic
 	// training REQUIRES a failure detector, because crash notification
@@ -162,8 +159,8 @@ type Plan struct {
 // Config describes an elastic training run.
 type Config struct {
 	// Identities is the initial world size; trainer identities are
-	// 0..Identities-1 and stay stable across resizes. Spare identities live
-	// above this range.
+	// 0..Identities-1 and stay stable across resizes. Spare identities
+	// (Plan.JoinAtStep) live above this range.
 	Identities int
 	// DevicesPerNode is the replica count per rank (default 1).
 	DevicesPerNode int
@@ -280,15 +277,6 @@ func Run(cfg Config) (*Result, error) {
 	var snap *checkpoint.Checkpoint
 	resumeStep := 0
 
-	// The spare pool is the standby registry: a scheduled spare is standing
-	// by from the start (a live standby process would keep this registration
-	// fresh with standby-flagged heartbeats — see internal/detect), and is
-	// admitted at its scheduled membership boundary.
-	spares := detect.NewSparePool(members)
-	for id := range cfg.Plan.SpareJoinAtStep {
-		spares.Register(id)
-	}
-
 	res := &Result{Losses: make([]float64, cfg.Steps)}
 	var pending []int // indexes into res.Events awaiting RecoverySec
 	var stoppedAt time.Time
@@ -323,7 +311,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 			for _, id := range diffIdentities(members, next) {
 				fired[id] = true
-				spares.Evict(id)
 				res.Events = append(res.Events, Event{
 					Kind: KindCrash, Step: out.stopStep, Identity: id,
 					OldWorld: len(members), NewWorld: len(next),
@@ -333,27 +320,16 @@ func Run(cfg Config) (*Result, error) {
 				pending = append(pending, len(res.Events)-1)
 			}
 		case kindGrow:
-			next = append(next, members...)
-			rejoiners := rejoinersAt(&cfg, members, out.stopStep)
-			admitted := spareJoinsAt(&cfg, members, out.stopStep)
-			newWorld := len(members) + len(rejoiners) + len(admitted)
-			for _, id := range rejoiners {
-				next = append(next, id)
-				res.Events = append(res.Events, Event{
-					Kind: KindRejoin, Step: out.stopStep, Identity: id,
-					OldWorld: len(members), NewWorld: newWorld,
-					ResumeStep: resume,
-				})
-				pending = append(pending, len(res.Events)-1)
-			}
-			for _, id := range admitted {
-				if err := spares.Admit(id); err != nil {
-					return nil, fmt.Errorf("elastic: admitting spare %d: %w", id, err)
+			joiners := joinersAt(&cfg, members, out.stopStep)
+			next = append(append(next, members...), joiners...)
+			for _, id := range joiners {
+				kind := KindRejoin
+				if id >= cfg.Identities {
+					kind = KindSpare
 				}
-				next = append(next, id)
 				res.Events = append(res.Events, Event{
-					Kind: KindSpare, Step: out.stopStep, Identity: id,
-					OldWorld: len(members), NewWorld: newWorld,
+					Kind: kind, Step: out.stopStep, Identity: id,
+					OldWorld: len(members), NewWorld: len(next),
 					ResumeStep: resume,
 				})
 				pending = append(pending, len(res.Events)-1)
@@ -370,6 +346,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 }
 
+// validate rejects fault schedules the protocol cannot honor. A join is one
+// step per identity, so a spare can join and crash but not rejoin after.
 func validate(cfg *Config) error {
 	switch {
 	case cfg.Identities <= 0:
@@ -412,17 +390,12 @@ func validate(cfg *Config) error {
 			return fmt.Errorf("elastic: identity %d cannot be in both CrashAtStep and CrashInRestore", id)
 		}
 	}
-	for id, s := range cfg.Plan.SpareJoinAtStep {
-		if id < cfg.Identities {
-			return fmt.Errorf("elastic: spare identity %d collides with the initial members 0..%d", id, cfg.Identities-1)
+	for id, rs := range cfg.Plan.JoinAtStep {
+		if rs < 0 || rs >= cfg.Steps {
+			return fmt.Errorf("elastic: identity %d joins at step %d, outside the run's %d steps", id, rs, cfg.Steps)
 		}
-		if s < 0 || s >= cfg.Steps {
-			return fmt.Errorf("elastic: spare %d joins at step %d, outside the run's %d steps", id, s, cfg.Steps)
-		}
-	}
-	for id, rs := range cfg.Plan.RejoinAtStep {
-		if rs >= cfg.Steps {
-			return fmt.Errorf("elastic: identity %d rejoins at step %d, past the run's %d steps", id, rs, cfg.Steps)
+		if id >= cfg.Identities {
+			continue // a spare: no crash to come back from
 		}
 		switch {
 		case hasKey(cfg.Plan.CrashAtStep, id):
@@ -496,7 +469,6 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 		monitor := detect.NewMonitor(monC, detect.Config{
 			Interval:     cfg.HeartbeatInterval,
 			SuspectAfter: cfg.SuspectAfter,
-			Identity:     id,
 			Seed:         cfg.Plan.Seed,
 			OnSuspect:    func(peer int) { cw.suspect(rank, peer) },
 		})
@@ -572,7 +544,7 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 		}
 
 		for s := resumeStep; s < cfg.Steps; s++ {
-			if len(rejoinersAt(cfg, members, s))+len(spareJoinsAt(cfg, members, s)) > 0 {
+			if len(joinersAt(cfg, members, s)) > 0 {
 				// Voluntary incarnation boundary: checkpoint fresh at this
 				// step (every rank evaluates the same condition, so the
 				// collective capture lines up) and exit; the orchestrator
@@ -856,7 +828,7 @@ func awaitVerdict(ctrl *mpi.Comm, leader int, baseEpoch uint64) (*verdict, error
 		if err != nil {
 			return nil, err
 		}
-		v, perr := parseVerdict(b)
+		v, perr := parseVerdict(b, ctrl.Size())
 		mpi.PutBytes(b)
 		if perr != nil {
 			return nil, perr
@@ -930,19 +902,26 @@ func encodeVerdict(epoch uint64, members []int, ck *checkpoint.Checkpoint) ([]by
 	return buf.Bytes(), nil
 }
 
-func parseVerdict(b []byte) (*verdict, error) {
+// parseVerdict decodes a verdict minted in a world of size ranks. The
+// member list must name distinct ranks of that world in ascending order —
+// the orchestrator indexes the old membership by them.
+func parseVerdict(b []byte, size int) (*verdict, error) {
 	if len(b) < 12 {
 		return nil, errors.New("short verdict header")
 	}
 	epoch := binary.LittleEndian.Uint64(b)
 	n := int(binary.LittleEndian.Uint32(b[8:]))
 	b = b[12:]
-	if n <= 0 || len(b) < 4*n+1 {
+	if n <= 0 || n > (len(b)-1)/4 { // 4 bytes a member, then the hasCk byte
 		return nil, fmt.Errorf("truncated verdict member list (%d members, %d bytes)", n, len(b))
 	}
 	members := make([]int, n)
 	for i := range members {
-		members[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
+		m := binary.LittleEndian.Uint32(b[4*i:])
+		if m >= uint32(size) || i > 0 && int(m) <= members[i-1] {
+			return nil, fmt.Errorf("verdict member %d is rank %d: want ascending ranks below %d", i, m, size)
+		}
+		members[i] = int(m)
 	}
 	b = b[4*n:]
 	if b[0] == 0 {
@@ -964,21 +943,11 @@ func resumeStepOf(v *verdict) int {
 	return int(v.ck.Step)
 }
 
-// rejoinersAt lists the identities scheduled to rejoin at global step s
-// that are not currently members, sorted.
-func rejoinersAt(cfg *Config, members []int, s int) []int {
-	return joinersAt(cfg.Plan.RejoinAtStep, members, s)
-}
-
-// spareJoinsAt lists the spare identities scheduled for admission at global
-// step s that are not currently members, sorted.
-func spareJoinsAt(cfg *Config, members []int, s int) []int {
-	return joinersAt(cfg.Plan.SpareJoinAtStep, members, s)
-}
-
-func joinersAt(sched map[int]int, members []int, s int) []int {
+// joinersAt lists the identities scheduled to join at global step s that
+// are not currently members, sorted.
+func joinersAt(cfg *Config, members []int, s int) []int {
 	var ids []int
-	for id, js := range sched {
+	for id, js := range cfg.Plan.JoinAtStep {
 		if js != s {
 			continue
 		}

@@ -137,7 +137,7 @@ func TestElasticRejoinGrowsWorldBack(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Steps = 10
 	cfg.Plan.CrashAtStep = map[int]int{1: 3}
-	cfg.Plan.RejoinAtStep = map[int]int{1: 6}
+	cfg.Plan.JoinAtStep = map[int]int{1: 6}
 	res := runElastic(t, cfg)
 
 	if res.Incarnations != 3 || len(res.Events) != 2 {
@@ -212,7 +212,7 @@ func TestElasticChaosRunsAreDeterministic(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Steps = 10
 		cfg.Plan.CrashAtStep = map[int]int{2: 3}
-		cfg.Plan.RejoinAtStep = map[int]int{2: 7}
+		cfg.Plan.JoinAtStep = map[int]int{2: 7}
 		return runElastic(t, cfg)
 	}
 	a, b := make2(), make2()

@@ -70,7 +70,7 @@ func TestElasticCrashDuringRestoreIsIdempotent(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Plan.CrashAtStep = map[int]int{2: 3}
 	cfg.Plan.CrashInRestore = map[int]int{1: 3}
-	cfg.Plan.RejoinAtStep = map[int]int{1: 3}
+	cfg.Plan.JoinAtStep = map[int]int{1: 3}
 	res := runElastic(t, cfg)
 
 	// Incarnations: 4 ranks crash@3 → 3 ranks die-in-restore@3 → 2 ranks
@@ -97,12 +97,13 @@ func TestElasticCrashDuringRestoreIsIdempotent(t *testing.T) {
 	}
 }
 
-// A standby spare — never a member, never crashed — is admitted at its
-// scheduled step through the same grow path a rejoin uses.
+// A spare — an identity above the initial range, never a member, never
+// crashed — joins at its scheduled step through the same grow path a rejoin
+// uses, and the event says which of the two it was.
 func TestElasticSpareAdmittedWithoutPriorCrash(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Identities = 3 // global batch 12 divides both 3 and 4 ranks
-	cfg.Plan.SpareJoinAtStep = map[int]int{3: 4}
+	cfg.Plan.JoinAtStep = map[int]int{3: 4}
 	res := runElastic(t, cfg)
 
 	if res.Incarnations != 2 || len(res.Events) != 1 {
@@ -123,7 +124,7 @@ func TestElasticSpareAdmittedWithoutPriorCrash(t *testing.T) {
 func TestElasticSpareBackfillsAfterCrash(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Plan.CrashAtStep = map[int]int{2: 2}
-	cfg.Plan.SpareJoinAtStep = map[int]int{4: 5}
+	cfg.Plan.JoinAtStep = map[int]int{4: 5}
 	res := runElastic(t, cfg)
 
 	if res.Incarnations != 3 || len(res.Events) != 2 {
@@ -229,13 +230,13 @@ func TestElasticValidatesRecoveryPlans(t *testing.T) {
 			c.Plan.CrashInNegotiation = map[int]int{1: 2}
 			c.Plan.CrashInRestore = map[int]int{1: 2}
 		},
-		func(c *Config) { c.Plan.SpareJoinAtStep = map[int]int{2: 3} }, // collides with members
-		func(c *Config) { c.Plan.SpareJoinAtStep = map[int]int{9: 99} },
+		func(c *Config) { c.Plan.JoinAtStep = map[int]int{2: 3} },  // a member that never crashed
+		func(c *Config) { c.Plan.JoinAtStep = map[int]int{9: 99} }, // a spare joining past the run
 		func(c *Config) {
 			c.Plan.CrashInRestore = map[int]int{1: 4}
-			c.Plan.RejoinAtStep = map[int]int{1: 3} // before the restore crash
+			c.Plan.JoinAtStep = map[int]int{1: 3} // before the restore crash
 		},
-		func(c *Config) { c.Plan.RejoinAtStep = map[int]int{1: 3} }, // never crashes
+		func(c *Config) { c.Plan.JoinAtStep = map[int]int{1: 3} }, // never crashes
 	}
 	for i, mutate := range bad {
 		cfg := baseConfig()

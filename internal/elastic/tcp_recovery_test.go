@@ -113,7 +113,7 @@ func TestElasticTCPRejoinGrowsWorldBack(t *testing.T) {
 	cfg := tcpTestConfig()
 	cfg.Steps = 6
 	cfg.Plan.CrashAtStep = map[int]int{2: 2}
-	cfg.Plan.RejoinAtStep = map[int]int{2: 4}
+	cfg.Plan.JoinAtStep = map[int]int{2: 4}
 	res := runElastic(t, cfg)
 
 	if res.Incarnations != 3 || len(res.Events) != 2 {

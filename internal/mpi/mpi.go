@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"unsafe"
 
@@ -371,6 +372,32 @@ func BytesToFloat32s(b []byte) ([]float32, error) {
 	out := make([]float32, len(b)/4)
 	DecodeFloat32s(out, b)
 	return out, nil
+}
+
+// readChunk is the most ReadN allocates ahead of the bytes it has received.
+const readChunk = 1 << 16
+
+// ReadN reads exactly n bytes. n comes from a length field nobody has
+// vouched for — a checkpoint's, a DIMD pack's — so the buffer starts at no
+// more than readChunk and doubles only once it is full: allocation follows
+// the bytes the reader actually supplied, not the bytes the header promised.
+func ReadN(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > math.MaxInt {
+		return nil, fmt.Errorf("mpi: cannot hold %d bytes", n)
+	}
+	buf := make([]byte, min(n, readChunk))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			return nil, err
+		}
+		if int64(len(buf)) == n {
+			return buf, nil
+		}
+		filled = len(buf)
+		grown := make([]byte, min(n, 2*int64(filled)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // DecodeFloat32s decodes b into dst, which must hold len(b)/4 floats —

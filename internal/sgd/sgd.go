@@ -3,7 +3,12 @@
 // Goyal et al. warm-start schedule ("the starting learning rate was fixed at
 // 0.1, linearly ramped to 0.1·kn/256 where k is the batch size per GPU and n
 // the total number of workers; 90-epoch regime with the learning rate
-// dropped by a factor of 10 after every 30 epochs").
+// dropped by a factor of 10 after every 30 epochs"). The optimizer is
+// replicated or shard-aware (ZeRO-1): a shard holds momentum for one
+// contiguous parameter range, and its state is what internal/checkpoint
+// gathers and carves. Only momentum SGD is implemented: the layer-wise
+// adaptive optimizer the paper's Table 2 credits to a competitor trains no
+// run here.
 package sgd
 
 import (
@@ -49,42 +54,26 @@ func New(params []*nn.Param, cfg Config) *SGD {
 // checkpoint state layout) agree across all ranks; an empty range is legal
 // (a rank starved of parameters).
 func NewShard(params []*nn.Param, cfg Config, lo, hi int) *SGD {
-	o := &SGD{cfg: cfg, params: params, shardLo: lo, shardHi: hi}
-	o.velocity, o.stateLo, o.stateHi, o.fullLen = shardVelocity(params, lo, hi)
-	return o
-}
-
-// shardVelocity allocates momentum buffers for params [lo, hi) only (nil
-// elsewhere) and locates the shard's state within the full flat state
-// vector: the element offsets [stateLo, stateHi) and the total element
-// count. Shared by the SGD and LARS shard constructors so their checkpoint
-// state layouts can never diverge.
-func shardVelocity(params []*nn.Param, lo, hi int) (vel [][]float32, stateLo, stateHi, fullLen int) {
 	if lo < 0 || hi > len(params) || hi < lo {
 		panic(fmt.Sprintf("sgd: shard [%d,%d) outside params [0,%d)", lo, hi, len(params)))
 	}
-	vel = make([][]float32, len(params))
-	off := 0
+	// Momentum for [lo, hi) only, and where the shard's elements sit in the
+	// full flat state vector.
+	o := &SGD{cfg: cfg, params: params, velocity: make([][]float32, len(params)), shardLo: lo, shardHi: hi}
 	for i, p := range params {
-		if i == lo {
-			stateLo = off
+		n := p.Value.Len()
+		if i < lo {
+			o.stateLo += n
 		}
-		if i == hi {
-			stateHi = off
+		if i < hi {
+			o.stateHi += n
 		}
 		if i >= lo && i < hi {
-			vel[i] = make([]float32, p.Value.Len())
+			o.velocity[i] = make([]float32, n)
 		}
-		off += p.Value.Len()
+		o.fullLen += n
 	}
-	fullLen = off
-	if lo == len(params) {
-		stateLo = off
-	}
-	if hi == len(params) {
-		stateHi = off
-	}
-	return vel, stateLo, stateHi, fullLen
+	return o
 }
 
 // ShardRange returns the owned param-index range [lo, hi).
@@ -150,42 +139,24 @@ func (o *SGD) StateBounds() (lo, hi int) { return o.stateLo, o.stateHi }
 // parameter order — the optimizer half of a training checkpoint (this rank's
 // shard of it, when sharded).
 func (o *SGD) ExportState(dst []float32) error {
-	return exportVelocity(o.velocity[o.shardLo:o.shardHi], dst)
-}
-
-// ImportState restores momentum buffers written by ExportState.
-func (o *SGD) ImportState(src []float32) error {
-	return importVelocity(o.velocity[o.shardLo:o.shardHi], src)
-}
-
-// exportVelocity flattens per-param momentum buffers into dst, exactly.
-func exportVelocity(vel [][]float32, dst []float32) error {
-	off := 0
-	for _, v := range vel {
-		if off+len(v) > len(dst) {
-			return fmt.Errorf("sgd: ExportState dst too small")
-		}
-		copy(dst[off:], v)
-		off += len(v)
+	if len(dst) != o.StateLen() {
+		return fmt.Errorf("sgd: ExportState dst size %d, want %d", len(dst), o.StateLen())
 	}
-	if off != len(dst) {
-		return fmt.Errorf("sgd: ExportState dst size %d, want %d", len(dst), off)
+	off := 0
+	for _, v := range o.velocity[o.shardLo:o.shardHi] {
+		off += copy(dst[off:], v)
 	}
 	return nil
 }
 
-// importVelocity restores per-param momentum buffers from src, exactly.
-func importVelocity(vel [][]float32, src []float32) error {
-	off := 0
-	for _, v := range vel {
-		if off+len(v) > len(src) {
-			return fmt.Errorf("sgd: ImportState src too small")
-		}
-		copy(v, src[off:off+len(v)])
-		off += len(v)
+// ImportState restores momentum buffers written by ExportState.
+func (o *SGD) ImportState(src []float32) error {
+	if len(src) != o.StateLen() {
+		return fmt.Errorf("sgd: ImportState src size %d, want %d", len(src), o.StateLen())
 	}
-	if off != len(src) {
-		return fmt.Errorf("sgd: ImportState src size %d, want %d", len(src), off)
+	off := 0
+	for _, v := range o.velocity[o.shardLo:o.shardHi] {
+		off += copy(v, src[off:])
 	}
 	return nil
 }

@@ -54,30 +54,6 @@ func TestSGDShardUnionMatchesFullBitwise(t *testing.T) {
 	}
 }
 
-func TestLARSShardUnionMatchesFullBitwise(t *testing.T) {
-	full := testParams(2)
-	sharded := testParams(2)
-	fullOpt := NewLARS(full, DefaultConfig(), 0.01)
-	var shards []*LARS
-	cuts := []int{0, 1, 3, 5}
-	for r := 0; r+1 < len(cuts); r++ {
-		shards = append(shards, NewLARSShard(sharded, DefaultConfig(), 0.01, cuts[r], cuts[r+1]))
-	}
-	for step := 0; step < 3; step++ {
-		fullOpt.Step(0.1)
-		for _, s := range shards {
-			s.Step(0.1)
-		}
-	}
-	for i := range full {
-		for j := range full[i].Value.Data {
-			if full[i].Value.Data[j] != sharded[i].Value.Data[j] {
-				t.Fatalf("param %d elem %d diverges", i, j)
-			}
-		}
-	}
-}
-
 // StepParam outside the shard must be a no-op (the reactive collector counts
 // down every param and relies on the optimizer enforcing ownership).
 func TestSGDShardStepParamOutsideIsNoOp(t *testing.T) {
@@ -155,11 +131,6 @@ func TestShardEdgeCases(t *testing.T) {
 			t.Fatalf("shard [%d,%d): StateBounds [%d,%d), want [%d,%d)", tc.lo, tc.hi, lo, hi, tc.sLo, tc.sHi)
 		}
 		o.Step(0.1) // must not panic, even with nothing owned
-		l := NewLARSShard(ps, DefaultConfig(), 0.01, tc.lo, tc.hi)
-		if lo, hi := l.StateBounds(); lo != tc.sLo || hi != tc.sHi {
-			t.Fatalf("LARS shard [%d,%d): StateBounds [%d,%d)", tc.lo, tc.hi, lo, hi)
-		}
-		l.Step(0.1)
 	}
 	defer func() {
 		if recover() == nil {

@@ -17,7 +17,7 @@ import (
 
 func testTree(t *testing.T, hosts int) *simnet.FatTree {
 	t.Helper()
-	tree, err := simnet.NewFatTree(hosts, 4, 2, 2, 10e9, 40e9, 1e-6)
+	tree, err := simnet.NewFatTree(hosts, 4, 2, 2, 1e9, 4e9, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func replay(t *testing.T, tree *simnet.FatTree, cfg simevent.Config, scheds map[
 	return finish
 }
 
-const gb10 = 10_000_000_000 // one second on a 10 GB/s host link
+const gb1 = 1_000_000_000 // one second on a 1 GB/s host link (an int on 32-bit GOARCHes too)
 
 func send(peer, bytes int) allreduce.WireOp {
 	return allreduce.WireOp{Kind: allreduce.WireSend, Peer: peer, Bytes: bytes}
@@ -64,10 +64,10 @@ func near(got, want float64) bool { return math.Abs(got-want) <= 1e-6 }
 func TestSingleFlowTime(t *testing.T) {
 	tree := testTree(t, 8)
 	finish := replay(t, tree, simevent.Config{}, map[int]allreduce.RankSchedule{
-		0: {{send(1, gb10)}},
-		1: {{recv(0, gb10)}},
+		0: {{send(1, gb1)}},
+		1: {{recv(0, gb1)}},
 	})
-	// 10 GB over 10 GB/s, after the flow latency; the blocking sender is
+	// 1 GB over 1 GB/s, after the flow latency; the blocking sender is
 	// held exactly as long.
 	if want := 1.0 + tree.Latency; !near(finish[1], want) || finish[0] != finish[1] {
 		t.Fatalf("receiver done at %v, sender at %v, want %v", finish[1], finish[0], want)
@@ -76,12 +76,12 @@ func TestSingleFlowTime(t *testing.T) {
 
 func TestTwoFlowsShareLink(t *testing.T) {
 	tree := testTree(t, 8)
-	// Hosts 0 and 1 both send into host 2 on rail 0: they share its 10 GB/s
-	// down link, 5 GB/s each.
+	// Hosts 0 and 1 both send into host 2 on rail 0: they share its 1 GB/s
+	// down link, 0.5 GB/s each.
 	finish := replay(t, tree, simevent.Config{}, map[int]allreduce.RankSchedule{
-		0: {{send(2, gb10)}},
-		1: {{send(2, gb10)}},
-		2: {{recv(0, gb10), recv(1, gb10)}},
+		0: {{send(2, gb1)}},
+		1: {{send(2, gb1)}},
+		2: {{recv(0, gb1), recv(1, gb1)}},
 	})
 	for _, r := range []int{0, 1} {
 		if !near(finish[r], 2.0+tree.Latency) {
@@ -94,9 +94,9 @@ func TestSeparateRailsDontShare(t *testing.T) {
 	tree := testTree(t, 8)
 	// The same two flows, host 1's on the other adapter (its stream 1).
 	finish := replay(t, tree, simevent.Config{}, map[int]allreduce.RankSchedule{
-		0: {{send(2, gb10)}},
-		1: {nil, {send(2, gb10)}},
-		2: {{recv(0, gb10)}, {recv(1, gb10)}},
+		0: {{send(2, gb1)}},
+		1: {nil, {send(2, gb1)}},
+		2: {{recv(0, gb1)}, {recv(1, gb1)}},
 	})
 	for _, r := range []int{0, 1} {
 		if !near(finish[r], 1.0+tree.Latency) {
@@ -105,9 +105,9 @@ func TestSeparateRailsDontShare(t *testing.T) {
 	}
 	// One host driving both of its adapters at once is as fast.
 	finish = replay(t, tree, simevent.Config{}, map[int]allreduce.RankSchedule{
-		0: {{send(1, gb10)}, {send(2, gb10)}},
-		1: {{recv(0, gb10)}},
-		2: {{recv(0, gb10)}},
+		0: {{send(1, gb1)}, {send(2, gb1)}},
+		1: {{recv(0, gb1)}},
+		2: {{recv(0, gb1)}},
 	})
 	if !near(finish[0], 1.0+tree.Latency) {
 		t.Fatalf("host sending on both rails done at %v, want ~1", finish[0])
@@ -117,9 +117,9 @@ func TestSeparateRailsDontShare(t *testing.T) {
 func TestDependencyChainSerializes(t *testing.T) {
 	tree := testTree(t, 8)
 	finish := replay(t, tree, simevent.Config{}, map[int]allreduce.RankSchedule{
-		0: {{send(1, gb10)}},
-		1: {{recv(0, gb10), send(2, gb10)}},
-		2: {{recv(1, gb10)}},
+		0: {{send(1, gb1)}},
+		1: {{recv(0, gb1), send(2, gb1)}},
+		2: {{recv(1, gb1)}},
 	})
 	if finish[2] < finish[0]+1.0 {
 		t.Fatalf("dependent flow finished at %v, the flow it waits for at %v", finish[2], finish[0])
@@ -130,9 +130,9 @@ func TestDependencyChainSerializes(t *testing.T) {
 // on its stream before the transfer starts.
 func TestDelayCharged(t *testing.T) {
 	tree := testTree(t, 8)
-	finish := replay(t, tree, simevent.Config{CopyRate: 20e9}, map[int]allreduce.RankSchedule{
-		0: {{send(1, gb10)}},
-		1: {{recv(0, gb10)}},
+	finish := replay(t, tree, simevent.Config{CopyRate: 2e9}, map[int]allreduce.RankSchedule{
+		0: {{send(1, gb1)}},
+		1: {{recv(0, gb1)}},
 	})
 	if want := 0.5 + 1.0 + tree.Latency; !near(finish[1], want) {
 		t.Fatalf("staged flow done at %v, want %v", finish[1], want)
@@ -144,10 +144,10 @@ func TestDelayCharged(t *testing.T) {
 func TestZeroByteFlowIsSyncNode(t *testing.T) {
 	tree := testTree(t, 8)
 	finish := replay(t, tree, simevent.Config{}, map[int]allreduce.RankSchedule{
-		0: {{send(1, gb10), recv(1, gb10)}},
-		1: {{recv(0, gb10), recv(3, 0), send(0, gb10)}}, // waits for both flows
-		2: {{send(3, gb10/2)}},
-		3: {{recv(2, gb10/2), send(1, 0)}},
+		0: {{send(1, gb1), recv(1, gb1)}},
+		1: {{recv(0, gb1), recv(3, 0), send(0, gb1)}}, // waits for both flows
+		2: {{send(3, gb1/2)}},
+		3: {{recv(2, gb1/2), send(1, 0)}},
 	})
 	if !near(finish[3], 0.5+2*tree.Latency) {
 		t.Fatalf("sync message delivered at %v, want its flow's 0.5 s plus two latencies", finish[3])
@@ -182,14 +182,14 @@ func TestCrossLeafRouteUsesFabric(t *testing.T) {
 	}
 	// A cross-leaf flow pays its spine: slow that one link and only the
 	// flow crossing it slows down.
-	if err := tree.SetBandwidth(route[1], 5e9); err != nil {
+	if err := tree.SetBandwidth(route[1], 0.5e9); err != nil {
 		t.Fatal(err)
 	}
 	finish := replay(t, tree, simevent.Config{}, map[int]allreduce.RankSchedule{
-		0: {{send(5, gb10)}},
-		5: {{recv(0, gb10)}},
-		1: {{send(2, gb10)}},
-		2: {{recv(1, gb10)}},
+		0: {{send(5, gb1)}},
+		5: {{recv(0, gb1)}},
+		1: {{send(2, gb1)}},
+		2: {{recv(1, gb1)}},
 	})
 	if !near(finish[5], 2.0+tree.Latency) || !near(finish[2], 1.0+tree.Latency) {
 		t.Fatalf("cross-leaf flow done at %v (want ~2), same-leaf flow at %v (want ~1)", finish[5], finish[2])
@@ -200,7 +200,7 @@ func TestPipelineOverlaps(t *testing.T) {
 	// Two-hop pipeline with 4 segments must be faster than the serial sum
 	// of both hops but slower than one hop.
 	tree := testTree(t, 8)
-	const seg = gb10 / 4 // 0.25 s a hop
+	const seg = gb1 / 4 // 0.25 s a hop
 	var first, relay, last []allreduce.WireOp
 	for s := 0; s < 4; s++ {
 		first = append(first, send(1, seg))
@@ -218,19 +218,19 @@ func TestPipelineOverlaps(t *testing.T) {
 func TestOversubscribedFabricSlower(t *testing.T) {
 	// Four cross-leaf flows under a thin fabric vs a fat one.
 	makespanWith := func(fabricBW float64) float64 {
-		tree, err := simnet.NewFatTree(8, 4, 1, 1, 10e9, fabricBW, 1e-6)
+		tree, err := simnet.NewFatTree(8, 4, 1, 1, 1e9, fabricBW, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		scheds := map[int]allreduce.RankSchedule{}
 		for src := 0; src < 4; src++ {
-			scheds[src] = allreduce.RankSchedule{{send(4+src, gb10)}}
-			scheds[4+src] = allreduce.RankSchedule{{recv(src, gb10)}}
+			scheds[src] = allreduce.RankSchedule{{send(4+src, gb1)}}
+			scheds[4+src] = allreduce.RankSchedule{{recv(src, gb1)}}
 		}
 		return slices.Max(replay(t, tree, simevent.Config{}, scheds))
 	}
-	thin := makespanWith(10e9) // 4 flows share one 10 GB/s spine link
-	fat := makespanWith(160e9) // fabric not the bottleneck
+	thin := makespanWith(1e9) // 4 flows share one 1 GB/s spine link
+	fat := makespanWith(16e9) // fabric not the bottleneck
 	if thin < 3.9 || fat > 1.1 {
 		t.Fatalf("thin fabric %v (want ~4), fat fabric %v (want ~1)", thin, fat)
 	}
@@ -242,13 +242,13 @@ func TestMinskyFabric(t *testing.T) {
 		t.Fatalf("minsky fabric %d hosts %d rails", tree.Hosts, tree.Rails)
 	}
 	// A single large flow should move at one rail's bandwidth.
-	const gb11 = 11_000_000_000
+	const flow = 1_100_000_000 // 0.1 s on an 11 GB/s rail
 	finish := replay(t, tree, simevent.Config{}, map[int]allreduce.RankSchedule{
-		0: {{send(9, gb11)}},
-		9: {{recv(0, gb11)}},
+		0: {{send(9, flow)}},
+		9: {{recv(0, flow)}},
 	})
-	if math.Abs(finish[9]-1.0) > 0.01 {
-		t.Fatalf("minsky single-flow time %v, want ~1s", finish[9])
+	if math.Abs(finish[9]-0.1) > 0.001 {
+		t.Fatalf("minsky single-flow time %v, want ~0.1s", finish[9])
 	}
 }
 
