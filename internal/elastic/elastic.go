@@ -51,8 +51,6 @@
 package elastic
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -67,30 +65,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Control-plane tags on the negotiation sub-communicator (user tag space).
-const (
-	tagHello   = 1 // survivor → leader: [checkpoint step:8][epoch:8]
-	tagProbe   = 2 // leader → higher ranks: liveness probe, never received
-	tagVerdict = 3 // leader → survivors: epoch + member list + checkpoint
-)
-
-// Negotiation protocol parameters.
-const (
-	helloLen = 16
-	// epochRoundBits splits the verdict epoch: the incarnation number in the
-	// high bits, the election round in the low epochRoundBits.
-	epochRoundBits = 16
-	epochBaseMask  = ^(uint64(1)<<epochRoundBits - 1)
-	// verdictBudget bounds how long a follower waits for any verdict across
-	// transient retries; helloBudget bounds how long a leader waits for one
-	// follower's HELLO before evicting it as unresponsive.
-	verdictBudget = 45 * time.Second
-	helloBudget   = 20 * time.Second
-	// transientPause spaces retries once a source is presumptively
-	// down-marked and receives fail fast instead of blocking out a timeout.
-	transientPause = 20 * time.Millisecond
-)
-
 // Event kinds.
 const (
 	KindCrash  = "crash"
@@ -101,60 +75,6 @@ const (
 	// and KindSpare events per admitted identity.
 	kindGrow = "grow"
 )
-
-// Plan declares the faults an elastic run is subjected to, keyed by trainer
-// identity (the stable id, not the per-incarnation world rank). It extends
-// mpi.FaultPlan with join scheduling and recovery-phase fault injection.
-type Plan struct {
-	// Seed drives the deterministic message-drop decisions and the
-	// heartbeat send jitter.
-	Seed int64
-	// CrashAtStep kills the identity at the start of that global step. Each
-	// identity crashes at most once, even if recovery recomputes the step.
-	CrashAtStep map[int]int
-	// CrashInNegotiation kills the identity INSIDE the membership
-	// negotiation triggered by a failure at step >= the given value — the
-	// second failure landing while the first is still being recovered. A
-	// follower dies on the way in, before announcing itself; a rank that
-	// gets elected leader dies at the heart of its leadership, after
-	// collecting HELLOs and before broadcasting the verdict, which forces
-	// the survivors to detect the death and re-elect.
-	CrashInNegotiation map[int]int
-	// CrashInRestore kills the identity right after it applies the restored
-	// checkpoint of the incarnation resuming at the given step, before it
-	// completes a single step — the crash-after-restore-before-ACK window.
-	// Recovery restores the same checkpoint again (restore is idempotent:
-	// the checkpoint is full-state), and the identity may rejoin at the
-	// very step it died on.
-	CrashInRestore map[int]int
-	// JoinAtStep adds the identity to the world at that global step: the
-	// cluster checkpoints, tears down, and restarts one rank larger — the
-	// same resize path a crash uses, grown instead of shrunk. An identity
-	// below Config.Identities rejoins after its crash (KindRejoin); one at
-	// or above it is a spare, never a member before (KindSpare).
-	JoinAtStep map[int]int
-	// DropProb / DetectTimeout / Slow pass through to mpi.FaultPlan for
-	// every incarnation. DetectTimeout defaults to 5s when zero: elastic
-	// training REQUIRES a failure detector, because crash notification
-	// alone cannot cover every race — a rank whose sends to the victim
-	// completed just before the crash landed (e.g. an empty-shard rank
-	// that only sends in the reduce-scatter) finishes its exchange cleanly
-	// and blocks in the params allgather waiting on survivors that already
-	// errored out; the timeout turns that into a typed failure. It should
-	// comfortably exceed one step's duration to avoid false positives —
-	// though a false positive is benign: the probe-based negotiation finds
-	// every rank alive and the run restarts at the same size from the last
-	// snapshot. Injected drops hit the training plane only — collectives
-	// and checkpoint gathers; the recovery control plane (heartbeats and
-	// the membership negotiation) rides an injection-free channel, the
-	// reliability a real deployment gets from TCP retransmission, and one
-	// that also keeps the seeded drop schedule deterministic (control
-	// traffic never ticks the per-rank drop counters). DropProb and Slow
-	// are mailbox-only; the TCP transport rejects them.
-	DropProb      float64
-	DetectTimeout time.Duration
-	Slow          map[int]mpi.LinkProfile
-}
 
 // Config describes an elastic training run.
 type Config struct {
@@ -224,15 +144,6 @@ type Result struct {
 	Losses       []float64 `json:"losses"` // global mean loss per step
 	FinalLoss    float64   `json:"final_loss"`
 	FinalWeights []float32 `json:"-"` // rank 0's weights after the last step
-}
-
-// verdict is the outcome of one membership negotiation: the epoch it was
-// minted in, the surviving world ranks (of the incarnation that failed),
-// and the checkpoint to resume from.
-type verdict struct {
-	epoch   uint64
-	members []int
-	ck      *checkpoint.Checkpoint
 }
 
 // incOut is everything one incarnation reports back to the orchestrator.
@@ -345,82 +256,6 @@ func Run(cfg Config) (*Result, error) {
 		stoppedAt = out.stoppedAt
 	}
 }
-
-// validate rejects fault schedules the protocol cannot honor. A join is one
-// step per identity, so a spare can join and crash but not rejoin after.
-func validate(cfg *Config) error {
-	switch {
-	case cfg.Identities <= 0:
-		return errors.New("elastic: Identities must be positive")
-	case cfg.Steps <= 0:
-		return errors.New("elastic: Steps must be positive")
-	case cfg.GlobalBatch <= 0:
-		return errors.New("elastic: GlobalBatch must be positive")
-	case cfg.NewReplica == nil:
-		return errors.New("elastic: NewReplica is required")
-	case cfg.Data == nil:
-		return errors.New("elastic: Data is required")
-	case cfg.Learner.Topology.IsSet():
-		return errors.New("elastic: Learner.Topology cannot survive a resize; leave the world flat")
-	case cfg.Learner.GradScale != 0:
-		return errors.New("elastic: Learner.GradScale must stay zero so gradients rescale per world size")
-	}
-	switch cfg.Transport {
-	case "", TransportMem:
-	case TransportTCP:
-		if cfg.Plan.DropProb > 0 {
-			return errors.New("elastic: DropProb is mailbox-only; TCP cannot drop messages deterministically")
-		}
-		if len(cfg.Plan.Slow) > 0 {
-			return errors.New("elastic: Slow straggler profiles are mailbox-only")
-		}
-	default:
-		return fmt.Errorf("elastic: unknown transport %q (want %q or %q)", cfg.Transport, TransportMem, TransportTCP)
-	}
-	for id := range cfg.Plan.CrashInNegotiation {
-		if _, dup := cfg.Plan.CrashAtStep[id]; dup {
-			return fmt.Errorf("elastic: identity %d cannot be in both CrashAtStep and CrashInNegotiation", id)
-		}
-		if _, dup := cfg.Plan.CrashInRestore[id]; dup {
-			return fmt.Errorf("elastic: identity %d cannot be in both CrashInNegotiation and CrashInRestore", id)
-		}
-	}
-	for id := range cfg.Plan.CrashInRestore {
-		if _, dup := cfg.Plan.CrashAtStep[id]; dup {
-			return fmt.Errorf("elastic: identity %d cannot be in both CrashAtStep and CrashInRestore", id)
-		}
-	}
-	for id, rs := range cfg.Plan.JoinAtStep {
-		if rs < 0 || rs >= cfg.Steps {
-			return fmt.Errorf("elastic: identity %d joins at step %d, outside the run's %d steps", id, rs, cfg.Steps)
-		}
-		if id >= cfg.Identities {
-			continue // a spare: no crash to come back from
-		}
-		switch {
-		case hasKey(cfg.Plan.CrashAtStep, id):
-			if rs <= cfg.Plan.CrashAtStep[id] {
-				return fmt.Errorf("elastic: identity %d rejoins at step %d, not after its crash at step %d", id, rs, cfg.Plan.CrashAtStep[id])
-			}
-		case hasKey(cfg.Plan.CrashInNegotiation, id):
-			if rs <= cfg.Plan.CrashInNegotiation[id] {
-				return fmt.Errorf("elastic: identity %d rejoins at step %d, not after its negotiation crash (step >= %d)", id, rs, cfg.Plan.CrashInNegotiation[id])
-			}
-		case hasKey(cfg.Plan.CrashInRestore, id):
-			// Rejoining at the very step it died on is the point: the
-			// identity crashed after restoring to that step and comes back
-			// into the same resume point.
-			if rs < cfg.Plan.CrashInRestore[id] {
-				return fmt.Errorf("elastic: identity %d rejoins at step %d, before its restore crash at step %d", id, rs, cfg.Plan.CrashInRestore[id])
-			}
-		default:
-			return fmt.Errorf("elastic: identity %d rejoins at step %d but never crashes", id, rs)
-		}
-	}
-	return nil
-}
-
-func hasKey(m map[int]int, id int) bool { _, ok := m[id]; return ok }
 
 // runIncarnation runs one world at the current membership from resumeStep
 // until the run completes, a crash fails a step, or a grow boundary (rejoin
@@ -665,305 +500,6 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 	}
 	out.verdict = v
 	return out, nil
-}
-
-// incarnationPlan maps the identity-keyed fault plan onto this
-// incarnation's world ranks, skipping crashes that already fired (recovery
-// may recompute the crash step; the victim must not die twice). The drop
-// seed is salted with the incarnation number: a restarted world must not
-// replay the exact loss pattern that killed its predecessor, or a drop
-// hitting the first post-resume capture livelocks the run — recover,
-// replay, drop, recover, forever. Salting keeps the schedule fully
-// deterministic (the incarnation sequence is itself deterministic) while
-// modeling a network whose losses do not rewind with the job.
-func incarnationPlan(cfg *Config, members []int, fired map[int]bool, incarnation int) mpi.FaultPlan {
-	plan := mpi.FaultPlan{
-		Seed:          cfg.Plan.Seed + int64(incarnation)*0x9E3779B9,
-		DropProb:      cfg.Plan.DropProb,
-		DetectTimeout: cfg.Plan.DetectTimeout,
-	}
-	for wr, id := range members {
-		if s, ok := cfg.Plan.CrashAtStep[id]; ok && !fired[id] {
-			if plan.CrashAtStep == nil {
-				plan.CrashAtStep = make(map[int]int)
-			}
-			plan.CrashAtStep[wr] = s
-		}
-		if lp, ok := cfg.Plan.Slow[id]; ok {
-			if plan.Slow == nil {
-				plan.Slow = make(map[int]mpi.LinkProfile)
-			}
-			plan.Slow[wr] = lp
-		}
-	}
-	return plan
-}
-
-// errSabotaged marks a negotiation aborted by an injected second crash: the
-// rank died inside the protocol and must exit silently, like any victim.
-var errSabotaged = errors.New("elastic: injected crash inside negotiation")
-
-// negotiate is the leader-coordinated membership agreement a survivor runs
-// after its step fails with ErrRankDown. Probe-send the HELLO upward from
-// rank 0: sends to dead ranks fail, so the first delivery finds the lowest
-// live rank — the leader. A follower then waits for that leader's VERDICT,
-// retrying through transient failures (a detection timeout blaming a slow
-// leader, a TCP reconnect in progress); only a CONFIRMED rank-down error —
-// a crash marking, a heartbeat suspicion — advances it to the next election
-// round, where it re-probes from rank 0. The epoch stamped into each
-// verdict is (incarnation << 16) | round, and a follower ignores verdicts
-// whose incarnation part is not its own: a stale leader cannot commit a
-// dead membership.
-//
-// die, when non-nil, is the injected second failure: a follower dies on the
-// way in (before announcing itself, so no verdict can include it); a rank
-// that gets elected leader dies after collecting HELLOs and before
-// broadcasting, forcing a re-election.
-func negotiate(ctrl *mpi.Comm, ck *checkpoint.Checkpoint, baseEpoch uint64, die func() bool) (*verdict, error) {
-	if die != nil && ctrl.Rank() != 0 {
-		// Followers die at the door. (Rank 0 is left to be elected leader —
-		// it is the lowest rank, so whenever it is alive it leads — and
-		// dies mid-leadership inside lead instead.)
-		if die() {
-			return nil, errSabotaged
-		}
-	}
-	step := int64(-1) // no snapshot yet (a failure before the first capture)
-	if ck != nil {
-		step = ck.Step
-	}
-	var hello [helloLen]byte
-	binary.LittleEndian.PutUint64(hello[:8], uint64(step))
-	// A round can be burned by a stale socket electing an already-dead
-	// leader before its down-marking lands, so allow a couple per rank.
-	maxRounds := 2*ctrl.Size() + 2
-	for round := 0; round < maxRounds; round++ {
-		epoch := baseEpoch | uint64(round)
-		binary.LittleEndian.PutUint64(hello[8:], epoch)
-		leader := ctrl.Rank()
-		for q := 0; q < ctrl.Rank(); q++ {
-			if err := ctrl.Send(q, tagHello, hello[:]); err == nil {
-				leader = q
-				break
-			}
-			// Send failed: q is down. Keep probing upward.
-		}
-		if leader == ctrl.Rank() {
-			return lead(ctrl, ck, epoch, die)
-		}
-		v, err := awaitVerdict(ctrl, leader, baseEpoch)
-		if err == nil {
-			return v, nil
-		}
-		if errors.Is(err, mpi.ErrRankDown) && !mpi.IsTransient(err) {
-			continue // the leader died mid-negotiation: re-elect
-		}
-		return nil, fmt.Errorf("awaiting verdict from leader %d: %w", leader, err)
-	}
-	return nil, fmt.Errorf("membership negotiation ran out of elections after %d rounds", maxRounds)
-}
-
-// lead runs the leader's half of one election round: probe every higher
-// rank for liveness, collect the live ones' HELLOs, and broadcast the
-// epoch-stamped VERDICT. The verdict carries the LEADER's latest snapshot —
-// every survivor restores from it, so the followers' own snapshot steps
-// (reported in their HELLOs, possibly one capture boundary ahead or behind
-// after a failure landed mid-capture) never need to agree. A leader holding
-// no snapshot yet — the failure beat the very first capture — issues a
-// fresh-start verdict: the survivors begin again from step 0. A probed rank
-// whose HELLO never arrives within the budget is evicted as unresponsive
-// but still sent the verdict, so a wedged-but-live rank converges on the
-// same membership (finding itself excluded).
-func lead(ctrl *mpi.Comm, ck *checkpoint.Checkpoint, epoch uint64, die func() bool) (*verdict, error) {
-	r := ctrl.Rank()
-	var reachable []int
-	for q := r + 1; q < ctrl.Size(); q++ {
-		if err := ctrl.Send(q, tagProbe, nil); err != nil {
-			continue // dead
-		}
-		reachable = append(reachable, q)
-	}
-	members := []int{r}
-	for _, q := range reachable {
-		b, err := recvRetry(ctrl, q, tagHello, helloBudget)
-		if err != nil {
-			if errors.Is(err, mpi.ErrRankDown) {
-				continue // died (or stayed silent past the budget): evicted
-			}
-			return nil, fmt.Errorf("leader awaiting hello from rank %d: %w", q, err)
-		}
-		if len(b) != helloLen {
-			mpi.PutBytes(b)
-			return nil, fmt.Errorf("malformed hello from rank %d (%d bytes)", q, len(b))
-		}
-		mpi.PutBytes(b)
-		members = append(members, q)
-	}
-	if die != nil && die() {
-		// The leader dies with the verdict on its lips: every HELLO
-		// collected, nothing broadcast. The followers' waits fail confirmed
-		// (crash marking or heartbeat suspicion) and they re-elect.
-		return nil, errSabotaged
-	}
-	payload, err := encodeVerdict(epoch, members, ck)
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range reachable {
-		// Evicted ranks get the verdict too, and a send failing because q
-		// died since the probe is fine to ignore — its absence from the
-		// next incarnation is already decided.
-		_ = ctrl.Send(q, tagVerdict, payload)
-	}
-	return &verdict{epoch: epoch, members: members, ck: ck}, nil
-}
-
-// awaitVerdict waits for the leader's verdict, dropping stale ones: a
-// verdict whose epoch belongs to a different incarnation's negotiation
-// (a stale leader replaying an old decision) is ignored, never applied.
-func awaitVerdict(ctrl *mpi.Comm, leader int, baseEpoch uint64) (*verdict, error) {
-	deadline := time.Now().Add(verdictBudget)
-	for {
-		b, err := recvRetryUntil(ctrl, leader, tagVerdict, deadline)
-		if err != nil {
-			return nil, err
-		}
-		v, perr := parseVerdict(b, ctrl.Size())
-		mpi.PutBytes(b)
-		if perr != nil {
-			return nil, perr
-		}
-		if !sameNegotiation(v.epoch, baseEpoch) {
-			if !time.Now().Before(deadline) {
-				return nil, fmt.Errorf("leader %d produced only stale verdicts (epoch %#x, want incarnation %#x)", leader, v.epoch, baseEpoch>>epochRoundBits)
-			}
-			continue // stale: keep waiting for a verdict from THIS negotiation
-		}
-		return v, nil
-	}
-}
-
-// sameNegotiation reports whether a verdict epoch was minted by the
-// negotiation identified by baseEpoch — same incarnation, any election
-// round. Rounds legitimately differ between a follower and its eventual
-// leader (a late entrant skips dead leaders it never waited on), so only
-// the incarnation part gates acceptance.
-func sameNegotiation(epoch, baseEpoch uint64) bool {
-	return epoch&epochBaseMask == baseEpoch&epochBaseMask
-}
-
-// recvRetry receives on the control comm, retrying through TRANSIENT rank
-// failures until the budget runs out: a detection timeout blaming a peer
-// that is merely slow (still waiting out its own timeout inside a training
-// collective before it drains into the negotiation), or a TCP send/receive
-// caught mid-reconnect. A confirmed failure — crash marking, heartbeat
-// suspicion — surfaces immediately. Once a source is presumptively
-// down-marked its receives fail fast, so retries are paced by a short pause
-// instead of spinning.
-func recvRetry(ctrl *mpi.Comm, src, tag int, budget time.Duration) ([]byte, error) {
-	return recvRetryUntil(ctrl, src, tag, time.Now().Add(budget))
-}
-
-func recvRetryUntil(ctrl *mpi.Comm, src, tag int, deadline time.Time) ([]byte, error) {
-	for {
-		b, err := ctrl.Recv(src, tag)
-		if err != nil && mpi.IsTransient(err) && time.Now().Before(deadline) {
-			time.Sleep(transientPause)
-			continue
-		}
-		return b, err
-	}
-}
-
-// Verdict wire format:
-// [epoch:8][n:4][members: 4 bytes each][hasCk:1][checkpoint if hasCk].
-// hasCk = 0 is a fresh-start verdict: the survivors resume from step 0
-// with reinitialized state (the failure beat the very first capture).
-func encodeVerdict(epoch uint64, members []int, ck *checkpoint.Checkpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	var u8 [8]byte
-	binary.LittleEndian.PutUint64(u8[:], epoch)
-	buf.Write(u8[:])
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], uint32(len(members)))
-	buf.Write(u[:])
-	for _, m := range members {
-		binary.LittleEndian.PutUint32(u[:], uint32(m))
-		buf.Write(u[:])
-	}
-	if ck == nil {
-		buf.WriteByte(0)
-		return buf.Bytes(), nil
-	}
-	buf.WriteByte(1)
-	if _, err := ck.WriteTo(&buf); err != nil {
-		return nil, fmt.Errorf("serializing verdict checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// parseVerdict decodes a verdict minted in a world of size ranks. The
-// member list must name distinct ranks of that world in ascending order —
-// the orchestrator indexes the old membership by them.
-func parseVerdict(b []byte, size int) (*verdict, error) {
-	if len(b) < 12 {
-		return nil, errors.New("short verdict header")
-	}
-	epoch := binary.LittleEndian.Uint64(b)
-	n := int(binary.LittleEndian.Uint32(b[8:]))
-	b = b[12:]
-	if n <= 0 || n > (len(b)-1)/4 { // 4 bytes a member, then the hasCk byte
-		return nil, fmt.Errorf("truncated verdict member list (%d members, %d bytes)", n, len(b))
-	}
-	members := make([]int, n)
-	for i := range members {
-		m := binary.LittleEndian.Uint32(b[4*i:])
-		if m >= uint32(size) || i > 0 && int(m) <= members[i-1] {
-			return nil, fmt.Errorf("verdict member %d is rank %d: want ascending ranks below %d", i, m, size)
-		}
-		members[i] = int(m)
-	}
-	b = b[4*n:]
-	if b[0] == 0 {
-		return &verdict{epoch: epoch, members: members}, nil
-	}
-	ck, err := checkpoint.Read(bytes.NewReader(b[1:]))
-	if err != nil {
-		return nil, fmt.Errorf("decoding verdict checkpoint: %w", err)
-	}
-	return &verdict{epoch: epoch, members: members, ck: ck}, nil
-}
-
-// resumeStepOf is the global step a verdict resumes at: the checkpoint's
-// step, or 0 for a fresh-start verdict.
-func resumeStepOf(v *verdict) int {
-	if v.ck == nil {
-		return 0
-	}
-	return int(v.ck.Step)
-}
-
-// joinersAt lists the identities scheduled to join at global step s that
-// are not currently members, sorted.
-func joinersAt(cfg *Config, members []int, s int) []int {
-	var ids []int
-	for id, js := range cfg.Plan.JoinAtStep {
-		if js != s {
-			continue
-		}
-		present := false
-		for _, m := range members {
-			if m == id {
-				present = true
-				break
-			}
-		}
-		if !present {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // mergeLosses folds one incarnation's per-rank losses into the global
