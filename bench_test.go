@@ -19,6 +19,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dimd"
 	"repro/internal/dpt"
+	"repro/internal/elastic"
 	"repro/internal/imagecodec"
 	"repro/internal/models"
 	"repro/internal/mpi"
@@ -592,18 +593,15 @@ func BenchmarkFunctionalOverlapPipeline(b *testing.B) {
 	dataX, dataLabels := core.SyntheticTensorData(batch*learners, classes, size, 23)
 	run := func(overlap bool) (stepS, computeS, commS float64) {
 		start := time.Now()
-		res, err := core.RunCluster(core.ClusterConfig{
-			Learners:       learners,
-			DevicesPerNode: 1,
-			NewReplica:     func(seed int64) nn.Layer { return core.OverlapBenchModel(classes, size, 900+seed) },
-			NewSource: func(rank int) core.BatchSource {
-				return &core.SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
-			},
-			Steps:  steps,
-			InputC: 3, InputH: size, InputW: size,
-			NewWorld: func(n int) *mpi.World { return mpi.NewLatencyWorld(n, link) },
+		res, err := elastic.Run(elastic.Config{
+			Identities:  learners,
+			GlobalBatch: learners * batch,
+			Steps:       steps,
+			NewWorld:    func(n int) (*mpi.World, error) { return mpi.NewLatencyWorld(n, link), nil },
+			NewReplica:  func(seed int64) nn.Layer { return core.OverlapBenchModel(classes, size, 900+seed) },
+			NewSource:   core.SliceSources(dataX, dataLabels),
+			InputC:      3, InputH: size, InputW: size,
 			Learner: core.Config{
-				BatchPerDevice:  batch,
 				Allreduce:       allreduce.AlgMultiColor,
 				Schedule:        sgd.Const(0.05),
 				SGD:             sgd.DefaultConfig(),
@@ -615,7 +613,7 @@ func BenchmarkFunctionalOverlapPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ph := res.Phases[0]
+		ph := res.Ranks[0].Phases
 		return time.Since(start).Seconds() / steps, ph.Compute / steps, ph.AllReduce / steps
 	}
 	var eff, phasedStep, overlapStep float64

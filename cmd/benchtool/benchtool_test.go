@@ -126,9 +126,14 @@ func TestAllocsGateAgainstCommittedBaseline(t *testing.T) {
 	if err := run.gate(&base); err != nil {
 		t.Errorf("a run equal to the baseline failed: %v", err)
 	}
-	run.Overlapped.AllocsPerStep = 2.1 * base.Overlapped.AllocsPerStep
+	run.Overlapped.AllocsPerStep = base.Overlapped.AllocsPerStep + allocsSlack
+	if err := run.gate(&base); err != nil {
+		t.Errorf("allocsSlack more allocations than the baseline failed: %v", err)
+	}
+	// A return to 60 allocs/step fails.
+	run.Phased.AllocsPerStep = 60
 	if err := run.gate(&base); err == nil {
-		t.Error("2.1x the baseline's allocs/step passed the 2x gate")
+		t.Errorf("60 allocs/step passed against the baseline's %.1f", base.Phased.AllocsPerStep)
 	}
 }
 

@@ -32,9 +32,6 @@ const (
 	// chaosKillEvery is the number of steps between rank kills; each victim
 	// is backfilled two steps after its crash.
 	chaosKillEvery = 5
-	// chaosHeartbeat is the failure monitor's send period. Suspicion waits
-	// for the receive detect timeout (elastic's SuspectAfter zero value).
-	chaosHeartbeat = 50 * time.Millisecond
 	// chaosCodec is the gradient wire format of both the chaos run and its
 	// baseline: the gate measures crash damage, not compression error.
 	chaosCodec = "none"
@@ -58,34 +55,34 @@ type chaosOpts struct {
 // chaosReport is the JSON schema of the chaos workload; CI uploads one per
 // scenario×transport cell as the chaos.json artifact and gates on Passed.
 type chaosReport struct {
-	Workload             string          `json:"workload"`
-	Scenario             string          `json:"scenario"`
-	Transport            string          `json:"transport"`
-	Codec                string          `json:"codec"`
-	Seed                 int64           `json:"seed"`
-	Learners             int             `json:"learners"`
-	GlobalBatch          int             `json:"global_batch"`
-	Steps                int             `json:"steps"`
-	KillEvery            int             `json:"kill_every"`
-	Rejoin               bool            `json:"rejoin"`
-	Spares               int             `json:"spares"`
-	DetectTimeoutSec     float64         `json:"detect_timeout_sec"`
-	HeartbeatIntervalSec float64         `json:"heartbeat_interval_sec"`
-	SuspectAfterSec      float64         `json:"suspect_after_sec"`
-	Tolerance            float64         `json:"tolerance"`
-	Incarnations         int             `json:"incarnations"`
-	Events               []elastic.Event `json:"events"`
-	EventsByKind         map[string]int  `json:"events_by_kind"`
-	StepsLostByKind      map[string]int  `json:"steps_lost_by_kind"`
-	TotalStepsLost       int             `json:"total_steps_lost"`
-	RecoveryP50Sec       float64         `json:"recovery_p50_sec"`
-	RecoveryP99Sec       float64         `json:"recovery_p99_sec"`
-	MaxRecoverySec       float64         `json:"max_recovery_sec"`
-	FinalLoss            float64         `json:"final_loss"`
-	BaselineFinalLoss    float64         `json:"baseline_final_loss"`
-	FinalLossDeltaRel    float64         `json:"final_loss_delta_rel"`
-	PostResync           []chaosStep     `json:"post_resync"`
-	Passed               bool            `json:"passed"`
+	Workload           string          `json:"workload"`
+	Scenario           string          `json:"scenario"`
+	Transport          string          `json:"transport"`
+	Codec              string          `json:"codec"`
+	Seed               int64           `json:"seed"`
+	Learners           int             `json:"learners"`
+	GlobalBatch        int             `json:"global_batch"`
+	Steps              int             `json:"steps"`
+	KillEvery          int             `json:"kill_every"`
+	Rejoin             bool            `json:"rejoin"`
+	Spares             int             `json:"spares"`
+	DetectTimeoutSec   float64         `json:"detect_timeout_sec"`
+	HeartbeatPeriodSec float64         `json:"heartbeat_interval_sec"`
+	SuspectAfterSec    float64         `json:"suspect_after_sec"`
+	Tolerance          float64         `json:"tolerance"`
+	Incarnations       int             `json:"incarnations"`
+	Events             []elastic.Event `json:"events"`
+	EventsByKind       map[string]int  `json:"events_by_kind"`
+	StepsLostByKind    map[string]int  `json:"steps_lost_by_kind"`
+	TotalStepsLost     int             `json:"total_steps_lost"`
+	RecoveryP50Sec     float64         `json:"recovery_p50_sec"`
+	RecoveryP99Sec     float64         `json:"recovery_p99_sec"`
+	MaxRecoverySec     float64         `json:"max_recovery_sec"`
+	FinalLoss          float64         `json:"final_loss"`
+	BaselineFinalLoss  float64         `json:"baseline_final_loss"`
+	FinalLossDeltaRel  float64         `json:"final_loss_delta_rel"`
+	PostResync         []chaosStep     `json:"post_resync"`
+	Passed             bool            `json:"passed"`
 }
 
 // chaosPlan builds the fault schedule for one scenario. The plain kill
@@ -196,15 +193,13 @@ func chaosWorkload(o chaosOpts) error {
 	dataX, dataLabels := core.SyntheticTensorData(images, classes, size, 23)
 	baseCfg := func(plan elastic.Plan) elastic.Config {
 		return elastic.Config{
-			Identities:        o.learners,
-			GlobalBatch:       globalBatch,
-			Steps:             o.steps,
-			Transport:         o.transport,
-			HeartbeatInterval: chaosHeartbeat,
-			NewReplica:        func(s int64) nn.Layer { return core.SmallBNFreeCNN(classes, size, 500+s) },
-			Data:              dataX,
-			Labels:            dataLabels,
-			InputC:            3, InputH: size, InputW: size,
+			Identities:  o.learners,
+			GlobalBatch: globalBatch,
+			Steps:       o.steps,
+			Transport:   o.transport,
+			NewReplica:  func(s int64) nn.Layer { return core.SmallBNFreeCNN(classes, size, 500+s) },
+			NewSource:   core.SliceSources(dataX, dataLabels),
+			InputC:      3, InputH: size, InputW: size,
 			Learner: core.Config{
 				Schedule:       sgd.Const(0.05),
 				SGD:            sgd.DefaultConfig(),
@@ -233,24 +228,24 @@ func chaosWorkload(o chaosOpts) error {
 	}
 
 	rep := chaosReport{
-		Workload:             "chaos",
-		Scenario:             o.scenario,
-		Transport:            o.transport,
-		Codec:                chaosCodec,
-		Seed:                 o.seed,
-		Learners:             o.learners,
-		GlobalBatch:          globalBatch,
-		Steps:                o.steps,
-		KillEvery:            chaosKillEvery,
-		Rejoin:               rejoin,
-		DetectTimeoutSec:     plan.DetectTimeout.Seconds(),
-		HeartbeatIntervalSec: chaosHeartbeat.Seconds(),
-		Tolerance:            chaosTolerance,
-		Incarnations:         chaos.Incarnations,
-		Events:               chaos.Events,
-		EventsByKind:         map[string]int{},
-		StepsLostByKind:      map[string]int{},
-		FinalLoss:            chaos.FinalLoss,
+		Workload:           "chaos",
+		Scenario:           o.scenario,
+		Transport:          o.transport,
+		Codec:              chaosCodec,
+		Seed:               o.seed,
+		Learners:           o.learners,
+		GlobalBatch:        globalBatch,
+		Steps:              o.steps,
+		KillEvery:          chaosKillEvery,
+		Rejoin:             rejoin,
+		DetectTimeoutSec:   plan.DetectTimeout.Seconds(),
+		HeartbeatPeriodSec: elastic.HeartbeatPeriod.Seconds(),
+		Tolerance:          chaosTolerance,
+		Incarnations:       chaos.Incarnations,
+		Events:             chaos.Events,
+		EventsByKind:       map[string]int{},
+		StepsLostByKind:    map[string]int{},
+		FinalLoss:          chaos.FinalLoss,
 	}
 	lastResync := 0
 	var recoveries []float64

@@ -215,20 +215,17 @@ func compressWorkload(codec string, learners, steps int) error {
 	newReplica := func(seed int64) nn.Layer {
 		return core.SmallBNFreeCNN(classes, size, 500+seed)
 	}
-	res, err := core.RunCluster(core.ClusterConfig{
-		Learners:       learners,
-		DevicesPerNode: 1,
-		NewReplica:     newReplica,
-		NewSource: func(rank int) core.BatchSource {
-			return &core.SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
-		},
-		Steps:  steps,
-		InputC: 3, InputH: size, InputW: size,
+	res, err := elastic.Run(elastic.Config{
+		Identities:  learners,
+		GlobalBatch: globalBatch,
+		Steps:       steps,
+		NewReplica:  newReplica,
+		NewSource:   core.SliceSources(dataX, dataLabels),
+		InputC:      3, InputH: size, InputW: size,
 		Learner: core.Config{
-			BatchPerDevice: globalBatch / learners,
-			Allreduce:      allreduce.AlgMultiColor,
-			Schedule:       sgd.Const(0.1),
-			SGD:            sgd.DefaultConfig(),
+			Allreduce: allreduce.AlgMultiColor,
+			Schedule:  sgd.Const(0.1),
+			SGD:       sgd.DefaultConfig(),
 			Compression: compress.Config{
 				Codec:         codec,
 				TopKRatio:     0.1,
@@ -240,7 +237,7 @@ func compressWorkload(codec string, learners, steps int) error {
 	if err != nil {
 		return err
 	}
-	losses := res.Losses[0]
+	losses := res.Losses
 	tail := 5
 	if tail > len(losses) {
 		tail = len(losses)
@@ -250,12 +247,12 @@ func compressWorkload(codec string, learners, steps int) error {
 		finalLoss += l
 	}
 	finalLoss /= float64(tail)
-	cs := res.CommStats[0]
+	cs := res.Ranks[0].CommStats
 	moved := cs.BytesSent + cs.BytesRecv
 	fmt.Printf("compressed-allreduce workload: codec=%s learners=%d steps=%d model=bnfree-cnn\n", codec, learners, steps)
 	fmt.Printf("  BytesMoved: %d (allreduce wire bytes, rank 0, send+recv)\n", moved)
 	fmt.Printf("  raw equivalent: %d bytes (compression ratio %.2fx)\n", 2*cs.RawBytes, cs.Ratio())
-	fmt.Printf("  final loss: %.6f (mean of last %d steps; first step %.6f)\n", finalLoss, tail, losses[0])
+	fmt.Printf("  final loss: %.6f (mean over ranks and the last %d steps; first step %.6f)\n", finalLoss, tail, losses[0])
 	return nil
 }
 

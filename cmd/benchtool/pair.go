@@ -3,11 +3,13 @@ package main
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/allreduce"
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/elastic"
 	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/sgd"
@@ -23,11 +25,11 @@ type pairSpec struct {
 	name                         string // the report's workload name and temp-file stem
 	arms                         [2]string
 	model                        func(classes, size int, seed int64) nn.Layer
-	seed                         int64 // added to the replica index RunCluster hands model
+	seed                         int64 // added to the replica index elastic.Run hands model
 	classes, size, batch, bucket int
 	learners, devices, steps     int
-	fabric                       string                     // the charged links, for the header line
-	world                        func(ranks int) *mpi.World // nil: mpi.NewWorld
+	fabric                       string                              // the charged links, for the header line
+	world                        func(ranks int) (*mpi.World, error) // nil: mpi.NewWorld
 	arm                          func(cfg *core.Config, second bool)
 	// derive turns the two summaries into the row's ratios and, after
 	// them, the row's own gate.
@@ -119,27 +121,24 @@ func (s *pairSpec) data() (*tensor.Tensor, []int) {
 
 func (s *pairSpec) replica(seed int64) nn.Layer { return s.model(s.classes, s.size, s.seed+seed) }
 
-func (s *pairSpec) source(x *tensor.Tensor, labels []int, rank int) core.BatchSource {
-	return &core.SliceSource{X: x, Labels: labels, Rank: rank, Ranks: s.learners}
-}
-
 // runArm trains one arm and summarizes it.
-func (s *pairSpec) runArm(x *tensor.Tensor, labels []int, second bool) (*core.ClusterResult, armRun, error) {
+func (s *pairSpec) runArm(x *tensor.Tensor, labels []int, second bool) (*elastic.Result, armRun, error) {
 	start := time.Now()
-	res, err := core.RunCluster(core.ClusterConfig{
-		Learners:       s.learners,
+	res, err := elastic.Run(elastic.Config{
+		Identities:     s.learners,
 		DevicesPerNode: s.devices,
-		NewReplica:     s.replica,
-		NewSource:      func(rank int) core.BatchSource { return s.source(x, labels, rank) },
+		GlobalBatch:    s.batch * s.devices * s.learners,
 		Steps:          s.steps,
+		NewWorld:       s.world,
+		NewReplica:     s.replica,
+		NewSource:      core.SliceSources(x, labels),
 		InputC:         3, InputH: s.size, InputW: s.size,
-		NewWorld: s.world,
-		Learner:  s.config(second),
+		Learner: s.config(second),
 	})
 	if err != nil {
 		return nil, armRun{}, err
 	}
-	wall, n, ph := time.Since(start).Seconds(), float64(s.steps), res.Phases[0]
+	wall, n, ph := time.Since(start).Seconds(), float64(s.steps), res.Ranks[0].Phases
 	run := armRun{
 		WallSeconds:      wall,
 		StepSeconds:      wall / n,
@@ -151,29 +150,24 @@ func (s *pairSpec) runArm(x *tensor.Tensor, labels []int, second bool) (*core.Cl
 		IntraBytes:       res.Traffic.IntraBytes,
 		InterBytes:       res.Traffic.InterBytes,
 	}
-	for rank, cs := range res.CommStats {
+	for rank, rr := range res.Ranks {
 		run.PerRank = append(run.PerRank, rankRun{
 			Rank:                rank,
-			BytesSent:           cs.BytesSent,
-			BytesRecv:           cs.BytesRecv,
-			ParamAllGatherBytes: res.ParamAGBytes[rank],
-			OptStateBytes:       res.OptStateBytes[rank],
+			BytesSent:           rr.CommStats.BytesSent,
+			BytesRecv:           rr.CommStats.BytesRecv,
+			ParamAllGatherBytes: rr.ParamAGBytes,
+			OptStateBytes:       rr.OptStateBytes,
 		})
-		run.MaxOptStateBytes = max(run.MaxOptStateBytes, res.OptStateBytes[rank])
+		run.MaxOptStateBytes = max(run.MaxOptStateBytes, rr.OptStateBytes)
 	}
 	return res, run, nil
 }
 
 // sameWeights reports whether two runs left every rank the same parameters.
-func sameWeights(a, b [][]float32) bool {
+func sameWeights(a, b []elastic.RankResult) bool {
 	for r := range a {
-		if len(a[r]) != len(b[r]) {
+		if !slices.Equal(a[r].Weights, b[r].Weights) {
 			return false
-		}
-		for i, v := range a[r] {
-			if v != b[r][i] {
-				return false
-			}
 		}
 	}
 	return true
@@ -205,18 +199,18 @@ func runPair(s pairSpec, jsonPath string) error {
 		Fabric:         s.fabric,
 	}
 	x, labels := s.data()
-	var weights [2][][]float32
+	var ranks [2][]elastic.RankResult
 	for i, name := range s.arms {
 		res, run, err := s.runArm(x, labels, i == 1)
 		if err != nil {
 			return fmt.Errorf("benchtool: %s %s run: %w", s.name, name, err)
 		}
 		run.Arm = name
-		rep.Runs[i], weights[i] = run, res.FinalWeights
+		rep.Runs[i], ranks[i] = run, res.Ranks
 	}
 	a, b := &rep.Runs[0], &rep.Runs[1]
-	rep.GradFloats = len(weights[0][0])
-	rep.BitwiseIdentical = sameWeights(weights[0], weights[1])
+	rep.GradFloats = len(ranks[0][0].Weights)
+	rep.BitwiseIdentical = sameWeights(ranks[0], ranks[1])
 	rep.Speedup = div(a.StepSeconds, b.StepSeconds)
 	var gateErr error
 	rep.Ratios, gateErr = s.derive(a, b)
@@ -268,7 +262,7 @@ func overlapRow() pairSpec {
 		model: core.OverlapBenchModel, seed: 900,
 		classes: 8, size: 24, batch: 32, bucket: 1024,
 		fabric: fmt.Sprintf("%s + %.0f MB/s per-node egress", link.Latency, link.BytesPerSec/1e6),
-		world:  func(n int) *mpi.World { return mpi.NewLatencyWorld(n, link) },
+		world:  func(n int) (*mpi.World, error) { return mpi.NewLatencyWorld(n, link), nil },
 		arm:    overlapArm,
 		derive: func(a, b *armRun) ([]ratio, error) {
 			return []ratio{
@@ -318,7 +312,6 @@ func hierRow(nodes, ranksPerNode int) (pairSpec, error) {
 	if nodes < 2 || ranksPerNode < 1 {
 		return pairSpec{}, fmt.Errorf("benchtool: hier needs at least 2 nodes of at least 1 rank (got %d×%d) to have an inter-node fabric", nodes, ranksPerNode)
 	}
-	topo := mpi.UniformTopology(nodes*ranksPerNode, ranksPerNode)
 	intra, inter, err := simnet.MinskyFabric(nodes).LinkProfiles(slowdown)
 	if err != nil {
 		return pairSpec{}, err
@@ -330,16 +323,12 @@ func hierRow(nodes, ranksPerNode int) (pairSpec, error) {
 		learners: nodes * ranksPerNode,
 		fabric: fmt.Sprintf("%d nodes × %d ranks, MinskyFabric/%d: intra %s + %.0f MB/s, inter %s + %.0f MB/s",
 			nodes, ranksPerNode, slowdown, intra.Latency, intra.BytesPerSec/1e6, inter.Latency, inter.BytesPerSec/1e6),
-		world: func(n int) *mpi.World {
-			w, err := mpi.NewTopologyWorld(n, topo, intra, inter)
-			if err != nil {
-				panic(err) // topo was built for n ranks two lines up
-			}
-			return w
+		world: func(n int) (*mpi.World, error) {
+			return mpi.NewTopologyWorld(n, mpi.UniformTopology(n, ranksPerNode), intra, inter)
 		},
 		arm: func(cfg *core.Config, second bool) {
 			if second {
-				cfg.Topology = topo
+				cfg.Topology = mpi.UniformTopology(nodes*ranksPerNode, ranksPerNode)
 			}
 		},
 		derive: func(a, b *armRun) ([]ratio, error) {

@@ -1,7 +1,8 @@
 // trainctl runs real distributed training on an in-process cluster: N
-// learners × m devices executing Algorithm 1 with the chosen allreduce
-// algorithm, over synthetic data or the full DIMD pipeline (pack, partition,
-// periodic shuffle, in-memory batches).
+// learners × m devices executing Algorithm 1 (elastic.Run, the one run loop,
+// with no faults scheduled) with the chosen allreduce algorithm, over
+// synthetic data or the full DIMD pipeline (pack, partition, periodic
+// shuffle, in-memory batches). The loss it prints is the mean over learners.
 //
 //	trainctl -learners 4 -devices 2 -steps 100 -alg multicolor
 //	trainctl -dimd -shuffle-every 10 -model tinyresnet
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/allreduce"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dimd"
+	"repro/internal/elastic"
 	"repro/internal/imagecodec"
 	"repro/internal/models"
 	"repro/internal/mpi"
@@ -90,17 +93,17 @@ func main() {
 		}
 	}
 
-	cfg := core.ClusterConfig{
-		Learners:       *learners,
+	cfg := elastic.Config{
+		Identities:     *learners,
 		DevicesPerNode: *devices,
-		NewReplica:     newReplica,
+		GlobalBatch:    *batch * *devices * *learners,
 		Steps:          *steps,
+		NewReplica:     newReplica,
 		InputC:         3, InputH: *size, InputW: *size,
 		Learner: core.Config{
-			BatchPerDevice: *batch,
-			Allreduce:      allreduce.Algorithm(*alg),
-			Schedule:       sgd.Const(*lr),
-			SGD:            sgd.DefaultConfig(),
+			Allreduce: allreduce.Algorithm(*alg),
+			Schedule:  sgd.Const(*lr),
+			SGD:       sgd.DefaultConfig(),
 			Compression: compress.Config{
 				Codec:         *compressAlg,
 				TopKRatio:     *topkRatio,
@@ -114,8 +117,6 @@ func main() {
 		},
 	}
 
-	var evalX *tensor.Tensor
-	var evalLabels []int
 	aug := imagecodec.Augment{Crop: *size, Mean: [3]float32{0.5, 0.5, 0.5}, Std: [3]float32{0.25, 0.25, 0.25}}
 	switch {
 	case *useDIMD:
@@ -127,18 +128,10 @@ func main() {
 		pack := dimd.Build(*images, func(i int) (int, []byte) {
 			return corpus.Label(i), corpus.EncodedImage(i, 80)
 		})
-		stores := make([]*dimd.Store, *learners)
-		for r := range stores {
-			s, err := dimd.LoadPartition(pack, r, *learners)
-			if err != nil {
-				log.Fatal(err)
-			}
-			stores[r] = s
+		cfg.NewSource = func(rank, ranks, _ int) (core.BatchSource, error) {
+			store, err := dimd.LoadPartition(pack, rank, ranks)
+			return &core.DIMDSource{Store: store, Aug: aug, RNG: tensor.NewRNG(*seed + int64(rank))}, err
 		}
-		cfg.NewSource = func(rank int) core.BatchSource {
-			return &core.DIMDSource{Store: stores[rank], Aug: aug, RNG: tensor.NewRNG(*seed + int64(rank))}
-		}
-		cfg.Stores = func(rank int) *dimd.Store { return stores[rank] }
 		cfg.ShuffleEvery = *shuffleEvery
 	case *useFiles:
 		corpus, err := dataset.New(dataset.Spec{Classes: *classes, Train: *images, Val: 16, Size: *size + 8, Seed: *seed})
@@ -157,24 +150,21 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.NewSource = func(rank int) core.BatchSource {
-			return &core.FileSource{Store: fs, Aug: aug, RNG: tensor.NewRNG(*seed + int64(rank))}
+		cfg.NewSource = func(rank, _, _ int) (core.BatchSource, error) {
+			return &core.FileSource{Store: fs, Aug: aug, RNG: tensor.NewRNG(*seed + int64(rank))}, nil
 		}
 	default:
-		evalX, evalLabels = core.SyntheticTensorData(*images, *classes, *size, *seed)
-		cfg.NewSource = func(rank int) core.BatchSource {
-			return &core.SliceSource{X: evalX, Labels: evalLabels, Rank: rank, Ranks: *learners}
-		}
+		cfg.NewSource = core.SliceSources(core.SyntheticTensorData(*images, *classes, *size, *seed))
 	}
 
 	start := time.Now()
-	res, err := core.RunCluster(cfg)
+	res, err := elastic.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
 
-	losses := res.Losses[0]
+	losses := res.Losses
 	fmt.Printf("trained %d steps on %d learners × %d devices (%s, %s) in %v\n",
 		*steps, *learners, *devices, *model, *alg, elapsed.Round(time.Millisecond))
 	stride := *steps / 10
@@ -187,16 +177,12 @@ func main() {
 	fmt.Printf("  step %4d  loss %.4f\n", *steps-1, losses[*steps-1])
 
 	inSync := true
-	for r := 1; r < *learners; r++ {
-		for i := range res.FinalWeights[0] {
-			if res.FinalWeights[r][i] != res.FinalWeights[0][i] {
-				inSync = false
-			}
-		}
+	for _, r := range res.Ranks[1:] {
+		inSync = inSync && slices.Equal(r.Weights, res.Ranks[0].Weights)
 	}
 	fmt.Printf("learners in sync: %v\n", inSync)
 
-	ph := res.Phases[0]
+	ph := res.Ranks[0].Phases
 	total := ph.Total()
 	if total > 0 {
 		mode := "Algorithm 1, phased"
@@ -209,12 +195,12 @@ func main() {
 	}
 	if *shardOpt {
 		fmt.Printf("sharded optimizer state (ZeRO-1): per-rank bytes:")
-		for r, b := range res.OptStateBytes {
-			fmt.Printf(" rank%d=%d", r, b)
+		for r, rr := range res.Ranks {
+			fmt.Printf(" rank%d=%d", r, rr.OptStateBytes)
 		}
 		fmt.Println()
 	}
-	if cs := res.CommStats[0]; cs.BytesSent > 0 || cs.Buckets > 0 {
+	if cs := res.Ranks[0].CommStats; cs.BytesSent > 0 || cs.Buckets > 0 {
 		codec := *compressAlg
 		if codec == "" {
 			codec = "none"

@@ -134,6 +134,14 @@ func (s *SliceSource) NextBatch(x *tensor.Tensor, labels []int) error {
 	return nil
 }
 
+// SliceSources deals x and labels to a run's ranks as SliceSources: the
+// source factory (elastic.Config.NewSource) for a dataset held in memory.
+func SliceSources(x *tensor.Tensor, labels []int) func(rank, ranks, startStep int) (BatchSource, error) {
+	return func(rank, ranks, startStep int) (BatchSource, error) {
+		return &SliceSource{X: x, Labels: labels, Rank: rank, Ranks: ranks, StartStep: startStep}, nil
+	}
+}
+
 // Config assembles a learner.
 type Config struct {
 	// BatchPerDevice is the paper's k (64 default, 32 for the record run).

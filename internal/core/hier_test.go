@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/core"
+	"repro/internal/elastic"
 	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/sgd"
@@ -11,33 +13,14 @@ import (
 
 // runHier trains the standard small synthetic workload with hierarchical
 // routing on (topology set) or off (flat), across the schedule switches.
-func runHier(t *testing.T, comp compress.Config, topo mpi.Topology, overlap, shard bool, learners, devices, steps int) *ClusterResult {
+func runHier(t *testing.T, comp compress.Config, topo mpi.Topology, overlap, shard bool, learners, devices, steps int) *elastic.Result {
 	t.Helper()
-	const classes, size = 3, 8
-	dataX, dataLabels := SyntheticTensorData(24, classes, size, 23)
-	res, err := RunCluster(ClusterConfig{
-		Learners:       learners,
-		DevicesPerNode: devices,
-		NewReplica:     func(seed int64) nn.Layer { return bnFreeCNN(classes, size, 500+seed) },
-		NewSource: func(rank int) BatchSource {
-			return &SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
-		},
-		Steps:  steps,
-		InputC: 3, InputH: size, InputW: size,
-		Learner: Config{
-			BatchPerDevice: 12 / (learners * devices),
-			Schedule:       sgd.Const(0.1),
-			SGD:            sgd.DefaultConfig(),
-			Compression:    comp,
-			Overlap:        overlap,
-			ShardOptimizer: shard,
-			Topology:       topo,
-		},
-	})
-	if err != nil {
-		t.Fatalf("topo=%v overlap=%v shard=%v compression=%+v: %v", topo.Node, overlap, shard, comp, err)
-	}
-	return res
+	return smallJob(t, core.Config{
+		Compression:    comp,
+		Overlap:        overlap,
+		ShardOptimizer: shard,
+		Topology:       topo,
+	}, learners, devices, steps)
 }
 
 // TestHierarchicalMatchesFlatTraining is the tentpole's end-to-end claim:
@@ -68,17 +51,7 @@ func TestHierarchicalMatchesFlatTraining(t *testing.T) {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
 				flat := runHier(t, tc.comp, mpi.Topology{}, mode.overlap, mode.shard, learners, devices, steps)
 				hier := runHier(t, tc.comp, topo, mode.overlap, mode.shard, learners, devices, steps)
-				for r := 0; r < learners; r++ {
-					if len(flat.FinalWeights[r]) != len(hier.FinalWeights[r]) {
-						t.Fatalf("rank %d weight counts differ", r)
-					}
-					for i := range flat.FinalWeights[r] {
-						if flat.FinalWeights[r][i] != hier.FinalWeights[r][i] {
-							t.Fatalf("rank %d weight[%d]: flat %v, hierarchical %v",
-								r, i, flat.FinalWeights[r][i], hier.FinalWeights[r][i])
-						}
-					}
-				}
+				requireSameWeights(t, flat, hier, "flat vs hierarchical")
 			})
 		}
 	}
@@ -91,41 +64,43 @@ func TestHierarchicalUncompressedConfig(t *testing.T) {
 	const learners = 4
 	topo := mpi.UniformTopology(learners, 2)
 	res := runHier(t, compress.Config{}, topo, false, false, learners, 1, 6)
-	ref := res.FinalWeights[0]
-	for r := 1; r < learners; r++ {
-		for i := range ref {
-			if res.FinalWeights[r][i] != ref[i] {
-				t.Fatalf("learner %d weight[%d] = %v, learner 0 has %v", r, i, res.FinalWeights[r][i], ref[i])
-			}
-		}
-	}
-	if res.CommStats[0].Buckets == 0 {
+	requireInSync(t, res)
+	if res.Ranks[0].CommStats.Buckets == 0 {
 		t.Fatal("topology-routed run accounted no buckets — did it fall back to the raw allreduce?")
 	}
 }
 
 // TestHierarchicalRejectsBadTopology: a topology that does not match the
-// world size must fail learner construction, not corrupt the exchange.
+// world size must fail the run before it starts, not corrupt the exchange —
+// in the run loop, which lays it out per incarnation, and in the learner.
 func TestHierarchicalRejectsBadTopology(t *testing.T) {
 	const classes, size = 3, 8
-	dataX, dataLabels := SyntheticTensorData(24, classes, size, 23)
-	_, err := RunCluster(ClusterConfig{
-		Learners:       2,
-		DevicesPerNode: 1,
-		NewReplica:     func(seed int64) nn.Layer { return bnFreeCNN(classes, size, 500+seed) },
-		NewSource: func(rank int) BatchSource {
-			return &SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: 2}
-		},
-		Steps:  1,
-		InputC: 3, InputH: size, InputW: size,
-		Learner: Config{
-			BatchPerDevice: 6,
-			Schedule:       sgd.Const(0.1),
-			SGD:            sgd.DefaultConfig(),
-			Topology:       mpi.UniformTopology(5, 2), // wrong world size
-		},
+	dataX, dataLabels := core.SyntheticTensorData(24, classes, size, 23)
+	bad := mpi.UniformTopology(5, 2) // wrong world size
+	_, err := elastic.Run(elastic.Config{
+		Identities:  2,
+		GlobalBatch: 12,
+		Steps:       1,
+		NewReplica:  func(seed int64) nn.Layer { return core.SmallBNFreeCNN(classes, size, 500+seed) },
+		NewSource:   core.SliceSources(dataX, dataLabels),
+		InputC:      3, InputH: size, InputW: size,
+		Learner: core.Config{Schedule: sgd.Const(0.1), SGD: sgd.DefaultConfig(), Topology: bad},
 	})
 	if err == nil {
-		t.Fatal("mismatched topology accepted")
+		t.Fatal("mismatched topology accepted by the run")
+	}
+	w := mpi.NewWorld(2)
+	defer w.Close()
+	err = w.Run(func(c *mpi.Comm) error {
+		l, err := core.NewLearner(c, []nn.Layer{core.SmallBNFreeCNN(classes, size, 1)}, nil, 3, size, size,
+			core.Config{BatchPerDevice: 6, Topology: bad})
+		if err == nil {
+			l.Close()
+			t.Error("mismatched topology accepted by the learner")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,44 +1,26 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"repro/internal/allreduce"
 	"repro/internal/compress"
+	"repro/internal/core"
+	"repro/internal/elastic"
 	"repro/internal/mpi"
 	"repro/internal/nn"
-	"repro/internal/sgd"
 )
 
 // runOverlap trains the standard small synthetic workload with the given
 // compression config and overlap switch.
-func runOverlap(t *testing.T, comp compress.Config, overlap bool, learners, devices, steps, inFlight int) *ClusterResult {
+func runOverlap(t *testing.T, comp compress.Config, overlap bool, learners, devices, steps, inFlight int) *elastic.Result {
 	t.Helper()
-	const classes, size = 3, 8
-	dataX, dataLabels := SyntheticTensorData(24, classes, size, 23)
-	res, err := RunCluster(ClusterConfig{
-		Learners:       learners,
-		DevicesPerNode: devices,
-		NewReplica:     func(seed int64) nn.Layer { return bnFreeCNN(classes, size, 500+seed) },
-		NewSource: func(rank int) BatchSource {
-			return &SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
-		},
-		Steps:  steps,
-		InputC: 3, InputH: size, InputW: size,
-		Learner: Config{
-			BatchPerDevice:  12 / (learners * devices),
-			Allreduce:       allreduce.AlgMultiColor,
-			Schedule:        sgd.Const(0.1),
-			SGD:             sgd.DefaultConfig(),
-			Compression:     comp,
-			Overlap:         overlap,
-			OverlapInFlight: inFlight,
-		},
-	})
-	if err != nil {
-		t.Fatalf("overlap=%v compression=%+v: %v", overlap, comp, err)
-	}
-	return res
+	return smallJob(t, core.Config{
+		Allreduce:       allreduce.AlgMultiColor,
+		Compression:     comp,
+		Overlap:         overlap,
+		OverlapInFlight: inFlight,
+	}, learners, devices, steps)
 }
 
 // TestOverlapMatchesPhasedBitwise is the serial-vs-overlapped equivalence
@@ -67,20 +49,10 @@ func TestOverlapMatchesPhasedBitwise(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			phased := runOverlap(t, tc.phased, false, learners, devices, steps, 0)
 			overlapped := runOverlap(t, tc.overlap, true, learners, devices, steps, 3)
-			for r := 0; r < learners; r++ {
-				if len(phased.FinalWeights[r]) != len(overlapped.FinalWeights[r]) {
-					t.Fatalf("rank %d weight counts differ", r)
-				}
-				for i := range phased.FinalWeights[r] {
-					if phased.FinalWeights[r][i] != overlapped.FinalWeights[r][i] {
-						t.Fatalf("rank %d weight[%d]: phased %v, overlapped %v",
-							r, i, phased.FinalWeights[r][i], overlapped.FinalWeights[r][i])
-					}
-				}
-			}
+			requireSameWeights(t, phased, overlapped, "phased vs overlapped")
 			// Identical wire traffic, too: same payloads, different schedule.
-			if phased.CommStats[0] != overlapped.CommStats[0] {
-				t.Fatalf("comm stats: phased %+v, overlapped %+v", phased.CommStats[0], overlapped.CommStats[0])
+			if a, b := phased.Ranks[0].CommStats, overlapped.Ranks[0].CommStats; a != b {
+				t.Fatalf("comm stats: phased %+v, overlapped %+v", a, b)
 			}
 		})
 	}
@@ -89,22 +61,13 @@ func TestOverlapMatchesPhasedBitwise(t *testing.T) {
 // TestOverlapLearnersStayInSync: the synchronous-SGD invariant holds under
 // the reactive pipeline — every learner ends bitwise identical.
 func TestOverlapLearnersStayInSync(t *testing.T) {
-	res := runOverlap(t, compress.Config{Codec: "int8", BucketFloats: 256}, true, 4, 1, 8, 2)
-	ref := res.FinalWeights[0]
-	for r := 1; r < 4; r++ {
-		for i := range ref {
-			if res.FinalWeights[r][i] != ref[i] {
-				t.Fatalf("learner %d weight[%d] = %v, learner 0 has %v", r, i, res.FinalWeights[r][i], ref[i])
-			}
-		}
-	}
+	requireInSync(t, runOverlap(t, compress.Config{Codec: "int8", BucketFloats: 256}, true, 4, 1, 8, 2))
 }
 
 // TestOverlapConverges: the overlapped stack must actually learn.
 func TestOverlapConverges(t *testing.T) {
 	res := runOverlap(t, compress.Config{}, true, 2, 2, 60, 0)
-	losses := res.Losses[0]
-	first, last := losses[0], losses[len(losses)-1]
+	first, last := res.Losses[0], res.Losses[len(res.Losses)-1]
 	if !(last < first/2) {
 		t.Fatalf("overlapped training stalled: %v -> %v", first, last)
 	}
@@ -113,14 +76,14 @@ func TestOverlapConverges(t *testing.T) {
 // TestOverlapAccountsTraffic: the reactive path must report allreduce wire
 // bytes through CommStats, like the phased compressed path does.
 func TestOverlapAccountsTraffic(t *testing.T) {
-	dataX, dataLabels := SyntheticTensorData(8, 2, 8, 1)
+	dataX, dataLabels := core.SyntheticTensorData(8, 2, 8, 1)
 	w := mpi.NewWorld(2)
 	defer w.Close()
 	err := w.Run(func(c *mpi.Comm) error {
-		l, err := NewLearner(c, []nn.Layer{bnFreeCNN(2, 8, int64(c.Rank())+1)},
-			&SliceSource{X: dataX, Labels: dataLabels, Rank: c.Rank(), Ranks: 2},
+		l, err := core.NewLearner(c, []nn.Layer{core.SmallBNFreeCNN(2, 8, int64(c.Rank())+1)},
+			&core.SliceSource{X: dataX, Labels: dataLabels, Rank: c.Rank(), Ranks: 2},
 			3, 8, 8,
-			Config{BatchPerDevice: 2, Overlap: true, Compression: compress.Config{BucketFloats: 128}})
+			core.Config{BatchPerDevice: 2, Overlap: true, Compression: compress.Config{BucketFloats: 128}})
 		if err != nil {
 			return err
 		}
@@ -144,8 +107,8 @@ func TestOverlapRejectsUnknownCodec(t *testing.T) {
 	w := mpi.NewWorld(1)
 	defer w.Close()
 	err := w.Run(func(c *mpi.Comm) error {
-		_, err := NewLearner(c, []nn.Layer{bnFreeCNN(2, 8, 1)}, nil, 3, 8, 8,
-			Config{BatchPerDevice: 2, Overlap: true, Compression: compress.Config{Codec: "bogus"}})
+		_, err := core.NewLearner(c, []nn.Layer{core.SmallBNFreeCNN(2, 8, 1)}, nil, 3, 8, 8,
+			core.Config{BatchPerDevice: 2, Overlap: true, Compression: compress.Config{Codec: "bogus"}})
 		if err == nil {
 			t.Error("unknown codec should fail construction")
 		}

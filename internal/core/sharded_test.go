@@ -3,220 +3,9 @@ package core
 import (
 	"testing"
 
-	"repro/internal/allreduce"
-	"repro/internal/compress"
 	"repro/internal/mpi"
 	"repro/internal/nn"
-	"repro/internal/sgd"
 )
-
-// runSharded trains the standard small synthetic workload with the given
-// compression config, overlap switch, and the sharded optimizer on or off.
-func runSharded(t *testing.T, comp compress.Config, overlap, shard bool, learners, devices, steps int) *ClusterResult {
-	t.Helper()
-	const classes, size = 3, 8
-	dataX, dataLabels := SyntheticTensorData(24, classes, size, 23)
-	res, err := RunCluster(ClusterConfig{
-		Learners:       learners,
-		DevicesPerNode: devices,
-		NewReplica:     func(seed int64) nn.Layer { return bnFreeCNN(classes, size, 500+seed) },
-		NewSource: func(rank int) BatchSource {
-			return &SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
-		},
-		Steps:  steps,
-		InputC: 3, InputH: size, InputW: size,
-		Learner: Config{
-			BatchPerDevice: 12 / (learners * devices),
-			Allreduce:      allreduce.AlgMultiColor,
-			Schedule:       sgd.Const(0.1),
-			SGD:            sgd.DefaultConfig(),
-			Compression:    comp,
-			Overlap:        overlap,
-			ShardOptimizer: shard,
-		},
-	})
-	if err != nil {
-		t.Fatalf("shard=%v overlap=%v compression=%+v: %v", shard, overlap, comp, err)
-	}
-	return res
-}
-
-// TestShardedMatchesReplicatedBitwise is the ZeRO-1 correctness statement:
-// reduce-scatter → shard update → parameter allgather must produce exactly
-// the weights the replicated path (full exchange, full update on every rank)
-// produces — bitwise, across exact and lossy codecs, in the phased AND the
-// reactive/overlap schedule. Bucket sizes that split parameters mid-tensor
-// stress the bucket↔shard bookkeeping.
-func TestShardedMatchesReplicatedBitwise(t *testing.T) {
-	const learners, devices, steps = 3, 2, 10
-	for _, tc := range []struct {
-		name string
-		comp compress.Config
-	}{
-		{"none", compress.Config{Codec: "none", BucketFloats: 512}},
-		{"int8", compress.Config{Codec: "int8", BucketFloats: 512}},
-		{"topk-ef", compress.Config{Codec: "topk", TopKRatio: 0.25, ErrorFeedback: true, BucketFloats: 512}},
-		{"int8-tiny-buckets", compress.Config{Codec: "int8", BucketFloats: 37}},
-	} {
-		for _, overlap := range []bool{false, true} {
-			name := tc.name + "/phased"
-			if overlap {
-				name = tc.name + "/overlap"
-			}
-			t.Run(name, func(t *testing.T) {
-				replicated := runSharded(t, tc.comp, overlap, false, learners, devices, steps)
-				sharded := runSharded(t, tc.comp, overlap, true, learners, devices, steps)
-				for r := 0; r < learners; r++ {
-					if len(replicated.FinalWeights[r]) != len(sharded.FinalWeights[r]) {
-						t.Fatalf("rank %d weight counts differ", r)
-					}
-					for i := range replicated.FinalWeights[r] {
-						if replicated.FinalWeights[r][i] != sharded.FinalWeights[r][i] {
-							t.Fatalf("rank %d weight[%d]: replicated %v, sharded %v",
-								r, i, replicated.FinalWeights[r][i], sharded.FinalWeights[r][i])
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestShardedPhasedMatchesShardedOverlap: within sharded mode, the reactive
-// schedule is still a pure scheduling change — identical weights AND
-// identical wire traffic versus the phased sharded step.
-func TestShardedPhasedMatchesShardedOverlap(t *testing.T) {
-	const learners, devices, steps = 3, 2, 8
-	comp := compress.Config{Codec: "int8", BucketFloats: 256}
-	phased := runSharded(t, comp, false, true, learners, devices, steps)
-	overlapped := runSharded(t, comp, true, true, learners, devices, steps)
-	for r := 0; r < learners; r++ {
-		for i := range phased.FinalWeights[r] {
-			if phased.FinalWeights[r][i] != overlapped.FinalWeights[r][i] {
-				t.Fatalf("rank %d weight[%d] differs between phased and overlapped sharded runs", r, i)
-			}
-		}
-	}
-	if phased.CommStats[0] != overlapped.CommStats[0] {
-		t.Fatalf("comm stats: phased %+v, overlapped %+v", phased.CommStats[0], overlapped.CommStats[0])
-	}
-}
-
-// TestShardedLearnersStayInSync: the allgather must leave every rank's every
-// device bitwise identical after each step.
-func TestShardedLearnersStayInSync(t *testing.T) {
-	res := runSharded(t, compress.Config{Codec: "int8", BucketFloats: 256}, false, true, 4, 1, 8)
-	ref := res.FinalWeights[0]
-	for r := 1; r < 4; r++ {
-		for i := range ref {
-			if res.FinalWeights[r][i] != ref[i] {
-				t.Fatalf("learner %d weight[%d] = %v, learner 0 has %v", r, i, res.FinalWeights[r][i], ref[i])
-			}
-		}
-	}
-}
-
-// TestShardedOptimizerStateScales: the point of ZeRO-1 — per-rank momentum
-// memory must shrink as ~1/world-size versus the replicated full copy, and
-// it must cut wire bytes versus the replicated exchange too (payloads travel
-// to shard owners only).
-func TestShardedOptimizerStateScales(t *testing.T) {
-	const learners, devices, steps = 4, 2, 2
-	comp := compress.Config{Codec: "none", BucketFloats: 256}
-	replicated := runSharded(t, comp, false, false, learners, devices, steps)
-	sharded := runSharded(t, comp, false, true, learners, devices, steps)
-
-	// Shards are whole parameters, so the balance guarantee is
-	// total/ranks plus at most one straddling parameter.
-	var largestParam int64
-	for _, p := range bnFreeCNN(3, 8, 1).Params() {
-		if n := int64(4 * p.Value.Len()); n > largestParam {
-			largestParam = n
-		}
-	}
-	var shardTotal int64
-	gradBytes := int64(4 * len(replicated.FinalWeights[0]))
-	for r := 0; r < learners; r++ {
-		if replicated.OptStateBytes[r] != int64(devices)*gradBytes {
-			t.Fatalf("replicated rank %d holds %d optimizer bytes, want %d (one replica per device)",
-				r, replicated.OptStateBytes[r], int64(devices)*gradBytes)
-		}
-		if max := gradBytes/int64(learners) + largestParam; sharded.OptStateBytes[r] > max {
-			t.Fatalf("sharded rank %d holds %d optimizer bytes, want ≤ %d (total/ranks + one param)",
-				r, sharded.OptStateBytes[r], max)
-		}
-		shardTotal += sharded.OptStateBytes[r]
-	}
-	if shardTotal != gradBytes {
-		t.Fatalf("shards hold %d bytes total, want exactly one state copy %d", shardTotal, gradBytes)
-	}
-	if sharded.CommStats[0].BytesSent >= replicated.CommStats[0].BytesSent {
-		t.Fatalf("sharded exchange sent %d bytes, replicated %d — owner routing must cut gradient traffic",
-			sharded.CommStats[0].BytesSent, replicated.CommStats[0].BytesSent)
-	}
-}
-
-// TestShardedConverges: the sharded stack must actually learn.
-func TestShardedConverges(t *testing.T) {
-	res := runSharded(t, compress.Config{}, false, true, 2, 2, 60)
-	losses := res.Losses[0]
-	first, last := losses[0], losses[len(losses)-1]
-	if !(last < first/2) {
-		t.Fatalf("sharded training stalled: %v -> %v", first, last)
-	}
-}
-
-// TestShardedSingleRank: a one-rank world owns everything; the path must
-// degrade to the replicated semantics without communication.
-func TestShardedSingleRank(t *testing.T) {
-	repl := runSharded(t, compress.Config{Codec: "none", BucketFloats: 128}, false, false, 1, 2, 6)
-	shrd := runSharded(t, compress.Config{Codec: "none", BucketFloats: 128}, false, true, 1, 2, 6)
-	for i := range repl.FinalWeights[0] {
-		if repl.FinalWeights[0][i] != shrd.FinalWeights[0][i] {
-			t.Fatalf("single-rank sharded diverges at weight %d", i)
-		}
-	}
-}
-
-// TestShardedMoreRanksThanParams: ranks starved of parameters (empty shards)
-// must participate correctly in the exchange and the allgather.
-func TestShardedMoreRanksThanParams(t *testing.T) {
-	// The bnFreeCNN has 4 params; 6 learners guarantee empty shards.
-	const learners, steps = 6, 4
-	dataX, dataLabels := SyntheticTensorData(24, 3, 8, 23)
-	run := func(shard bool) *ClusterResult {
-		res, err := RunCluster(ClusterConfig{
-			Learners:       learners,
-			DevicesPerNode: 1,
-			NewReplica:     func(seed int64) nn.Layer { return bnFreeCNN(3, 8, 500+seed) },
-			NewSource: func(rank int) BatchSource {
-				return &SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
-			},
-			Steps:  steps,
-			InputC: 3, InputH: 8, InputW: 8,
-			Learner: Config{
-				BatchPerDevice: 2,
-				Schedule:       sgd.Const(0.1),
-				SGD:            sgd.DefaultConfig(),
-				Compression:    compress.Config{Codec: "none", BucketFloats: 64},
-				ShardOptimizer: shard,
-			},
-		})
-		if err != nil {
-			t.Fatalf("shard=%v: %v", shard, err)
-		}
-		return res
-	}
-	repl := run(false)
-	shrd := run(true)
-	for r := 0; r < learners; r++ {
-		for i := range repl.FinalWeights[r] {
-			if repl.FinalWeights[r][i] != shrd.FinalWeights[r][i] {
-				t.Fatalf("rank %d weight[%d] diverges with empty shards in play", r, i)
-			}
-		}
-	}
-}
 
 // TestParamShardBoundsInvariants: the layout is contiguous, covering,
 // param-aligned, and roughly balanced.

@@ -1,18 +1,40 @@
-// Package elastic runs fault-tolerant data-parallel training over the MPI
-// runtime: a cluster that survives rank crashes by shrinking to the live
-// membership, restoring from the latest rank-count-independent checkpoint,
-// and resuming — and that grows back through the same resize path when a
-// crashed identity rejoins or a spare joins for the first time.
+// Package elastic is the training run loop: Algorithm 1 over a world of
+// ranks. A run survives rank crashes by shrinking to the live membership,
+// restoring from the latest rank-count-independent checkpoint, and resuming,
+// and grows back through the same resize path when a crashed identity
+// rejoins or a spare joins for the first time.
 //
 // The unit of execution is an incarnation: one world at the current
-// membership size running the training loop from the resume step. The world
-// is either the in-memory mailbox transport (Config.Transport "mem", the
-// default) or real TCP loopback sockets ("tcp") — the training math,
-// membership protocol, and checkpoint flow are identical, so the two
-// transports produce bitwise-identical weights for the same seeded failure
-// schedule.
+// membership size running the training loop from the resume step. A run
+// whose Plan schedules no crash, join, drop or straggler is one incarnation
+// and nothing more: it starts no failure monitor and captures no checkpoint,
+// so it does exactly the fixed-world loop's work, and any step error ends
+// it. The world is either in memory (Config.Transport "mem", the default,
+// built by Config.NewWorld — a latency or topology world as well as a plain
+// one — with the plan's faults injected into it) or real TCP loopback
+// sockets ("tcp"). The training math, membership protocol, and checkpoint
+// flow are identical, so the two transports produce bitwise-identical
+// weights for the same seeded failure schedule.
 //
-// Every rank of an incarnation runs a heartbeat failure monitor
+// A resize keeps the run's shape:
+//
+//   - Topology. Learner.Topology must be uniform — every node but the last
+//     holds k ranks — and each incarnation of n ranks routes over
+//     mpi.UniformTopology(n, k). A NewWorld that lays its fabric out the
+//     same way keeps the charged links in step with the routing.
+//   - Data. Each incarnation asks NewSource for every rank's source at its
+//     world size and resume step. A DIMD caller re-deals its shard from the
+//     pack (dimd.LoadPartition): the pack is the durable copy of the data,
+//     like the paper's file system, so a shrunken world still covers the
+//     corpus. The loop shuffles a *core.DIMDSource's store every
+//     ShuffleEvery global steps across the whole world, seeded by the step,
+//     so the run stays deterministic.
+//   - Batch. GlobalBatch is held constant: each incarnation deals the same
+//     global batch sequence regardless of world size (core.SliceSource with
+//     StartStep), so the post-recovery loss trajectory is comparable to a
+//     failure-free run.
+//
+// Every rank of a faulty incarnation runs a heartbeat failure monitor
 // (internal/detect) on an out-of-band control channel. Over TCP the monitor
 // is what makes detection work like the paper's deployment: a killed rank's
 // silence turns into suspicion, the suspicion down-marks the rank at each
@@ -23,14 +45,13 @@
 // anyway: one integration, two fabrics.
 //
 // Membership agreement is probe-based and crash-safe. Each survivor sends
-// its HELLO upward from rank 0 — sends to dead ranks fail, so the first
-// successful send finds the lowest live rank, which becomes the leader (a
-// survivor whose every lower rank is dead leads itself). The leader probes
-// the higher ranks for liveness, collects their HELLOs (each carries the
-// sender's checkpoint step, which must agree with the leader's — captures
-// are collective, so every survivor's latest snapshot is the same step),
-// and broadcasts a VERDICT carrying the negotiation epoch, the new member
-// list, and the serialized checkpoint everyone resumes from.
+// an empty HELLO upward from rank 0 — sends to dead ranks fail, so the
+// first successful send finds the lowest live rank, which becomes the
+// leader (a survivor whose every lower rank is dead leads itself). The
+// leader probes the higher ranks for liveness, collects their HELLOs (a
+// HELLO's arrival is all it says), and broadcasts a VERDICT carrying the
+// negotiation epoch, the new member list, and the leader's serialized
+// checkpoint, which everyone resumes from.
 //
 // The protocol survives the leader itself dying mid-negotiation: a follower
 // whose wait for the verdict fails with a CONFIRMED rank-down error (a
@@ -43,26 +64,23 @@
 // leader's verdict cannot commit a dead membership — and when leaders died
 // after partial broadcasts leave survivors holding different rounds'
 // verdicts, the orchestrator resolves to the highest epoch.
-//
-// GlobalBatch is held constant across resizes: each incarnation deals the
-// same global batch sequence regardless of world size (core.SliceSource
-// with StartStep), so the post-recovery loss trajectory is comparable to a
-// failure-free run.
 package elastic
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/allreduce"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/dimd"
 	"repro/internal/mpi"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // Event kinds.
@@ -76,7 +94,12 @@ const (
 	kindGrow = "grow"
 )
 
-// Config describes an elastic training run.
+// HeartbeatPeriod is the failure monitor's base send period. A peer is
+// suspected after Plan.DetectTimeout of silence, so suspicion and the
+// receive timeout agree on what "too silent" means.
+const HeartbeatPeriod = 50 * time.Millisecond
+
+// Config describes a training run.
 type Config struct {
 	// Identities is the initial world size; trainer identities are
 	// 0..Identities-1 and stay stable across resizes. Spare identities
@@ -85,37 +108,41 @@ type Config struct {
 	// DevicesPerNode is the replica count per rank (default 1).
 	DevicesPerNode int
 	// GlobalBatch is the total batch per step, constant across resizes. It
-	// must divide evenly by liveRanks·DevicesPerNode at every world size
-	// the run passes through.
+	// must divide evenly by ranks·DevicesPerNode at every world size the
+	// run passes through.
 	GlobalBatch int
 	// Steps is the total number of global steps to complete.
 	Steps int
-	// CheckpointEvery is the capture cadence in steps (default 1). An
-	// incarnation always captures at its resume step, so there is a
-	// restorable snapshot before any crash can land.
+	// CheckpointEvery is the capture cadence in steps (default 1) of a
+	// faulty run. An incarnation always captures at its resume step, so
+	// there is a restorable snapshot before any crash can land.
 	CheckpointEvery int
 	// Transport selects the incarnation fabric: TransportMem (default) or
 	// TransportTCP for real loopback sockets.
 	Transport string
-	// HeartbeatInterval is the monitor's base send period (default 50ms).
-	HeartbeatInterval time.Duration
-	// SuspectAfter is the heartbeat silence window after which a peer is
-	// suspected (default: Plan.DetectTimeout, so suspicion and the receive
-	// timeout agree on what "too silent" means).
-	SuspectAfter time.Duration
+	// NewWorld builds each incarnation's in-memory world of the given rank
+	// count (default mpi.NewWorld); the plan's faults are injected into what
+	// it returns. TransportMem only.
+	NewWorld func(ranks int) (*mpi.World, error)
 	// NewReplica builds one model replica from a seed.
 	NewReplica func(seed int64) nn.Layer
-	// Data/Labels with the input dimensions feed core.SliceSource.
-	Data                   *tensor.Tensor
-	Labels                 []int
+	// NewSource builds rank's batch source in an incarnation of ranks ranks
+	// whose first step is the global step startStep.
+	NewSource func(rank, ranks, startStep int) (core.BatchSource, error)
+	// ShuffleEvery is the cadence in global steps of the DIMD shuffle (paper
+	// Section 4.1) of a *core.DIMDSource's store; 0 never shuffles.
+	ShuffleEvery           int
 	InputC, InputH, InputW int
 	// Learner is the core.Config template. BatchPerDevice is derived from
 	// GlobalBatch per incarnation; GradScale should stay zero so the
-	// learner rescales to 1/(ranks·devices) at each world size; Topology
-	// is rejected (a fixed rank→node layout cannot survive a resize).
+	// learner rescales to 1/(ranks·devices) at each world size; Topology,
+	// when set, is re-laid out per incarnation (see the package doc).
 	Learner core.Config
 	// Plan schedules the faults.
 	Plan Plan
+	// Eval, when set, runs once on rank 0's learner after the last step. It
+	// must not communicate: the other ranks may already be gone.
+	Eval func(l *core.Learner)
 }
 
 // Event records one elasticity event: a crash that shrank the world, a
@@ -136,30 +163,45 @@ type Event struct {
 	RecoverySec float64 `json:"recovery_sec"`
 }
 
-// Result is the outcome of an elastic run that completed every step.
+// RankResult is what one rank of the final incarnation ended the run with.
+type RankResult struct {
+	Weights   []float32 // flattened final model
+	Phases    core.PhaseTimes
+	CommStats allreduce.CompressedStats
+	// OptStateBytes is the resident optimizer (momentum) state; ParamAGBytes
+	// the sharded step's cumulative parameter-allgather wire bytes.
+	OptStateBytes, ParamAGBytes int64
+}
+
+// Result is the outcome of a run that completed every step.
 type Result struct {
 	Steps        int       `json:"steps"`
 	Incarnations int       `json:"incarnations"`
 	Events       []Event   `json:"events"`
 	Losses       []float64 `json:"losses"` // global mean loss per step
 	FinalLoss    float64   `json:"final_loss"`
-	FinalWeights []float32 `json:"-"` // rank 0's weights after the last step
+	// Ranks holds the final incarnation's ranks, in rank order.
+	Ranks []RankResult `json:"-"`
+	// Traffic is the final incarnation's wire bytes per link class (zeros
+	// over TCP or a world without a link model).
+	Traffic mpi.Traffic `json:"-"`
 }
 
 // incOut is everything one incarnation reports back to the orchestrator.
 type incOut struct {
-	done         bool
-	kind         string // KindCrash or kindGrow when !done
-	verdict      *verdict
-	stopStep     int       // step the incarnation stopped at
-	stoppedAt    time.Time // when the failure surfaced / boundary was hit
-	firstStepAt  time.Time // when the first step of this incarnation completed
-	losses       [][]float64
-	finalWeights []float32
+	done        bool
+	kind        string // KindCrash or kindGrow when !done
+	verdict     *verdict
+	stopStep    int       // step the incarnation stopped at
+	stoppedAt   time.Time // when the failure surfaced / boundary was hit
+	firstStepAt time.Time // when the first step of this incarnation completed
+	losses      [][]float64
+	ranks       []RankResult
+	traffic     mpi.Traffic
 }
 
-// Run executes the elastic training loop to completion, surviving every
-// scheduled crash and rejoin, and returns the stitched-together result.
+// Run executes the training loop to completion, surviving every scheduled
+// crash and rejoin, and returns the stitched-together result.
 func Run(cfg Config) (*Result, error) {
 	if cfg.DevicesPerNode <= 0 {
 		cfg.DevicesPerNode = 1
@@ -170,14 +212,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Plan.DetectTimeout <= 0 {
 		cfg.Plan.DetectTimeout = 5 * time.Second
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 50 * time.Millisecond
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = cfg.Plan.DetectTimeout
-	}
 	if err := validate(&cfg); err != nil {
 		return nil, err
+	}
+	if cfg.NewWorld == nil {
+		cfg.NewWorld = func(n int) (*mpi.World, error) { return mpi.NewWorld(n), nil }
 	}
 
 	members := make([]int, cfg.Identities)
@@ -207,8 +246,8 @@ func Run(cfg Config) (*Result, error) {
 		mergeLosses(res, out, resumeStep, len(members))
 		if out.done {
 			res.Steps = cfg.Steps
-			res.FinalWeights = out.finalWeights
 			res.FinalLoss = res.Losses[cfg.Steps-1]
+			res.Ranks, res.Traffic = out.ranks, out.traffic
 			return res, nil
 		}
 
@@ -265,16 +304,19 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 	if cfg.GlobalBatch%(n*cfg.DevicesPerNode) != 0 {
 		return nil, fmt.Errorf("elastic: GlobalBatch %d does not divide across %d ranks × %d devices", cfg.GlobalBatch, n, cfg.DevicesPerNode)
 	}
-	bpd := cfg.GlobalBatch / (n * cfg.DevicesPerNode)
 	baseEpoch := uint64(incarnation) << epochRoundBits
+	faulty := !cfg.Plan.faultFree()
 
-	cw, err := newClusterWorld(cfg, members, fired, incarnation)
+	cw, err := newClusterWorld(cfg, members, fired, incarnation, faulty)
 	if err != nil {
 		return nil, err
 	}
 	defer cw.close()
 
-	out := &incOut{losses: make([][]float64, n)}
+	lcfg := cfg.Learner
+	lcfg.BatchPerDevice = cfg.GlobalBatch / (n * cfg.DevicesPerNode)
+	lcfg.Topology = resized(lcfg.Topology, n)
+	out := &incOut{losses: make([][]float64, n), ranks: make([]RankResult, n)}
 	var (
 		mu        sync.Mutex
 		firstStep sync.Once
@@ -288,52 +330,65 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 
 	err = cw.run(func(rank int, c, monC *mpi.Comm) error {
 		id := members[rank]
-		// The negotiation sub-communicator is derived from the CONTROL comm,
-		// not the training comm: an isolated context (no collision with
-		// in-flight collectives) on the injection-free channel, so the
-		// protocol that recovers from failures is not itself subject to the
-		// injected message loss — over a real network, TCP retransmission
-		// gives the control plane exactly that reliability.
-		ctrl, err := monC.Sub(all)
-		if err != nil {
-			return err
+		losses := make([]float64, 0, cfg.Steps-resumeStep)
+		defer func() {
+			mu.Lock()
+			out.losses[rank] = losses
+			mu.Unlock()
+		}()
+		var ctrl *mpi.Comm
+		if faulty {
+			// The negotiation sub-communicator is derived from the CONTROL
+			// comm, not the training comm: an isolated context (no collision
+			// with in-flight collectives) on the injection-free channel, so
+			// the protocol that recovers from failures is not itself subject
+			// to the injected message loss — over a real network, TCP
+			// retransmission gives the control plane exactly that
+			// reliability.
+			var err error
+			if ctrl, err = monC.Sub(all); err != nil {
+				return err
+			}
+			// The heartbeat monitor: suspicion feeds the transport's local
+			// down-marking, which is how a killed rank is detected over TCP
+			// even when no survivor is blocked receiving from it.
+			monitor := detect.NewMonitor(monC, detect.Config{
+				Interval:     HeartbeatPeriod,
+				SuspectAfter: cfg.Plan.DetectTimeout,
+				Seed:         cfg.Plan.Seed,
+				OnSuspect:    func(peer int) { cw.suspect(rank, peer) },
+			})
+			monitor.Start()
+			defer monitor.Stop()
 		}
-		// The heartbeat monitor: suspicion feeds the transport's local
-		// down-marking, which is how a killed rank is detected over TCP
-		// even when no survivor is blocked receiving from it.
-		monitor := detect.NewMonitor(monC, detect.Config{
-			Interval:     cfg.HeartbeatInterval,
-			SuspectAfter: cfg.SuspectAfter,
-			Seed:         cfg.Plan.Seed,
-			OnSuspect:    func(peer int) { cw.suspect(rank, peer) },
-		})
-		monitor.Start()
-		defer monitor.Stop()
 
-		lcfg := cfg.Learner
-		lcfg.BatchPerDevice = bpd
 		replicas := make([]nn.Layer, cfg.DevicesPerNode)
 		for d := range replicas {
 			replicas[d] = cfg.NewReplica(int64(rank*cfg.DevicesPerNode + d + 1))
 		}
-		src := &core.SliceSource{X: cfg.Data, Labels: cfg.Labels, Rank: rank, Ranks: n, StartStep: resumeStep}
+		src, err := cfg.NewSource(rank, n, resumeStep)
+		if err != nil {
+			return err
+		}
 		l, err := core.NewLearner(c, replicas, src, cfg.InputC, cfg.InputH, cfg.InputW, lcfg)
 		if err != nil {
 			return err
 		}
 		defer l.Close()
+		// The DIMD shuffle runs on its own context over the whole world.
+		var shuffle *mpi.Comm
+		dimdSrc, _ := src.(*core.DIMDSource)
+		if dimdSrc != nil && cfg.ShuffleEvery > 0 {
+			if shuffle, err = c.Sub(all); err != nil {
+				return err
+			}
+		}
 		if snap != nil {
 			if err := l.RestoreCheckpoint(snap); err != nil {
 				return err
 			}
 		}
 		ck := snap
-		myLosses := make([]float64, 0, cfg.Steps-resumeStep)
-		record := func() {
-			mu.Lock()
-			out.losses[rank] = myLosses
-			mu.Unlock()
-		}
 		// recovery runs the membership negotiation after a failure at step
 		// s, honoring an injected second crash scheduled inside it. A nil
 		// return means this rank is finished with the incarnation — either
@@ -374,39 +429,42 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 		// restore idempotency is what makes the window safe.
 		if s0, ok := cfg.Plan.CrashInRestore[id]; ok && !fired[id] && snap != nil && resumeStep == s0 {
 			cw.crash(rank)
-			record()
 			return nil
 		}
 
+		markFirst := func() {
+			mu.Lock()
+			out.firstStepAt = time.Now()
+			mu.Unlock()
+		}
 		for s := resumeStep; s < cfg.Steps; s++ {
-			if len(joinersAt(cfg, members, s)) > 0 {
-				// Voluntary incarnation boundary: checkpoint fresh at this
-				// step (every rank evaluates the same condition, so the
-				// collective capture lines up) and exit; the orchestrator
-				// restarts the world with the grown membership.
-				ck2, err := l.CaptureCheckpoint(epochOf(cfg, s))
-				if err != nil {
-					record()
-					return fmt.Errorf("elastic: rank %d grow checkpoint at step %d: %w", rank, s, err)
+			if faulty {
+				if len(joinersAt(cfg, members, s)) > 0 {
+					// Voluntary incarnation boundary: checkpoint fresh at
+					// this step (every rank evaluates the same condition, so
+					// the collective capture lines up) and exit; the
+					// orchestrator restarts the world with the grown
+					// membership.
+					ck2, err := l.CaptureCheckpoint(epochOf(cfg, s))
+					if err != nil {
+						return fmt.Errorf("elastic: rank %d grow checkpoint at step %d: %w", rank, s, err)
+					}
+					mu.Lock()
+					out.kind = kindGrow
+					out.stopStep = s
+					if out.stoppedAt.IsZero() {
+						out.stoppedAt = time.Now()
+					}
+					verdicts[rank] = &verdict{epoch: baseEpoch, members: all, ck: ck2}
+					mu.Unlock()
+					return nil
 				}
-				mu.Lock()
-				out.kind = kindGrow
-				out.stopStep = s
-				if out.stoppedAt.IsZero() {
-					out.stoppedAt = time.Now()
-				}
-				verdicts[rank] = &verdict{epoch: baseEpoch, members: all, ck: ck2}
-				mu.Unlock()
-				record()
-				return nil
-			}
-			// Capture at the cadence, plus once at the resume step so a
-			// snapshot always exists before any crash can land. Crashes
-			// fire at the top of a step, after this point — so a capture
-			// in progress is never interrupted, and every rank's latest
-			// successful snapshot is the same step.
-			if s%cfg.CheckpointEvery == 0 || s == resumeStep {
-				if !(s == resumeStep && ck != nil) { // resuming: snap already is step s
+				// Capture at the cadence, plus once at the resume step so a
+				// snapshot always exists before any crash can land. Crashes
+				// fire at the top of a step, after this point — so a capture
+				// in progress is never interrupted, and every rank's latest
+				// successful snapshot is the same step.
+				if (s%cfg.CheckpointEvery == 0 || s == resumeStep) && !(s == resumeStep && ck != nil) {
 					ck2, err := l.CaptureCheckpoint(epochOf(cfg, s))
 					if err != nil {
 						// A failure can land mid-capture (the sharded gather
@@ -416,56 +474,53 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 						// fresh start if the leader holds none yet — so a
 						// rank whose own capture failed loses nothing.
 						if errors.Is(err, mpi.ErrRankDown) {
-							err = recovery(s)
-						} else {
-							err = fmt.Errorf("elastic: rank %d checkpoint at step %d: %w", rank, s, err)
+							return recovery(s)
 						}
-						record()
-						return err
+						return fmt.Errorf("elastic: rank %d checkpoint at step %d: %w", rank, s, err)
 					}
 					ck = ck2
 				}
-			}
-			if err := cw.tick(rank, s); err != nil {
-				record()
-				return nil // this rank is the victim: die silently
-			}
-			loss, err := l.Step()
-			if err != nil {
-				if !errors.Is(err, mpi.ErrRankDown) {
-					record()
-					return fmt.Errorf("elastic: rank %d step %d: %w", rank, s, err)
+				if err := cw.tick(rank, s); err != nil {
+					return nil // this rank is the victim: die silently
 				}
-				err = recovery(s)
-				record()
-				return err
 			}
-			myLosses = append(myLosses, loss)
-			firstStep.Do(func() {
-				mu.Lock()
-				out.firstStepAt = time.Now()
-				mu.Unlock()
-			})
+			var loss float64
+			var err error
+			if shuffle != nil && s > 0 && s%cfg.ShuffleEvery == 0 {
+				err = dimdSrc.Store.Shuffle(shuffle, dimd.ShuffleOptions{Seed: int64(s)})
+			}
+			if err == nil {
+				loss, err = l.Step()
+			}
+			if err != nil {
+				if faulty && errors.Is(err, mpi.ErrRankDown) {
+					return recovery(s)
+				}
+				return fmt.Errorf("elastic: rank %d step %d: %w", rank, s, err)
+			}
+			losses = append(losses, loss)
+			firstStep.Do(markFirst)
 		}
 		mu.Lock()
 		doneRanks++
 		mu.Unlock()
-		if rank == 0 {
-			wts, err := l.FlatWeights()
-			if err != nil {
-				record()
-				return err
-			}
-			mu.Lock()
-			out.finalWeights = wts
-			mu.Unlock()
+		if rank == 0 && cfg.Eval != nil {
+			cfg.Eval(l)
 		}
-		record()
+		w, err := l.FlatWeights()
+		if err != nil {
+			return err
+		}
+		out.ranks[rank] = RankResult{
+			Weights: w, Phases: l.Phases(), CommStats: l.CommStats(),
+			OptStateBytes: l.OptimizerStateBytes(), ParamAGBytes: l.ParamAllGatherBytes(),
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	out.traffic = cw.traffic()
 
 	if doneRanks == n {
 		out.done = true
@@ -490,7 +545,7 @@ func runIncarnation(cfg *Config, members []int, snap *checkpoint.Checkpoint, res
 		if cand.epoch < v.epoch {
 			continue // superseded
 		}
-		if resumeStepOf(cand) != resumeStepOf(v) || !equalInts(v.members, cand.members) {
+		if resumeStepOf(cand) != resumeStepOf(v) || !slices.Equal(v.members, cand.members) {
 			return nil, fmt.Errorf("elastic: same-epoch verdicts disagree (%v@%d vs %v@%d)",
 				v.members, resumeStepOf(v), cand.members, resumeStepOf(cand))
 		}
@@ -530,27 +585,11 @@ func epochOf(cfg *Config, step int) float64 {
 }
 
 func diffIdentities(old, next []int) []int {
-	keep := make(map[int]bool, len(next))
-	for _, id := range next {
-		keep[id] = true
-	}
 	var gone []int
 	for _, id := range old {
-		if !keep[id] {
+		if !slices.Contains(next, id) {
 			gone = append(gone, id)
 		}
 	}
 	return gone
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

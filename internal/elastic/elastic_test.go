@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -20,8 +21,7 @@ func baseConfig() Config {
 		GlobalBatch: 12,
 		Steps:       8,
 		NewReplica:  func(seed int64) nn.Layer { return core.SmallBNFreeCNN(4, 8, seed) },
-		Data:        x,
-		Labels:      labels,
+		NewSource:   core.SliceSources(x, labels),
 		InputC:      3, InputH: 8, InputW: 8,
 		// Keep the failure detector snappy in tests: ranks that race past the
 		// victim's crash into a collective recv give up after 2s instead of
@@ -69,6 +69,20 @@ func requireAllLossesRecorded(t *testing.T, res *Result) {
 	}
 }
 
+// requireSurvivorsAgree fails unless the final world's ranks all hold the
+// same, non-empty weights.
+func requireSurvivorsAgree(t *testing.T, res *Result) {
+	t.Helper()
+	if len(res.Ranks) == 0 || len(res.Ranks[0].Weights) == 0 {
+		t.Fatal("no final weights reported")
+	}
+	for r, rr := range res.Ranks[1:] {
+		if !slices.Equal(rr.Weights, res.Ranks[0].Weights) {
+			t.Fatalf("survivor %d's weights differ from survivor 0's", r+1)
+		}
+	}
+}
+
 // A mid-run crash must shrink the world, restore from the latest snapshot,
 // and complete every remaining step at the smaller size.
 func TestElasticCrashShrinksWorldAndCompletes(t *testing.T) {
@@ -95,9 +109,7 @@ func TestElasticCrashShrinksWorldAndCompletes(t *testing.T) {
 		t.Fatalf("recovery latency %v, want > 0", ev.RecoverySec)
 	}
 	requireAllLossesRecorded(t, res)
-	if len(res.FinalWeights) == 0 {
-		t.Fatal("no final weights reported")
-	}
+	requireSurvivorsAgree(t, res)
 }
 
 // With a sparser checkpoint cadence the run resumes from the last capture

@@ -13,14 +13,13 @@ import (
 
 // Control-plane tags on the negotiation sub-communicator (user tag space).
 const (
-	tagHello   = 1 // survivor → leader: [checkpoint step:8][epoch:8]
+	tagHello   = 1 // survivor → leader: empty, its arrival is the message
 	tagProbe   = 2 // leader → higher ranks: liveness probe, never received
 	tagVerdict = 3 // leader → survivors: epoch + member list + checkpoint
 )
 
 // Negotiation protocol parameters.
 const (
-	helloLen = 16
 	// epochRoundBits splits the verdict epoch: the incarnation number in the
 	// high bits, the election round in the low epochRoundBits.
 	epochRoundBits = 16
@@ -49,9 +48,9 @@ type verdict struct {
 var errSabotaged = errors.New("elastic: injected crash inside negotiation")
 
 // negotiate is the leader-coordinated membership agreement a survivor runs
-// after its step fails with ErrRankDown. Probe-send the HELLO upward from
-// rank 0: sends to dead ranks fail, so the first delivery finds the lowest
-// live rank — the leader. A follower then waits for that leader's VERDICT,
+// after its step fails with ErrRankDown. Probe-send an empty HELLO upward
+// from rank 0: sends to dead ranks fail, so the first delivery finds the
+// lowest live rank — the leader. A follower then waits for that leader's VERDICT,
 // retrying through transient failures (a detection timeout blaming a slow
 // leader, a TCP reconnect in progress); only a CONFIRMED rank-down error —
 // a crash marking, a heartbeat suspicion — advances it to the next election
@@ -73,28 +72,20 @@ func negotiate(ctrl *mpi.Comm, ck *checkpoint.Checkpoint, baseEpoch uint64, die 
 			return nil, errSabotaged
 		}
 	}
-	step := int64(-1) // no snapshot yet (a failure before the first capture)
-	if ck != nil {
-		step = ck.Step
-	}
-	var hello [helloLen]byte
-	binary.LittleEndian.PutUint64(hello[:8], uint64(step))
 	// A round can be burned by a stale socket electing an already-dead
 	// leader before its down-marking lands, so allow a couple per rank.
 	maxRounds := 2*ctrl.Size() + 2
 	for round := 0; round < maxRounds; round++ {
-		epoch := baseEpoch | uint64(round)
-		binary.LittleEndian.PutUint64(hello[8:], epoch)
 		leader := ctrl.Rank()
 		for q := 0; q < ctrl.Rank(); q++ {
-			if err := ctrl.Send(q, tagHello, hello[:]); err == nil {
+			if err := ctrl.Send(q, tagHello, nil); err == nil {
 				leader = q
 				break
 			}
 			// Send failed: q is down. Keep probing upward.
 		}
 		if leader == ctrl.Rank() {
-			return lead(ctrl, ck, epoch, die)
+			return lead(ctrl, ck, baseEpoch|uint64(round), die)
 		}
 		v, err := awaitVerdict(ctrl, leader, baseEpoch)
 		if err == nil {
@@ -112,13 +103,13 @@ func negotiate(ctrl *mpi.Comm, ck *checkpoint.Checkpoint, baseEpoch uint64, die 
 // rank for liveness, collect the live ones' HELLOs, and broadcast the
 // epoch-stamped VERDICT. The verdict carries the LEADER's latest snapshot —
 // every survivor restores from it, so the followers' own snapshot steps
-// (reported in their HELLOs, possibly one capture boundary ahead or behind
-// after a failure landed mid-capture) never need to agree. A leader holding
-// no snapshot yet — the failure beat the very first capture — issues a
-// fresh-start verdict: the survivors begin again from step 0. A probed rank
-// whose HELLO never arrives within the budget is evicted as unresponsive
-// but still sent the verdict, so a wedged-but-live rank converges on the
-// same membership (finding itself excluded).
+// (possibly one capture boundary ahead or behind after a failure landed
+// mid-capture) never need to agree. A leader holding no snapshot yet — the
+// failure beat the very first capture — issues a fresh-start verdict: the
+// survivors begin again from step 0. A probed rank whose HELLO never
+// arrives within the budget is evicted as unresponsive but still sent the
+// verdict, so a wedged-but-live rank converges on the same membership
+// (finding itself excluded).
 func lead(ctrl *mpi.Comm, ck *checkpoint.Checkpoint, epoch uint64, die func() bool) (*verdict, error) {
 	r := ctrl.Rank()
 	var reachable []int
@@ -136,10 +127,6 @@ func lead(ctrl *mpi.Comm, ck *checkpoint.Checkpoint, epoch uint64, die func() bo
 				continue // died (or stayed silent past the budget): evicted
 			}
 			return nil, fmt.Errorf("leader awaiting hello from rank %d: %w", q, err)
-		}
-		if len(b) != helloLen {
-			mpi.PutBytes(b)
-			return nil, fmt.Errorf("malformed hello from rank %d (%d bytes)", q, len(b))
 		}
 		mpi.PutBytes(b)
 		members = append(members, q)

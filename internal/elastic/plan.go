@@ -3,6 +3,7 @@ package elastic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,9 +42,11 @@ type Plan struct {
 	// or above it is a spare, never a member before (KindSpare).
 	JoinAtStep map[int]int
 	// DropProb / DetectTimeout / Slow pass through to mpi.FaultPlan for
-	// every incarnation. DetectTimeout defaults to 5s when zero: elastic
-	// training REQUIRES a failure detector, because crash notification
-	// alone cannot cover every race — a rank whose sends to the victim
+	// every incarnation of a faulty run (a fault-free one injects nothing).
+	// DetectTimeout defaults to 5s when zero, and is also the heartbeat
+	// silence after which the monitor suspects a peer: elastic training
+	// REQUIRES a failure detector, because crash notification alone
+	// cannot cover every race — a rank whose sends to the victim
 	// completed just before the crash landed (e.g. an empty-shard rank
 	// that only sends in the reduce-scatter) finishes its exchange cleanly
 	// and blocks in the params allgather waiting on survivors that already
@@ -75,16 +78,19 @@ func validate(cfg *Config) error {
 		return errors.New("elastic: GlobalBatch must be positive")
 	case cfg.NewReplica == nil:
 		return errors.New("elastic: NewReplica is required")
-	case cfg.Data == nil:
-		return errors.New("elastic: Data is required")
-	case cfg.Learner.Topology.IsSet():
-		return errors.New("elastic: Learner.Topology cannot survive a resize; leave the world flat")
+	case cfg.NewSource == nil:
+		return errors.New("elastic: NewSource is required")
+	case !slices.Equal(resized(cfg.Learner.Topology, cfg.Identities).Node, cfg.Learner.Topology.Node):
+		return fmt.Errorf("elastic: Learner.Topology %v is not a uniform layout of %d ranks; a resize could not keep it", cfg.Learner.Topology.Node, cfg.Identities)
 	case cfg.Learner.GradScale != 0:
 		return errors.New("elastic: Learner.GradScale must stay zero so gradients rescale per world size")
 	}
 	switch cfg.Transport {
 	case "", TransportMem:
 	case TransportTCP:
+		if cfg.NewWorld != nil {
+			return errors.New("elastic: NewWorld builds in-memory worlds; TCP brings its own")
+		}
 		if cfg.Plan.DropProb > 0 {
 			return errors.New("elastic: DropProb is mailbox-only; TCP cannot drop messages deterministically")
 		}
@@ -139,6 +145,27 @@ func validate(cfg *Config) error {
 
 func hasKey(m map[int]int, id int) bool { _, ok := m[id]; return ok }
 
+// faultFree reports whether the plan schedules nothing: no crash, join, drop
+// or straggler. Such a run is one incarnation that starts no monitor and
+// captures no checkpoint — the fixed-world loop.
+func (p *Plan) faultFree() bool {
+	return len(p.CrashAtStep)+len(p.CrashInNegotiation)+len(p.CrashInRestore)+len(p.JoinAtStep)+len(p.Slow) == 0 &&
+		p.DropProb == 0
+}
+
+// resized lays a uniform topology out over n ranks: every node but the last
+// holds as many ranks as t's first node. A flat t stays flat.
+func resized(t mpi.Topology, n int) mpi.Topology {
+	if !t.IsSet() {
+		return t
+	}
+	k := 0
+	for k < len(t.Node) && t.Node[k] == 0 {
+		k++
+	}
+	return mpi.UniformTopology(n, k)
+}
+
 // incarnationPlan maps the identity-keyed fault plan onto this
 // incarnation's world ranks, skipping crashes that already fired (recovery
 // may recompute the crash step; the victim must not die twice). The drop
@@ -179,14 +206,7 @@ func joinersAt(cfg *Config, members []int, s int) []int {
 		if js != s {
 			continue
 		}
-		present := false
-		for _, m := range members {
-			if m == id {
-				present = true
-				break
-			}
-		}
-		if !present {
+		if !slices.Contains(members, id) {
 			ids = append(ids, id)
 		}
 	}

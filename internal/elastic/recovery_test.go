@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -37,9 +38,7 @@ func TestElasticLeaderCrashMidNegotiationReElects(t *testing.T) {
 		t.Fatalf("crashed identities %v, want 0 (the mid-negotiation leader) and 3", gone)
 	}
 	requireAllLossesRecorded(t, res)
-	if len(res.FinalWeights) == 0 {
-		t.Fatal("no final weights reported")
-	}
+	requireSurvivorsAgree(t, res)
 }
 
 // A follower dying on its way into the negotiation must be excluded from
@@ -92,9 +91,7 @@ func TestElasticCrashDuringRestoreIsIdempotent(t *testing.T) {
 		t.Fatalf("third event %+v, want identity 1 rejoining into the same resume step 3", third)
 	}
 	requireAllLossesRecorded(t, res)
-	if len(res.FinalWeights) == 0 {
-		t.Fatal("no final weights reported")
-	}
+	requireSurvivorsAgree(t, res)
 }
 
 // A spare — an identity above the initial range, never a member, never
@@ -203,13 +200,8 @@ func TestElasticNegotiationCrashDeterministic(t *testing.T) {
 			t.Fatalf("step %d loss differs across identical runs: %v vs %v", s, a.Losses[s], b.Losses[s])
 		}
 	}
-	if len(a.FinalWeights) != len(b.FinalWeights) {
-		t.Fatalf("weight lengths differ: %d vs %d", len(a.FinalWeights), len(b.FinalWeights))
-	}
-	for i := range a.FinalWeights {
-		if a.FinalWeights[i] != b.FinalWeights[i] {
-			t.Fatalf("weight %d differs across identical runs", i)
-		}
+	if !slices.Equal(a.Ranks[0].Weights, b.Ranks[0].Weights) {
+		t.Fatal("weights differ across identical runs")
 	}
 }
 
@@ -237,6 +229,13 @@ func TestElasticValidatesRecoveryPlans(t *testing.T) {
 			c.Plan.JoinAtStep = map[int]int{1: 3} // before the restore crash
 		},
 		func(c *Config) { c.Plan.JoinAtStep = map[int]int{1: 3} }, // never crashes
+		func(c *Config) { c.NewSource = nil },
+		func(c *Config) { c.Learner.Topology = mpi.Topology{Node: []int{0, 1, 1, 1}} }, // not uniform
+		func(c *Config) { c.Learner.Topology = mpi.UniformTopology(6, 2) },             // not the world
+		func(c *Config) {
+			c.Transport = TransportTCP
+			c.NewWorld = func(n int) (*mpi.World, error) { return mpi.NewWorld(n), nil }
+		},
 	}
 	for i, mutate := range bad {
 		cfg := baseConfig()

@@ -1,19 +1,15 @@
 package elastic
 
 import (
+	"slices"
 	"testing"
-	"time"
 )
 
-// tcpTestConfig tightens the failure detector for socket tests: heartbeats
-// every 25ms, suspicion after 600ms of silence, so a killed endpoint is
-// confirmed dead by the monitor well before the 2s receive timeout budget
-// stacks up.
+// tcpTestConfig is baseConfig over loopback sockets: the monitor suspects a
+// silent peer after the same 2s the receives time out after.
 func tcpTestConfig() Config {
 	cfg := baseConfig()
 	cfg.Transport = TransportTCP
-	cfg.HeartbeatInterval = 25 * time.Millisecond
-	cfg.SuspectAfter = 600 * time.Millisecond
 	return cfg
 }
 
@@ -71,12 +67,13 @@ func TestElasticTCPRecoveryBitwiseMatchesMailbox(t *testing.T) {
 			t.Fatalf("step %d loss diverges: mem=%v tcp=%v", s, mem.Losses[s], tcp.Losses[s])
 		}
 	}
-	if len(mem.FinalWeights) == 0 || len(mem.FinalWeights) != len(tcp.FinalWeights) {
-		t.Fatalf("weight lengths: mem=%d tcp=%d", len(mem.FinalWeights), len(tcp.FinalWeights))
+	requireSurvivorsAgree(t, mem)
+	if len(mem.Ranks) != len(tcp.Ranks) {
+		t.Fatalf("final worlds: mem=%d tcp=%d ranks", len(mem.Ranks), len(tcp.Ranks))
 	}
-	for i := range mem.FinalWeights {
-		if mem.FinalWeights[i] != tcp.FinalWeights[i] {
-			t.Fatalf("weight %d diverges between transports", i)
+	for r := range mem.Ranks {
+		if !slices.Equal(mem.Ranks[r].Weights, tcp.Ranks[r].Weights) {
+			t.Fatalf("rank %d's weights diverge between transports", r)
 		}
 	}
 }

@@ -27,27 +27,27 @@ const (
 //   - crash kills a rank immediately (second failures injected inside a
 //     recovery phase);
 //   - suspect applies one rank's local failure verdict about a peer — the
-//     heartbeat monitor's OnSuspect lands here.
+//     heartbeat monitor's OnSuspect lands here;
+//   - traffic reports the wire bytes per link class.
+//
+// A fault-free run calls only run, traffic and close.
 type clusterWorld interface {
 	run(fn func(rank int, c, mon *mpi.Comm) error) error
 	tick(rank, step int) error
 	crash(rank int)
 	suspect(observer, rank int)
+	traffic() mpi.Traffic
 	close()
 }
 
-// memCluster runs an incarnation over mpi.World with the fault injector. A
-// crash here is CONFIRMED world-wide the instant it lands (every mailbox is
-// down-marked), so negotiation progress never depends on the monitor — the
-// monitor still runs, as the same integration the TCP path relies on.
+// memCluster runs an incarnation over the mpi.World Config.NewWorld built,
+// with the fault injector when the run is faulty. A crash here is CONFIRMED
+// world-wide the instant it lands (every mailbox is down-marked), so
+// negotiation progress never depends on the monitor — the monitor still
+// runs, as the same integration the TCP path relies on.
 type memCluster struct {
 	w   *mpi.World
 	inj *mpi.FaultInjector
-}
-
-func newMemCluster(n int, plan mpi.FaultPlan) *memCluster {
-	w := mpi.NewWorld(n)
-	return &memCluster{w: w, inj: w.InjectFaults(plan)}
 }
 
 func (m *memCluster) run(fn func(rank int, c, mon *mpi.Comm) error) error {
@@ -63,6 +63,7 @@ func (m *memCluster) run(fn func(rank int, c, mon *mpi.Comm) error) error {
 func (m *memCluster) tick(rank, step int) error  { return m.inj.Tick(rank, step) }
 func (m *memCluster) crash(rank int)             { m.inj.Crash(rank) }
 func (m *memCluster) suspect(observer, rank int) { m.w.Suspect(observer, rank) }
+func (m *memCluster) traffic() mpi.Traffic       { return m.w.Traffic() }
 func (m *memCluster) close()                     { m.w.Close() }
 
 // tcpCluster runs an incarnation over loopback TCP sockets, one TCPWorld
@@ -165,22 +166,31 @@ func (t *tcpCluster) suspect(observer, rank int) {
 	t.worlds[observer].MarkDown(rank)
 }
 
+func (t *tcpCluster) traffic() mpi.Traffic { return mpi.Traffic{} }
+
 func (t *tcpCluster) close() {
 	for _, w := range t.worlds {
 		w.Close()
 	}
 }
 
-// newClusterWorld builds the fabric for one incarnation. crashAt is keyed by
-// this incarnation's world ranks.
-func newClusterWorld(cfg *Config, members []int, fired map[int]bool, incarnation int) (clusterWorld, error) {
-	switch cfg.Transport {
-	case "", TransportMem:
-		return newMemCluster(len(members), incarnationPlan(cfg, members, fired, incarnation)), nil
-	case TransportTCP:
-		plan := incarnationPlan(cfg, members, fired, incarnation)
-		return newTCPCluster(len(members), plan.CrashAtStep, plan.DetectTimeout)
-	default:
-		return nil, fmt.Errorf("elastic: unknown transport %q", cfg.Transport)
+// newClusterWorld builds the fabric for one incarnation; a fault-free one
+// carries no fault plan, so nothing times out or fails on purpose.
+func newClusterWorld(cfg *Config, members []int, fired map[int]bool, incarnation int, faulty bool) (clusterWorld, error) {
+	var plan mpi.FaultPlan
+	if faulty {
+		plan = incarnationPlan(cfg, members, fired, incarnation)
 	}
+	if cfg.Transport == TransportTCP {
+		return newTCPCluster(len(members), plan.CrashAtStep, plan.DetectTimeout)
+	}
+	w, err := cfg.NewWorld(len(members))
+	if err != nil {
+		return nil, err
+	}
+	m := &memCluster{w: w}
+	if faulty {
+		m.inj = w.InjectFaults(plan)
+	}
+	return m, nil
 }
