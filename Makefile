@@ -12,10 +12,13 @@ build:
 
 # The GOARCHes no other target compiles: a 32-bit int (untyped constants that
 # overflow only there — vetted too, so test files count) and one without the
-# AVX2 kernels (the !amd64 halves of the kernel build tags).
+# AVX2 kernels (the !amd64 halves of the kernel build tags). The codec tests
+# also run on 386 (natively on an amd64 host, about 1 s): a wire count or
+# index converted to a 32-bit int is where a decoder wraps or goes negative.
 cross:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) vet ./...
+	GOOS=linux GOARCH=386 $(GO) test ./internal/compress
 	GOARCH=arm64 $(GO) build ./...
 
 test:
@@ -144,8 +147,9 @@ kernels-purego:
 # the list lives here: the SIMD-vs-portable kernels, the packed convolution vs
 # Im2Col+Gemm+Col2Im (internal/tensor/convref, the tests' reference), then the
 # parsers of bytes that arrive off a disk or a wire (window decode vs the dense
-# reference, the shuffle's record frames, a checkpoint, a recovery verdict):
-# never a panic, never an allocation a header alone can size. The parsers'
+# reference, the shuffle's record frames, a checkpoint, a recovery verdict,
+# every codec's two decoders held to each other): never a panic, never an
+# allocation a header alone can size. The parsers'
 # inputs are kilobyte blobs, which the fuzzer's default 60 s minimisation of
 # every interesting input would spend the whole smoke on.
 fuzz-smoke:
@@ -156,6 +160,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalRecords -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 20s -fuzzminimizetime 1s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzParseVerdict -fuzztime 20s -fuzzminimizetime 1s ./internal/elastic
+	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 20s -fuzzminimizetime 1s ./internal/compress
 
 # The overlap workload CI runs: phased vs reactive schedules of the same
 # comm-heavy job, with the JSON report benchtool uploads as an artifact —

@@ -1,6 +1,6 @@
 // benchtool runs the repository's measured workloads, one subcommand each:
 //
-//	benchtool exp [-nodes N] [fig5 … fig16 table1 table2]   paper tables/figures from the calibrated cluster model (default: all)
+//	benchtool exp [-nodes N] [fig5 … fig12 table1 table2]   paper tables/figures from the calibrated cluster model (default: all)
 //	benchtool compress -codec int8                          codec trade-off of a real training run: wire bytes vs final loss
 //	benchtool overlap|shard|hier                            pair rows: one job under two settings, compared (pair.go)
 //	benchtool allocs [-baseline BENCH_alloc.json]           allocations per step, gated against a committed report
@@ -180,7 +180,7 @@ func cmdCompress(args []string) error {
 
 // expIDs is every experiment, in the paper's order.
 var expIDs = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-	"fig13", "fig14", "fig15", "fig16", "table1", "table2"}
+	"table1", "table2"}
 
 func cmdExp(args []string) error {
 	fs := flag.NewFlagSet("exp", flag.ExitOnError)
@@ -283,14 +283,6 @@ func runExp(c *simcluster.Cluster, id string, fig5Nodes int) (*simcluster.Table,
 	case "fig12":
 		_, tbl, err := c.Fig12(counts)
 		return tbl, err
-	case "fig13":
-		return c.FigCurve(simcluster.ResNet50, false, counts)
-	case "fig14":
-		return c.FigCurve(simcluster.GoogLeNetBN, false, counts)
-	case "fig15":
-		return c.FigCurve(simcluster.ResNet50, true, counts)
-	case "fig16":
-		return c.FigCurve(simcluster.GoogLeNetBN, true, counts)
 	case "table1":
 		_, tbl, err := c.Table1(counts)
 		return tbl, err

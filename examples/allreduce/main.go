@@ -1,7 +1,7 @@
-// allreduce compares the gradient-summation algorithms of Section 4.2 on
-// both planes: functionally (real byte movement over an in-process cluster,
-// verifying every algorithm computes the same sums) and in simulation (the
-// Figure 5 throughput sweep on the modeled Minsky fabric).
+// allreduce runs the gradient-summation algorithms of Section 4.2 on real
+// bytes over an in-process cluster, verifying every algorithm computes the
+// same sums, and prints the multi-colour trees of Figure 2. The simulated
+// Figure 5 throughput sweep is `benchtool exp fig5`.
 //
 // Run: go run ./examples/allreduce
 package main
@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/allreduce"
 	"repro/internal/mpi"
-	"repro/internal/simcluster"
 )
 
 func main() {
@@ -57,16 +56,8 @@ func main() {
 		fmt.Printf("  %-14s %8v  (%s)\n", alg, time.Since(start).Round(time.Millisecond), match)
 	}
 
-	fmt.Println("\nsimulated plane: Figure 5 on the modeled Minsky fabric (16 nodes)")
-	c := simcluster.New(16, simcluster.DefaultParams())
-	_, tbl, err := c.Fig5(16, []float64{1, 4, 16, 64, 128, 256})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(tbl)
-
 	// The paper's Figure 2: the four 4-ary trees on 8 nodes.
-	fmt.Println("Figure 2: 4-color 4-ary trees on 8 nodes (interior nodes disjoint):")
+	fmt.Println("\nFigure 2: 4-color 4-ary trees on 8 nodes (interior nodes disjoint):")
 	k := allreduce.EffectiveColors(8, 4)
 	for color := 0; color < k; color++ {
 		tr := allreduce.BuildTree(8, k, color, 8/k)

@@ -1,8 +1,9 @@
 // shuffle walks through the complete DIMD data path of the paper's
 // Section 4.1 on real bytes: generate a synthetic corpus, resize+compress it
 // into the packed blob+index, load partitions onto 4 learners, run the
-// cross-learner alltoallv shuffle, and fetch a random decoded batch — then
-// show the simulated shuffle times at the paper's scale (Figures 7-9).
+// cross-learner alltoallv shuffle, and fetch a random decoded batch. The
+// simulated shuffle times at the paper's scale (Figures 7-9) are
+// `benchtool exp fig7 fig8 fig9`.
 //
 // Run: go run ./examples/shuffle
 package main
@@ -16,7 +17,6 @@ import (
 	"repro/internal/dimd"
 	"repro/internal/imagecodec"
 	"repro/internal/mpi"
-	"repro/internal/simcluster"
 	"repro/internal/tensor"
 )
 
@@ -67,20 +67,4 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// The same operation at the paper's scale, on the simulated fabric.
-	fmt.Println()
-	cl := simcluster.New(32, simcluster.DefaultParams())
-	for _, d := range []simcluster.Dataset{simcluster.ImageNet1k, simcluster.ImageNet22k} {
-		_, tbl, err := cl.FigShuffle(d, []int{8, 16, 32})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(tbl)
-	}
-	_, tbl, err := cl.Fig9([]int{1, 4, 8, 16})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(tbl)
 }

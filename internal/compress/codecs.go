@@ -417,7 +417,8 @@ func putTopkBuf(s *topkBuf) {
 
 // TopK keeps the ceil(Ratio*n) largest-magnitude elements of a bucket at
 // full precision and drops the rest. Payload: 4-byte element count k, then k
-// 4-byte indices, then k 4-byte values. Kept values round-trip exactly;
+// 4-byte indices in strictly ascending order, then k 4-byte values; the
+// decoders refuse any other index order. Kept values round-trip exactly;
 // dropped mass is what error feedback recovers across steps. Ties break
 // toward the lower index so payloads are deterministic.
 type TopK struct {
@@ -488,10 +489,7 @@ func (t TopK) Decompress(dst []float32, payload []byte) error {
 		dst[i] = 0
 	}
 	for i := 0; i < k; i++ {
-		j := int(binary.LittleEndian.Uint32(payload[4+4*i:]))
-		if j >= len(dst) {
-			return fmt.Errorf("compress: topk index %d exceeds bucket length %d", j, len(dst))
-		}
+		j := binary.LittleEndian.Uint32(payload[4+4*i:])
 		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4+4*k+4*i:]))
 	}
 	return nil
@@ -508,26 +506,39 @@ func (t TopK) DecompressAdd(dst []float32, payload []byte) error {
 		return err
 	}
 	for i := 0; i < k; i++ {
-		j := int(binary.LittleEndian.Uint32(payload[4+4*i:]))
-		if j >= len(dst) {
-			return fmt.Errorf("compress: topk index %d exceeds bucket length %d", j, len(dst))
-		}
+		j := binary.LittleEndian.Uint32(payload[4+4*i:])
 		dst[j] += math.Float32frombits(binary.LittleEndian.Uint32(payload[4+4*k+4*i:]))
 	}
 	return nil
 }
 
-// parse validates a topk payload against dst's length and returns k.
+// parse validates a topk payload against dst's length and returns k. The
+// header arithmetic is unsigned 64-bit, so no count wraps where int is 32
+// bits. A canonical payload's indices are strictly ascending (appendSelected
+// sorts them) and nothing else is accepted: a repeated index would decode to
+// the last value through Decompress but to the sum through DecompressAdd.
+// Every index is checked here, once, before either path writes dst.
 func (TopK) parse(dst []float32, payload []byte) (int, error) {
 	if len(payload) < 4 {
 		return 0, fmt.Errorf("compress: topk payload %d bytes, want >= 4", len(payload))
 	}
-	k := int(binary.LittleEndian.Uint32(payload))
-	if len(payload) != 4+8*k {
+	k := uint64(binary.LittleEndian.Uint32(payload))
+	if uint64(len(payload)) != 4+8*k {
 		return 0, fmt.Errorf("compress: topk payload %d bytes, want %d for k=%d", len(payload), 4+8*k, k)
 	}
-	if k > len(dst) {
+	if k > uint64(len(dst)) {
 		return 0, fmt.Errorf("compress: topk k=%d exceeds bucket length %d", k, len(dst))
 	}
-	return k, nil
+	var prev uint64
+	for i := uint64(0); i < k; i++ {
+		j := uint64(binary.LittleEndian.Uint32(payload[4+4*i:]))
+		if j >= uint64(len(dst)) {
+			return 0, fmt.Errorf("compress: topk index %d exceeds bucket length %d", j, len(dst))
+		}
+		if i > 0 && j <= prev {
+			return 0, fmt.Errorf("compress: topk index %d follows %d, want strictly ascending", j, prev)
+		}
+		prev = j
+	}
+	return int(k), nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -212,4 +213,79 @@ func TestTopKQuickselectMatchesSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// topkHostile are top-k payloads no encoder writes, for a 4-float bucket. A
+// repeated index decodes to the last value through Decompress but to the sum
+// through DecompressAdd. Where int is 32 bits, index 0xFFFFFFFF converts to
+// -1, and count 0xE0000000 wraps the expected length 4+8k to 4 bytes.
+// FuzzCodecDecode's committed corpus holds all but the descending one.
+var topkHostile = map[string]string{
+	"duplicate index":  "\x02\x00\x00\x00" + "\x01\x00\x00\x00\x01\x00\x00\x00" + "\x00\x00\x00\x40\x00\x00\x40\x40",
+	"index past int32": "\x01\x00\x00\x00" + "\xff\xff\xff\xff" + "\x00\x00\x80\x3f",
+	"wrapped count":    "\x00\x00\x00\xe0",
+	"descending index": "\x02\x00\x00\x00" + "\x02\x00\x00\x00\x01\x00\x00\x00" + "\x00\x00\x00\x40\x00\x00\x40\x40",
+}
+
+// TestTopKRejectsHostilePayloads: both decoders refuse every payload in
+// topkHostile and leave dst as it was.
+func TestTopKRejectsHostilePayloads(t *testing.T) {
+	for name, payload := range topkHostile {
+		for i, decode := range []func([]float32, []byte) error{TopK{}.Decompress, TopK{}.DecompressAdd} {
+			dst := []float32{1, 2, 3, 4}
+			if err := decode(dst, []byte(payload)); err == nil {
+				t.Errorf("%s: decoder %d accepted it, dst %v", name, i, dst)
+			} else if !slices.Equal(dst, []float32{1, 2, 3, 4}) {
+				t.Errorf("%s: decoder %d refused it but wrote dst: %v", name, i, dst)
+			}
+		}
+	}
+}
+
+// decodeCodecs is every name Config accepts; FuzzCodecDecode's first
+// argument picks one. topk stays first so the committed corpus keeps
+// naming it.
+var decodeCodecs = []string{"topk", "", "none", "identity", "int8", "f16", "float16", "bf16", "bfloat16"}
+
+// FuzzCodecDecode: no payload panics a decoder. Decompress and DecompressAdd
+// fail or succeed together, and a failure leaves dst as it was. On success,
+// DecompressAdd onto a dst with no zero in it (so no -0 for the sparse skip
+// to tell apart) equals Decompress followed by an add, bit for bit.
+func FuzzCodecDecode(f *testing.F) {
+	src := []float32{0.5, -2, 0, 7, -0.25}
+	for i, name := range decodeCodecs {
+		c, err := New(Config{Codec: name, TopKRatio: 0.4})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), uint8(len(src)), Encode(c, src))
+	}
+	f.Fuzz(func(t *testing.T, codec, n uint8, payload []byte) {
+		c, err := New(Config{Codec: decodeCodecs[int(codec)%len(decodeCodecs)]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := make([]float32, n)
+		for i := range base {
+			base[i] = float32(i) + 0.5
+		}
+		decoded := append([]float32(nil), base...)
+		sum := append([]float32(nil), base...)
+		errD, errA := c.Decompress(decoded, payload), c.DecompressAdd(sum, payload)
+		if (errD == nil) != (errA == nil) {
+			t.Fatalf("%s: Decompress error %v, DecompressAdd error %v", c.Name(), errD, errA)
+		}
+		if errD != nil {
+			if !slices.Equal(decoded, base) || !slices.Equal(sum, base) {
+				t.Fatalf("%s: a refused payload wrote dst", c.Name())
+			}
+			return
+		}
+		for i, v := range decoded {
+			if want := base[i] + v; math.Float32bits(sum[i]) != math.Float32bits(want) {
+				t.Fatalf("%s: elem %d: DecompressAdd %v (bits %08x), Decompress then add %v (bits %08x)",
+					c.Name(), i, sum[i], math.Float32bits(sum[i]), want, math.Float32bits(want))
+			}
+		}
+	})
 }

@@ -23,16 +23,6 @@ func TestResNet50ParamCount(t *testing.T) {
 	}
 }
 
-func TestResNet18ParamCount(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	net := NewResNet18(1000, rng)
-	n := nn.ParamCount(net.Params())
-	const want = 11689512 // torchvision resnet18
-	if n != want {
-		t.Fatalf("ResNet-18 params = %d, want %d", n, want)
-	}
-}
-
 func TestGoogLeNetBNConstructs(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	net := NewGoogLeNetBN(1000, rng)

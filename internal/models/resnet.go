@@ -23,8 +23,7 @@ func bottleneck(name string, inC, midC, stride int, rng *tensor.RNG) *Residual {
 	return NewResidual(name, body, shortcut)
 }
 
-// basicBlock builds the two-3×3 block used by ResNet-18/34 and the tiny
-// CIFAR-style ResNets.
+// basicBlock builds the two-3×3 block of the tiny CIFAR-style ResNets.
 func basicBlock(name string, inC, outC, stride int, rng *tensor.RNG) *Residual {
 	body := nn.NewSequential(name+".body",
 		convBN(name+".a", inC, outC, 3, 3, stride, stride, 1, 1, rng),
@@ -41,15 +40,7 @@ func basicBlock(name string, inC, outC, stride int, rng *tensor.RNG) *Residual {
 // parameters) for numClasses outputs, matching the Torch fb.resnet.torch
 // model the paper trains.
 func NewResNet50(numClasses int, rng *tensor.RNG) *nn.Sequential {
-	return newBottleneckResNet("resnet50", []int{3, 4, 6, 3}, numClasses, rng)
-}
-
-// NewResNet101 builds ResNet-101 (stages [3,4,23,3]).
-func NewResNet101(numClasses int, rng *tensor.RNG) *nn.Sequential {
-	return newBottleneckResNet("resnet101", []int{3, 4, 23, 3}, numClasses, rng)
-}
-
-func newBottleneckResNet(name string, stages []int, numClasses int, rng *tensor.RNG) *nn.Sequential {
+	name := "resnet50"
 	net := nn.NewSequential(name,
 		nn.NewConv2D(name+".stem.conv", 3, 64, 7, 7, 2, 2, 3, 3, nn.ConvOpts{}, rng),
 		nn.NewBatchNorm2D(name+".stem.bn", 64, rng),
@@ -58,7 +49,7 @@ func newBottleneckResNet(name string, stages []int, numClasses int, rng *tensor.
 	)
 	inC := 64
 	mids := []int{64, 128, 256, 512}
-	for s, blocks := range stages {
+	for s, blocks := range []int{3, 4, 6, 3} {
 		mid := mids[s]
 		for b := 0; b < blocks; b++ {
 			stride := 1
@@ -68,35 +59,6 @@ func newBottleneckResNet(name string, stages []int, numClasses int, rng *tensor.
 			blk := bottleneck(fmt.Sprintf("%s.s%d.b%d", name, s+1, b), inC, mid, stride, rng)
 			net.Append(blk)
 			inC = mid * 4
-		}
-	}
-	net.Append(
-		nn.NewGlobalAvgPool(name+".gap"),
-		nn.NewFlatten(name+".flatten"),
-		nn.NewLinear(name+".fc", inC, numClasses, rng),
-	)
-	return net
-}
-
-// NewResNet18 builds the ImageNet ResNet-18 (basic blocks, [2,2,2,2]).
-func NewResNet18(numClasses int, rng *tensor.RNG) *nn.Sequential {
-	name := "resnet18"
-	net := nn.NewSequential(name,
-		nn.NewConv2D(name+".stem.conv", 3, 64, 7, 7, 2, 2, 3, 3, nn.ConvOpts{}, rng),
-		nn.NewBatchNorm2D(name+".stem.bn", 64, rng),
-		nn.NewReLU(name+".stem.relu"),
-		nn.NewMaxPool2D(name+".stem.pool", 3, 3, 2, 2, 1, 1),
-	)
-	inC := 64
-	outs := []int{64, 128, 256, 512}
-	for s := 0; s < 4; s++ {
-		for b := 0; b < 2; b++ {
-			stride := 1
-			if s > 0 && b == 0 {
-				stride = 2
-			}
-			net.Append(basicBlock(fmt.Sprintf("%s.s%d.b%d", name, s+1, b), inC, outs[s], stride, rng))
-			inC = outs[s]
 		}
 	}
 	net.Append(

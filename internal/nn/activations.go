@@ -64,62 +64,3 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	r.gradOut = nil
 	return r.gradIn
 }
-
-// Dropout zeroes a fraction P of activations during training and rescales
-// the survivors by 1/(1-P) (inverted dropout); it is the identity at
-// inference. GoogLeNet uses dropout before its classifier.
-type Dropout struct {
-	name        string
-	P           float32
-	rng         *tensor.RNG
-	mask        []float32
-	out, gradIn *tensor.Tensor // layer-owned results, reused while the shape repeats
-}
-
-// NewDropout constructs a dropout layer with drop probability p.
-func NewDropout(name string, p float32, rng *tensor.RNG) *Dropout {
-	return &Dropout{name: name, P: p, rng: rng}
-}
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return d.name }
-
-// Params implements Layer.
-func (d *Dropout) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P <= 0 {
-		// Identity at inference; mark mask nil so Backward passes through.
-		d.mask = nil
-		return x
-	}
-	d.out = tensor.Reuse(d.out, x.Shape()...)
-	if cap(d.mask) < x.Len() {
-		d.mask = make([]float32, x.Len())
-	}
-	d.mask = d.mask[:x.Len()]
-	scale := 1 / (1 - d.P)
-	for i, v := range x.Data {
-		if d.rng.Float32() >= d.P {
-			d.mask[i] = scale
-			d.out.Data[i] = v * scale
-		} else {
-			d.mask[i] = 0
-			d.out.Data[i] = 0
-		}
-	}
-	return d.out
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
-		return gradOut
-	}
-	d.gradIn = tensor.Reuse(d.gradIn, gradOut.Shape()...)
-	for i, g := range gradOut.Data {
-		d.gradIn.Data[i] = g * d.mask[i]
-	}
-	return d.gradIn
-}

@@ -1,7 +1,7 @@
 // Package nn implements neural-network layers with full forward and backward
 // passes on NCHW float32 tensors: convolution (on tensor.ConvPack, at any
-// stride), batch normalization, pooling, linear, ReLU, dropout and the
-// softmax cross-entropy criterion. It replaces the cuDNN kernels the paper's
+// stride), batch normalization, pooling, linear, ReLU and the softmax
+// cross-entropy criterion. It replaces the cuDNN kernels the paper's
 // Torch stack schedules; the layer/criterion split mirrors Torch so the
 // Data-Parallel Table engine in internal/dpt can reproduce the paper's
 // scheduling structure.
@@ -53,7 +53,7 @@ type Param struct {
 // its own output).
 type Layer interface {
 	// Forward computes the layer output. train selects training behaviour
-	// (batch statistics, active dropout).
+	// (batch statistics).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes dL/d(output), stores the parameter gradients —
 	// overwriting Param.Grad, never adding to it: a caller that wants to

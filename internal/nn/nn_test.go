@@ -306,48 +306,6 @@ func TestPropReLUNonNegative(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainEval(t *testing.T) {
-	rng := tensor.NewRNG(7)
-	d := NewDropout("d", 0.5, rng)
-	x := tensor.Ones(10000)
-	y := d.Forward(x, true)
-	zeros := 0
-	for _, v := range y.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2: // survivors scaled by 1/(1-0.5)
-		default:
-			t.Fatalf("dropout value %v, want 0 or 2", v)
-		}
-	}
-	frac := float64(zeros) / float64(x.Len())
-	if math.Abs(frac-0.5) > 0.03 {
-		t.Fatalf("dropped fraction %v, want ~0.5", frac)
-	}
-	// Eval mode is identity (same tensor back).
-	if d.Forward(x, false) != x {
-		t.Fatal("eval dropout should return input unchanged")
-	}
-	g := d.Backward(tensor.Ones(10000))
-	if g.Len() != 10000 {
-		t.Fatal("eval backward should pass gradient through")
-	}
-}
-
-func TestDropoutBackwardUsesMask(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	d := NewDropout("d", 0.5, rng)
-	x := tensor.Ones(1000)
-	y := d.Forward(x, true)
-	g := d.Backward(tensor.Ones(1000))
-	for i := range g.Data {
-		if (y.Data[i] == 0) != (g.Data[i] == 0) {
-			t.Fatal("backward mask disagrees with forward mask")
-		}
-	}
-}
-
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	ce := NewSoftmaxCrossEntropy()
 	logits := tensor.MustFromSlice([]float32{0, 0, 0, 0}, 1, 4)

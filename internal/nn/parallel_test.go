@@ -175,9 +175,6 @@ func layerCases() []layerCase {
 		{"batchnorm", func(r *tensor.RNG) Layer {
 			return NewBatchNorm2D("bn", c, r)
 		}, in, []int{n, c, h, w}},
-		{"lrn", func(r *tensor.RNG) Layer {
-			return NewLRN("lrn", 5)
-		}, in, []int{n, c, h, w}},
 		{"maxpool", func(r *tensor.RNG) Layer {
 			return NewMaxPool2D("mp", 3, 3, 2, 2, 1, 1)
 		}, in, []int{n, c, (h+2-3)/2 + 1, (w+2-3)/2 + 1}},

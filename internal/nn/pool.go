@@ -83,7 +83,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		p.argmax = make([]int32, p.out.Len())
 	}
 	p.x = x
-	// Disjoint 2×2 windows — every small CNN and VGG block in the tree — pool
+	// Disjoint 2×2 windows — every small CNN in the tree — pool
 	// a row at a time on the vector kernel; any other geometry (padding,
 	// overlapping windows) takes the general loop, whose values and indices
 	// the kernel reproduces.

@@ -253,22 +253,30 @@ func (c *Cluster) Fig12(nodeCounts []int) ([]ComponentRow, *Table, error) {
 	return rows, tbl, nil
 }
 
+// table1Paper is the paper's Table 1 as printed: seconds per epoch of the
+// open-source base and of all optimizations combined, by model and nodes.
+var table1Paper = map[Model]map[int][2]float64{
+	GoogLeNetBN: {8: {249, 155}, 16: {131, 76}, 32: {65, 41}},
+	ResNet50:    {8: {498, 224}, 16: {251, 109}, 32: {128, 58}},
+}
+
 // Table1Row is one row of the paper's Table 1.
 type Table1Row struct {
-	Model       Model
-	Nodes       int
-	EpochBase   float64
-	EpochOpt    float64
-	SpeedupPct  float64
-	AccuracyPct float64
+	Model      Model
+	Nodes      int
+	EpochBase  float64
+	EpochOpt   float64
+	SpeedupPct float64
 }
 
 // Table1 simulates the summary comparison: open-source baseline versus all
-// optimizations combined, with the peak accuracy column.
+// optimizations combined. Beside the model's speedup it prints the paper's,
+// from table1Paper, and the residual in percentage points; a node count the
+// paper did not run prints "-" there.
 func (c *Cluster) Table1(nodeCounts []int) ([]Table1Row, *Table, error) {
 	tbl := &Table{
 		Title:  "Table 1: total improvement (base = open-source Torch + stock OpenMPI)",
-		Header: []string{"model", "nodes", "base s/epoch", "optimized s/epoch", "speedup", "accuracy"},
+		Header: []string{"model", "nodes", "base s/epoch", "optimized s/epoch", "speedup", "paper speedup", "residual"},
 	}
 	var rows []Table1Row
 	for _, m := range []Model{GoogLeNetBN, ResNet50} {
@@ -282,11 +290,15 @@ func (c *Cluster) Table1(nodeCounts []int) ([]Table1Row, *Table, error) {
 				return nil, nil, err
 			}
 			sp := (base - opt) / opt * 100
-			acc := PeakAccuracy(m, n)
-			rows = append(rows, Table1Row{Model: m, Nodes: n, EpochBase: base, EpochOpt: opt, SpeedupPct: sp, AccuracyPct: acc})
+			rows = append(rows, Table1Row{Model: m, Nodes: n, EpochBase: base, EpochOpt: opt, SpeedupPct: sp})
+			paper, residual := "-", "-"
+			if cell, ok := table1Paper[m][n]; ok {
+				psp := (cell[0] - cell[1]) / cell[1] * 100
+				paper, residual = fmt.Sprintf("%.0f%%", psp), fmt.Sprintf("%+.0fpp", sp-psp)
+			}
 			tbl.Rows = append(tbl.Rows, []string{string(m), fmt.Sprintf("%d", n),
 				fmt.Sprintf("%.0f", base), fmt.Sprintf("%.0f", opt),
-				fmt.Sprintf("%.0f%%", sp), fmt.Sprintf("%.2f%%", acc)})
+				fmt.Sprintf("%.0f%%", sp), paper, residual})
 		}
 	}
 	return rows, tbl, nil
@@ -294,17 +306,16 @@ func (c *Cluster) Table1(nodeCounts []int) ([]Table1Row, *Table, error) {
 
 // Table2Row is one system of the state-of-the-art comparison.
 type Table2Row struct {
-	System      string
-	Hardware    string
-	Epochs      int
-	BatchSize   int
-	AccuracyPct float64
-	Minutes     float64
+	System    string
+	Hardware  string
+	Epochs    int
+	BatchSize int
+	Minutes   float64
 }
 
 // Table2 reproduces the state-of-the-art comparison: the paper's 48-minute
 // 90-epoch ResNet-50 run on 256 P100s (simulated here), against the
-// published Goyal et al. and You et al. results (constants from the paper).
+// published Goyal et al. and You et al. times (constants from the paper).
 func (c *Cluster) Table2() ([]Table2Row, *Table, error) {
 	// The record run uses batch 32 per GPU on 64 nodes (256 GPUs).
 	p := c.Params
@@ -315,57 +326,17 @@ func (c *Cluster) Table2() ([]Table2Row, *Table, error) {
 		return nil, nil, err
 	}
 	rows := []Table2Row{
-		{System: "Goyal et al. [27]", Hardware: "256 P100", Epochs: 90, BatchSize: 8192, AccuracyPct: 76.2, Minutes: 65},
-		{System: "You et al. [35]", Hardware: "512 KNL", Epochs: 90, BatchSize: 32768, AccuracyPct: 74.7, Minutes: 60},
-		{System: "This work (simulated)", Hardware: "256 P100", Epochs: 90, BatchSize: 8192, AccuracyPct: PeakAccuracy(ResNet50, 64), Minutes: tt / 60},
+		{System: "Goyal et al. [27]", Hardware: "256 P100", Epochs: 90, BatchSize: 8192, Minutes: 65},
+		{System: "You et al. [35]", Hardware: "512 KNL", Epochs: 90, BatchSize: 32768, Minutes: 60},
+		{System: "This work (simulated)", Hardware: "256 P100", Epochs: 90, BatchSize: 8192, Minutes: tt / 60},
 	}
 	tbl := &Table{
 		Title:  "Table 2: comparison with state of the art (ResNet-50, ImageNet-1k)",
-		Header: []string{"system", "hardware", "epochs", "batch", "accuracy", "minutes"},
+		Header: []string{"system", "hardware", "epochs", "batch", "minutes"},
 	}
 	for _, r := range rows {
 		tbl.Rows = append(tbl.Rows, []string{r.System, r.Hardware, fmt.Sprintf("%d", r.Epochs),
-			fmt.Sprintf("%d", r.BatchSize), fmt.Sprintf("%.1f%%", r.AccuracyPct), fmt.Sprintf("%.1f", r.Minutes)})
+			fmt.Sprintf("%d", r.BatchSize), fmt.Sprintf("%.1f", r.Minutes)})
 	}
 	return rows, tbl, nil
-}
-
-// FigCurve renders an accuracy (Figures 13-14) or error (Figures 15-16)
-// trajectory table for the given node counts, sampling every 10 epochs.
-func (c *Cluster) FigCurve(m Model, errCurve bool, nodeCounts []int) (*Table, error) {
-	what, fig := "top-1 accuracy %", "Figure 13"
-	switch {
-	case !errCurve && m == GoogLeNetBN:
-		fig = "Figure 14"
-	case errCurve && m == ResNet50:
-		fig, what = "Figure 15", "training error"
-	case errCurve && m == GoogLeNetBN:
-		fig, what = "Figure 16", "training error"
-	}
-	tbl := &Table{Title: fmt.Sprintf("%s: %s vs hours, %s", fig, what, m)}
-	tbl.Header = []string{"epoch"}
-	series := make([][]CurvePoint, len(nodeCounts))
-	for i, n := range nodeCounts {
-		var pts []CurvePoint
-		var err error
-		if errCurve {
-			pts, err = c.ErrorCurve(m, n)
-		} else {
-			pts, err = c.AccuracyCurve(m, n)
-		}
-		if err != nil {
-			return nil, err
-		}
-		series[i] = pts
-		tbl.Header = append(tbl.Header, fmt.Sprintf("%dn hours", n), fmt.Sprintf("%dn value", n))
-	}
-	for e := 0; e <= 90; e += 10 {
-		row := []string{fmt.Sprintf("%d", e)}
-		for i := range nodeCounts {
-			p := series[i][e]
-			row = append(row, fmt.Sprintf("%.2f", p.Hours), fmt.Sprintf("%.2f", p.Value))
-		}
-		tbl.Rows = append(tbl.Rows, row)
-	}
-	return tbl, nil
 }

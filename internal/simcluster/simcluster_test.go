@@ -1,7 +1,9 @@
 package simcluster
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/allreduce"
@@ -207,20 +209,17 @@ func TestFig12DPTImprovements(t *testing.T) {
 }
 
 // Table 1 shape: total speedups in the paper's ranges (GoogLeNetBN 58-72%,
-// ResNet-50 110-130%, our model 55-75% and 90-130%), epoch times within 15%
-// of the paper's cells, and accuracy mildly decreasing with node count.
+// ResNet-50 110-130%, our model 55-75% and 90-130%) and epoch times within
+// 15% of the paper's cells (table1Paper, the table Table 1 prints beside the
+// model). The residuals are recorded in docs/ARCHITECTURE.md, not tuned.
 func TestTable1Shape(t *testing.T) {
 	c := newCluster(t)
-	rows, _, err := c.Table1([]int{8, 16, 32})
+	rows, tbl, err := c.Table1([]int{8, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper := map[Model]map[int][2]float64{ // nodes -> {base, opt}
-		GoogLeNetBN: {8: {249, 155}, 16: {131, 76}, 32: {65, 41}},
-		ResNet50:    {8: {498, 224}, 16: {251, 109}, 32: {128, 58}},
-	}
-	for _, r := range rows {
-		want := paper[r.Model][r.Nodes]
+	for i, r := range rows {
+		want := table1Paper[r.Model][r.Nodes]
 		if math.Abs(r.EpochBase-want[0])/want[0] > 0.15 {
 			t.Fatalf("%s/%d base epoch %.0f, paper %.0f (>15%% off)", r.Model, r.Nodes, r.EpochBase, want[0])
 		}
@@ -237,23 +236,18 @@ func TestTable1Shape(t *testing.T) {
 				t.Fatalf("ResNet-50/%d speedup %.0f%%, paper 110-130%%", r.Nodes, r.SpeedupPct)
 			}
 		}
-	}
-	// Accuracy columns decrease with node count (larger effective batch).
-	for m, anchors := range map[Model][3]float64{
-		GoogLeNetBN: {74.86, 74.36, 74.19},
-		ResNet50:    {75.99, 75.78, 75.56},
-	} {
-		prev := math.Inf(1)
-		for i, n := range []int{8, 16, 32} {
-			acc := PeakAccuracy(m, n)
-			if acc >= prev {
-				t.Fatalf("%s accuracy not decreasing with nodes", m)
-			}
-			if math.Abs(acc-anchors[i]) > 0.35 {
-				t.Fatalf("%s/%d accuracy %.2f, paper %.2f", m, n, acc, anchors[i])
-			}
-			prev = acc
+		paperSp := (want[0] - want[1]) / want[1] * 100
+		if got, wantCells := tbl.Rows[i][5:], []string{fmt.Sprintf("%.0f%%", paperSp), fmt.Sprintf("%+.0fpp", r.SpeedupPct-paperSp)}; !slices.Equal(got, wantCells) {
+			t.Fatalf("%s/%d paper cells %q, want %q", r.Model, r.Nodes, got, wantCells)
 		}
+	}
+	// A node count the paper did not run has no paper cell to print.
+	_, tbl, err = c.Table1([]int{64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Rows[0][5:]; !slices.Equal(got, []string{"-", "-"}) {
+		t.Fatalf("64-node paper cells %q, want \"-\"", got)
 	}
 }
 
@@ -274,61 +268,6 @@ func TestTable2RecordRun(t *testing.T) {
 	}
 	if math.Abs(ours.Minutes-48)/48 > 0.15 {
 		t.Fatalf("simulated record run %.1f min, paper 48 (>15%% off)", ours.Minutes)
-	}
-	if ours.AccuracyPct < 75.0 || ours.AccuracyPct > 75.8 {
-		t.Fatalf("record-run accuracy %.2f, paper 75.4", ours.AccuracyPct)
-	}
-}
-
-// Figures 13-16 shape: accuracy curves rise monotonically to the Table 1
-// peaks with the LR-drop jumps at 30/60; error curves fall monotonically;
-// fewer nodes means more hours per epoch.
-func TestAccuracyAndErrorCurves(t *testing.T) {
-	c := newCluster(t)
-	for _, m := range []Model{ResNet50, GoogLeNetBN} {
-		pts8, err := c.AccuracyCurve(m, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts32, err := c.AccuracyCurve(m, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(pts8); i++ {
-			if pts8[i].Value < pts8[i-1].Value {
-				t.Fatalf("%s accuracy curve not monotone at epoch %d", m, i)
-			}
-		}
-		final := pts8[90].Value
-		if math.Abs(final-PeakAccuracy(m, 8)) > 0.5 {
-			t.Fatalf("%s final accuracy %.2f, want ~%.2f", m, final, PeakAccuracy(m, 8))
-		}
-		// The LR drop at 30 produces a visible jump.
-		jump := pts8[33].Value - pts8[30].Value
-		drift := pts8[30].Value - pts8[27].Value
-		if jump < 2*drift {
-			t.Fatalf("%s: no LR-drop jump at epoch 30 (jump %.2f vs drift %.2f)", m, jump, drift)
-		}
-		// 32 nodes finish the same epochs in fewer hours.
-		if pts32[90].Hours >= pts8[90].Hours {
-			t.Fatal("more nodes should mean fewer hours")
-		}
-		errPts, err := c.ErrorCurve(m, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(errPts); i++ {
-			if errPts[i].Value > errPts[i-1].Value {
-				t.Fatalf("%s error curve not decreasing at epoch %d", m, i)
-			}
-		}
-	}
-	// Curve tables render.
-	if _, err := c.FigCurve(ResNet50, false, []int{8, 16, 32}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FigCurve(GoogLeNetBN, true, []int{8, 16, 32}); err != nil {
-		t.Fatal(err)
 	}
 }
 
