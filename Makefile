@@ -90,11 +90,11 @@ race-elastic:
 # accounting, parallel kernels bitwise-identical to the serial reference
 # across worker counts (the adversarial-shape GEMM sweep, the AVX2-vs-pure-Go
 # GEMM, vector-add and momentum-step sweeps and fuzz seeds), DecompressAdd
-# (the fused reduce path) equal to decode-then-add for every codec, parallel
-# encode byte-identical to serial encode, and the 16-bit wire formats'
-# round-to-nearest-even / round-trip properties.
+# (the fused reduce path) equal to decode-then-add for every codec, the
+# unrolled int8 and quickselect top-k encoders byte-identical to their
+# references, and bf16's round-to-nearest-even / round-trip properties.
 race-kernels:
-	$(call pinned,race-kernels,Run SetWorkers ChunkBounds GradChunks GemmBitwise GemmPacked GemmSIMD GemmStore GemmShortOperand VecKernels ActivationKernels MomentumStep AddInto MaxPool2x2 Im2Col ConvPacked PackInput PackWindows LayersBitwise LayersReuse BackwardStores SkipInputGrad ConvMatchesIm2Col ConvBackwardScratch ConvBackwardReuses DecompressAdd Int8Vectorized TopKQuickselect ParallelEncode AppendCompressAuto Half F16Encode BF16Encode,\
+	$(call pinned,race-kernels,Run SetWorkers ChunkBounds GradChunks GemmBitwise GemmPacked GemmSIMD GemmStore GemmShortOperand VecKernels ActivationKernels MomentumStep AddInto MaxPool2x2 Im2Col ConvPacked PackInput PackWindows LayersBitwise LayersReuse BackwardStores SkipInputGrad ConvMatchesIm2Col ConvBackwardScratch ConvBackwardReuses DecompressAdd Int8Vectorized TopKQuickselect Half BF16Encode,\
 		./internal/kernels ./internal/tensor ./internal/nn ./internal/compress)
 
 # Every benchmark once — the CI smoke run. Full measurement runs want
@@ -148,8 +148,9 @@ kernels-purego:
 # Im2Col+Gemm+Col2Im (internal/tensor/convref, the tests' reference), then the
 # parsers of bytes that arrive off a disk or a wire (window decode vs the dense
 # reference, the shuffle's record frames, a checkpoint, a recovery verdict,
-# every codec's two decoders held to each other): never a panic, never an
-# allocation a header alone can size. The parsers'
+# every codec's two decoders held to each other, the Stream's poison
+# messages): never a panic, never an allocation a header alone can size. The
+# parsers'
 # inputs are kilobyte blobs, which the fuzzer's default 60 s minimisation of
 # every interesting input would spend the whole smoke on.
 fuzz-smoke:
@@ -161,6 +162,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 20s -fuzzminimizetime 1s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzParseVerdict -fuzztime 20s -fuzzminimizetime 1s ./internal/elastic
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 20s -fuzzminimizetime 1s ./internal/compress
+	$(GO) test -run '^$$' -fuzz FuzzPoisonError -fuzztime 20s -fuzzminimizetime 1s ./internal/allreduce
 
 # The overlap workload CI runs: phased vs reactive schedules of the same
 # comm-heavy job, with the JSON report benchtool uploads as an artifact —

@@ -83,17 +83,12 @@ type kernelsReport struct {
 	Layers []layerResult `json:"layers"`
 
 	// Codec throughputs in GB/s of uncompressed float bytes processed.
-	// Encodes go through AppendCompressAuto — the production Stream path —
-	// so on multi-core machines they include the chunk-parallel win; on one
-	// worker Auto falls back to the serial encoder, keeping single-core
-	// numbers comparable to older baselines.
+	// Encodes are the one serial AppendCompress the Stream makes per bucket.
 	Int8EncodeGBs     float64 `json:"int8_encode_gbs"`
 	Int8DecodeGBs     float64 `json:"int8_decode_gbs"`
 	Int8DecodeAddGBs  float64 `json:"int8_decode_add_gbs"`
 	IdentityAddGBs    float64 `json:"identity_decode_add_gbs"`
 	TopKEncodeGBs     float64 `json:"topk_encode_gbs"`
-	F16EncodeGBs      float64 `json:"f16_encode_gbs"`
-	F16DecodeAddGBs   float64 `json:"f16_decode_add_gbs"`
 	BF16EncodeGBs     float64 `json:"bf16_encode_gbs"`
 	BF16DecodeAddGBs  float64 `json:"bf16_decode_add_gbs"`
 	CodecBucketFloats int     `json:"codec_bucket_floats"`
@@ -273,7 +268,7 @@ func kernelsWorkload(jsonPath, baselinePath string) error {
 	gb := 4 * float64(bucket) / 1e9
 	encodeGBs := func(c compress.Codec) float64 {
 		scratch := make([]byte, 0, c.MaxCompressedSize(bucket))
-		s, _ := timeIt(func() { compress.AppendCompressAuto(c, scratch[:0], src) })
+		s, _ := timeIt(func() { c.AppendCompress(scratch[:0], src) })
 		return gb / s
 	}
 	dst := make([]float32, bucket)
@@ -289,8 +284,6 @@ func kernelsWorkload(jsonPath, baselinePath string) error {
 	rep.Int8DecodeAddGBs = decodeAddGBs(compress.Int8{})
 	rep.IdentityAddGBs = decodeAddGBs(compress.Identity{})
 	rep.TopKEncodeGBs = encodeGBs(compress.TopK{Ratio: 0.1})
-	rep.F16EncodeGBs = encodeGBs(compress.Float16{})
-	rep.F16DecodeAddGBs = decodeAddGBs(compress.Float16{})
 	rep.BF16EncodeGBs = encodeGBs(compress.BFloat16{})
 	rep.BF16DecodeAddGBs = decodeAddGBs(compress.BFloat16{})
 
@@ -330,8 +323,7 @@ func kernelsWorkload(jsonPath, baselinePath string) error {
 		rep.Int8EncodeGBs, rep.Int8DecodeGBs, rep.Int8DecodeAddGBs)
 	fmt.Printf("  identity decode+add %.2f GB/s, topk(0.1) encode %.2f GB/s\n",
 		rep.IdentityAddGBs, rep.TopKEncodeGBs)
-	fmt.Printf("  f16: encode %.2f GB/s, decode+add %.2f GB/s; bf16: encode %.2f GB/s, decode+add %.2f GB/s\n",
-		rep.F16EncodeGBs, rep.F16DecodeAddGBs, rep.BF16EncodeGBs, rep.BF16DecodeAddGBs)
+	fmt.Printf("  bf16: encode %.2f GB/s, decode+add %.2f GB/s\n", rep.BF16EncodeGBs, rep.BF16DecodeAddGBs)
 	fmt.Printf("  vector add %.2f GB/s, sgd momentum step %.2f GB/s, float codec %.2f GB/s\n",
 		rep.VecAddGBs, rep.SGDStepGBs, rep.FloatCodecGBs)
 
@@ -386,8 +378,6 @@ func (rep *kernelsReport) gate(base *kernelsReport) error {
 		metric{"int8 decode+add GB/s", rep.Int8DecodeAddGBs, base.Int8DecodeAddGBs},
 		metric{"identity decode+add GB/s", rep.IdentityAddGBs, base.IdentityAddGBs},
 		metric{"topk encode GB/s", rep.TopKEncodeGBs, base.TopKEncodeGBs},
-		metric{"f16 encode GB/s", rep.F16EncodeGBs, base.F16EncodeGBs},
-		metric{"f16 decode+add GB/s", rep.F16DecodeAddGBs, base.F16DecodeAddGBs},
 		metric{"bf16 encode GB/s", rep.BF16EncodeGBs, base.BF16EncodeGBs},
 		metric{"bf16 decode+add GB/s", rep.BF16DecodeAddGBs, base.BF16DecodeAddGBs},
 		metric{"vector add GB/s", rep.VecAddGBs, base.VecAddGBs},

@@ -170,7 +170,7 @@ func cmdSimCalibrate(args []string) error {
 
 func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
-	codec := fs.String("codec", "none", "gradient wire format: none, int8, topk, f16 or bf16")
+	codec := fs.String("codec", "none", "gradient wire format: none, int8, topk or bf16")
 	var learners, steps int
 	learnersFlag(fs, &learners)
 	stepsFlag(fs, &steps)

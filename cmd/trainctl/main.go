@@ -46,7 +46,7 @@ func main() {
 		useFiles     = flag.Bool("files", false, "use the baseline file-per-image loader DIMD replaces")
 		shuffleEvery = flag.Int("shuffle-every", 10, "steps between DIMD shuffles (with -dimd)")
 		seed         = flag.Int64("seed", 1, "random seed")
-		compressAlg  = flag.String("compress", "", "gradient compression codec: none|int8|topk|f16|bf16 (empty = legacy uncompressed path)")
+		compressAlg  = flag.String("compress", "", "gradient compression codec: none|int8|topk|bf16 (empty = raw float32 exchange through -alg)")
 		topkRatio    = flag.Float64("topk-ratio", 0.1, "fraction of elements kept per bucket (with -compress=topk)")
 		bucketFloats = flag.Int("bucket-floats", 16384, "bucketed-allreduce bucket size in float32 elements")
 		errFeedback  = flag.Bool("error-feedback", true, "accumulate compression error into the next step (lossy codecs)")

@@ -179,17 +179,66 @@ func TestStreamRankDownPoisonEncoding(t *testing.T) {
 	b := make([]byte, poisonLen)
 	b[0] = poisonRankDown
 	b[1], b[2], b[3], b[4] = 7, 0, 0, 0
-	err := poisonError(b, 8)
+	err := poisonError(b, 8, 8)
 	if !errors.Is(err, mpi.ErrRankDown) {
 		t.Fatalf("typed poison decoded to %v, want ErrRankDown", err)
 	}
 	if got := mpi.DownRank(err); got != 7 {
 		t.Fatalf("typed poison names rank %d, want 7", got)
 	}
-	if err := poisonError(nil, 8); errors.Is(err, mpi.ErrRankDown) {
+	if err := poisonError(nil, 8, 8); errors.Is(err, mpi.ErrRankDown) {
 		t.Fatalf("zero-length poison must stay generic, got %v", err)
 	}
-	if err := poisonError(make([]byte, 12), 8); errors.Is(err, mpi.ErrRankDown) {
+	if err := poisonError(make([]byte, 12), 8, 8); errors.Is(err, mpi.ErrRankDown) {
 		t.Fatalf("length mismatch must stay generic, got %v", err)
 	}
+}
+
+// TestStreamPoisonRankMustBeInWorld: in a 4-rank world, a typed poison names
+// a rank of [0, 4) or it is malformed — a plain error, not a RankDownError
+// naming a rank the recovery layer cannot resize around (rank -1 would make
+// forward relay it as the untyped poison anyway, losing the typing).
+func TestStreamPoisonRankMustBeInWorld(t *testing.T) {
+	const world = 4
+	for _, tc := range []struct {
+		name string
+		b    string
+		rank int // the RankDownError's rank; -1 for a plain error
+	}{
+		{"first rank", "\xfd\x00\x00\x00\x00", 0},
+		{"last rank", "\xfd\x03\x00\x00\x00", 3},
+		{"rank past the world", "\xfd\x07\x00\x00\x00", -1},
+		{"rank equal to the size", "\xfd\x04\x00\x00\x00", -1},
+		{"negative rank", "\xfd\xff\xff\xff\xff", -1},
+		{"rank past int32", "\xfd\x00\x00\x00\x80", -1},
+		{"wrong marker", "\xfe\x01\x00\x00\x00", -1},
+	} {
+		err := poisonError([]byte(tc.b), 8, world)
+		if err == nil {
+			t.Errorf("%s: decoded to no error", tc.name)
+			continue
+		}
+		if typed := errors.Is(err, mpi.ErrRankDown); typed != (tc.rank >= 0) || mpi.DownRank(err) != tc.rank {
+			t.Errorf("%s: decoded to %v (a rank failure: %v), want rank %d", tc.name, err, typed, tc.rank)
+		}
+	}
+}
+
+// FuzzPoisonError: whatever arrives where a chain partial was expected,
+// poisonError never panics, always returns an error, and any RankDownError
+// names a rank of the world. The committed corpus holds a rank past a 4-rank
+// world and rank -1, both of which the decoder once turned into typed errors.
+func FuzzPoisonError(f *testing.F) {
+	f.Add([]byte{poisonRankDown, 2, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		const world = 4
+		err := poisonError(b, 8, world)
+		if err == nil {
+			t.Fatalf("%x decoded to no error", b)
+		}
+		if r := mpi.DownRank(err); errors.Is(err, mpi.ErrRankDown) && (r < 0 || r >= world) {
+			t.Fatalf("%x decoded to a rank failure of rank %d in a %d-rank world", b, r, world)
+		}
+	})
 }

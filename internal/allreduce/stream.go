@@ -260,67 +260,24 @@ func (s *Stream) Stats() (CompressedStats, error) {
 	return s.stats, s.err
 }
 
-// launch is stage 1+2: compress each submitted bucket and start its payload
-// sends, bounded by the in-flight cap. Whom a bucket's payload goes to is the
-// routing's business (post); everything else here is routing-blind.
-//
-// Encode is batch-parallel: when several buckets are already queued (a
-// backward pass finishing a burst of layers), launch drains as many as there
-// are free in-flight slots and compresses them as one fork-join on the
-// worker pool instead of head-of-line blocking the exchange behind each
-// serial encode. The batching is invisible to every contract: payload bytes
-// are identical (each bucket's encode is independent; within-bucket
-// parallelism is the codec's own byte-identical ParallelEncoder), exchange
-// operations are still posted serially in submission order by this goroutine
-// alone, and a slot is held for every drained bucket, so the in-flight cap
-// and the Results launch-order guarantee are unchanged.
+// launch is stage 1+2: for each submitted bucket, in submission order, take
+// an in-flight slot, compress the bucket into pooled scratch with one serial
+// AppendCompress, and start its payload sends. Whom a bucket's payload goes
+// to is the routing's business (post); everything else here is
+// routing-blind.
 func (s *Stream) launch(inflight chan<- bucketJob) {
-	batch := make([]streamSub, 0, s.opts.MaxInFlight)
-	jobs := make([]bucketJob, s.opts.MaxInFlight)
-	open := true
-	for open {
-		sub, ok := <-s.subs
-		if !ok {
-			break
-		}
+	sb := s.opts.ShardBounds
+	for sub := range s.subs {
 		s.slots <- struct{}{}
-		batch = append(batch[:0], sub)
-		// Drain further already-submitted buckets without blocking: each one
-		// needs a free slot (tokens are fungible, so a speculative acquire
-		// that finds no queued bucket is simply given back).
-		for len(batch) < cap(batch) {
-			acquired := false
-			select {
-			case s.slots <- struct{}{}:
-				acquired = true
-			default:
-			}
-			if !acquired {
-				break
-			}
-			queued := false
-			select {
-			case more, k := <-s.subs:
-				if k {
-					batch = append(batch, more)
-					queued = true
-				} else {
-					open = false
-				}
-			default:
-			}
-			if !queued {
-				<-s.slots
-				break
-			}
+		job := bucketJob{
+			idx: sub.idx, lo: sub.lo, hi: sub.hi,
+			owned:    sb == nil || shardOwns(sb, s.c.Rank(), sub.lo, sub.hi),
+			sendReqs: s.sendWindow(),
 		}
-		s.encodeBatch(batch, jobs)
-		for i := range batch {
-			job := jobs[i]
-			jobs[i] = bucketJob{}
-			s.post(&job)
-			inflight <- job
-		}
+		scratch := mpi.GetBytes(s.codec.MaxCompressedSize(len(sub.data)))
+		job.payload = s.codec.AppendCompress(scratch[:0], sub.data)
+		s.post(&job)
+		inflight <- job
 	}
 	close(inflight)
 }
@@ -360,35 +317,6 @@ func (s *Stream) sendWindow() []*mpi.Request {
 	w := s.launched % s.opts.MaxInFlight * n
 	s.launched++
 	return s.sendRing[w : w : w+n]
-}
-
-// encodeBatch compresses batch into jobs[:len(batch)]. A single bucket
-// encodes inline (the codec may still go
-// chunk-parallel internally); multiple buckets fan out one-per-task on the
-// pool, nesting-safe with the per-bucket parallelism. The pooled scratch
-// freelists are concurrency-safe channels, so pool workers may Get
-// concurrently.
-func (s *Stream) encodeBatch(batch []streamSub, jobs []bucketJob) {
-	sb := s.opts.ShardBounds
-	for i, sub := range batch {
-		jobs[i] = bucketJob{
-			idx: sub.idx, lo: sub.lo, hi: sub.hi,
-			owned:    sb == nil || shardOwns(sb, s.c.Rank(), sub.lo, sub.hi),
-			sendReqs: s.sendWindow(),
-		}
-	}
-	if len(batch) == 1 || kernels.Workers() <= 1 {
-		for i, sub := range batch {
-			scratch := mpi.GetBytes(s.codec.MaxCompressedSize(len(sub.data)))
-			jobs[i].payload = compress.AppendCompressAuto(s.codec, scratch[:0], sub.data)
-		}
-		return
-	}
-	kernels.Run(len(batch), func(i int) {
-		sub := batch[i]
-		scratch := mpi.GetBytes(s.codec.MaxCompressedSize(len(sub.data)))
-		jobs[i].payload = compress.AppendCompressAuto(s.codec, scratch[:0], sub.data)
-	})
 }
 
 // hierDownSrc returns the rank this rank receives a bucket's final sum from,
@@ -628,7 +556,7 @@ func (s *Stream) recvSumInto(reuse []float32, src, tag, width int, jobErr *error
 	}
 	s.stats.BytesRecv += int64(len(b))
 	if len(b) != 4*width {
-		err := poisonError(b, width)
+		err := poisonError(b, width, s.c.WorldSize())
 		mpi.PutBytes(b)
 		if *jobErr == nil {
 			*jobErr = err
@@ -676,12 +604,17 @@ const (
 var errPoisoned = errors.New("allreduce: upstream fold poisoned by rank failure")
 
 // poisonError decodes a non-payload (poison or malformed) chain message into
-// the bucket error it represents.
-func poisonError(b []byte, width int) error {
+// the bucket error it represents. Only a rank of the world, [0, worldSize),
+// is a typed rank failure: any other rank is a malformed poison, which must
+// not become a RankDownError that names no rank the recovery layer can act on.
+func poisonError(b []byte, width, worldSize int) error {
 	switch {
 	case len(b) == poisonLen && b[0] == poisonRankDown:
-		r := int(int32(binary.LittleEndian.Uint32(b[1:])))
-		return &mpi.RankDownError{Rank: r, Cause: errPoisoned}
+		r := binary.LittleEndian.Uint32(b[1:])
+		if r >= uint32(worldSize) {
+			return fmt.Errorf("allreduce: malformed poison names rank %d outside the %d-rank world", int32(r), worldSize)
+		}
+		return &mpi.RankDownError{Rank: int(r), Cause: errPoisoned}
 	case len(b) == 0 && width > 0:
 		return fmt.Errorf("allreduce: upstream rank failed this bucket")
 	default:
@@ -693,7 +626,7 @@ func poisonError(b []byte, width int) error {
 // rank's fold already failed — a poison message, so downstream ranks fail
 // the bucket instead of silently folding a corrupt partial. A rank-failure
 // fold error travels as typed poison carrying the dead rank; anything else
-// as the legacy zero-length poison.
+// as the generic zero-length poison.
 func (s *Stream) forward(dst, tag int, sum []float32, jobErr error) error {
 	if jobErr != nil {
 		if r := mpi.DownRank(jobErr); r >= 0 {

@@ -84,7 +84,7 @@ const roundMagic = float32(3 << 22)
 // still poison the scale), and rounding is the branchless magic-constant add.
 func (c Int8) AppendCompress(dst []byte, src []float32) []byte {
 	n := len(src)
-	scale := int8Scale(int8MaxBits(src))
+	scale := math.Float32frombits(int8MaxBits(src)) / 127
 	off := len(dst)
 	dst = grow(dst, 4+n)
 	b := dst[off:]
@@ -95,8 +95,7 @@ func (c Int8) AppendCompress(dst []byte, src []float32) []byte {
 
 // int8MaxBits scans src for the maximum magnitude, returned as its IEEE bit
 // pattern: |v| is an integer mask on the float bits and the reduction is an
-// integer compare, so the result is a pure max — independent of how the scan
-// is chunked, which is what lets the parallel encoder split it freely.
+// integer compare.
 func int8MaxBits(src []float32) uint32 {
 	n := len(src)
 	var m0, m1, m2, m3, m4, m5, m6, m7 uint32
@@ -157,14 +156,8 @@ func int8MaxBits(src []float32) uint32 {
 	return m0
 }
 
-// int8Scale derives the shared linear scale from the max-magnitude bits.
-func int8Scale(maxBits uint32) float32 {
-	return math.Float32frombits(maxBits) / 127
-}
-
-// int8Quantize fills q[i] = quantInt8(src[i], scale) — element-wise, so the
-// parallel encoder can split it over any chunking with identical bytes. A
-// zero or non-finite scale writes zero bytes: scale == 0 means an all-zero
+// int8Quantize fills q[i] = quantInt8(src[i], scale). A zero or non-finite
+// scale writes zero bytes: scale == 0 means an all-zero
 // (or all-subnormal) bucket; a NaN/Inf gradient element must surface as
 // divergence, exactly as the uncompressed path would — the scale decodes the
 // whole bucket to NaN/Inf, and float-to-int conversion of non-finite values
@@ -308,13 +301,11 @@ func magKey(v float32, i int) uint64 {
 	return uint64(math.Float32bits(v)&^(1<<31))<<32 | uint64(^uint32(i))
 }
 
-// magKeys fills keys[i] = magKey(src[i], base+i) — the element-wise pass the
-// parallel encoder splits across the worker pool (each key is a pure
-// function of one element, so chunk boundaries cannot affect the result).
-func magKeys(keys []uint64, src []float32, base int) {
+// magKeys fills keys[i] = magKey(src[i], i).
+func magKeys(keys []uint64, src []float32) {
 	_ = keys[:len(src)]
 	for i, v := range src {
-		keys[i] = magKey(v, base+i)
+		keys[i] = magKey(v, i)
 	}
 }
 
@@ -453,14 +444,7 @@ func (t TopK) AppendCompress(dst []byte, src []float32) []byte {
 	n := len(src)
 	k := t.keep(n)
 	s := getTopkBuf(n, k)
-	magKeys(s.keys, src, 0)
-	return t.appendSelected(dst, src, s, k)
-}
-
-// appendSelected finishes an encode whose candidate keys are already built
-// (serially above, or chunk-parallel via AppendCompressParallel): select the
-// k largest keys, recover their indices, and write the canonical payload.
-func (t TopK) appendSelected(dst []byte, src []float32, s *topkBuf, k int) []byte {
+	magKeys(s.keys, src)
 	selectTopKeys(s.keys, k)
 	kept := s.kept[:k]
 	for i, key := range s.keys[:k] {

@@ -1,11 +1,11 @@
-// Package compress implements gradient-compression codecs for the
-// communication-efficient allreduce path: identity (no compression, the
-// accounting baseline), int8 linear quantization with a per-bucket scale,
-// top-k sparsification, and the float16/bfloat16 half-precision wire
-// formats. Codecs operate on one bucket of the flattened
-// gradient at a time (internal/allreduce.BucketedAllReduce drives them) and
-// are deterministic: the same input always yields the same payload, so every
-// rank decodes identical values and model replicas stay bitwise in sync.
+// Package compress implements gradient-compression codecs for the bucketed
+// allreduce path: identity (no compression, the accounting baseline), int8
+// linear quantization with a per-bucket scale, top-k sparsification, and the
+// bfloat16 wire format. Codecs operate on one bucket of the flattened
+// gradient at a time — allreduce.Stream encodes each bucket with one serial
+// AppendCompress — and are deterministic: the same input always yields the
+// same payload, so every rank decodes identical values and model replicas
+// stay bitwise in sync.
 //
 // Lossy codecs pair with error-feedback residual accumulation (Feedback):
 // the compression error of step t is added back into the gradient of step
@@ -55,12 +55,18 @@ func Encode(c Codec, src []float32) []byte {
 	return c.AppendCompress(nil, src)
 }
 
-// Config selects and tunes a codec; the zero value means "uncompressed
-// legacy path" (no bucketed allreduce at all). Codec "none" runs the
-// bucketed path with the identity codec, so byte accounting is comparable
-// against the lossy codecs.
+// AppendCompressAuto is c.AppendCompress. It is kept only because the
+// end-to-end benchmark module (bench/layers.go) calls it and is edited only
+// by a benchmark change; ROADMAP item 1's benchmark PR deletes it.
+func AppendCompressAuto(c Codec, dst []byte, src []float32) []byte { return c.AppendCompress(dst, src) }
+
+// Config selects and tunes a codec. The zero value selects no codec: the
+// learner exchanges raw float32 gradients through core.Config.Allreduce's
+// algorithm, the paper's exchange. Codec "none" runs the bucketed path with
+// the identity codec, so byte accounting is comparable against the lossy
+// codecs.
 type Config struct {
-	// Codec is one of "", "none", "int8", "topk", "f16", "bf16".
+	// Codec is one of "", "none", "int8", "topk", "bf16".
 	Codec string
 	// TopKRatio is the fraction of elements the topk codec keeps per bucket
 	// (default 0.1, clamped to (0, 1]).
@@ -78,13 +84,11 @@ func (c Config) Enabled() bool { return c.Codec != "" }
 // New constructs the configured codec.
 func New(cfg Config) (Codec, error) {
 	switch cfg.Codec {
-	case "", "none", "identity":
+	case "", "none":
 		return Identity{}, nil
 	case "int8":
 		return Int8{}, nil
-	case "f16", "float16":
-		return Float16{}, nil
-	case "bf16", "bfloat16":
+	case "bf16":
 		return BFloat16{}, nil
 	case "topk":
 		r := cfg.TopKRatio
@@ -96,7 +100,7 @@ func New(cfg Config) (Codec, error) {
 		}
 		return TopK{Ratio: r}, nil
 	default:
-		return nil, fmt.Errorf("compress: unknown codec %q", cfg.Codec)
+		return nil, fmt.Errorf("compress: unknown codec %q (want none, int8, topk or bf16)", cfg.Codec)
 	}
 }
 

@@ -1,8 +1,10 @@
 package compress
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -231,13 +233,9 @@ func TestNewSelectsCodec(t *testing.T) {
 	}{
 		{Config{}, "none"},
 		{Config{Codec: "none"}, "none"},
-		{Config{Codec: "identity"}, "none"},
 		{Config{Codec: "int8"}, "int8"},
 		{Config{Codec: "topk", TopKRatio: 0.2}, "topk"},
-		{Config{Codec: "f16"}, "f16"},
-		{Config{Codec: "float16"}, "f16"},
 		{Config{Codec: "bf16"}, "bf16"},
-		{Config{Codec: "bfloat16"}, "bf16"},
 	} {
 		c, err := New(tc.cfg)
 		if err != nil {
@@ -247,8 +245,15 @@ func TestNewSelectsCodec(t *testing.T) {
 			t.Fatalf("%+v: codec %q, want %q", tc.cfg, c.Name(), tc.name)
 		}
 	}
-	if _, err := New(Config{Codec: "zstd"}); err == nil {
-		t.Fatal("unknown codec should error")
+	// The f16 codec and the aliases are gone; the error names what to use.
+	for _, name := range []string{"zstd", "f16", "float16", "bfloat16", "identity"} {
+		_, err := New(Config{Codec: name})
+		if err == nil {
+			t.Fatalf("codec %q accepted", name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "none, int8, topk or bf16") {
+			t.Fatalf("codec %q: error %q does not list the accepted names", name, msg)
+		}
 	}
 	if !(Config{Codec: "none"}).Enabled() || (Config{}).Enabled() {
 		t.Fatal("Enabled: codec \"none\" is enabled (bucketed path), \"\" is not")
@@ -271,7 +276,7 @@ func TestNewSelectsCodec(t *testing.T) {
 // fresh encode — stale scratch contents must never leak into a payload (the
 // pooled hot path hands codecs dirty buffers by design).
 func TestAppendCompressScratchReuse(t *testing.T) {
-	codecs := []Codec{Identity{}, Int8{}, TopK{Ratio: 0.25}, Float16{}, BFloat16{}}
+	codecs := []Codec{Identity{}, Int8{}, TopK{Ratio: 0.25}, BFloat16{}}
 	for _, c := range codecs {
 		scratch := make([]byte, 0, c.MaxCompressedSize(512))
 		// Poison the scratch capacity so stale bytes are detectable.
@@ -295,12 +300,24 @@ func TestAppendCompressScratchReuse(t *testing.T) {
 
 // MaxCompressedSize must bound every payload (the pool sizes scratch with it).
 func TestMaxCompressedSizeBounds(t *testing.T) {
-	for _, c := range []Codec{Identity{}, Int8{}, TopK{Ratio: 0.1}, TopK{Ratio: 1}, Float16{}, BFloat16{}} {
+	for _, c := range []Codec{Identity{}, Int8{}, TopK{Ratio: 0.1}, TopK{Ratio: 1}, BFloat16{}} {
 		for _, n := range []int{1, 7, 100, 2048} {
 			src := randVec(n, int64(n))
 			if got, max := len(Encode(c, src)), c.MaxCompressedSize(n); got > max {
 				t.Fatalf("%s n=%d: payload %d > MaxCompressedSize %d", c.Name(), n, got, max)
 			}
+		}
+	}
+}
+
+// TestAppendCompressAutoDispatch: AppendCompressAuto is AppendCompress, byte
+// for byte, appending after whatever dst already holds.
+func TestAppendCompressAutoDispatch(t *testing.T) {
+	src := fillBucket(rand.New(rand.NewSource(59)), 8197, 0)
+	for _, c := range []Codec{Identity{}, Int8{}, TopK{Ratio: 0.25}, BFloat16{}} {
+		want := c.AppendCompress([]byte("head"), src)
+		if got := AppendCompressAuto(c, []byte("head"), src); !bytes.Equal(got, want) {
+			t.Fatalf("%s: AppendCompressAuto differs from AppendCompress", c.Name())
 		}
 	}
 }

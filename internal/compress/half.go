@@ -6,81 +6,14 @@ import (
 	"math"
 )
 
-// Float16 and BFloat16 truncate each element to a 16-bit float on the wire —
-// a fixed 2x reduction with no header, no shared state between elements, and
-// (unlike int8) no bucket-global scale, so a single outlier cannot destroy
-// the precision of its neighbours. Both round to nearest, ties to even — the
-// same rounding the hardware would apply — so payloads are deterministic and
-// every rank decodes identical values.
-//
-//   - Float16 (IEEE binary16): 5 exponent bits, 10 mantissa bits. More
-//     mantissa than bf16, but the narrow exponent underflows below 2^-24 and
-//     overflows above 65504 — gradients outside that window need error
-//     feedback or loss scaling.
-//   - BFloat16: 8 exponent bits (the full float32 range), 7 mantissa bits.
-//     Never overflows where f32 would not; the truncation error is what
-//     error feedback recovers.
-//
-// Encode/decode are element-wise with no cross-element dependency, so the
-// parallel encoder may split a bucket at any chunk boundary and the payload
-// bytes are identical to the serial encode.
-
-// f32ToF16 converts with round-to-nearest-even. NaN payloads keep the quiet
-// bit and the top mantissa bits (never silently becoming Inf); values above
-// the f16 range round to Inf, values below 2^-25 round to zero.
-func f32ToF16(f float32) uint16 {
-	b := math.Float32bits(f)
-	sign := uint16(b>>16) & 0x8000
-	abs := b &^ (1 << 31)
-	switch {
-	case abs > 0x7F800000: // NaN: force a nonzero quiet mantissa
-		return sign | 0x7E00 | uint16((abs>>13)&0x3FF)
-	case abs >= 0x47800000: // >= 65536: Inf (everything here rounds past 65504)
-		return sign | 0x7C00
-	case abs >= 0x38800000: // normal range, exponent >= -14
-		// Shift the exponent bias (127-15 = 112) and drop 13 mantissa bits
-		// with RNE: the round constant is 0xFFF plus the parity of the bit
-		// that survives, and a mantissa carry overflows into the exponent
-		// correctly (including 65520..65535 carrying all the way to Inf).
-		round := uint32(0xFFF) + (abs>>13)&1
-		return sign | uint16((abs+round)>>13-112<<10)
-	case abs >= 0x33000000: // subnormal range, [2^-25, 2^-14)
-		// Denormalize: restore the implicit bit, then shift so one unit is
-		// 2^-24, rounding the shifted-out remainder to nearest-even. A
-		// round-up out of the top (man == 0x400) lands exactly on the
-		// smallest normal encoding, which is the right answer.
-		m := abs&0x7FFFFF | 0x800000
-		shift := 126 - abs>>23 // in [14, 24] for this range
-		man := m >> shift
-		rem := m & (1<<shift - 1)
-		half := uint32(1) << (shift - 1)
-		if rem > half || rem == half && man&1 == 1 {
-			man++
-		}
-		return sign | uint16(man)
-	default: // below 2^-25: underflow to signed zero
-		return sign
-	}
-}
-
-// f16ToF32 is the exact inverse widening: every f16 value (normal,
-// subnormal, Inf, NaN) has an exact float32 representation, so decode is
-// lossless and encode-decode is idempotent.
-func f16ToF32(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1F
-	man := uint32(h & 0x3FF)
-	switch {
-	case exp == 0x1F: // Inf / NaN
-		return math.Float32frombits(sign | 0x7F800000 | man<<13)
-	case exp != 0: // normal
-		return math.Float32frombits(sign | (exp+112)<<23 | man<<13)
-	case man != 0: // subnormal: man * 2^-24, exact in float32
-		return math.Float32frombits(math.Float32bits(float32(man)*(1.0/(1<<24))) | sign)
-	default:
-		return math.Float32frombits(sign)
-	}
-}
+// BFloat16 truncates each element to a bfloat16 on the wire — a fixed 2x
+// reduction with no header, no shared state between elements, and (unlike
+// int8) no bucket-global scale, so a single outlier cannot destroy the
+// precision of its neighbours. bfloat16 keeps float32's 8 exponent bits, so
+// it never overflows where f32 would not, and 7 mantissa bits; the truncation
+// error is what error feedback recovers. Encode rounds to nearest, ties to
+// even — the same rounding the hardware would apply — so payloads are
+// deterministic and every rank decodes identical values.
 
 // f32ToBF16 truncates to the top 16 bits with round-to-nearest-even on the
 // dropped half. NaN is special-cased: rounding could otherwise clear the
@@ -99,56 +32,6 @@ func f32ToBF16(f float32) uint16 {
 // bf16ToF32 widens by shifting back — exact by construction.
 func bf16ToF32(h uint16) float32 {
 	return math.Float32frombits(uint32(h) << 16)
-}
-
-// Float16 is the IEEE binary16 wire format: 2 bytes per element, RNE.
-type Float16 struct{}
-
-// Name implements Codec.
-func (Float16) Name() string { return "f16" }
-
-// MaxCompressedSize implements Codec.
-func (Float16) MaxCompressedSize(n int) int { return 2 * n }
-
-// AppendCompress implements Codec.
-func (Float16) AppendCompress(dst []byte, src []float32) []byte {
-	off := len(dst)
-	dst = grow(dst, 2*len(src))
-	halfEncodeF16(dst[off:], src)
-	return dst
-}
-
-// halfEncodeF16 fills b[2i:2i+2] = f16(src[i]) — the element-wise range the
-// parallel encoder splits.
-func halfEncodeF16(b []byte, src []float32) {
-	_ = b[:2*len(src)]
-	for i, v := range src {
-		binary.LittleEndian.PutUint16(b[2*i:], f32ToF16(v))
-	}
-}
-
-// Decompress implements Codec.
-func (Float16) Decompress(dst []float32, payload []byte) error {
-	if len(payload) != 2*len(dst) {
-		return fmt.Errorf("compress: f16 payload %d bytes, want %d", len(payload), 2*len(dst))
-	}
-	for i := range dst {
-		dst[i] = f16ToF32(binary.LittleEndian.Uint16(payload[2*i:]))
-	}
-	return nil
-}
-
-// DecompressAdd implements Codec: dst[i] += decoded[i]. Every element decodes
-// to the identical float32 Decompress produces and performs the identical
-// add, so the fused path is bitwise equal to decode-then-add.
-func (Float16) DecompressAdd(dst []float32, payload []byte) error {
-	if len(payload) != 2*len(dst) {
-		return fmt.Errorf("compress: f16 payload %d bytes, want %d", len(payload), 2*len(dst))
-	}
-	for i := range dst {
-		dst[i] += f16ToF32(binary.LittleEndian.Uint16(payload[2*i:]))
-	}
-	return nil
 }
 
 // BFloat16 is the bfloat16 wire format: 2 bytes per element, RNE, full f32

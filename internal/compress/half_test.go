@@ -6,31 +6,22 @@ import (
 	"testing"
 )
 
-// isSNaN16 reports whether h is an f16 signaling NaN (exponent all-ones,
-// nonzero mantissa, quiet bit clear). Encoding forces the quiet bit, so
-// signaling payloads do not round-trip bit-exactly — the one excluded class.
-func isSNaN16(h uint16) bool {
-	return h&0x7C00 == 0x7C00 && h&0x3FF != 0 && h&0x200 == 0
-}
-
-// isSNaNBF16 is the bf16 analogue (quiet bit is mantissa bit 6).
+// isSNaNBF16 reports whether h is a bf16 signaling NaN (exponent all-ones,
+// nonzero mantissa, quiet bit — mantissa bit 6 — clear). Encoding forces the
+// quiet bit, so signaling payloads do not round-trip bit-exactly — the one
+// excluded class.
 func isSNaNBF16(h uint16) bool {
 	return h&0x7F80 == 0x7F80 && h&0x7F != 0 && h&0x40 == 0
 }
 
-// TestHalfExhaustiveRoundTrip walks the ENTIRE 16-bit space of both formats:
-// decode must be exact (every 16-bit float has an exact float32 widening)
-// and re-encoding the decoded value must reproduce the original bits —
-// normals, subnormals, ±0, ±Inf, and quiet NaNs alike. Signaling NaNs are
-// the documented exception (encode quiets them).
+// TestHalfExhaustiveRoundTrip walks the ENTIRE 16-bit space of bfloat16:
+// decode must be exact (every bf16 value has an exact float32 widening) and
+// re-encoding the decoded value must reproduce the original bits — normals,
+// subnormals, ±0, ±Inf, and quiet NaNs alike. Signaling NaNs are the
+// documented exception (encode quiets them).
 func TestHalfExhaustiveRoundTrip(t *testing.T) {
 	for h := 0; h <= 0xFFFF; h++ {
 		bits := uint16(h)
-		if !isSNaN16(bits) {
-			if got := f32ToF16(f16ToF32(bits)); got != bits {
-				t.Fatalf("f16 %04x decodes to %v but re-encodes to %04x", bits, f16ToF32(bits), got)
-			}
-		}
 		if !isSNaNBF16(bits) {
 			if got := f32ToBF16(bf16ToF32(bits)); got != bits {
 				t.Fatalf("bf16 %04x decodes to %v but re-encodes to %04x", bits, bf16ToF32(bits), got)
@@ -39,35 +30,11 @@ func TestHalfExhaustiveRoundTrip(t *testing.T) {
 	}
 }
 
-// nearestF16 is the brute-force round-to-nearest-even reference: scan every
-// non-negative f16 candidate (with +Inf standing at 2^16, the next value the
-// format would represent — the IEEE overflow-threshold convention), pick the
-// closest in exact float64 arithmetic, break ties toward the even encoding.
-func nearestF16(v float32) uint16 {
-	sign := uint16(0)
-	av := float64(v)
-	if math.Signbit(av) {
-		sign = 0x8000
-		av = -av
-	}
-	best, bestDist := uint16(0), math.Inf(1)
-	for h := 0; h <= 0x7C00; h++ {
-		var val float64
-		if h == 0x7C00 {
-			val = 65536 // Inf's stand-in: the would-be next binade step
-		} else {
-			val = float64(f16ToF32(uint16(h)))
-		}
-		d := math.Abs(val - av)
-		if d < bestDist || (d == bestDist && h&1 == 0) {
-			best, bestDist = uint16(h), d
-		}
-	}
-	return sign | best
-}
-
-// nearestBF16 is the same reference for bfloat16 (candidates are the
-// upper-16-bit truncations; Inf stands at 2^128).
+// nearestBF16 is the brute-force round-to-nearest-even reference: scan every
+// non-negative bf16 candidate (with +Inf standing at 2^128, the next value
+// the format would represent — the IEEE overflow-threshold convention), pick
+// the closest in exact float64 arithmetic, break ties toward the even
+// encoding.
 func nearestBF16(v float32) uint16 {
 	sign := uint16(0)
 	av := float64(v)
@@ -91,39 +58,9 @@ func nearestBF16(v float32) uint16 {
 	return sign | best
 }
 
-// TestF16EncodeMatchesNearestEven pins the branchy magic-round encoder
-// against the brute-force reference on the values that stress every
-// boundary: overflow-to-Inf, the max finite, normal/subnormal crossover,
-// underflow-to-zero ties, f32 subnormal inputs, and random values across
-// the binades.
-func TestF16EncodeMatchesNearestEven(t *testing.T) {
-	edges := []float32{
-		0, float32(math.Copysign(0, -1)),
-		65504, 65519.996, 65520, 65536, 1e38, // overflow threshold: 65520 ties to Inf
-		-65504, -65520,
-		6.104e-5, 6.1035156e-5, // 2^-14: smallest normal
-		6.097e-5,             // just below: subnormal
-		5.9604645e-8,         // 2^-24: smallest subnormal
-		2.9802322e-8,         // 2^-25: ties to zero (even)
-		2.9802326e-8,         // just above the tie: rounds to 2^-24
-		1.4e-8, 1e-10, 1e-44, // deep underflow, incl. f32 subnormals
-		8.9407e-8,               // 1.5 * 2^-24: tie between 1st and 2nd subnormal, to even
-		1, 1.0009765, 1.0004883, // mantissa rounding ties at 1+2^-11
-		0.33333334, 3.1415927, 2.7182817,
-	}
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 300; i++ {
-		edges = append(edges, (rng.Float32()*2-1)*float32(math.Pow(2, float64(rng.Intn(40)-24))))
-	}
-	for _, v := range edges {
-		if got, want := f32ToF16(v), nearestF16(v); got != want {
-			t.Fatalf("f32ToF16(%v) = %04x (%v), want %04x (%v)", v, got, f16ToF32(got), want, f16ToF32(want))
-		}
-	}
-}
-
-// TestBF16EncodeMatchesNearestEven: same reference check for bfloat16,
-// whose boundaries live at the top of the f32 range instead.
+// TestBF16EncodeMatchesNearestEven pins the encoder against the brute-force
+// reference on the values that stress its boundaries — which for bfloat16
+// live at the top of the f32 range — and random values across the binades.
 func TestBF16EncodeMatchesNearestEven(t *testing.T) {
 	edges := []float32{
 		0, float32(math.Copysign(0, -1)),
@@ -146,40 +83,31 @@ func TestBF16EncodeMatchesNearestEven(t *testing.T) {
 }
 
 // TestHalfNaNStaysNaN: non-finite gradients must surface as divergence
-// through the 16-bit wire formats, exactly like the int8 scale poisoning —
+// through the 16-bit wire format, exactly like the int8 scale poisoning —
 // NaN in, NaN out; Inf in, Inf out with the sign preserved.
 func TestHalfNaNStaysNaN(t *testing.T) {
-	for _, c := range []Codec{Float16{}, BFloat16{}} {
-		src := []float32{1, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
-		dst := make([]float32, len(src))
-		if err := c.Decompress(dst, Encode(c, src)); err != nil {
-			t.Fatal(err)
-		}
-		if !math.IsNaN(float64(dst[1])) {
-			t.Fatalf("%s: NaN decoded to %v", c.Name(), dst[1])
-		}
-		if !math.IsInf(float64(dst[2]), 1) || !math.IsInf(float64(dst[3]), -1) {
-			t.Fatalf("%s: Inf decoded to %v, %v", c.Name(), dst[2], dst[3])
-		}
+	c := BFloat16{}
+	src := []float32{1, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	dst := make([]float32, len(src))
+	if err := c.Decompress(dst, Encode(c, src)); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(float64(dst[1])) {
+		t.Fatalf("NaN decoded to %v", dst[1])
+	}
+	if !math.IsInf(float64(dst[2]), 1) || !math.IsInf(float64(dst[3]), -1) {
+		t.Fatalf("Inf decoded to %v, %v", dst[2], dst[3])
 	}
 }
 
-// TestHalfRoundTripError bounds the relative error for values inside each
-// format's normal range: f16 keeps 11 significand bits (relative half-ulp
-// 2^-11), bf16 keeps 8 (relative half-ulp 2^-8).
+// TestHalfRoundTripError bounds the relative error: bf16 keeps 8 significand
+// bits (relative half-ulp 2^-8).
 func TestHalfRoundTripError(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 2000; i++ {
-		// Magnitude in [2^e, 2^(e+1)) with e >= -14: inside the f16 NORMAL
-		// range (subnormals trade relative precision for gradual underflow
-		// and are pinned by the exhaustive/nearest-even tests instead).
 		v := (1 + rng.Float32()) * float32(math.Pow(2, float64(rng.Intn(28)-14)))
 		if rng.Intn(2) == 0 {
 			v = -v
-		}
-		f16 := f16ToF32(f32ToF16(v))
-		if rel := math.Abs(float64(f16-v)) / math.Abs(float64(v)); rel > 1.0/2048+1e-9 {
-			t.Fatalf("f16 round trip of %v = %v, rel err %v", v, f16, rel)
 		}
 		bf := bf16ToF32(f32ToBF16(v))
 		if rel := math.Abs(float64(bf-v)) / math.Abs(float64(v)); rel > 1.0/256+1e-9 {
@@ -188,13 +116,11 @@ func TestHalfRoundTripError(t *testing.T) {
 	}
 }
 
-// TestHalfPayloadHalvesBytes: the point of the formats — exactly 2 bytes per
+// TestHalfPayloadHalvesBytes: the point of the format — exactly 2 bytes per
 // element on the wire, half of f32.
 func TestHalfPayloadHalvesBytes(t *testing.T) {
 	src := randVec(4096, 3)
-	for _, c := range []Codec{Float16{}, BFloat16{}} {
-		if got := len(Encode(c, src)); got != 2*len(src) {
-			t.Fatalf("%s: payload %d bytes, want %d", c.Name(), got, 2*len(src))
-		}
+	if got := len(Encode(BFloat16{}, src)); got != 2*len(src) {
+		t.Fatalf("bf16: payload %d bytes, want %d", got, 2*len(src))
 	}
 }

@@ -190,9 +190,6 @@ func (e *Engine) Grads(dev int) []float32 { return e.devices[dev].grads }
 // Value tensors, back to back in flattened order (length GradSize).
 func (e *Engine) Values(dev int) []float32 { return e.devices[dev].values }
 
-// Optimized reports which scheduling mode the engine runs.
-func (e *Engine) Optimized() bool { return e.optimized }
-
 // Stats returns a snapshot of the scheduling counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()

@@ -205,8 +205,8 @@ func Run(n int, fn func(i int)) {
 
 // ChunkBounds returns the [lo, hi) bounds of chunk i when total items are
 // split into chunks nearly-equal contiguous pieces (the first total%chunks
-// chunks get one extra item) — RunChunks' partition, for a kernel that walks
-// several chunks inside one task.
+// chunks get one extra item). The bounds depend on (total, chunks, i) only,
+// never on the worker count — the fixed partition a GradChunks fold needs.
 func ChunkBounds(total, chunks, i int) (lo, hi int) {
 	base := total / chunks
 	rem := total % chunks
@@ -216,23 +216,6 @@ func ChunkBounds(total, chunks, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// RunChunks splits [0, total) into exactly chunks contiguous ranges and
-// executes fn(chunk, lo, hi) for each on the pool. Use with a fixed chunk
-// count (GradChunks) when fn accumulates into per-chunk partials; chunk
-// ranges are a pure function of (total, chunks), never of the worker count.
-func RunChunks(total, chunks int, fn func(chunk, lo, hi int)) {
-	if total <= 0 || chunks <= 0 {
-		return
-	}
-	if chunks > total {
-		chunks = total
-	}
-	Run(chunks, func(c int) {
-		lo, hi := ChunkBounds(total, chunks, c)
-		fn(c, lo, hi)
-	})
 }
 
 // RunRange splits [0, total) into contiguous ranges of at least grain items

@@ -108,39 +108,6 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-// TestRunChunksFixedPartition: the (chunk, lo, hi) triples delivered by
-// RunChunks are a pure function of (total, chunks) — identical at every
-// worker width. This is the determinism contract gradient folds rely on.
-func TestRunChunksFixedPartition(t *testing.T) {
-	const total = 100
-	chunks := GradChunks(total)
-	collect := func() map[int][2]int {
-		var mu sync.Mutex
-		got := make(map[int][2]int)
-		RunChunks(total, chunks, func(c, lo, hi int) {
-			mu.Lock()
-			got[c] = [2]int{lo, hi}
-			mu.Unlock()
-		})
-		return got
-	}
-	prev := SetWorkers(1)
-	ref := collect()
-	for _, w := range []int{2, 5, maxWorkers} {
-		SetWorkers(w)
-		got := collect()
-		if len(got) != len(ref) {
-			t.Fatalf("width %d: %d chunks, want %d", w, len(got), len(ref))
-		}
-		for c, b := range ref {
-			if got[c] != b {
-				t.Fatalf("width %d: chunk %d bounds %v, want %v", w, c, got[c], b)
-			}
-		}
-	}
-	SetWorkers(prev)
-}
-
 // TestGradChunks: fixed rule, never worker-count dependent.
 func TestGradChunks(t *testing.T) {
 	for _, tc := range []struct{ n, want int }{{0, 1}, {1, 1}, {4, 4}, {16, 16}, {17, 16}, {1024, 16}} {

@@ -123,6 +123,10 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
+// WorldSize returns the number of global ranks under the communicator: the
+// range a RankDownError's Rank lies in.
+func (c *Comm) WorldSize() int { return c.tr.NumRanks() }
+
 // checkSend validates a send's destination rank and tag.
 func (c *Comm) checkSend(dst, tag int) error {
 	if dst < 0 || dst >= len(c.group) {

@@ -17,7 +17,6 @@ func TestSimBytesMatchLiveTraffic(t *testing.T) {
 	codecs := []compress.Config{
 		{Codec: "none"},
 		{Codec: "int8"},
-		{Codec: "f16"},
 		{Codec: "bf16"},
 		{Codec: "topk", TopKRatio: 0.25},
 	}

@@ -49,8 +49,7 @@ func (c Collective) Compressed() bool { return c == Hierarchical || c == Sharded
 // WireSizer maps a bucket's element count to the exact payload bytes a
 // codec puts on the wire, by probing the real encoder. Every codec in the
 // tree produces data-independent payload sizes (identity 4n, int8 4+n,
-// f16/bf16 2n, topk 4+8·keep(n)) and the parallel encoders are
-// byte-identical to the serial ones, so probing a zero vector once per
+// bf16 2n, topk 4+8·keep(n)), so probing a zero vector once per
 // length is exact — and can never drift from the encoder, unlike a
 // hand-copied size formula. Probes are cached per length. Not safe for
 // concurrent use.

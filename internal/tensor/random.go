@@ -76,12 +76,3 @@ func (g *RNG) FillKaiming(t *Tensor, fanIn int) {
 	}
 	g.FillNormal(t, 0, float32(math.Sqrt(2/float64(fanIn))))
 }
-
-// FillXavier applies Glorot-uniform initialization over fanIn+fanOut.
-func (g *RNG) FillXavier(t *Tensor, fanIn, fanOut int) {
-	if fanIn+fanOut <= 0 {
-		fanIn = 1
-	}
-	limit := float32(math.Sqrt(6 / float64(fanIn+fanOut)))
-	g.FillUniform(t, -limit, limit)
-}
