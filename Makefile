@@ -145,20 +145,22 @@ kernels-purego:
 
 # 20 s of each fuzz target, from its committed corpus — CI's one fuzz step, so
 # the list lives here: the SIMD-vs-portable kernels, the packed convolution vs
-# Im2Col+Gemm+Col2Im (internal/tensor/convref, the tests' reference), then the
+# Im2Col+Gemm+Col2Im (internal/tensor/convref, the tests' reference), the
+# float wire's in-place add at every byte offset vs decode-then-add, then the
 # parsers of bytes that arrive off a disk or a wire (window decode vs the dense
-# reference, the shuffle's record frames, a checkpoint, a recovery verdict,
-# every codec's two decoders held to each other, the Stream's poison
-# messages): never a panic, never an allocation a header alone can size. The
-# parsers'
-# inputs are kilobyte blobs, which the fuzzer's default 60 s minimisation of
-# every interesting input would spend the whole smoke on.
+# reference, the shuffle's record frames, a DIMD pack, a checkpoint, a
+# recovery verdict, every codec's two decoders held to each other, the
+# Stream's poison messages): never a panic, never an allocation a header alone
+# can size. The parsers' inputs are kilobyte blobs, which the fuzzer's default
+# 60 s minimisation of every interesting input would spend the whole smoke on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGemmSIMDMatchesPortable -fuzztime 20s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzVecKernelsMatchPortable -fuzztime 20s ./internal/kernels
 	$(GO) test -run '^$$' -fuzz FuzzConvPackedMatchesIm2Col -fuzztime 20s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzAddFloat32s -fuzztime 20s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s -fuzzminimizetime 1s ./internal/imagecodec
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalRecords -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd
+	$(GO) test -run '^$$' -fuzz FuzzReadPack -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 20s -fuzzminimizetime 1s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzParseVerdict -fuzztime 20s -fuzzminimizetime 1s ./internal/elastic
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 20s -fuzzminimizetime 1s ./internal/compress

@@ -14,23 +14,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/allreduce"
-	"repro/internal/compress"
-	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/dimd"
-	"repro/internal/dpt"
-	"repro/internal/elastic"
-	"repro/internal/imagecodec"
-	"repro/internal/models"
 	"repro/internal/mpi"
-	"repro/internal/nn"
-	"repro/internal/sgd"
 	"repro/internal/simcluster"
 	"repro/internal/simnet"
-	"repro/internal/tensor"
 )
 
 var (
@@ -313,45 +302,6 @@ func BenchmarkAblationShuffleSegments(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDPT measures the real engines: wall time, bytes moved
-// and serializations for baseline vs optimized scheduling.
-func BenchmarkAblationDPT(b *testing.B) {
-	for _, optimized := range []bool{false, true} {
-		name := "baseline"
-		if optimized {
-			name = "optimized"
-		}
-		b.Run(name, func(b *testing.B) {
-			replicas := make([]nn.Layer, 4)
-			for i := range replicas {
-				replicas[i] = models.NewSmallCNN(4, 16, tensor.NewRNG(int64(i)))
-			}
-			e, err := dpt.New(replicas, optimized)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			rng := tensor.NewRNG(1)
-			x := tensor.New(16, 3, 16, 16)
-			rng.FillNormal(x, 0, 1)
-			labels := make([]int, 16)
-			for i := range labels {
-				labels[i] = i % 4
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Step(x, labels); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := e.Stats()
-			b.ReportMetric(float64(st.BytesMoved)/float64(st.Steps), "input-bytes/step")
-			b.ReportMetric(float64(st.Serializations)/float64(st.Steps), "serializations/step")
-		})
-	}
-}
-
 // BenchmarkAblationBatchSize sweeps the per-GPU batch at 64 nodes: smaller
 // batches shrink the compute per step while the allreduce stays constant,
 // explaining the record run's choice of 32/GPU (Table 2) against Section 5's
@@ -414,196 +364,4 @@ func BenchmarkAblationGroupsOversubscribed(b *testing.B) {
 		b.Fatal("leaf-aligned groups should beat the flat shuffle on an oversubscribed fabric")
 	}
 	b.ReportMetric(flat/grouped, "group-speedup-x")
-}
-
-// --- Functional-plane microbenches (real byte movement / real compute) ---
-
-// BenchmarkFunctionalAllReduce measures the real in-process allreduce per
-// algorithm on an 8-rank world with a 4 MB payload.
-func BenchmarkFunctionalAllReduce(b *testing.B) {
-	for _, alg := range []allreduce.Algorithm{allreduce.AlgRing, allreduce.AlgRabenseifner, allreduce.AlgMultiColor} {
-		b.Run(string(alg), func(b *testing.B) {
-			const ranks, elems = 8, 1 << 20
-			b.SetBytes(int64(4 * elems))
-			for i := 0; i < b.N; i++ {
-				w := mpi.NewWorld(ranks)
-				err := w.Run(func(c *mpi.Comm) error {
-					data := make([]float32, elems)
-					for j := range data {
-						data[j] = float32(c.Rank() + j%5)
-					}
-					return allreduce.AllReduce(c, data, alg, allreduce.Options{})
-				})
-				w.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFunctionalCompressedAllReduce measures the bucketed compressed
-// allreduce per codec: real byte movement over an in-process cluster, with
-// the achieved wire bytes reported so benchstat diffs show the compression
-// trade-off alongside throughput.
-func BenchmarkFunctionalCompressedAllReduce(b *testing.B) {
-	for _, codec := range []compress.Codec{compress.Identity{}, compress.Int8{}, compress.TopK{Ratio: 0.1}} {
-		b.Run(codec.Name(), func(b *testing.B) {
-			const ranks, elems = 8, 1 << 20
-			b.SetBytes(int64(4 * elems))
-			var wireBytes int64
-			for i := 0; i < b.N; i++ {
-				w := mpi.NewWorld(ranks)
-				err := w.Run(func(c *mpi.Comm) error {
-					data := make([]float32, elems)
-					for j := range data {
-						data[j] = float32(c.Rank()+j%5) * 0.01
-					}
-					st, err := allreduce.BucketedAllReduce(c, data, codec, allreduce.CompressedOptions{})
-					if c.Rank() == 0 {
-						wireBytes = st.BytesSent + st.BytesRecv
-					}
-					return err
-				})
-				w.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(wireBytes), "wire-bytes/op")
-		})
-	}
-}
-
-// BenchmarkFunctionalCodecDecode measures the toy JPEG decoder — the
-// per-image cost DIMD pays instead of file I/O.
-func BenchmarkFunctionalCodecDecode(b *testing.B) {
-	corpus, err := dataset.New(dataset.Spec{Classes: 4, Train: 8, Val: 1, Size: 64, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob := corpus.EncodedImage(0, 80)
-	b.SetBytes(int64(3 * 64 * 64))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := imagecodec.Decode(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFunctionalTrainStep measures one full Algorithm 1 iteration
-// (sample, forward/backward on 2 devices, intra-node sum, allreduce over 2
-// learners, update) on the real stack.
-func BenchmarkFunctionalTrainStep(b *testing.B) {
-	dataX, dataLabels := core.SyntheticTensorData(32, 4, 12, 5)
-	w := mpi.NewWorld(2)
-	defer w.Close()
-	errs := make(chan error, 2)
-	steps := make(chan int)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := w.MustComm(rank)
-			replicas := []nn.Layer{
-				models.NewSmallCNN(4, 12, tensor.NewRNG(int64(rank*2+1))),
-				models.NewSmallCNN(4, 12, tensor.NewRNG(int64(rank*2+2))),
-			}
-			l, err := core.NewLearner(c, replicas,
-				&core.SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: 2},
-				3, 12, 12,
-				core.Config{BatchPerDevice: 4, Allreduce: allreduce.AlgMultiColor, Schedule: sgd.Const(0.01), SGD: sgd.DefaultConfig()})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer l.Close()
-			for range steps {
-				if _, err := l.Step(); err != nil {
-					errs <- err
-					return
-				}
-			}
-			errs <- nil
-		}(r)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		steps <- i
-		steps <- i
-	}
-	close(steps)
-	wg.Wait()
-	b.StopTimer()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFunctionalOverlapPipeline measures the reactive gradient pipeline
-// against the phased bucketed allreduce on a comm-heavy latency-injected
-// cluster: same job, same bytes, different schedule. Reported metrics are
-// per-step wall times and the overlap efficiency (overlapped step time over
-// the phased compute+comm sum; < 1 means communication was hidden under
-// backward compute).
-func BenchmarkFunctionalOverlapPipeline(b *testing.B) {
-	const learners, classes, size, batch, steps = 2, 8, 24, 32, 4
-	link := mpi.LinkProfile{Latency: 8 * time.Millisecond, BytesPerSec: 64 << 20}
-	dataX, dataLabels := core.SyntheticTensorData(batch*learners, classes, size, 23)
-	run := func(overlap bool) (stepS, computeS, commS float64) {
-		start := time.Now()
-		res, err := elastic.Run(elastic.Config{
-			Identities:  learners,
-			GlobalBatch: learners * batch,
-			Steps:       steps,
-			NewWorld:    func(n int) (*mpi.World, error) { return mpi.NewLatencyWorld(n, link), nil },
-			NewReplica:  func(seed int64) nn.Layer { return core.OverlapBenchModel(classes, size, 900+seed) },
-			NewSource:   core.SliceSources(dataX, dataLabels),
-			InputC:      3, InputH: size, InputW: size,
-			Learner: core.Config{
-				Allreduce:       allreduce.AlgMultiColor,
-				Schedule:        sgd.Const(0.05),
-				SGD:             sgd.DefaultConfig(),
-				Compression:     compress.Config{Codec: "none", BucketFloats: 1024},
-				Overlap:         overlap,
-				OverlapInFlight: 16,
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ph := res.Ranks[0].Phases
-		return time.Since(start).Seconds() / steps, ph.Compute / steps, ph.AllReduce / steps
-	}
-	var eff, phasedStep, overlapStep float64
-	for i := 0; i < b.N; i++ {
-		var computeS, commS float64
-		phasedStep, computeS, commS = run(false)
-		overlapStep, _, _ = run(true)
-		if sum := computeS + commS; sum > 0 {
-			eff = overlapStep / sum
-		}
-	}
-	b.ReportMetric(1e3*phasedStep, "phased-ms/step")
-	b.ReportMetric(1e3*overlapStep, "overlapped-ms/step")
-	b.ReportMetric(eff, "overlap-efficiency")
-}
-
-// BenchmarkFunctionalConvForward measures the im2col+GEMM convolution on a
-// ResNet-stage-sized layer.
-func BenchmarkFunctionalConvForward(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	conv := nn.NewConv2D("c", 64, 64, 3, 3, 1, 1, 1, 1, nn.ConvOpts{}, rng)
-	x := tensor.New(4, 64, 28, 28)
-	rng.FillNormal(x, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Forward(x, false)
-	}
 }

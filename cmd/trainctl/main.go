@@ -120,7 +120,7 @@ func main() {
 	aug := imagecodec.Augment{Crop: *size, Mean: [3]float32{0.5, 0.5, 0.5}, Std: [3]float32{0.25, 0.25, 0.25}}
 	switch {
 	case *useDIMD:
-		corpus, err := dataset.New(dataset.Spec{Classes: *classes, Train: *images, Val: 16, Size: *size + 8, Seed: *seed})
+		corpus, err := dataset.New(dataset.Spec{Classes: *classes, Train: *images, Size: *size + 8, Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func main() {
 		}
 		cfg.ShuffleEvery = *shuffleEvery
 	case *useFiles:
-		corpus, err := dataset.New(dataset.Spec{Classes: *classes, Train: *images, Val: 16, Size: *size + 8, Seed: *seed})
+		corpus, err := dataset.New(dataset.Spec{Classes: *classes, Train: *images, Size: *size + 8, Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
 		}

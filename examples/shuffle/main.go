@@ -27,7 +27,7 @@ func main() {
 		imgSize  = 64
 		learners = 4
 	)
-	corpus, err := dataset.New(dataset.Spec{Classes: classes, Train: images, Val: 16, Size: imgSize, Seed: 7})
+	corpus, err := dataset.New(dataset.Spec{Classes: classes, Train: images, Size: imgSize, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

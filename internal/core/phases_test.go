@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,87 +10,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/sgd"
 )
-
-func TestEvaluateDistributedMatchesLocal(t *testing.T) {
-	const classes, size, learners = 3, 8, 3
-	dataX, dataLabels := SyntheticTensorData(18, classes, size, 13)
-	valX, valLabels := SyntheticTensorData(15, classes, size, 14)
-
-	w := mpi.NewWorld(learners)
-	defer w.Close()
-	var mu sync.Mutex
-	accs := make([]float64, learners)
-	losses := make([]float64, learners)
-	var localAcc, localLoss float64
-	err := w.Run(func(c *mpi.Comm) error {
-		l, err := NewLearner(c,
-			[]nn.Layer{bnFreeCNN(classes, size, 7)},
-			&SliceSource{X: dataX, Labels: dataLabels, Rank: c.Rank(), Ranks: learners},
-			3, size, size,
-			Config{BatchPerDevice: 6, Allreduce: allreduce.AlgMultiColor, Schedule: sgd.Const(0.05), SGD: sgd.DefaultConfig()})
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		for i := 0; i < 3; i++ {
-			if _, err := l.Step(); err != nil {
-				return err
-			}
-		}
-		acc, loss, err := l.EvaluateDistributed(valX, valLabels)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		accs[c.Rank()] = acc
-		losses[c.Rank()] = loss
-		if c.Rank() == 0 {
-			// Single-learner reference on the full set.
-			localAcc, localLoss, err = l.Evaluate(valX, valLabels)
-		}
-		mu.Unlock()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every rank sees the same aggregate, equal to the local full-set eval.
-	for r := 1; r < learners; r++ {
-		if accs[r] != accs[0] || losses[r] != losses[0] {
-			t.Fatalf("rank %d aggregate differs: %v/%v vs %v/%v", r, accs[r], losses[r], accs[0], losses[0])
-		}
-	}
-	// Aggregation rides in float32 counters; compare at f32 precision.
-	if math.Abs(accs[0]-localAcc) > 1e-6 {
-		t.Fatalf("distributed accuracy %v, local %v", accs[0], localAcc)
-	}
-	if math.Abs(losses[0]-localLoss) > 1e-4 {
-		t.Fatalf("distributed loss %v, local %v", losses[0], localLoss)
-	}
-}
-
-func TestEvaluateDistributedErrors(t *testing.T) {
-	const size = 8
-	dataX, dataLabels := SyntheticTensorData(8, 2, size, 15)
-	w := mpi.NewWorld(1)
-	defer w.Close()
-	err := w.Run(func(c *mpi.Comm) error {
-		l, err := NewLearner(c, []nn.Layer{bnFreeCNN(2, size, 3)},
-			&SliceSource{X: dataX, Labels: dataLabels, Rank: 0, Ranks: 1},
-			3, size, size, Config{BatchPerDevice: 4, Allreduce: allreduce.AlgDefault})
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		if _, _, err := l.EvaluateDistributed(dataX, dataLabels[:3]); err == nil {
-			t.Error("label mismatch should error")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestPhaseTimesAccumulate pins the phase accounting through every way the
 // step can run: no phase ever decreases, the phases never claim more than

@@ -28,10 +28,8 @@ func streamCorpus(t *testing.T) func(i int) (int, []byte) {
 		t.Fatal(err)
 	}
 	return func(i int) (int, []byte) {
-		im, err := imagecodec.Crop(corpus.Image(i), 0, 0, 36, 28)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The top 28 rows of the 36×36 frame.
+		im := &imagecodec.Image{W: 36, H: 28, Pix: corpus.Image(i).Pix[:3*36*28]}
 		return corpus.Label(i), imagecodec.Encode(im, 60+i)
 	}
 }

@@ -222,7 +222,7 @@ func TestAccuracyInvarianceAcrossNodeCounts(t *testing.T) {
 func TestDIMDEndToEndTraining(t *testing.T) {
 	const classes = 3
 	const imgSize = 40 // stored size; crop 32
-	corpus, err := dataset.New(dataset.Spec{Classes: classes, Train: 48, Val: 12, Size: imgSize, Seed: 9})
+	corpus, err := dataset.New(dataset.Spec{Classes: classes, Train: 48, Size: imgSize, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

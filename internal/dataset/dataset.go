@@ -19,24 +19,12 @@ import (
 type Spec struct {
 	// Classes is the number of labels.
 	Classes int
-	// Train and Val are the split sizes.
-	Train, Val int
+	// Train is the number of images.
+	Train int
 	// Size is the generated square image side (before any resize).
 	Size int
 	// Seed namespaces the whole corpus.
 	Seed int64
-}
-
-// ImageNet1kShape returns the metadata-scale description of ImageNet-1k used
-// when only sizes matter (shuffle experiments): 1.28 M train images, 1000
-// classes. Pixel generation at this scale is never materialized at once.
-func ImageNet1kShape() Spec {
-	return Spec{Classes: 1000, Train: 1_281_167, Val: 50_000, Size: 256, Seed: 1}
-}
-
-// ImageNet22kShape returns the ImageNet-22k scale: 7 M images, 22k classes.
-func ImageNet22kShape() Spec {
-	return Spec{Classes: 22_000, Train: 7_000_000, Val: 100_000, Size: 256, Seed: 2}
 }
 
 // Corpus generates images and labels on demand.
@@ -59,11 +47,6 @@ func (c *Corpus) Spec() Spec { return c.spec }
 // per-corpus offset, so classes are balanced).
 func (c *Corpus) Label(i int) int {
 	return int((int64(i) + c.spec.Seed) % int64(c.spec.Classes))
-}
-
-// ValLabel returns the class of validation image i.
-func (c *Corpus) ValLabel(i int) int {
-	return int((int64(i)*31 + c.spec.Seed + 7) % int64(c.spec.Classes))
 }
 
 // Image materializes train image i.

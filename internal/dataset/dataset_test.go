@@ -19,7 +19,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestLabelsBalancedAndInRange(t *testing.T) {
-	c, err := New(Spec{Classes: 5, Train: 100, Val: 20, Size: 16, Seed: 3})
+	c, err := New(Spec{Classes: 5, Train: 100, Size: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,6 @@ func TestLabelsBalancedAndInRange(t *testing.T) {
 	for cl, n := range counts {
 		if n != 20 {
 			t.Fatalf("class %d has %d images, want 20", cl, n)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		if l := c.ValLabel(i); l < 0 || l >= 5 {
-			t.Fatalf("val label %d out of range", l)
 		}
 	}
 }
@@ -95,16 +90,5 @@ func TestEncodedImageDecodes(t *testing.T) {
 	}
 	if len(blob) >= 3*24*24 {
 		t.Fatalf("encoded image did not compress: %d bytes", len(blob))
-	}
-}
-
-func TestShapeSpecs(t *testing.T) {
-	s1 := ImageNet1kShape()
-	if s1.Classes != 1000 || s1.Train != 1_281_167 {
-		t.Fatalf("imagenet-1k shape wrong: %+v", s1)
-	}
-	s22 := ImageNet22kShape()
-	if s22.Classes != 22_000 || s22.Train != 7_000_000 {
-		t.Fatalf("imagenet-22k shape wrong: %+v", s22)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/tensor"
 )
@@ -23,52 +22,22 @@ type FileStore struct {
 }
 
 // WriteFileStore materializes n encoded images as individual files under
-// dir (created if needed), with labels recorded in an index file — the
-// "directory of JPEGs plus label list" layout of the open-source Torch
-// ImageNet loader.
+// dir (created if needed) — the "directory of JPEGs" layout of the
+// open-source Torch ImageNet loader — and returns the store that reads them
+// back; the labels stay in memory with it.
 func WriteFileStore(dir string, n int, get func(i int) (label int, data []byte)) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dimd: creating file store: %w", err)
 	}
 	fs := &FileStore{dir: dir}
-	var index strings.Builder
 	for i := 0; i < n; i++ {
 		label, data := get(i)
 		name := fmt.Sprintf("img-%07d.tj", i)
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			return nil, fmt.Errorf("dimd: writing %s: %w", name, err)
 		}
-		fmt.Fprintf(&index, "%s %d\n", name, label)
 		fs.names = append(fs.names, name)
 		fs.labels = append(fs.labels, int32(label))
-	}
-	if err := os.WriteFile(filepath.Join(dir, "index.txt"), []byte(index.String()), 0o644); err != nil {
-		return nil, fmt.Errorf("dimd: writing index: %w", err)
-	}
-	return fs, nil
-}
-
-// OpenFileStore loads the index of an existing file store.
-func OpenFileStore(dir string) (*FileStore, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "index.txt"))
-	if err != nil {
-		return nil, fmt.Errorf("dimd: reading index: %w", err)
-	}
-	fs := &FileStore{dir: dir}
-	for lineNo, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		if line == "" {
-			continue
-		}
-		var name string
-		var label int32
-		if _, err := fmt.Sscanf(line, "%s %d", &name, &label); err != nil {
-			return nil, fmt.Errorf("dimd: index line %d: %w", lineNo+1, err)
-		}
-		fs.names = append(fs.names, name)
-		fs.labels = append(fs.labels, label)
-	}
-	if len(fs.names) == 0 {
-		return nil, fmt.Errorf("dimd: empty file store at %s", dir)
 	}
 	return fs, nil
 }
@@ -93,18 +62,4 @@ func (f *FileStore) RandomBatch(rng *tensor.RNG, n int) ([]Record, error) {
 		out[i] = Record{Label: f.labels[j], Data: data}
 	}
 	return out, nil
-}
-
-// ToStore loads the complete file store into memory — the migration path
-// from the baseline layout to DIMD.
-func (f *FileStore) ToStore() (*Store, error) {
-	recs := make([]Record, 0, len(f.names))
-	for i, name := range f.names {
-		data, err := os.ReadFile(filepath.Join(f.dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("dimd: loading %s: %w", name, err)
-		}
-		recs = append(recs, Record{Label: f.labels[i], Data: data})
-	}
-	return NewStore(recs), nil
 }

@@ -3,6 +3,7 @@ package dimd
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/tensor"
@@ -24,6 +25,10 @@ func TestFileStoreWriteAndRead(t *testing.T) {
 	if fs.Len() != 20 {
 		t.Fatalf("Len = %d", fs.Len())
 	}
+	// One file per image and nothing else: the labels live in the store.
+	if entries, err := os.ReadDir(fs.dir); err != nil || len(entries) != 20 {
+		t.Fatalf("store directory holds %d entries (%v), want 20 image files", len(entries), err)
+	}
 	rng := tensor.NewRNG(1)
 	batch, err := fs.RandomBatch(rng, 8)
 	if err != nil {
@@ -35,46 +40,6 @@ func TestFileStoreWriteAndRead(t *testing.T) {
 		}
 		if r.Label < 0 || r.Label > 4 {
 			t.Fatalf("bad label %d", r.Label)
-		}
-	}
-}
-
-func TestOpenFileStore(t *testing.T) {
-	fs := buildFileStore(t, 10)
-	reopened, err := OpenFileStore(fs.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.Len() != 10 {
-		t.Fatalf("reopened Len = %d", reopened.Len())
-	}
-	rng := tensor.NewRNG(2)
-	if _, err := reopened.RandomBatch(rng, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileStore(t.TempDir()); err == nil {
-		t.Fatal("missing index should error")
-	}
-}
-
-func TestFileStoreToStore(t *testing.T) {
-	fs := buildFileStore(t, 12)
-	s, err := fs.ToStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 12 {
-		t.Fatalf("store Len = %d", s.Len())
-	}
-	// Every record migrated with correct label pairing.
-	for i := 0; i < s.Len(); i++ {
-		r := s.Record(i)
-		var idx int
-		if _, err := fmt.Sscanf(string(r.Data), "payload-%03d", &idx); err != nil {
-			t.Fatalf("bad migrated payload %q", r.Data)
-		}
-		if r.Label != int32(idx%5) {
-			t.Fatalf("label mismatch for %q: %d", r.Data, r.Label)
 		}
 	}
 }

@@ -130,6 +130,37 @@ func FuzzUnmarshalRecords(f *testing.F) {
 	})
 }
 
+// FuzzReadPack: the pack reader never panics, never allocates past a small
+// multiple of its input, and what it accepts writes back through WriteTo as
+// exactly the bytes it consumed.
+func FuzzReadPack(f *testing.F) {
+	var pack bytes.Buffer
+	if _, err := buildTestPack(3).WriteTo(&pack); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pack.Bytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		var got *Pack
+		var err error
+		// The index is read once and decoded into two slices of its own
+		// size; the blob's buffer doubles as bytes arrive.
+		if n := allocatedBytes(func() { got, err = ReadPack(r) }); n > uint64(32*len(b))+1<<18 {
+			t.Fatalf("ReadPack allocated %d bytes for a %d-byte input", n, len(b))
+		}
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if _, err := got.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := b[:len(b)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("accepted pack does not round-trip: %d bytes read, %d written", len(consumed), again.Len())
+		}
+	})
+}
+
 // BenchmarkSampleTensors is one rank's share of a dimd_input step: a batch of
 // 16 random 16×16 crops out of 256 resident 64×64 quality-80 images.
 func BenchmarkSampleTensors(b *testing.B) {

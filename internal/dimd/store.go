@@ -227,24 +227,6 @@ func unmarshalRecords(b []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// GroupRanks returns the member ranks of rank's shuffle group when comm is
-// split into numGroups contiguous groups — the layout behind the paper's
-// group-based shuffle ("we can divide the learners into groups such that
-// each group collectively owns the entire dataset").
-func GroupRanks(size, numGroups, rank int) ([]int, error) {
-	if numGroups <= 0 || numGroups > size {
-		return nil, fmt.Errorf("dimd: %d groups over %d ranks", numGroups, size)
-	}
-	g := rank * numGroups / size
-	lo := g * size / numGroups
-	hi := (g + 1) * size / numGroups
-	ranks := make([]int, 0, hi-lo)
-	for r := lo; r < hi; r++ {
-		ranks = append(ranks, r)
-	}
-	return ranks, nil
-}
-
 // SampleTensors decodes and augments a random mini-batch into x (shape
 // [n, 3, crop, crop]) and labels — the step that feeds the GPU compute in
 // the paper's Figure 1 ("in-memory JPEG decompresser ... generate image

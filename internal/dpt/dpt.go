@@ -1,24 +1,15 @@
-// Package dpt reimplements Torch's Data-Parallel Table — the engine that
-// spreads a node's mini-batch across the GPUs attached to that node — in
-// both the stock form the paper criticizes (Figure 3) and the optimized form
-// it proposes (Figure 4, Section 4.3).
+// Package dpt reimplements the Data-Parallel Table — the engine that
+// spreads a node's mini-batch across the GPUs attached to that node — in the
+// optimized form the paper proposes (Figure 4, Section 4.3).
 //
 // Devices are goroutine workers owning a full model replica, standing in for
-// cuDNN streams on the node's four P100s. The two modes are numerically
-// identical (a test asserts it); they differ exactly where the paper says
-// the Torch implementation differs:
-//
-//   - Baseline: the entire input batch is first staged on device 1 and then
-//     scattered to the other devices (extra movement, extra memory on GPU 1);
-//     the criterion is evaluated serially outside the devices; and every
-//     per-device job finishes with an "ending callback" serialized through
-//     the single main thread.
-//   - Optimized: the batch is partitioned up front and sent directly to each
-//     device; the criterion runs on every device inside the same job; and
-//     the number of serialized callbacks per step drops to one per device.
-//
-// The struct records byte/serialization counters so tests and the cluster
-// simulator can account for the difference.
+// cuDNN streams on the node's four P100s. A step partitions the batch up
+// front and stages each partition directly on its device; forward, the
+// criterion and backward all run on the device inside one job; and the main
+// thread joins each device once. Torch's stock table (Figure 3: the whole
+// batch staged on device 1 and scattered from there, a serial criterion,
+// serialized ending callbacks) is not built here: its cost survives only as
+// internal/simcluster's DPTOverhead, an input fitted to Figure 12.
 //
 // Every replica's parameters live in two flat arenas per device — values and
 // gradients, Torch's flattenParameters — so a range of the flattened
@@ -45,19 +36,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// Stats counts the mechanical differences between the two scheduling modes.
+// Stats counts the engine's work.
 type Stats struct {
 	// Steps is the number of training steps executed.
 	Steps int64
-	// BytesMoved counts input-tensor bytes copied between host and device
-	// buffers (the baseline's device-1 staging doubles part of this).
+	// BytesMoved counts input-tensor bytes copied from the host batch into
+	// the devices' staging buffers: each row once, on its own device.
 	BytesMoved int64
-	// Serializations counts ending callbacks funneled through the main
-	// thread.
-	Serializations int64
-	// CriterionSerial counts criterion evaluations performed serially on
-	// the main thread (baseline) rather than on the devices.
-	CriterionSerial int64
 }
 
 // device is one worker owning a model replica.
@@ -69,7 +54,6 @@ type device struct {
 	jobs     chan func()
 	done     sync.WaitGroup
 	input    *tensor.Tensor // staged input partition
-	logits   *tensor.Tensor
 	loss     float64
 	partN    int
 	labelBuf []int
@@ -107,12 +91,11 @@ func (d *device) submit(fn func()) {
 
 // Engine schedules training steps across the node's devices.
 type Engine struct {
-	devices   []*device
-	optimized bool
-	gradSize  int
-	mu        sync.Mutex
-	stats     Stats
-	closed    bool
+	devices  []*device
+	gradSize int
+	mu       sync.Mutex
+	stats    Stats
+	closed   bool
 
 	// offsets[i] is parameter i's start in the flattened gradient — and so
 	// in every device's arenas; the reactive pipeline uses it to map
@@ -129,12 +112,20 @@ type Engine struct {
 // re-homed into the device's two arenas (nn.FlattenStorage), and every
 // replica is told that its input gradient has no reader (nn.SkipInputGrad:
 // a replica's input is data, and the engine drops what Backward returns).
+//
+// optimized must be true: the Figure 3 engine it once selected has been
+// removed, and false is an error. The parameter is kept only because the
+// end-to-end benchmark module (bench/layers.go) passes it and is edited only
+// by a benchmark change; ROADMAP item 1's benchmark PR drops it.
 func New(replicas []nn.Layer, optimized bool) (*Engine, error) {
+	if !optimized {
+		return nil, errors.New("dpt: the baseline (Figure 3) engine was removed; New builds only the optimized table")
+	}
 	if len(replicas) == 0 {
 		return nil, errors.New("dpt: need at least one device")
 	}
 	ref := replicas[0].Params()
-	e := &Engine{optimized: optimized, gradSize: nn.ParamCount(ref)}
+	e := &Engine{gradSize: nn.ParamCount(ref)}
 	e.offsets = make([]int, len(ref))
 	off := 0
 	for i, p := range ref {
@@ -225,127 +216,9 @@ func (e *Engine) partition(n int) []int {
 // labels, leaving each device's gradient arena holding this step's gradient
 // — Algorithm 1's per-iteration gradient computation: backward stores it,
 // nothing carries over from the step before — and returning the
-// batch-weighted mean loss. The optimized engine's step is StepWithGradHook
-// with nobody listening.
+// batch-weighted mean loss. It is StepWithGradHook with nobody listening.
 func (e *Engine) Step(x *tensor.Tensor, labels []int) (float64, error) {
-	if e.optimized {
-		return e.StepWithGradHook(x, labels, nil)
-	}
-	sizes, err := e.partitionBatch(x, labels)
-	if err != nil {
-		return 0, err
-	}
-	return e.stepBaseline(x, labels, sizes)
-}
-
-// partitionBatch validates a step's inputs and splits the batch rows across
-// the devices.
-func (e *Engine) partitionBatch(x *tensor.Tensor, labels []int) ([]int, error) {
-	if e.closed {
-		return nil, errors.New("dpt: engine closed")
-	}
-	n := x.Dim(0)
-	if len(labels) != n {
-		return nil, fmt.Errorf("dpt: %d labels for batch %d", len(labels), n)
-	}
-	if n < len(e.devices) {
-		return nil, fmt.Errorf("dpt: batch %d smaller than device count %d", n, len(e.devices))
-	}
-	return e.partition(n), nil
-}
-
-// stepBaseline implements Figure 3: the full batch is staged on device 0,
-// scattered from there, forward and backward are separate serialized jobs,
-// and the criterion runs serially on the main thread.
-func (e *Engine) stepBaseline(x *tensor.Tensor, labels []int, sizes []int) (float64, error) {
-	rowLen := x.Len() / x.Dim(0)
-	// Phase 1: move the ENTIRE batch to device 0 (the extra staging copy
-	// the paper calls out), then scatter partitions to each device.
-	dev0 := e.devices[0]
-	var staged *tensor.Tensor
-	dev0.submit(func() { staged = x.Clone() })
-	dev0.done.Wait()
-	e.mu.Lock()
-	e.stats.BytesMoved += int64(4 * x.Len()) // host -> GPU1
-	e.stats.Serializations++                 // staging callback
-	e.mu.Unlock()
-
-	off := 0
-	for i, d := range e.devices {
-		d := d // job closures must bind this iteration's device, not the shared range variable
-		lo, hi := off, off+sizes[i]
-		off = hi
-		d.partN = hi - lo
-		if d.partN == 0 {
-			d.submit(func() { clear(d.grads) }) // no backward will store this device's zeros
-			continue
-		}
-		part := staged.MustSliceRows(lo, hi)
-		d.submit(func() { d.input = part.Clone() }) // GPU1 -> GPUi
-		e.mu.Lock()
-		e.stats.BytesMoved += int64(4 * sizes[i] * rowLen)
-		e.mu.Unlock()
-	}
-	// Phase 2: forward on every device; each job's end is serialized.
-	for _, d := range e.devices {
-		d.done.Wait()
-		if d.partN == 0 {
-			continue
-		}
-		dd := d
-		d.submit(func() { dd.logits = dd.model.Forward(dd.input, true) })
-	}
-	var loss float64
-	off = 0
-	grads := make([]*tensor.Tensor, len(e.devices))
-	for i, d := range e.devices {
-		d.done.Wait()
-		lo, hi := off, off+sizes[i]
-		off = hi
-		if hi == lo {
-			continue
-		}
-		e.mu.Lock()
-		e.stats.Serializations++ // forward ending callback
-		e.mu.Unlock()
-		// Phase 3: criterion NOT parallelized — evaluated on the main
-		// thread per partition.
-		l, err := d.crit.Forward(d.logits, labels[lo:hi])
-		if err != nil {
-			// No backward runs on any device: the step's gradient is zero.
-			for _, d := range e.devices {
-				d := d
-				d.submit(func() { clear(d.grads) })
-			}
-			for _, d := range e.devices {
-				d.done.Wait()
-			}
-			return 0, err
-		}
-		e.mu.Lock()
-		e.stats.CriterionSerial++
-		e.mu.Unlock()
-		loss += l * float64(hi-lo)
-		grads[i] = d.crit.Backward()
-	}
-	// Phase 4: backward on every device, again with serialized endings.
-	for i, d := range e.devices {
-		if grads[i] == nil {
-			continue
-		}
-		dd, g := d, grads[i]
-		d.submit(func() { dd.model.Backward(g) })
-	}
-	for _, d := range e.devices {
-		d.done.Wait()
-		e.mu.Lock()
-		e.stats.Serializations++ // backward ending callback
-		e.mu.Unlock()
-	}
-	e.mu.Lock()
-	e.stats.Steps++
-	e.mu.Unlock()
-	return loss / float64(x.Dim(0)), nil
+	return e.StepWithGradHook(x, labels, nil)
 }
 
 // SumGrads performs the intra-node gradient summation of Algorithm 1

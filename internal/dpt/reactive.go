@@ -36,26 +36,29 @@ func (e *Engine) ParamRange(i int) (lo, hi int) {
 	return lo, e.gradSize
 }
 
-// StepWithGradHook is the optimized engine's step (paper Figure 4:
-// partition up front, direct transfer, forward, criterion and backward all
-// on the devices, one serialized callback per device) with incremental
-// gradient readiness: hook fires per (device, parameter) as soon as that
-// replica's gradient for the parameter is final — while earlier layers are
-// still computing backward. It returns after every device finishes; by then
-// hook has fired exactly NumDevices×NumParams times. A nil hook is the plain
-// Step: backward runs without notification.
+// StepWithGradHook is the engine's step (paper Figure 4: partition up front,
+// direct transfer, forward, criterion and backward all on the devices, one
+// join per device) with incremental gradient readiness: hook fires per
+// (device, parameter) as soon as that replica's gradient for the parameter
+// is final — while earlier layers are still computing backward. It returns
+// after every device finishes; by then hook has fired exactly
+// NumDevices×NumParams times. A nil hook is the plain Step: backward runs
+// without notification.
 //
 // The model replicas should implement nn.GradNotifier for real overlap;
 // plain layers degrade to whole-model notification after backward.
 func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook) (float64, error) {
-	if !e.optimized {
-		return 0, errors.New("dpt: StepWithGradHook requires the optimized engine (baseline scheduling serializes backward)")
-	}
-	sizes, err := e.partitionBatch(x, labels)
-	if err != nil {
-		return 0, err
+	if e.closed {
+		return 0, errors.New("dpt: engine closed")
 	}
 	n := x.Dim(0)
+	if len(labels) != n {
+		return 0, fmt.Errorf("dpt: %d labels for batch %d", len(labels), n)
+	}
+	if n < len(e.devices) {
+		return 0, fmt.Errorf("dpt: batch %d smaller than device count %d", n, len(e.devices))
+	}
+	sizes := e.partition(n)
 	rowLen := x.Len() / n
 	off := 0
 	for i, d := range e.devices {
@@ -109,10 +112,6 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 	// goroutine may still be firing hooks.
 	for _, d := range e.devices {
 		d.done.Wait()
-		// One ending callback per device per step.
-		e.mu.Lock()
-		e.stats.Serializations++
-		e.mu.Unlock()
 	}
 	var loss float64
 	for _, d := range e.devices {

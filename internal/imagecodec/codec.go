@@ -228,11 +228,13 @@ type CropDecoder struct {
 	planes []float64
 }
 
-// DecodeApply writes what Decode followed by a.Apply would write into dst —
-// the same crop origin and flip drawn from rng, the same float32 bits —
-// without the frame in between: the crop is drawn first (Decode consumes no
-// randomness) and only the blocks under it are inverse-transformed, colour-
-// converted and normalised.
+// DecodeApply applies a to the image in data, writing the 3×Crop×Crop CHW
+// slab into dst: it draws the crop origin x, the origin y and the flip from
+// rng, in that order, and gives the float32 bits of cropping, mirroring and
+// normalising Decode's frame — without the frame in between: only the blocks
+// under the crop are inverse-transformed, colour-converted and normalised.
+// A frame smaller than the crop, or a dst that is not one slab, fails before
+// any draw.
 func (d *CropDecoder) DecodeApply(data []byte, a Augment, rng *tensor.RNG, dst []float32) error {
 	w, h, quality, err := parseHeader(data)
 	if err != nil {

@@ -214,105 +214,6 @@ func TestDCTRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResizeShorter(t *testing.T) {
-	im := syntheticImage(100, 200, 7)
-	out := ResizeShorter(im, 50)
-	if out.W != 50 || out.H != 100 {
-		t.Fatalf("resize shorter: %dx%d, want 50x100", out.W, out.H)
-	}
-	im2 := syntheticImage(200, 100, 8)
-	out2 := ResizeShorter(im2, 50)
-	if out2.W != 100 || out2.H != 50 {
-		t.Fatalf("resize shorter: %dx%d, want 100x50", out2.W, out2.H)
-	}
-}
-
-func TestResizePreservesConstantImage(t *testing.T) {
-	im := NewImage(31, 17)
-	for i := range im.Pix {
-		im.Pix[i] = 77
-	}
-	out := Resize(im, 13, 29)
-	for i, v := range out.Pix {
-		if v != 77 {
-			t.Fatalf("pixel %d = %d, want 77", i, v)
-		}
-	}
-}
-
-func TestCropAndFlip(t *testing.T) {
-	im := NewImage(4, 2)
-	for y := 0; y < 2; y++ {
-		for x := 0; x < 4; x++ {
-			im.Set(x, y, uint8(10*x+y), 0, 0)
-		}
-	}
-	c, err := Crop(im, 1, 0, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, _, _ := c.At(0, 0); r != 10 {
-		t.Fatalf("crop wrong origin: %d", r)
-	}
-	if r, _, _ := c.At(1, 1); r != 21 {
-		t.Fatalf("crop wrong extent: %d", r)
-	}
-	if _, err := Crop(im, 3, 0, 2, 2); err == nil {
-		t.Fatal("out-of-bounds crop should error")
-	}
-	FlipHorizontal(c)
-	if r, _, _ := c.At(0, 0); r != 20 {
-		t.Fatalf("flip failed: %d", r)
-	}
-}
-
-func TestAugmentApply(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	im := syntheticImage(40, 36, 10)
-	aug := Augment{Crop: 32, Mean: [3]float32{0.5, 0.5, 0.5}, Std: [3]float32{0.25, 0.25, 0.25}}
-	dst := make([]float32, 3*32*32)
-	if err := aug.Apply(im, rng, dst); err != nil {
-		t.Fatal(err)
-	}
-	// Normalized range: pixel in [0,1] -> (v-0.5)/0.25 in [-2, 2].
-	for i, v := range dst {
-		if v < -2.01 || v > 2.01 {
-			t.Fatalf("dst[%d] = %v outside normalized range", i, v)
-		}
-	}
-	// Errors: image smaller than crop, wrong dst length.
-	small := NewImage(16, 16)
-	if err := aug.Apply(small, rng, dst); err == nil {
-		t.Fatal("small image should error")
-	}
-	if err := aug.Apply(im, rng, dst[:10]); err == nil {
-		t.Fatal("short dst should error")
-	}
-}
-
-func TestCenterCropDeterministic(t *testing.T) {
-	im := syntheticImage(48, 48, 11)
-	aug := Augment{Crop: 32, Mean: [3]float32{0, 0, 0}, Std: [3]float32{1, 1, 1}}
-	a := make([]float32, 3*32*32)
-	b := make([]float32, 3*32*32)
-	if err := aug.CenterCropTensor(im, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := aug.CenterCropTensor(im, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("center crop not deterministic")
-		}
-	}
-	// Crop origin is (8,8): a[0] corresponds to source pixel (8,8) channel R.
-	want := float32(im.Pix[3*(8*48+8)]) / 255
-	if math.Abs(float64(a[0]-want)) > 1e-6 {
-		t.Fatalf("center crop misaligned: %v vs %v", a[0], want)
-	}
-}
-
 func TestDefaultAugment(t *testing.T) {
 	a := DefaultAugment()
 	if a.Crop != 224 {

@@ -1,10 +1,10 @@
 // Package imagecodec provides the image pipeline DIMD needs: a real (toy)
 // lossy JPEG-style codec — 8×8 DCT, quantization, zigzag, run-length and
-// varint entropy coding — plus aspect-preserving resize and the crop/flip/
-// normalize augmentation the paper uses ("scale and aspect ratio data
-// augmentation as in fb.resnet.torch; the input image is a 224×224 pixel
-// random crop from a scaled image or its horizontal flip, normalized by the
-// per-color mean and standard deviation").
+// varint entropy coding — plus the crop/flip/normalize augmentation the
+// paper uses ("the input image is a 224×224 pixel random crop from a scaled
+// image or its horizontal flip, normalized by the per-color mean and
+// standard deviation"). Images are stored already at their training scale,
+// so nothing here resizes.
 //
 // The paper stores resized, compressed images in memory and decompresses
 // them on the fly with "an in-memory JPEG decompresser"; this codec plays
@@ -16,6 +16,6 @@
 // path, CropDecoder.DecodeApply, runs it over the crop the augmenter drew, so
 // every block is entropy-walked and validated but only the blocks under the
 // crop are dequantised, inverse-transformed, colour-converted and normalised
-// — straight into the batch tensor, with the bits Decode followed by
-// Augment.Apply would have written.
+// — straight into the batch tensor, with the bits a crop of Decode's frame
+// would have given.
 package imagecodec

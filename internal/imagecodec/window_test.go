@@ -248,8 +248,9 @@ func TestDecodeApplyBitwiseExhaustive(t *testing.T) {
 	}
 }
 
-// TestDecodeApplyDrawsLikeApply: DecodeApply takes Apply's draws in Apply's
-// order — same crop, same flip, and the RNG in the same state afterwards.
+// TestDecodeApplyDrawsLikeApply: DecodeApply takes refApply's draws in
+// refApply's order — same crop, same flip, and the RNG in the same state
+// afterwards.
 func TestDecodeApplyDrawsLikeApply(t *testing.T) {
 	var dec CropDecoder
 	for _, f := range bitwiseFrames {
@@ -282,7 +283,7 @@ func TestDecodeApplyDrawsLikeApply(t *testing.T) {
 }
 
 // TestDecodeApplyRejectsWhatApplyRejects: a frame smaller than the crop and
-// a wrong-sized slab fail before any draw, as they do in Apply.
+// a wrong-sized slab fail before any draw, as they do in refApply.
 func TestDecodeApplyRejectsWhatApplyRejects(t *testing.T) {
 	var dec CropDecoder
 	blob := Encode(noisyImage(16, 12, 1), 80)

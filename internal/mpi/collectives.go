@@ -57,33 +57,6 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// ReduceFloats sums float32 vectors from all ranks onto the root (binomial
-// tree). On the root, data is updated in place to hold the global sum; on
-// other ranks data is left as sent. All ranks must pass equal-length slices.
-func (c *Comm) ReduceFloats(root int, data []float32) error {
-	n := c.Size()
-	if root < 0 || root >= n {
-		return fmt.Errorf("mpi: reduce root %d out of range", root)
-	}
-	vrank := (c.rank - root + n) % n
-	// Binomial reduction: in round `bit`, vranks with that bit set send to
-	// vrank-bit, then drop out.
-	for bit := 1; bit < n; bit <<= 1 {
-		if vrank&bit != 0 {
-			dst := ((vrank - bit) + root) % n
-			return c.SendFloats(dst, tagReduce, data)
-		}
-		peer := vrank | bit
-		if peer >= n {
-			continue
-		}
-		if err := c.RecvFloatsAdd(data, (peer+root)%n, tagReduce); err != nil {
-			return fmt.Errorf("mpi: reduce: %w", err)
-		}
-	}
-	return nil
-}
-
 // AllGather collects every rank's payload on every rank (ring algorithm:
 // n-1 steps, each forwarding the newest block to the right neighbour).
 func (c *Comm) AllGather(data []byte) ([][]byte, error) {
@@ -151,35 +124,4 @@ func (c *Comm) AllToAllV(send [][]byte) ([][]byte, error) {
 // shuffle replays the steps the wire carries.
 func AllToAllStep(rank, s, n int) (dst, src, tag int) {
 	return (rank + s) % n, (rank - s + n) % n, tagAllToAll + s
-}
-
-// AllReduceFloats sums equal-length float32 vectors across all ranks,
-// leaving the result on every rank: a reduce to rank 0, then a broadcast.
-// It is what small control-plane sums use (evaluation counts); gradient-sized
-// vectors go through internal/allreduce.
-func (c *Comm) AllReduceFloats(data []float32) error {
-	if err := c.ReduceFloats(0, data); err != nil {
-		return err
-	}
-	var payload []byte
-	if c.rank == 0 {
-		payload = GetBytes(4 * len(data))
-		EncodeFloat32s(payload, data)
-	}
-	got, err := c.Bcast(0, payload)
-	if err != nil {
-		PutBytes(payload)
-		return err
-	}
-	if c.rank != 0 && len(got) != 4*len(data) {
-		PutBytes(got)
-		return fmt.Errorf("mpi: allreduce bcast size %d, want %d", len(got), 4*len(data))
-	}
-	if c.rank != 0 {
-		DecodeFloat32s(data, got)
-	}
-	// On the root got aliases payload; on other ranks it is the transport
-	// buffer — pooled either way, and fully consumed at this point.
-	PutBytes(got)
-	return nil
 }

@@ -176,6 +176,45 @@ func TestRecvFloatsAddMatchesRecvThenAdd(t *testing.T) {
 	t.Fatal("the rejected payload's buffer never came back out of its pool class")
 }
 
+// FuzzAddFloat32s: for a payload starting 0–3 bytes past a 4-byte boundary
+// and any float count, AddFloat32s gives the bits of decoding each element
+// and adding it — through the aligned []float32 view and through the
+// per-element fallback alike, NaN payloads included. The one freedom is an
+// add of two NaNs: the hardware keeps the first operand's payload (quieted),
+// and which operand is first is the compiler's or the kernel's choice, so
+// either operand's quieted NaN is accepted there and nothing else. The
+// input's first half is dst, its second half the payload.
+func FuzzAddFloat32s(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 128, 63, 1, 0, 192, 127, 0, 0, 0, 64, 2, 0, 128, 255})
+	f.Fuzz(func(t *testing.T, off uint8, data []byte) {
+		o, n := int(off%4), len(data)/8
+		dst := make([]float32, n)
+		DecodeFloat32s(dst, data)
+		src := data[4*n : 8*n]
+		orig := append([]float32(nil), dst...)
+		want := append([]float32(nil), dst...)
+		for i := range want {
+			want[i] += math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+		// A []float32's storage starts on a 4-byte boundary, so the payload
+		// starts exactly o bytes past one.
+		payload := floatBytes(make([]float32, n+1))[o : o+4*n]
+		copy(payload, src)
+		AddFloat32s(dst, payload)
+		const quiet = 1 << 22
+		for i := range want {
+			got, a, b := math.Float32bits(dst[i]), math.Float32bits(orig[i]), binary.LittleEndian.Uint32(src[4*i:])
+			if got == math.Float32bits(want[i]) {
+				continue
+			}
+			if math.IsNaN(float64(orig[i])) && math.IsNaN(float64(math.Float32frombits(b))) && (got == a|quiet || got == b|quiet) {
+				continue
+			}
+			t.Fatalf("offset %d, %d floats: elem %d = %#x, want %#x", o, n, i, got, math.Float32bits(want[i]))
+		}
+	})
+}
+
 func benchSizes() []int { return []int{256, 16384} }
 
 func BenchmarkEncodeFloat32s(b *testing.B) {

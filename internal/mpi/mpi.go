@@ -44,8 +44,8 @@ const MaxUserTag = 1 << 16
 const (
 	tagBarrier = MaxUserTag + iota<<20
 	tagBcast
-	tagReduce
-	_ // a band no collective uses; reserved so the tags below keep their values
+	_ // two bands no collective uses; reserved so the tags below keep their values
+	_
 	tagAllGather
 	tagAllToAll
 	tagAllReduce

@@ -198,36 +198,6 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 	}
 }
 
-func TestReduceFloatsAllRoots(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		for root := 0; root < n; root++ {
-			w := NewWorld(n)
-			err := w.Run(func(c *Comm) error {
-				data := []float32{float32(c.Rank()), 1, float32(c.Rank() * c.Rank())}
-				if err := c.ReduceFloats(root, data); err != nil {
-					return err
-				}
-				if c.Rank() != root {
-					return nil
-				}
-				var wantSum, wantSq float32
-				for r := 0; r < n; r++ {
-					wantSum += float32(r)
-					wantSq += float32(r * r)
-				}
-				if data[0] != wantSum || data[1] != float32(n) || data[2] != wantSq {
-					return fmt.Errorf("root got %v, want [%v %v %v]", data, wantSum, n, wantSq)
-				}
-				return nil
-			})
-			w.Close()
-			if err != nil {
-				t.Fatalf("n=%d root=%d: %v", n, root, err)
-			}
-		}
-	}
-}
-
 func TestAllGatherVariedSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 6} {
 		w := NewWorld(n)
@@ -290,40 +260,12 @@ func TestAllToAllVWrongBufferCount(t *testing.T) {
 	}
 }
 
-func TestAllReduceFloats(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7} {
-		w := NewWorld(n)
-		err := w.Run(func(c *Comm) error {
-			data := make([]float32, 10)
-			for i := range data {
-				data[i] = float32(c.Rank()*100 + i)
-			}
-			if err := c.AllReduceFloats(data); err != nil {
-				return err
-			}
-			for i := range data {
-				var want float32
-				for r := 0; r < n; r++ {
-					want += float32(r*100 + i)
-				}
-				if data[i] != want {
-					return fmt.Errorf("rank %d: data[%d] = %v, want %v", c.Rank(), i, data[i], want)
-				}
-			}
-			return nil
-		})
-		w.Close()
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
 func TestSubCommunicator(t *testing.T) {
 	const n = 6
 	w := NewWorld(n)
 	defer w.Close()
-	// Split into two groups {0,2,4} and {1,3,5}; each does its own allreduce.
+	// Split into two groups {0,2,4} and {1,3,5}; each runs its own
+	// collectives on the same tags at the same time.
 	err := w.Run(func(c *Comm) error {
 		var ranks []int
 		if c.Rank()%2 == 0 {
@@ -338,16 +280,26 @@ func TestSubCommunicator(t *testing.T) {
 		if sub.Size() != 3 {
 			return fmt.Errorf("sub size %d", sub.Size())
 		}
-		data := []float32{float32(c.Rank())}
-		if err := sub.AllReduceFloats(data); err != nil {
+		// Sub rank i is parent rank ranks[i].
+		all, err := sub.AllGather([]byte{byte(c.Rank())})
+		if err != nil {
 			return err
 		}
-		var want float32
-		for _, r := range ranks {
-			want += float32(r)
+		for i, r := range ranks {
+			if !bytes.Equal(all[i], []byte{byte(r)}) {
+				return fmt.Errorf("rank %d: sub allgather[%d] = %v, want [%d]", c.Rank(), i, all[i], r)
+			}
 		}
-		if data[0] != want {
-			return fmt.Errorf("rank %d: sub allreduce %v, want %v", c.Rank(), data[0], want)
+		var root []byte
+		if sub.Rank() == 1 {
+			root = []byte{byte(c.Rank())}
+		}
+		got, err := sub.Bcast(1, root)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, []byte{byte(ranks[1])}) {
+			return fmt.Errorf("rank %d: sub bcast %v, want [%d]", c.Rank(), got, ranks[1])
 		}
 		return nil
 	})

@@ -66,11 +66,10 @@ func DefaultReconnectPolicy() ReconnectPolicy {
 
 const tcpFrameHeader = 4 + 8 + 4 + 4
 
-// maxTCPFrame bounds the payload length a frame header may announce. The
-// reader allocates the payload before a byte of it arrives, so the bound is
-// what one corrupt or hostile header can cost: 1 GiB (a 256 Mi-float vector
-// in one message, more than any collective here sends) instead of the 4 GiB
-// a uint32 can say.
+// maxTCPFrame bounds the payload length a frame header may announce: 1 GiB
+// (a 256 Mi-float vector, more than any collective here sends) instead of
+// the 4 GiB a uint32 can say. Only a pooled size (≤ 16 MiB) is allocated
+// before its bytes arrive; a larger payload grows as they do (ReadN).
 const maxTCPFrame = 1 << 30
 
 // NewTCPWorld creates the transport endpoint for one rank. addrs lists every
@@ -184,8 +183,17 @@ func (w *TCPWorld) readLoop(conn net.Conn) {
 			// silence surfaces through the detection paths above.
 			return
 		}
-		payload := GetBytes(int(n))
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		var payload []byte
+		var err error
+		if n > 1<<poolMaxClass {
+			// No pool class holds it, so nothing is recycled: read it the
+			// way ReadN reads, and a peer killed mid-frame costs what it sent.
+			payload, err = ReadN(conn, int64(n))
+		} else {
+			payload = GetBytes(int(n))
+			_, err = io.ReadFull(conn, payload)
+		}
+		if err != nil {
 			PutBytes(payload)
 			return
 		}

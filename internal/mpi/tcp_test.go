@@ -107,12 +107,25 @@ func TestTCPCollectives(t *testing.T) {
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		data := []float32{float32(c.Rank() + 1)}
-		if err := c.AllReduceFloats(data); err != nil {
+		var root []byte
+		if c.Rank() == 2 {
+			root = []byte("from rank 2")
+		}
+		b, err := c.Bcast(2, root)
+		if err != nil {
 			return err
 		}
-		if data[0] != 10 { // 1+2+3+4
-			return fmt.Errorf("rank %d tcp allreduce got %v, want 10", c.Rank(), data[0])
+		if string(b) != "from rank 2" {
+			return fmt.Errorf("rank %d tcp bcast got %q", c.Rank(), b)
+		}
+		all, err := c.AllGather([]byte{byte(c.Rank() + 1)})
+		if err != nil {
+			return err
+		}
+		for r := 0; r < n; r++ {
+			if len(all[r]) != 1 || all[r][0] != byte(r+1) {
+				return fmt.Errorf("rank %d tcp allgather[%d] = %v", c.Rank(), r, all[r])
+			}
 		}
 		send := make([][]byte, n)
 		for i := range send {
@@ -325,7 +338,9 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 // A frame header is four fields nobody has authenticated. One that names a
 // source outside the world, or a length past maxTCPFrame, is answered by
 // closing the connection: nothing is allocated for its payload, nothing parks
-// in the mailbox, and the reader goroutine ends.
+// in the mailbox, and the reader goroutine ends. A length within the bound
+// whose payload never arrives — the peer sends ten bytes of a gigabyte and
+// dies — ends the reader too, having allocated about what arrived.
 func TestTCPHostileFrameHeaderClosesConnection(t *testing.T) {
 	w, err := NewTCPWorld(0, []string{"127.0.0.1:0", "127.0.0.1:0"})
 	if err != nil {
@@ -340,11 +355,15 @@ func TestTCPHostileFrameHeaderClosesConnection(t *testing.T) {
 		binary.LittleEndian.PutUint32(h[16:], n)
 		return h[:]
 	}
-	for name, hdr := range map[string][]byte{
-		"4 GiB length":      header(1, 0xFFFFFFFF),
-		"length past bound": header(1, maxTCPFrame+1),
-		"source past world": header(2, 0),
-		"negative source":   header(-3, 0),
+	for name, tc := range map[string]struct {
+		frame  []byte
+		hangUp bool // the peer closes after writing frame
+	}{
+		"4 GiB length":         {frame: header(1, 0xFFFFFFFF)},
+		"length past bound":    {frame: header(1, maxTCPFrame+1)},
+		"source past world":    {frame: header(2, 0)},
+		"negative source":      {frame: header(-3, 0)},
+		"bound, then 10 bytes": {frame: append(header(1, maxTCPFrame), make([]byte, 10)...), hangUp: true},
 	} {
 		ours, theirs := net.Pipe()
 		w.wg.Add(1)
@@ -355,8 +374,11 @@ func TestTCPHostileFrameHeaderClosesConnection(t *testing.T) {
 		}()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := theirs.Write(hdr); err != nil {
-			t.Fatalf("%s: writing the header: %v", name, err)
+		if _, err := theirs.Write(tc.frame); err != nil {
+			t.Fatalf("%s: writing the frame: %v", name, err)
+		}
+		if tc.hangUp {
+			theirs.Close()
 		}
 		select {
 		case <-done:
@@ -365,7 +387,7 @@ func TestTCPHostileFrameHeaderClosesConnection(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Fatalf("%s: the header cost %d bytes of allocation", name, grew)
+			t.Fatalf("%s: the frame cost %d bytes of allocation", name, grew)
 		}
 		theirs.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if _, err := theirs.Read(make([]byte, 1)); err != io.EOF && err != io.ErrClosedPipe {

@@ -104,31 +104,3 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	}
 	return float64(correct) / float64(n)
 }
-
-// TopKAccuracy returns the fraction of rows where the true label is within
-// the k highest logits.
-func TopKAccuracy(logits *tensor.Tensor, labels []int, k int) float64 {
-	n, classes := logits.Dim(0), logits.Dim(1)
-	if n == 0 {
-		return 0
-	}
-	if k > classes {
-		k = classes
-	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*classes : (i+1)*classes]
-		target := row[labels[i]]
-		// Count how many strictly exceed the target logit.
-		higher := 0
-		for _, v := range row {
-			if v > target {
-				higher++
-			}
-		}
-		if higher < k {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}

@@ -348,12 +348,6 @@ func TestAccuracy(t *testing.T) {
 	if got := Accuracy(logits, []int{1, 0, 0}); math.Abs(got-2.0/3) > 1e-9 {
 		t.Fatalf("accuracy %v, want 2/3", got)
 	}
-	if got := TopKAccuracy(logits, []int{2, 1, 0}, 2); math.Abs(got-2.0/3) > 1e-9 {
-		t.Fatalf("top-2 accuracy %v, want 2/3", got)
-	}
-	if got := TopKAccuracy(logits, []int{0, 0, 0}, 3); got != 1 {
-		t.Fatalf("top-3 accuracy %v, want 1", got)
-	}
 }
 
 func TestFlattenRoundTrip(t *testing.T) {

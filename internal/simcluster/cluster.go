@@ -62,7 +62,8 @@ type Params struct {
 	GPURate map[Model]float64
 	// DPTOverhead is the fractional compute-time penalty of the baseline
 	// Data-Parallel Table (staging on GPU1, serial criterion, serialized
-	// callbacks).
+	// callbacks). It is an input fitted to Figure 12: internal/dpt builds
+	// only the optimized table, so nothing in the tree measures it.
 	DPTOverhead map[Model]float64
 	// IOStallPerImage is the per-image data-loading stall without DIMD
 	// (random small-file reads from the network file server that the
