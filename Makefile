@@ -42,9 +42,11 @@ define pinned
 endef
 
 # The reactive-pipeline equivalence suite: the overlapped path against the
-# phased one, so a test reshuffle can't silently drop its race coverage.
+# phased one, so a test reshuffle can't silently drop its race coverage —
+# plus the Stream reused round after round, the learner's goroutines stopped
+# by Close, and the device step and notified backward allocating nothing.
 race-overlap:
-	$(call pinned,race-overlap,Overlap Stream GradNotify BackwardNotify StepWithGradHook ReduceRange ScatterRange ParamRange StepParam Arena StaleGradients,\
+	$(call pinned,race-overlap,Overlap Stream GradNotify BackwardNotify StepWithGradHook ReduceRange ScatterRange ParamRange StepParam Arena StaleGradients AllocatesNothing,\
 		./internal/core ./internal/allreduce ./internal/dpt ./internal/models ./internal/nn ./internal/sgd)
 
 # The buffer-ownership suite (checkptr on): pooled send/receive hand-offs
@@ -92,9 +94,10 @@ race-elastic:
 # GEMM, vector-add and momentum-step sweeps and fuzz seeds), DecompressAdd
 # (the fused reduce path) equal to decode-then-add for every codec, the
 # unrolled int8 and quickselect top-k encoders byte-identical to their
-# references, and bf16's round-to-nearest-even / round-trip properties.
+# references, bf16's round-to-nearest-even / round-trip properties, and
+# kernel dispatch allocating nothing.
 race-kernels:
-	$(call pinned,race-kernels,Run SetWorkers ChunkBounds GradChunks GemmBitwise GemmPacked GemmSIMD GemmStore GemmShortOperand VecKernels ActivationKernels MomentumStep AddInto MaxPool2x2 Im2Col ConvPacked PackInput PackWindows LayersBitwise LayersReuse BackwardStores SkipInputGrad ConvMatchesIm2Col ConvBackwardScratch ConvBackwardReuses DecompressAdd Int8Vectorized TopKQuickselect Half BF16Encode,\
+	$(call pinned,race-kernels,Run SetWorkers ChunkBounds GradChunks GemmBitwise GemmPacked GemmSIMD GemmStore GemmShortOperand VecKernels ActivationKernels MomentumStep AddInto MaxPool2x2 Im2Col ConvPacked PackInput PackWindows LayersBitwise LayersReuse BackwardStores SkipInputGrad ConvMatchesIm2Col ConvBackwardScratch ConvBackwardReuses DecompressAdd Int8Vectorized TopKQuickselect Half BF16Encode AllocatesNothing,\
 		./internal/kernels ./internal/tensor ./internal/nn ./internal/compress)
 
 # Every benchmark once — the CI smoke run. Full measurement runs want
@@ -112,9 +115,9 @@ bench-module:
 # BENCH_alloc.json baseline (fails if allocs/step grows past
 # max(1.05 x baseline, baseline + 2)). The run's own report goes to the OS
 # temp dir; use allocs-baseline to regenerate the committed baseline
-# alongside an intentional change. The workload pins GOMAXPROCS to 1 for its
-# run, where the baseline is defined, so both targets read the same on any
-# box.
+# alongside an intentional change. The workload runs at GOMAXPROCS 1 and 2
+# itself, each gated against the baseline's row for the same value, and
+# prints the 2-proc − 1-proc gap, so both targets read the same on any box.
 allocs:
 	$(GO) run ./cmd/benchtool allocs -learners 2 -devices 1 -steps 25 \
 		-baseline BENCH_alloc.json

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -18,20 +19,32 @@ type allocsRun struct {
 	NumGC            uint32  `json:"num_gc"`
 }
 
+// allocsProcs is the two schedules' profiles at one GOMAXPROCS.
+type allocsProcs struct {
+	GOMAXPROCS int       `json:"gomaxprocs"`
+	Phased     allocsRun `json:"phased"`
+	Overlapped allocsRun `json:"overlapped"`
+}
+
 // allocsReport is the JSON schema of the allocs workload; BENCH_alloc.json
 // at the repo root is one of these, and CI gates on it.
 type allocsReport struct {
-	Workload       string    `json:"workload"`
-	Codec          string    `json:"codec"`
-	Learners       int       `json:"learners"`
-	DevicesPerNode int       `json:"devices_per_node"`
-	WarmupSteps    int       `json:"warmup_steps"`
-	Steps          int       `json:"steps"`
-	BucketFloats   int       `json:"bucket_floats"`
-	GradFloats     int       `json:"grad_floats"`
-	Phased         allocsRun `json:"phased"`
-	Overlapped     allocsRun `json:"overlapped"`
+	Workload       string        `json:"workload"`
+	Codec          string        `json:"codec"`
+	NumCPU         int           `json:"num_cpu"`
+	Learners       int           `json:"learners"`
+	DevicesPerNode int           `json:"devices_per_node"`
+	WarmupSteps    int           `json:"warmup_steps"`
+	Steps          int           `json:"steps"`
+	BucketFloats   int           `json:"bucket_floats"`
+	GradFloats     int           `json:"grad_floats"`
+	Procs          []allocsProcs `json:"procs"`
 }
+
+// allocsProcsRun lists the GOMAXPROCS values the workload runs at, each gated
+// against the baseline's row for the same value; the report prints the
+// second's count less the first's.
+var allocsProcsRun = []int{1, 2}
 
 // The gate: allocs/step may grow to max(allocsMaxRatio × baseline,
 // baseline + allocsSlack) before the run fails — 5 %, or two allocations
@@ -52,38 +65,44 @@ func allocsRow() pairSpec {
 	}
 }
 
-// gate fails if either schedule allocates past the limit of what base
-// recorded.
+// gate fails if either schedule, at any GOMAXPROCS, allocates past the limit
+// of what base recorded at the same GOMAXPROCS.
 func (rep *allocsReport) gate(base *allocsReport) error {
-	for _, m := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"phased", rep.Phased.AllocsPerStep, base.Phased.AllocsPerStep},
-		{"overlapped", rep.Overlapped.AllocsPerStep, base.Overlapped.AllocsPerStep},
-	} {
-		limit := max(allocsMaxRatio*m.want, m.want+allocsSlack)
-		if m.want > 0 && m.got > limit {
-			return fmt.Errorf("benchtool: %s allocs/step regressed: %.1f vs baseline %.1f (limit %.1f)",
-				m.name, m.got, m.want, limit)
+	for _, got := range rep.Procs {
+		i := slices.IndexFunc(base.Procs, func(b allocsProcs) bool { return b.GOMAXPROCS == got.GOMAXPROCS })
+		if i < 0 {
+			return fmt.Errorf("benchtool: allocs baseline has no run at gomaxprocs=%d (re-record it with make allocs-baseline)", got.GOMAXPROCS)
 		}
-		fmt.Printf("  %-10s allocs/step %.1f within the limit %.1f of baseline %.1f\n", m.name, m.got, limit, m.want)
+		want := base.Procs[i]
+		for _, m := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"phased", got.Phased.AllocsPerStep, want.Phased.AllocsPerStep},
+			{"overlapped", got.Overlapped.AllocsPerStep, want.Overlapped.AllocsPerStep},
+		} {
+			limit := max(allocsMaxRatio*m.want, m.want+allocsSlack)
+			if m.got > limit {
+				return fmt.Errorf("benchtool: %s allocs/step at gomaxprocs=%d regressed: %.1f vs baseline %.1f (limit %.1f)",
+					m.name, got.GOMAXPROCS, m.got, m.want, limit)
+			}
+			fmt.Printf("  %-10s gomaxprocs=%d allocs/step %.1f within the limit %.1f of baseline %.1f\n", m.name, got.GOMAXPROCS, m.got, limit, m.want)
+		}
 	}
 	return nil
 }
 
 // allocsWorkload measures allocations per training step for the two arms of
-// s on an in-process cluster. Warmup steps run first so the shared buffer
-// pools are populated and the numbers reflect steady state. The run holds
-// GOMAXPROCS at 1, where the baseline is defined: with more procs the same
-// job makes hundreds more allocations a step, not yet attributed. When
-// baselinePath is set, the run is gated against that report.
+// s on an in-process cluster, once at each of allocsProcsRun. Warmup steps
+// run first so the shared buffer pools are populated and the numbers reflect
+// steady state. When baselinePath is set, the run is gated against that
+// report.
 func allocsWorkload(s pairSpec, jsonPath, baselinePath string) error {
 	const warmup = 5
 	if s.learners < 2 {
 		return fmt.Errorf("benchtool: allocs needs at least 2 learners (got %d) to exercise the exchange", s.learners)
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	x, labels := s.data()
 
 	measure := func(second bool) (allocsRun, int, error) {
@@ -149,33 +168,39 @@ func allocsWorkload(s pairSpec, jsonPath, baselinePath string) error {
 		}, gradFloats, nil
 	}
 
-	phased, gradFloats, err := measure(false)
-	if err != nil {
-		return fmt.Errorf("benchtool: allocs phased run: %w", err)
-	}
-	overlapped, _, err := measure(true)
-	if err != nil {
-		return fmt.Errorf("benchtool: allocs overlapped run: %w", err)
-	}
-
 	rep := allocsReport{
 		Workload:       s.name,
 		Codec:          pairCodec,
+		NumCPU:         runtime.NumCPU(),
 		Learners:       s.learners,
 		DevicesPerNode: s.devices,
 		WarmupSteps:    warmup,
 		Steps:          s.steps,
 		BucketFloats:   s.bucket,
-		GradFloats:     gradFloats,
-		Phased:         phased,
-		Overlapped:     overlapped,
 	}
-	fmt.Printf("allocs workload: codec=%s learners=%d devices=%d steps=%d (+%d warmup) grad=%d floats buckets=%d floats\n",
-		rep.Codec, s.learners, s.devices, s.steps, warmup, gradFloats, s.bucket)
-	for i, r := range []allocsRun{phased, overlapped} {
-		fmt.Printf("  %-10s %10.0f allocs/step  %12.0f bytes/step  gc pause %8.0f ns/step  (%d GCs)\n",
-			s.arms[i], r.AllocsPerStep, r.BytesPerStep, r.GCPauseNsPerStep, r.NumGC)
+	for _, procs := range allocsProcsRun {
+		runtime.GOMAXPROCS(procs)
+		row := allocsProcs{GOMAXPROCS: procs}
+		var err error
+		if row.Phased, rep.GradFloats, err = measure(false); err != nil {
+			return fmt.Errorf("benchtool: allocs phased run at gomaxprocs=%d: %w", procs, err)
+		}
+		if row.Overlapped, _, err = measure(true); err != nil {
+			return fmt.Errorf("benchtool: allocs overlapped run at gomaxprocs=%d: %w", procs, err)
+		}
+		rep.Procs = append(rep.Procs, row)
 	}
+	fmt.Printf("allocs workload: codec=%s learners=%d devices=%d steps=%d (+%d warmup) grad=%d floats buckets=%d floats cpus=%d\n",
+		rep.Codec, s.learners, s.devices, s.steps, warmup, rep.GradFloats, s.bucket, rep.NumCPU)
+	for _, row := range rep.Procs {
+		for i, r := range []allocsRun{row.Phased, row.Overlapped} {
+			fmt.Printf("  %-10s gomaxprocs=%d %10.1f allocs/step  %12.0f bytes/step  gc pause %8.0f ns/step  (%d GCs)\n",
+				s.arms[i], row.GOMAXPROCS, r.AllocsPerStep, r.BytesPerStep, r.GCPauseNsPerStep, r.NumGC)
+		}
+	}
+	one, two := rep.Procs[0], rep.Procs[1]
+	fmt.Printf("  gomaxprocs 2 - 1: phased %+.1f, overlapped %+.1f allocs/step\n",
+		two.Phased.AllocsPerStep-one.Phased.AllocsPerStep, two.Overlapped.AllocsPerStep-one.Overlapped.AllocsPerStep)
 
 	if err := writeReport(jsonPath, "BENCH_alloc.*.json", rep); err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,21 +120,33 @@ func TestHierGateNeedsTwofoldSaving(t *testing.T) {
 func TestAllocsGateAgainstCommittedBaseline(t *testing.T) {
 	var base allocsReport
 	decodeStrict(t, filepath.Join("..", "..", "BENCH_alloc.json"), &base)
-	if base.Phased.AllocsPerStep <= 0 || base.Overlapped.AllocsPerStep <= 0 {
-		t.Fatalf("baseline records no allocations: %+v", base)
+	var procs []int
+	for _, row := range base.Procs {
+		procs = append(procs, row.GOMAXPROCS)
+	}
+	if !slices.Equal(procs, allocsProcsRun) || base.NumCPU <= 0 {
+		t.Fatalf("baseline was recorded at gomaxprocs %v on %d cpus, want %v on a recorded machine", procs, base.NumCPU, allocsProcsRun)
 	}
 	run := base
+	run.Procs = slices.Clone(base.Procs)
 	if err := run.gate(&base); err != nil {
 		t.Errorf("a run equal to the baseline failed: %v", err)
 	}
-	run.Overlapped.AllocsPerStep = base.Overlapped.AllocsPerStep + allocsSlack
+	for i := range run.Procs {
+		run.Procs[i].Overlapped.AllocsPerStep = base.Procs[i].Overlapped.AllocsPerStep + allocsSlack
+	}
 	if err := run.gate(&base); err != nil {
 		t.Errorf("allocsSlack more allocations than the baseline failed: %v", err)
 	}
-	// A return to 60 allocs/step fails.
-	run.Phased.AllocsPerStep = 60
+	// A return to the parent's 40 allocs/step at 2 procs fails.
+	run.Procs[1].Phased.AllocsPerStep = 40
 	if err := run.gate(&base); err == nil {
-		t.Errorf("60 allocs/step passed against the baseline's %.1f", base.Phased.AllocsPerStep)
+		t.Errorf("40 allocs/step at gomaxprocs=2 passed against the baseline's %.1f", base.Procs[1].Phased.AllocsPerStep)
+	}
+	// So does a run at a GOMAXPROCS the baseline has no row for.
+	run.Procs = []allocsProcs{{GOMAXPROCS: 4}}
+	if err := run.gate(&base); err == nil {
+		t.Error("a gomaxprocs=4 run passed against a baseline without one")
 	}
 }
 

@@ -130,10 +130,9 @@ func BucketedReduceScatter(c *mpi.Comm, data []float32, codec compress.Codec, op
 	return bucketedExchange(c, data, codec, opts)
 }
 
-// bucketedExchange is the shared phased driver over a Stream: split data
-// into fixed-size buckets, submit them all, and copy reduced sums back as
-// results land (nil Sums — unowned reduce-scatter buckets — only mark the
-// bucket's sends complete).
+// bucketedExchange opens a Stream, runs one Exchange round over data and
+// closes it: the same round a training step runs on the Stream its learner
+// keeps open.
 func bucketedExchange(c *mpi.Comm, data []float32, codec compress.Codec, opts CompressedOptions) (CompressedStats, error) {
 	if opts.SelfDecoded != nil && len(opts.SelfDecoded) != len(data) {
 		return CompressedStats{}, fmt.Errorf("allreduce: SelfDecoded length %d, data length %d", len(opts.SelfDecoded), len(data))
@@ -141,20 +140,7 @@ func bucketedExchange(c *mpi.Comm, data []float32, codec compress.Codec, opts Co
 	if len(data) == 0 {
 		return CompressedStats{}, nil
 	}
-	nb, bf := bucketSpans(len(data), opts.BucketFloats)
 	s := NewStream(c, codec, StreamOptions{SelfDecoded: opts.SelfDecoded, ShardBounds: opts.ShardBounds, Topology: opts.Topology})
-	go func() {
-		for b := 0; b < nb; b++ {
-			lo, hi := b*bf, min(b*bf+bf, len(data))
-			s.Submit(b, lo, hi, data[lo:hi])
-		}
-		s.CloseSend()
-	}()
-	for res := range s.Results() {
-		if res.Err == nil && res.Sum != nil {
-			copy(data[res.Lo:res.Hi], res.Sum)
-		}
-		res.Release()
-	}
-	return s.Stats()
+	defer s.Close()
+	return s.Exchange(data, opts.BucketFloats)
 }

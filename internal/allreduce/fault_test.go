@@ -38,18 +38,12 @@ func streamSurvivors(t *testing.T, ranks, victim int, opts func(c *mpi.Comm) Str
 				local[i] = float32(rank*n + i)
 			}
 			s := NewStream(c, compress.Identity{}, opts(c))
-			go func() {
-				for b := 0; b*bf < n; b++ {
-					lo, hi := b*bf, min(b*bf+bf, n)
-					s.Submit(b, lo, hi, local[lo:hi])
-				}
-				s.CloseSend()
-			}()
+			defer s.Close()
 			var errs []error
-			for r := range s.Results() {
+			streamRound(s, local, bf, ascending(n, bf), func(r BucketResult) {
 				errs = append(errs, r.Err)
 				r.Release()
-			}
+			})
 			mu.Lock()
 			bucketErrs[rank] = errs
 			mu.Unlock()

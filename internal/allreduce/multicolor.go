@@ -62,12 +62,15 @@ var colorRuns = make(chan *colorRun, 64)
 
 // getColorRun returns a state with at least k error slots and tasks.
 func getColorRun(k int) *colorRun {
-	var r *colorRun
+	var got *colorRun
 	select {
-	case r = <-colorRuns:
+	case got = <-colorRuns:
 	default:
-		r = new(colorRun)
+		got = new(colorRun)
 	}
+	// The tasks capture r, never reassigned, by value; capturing got,
+	// assigned twice, would move it to the heap on every call.
+	r := got
 	for color := len(r.tasks); color < k; color++ {
 		color := color
 		r.errs = append(r.errs, nil)

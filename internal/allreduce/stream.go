@@ -109,17 +109,22 @@ type streamSub struct {
 // identical to the phased BucketedAllReduce, itself a thin wrapper over
 // Stream.
 //
-// Usage contract: one live Stream per communicator; the consumer must drain
-// Results; Submit must not be called after CloseSend. The data slice passed
-// to Submit is read at compress time and must stay unmodified until the
-// bucket's result arrives.
+// Usage contract: one live Stream per communicator, opened once and used for
+// any number of rounds — a training step is one. A round is the buckets
+// Submitted between two EndRound calls; its results surface on Results
+// followed by one result with Idx RoundEnd, after which Stats holds the
+// round's counters. The consumer must drain Results; Submit, EndRound and
+// Close come from one goroutine, and Close only between rounds. The data
+// slice passed to Submit is read at compress time and must stay unmodified
+// until the bucket's result arrives.
 //
 // Buffer discipline (the zero-allocation path): payloads are compressed into
 // pooled scratch released after the sends complete; received payloads are
 // pooled transport buffers released after decode; Sum buffers are pooled and
 // released by the consumer via BucketResult.Release; each bucket's send
 // requests sit in one of MaxInFlight windows of a table allocated once
-// (sendWindow). Steady state allocates nothing per bucket.
+// (sendWindow). The goroutines, channels and tables live until Close, so
+// steady state allocates nothing per bucket or per round.
 type Stream struct {
 	c       *mpi.Comm
 	codec   compress.Codec
@@ -133,9 +138,16 @@ type Stream struct {
 	sendRing []*mpi.Request
 	launched int
 	done     chan struct{}
-	stats    CompressedStats
-	err      error
+	// stats and err accumulate the open round on the reduce goroutine;
+	// round and roundErr are the last finished round's, published before its
+	// RoundEnd result is sent.
+	stats, round  CompressedStats
+	err, roundErr error
 }
+
+// RoundEnd is the Idx of the result that closes a round: every bucket
+// submitted before the matching EndRound has surfaced ahead of it.
+const RoundEnd = -1
 
 // hierPlan is this rank's precomputed role in the hierarchical exchange.
 type hierPlan struct {
@@ -176,7 +188,8 @@ func newHierPlan(t *mpi.Topology, rank int) *hierPlan {
 	return h
 }
 
-// NewStream starts the pipeline goroutines over c with the given codec.
+// NewStream starts the pipeline goroutines over c with the given codec; they
+// run until Close.
 func NewStream(c *mpi.Comm, codec compress.Codec, opts StreamOptions) *Stream {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = 8
@@ -242,32 +255,74 @@ func shardOwns(sb []int, r, lo, hi int) bool {
 	return sb[r] < sb[r+1] && sb[r] < hi && sb[r+1] > lo
 }
 
-// CloseSend declares that no more buckets will be submitted. Results is
-// closed once every in-flight bucket has completed.
-func (s *Stream) CloseSend() { close(s.subs) }
+// EndRound declares the round's last bucket submitted: once every bucket
+// before it has surfaced, Results yields the RoundEnd result.
+func (s *Stream) EndRound() { s.subs <- streamSub{idx: RoundEnd} }
 
-// Results returns the completed-bucket channel (closed after CloseSend once
-// the pipeline drains). The consumer must drain it.
+// Close stops the pipeline and returns once its goroutines have finished;
+// Results is closed. It is called between rounds, after the last RoundEnd.
+func (s *Stream) Close() {
+	close(s.subs)
+	<-s.done
+}
+
+// Results returns the completed-bucket channel, closed by Close. The
+// consumer must drain it.
 func (s *Stream) Results() <-chan BucketResult { return s.results }
 
 // InFlight reports how many buckets currently occupy the pipeline.
 func (s *Stream) InFlight() int { return len(s.slots) }
 
-// Stats returns cumulative traffic counters and the first error. Valid only
-// after Results has been closed (drained).
-func (s *Stream) Stats() (CompressedStats, error) {
-	<-s.done
-	return s.stats, s.err
+// Stats returns the last finished round's traffic counters and first error.
+// Valid once that round's RoundEnd result has been received, until the next
+// round ends.
+func (s *Stream) Stats() (CompressedStats, error) { return s.round, s.roundErr }
+
+// Exchange runs one round over the whole of data — the phased front of the
+// Stream: the buckets of bucketFloats elements (16384 when ≤ 0) are
+// submitted in ascending order, and each sum this rank receives is copied
+// back over its range as it lands; ranges of reduce-scatter buckets this rank
+// does not own are left as they were. It returns the round's Stats. The
+// caller's goroutine both submits and drains, so the round needs no other.
+func (s *Stream) Exchange(data []float32, bucketFloats int) (CompressedStats, error) {
+	nb, bf := bucketSpans(len(data), bucketFloats)
+	for b := 0; ; {
+		var subs chan<- streamSub // nil once the RoundEnd marker is in
+		next := streamSub{idx: RoundEnd}
+		if b <= nb {
+			subs = s.subs
+		}
+		if b < nb {
+			lo, hi := b*bf, min(b*bf+bf, len(data))
+			next = streamSub{idx: b, lo: lo, hi: hi, data: data[lo:hi]}
+		}
+		select {
+		case subs <- next:
+			b++
+		case res := <-s.results:
+			if res.Idx == RoundEnd {
+				return s.Stats()
+			}
+			if res.Err == nil && res.Sum != nil {
+				copy(data[res.Lo:res.Hi], res.Sum)
+			}
+			res.Release()
+		}
+	}
 }
 
 // launch is stage 1+2: for each submitted bucket, in submission order, take
 // an in-flight slot, compress the bucket into pooled scratch with one serial
 // AppendCompress, and start its payload sends. Whom a bucket's payload goes
 // to is the routing's business (post); everything else here is
-// routing-blind.
+// routing-blind. A round's end passes through to reduce without a slot.
 func (s *Stream) launch(inflight chan<- bucketJob) {
 	sb := s.opts.ShardBounds
 	for sub := range s.subs {
+		if sub.idx == RoundEnd {
+			inflight <- bucketJob{idx: RoundEnd}
+			continue
+		}
 		s.slots <- struct{}{}
 		job := bucketJob{
 			idx: sub.idx, lo: sub.lo, hi: sub.hi,
@@ -338,7 +393,8 @@ func hierDownSrc(h *hierPlan, rank int, owned, sharded bool) int {
 }
 
 // reduce is stage 3: fold the bucket the way its routing prescribes and emit
-// the result. Runs on its own goroutine; it alone mutates stats.
+// the result. Runs on its own goroutine; it alone mutates stats, and it
+// publishes them as the round's when the round's end arrives.
 //
 // Payloads fold straight into the bucket sum via Codec.DecompressAdd — no
 // per-sender temp materialization or second memory pass. Every routing
@@ -346,6 +402,12 @@ func hierDownSrc(h *hierPlan, rank int, owned, sharded bool) int {
 // so sums are bitwise identical across routings.
 func (s *Stream) reduce(inflight <-chan bucketJob) {
 	for job := range inflight {
+		if job.idx == RoundEnd {
+			s.round, s.roundErr = s.stats, s.err
+			s.stats, s.err = CompressedStats{}, nil
+			s.results <- BucketResult{Idx: RoundEnd}
+			continue
+		}
 		var sum []float32
 		var err error
 		if s.hier != nil {

@@ -1,6 +1,8 @@
 package allreduce
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -31,20 +33,12 @@ func streamReduce(t *testing.T, ranks int, data [][]float32, codec compress.Code
 			buckets = order(rank, buckets)
 		}
 		s := NewStream(c, codec, StreamOptions{MaxInFlight: 3})
-		go func() {
-			for _, b := range buckets {
-				lo, hi := b*bf, min(b*bf+bf, len(local))
-				s.Submit(b, lo, hi, local[lo:hi])
-			}
-			s.CloseSend()
-		}()
+		defer s.Close()
 		res := make([]float32, len(local))
-		for r := range s.Results() {
-			if r.Err != nil {
-				return r.Err
-			}
+		streamRound(s, local, bf, buckets, func(r BucketResult) {
 			copy(res[r.Lo:r.Hi], r.Sum)
-		}
+			r.Release()
+		})
 		st, err := s.Stats()
 		if err != nil {
 			return err
@@ -59,6 +53,35 @@ func streamReduce(t *testing.T, ranks int, data [][]float32, codec compress.Code
 		t.Fatal(err)
 	}
 	return out, stats
+}
+
+// streamRound runs one round of s: a goroutine submits the buckets of
+// local (bf floats each) in the given order and ends the round, and every
+// result up to the round's end is handed to each.
+func streamRound(s *Stream, local []float32, bf int, order []int, each func(BucketResult)) {
+	go func() {
+		for _, b := range order {
+			lo, hi := b*bf, min(b*bf+bf, len(local))
+			s.Submit(b, lo, hi, local[lo:hi])
+		}
+		s.EndRound()
+	}()
+	for r := range s.Results() {
+		if r.Idx == RoundEnd {
+			return
+		}
+		each(r)
+	}
+}
+
+// ascending returns the bucket indices of an n-float vector in bf-float
+// buckets, in order.
+func ascending(n, bf int) []int {
+	order := make([]int, (n+bf-1)/bf)
+	for b := range order {
+		order[b] = b
+	}
+	return order
 }
 
 func randomRankData(ranks, n int, seed int64) [][]float32 {
@@ -174,17 +197,10 @@ func TestStreamSelfDecoded(t *testing.T) {
 		local := append([]float32(nil), data[rank]...)
 		self := make([]float32, n)
 		s := NewStream(c, codec, StreamOptions{SelfDecoded: self})
-		go func() {
-			for b := 0; b*bf < n; b++ {
-				lo, hi := b*bf, min(b*bf+bf, n)
-				s.Submit(b, lo, hi, local[lo:hi])
-			}
-			s.CloseSend()
-		}()
-		for r := range s.Results() {
-			if r.Err != nil {
-				return r.Err
-			}
+		defer s.Close()
+		streamRound(s, local, bf, ascending(n, bf), func(r BucketResult) { r.Release() })
+		if _, err := s.Stats(); err != nil {
+			return err
 		}
 		// Expected: decode(compress(bucket)) of the original values.
 		for b := 0; b*bf < n; b++ {
@@ -216,25 +232,121 @@ func TestStreamInFlightBounded(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		local := append([]float32(nil), data[c.Rank()]...)
 		s := NewStream(c, compress.Identity{}, StreamOptions{MaxInFlight: cap})
-		go func() {
-			for b := 0; b*bf < n; b++ {
-				lo, hi := b*bf, min(b*bf+bf, n)
-				s.Submit(b, lo, hi, local[lo:hi])
-			}
-			s.CloseSend()
-		}()
-		for r := range s.Results() {
-			if r.Err != nil {
-				return r.Err
-			}
+		defer s.Close()
+		streamRound(s, local, bf, ascending(n, bf), func(r BucketResult) {
 			if got := s.InFlight(); got > cap {
 				t.Errorf("in-flight %d exceeds cap %d", got, cap)
 			}
-		}
+			r.Release()
+		})
 		_, err := s.Stats()
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamReusedForRoundsMatchesFreshStreams: one Stream kept open for
+// several rounds gives, round by round, bit for bit the sums and counters of
+// a fresh Stream per round (BucketedAllReduce and BucketedReduceScatter open
+// one, run one round and close it) under flat, reduce-scatter and
+// hierarchical routing. A last round that loses a rank fails on every
+// survivor with ErrRankDown naming it, and Close still returns.
+func TestStreamReusedForRoundsMatchesFreshStreams(t *testing.T) {
+	const ranks, n, bf, rounds, victim = 4, 300, 64, 3, 3
+	topo := mpi.UniformTopology(ranks, 2)
+	codec := compress.Int8{}
+	for _, tc := range []struct {
+		name string
+		opts CompressedOptions
+	}{
+		{"flat", CompressedOptions{BucketFloats: bf}},
+		{"reduce-scatter", CompressedOptions{BucketFloats: bf, ShardBounds: UniformBounds(n, ranks)}},
+		{"hierarchical", CompressedOptions{BucketFloats: bf, Topology: &topo}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := make([][][]float32, rounds) // round, rank
+			for k := range data {
+				data[k] = randomRankData(ranks, n, int64(k+1))
+			}
+			type out struct {
+				sum   []float32
+				stats CompressedStats
+			}
+			var fresh, reused [rounds][ranks]out
+			var mu sync.Mutex
+			record := func(to *[rounds][ranks]out, k, rank int, sum []float32, st CompressedStats) {
+				mu.Lock()
+				to[k][rank] = out{sum, st}
+				mu.Unlock()
+			}
+
+			w := mpi.NewWorld(ranks)
+			defer w.Close()
+			err := w.Run(func(c *mpi.Comm) error {
+				for k := 0; k < rounds; k++ {
+					local := append([]float32(nil), data[k][c.Rank()]...)
+					var st CompressedStats
+					var err error
+					if tc.opts.ShardBounds != nil {
+						st, err = BucketedReduceScatter(c, local, codec, tc.opts)
+					} else {
+						st, err = BucketedAllReduce(c, local, codec, tc.opts)
+					}
+					if err != nil {
+						return err
+					}
+					record(&fresh, k, c.Rank(), local, st)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			w2 := mpi.NewWorld(ranks)
+			defer w2.Close()
+			err = w2.Run(func(c *mpi.Comm) error {
+				s := NewStream(c, codec, StreamOptions{ShardBounds: tc.opts.ShardBounds, Topology: tc.opts.Topology})
+				defer s.Close()
+				for k := 0; k < rounds; k++ {
+					local := append([]float32(nil), data[k][c.Rank()]...)
+					st, err := s.Exchange(local, bf)
+					if err != nil {
+						return err
+					}
+					record(&reused, k, c.Rank(), local, st)
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				if c.Rank() == victim {
+					w2.Crash(victim)
+					return nil
+				}
+				_, err := s.Exchange(append([]float32(nil), data[0][c.Rank()]...), bf)
+				if !errors.Is(err, mpi.ErrRankDown) || mpi.DownRank(err) != victim {
+					t.Errorf("rank %d: the round after rank %d died failed with %v, want ErrRankDown naming it", c.Rank(), victim, err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < rounds; k++ {
+				for r := 0; r < ranks; r++ {
+					f, g := fresh[k][r], reused[k][r]
+					if f.stats != g.stats {
+						t.Fatalf("round %d rank %d stats: fresh %+v, reused %+v", k, r, f.stats, g.stats)
+					}
+					for i := range f.sum {
+						if math.Float32bits(f.sum[i]) != math.Float32bits(g.sum[i]) {
+							t.Fatalf("round %d rank %d elem %d: fresh %v, reused %v", k, r, i, f.sum[i], g.sum[i])
+						}
+					}
+				}
+			}
+		})
 	}
 }

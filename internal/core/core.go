@@ -261,13 +261,12 @@ type Learner struct {
 	// land this step; apply steps p when it reaches zero.
 	unapplied []int
 
-	// Exchange. codec nil selects the raw Config.Allreduce algorithm;
-	// otherwise stage-major calls bucketed (BucketedAllReduce, or
-	// BucketedReduceScatter when sharded) and bucket-major drives the Stream
-	// itself, both handing over elemBounds (the param-aligned shard layout,
-	// length Size+1; nil when replicated) and topo (nil when flat) as data.
-	codec      compress.Codec
-	bucketed   func(*mpi.Comm, []float32, compress.Codec, allreduce.CompressedOptions) (allreduce.CompressedStats, error)
+	// Exchange. stream nil selects the raw Config.Allreduce algorithm;
+	// otherwise it is the bucketed codec Stream, opened once with elemBounds
+	// (the param-aligned shard layout, length Size+1; nil when replicated)
+	// and topo (nil when flat) as data, and every step is one round of it:
+	// an Exchange stage-major, the packer's submissions bucket-major.
+	stream     *allreduce.Stream
 	elemBounds []int
 	topo       *mpi.Topology
 	commStats  allreduce.CompressedStats
@@ -317,13 +316,13 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 		}
 		l.topo = &cfg.Topology
 	}
+	var codec compress.Codec
 	if cfg.Compression.Enabled() || cfg.Overlap || cfg.ShardOptimizer || l.topo != nil {
-		codec, err := compress.New(cfg.Compression)
+		codec, err = compress.New(cfg.Compression)
 		if err != nil {
 			engine.Close()
 			return nil, err
 		}
-		l.codec = codec
 		if cfg.Compression.ErrorFeedback {
 			l.feedback = compress.NewFeedback(engine.GradSize())
 			l.corrected = make([]float32, engine.GradSize())
@@ -348,17 +347,31 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 		l.opts = []*sgd.SGD{sgd.NewShard(engine.Params(0), cfg.SGD, paramBounds[rank], paramBounds[rank+1])}
 		l.ownLo, l.ownHi = elemBounds[rank], elemBounds[rank+1]
 		l.elemBounds = elemBounds
-		l.bucketed = allreduce.BucketedReduceScatter
 	} else {
 		for d := 0; d < m; d++ {
 			l.opts = append(l.opts, sgd.New(engine.Params(d), cfg.SGD))
 		}
 		l.ownHi = engine.GradSize()
-		l.bucketed = allreduce.BucketedAllReduce
 	}
 	if err := l.broadcastInitialWeights(); err != nil {
 		engine.Close()
 		return nil, err
+	}
+	if codec != nil {
+		// With elemBounds set the stream stops at the reduce-scatter
+		// boundary: bucket payloads travel only to their shard owners, and
+		// buckets this rank does not own surface with a nil Sum.
+		opts := allreduce.StreamOptions{SelfDecoded: l.selfDecoded, ShardBounds: l.elemBounds, Topology: l.topo}
+		if l.pipeline != nil {
+			opts.MaxInFlight = cfg.OverlapInFlight
+		}
+		l.stream = allreduce.NewStream(comm, codec, opts)
+		if p := l.pipeline; p != nil {
+			// The packer and the collector serve every step until Close.
+			p.stopped.Add(2)
+			go l.packBuckets()
+			go l.applyBuckets()
+		}
 	}
 	return l, nil
 }
@@ -481,15 +494,10 @@ func (l *Learner) pack(lo, hi int) error {
 // one place that decides raw vs bucketed; bucket-major always runs the
 // bucketed Stream (stepBucketMajor).
 func (l *Learner) exchange() error {
-	if l.codec == nil {
+	if l.stream == nil {
 		return allreduce.AllReduce(l.comm, l.gradBuf, l.cfg.Allreduce, l.cfg.AllreduceOpts)
 	}
-	st, err := l.bucketed(l.comm, l.gradBuf, l.codec, allreduce.CompressedOptions{
-		BucketFloats: l.cfg.Compression.BucketFloats,
-		SelfDecoded:  l.selfDecoded,
-		ShardBounds:  l.elemBounds,
-		Topology:     l.topo,
-	})
+	st, err := l.stream.Exchange(l.gradBuf, l.cfg.Compression.BucketFloats)
 	l.commStats.Add(st)
 	return err
 }
@@ -576,5 +584,15 @@ func (l *Learner) Evaluate(x *tensor.Tensor, labels []int) (acc float64, loss fl
 	return nn.Accuracy(logits, labels), loss, nil
 }
 
-// Close releases the device workers.
-func (l *Learner) Close() { l.engine.Close() }
+// Close stops the exchange's goroutines and the device workers and returns
+// once they have finished. A second Close does nothing.
+func (l *Learner) Close() {
+	if l.pipeline != nil {
+		close(l.pipeline.ready) // the packer closes the Stream on its way out
+		l.pipeline.stopped.Wait()
+	} else if l.stream != nil {
+		l.stream.Close()
+	}
+	l.pipeline, l.stream = nil, nil
+	l.engine.Close()
+}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/mpi"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // runOverlap trains the standard small synthetic workload with the given
@@ -116,5 +117,24 @@ func TestOverlapRejectsUnknownCodec(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBackwardNotifyAllocatesNothing: readiness notification over the
+// overlap workload's model names each leaf's parameters from the slice the
+// layer keeps, so a warmed-up notified backward allocates nothing.
+func TestBackwardNotifyAllocatesNothing(t *testing.T) {
+	m := core.OverlapBenchModel(8, 24, 1)
+	x := tensor.New(4, 3, 24, 24)
+	tensor.NewRNG(2).FillNormal(x, 0, 1)
+	g := tensor.Full(0.01, m.Forward(x, true).Shape()...)
+	notified := 0
+	hook := func(*nn.Param) { notified++ }
+	nn.BackwardNotify(m, g, hook)
+	if want := len(m.Params()); notified != want {
+		t.Fatalf("hook fired %d times, want once for each of %d params", notified, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { nn.BackwardNotify(m, g, hook) }); n != 0 {
+		t.Fatalf("BackwardNotify allocates %v times a call", n)
 	}
 }

@@ -31,27 +31,34 @@ import (
 // bucketPlan is the static bucket layout of one learner's flattened
 // gradient — fixed-size buckets plus the param→bucket incidence that turns
 // per-param readiness into per-bucket readiness — and the plumbing between
-// the order's goroutines. All of it is built once: the learner runs one step
-// at a time, so one set suffices and a step allocates none of it.
+// the order's goroutines. All of it is built once, and the packer and the
+// collector run from NewLearner to Close: the learner runs one step at a
+// time, so one set suffices and a step allocates none of it.
 type bucketPlan struct {
 	lo, hi    []int   // bucket b covers [lo[b], hi[b])
 	bucketsOf [][]int // param -> overlapping bucket indices
 	contribs  []int   // bucket -> (param × device) readiness hooks it waits for
 
-	// Per-step countdown scratch, reset at the top of every step: pending[b]
-	// is the bucket's outstanding contributions (guarded by mu — hooks from
-	// different devices run concurrently), isReady the packer's out-of-order
-	// arrival mask.
+	// Per-step countdown scratch: pending[b] is the bucket's outstanding
+	// contributions, reset at the top of every step (guarded by mu — hooks
+	// from different devices run concurrently), isReady the packer's
+	// out-of-order arrival mask, cleared by the packer at every step's end.
 	mu      sync.Mutex
 	pending []int
 	isReady []bool
+	// lr is the step's learning rate, written before backward starts; the
+	// collector reads it for every bucket it applies.
+	lr float32
 
 	// hook is the tracker: it counts down each bucket's contributions as
 	// readiness arrives from the device goroutines and queues completed
 	// buckets on ready. Capacity numBuckets+1 — every bucket once plus
-	// endOfStep — so a send never blocks, under mu or otherwise.
-	hook  dpt.GradHook
-	ready chan int
+	// endOfStep — so a send never blocks, under mu or otherwise. Close closes
+	// ready, which stops the packer, which closes the Stream, which stops the
+	// collector; stopped counts the two down.
+	hook    dpt.GradHook
+	ready   chan int
+	stopped sync.WaitGroup
 	// packErr and collErr carry the packer's and collector's verdicts back
 	// to the stepping goroutine (one send per step each).
 	packErr, collErr chan error
@@ -112,27 +119,17 @@ func newBucketPlan(engine *dpt.Engine, bucketFloats int) *bucketPlan {
 	return p
 }
 
-// stepBucketMajor runs the stages per bucket underneath backward. t1 is the
-// batch-sampling end time (Data is already accounted).
+// stepBucketMajor runs the stages per bucket underneath backward, one round
+// of the learner's Stream. t1 is the batch-sampling end time (Data is
+// already accounted).
 func (l *Learner) stepBucketMajor(t1 time.Time, lr float32) (float64, error) {
 	p := l.pipeline
 	copy(p.pending, p.contribs)
-	clear(p.isReady)
-	// The exchange stage. With elemBounds set the stream stops at the
-	// reduce-scatter boundary: bucket payloads travel only to their shard
-	// owners, and buckets this rank does not own surface with a nil Sum.
-	stream := allreduce.NewStream(l.comm, l.codec, allreduce.StreamOptions{
-		MaxInFlight: l.cfg.OverlapInFlight,
-		SelfDecoded: l.selfDecoded,
-		ShardBounds: l.elemBounds,
-		Topology:    l.topo,
-	})
-	go l.packBuckets(stream)
-	go l.applyBuckets(stream, lr)
+	p.lr = lr
 
 	// Per-device forward/backward with incremental gradient emission; the
-	// pipeline above is already reducing and exchanging buckets while this
-	// call is still computing earlier layers.
+	// packer and collector are already reducing and exchanging buckets while
+	// this call is still computing earlier layers.
 	loss, stepErr := l.engine.StepWithGradHook(l.x, l.labels, p.hook)
 	t2 := time.Now()
 	l.phases.Compute += t2.Sub(t1).Seconds()
@@ -143,7 +140,7 @@ func (l *Learner) stepBucketMajor(t1 time.Time, lr float32) (float64, error) {
 
 	perr := <-p.packErr
 	cerr := <-p.collErr
-	st, serr := stream.Stats()
+	st, serr := l.stream.Stats()
 	if cerr == nil {
 		cerr = serr
 	}
@@ -166,46 +163,61 @@ func (l *Learner) stepBucketMajor(t1 time.Time, lr float32) (float64, error) {
 // order agreed across ranks — descending bucket index, i.e. backward order —
 // packs each and submits it. (The Stream's ordering contract forbids
 // launching in raw readiness order: with a bounded in-flight window, ranks
-// launching different orders can deadlock.) It runs until endOfStep, which
-// on a failed step arrives early and shuts the stream down so the collector
-// terminates; after an error of its own it keeps draining ready so nothing
-// stale is left for the next step.
-func (l *Learner) packBuckets(stream *allreduce.Stream) {
+// launching different orders can deadlock.) Each step ends at endOfStep,
+// which on a failed step arrives early, with the Stream's round end, so the
+// collector finishes the step too; after an error of its own it keeps
+// draining ready so nothing stale is left for the next step. When Close
+// closes ready it closes the Stream, the one goroutine that submits to it.
+func (l *Learner) packBuckets() {
 	p := l.pipeline
 	var err error
 	next := len(p.lo) - 1
-	for b := <-p.ready; b != endOfStep; b = <-p.ready {
+	for b := range p.ready {
+		if b == endOfStep {
+			l.stream.EndRound()
+			p.packErr <- err
+			err, next = nil, len(p.lo)-1
+			clear(p.isReady)
+			continue
+		}
 		p.isReady[b] = true
 		for err == nil && next >= 0 && p.isReady[next] {
 			lo, hi := p.lo[next], p.hi[next]
 			if err = l.pack(lo, hi); err == nil {
-				stream.Submit(next, lo, hi, l.gradBuf[lo:hi])
+				l.stream.Submit(next, lo, hi, l.gradBuf[lo:hi])
 				next--
 			}
 		}
 	}
-	stream.CloseSend()
-	p.packErr <- err
+	l.stream.Close()
+	p.stopped.Done()
 }
 
 // applyBuckets is the collector: as reduced buckets land it closes the
 // error-feedback loop and applies them, then releases the consumed Sum back
 // to the pool for the next buckets (and the next step). A bucket this rank
 // does not own (reduce-scatter) lands without a Sum and contributes only its
-// residual, which is rank-local. After a failure it keeps draining.
-func (l *Learner) applyBuckets(stream *allreduce.Stream, lr float32) {
+// residual, which is rank-local. After a failure it keeps draining to the
+// round's end, and it stops when Close closes the Stream's Results.
+func (l *Learner) applyBuckets() {
+	p := l.pipeline
 	var err error
-	for res := range stream.Results() {
+	for res := range l.stream.Results() {
+		if res.Idx == allreduce.RoundEnd {
+			p.collErr <- err
+			err = nil
+			continue
+		}
 		if err == nil {
 			err = res.Err
 		}
 		if err == nil {
 			l.residual(res.Lo, res.Hi)
 			if res.Sum != nil {
-				l.apply(res.Lo, res.Hi, res.Sum, lr)
+				l.apply(res.Lo, res.Hi, res.Sum, p.lr)
 			}
 		}
 		res.Release()
 	}
-	l.pipeline.collErr <- err
+	p.stopped.Done()
 }

@@ -30,6 +30,7 @@ package dpt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/nn"
@@ -55,28 +56,36 @@ type device struct {
 	done     sync.WaitGroup
 	input    *tensor.Tensor // staged input partition
 	loss     float64
-	partN    int
+	lo, hi   int // this step's rows of the batch (partition)
 	labelBuf []int
+	// step and notify are the device's step job and its per-parameter
+	// readiness hook, built once in New; they read the step's batch and
+	// GradHook from the Engine.
+	step   func()
+	notify nn.ParamHook
 
 	// values and grads are the arenas the params' Value and Grad tensors are
 	// windows of, in flattened order (nn.FlattenStorage).
 	values, grads []float32
 }
 
-// stageInput copies part into the device's staging tensor, reusing the
-// previous step's allocation when the partition shape is unchanged (the
-// steady state: fixed batch size means fixed shards). The model may retain
-// pointers into the staged tensor only until its backward completes, which
-// is strictly before the next step stages again.
-func (d *device) stageInput(part *tensor.Tensor) {
-	if d.input != nil && d.input.SameShape(part) {
-		_ = d.input.CopyFrom(part) // same shape: cannot fail
-	} else {
-		d.input = part.Clone()
+// stageInput copies rows [d.lo, d.hi) of x into the device's staging tensor,
+// reusing it while the partition shape is unchanged (the steady state: fixed
+// batch size means fixed shards). The model may retain pointers into the
+// staged tensor only until its backward completes, which is strictly before
+// the next step stages again.
+func (d *device) stageInput(x *tensor.Tensor) {
+	n := d.hi - d.lo
+	if d.input == nil || d.input.Dim(0) != n || !slices.Equal(d.input.Shape()[1:], x.Shape()[1:]) {
+		d.input = x.MustSliceRows(d.lo, d.hi).Clone()
+		return
 	}
+	rowLen := d.input.Len() / n
+	copy(d.input.Data, x.Data[d.lo*rowLen:d.hi*rowLen])
 }
 
-func (d *device) run() {
+func (d *device) run(stopped *sync.WaitGroup) {
+	defer stopped.Done()
 	for job := range d.jobs {
 		job()
 		d.done.Done()
@@ -96,14 +105,18 @@ type Engine struct {
 	mu       sync.Mutex
 	stats    Stats
 	closed   bool
+	stopped  sync.WaitGroup // the device workers, counted down as they exit
+
+	// The step the devices' jobs run: the node batch and the readiness hook,
+	// written by StepWithGradHook before it submits them.
+	x      *tensor.Tensor
+	labels []int
+	hook   GradHook
 
 	// offsets[i] is parameter i's start in the flattened gradient — and so
 	// in every device's arenas; the reactive pipeline uses it to map
 	// parameters onto fixed-size buckets.
 	offsets []int
-	// paramIdx maps any device's Param pointer back to its index (all
-	// replicas share the same parameter order).
-	paramIdx []map[*nn.Param]int
 }
 
 // New builds an engine over the given model replicas (one per device, same
@@ -150,12 +163,16 @@ func New(replicas []nn.Layer, optimized bool) (*Engine, error) {
 		}
 		d.values, d.grads = nn.FlattenStorage(d.params)
 		nn.SkipInputGrad(m)
+		// idx maps the device's Param pointers back to their indices (all
+		// replicas share the same parameter order).
 		idx := make(map[*nn.Param]int, len(d.params))
 		for j, p := range d.params {
 			idx[p] = j
 		}
-		e.paramIdx = append(e.paramIdx, idx)
-		go d.run()
+		d.step = func() { e.runStep(d) }
+		d.notify = func(p *nn.Param) { e.hook(d.id, idx[p]) }
+		e.stopped.Add(1)
+		go d.run(&e.stopped)
 		e.devices = append(e.devices, d)
 	}
 	return e, nil
@@ -188,7 +205,7 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Close terminates the device workers.
+// Close terminates the device workers and returns once they have exited.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -197,19 +214,20 @@ func (e *Engine) Close() {
 	for _, d := range e.devices {
 		close(d.jobs)
 	}
+	e.stopped.Wait()
 }
 
-// partition splits batch rows across devices as evenly as possible.
-func (e *Engine) partition(n int) []int {
-	m := len(e.devices)
-	sizes := make([]int, m)
-	for i := range sizes {
-		sizes[i] = n / m
+// partition splits n batch rows across devices as evenly as possible:
+// device i takes rows [lo, hi).
+func (e *Engine) partition(n int) {
+	m, off := len(e.devices), 0
+	for i, d := range e.devices {
+		d.lo, d.hi = off, off+n/m
 		if i < n%m {
-			sizes[i]++
+			d.hi++
 		}
+		off = d.hi
 	}
-	return sizes
 }
 
 // Step runs one forward+backward over the node batch x (N,C,H,W) with
@@ -249,16 +267,13 @@ func (e *Engine) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, errors.New("dpt: engine closed")
 	}
 	n := x.Dim(0)
-	sizes := e.partition(n)
+	e.partition(n)
 	outs := make([]*tensor.Tensor, len(e.devices))
-	off := 0
 	for i, d := range e.devices {
-		lo, hi := off, off+sizes[i]
-		off = hi
-		if lo == hi {
+		if d.lo == d.hi {
 			continue
 		}
-		part := x.MustSliceRows(lo, hi)
+		part := x.MustSliceRows(d.lo, d.hi)
 		dd, idx := d, i
 		d.submit(func() { outs[idx] = dd.model.Forward(part.Clone(), false) })
 	}
@@ -270,14 +285,10 @@ func (e *Engine) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 	}
 	logits := tensor.New(n, classes)
-	off = 0
-	for i := range e.devices {
-		if outs[i] == nil {
-			continue
+	for i, d := range e.devices {
+		if outs[i] != nil {
+			copy(logits.Data[d.lo*classes:], outs[i].Data)
 		}
-		rows := outs[i].Dim(0)
-		copy(logits.Data[off*classes:], outs[i].Data)
-		off += rows
 	}
 	return logits, nil
 }

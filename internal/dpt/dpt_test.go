@@ -231,3 +231,24 @@ func TestStepsCounterAdvances(t *testing.T) {
 		t.Fatalf("bytes moved = %d, want %d", s.BytesMoved, want)
 	}
 }
+
+// TestEngineStepAllocatesNothing: each device keeps its step job, its rows
+// and its staging tensor across steps (and the layers their results), so a
+// warmed-up two-device step allocates nothing.
+func TestEngineStepAllocatesNothing(t *testing.T) {
+	e, err := New(buildReplicas(2, 4), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	x, labels := makeBatch(4, 29)
+	step := func() {
+		if _, err := e.Step(x, labels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Fatalf("Step allocates %v times a call", n)
+	}
+}

@@ -58,53 +58,13 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 	if n < len(e.devices) {
 		return 0, fmt.Errorf("dpt: batch %d smaller than device count %d", n, len(e.devices))
 	}
-	sizes := e.partition(n)
+	e.partition(n)
+	e.x, e.labels, e.hook = x, labels, hook
 	rowLen := x.Len() / n
-	off := 0
-	for i, d := range e.devices {
-		d := d // job closures must bind this iteration's device, not the shared range variable
-		lo, hi := off, off+sizes[i]
-		off = hi
-		d.partN = hi - lo
-		if d.partN == 0 {
-			// Empty row shard: no backward runs, so the zeros that still
-			// contribute to the intra-node sum are stored here, and readiness
-			// is immediate for every param.
-			d.submit(func() {
-				clear(d.grads)
-				d.notifyAll(hook)
-			})
-			continue
-		}
-		part := x.MustSliceRows(lo, hi)
-		lbl := labels[lo:hi]
-		d.submit(func() {
-			// Direct host->device transfer of just this partition.
-			d.stageInput(part)
-			d.labelBuf = append(d.labelBuf[:0], lbl...)
-			out := d.model.Forward(d.input, true)
-			loss, err := d.crit.Forward(out, d.labelBuf)
-			if err != nil {
-				// The step is failing and no backward will run: the gradient
-				// is zero, and readiness must still complete so a pipelined
-				// caller can drain instead of deadlocking.
-				d.loss = -1
-				clear(d.grads)
-				d.notifyAll(hook)
-				return
-			}
-			d.loss = loss
-			if hook == nil {
-				d.model.Backward(d.crit.Backward())
-				return
-			}
-			idx := e.paramIdx[d.id]
-			nn.BackwardNotify(d.model, d.crit.Backward(), func(p *nn.Param) {
-				hook(d.id, idx[p])
-			})
-		})
+	for _, d := range e.devices {
+		d.submit(d.step)
 		e.mu.Lock()
-		e.stats.BytesMoved += int64(4 * sizes[i] * rowLen)
+		e.stats.BytesMoved += int64(4 * (d.hi - d.lo) * rowLen)
 		e.mu.Unlock()
 	}
 	// Join ALL devices before inspecting losses: the caller may tear down
@@ -115,13 +75,13 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 	}
 	var loss float64
 	for _, d := range e.devices {
-		if d.partN == 0 {
+		if d.lo == d.hi {
 			continue
 		}
 		if d.loss < 0 {
 			return 0, errors.New("dpt: criterion failed on device")
 		}
-		loss += d.loss * float64(d.partN)
+		loss += d.loss * float64(d.hi-d.lo)
 	}
 	e.mu.Lock()
 	e.stats.Steps++
@@ -129,14 +89,46 @@ func (e *Engine) StepWithGradHook(x *tensor.Tensor, labels []int, hook GradHook)
 	return loss / float64(n), nil
 }
 
-// notifyAll reports every parameter of the device ready (no-op without a
+// runStep is device d's share of StepWithGradHook, its prebuilt job.
+func (e *Engine) runStep(d *device) {
+	if d.lo == d.hi {
+		// Empty row shard: no backward runs, so the zeros that still
+		// contribute to the intra-node sum are stored here, and readiness
+		// is immediate for every param.
+		clear(d.grads)
+		e.notifyAll(d)
+		return
+	}
+	// Direct host->device transfer of just this partition.
+	d.stageInput(e.x)
+	d.labelBuf = append(d.labelBuf[:0], e.labels[d.lo:d.hi]...)
+	out := d.model.Forward(d.input, true)
+	loss, err := d.crit.Forward(out, d.labelBuf)
+	if err != nil {
+		// The step is failing and no backward will run: the gradient is
+		// zero, and readiness must still complete so a pipelined caller can
+		// drain instead of deadlocking.
+		d.loss = -1
+		clear(d.grads)
+		e.notifyAll(d)
+		return
+	}
+	d.loss = loss
+	if e.hook == nil {
+		d.model.Backward(d.crit.Backward())
+		return
+	}
+	nn.BackwardNotify(d.model, d.crit.Backward(), d.notify)
+}
+
+// notifyAll reports every parameter of device d ready (no-op without a
 // hook).
-func (d *device) notifyAll(hook GradHook) {
-	if hook == nil {
+func (e *Engine) notifyAll(d *device) {
+	if e.hook == nil {
 		return
 	}
 	for p := range d.params {
-		hook(d.id, p)
+		e.hook(d.id, p)
 	}
 }
 

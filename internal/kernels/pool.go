@@ -24,9 +24,10 @@
 //     partition rule — and fold the partials in chunk order afterwards.
 //     Which goroutine runs which index is scheduling noise either way.
 //
-//   - Steady state allocates one closure per Run; job descriptors recycle
-//     through a sync.Pool, so kernel dispatch stays compatible with the
-//     allocation gate on the training hot path.
+//   - Dispatch allocates nothing: Run publishes the caller's func value as
+//     it is, RunRange publishes its range in the job descriptor instead of
+//     wrapping it in a closure, and descriptors recycle through a fixed free
+//     list that no garbage collection empties.
 package kernels
 
 import (
@@ -111,29 +112,43 @@ func SetWorkers(n int) int {
 	return prev
 }
 
-// job is one Run invocation: tasks [0, n) claimed by atomic counter, with a
-// countdown the caller waits on. refs tracks the goroutines that may touch
-// the job (claimers), so descriptors recycle only after the last one exits.
+// job is one Run or RunRange invocation: tasks [0, n) claimed by atomic
+// counter, with a countdown the caller waits on. refs tracks the goroutines
+// that may touch the job (claimers), so descriptors recycle only after the
+// last one exits.
 type job struct {
-	fn   func(int)
-	n    int64
-	next atomic.Int64
-	left atomic.Int64 // unfinished tasks
-	refs atomic.Int64 // goroutines still inside run()
-	wake chan struct{}
+	fn func(int)
+	// rangeFn and total are RunRange's: task c runs rangeFn over chunk c of
+	// n contiguous chunks of [0, total).
+	rangeFn func(lo, hi int)
+	total   int
+	n       int64
+	next    atomic.Int64
+	left    atomic.Int64 // unfinished tasks
+	refs    atomic.Int64 // goroutines still inside run()
+	wake    chan struct{}
 }
 
-var jobPool = sync.Pool{New: func() any { return &job{wake: make(chan struct{}, 1)} }}
+// freeJobs is the descriptor free list. A descriptor is outstanding while a
+// caller runs it, a helper holds it (maxWorkers-1) or it waits in poolJobs
+// (maxWorkers) — a helper the scheduler has not run yet keeps one long after
+// its caller returned — so the list holds 4×maxWorkers; one released into a
+// full list is dropped.
+var freeJobs = make(chan *job, 4*maxWorkers)
 
 // run claims and executes task indices until none remain.
 func (j *job) run() {
-	fn, n := j.fn, j.n
+	n := j.n
 	for {
 		i := j.next.Add(1) - 1
 		if i >= n {
 			return
 		}
-		fn(int(i))
+		if j.rangeFn != nil {
+			j.rangeFn(ChunkBounds(j.total, int(n), int(i)))
+		} else {
+			j.fn(int(i))
+		}
 		if j.left.Add(-1) == 0 {
 			select {
 			case j.wake <- struct{}{}:
@@ -143,12 +158,15 @@ func (j *job) run() {
 	}
 }
 
-// release drops a claimer reference, returning the descriptor to the pool
-// once the caller and every helper are done with it.
+// release drops a claimer reference, returning the descriptor to the free
+// list once the caller and every helper are done with it.
 func (j *job) release() {
 	if j.refs.Add(-1) == 0 {
-		j.fn = nil
-		jobPool.Put(j)
+		j.fn, j.rangeFn = nil, nil
+		select {
+		case freeJobs <- j:
+		default:
+		}
 	}
 }
 
@@ -169,12 +187,23 @@ func Run(n int, fn func(i int)) {
 		}
 		return
 	}
+	dispatch(n, w, fn, nil, 0)
+}
+
+// dispatch publishes a job of n tasks — fn's, or rangeFn's over total — to
+// the caller and up to w-1 idle helpers, returning once all have completed.
+func dispatch(n, w int, fn func(int), rangeFn func(lo, hi int), total int) {
 	helpers := w - 1 // the caller is the w-th lane
 	if helpers > n-1 {
 		helpers = n - 1
 	}
-	j := jobPool.Get().(*job)
-	j.fn, j.n = fn, int64(n)
+	var j *job
+	select {
+	case j = <-freeJobs:
+	default:
+		j = &job{wake: make(chan struct{}, 1)}
+	}
+	j.fn, j.rangeFn, j.total, j.n = fn, rangeFn, total, int64(n)
 	j.next.Store(0)
 	j.left.Store(int64(n))
 	select {
@@ -237,10 +266,7 @@ func RunRange(total, grain int, fn func(lo, hi int)) {
 		fn(0, total)
 		return
 	}
-	Run(chunks, func(c int) {
-		lo, hi := ChunkBounds(total, chunks, c)
-		fn(lo, hi)
-	})
+	dispatch(chunks, curWidth(), nil, fn, total)
 }
 
 // GradChunks is the fixed batch-partition rule for deterministic parallel

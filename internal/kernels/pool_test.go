@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -138,5 +139,25 @@ func TestRunRangeCovers(t *testing.T) {
 				t.Fatalf("total %d grain %d: index %d covered %d times", tc.total, tc.grain, i, c)
 			}
 		}
+	}
+}
+
+// TestRunRangeAllocatesNothing: RunRange publishes its range in the job
+// descriptor instead of a closure, and descriptors recycle through the free
+// list, so once warmed up a call at width 2 allocates nothing. The helper a
+// call wakes holds the descriptor until the scheduler runs it, so the caller
+// yields after each call, as a training step's callers do whenever they
+// block; a caller that never yields would draw a fresh descriptor a call.
+func TestRunRangeAllocatesNothing(t *testing.T) {
+	prev := SetWorkers(2)
+	defer SetWorkers(prev)
+	fn := func(lo, hi int) {}
+	call := func() {
+		RunRange(1<<12, 16, fn)
+		runtime.Gosched()
+	}
+	call()
+	if n := testing.AllocsPerRun(100, call); n != 0 {
+		t.Fatalf("RunRange allocates %v times a call", n)
 	}
 }

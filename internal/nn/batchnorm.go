@@ -19,6 +19,7 @@ type BatchNorm2D struct {
 	Momentum float32 // running-stat update rate, Torch default 0.1
 
 	Gamma, Beta             *Param
+	params                  []*Param // Gamma and Beta, as Params returns them
 	RunningMean, RunningVar *tensor.Tensor
 
 	// forward cache
@@ -46,6 +47,7 @@ func NewBatchNorm2D(name string, c int, rng *tensor.RNG) *BatchNorm2D {
 		mean:        make([]float32, c),
 		invStd:      make([]float32, c),
 	}
+	bn.params = []*Param{bn.Gamma, bn.Beta}
 	bn.trainTask, bn.evalTask, bn.bwdTask = bn.forwardTrainChannel, bn.forwardEvalChannel, bn.backwardChannel
 	return bn
 }
@@ -54,7 +56,7 @@ func NewBatchNorm2D(name string, c int, rng *tensor.RNG) *BatchNorm2D {
 func (b *BatchNorm2D) Name() string { return b.name }
 
 // Params implements Layer.
-func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
+func (b *BatchNorm2D) Params() []*Param { return b.params }
 
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -53,6 +53,7 @@ type Conv2D struct {
 	StrideH, StrideW         int
 	PadH, PadW               int
 	Weight, Bias             *Param
+	params                   []*Param // Weight and any Bias, as Params returns them
 	lastInput                *tensor.Tensor
 	scratch                  []convScratch // per-chunk workspaces, reused across steps
 	out, gradIn              *tensor.Tensor
@@ -90,8 +91,10 @@ func NewConv2D(name string, inC, outC, kh, kw, strideH, strideW, padH, padW int,
 		KH: kh, KW: kw, StrideH: strideH, StrideW: strideW, PadH: padH, PadW: padW,
 		Weight: &Param{Name: name + ".weight", Value: w, Grad: tensor.New(outC, inC, kh, kw)},
 	}
+	c.params = []*Param{c.Weight}
 	if opts.Bias {
 		c.Bias = &Param{Name: name + ".bias", Value: tensor.New(outC), Grad: tensor.New(outC), NoWeightDecay: true}
+		c.params = []*Param{c.Weight, c.Bias}
 	}
 	c.fwdTask, c.bwdTask, c.foldTask = c.forwardChunk, c.backwardChunk, c.foldWeightGrad
 	return c
@@ -101,12 +104,7 @@ func NewConv2D(name string, inC, outC, kh, kw, strideH, strideW, padH, padW int,
 func (c *Conv2D) Name() string { return c.name }
 
 // Params implements Layer.
-func (c *Conv2D) Params() []*Param {
-	if c.Bias != nil {
-		return []*Param{c.Weight, c.Bias}
-	}
-	return []*Param{c.Weight}
-}
+func (c *Conv2D) Params() []*Param { return c.params }
 
 // skipInputGrad implements SkipInputGrad: Backward leaves out the input-
 // gradient product and everything that only feeds it — PackGradOut, GradInput

@@ -13,6 +13,7 @@ type Linear struct {
 	name         string
 	In, Out      int
 	Weight, Bias *Param
+	params       []*Param // Weight and Bias, as Params returns them
 	lastInput    *tensor.Tensor
 	out, gradIn  *tensor.Tensor // layer-owned results, reused while the shape repeats
 	noInputGrad  bool           // SkipInputGrad: Backward returns nil
@@ -22,18 +23,20 @@ type Linear struct {
 func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 	w := tensor.New(out, in)
 	rng.FillKaiming(w, in)
-	return &Linear{
+	l := &Linear{
 		name: name, In: in, Out: out,
 		Weight: &Param{Name: name + ".weight", Value: w, Grad: tensor.New(out, in)},
 		Bias:   &Param{Name: name + ".bias", Value: tensor.New(out), Grad: tensor.New(out), NoWeightDecay: true},
 	}
+	l.params = []*Param{l.Weight, l.Bias}
+	return l
 }
 
 // Name implements Layer.
 func (l *Linear) Name() string { return l.name }
 
 // Params implements Layer.
-func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
+func (l *Linear) Params() []*Param { return l.params }
 
 // skipInputGrad implements SkipInputGrad: Backward stops after the parameter
 // gradients — the g·W product reads the whole weight matrix for a result

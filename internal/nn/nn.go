@@ -60,7 +60,9 @@ type Layer interface {
 	// accumulate over several passes sums them itself — and returns
 	// dL/d(input), or nil from a layer told nobody reads it (SkipInputGrad).
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
-	// Params returns the layer's learnable parameters (possibly empty).
+	// Params returns the layer's learnable parameters (possibly empty). The
+	// slice may be one the layer keeps and returns on every call: read it,
+	// do not modify it.
 	Params() []*Param
 	// Name returns a short identifier for logs.
 	Name() string

@@ -30,8 +30,10 @@ type GradNotifier interface {
 // gradients become final. Containers implementing GradNotifier propagate the
 // hook to their children; for leaf layers (and any container that does not
 // implement the interface) the whole layer's parameters are final when its
-// Backward returns, so they are notified then. A nil hook degrades to plain
-// Backward.
+// Backward returns, so they are notified then, from the slice the layer
+// keeps for Params (Conv2D, Linear and BatchNorm2D build theirs once): a
+// notified backward allocates nothing a plain one does not. A nil hook
+// degrades to plain Backward.
 func BackwardNotify(l Layer, gradOut *tensor.Tensor, hook ParamHook) *tensor.Tensor {
 	if n, ok := l.(GradNotifier); ok {
 		return n.BackwardWithGradHook(gradOut, hook)

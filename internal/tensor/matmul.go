@@ -89,21 +89,44 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 	rowsPer := (m + rowBlocks - 1) / rowBlocks
 	rowsPer = (rowsPer + tileRowQuantum - 1) / tileRowQuantum * tileRowQuantum
 	colsPer := (n + colBlocks - 1) / colBlocks
-	kernels.Run(rowBlocks*colBlocks, func(t int) {
-		rlo := (t / colBlocks) * rowsPer
-		rhi := rlo + rowsPer
-		if rhi > m {
-			rhi = m
-		}
-		clo := (t % colBlocks) * colsPer
-		chi := clo + colsPer
-		if chi > n {
-			chi = n
-		}
-		if rlo < rhi && clo < chi {
-			gemmTile(transA, transB, rlo, rhi, clo, chi, m, n, k, alpha, a, b, beta, c)
-		}
-	})
+	var g *gemmGrid
+	select {
+	case g = <-gemmGrids:
+	default:
+		g = new(gemmGrid)
+		g.task = g.tile
+	}
+	*g = gemmGrid{transA, transB, m, n, k, colBlocks, rowsPer, colsPer, alpha, beta, a, b, c, g.task}
+	kernels.Run(rowBlocks*colBlocks, g.task)
+	g.a, g.b, g.c = nil, nil, nil
+	select {
+	case gemmGrids <- g:
+	default:
+	}
+}
+
+// gemmGrid is one parallel Gemm's arguments, which its tile task reads: the
+// task is bound once, when the grid is made, so a dispatch builds no
+// closure. Grids recycle through gemmGrids, one per Gemm that can be inside
+// kernels.Run at once; one released into a full list is dropped.
+type gemmGrid struct {
+	transA, transB                       bool
+	m, n, k, colBlocks, rowsPer, colsPer int
+	alpha, beta                          float32
+	a, b, c                              []float32
+	task                                 func(t int)
+}
+
+var gemmGrids = make(chan *gemmGrid, 64)
+
+// tile computes tile t: row block t/colBlocks, column block t%colBlocks,
+// both clipped to C.
+func (g *gemmGrid) tile(t int) {
+	rlo, clo := (t/g.colBlocks)*g.rowsPer, (t%g.colBlocks)*g.colsPer
+	rhi, chi := min(rlo+g.rowsPer, g.m), min(clo+g.colsPer, g.n)
+	if rlo < rhi && clo < chi {
+		gemmTile(g.transA, g.transB, rlo, rhi, clo, chi, g.m, g.n, g.k, g.alpha, g.a, g.b, g.beta, g.c)
+	}
 }
 
 // scaleRange applies the beta prologue to a flat range of C.
