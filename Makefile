@@ -15,11 +15,14 @@ build:
 # AVX2 kernels (the !amd64 halves of the kernel build tags). The codec tests
 # also run on 386 (natively on an amd64 host, about 1 s): a wire count or
 # index converted to a 32-bit int is where a decoder wraps or goes negative.
+# The committed weight hashes are checked once more on the pure-Go kernels,
+# the loops every GOARCH without AVX2 runs.
 cross:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) vet ./...
 	GOOS=linux GOARCH=386 $(GO) test ./internal/compress
 	GOARCH=arm64 $(GO) build ./...
+	$(GO) test -tags purego -run TestGoldenWeightHashes ./internal/core
 
 test:
 	$(GO) test ./...
