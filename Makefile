@@ -49,7 +49,7 @@ endef
 # plus the Stream reused round after round, the learner's goroutines stopped
 # by Close, and the device step and notified backward allocating nothing.
 race-overlap:
-	$(call pinned,race-overlap,Overlap Stream GradNotify BackwardNotify StepWithGradHook ReduceRange ScatterRange ParamRange StepParam Arena StaleGradients AllocatesNothing,\
+	$(call pinned,race-overlap,Overlap Stream GradNotify BackwardNotify StepWithGradHook ReduceRange ScatterRange ParamRange StepRange Arena StaleGradients AllocatesNothing,\
 		./internal/core ./internal/allreduce ./internal/dpt ./internal/models ./internal/nn ./internal/sgd)
 
 # The buffer-ownership suite (checkptr on): pooled send/receive hand-offs

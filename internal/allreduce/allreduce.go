@@ -90,7 +90,7 @@ func AllReduce(c *mpi.Comm, data []float32, alg Algorithm, opts Options) error {
 		}
 		return rabenseifner(c, data)
 	case AlgMultiColor:
-		return multiColor(c, data, opts)
+		return multiColor(c, data, nil, opts, nil)
 	default:
 		return fmt.Errorf("allreduce: unknown algorithm %q", alg)
 	}

@@ -105,6 +105,133 @@ func TestTreeLendShareMatchesCopyingPath(t *testing.T) {
 	}
 }
 
+// runTreeUpdateRounds is runTreeRounds over MultiColorUpdate: every rank
+// starts from the same weights, the colour roots take a momentum-free
+// weight-decayed step on each reduced segment, and the weights carry over
+// to the second round as a trainer's would. It returns each rank's weights
+// after each round, and fails a rank whose roots stepped anything but
+// exactly its ColorRootBounds range.
+func runTreeUpdateRounds(w *mpi.World, n, length int, opts Options) ([][2][]float32, error) {
+	results := make([][2][]float32, n)
+	bounds := ColorRootBounds(n, length, opts)
+	var mu sync.Mutex
+	err := w.Run(func(c *mpi.Comm) error {
+		rank := c.Rank()
+		weights := treeLendInput(-1, 0, length)
+		var grad []float32
+		stepped := 0
+		update := func(lo, hi int) {
+			if lo < bounds[rank] || hi > bounds[rank+1] {
+				stepped = -length - 1 // outside this rank's root range
+			}
+			for i := lo; i < hi; i++ {
+				weights[i] -= 0.125*grad[i] + 0.0625*weights[i]
+			}
+			stepped += hi - lo
+		}
+		var got [2][]float32
+		for round := range got {
+			grad = treeLendInput(rank, round, length)
+			stepped = 0
+			if err := MultiColorUpdate(c, grad, weights, opts, update); err != nil {
+				return fmt.Errorf("rank %d round %d: %w", rank, round, err)
+			}
+			if stepped != bounds[rank+1]-bounds[rank] {
+				return fmt.Errorf("rank %d round %d: stepped %d elements, roots [%d,%d)", rank, round, stepped, bounds[rank], bounds[rank+1])
+			}
+			got[round] = append([]float32(nil), weights...)
+			for i := range grad {
+				grad[i] = float32(math.NaN())
+			}
+		}
+		mu.Lock()
+		results[rank] = got
+		mu.Unlock()
+		return nil
+	})
+	return results, err
+}
+
+// TestTreeLendShareRootUpdateMatchesCopyingPath holds the tree with the
+// optimizer step at its colour roots, whose down pass writes the weights
+// instead of the gradient, to the same call on the copying world (an empty
+// FaultPlan lends and shares nothing), on multi-level trees and with
+// segments that divide no chunk. The gradient is overwritten with NaN the
+// moment a call returns: a lent gradient window read after that is a race
+// report, or NaN in the weights. Weights must agree bit for bit between the
+// two worlds and across ranks, and World.Traffic byte for byte.
+func TestTreeLendShareRootUpdateMatchesCopyingPath(t *testing.T) {
+	for _, n := range []int{5, 8, 13, 17} {
+		for colors := 2; colors <= 4; colors++ {
+			for _, tc := range [][2]int{{7, 1}, {7, 1000}, {16384, 70001}} {
+				seg, length := tc[0], tc[1]
+				opts := Options{Colors: colors, SegmentFloats: seg}
+				name := fmt.Sprintf("n%d colors%d seg%d len%d", n, colors, seg, length)
+				run := func(faults bool) ([][2][]float32, mpi.Traffic) {
+					w, err := mpi.NewTopologyWorld(n, mpi.UniformTopology(n, 3), mpi.LinkProfile{}, mpi.LinkProfile{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer w.Close()
+					if faults {
+						w.InjectFaults(mpi.FaultPlan{})
+					}
+					res, err := runTreeUpdateRounds(w, n, length, opts)
+					if err != nil {
+						t.Fatalf("%s faults=%v: %v", name, faults, err)
+					}
+					return res, w.Traffic()
+				}
+				lent, lentTraffic := run(false)
+				copied, copiedTraffic := run(true)
+				if lentTraffic != copiedTraffic {
+					t.Fatalf("%s: lending world moved %+v, copying world %+v", name, lentTraffic, copiedTraffic)
+				}
+				for rank := range lent {
+					for round := range lent[rank] {
+						a, b, ref := lent[rank][round], copied[rank][round], copied[0][round]
+						for i := range a {
+							if math.Float32bits(a[i]) != math.Float32bits(b[i]) || math.Float32bits(b[i]) != math.Float32bits(ref[i]) {
+								t.Fatalf("%s rank %d round %d: weight %d = %v lent, %v copied, %v on rank 0", name, rank, round, i, a[i], b[i], ref[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// ColorRootBounds tiles the payload in ascending rank order, and the range
+// of rank r is exactly the chunk of the colour r roots.
+func TestColorRootBoundsMatchTrees(t *testing.T) {
+	for n := 1; n <= 17; n++ {
+		for colors := 1; colors <= 4; colors++ {
+			opts := Options{Colors: colors}
+			k := EffectiveColors(n, colors)
+			b := ColorRootBounds(n, 1001, opts)
+			if len(b) != n+1 || b[0] != 0 || b[n] != 1001 {
+				t.Fatalf("n%d colors%d: bounds %v", n, colors, b)
+			}
+			roots := make(map[int][2]int)
+			for color, tree := range colorTrees(n, k) {
+				lo, hi := ChunkBounds(1001, k, color)
+				roots[tree.Root] = [2]int{lo, hi}
+			}
+			for r := 0; r < n; r++ {
+				got := [2]int{b[r], b[r+1]}
+				want, ok := roots[r]
+				if !ok {
+					want = [2]int{b[r], b[r]} // roots no colour: empty
+				}
+				if got != want {
+					t.Fatalf("n%d colors%d rank %d: roots %v, the trees say %v", n, colors, r, got, want)
+				}
+			}
+		}
+	}
+}
+
 // multiColor's fan-out state is recycled: a call takes an idle state, grows
 // it to its color count at most once, and hands it back without references
 // to the call's communicator or payload — so a warm call allocates no
@@ -131,7 +258,7 @@ func TestMultiColorReusesCallState(t *testing.T) {
 		if len(s.tasks) != 4 || len(s.errs) != 4 {
 			t.Fatalf("call state has %d tasks and %d error slots, want 4 and 4", len(s.tasks), len(s.errs))
 		}
-		if s.c != nil || s.data != nil || s.trees != nil {
+		if s.c != nil || s.data != nil || s.weights != nil || s.update != nil || s.trees != nil {
 			t.Fatal("an idle call state still references the last call's communicator or payload")
 		}
 	}

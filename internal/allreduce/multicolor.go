@@ -14,11 +14,13 @@ import (
 // colors progress concurrently with no cross-color synchronization —
 // mirroring the paper's description of concurrent per-color RDMA flows on
 // the fat-tree. The last color runs on the calling goroutine; no goroutine
-// outlives the call.
-func multiColor(c *mpi.Comm, data []float32, opts Options) error {
+// outlives the call. With update set the down pass carries weights instead
+// of the sum (MultiColorUpdate); without it, data ends as the sum everywhere.
+func multiColor(c *mpi.Comm, data, weights []float32, opts Options, update func(lo, hi int)) error {
 	k := EffectiveColors(c.Size(), opts.Colors)
 	r := getColorRun(k)
-	r.c, r.data, r.segFloats, r.trees = c, data, opts.SegmentFloats, colorTrees(c.Size(), k)
+	r.c, r.data, r.weights, r.update = c, data, weights, update
+	r.segFloats, r.trees = opts.SegmentFloats, colorTrees(c.Size(), k)
 	r.wg.Add(k - 1)
 	for color := 0; color < k-1; color++ {
 		go r.tasks[color]()
@@ -31,7 +33,7 @@ func multiColor(c *mpi.Comm, data []float32, opts Options) error {
 			first = err
 		}
 	}
-	r.c, r.data, r.trees = nil, nil, nil
+	r.c, r.data, r.weights, r.update, r.trees = nil, nil, nil, nil, nil
 	clear(r.errs)
 	select {
 	case colorRuns <- r:
@@ -40,14 +42,56 @@ func multiColor(c *mpi.Comm, data []float32, opts Options) error {
 	return first
 }
 
+// MultiColorUpdate is AllReduce(c, grad, AlgMultiColor, opts) with the
+// optimizer step moved to the colour roots, the cross-replica sharding of the
+// weight update (Xu et al. 2020; ZeRO stage 1). Each colour's root calls
+// update(lo, hi) once per segment as soon as grad[lo:hi] holds the global
+// sum; update must write weights[lo:hi] (and whatever state it keeps for that
+// range), and the down pass then carries those weights, which every other
+// rank receives straight into its weights. ColorRootBounds gives the range
+// each rank roots. The wire schedule is AllReduce's: the same messages with
+// the same sizes, tags and order. On return weights holds the new weights on
+// every rank; grad is the global sum only over the rank's own root range.
+func MultiColorUpdate(c *mpi.Comm, grad, weights []float32, opts Options, update func(lo, hi int)) error {
+	if len(weights) != len(grad) {
+		return fmt.Errorf("allreduce: %d weights for %d gradient elements", len(weights), len(grad))
+	}
+	if c.Size() == 1 {
+		update(0, len(grad))
+		return nil
+	}
+	return multiColor(c, grad, weights, opts.withDefaults(), update)
+}
+
+// ColorRootBounds is the multi-colour tree's colour-root layout over a
+// payload of length elements on ranks ranks: rank r roots [b[r], b[r+1]),
+// the chunk MultiColorUpdate steps there. It has length ranks+1 and ascends,
+// and a rank that roots no colour gets an empty range: colour c's root is
+// c·(ranks/k), so each rank roots at most one colour and roots increase with
+// the colour index. The ranges tile [0, length) in rank order, the shape a
+// sharded checkpoint gathers.
+func ColorRootBounds(ranks, length int, opts Options) []int {
+	k := EffectiveColors(ranks, opts.withDefaults().Colors)
+	rotation := ranks / k
+	b := make([]int, ranks+1)
+	for r := range b {
+		// The first colour whose root is at or after r.
+		b[r], _ = ChunkBounds(length, k, min((r+rotation-1)/rotation, k))
+	}
+	return b
+}
+
 // colorRun is one multiColor call's fan-out state: the arguments the colors
-// read, their error slots, the WaitGroup, and one argument-less closure per
-// color — a func value `go` starts as it is, where a call with arguments is
-// wrapped in a fresh closure every time. It is recycled through colorRuns,
+// read (the update hook and its weights included), their error slots, the
+// WaitGroup, and one argument-less closure per color — a func value `go`
+// starts as it is, where a call with arguments is wrapped in a fresh closure
+// every time. It is recycled through colorRuns,
 // so a training step's allreduce allocates none of it.
 type colorRun struct {
 	c         *mpi.Comm
 	data      []float32
+	weights   []float32        // the down pass's buffer when update is set
+	update    func(lo, hi int) // the root turnaround's optimizer step, or nil
 	segFloats int
 	trees     []Tree
 	wg        sync.WaitGroup
@@ -85,7 +129,7 @@ func getColorRun(k int) *colorRun {
 // run takes one color's chunk up and down its tree.
 func (r *colorRun) run(color int) {
 	lo, hi := ChunkBounds(len(r.data), len(r.trees), color)
-	r.errs[color] = reduceBcastTree(r.c, r.data[lo:hi], r.trees[color], color, r.segFloats)
+	r.errs[color] = r.reduceBcastTree(color, lo, hi)
 }
 
 // treeCache holds the k color trees of every (ranks, colors) pair a
@@ -126,12 +170,14 @@ func segSpan(s, segFloats, n int) (lo, hi int) {
 	return lo, min(lo+segFloats, n)
 }
 
-// reduceBcastTree pipelines one chunk up and back down one color's tree.
-// The node's role is fixed by the tree: leaves only send segments to their
-// parent; interior nodes sum their children's segments into their local
-// contribution and forward; the root additionally turns each fully-reduced
-// segment around and starts the downward broadcast immediately, so the
-// reduce and broadcast phases overlap segment-by-segment.
+// reduceBcastTree pipelines chunk [lo, hi) up and back down one color's
+// tree. The node's role is fixed by the tree: leaves only send segments to
+// their parent; interior nodes sum their children's segments into their
+// local contribution and forward; the root additionally turns each
+// fully-reduced segment around and starts the downward broadcast
+// immediately, so the reduce and broadcast phases overlap segment-by-segment.
+// At the turnaround the root hands the segment to r.update when one is set,
+// and the down pass then carries r.weights instead of the sum.
 //
 // Neither phase copies a segment per message where the transport can avoid
 // it. Going up, a node LENDS its window of the segment to its parent
@@ -140,24 +186,32 @@ func segSpan(s, segFloats, n int) (lo, hi int) {
 // depth: every read of an up-lent view of segment s happens-before the
 // root's reduction of s (the parent's add completes before it lends or turns
 // s around, and a mailbox hand-off orders the two sides), which
-// happens-before every down message of s; and a node's next write of its
-// window of s is the RecvFloatsInto of that down message — or, after the
-// call returns, whatever the caller does next, which is later still. Going
-// down, a node encodes a reduced segment once for all its children
-// (SendFloatsAll). On transports that cannot lend or share both calls send
-// one private copy per message; messages have the same size, tag and order
-// either way.
-func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats int) error {
+// happens-before the root's update of s and every down message of s; and a
+// node's next write of its window of s comes after it receives that down
+// message. Without update that write is the RecvFloatsInto of the message
+// itself. With update the down pass writes the weights instead, so the lent
+// gradient window is not written again inside the call at all: its next
+// write is whatever the caller does after the call returns, which is after
+// the last down message arrived. Going down, a node encodes a segment once
+// for all its children (SendFloatsAll). On transports that cannot lend or
+// share both calls send one private copy per message; messages have the
+// same size, tag and order either way.
+func (r *colorRun) reduceBcastTree(color, lo, hi int) error {
+	c, chunk := r.c, r.data[lo:hi]
 	rank := c.Rank()
-	parent := tree.Parent[rank]
-	children := tree.Children[rank]
+	parent := r.trees[color].Parent[rank]
+	children := r.trees[color].Children[rank]
 	upTag, downTag := mcTags(color)
-	nseg := numSegs(len(chunk), segFloats)
+	nseg := numSegs(len(chunk), r.segFloats)
+	down := chunk
+	if r.update != nil {
+		down = r.weights[lo:hi]
+	}
 
 	// Upward (reduce) pass, root turnaround included.
 	for s := 0; s < nseg; s++ {
-		lo, hi := segSpan(s, segFloats, len(chunk))
-		seg := chunk[lo:hi]
+		sLo, sHi := segSpan(s, r.segFloats, len(chunk))
+		seg := chunk[sLo:sHi]
 		for _, ch := range children {
 			if err := c.RecvFloatsAdd(seg, ch, upTag); err != nil {
 				return fmt.Errorf("allreduce: multicolor segment from %d: %w", ch, err)
@@ -167,8 +221,12 @@ func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats i
 		if parent >= 0 {
 			err = c.LendFloats(parent, upTag, seg)
 		} else {
-			// Root: this segment is globally reduced; broadcast it down.
-			err = c.SendFloatsAll(children, downTag, seg)
+			// Root: this segment is globally reduced; step it (when an
+			// update is set) and broadcast it down.
+			if r.update != nil {
+				r.update(lo+sLo, lo+sHi)
+			}
+			err = c.SendFloatsAll(children, downTag, down[sLo:sHi])
 		}
 		if err != nil {
 			return err
@@ -180,11 +238,11 @@ func reduceBcastTree(c *mpi.Comm, chunk []float32, tree Tree, color, segFloats i
 		return nil
 	}
 	for s := 0; s < nseg; s++ {
-		lo, hi := segSpan(s, segFloats, len(chunk))
-		if err := c.RecvFloatsInto(chunk[lo:hi], parent, downTag); err != nil {
+		sLo, sHi := segSpan(s, r.segFloats, len(chunk))
+		if err := c.RecvFloatsInto(down[sLo:sHi], parent, downTag); err != nil {
 			return fmt.Errorf("allreduce: multicolor bcast segment: %w", err)
 		}
-		if err := c.SendFloatsAll(children, downTag, chunk[lo:hi]); err != nil {
+		if err := c.SendFloatsAll(children, downTag, down[sLo:sHi]); err != nil {
 			return err
 		}
 	}

@@ -29,6 +29,12 @@ func paramShardCuts(params []*nn.Param, n int) []int {
 	return cuts
 }
 
+// newShard is the shard optimizer over the params of param-index cuts
+// [lo, hi): the element range they cover.
+func newShard(params []*nn.Param, lo, hi int) *sgd.SGD {
+	return sgd.NewShard(params, sgd.DefaultConfig(), nn.ParamCount(params[:lo]), nn.ParamCount(params[:hi]))
+}
+
 // fillGrads writes the same deterministic gradient into every replica.
 func fillGrads(params []*nn.Param) {
 	rng := tensor.NewRNG(99)
@@ -57,7 +63,7 @@ func TestShardedSaveReplicatedLoadSGD(t *testing.T) {
 	for r := 0; r < ranks; r++ {
 		reps[r] = models.NewSmallCNN(3, 8, tensor.NewRNG(1))
 		cuts := paramShardCuts(reps[r].Params(), ranks)
-		opts[r] = sgd.NewShard(reps[r].Params(), sgd.DefaultConfig(), cuts[r], cuts[r+1])
+		opts[r] = newShard(reps[r].Params(), cuts[r], cuts[r+1])
 		fillGrads(reps[r].Params())
 	}
 	for step := 0; step < 2; step++ {
@@ -163,7 +169,7 @@ func TestReplicatedSaveShardedLoad(t *testing.T) {
 		for r := 0; r < ranks; r++ {
 			reps[r] = models.NewSmallCNN(3, 8, tensor.NewRNG(50+int64(r)))
 			cuts := paramShardCuts(reps[r].Params(), ranks)
-			so := sgd.NewShard(reps[r].Params(), sgd.DefaultConfig(), cuts[r], cuts[r+1])
+			so := newShard(reps[r].Params(), cuts[r], cuts[r+1])
 			if err := got.Restore(reps[r].Params(), so); err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +192,7 @@ func TestReplicatedSaveShardedLoad(t *testing.T) {
 func TestShardedCaptureRestoreGuards(t *testing.T) {
 	net, _ := trainedModel(t, 60)
 	cuts := paramShardCuts(net.Params(), 2)
-	so := sgd.NewShard(net.Params(), sgd.DefaultConfig(), cuts[0], cuts[1])
+	so := newShard(net.Params(), cuts[0], cuts[1])
 	if _, err := Capture(net.Params(), so, 0, 0); err == nil {
 		t.Fatal("Capture of a partial shard must error (use CaptureSharded)")
 	}

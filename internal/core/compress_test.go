@@ -31,9 +31,14 @@ func meanTail(losses []float64, k int) float64 {
 	return s / float64(k)
 }
 
-// The "none" codec runs the bucketed path with identity compression, so it
-// must reproduce the uncompressed run exactly — same arithmetic, different
-// transport.
+// The "none" codec runs the bucketed path with identity compression: every
+// bucket folds in rank order, the arithmetic of every uncompressed bucketed
+// route. A raw algorithm folds in its own order — the multi-colour tree from
+// each chunk's root, the ring from its far end — and only with two learners
+// is every order the same single addition. So at 2 learners bucketed none
+// reproduces the raw multi-colour run exactly; at 3, 4 or 8 no raw
+// algorithm does, and the reference is the uncompressed bucketed route (an
+// empty Codec under Overlap).
 func TestBucketedNoneMatchesUncompressedExactly(t *testing.T) {
 	plain := runCompressed(t, compress.Config{}, 2, 2, 10)
 	none := runCompressed(t, compress.Config{Codec: "none", BucketFloats: 1024}, 2, 2, 10)
@@ -41,6 +46,9 @@ func TestBucketedNoneMatchesUncompressedExactly(t *testing.T) {
 	if none.Ranks[0].CommStats.BytesSent == 0 || plain.Ranks[0].CommStats.BytesSent != 0 {
 		t.Fatalf("comm stats: plain %+v, none %+v", plain.Ranks[0].CommStats, none.Ranks[0].CommStats)
 	}
+	none3 := runCompressed(t, compress.Config{Codec: "none", BucketFloats: 1024}, 3, 2, 10)
+	exact3 := smallJob(t, core.Config{Overlap: true, Compression: compress.Config{BucketFloats: 1024}}, 3, 2, 10)
+	requireSameWeights(t, exact3, none3, "3 learners: uncompressed bucketed vs bucketed-none")
 }
 
 // Convergence parity (the ISSUE's acceptance bar, tightened): top-k with

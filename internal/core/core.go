@@ -14,8 +14,8 @@
 // There is one step — Learner.Step — built from three stages that each work
 // on a range [lo, hi) of the flattened gradient, in place in device 0's
 // gradient arena: pack (add the other devices' gradients in + error-feedback
-// correct), exchange (the inter-node sum) and apply (step every parameter the
-// range completes, reading the sum once and normalizing it on the way).
+// correct), exchange (the inter-node sum) and apply (step the range, reading
+// the sum once and normalizing it on the way).
 // Everything else is a choice of order or of data, never of arithmetic, so
 // every combination ends in bitwise-identical parameters under the same
 // Compression config (docs/ARCHITECTURE.md has the tables):
@@ -30,7 +30,10 @@
 //   - Config.Topology is data: the node layout handed to the exchange.
 //   - Config.Compression selects the bucketed codec Stream; without it (and
 //     stage-major, replicated, flat) the exchange is one of the raw
-//     algorithms the paper compares (Config.Allreduce).
+//     algorithms the paper compares (Config.Allreduce). The raw multi-colour
+//     tree also takes the apply stage: each colour's root steps its chunk,
+//     the one rank holding that chunk's momentum, and the tree broadcasts
+//     weights instead of the sum.
 package core
 
 import (
@@ -212,7 +215,10 @@ type Config struct {
 //
 // In stage-major order the phases are disjoint wall-clock intervals tiling
 // the step (error-feedback correction rides in IntraNode with the pack it
-// belongs to; the sharded parameter allgather counts as AllReduce). In
+// belongs to; the sharded parameter allgather counts as AllReduce; on the
+// raw multi-colour route the SGD step runs at the colour roots inside the
+// exchange, so it counts as AllReduce too, and Update is only the copy of
+// the new weights to the other devices). In
 // bucket-major order (Config.Overlap) they are not: Compute covers the
 // backward pass with the bucket pipeline running underneath it, IntraNode
 // and Update are folded into the pipeline, and AllReduce records only the
@@ -248,18 +254,24 @@ type Learner struct {
 	scale   float32
 	phases  PhaseTimes
 
-	// opts are the optimizers a step advances; opts[d] updates device d's
-	// replica. Replicated: one per device. Sharded: the single shard
-	// optimizer over device 0. They all read the one reduced gradient, and
-	// StepParamScaled enforces shard ownership, so neither mode is a branch
-	// in the step.
+	// opts are the optimizers a step advances. Replicated: one per device,
+	// opts[d] updating device d's replica. Sharded, and on the raw
+	// multi-colour route: one optimizer over device 0 that holds momentum
+	// only for this rank's element bounds — paramShardBounds' shard, or the
+	// chunk this rank roots (allreduce.ColorRootBounds) — and the step ends
+	// by copying device 0's weights to the others. They all read the one
+	// reduced gradient, and StepRange keeps each to its own range, so no
+	// mode is a branch in apply.
 	opts []*sgd.SGD
-	// ownLo/ownHi is the element range this rank updates: the whole vector
-	// when replicated, its shard when sharded.
-	ownLo, ownHi int
-	// unapplied[p] counts parameter p's gradient elements that have yet to
-	// land this step; apply steps p when it reaches zero.
-	unapplied []int
+	// lr is the step's learning rate, written before the step's stages run;
+	// apply and rootUpdate read it.
+	lr float32
+	// rootUpdate is the raw multi-colour route's turnaround hook
+	// (allreduce.MultiColorUpdate): the colour root steps each globally
+	// reduced segment of its chunk, and the tree broadcasts the weights.
+	// Bound once here, so a step allocates no closure; nil on every other
+	// route, which steps after the exchange instead.
+	rootUpdate func(lo, hi int)
 
 	// Exchange. stream nil selects the raw Config.Allreduce algorithm;
 	// otherwise it is the bucketed codec Stream, opened once with elemBounds
@@ -340,18 +352,19 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 	if l.scale == 0 {
 		l.scale = 1 / float32(comm.Size()*m)
 	}
-	l.unapplied = make([]int, engine.NumParams())
-	if cfg.ShardOptimizer {
-		paramBounds, elemBounds := paramShardBounds(engine, comm.Size())
-		rank := comm.Rank()
-		l.opts = []*sgd.SGD{sgd.NewShard(engine.Params(0), cfg.SGD, paramBounds[rank], paramBounds[rank+1])}
-		l.ownLo, l.ownHi = elemBounds[rank], elemBounds[rank+1]
-		l.elemBounds = elemBounds
-	} else {
+	rank := comm.Rank()
+	switch {
+	case cfg.ShardOptimizer:
+		l.elemBounds = paramShardBounds(engine, comm.Size())
+		l.opts = []*sgd.SGD{sgd.NewShard(engine.Params(0), cfg.SGD, l.elemBounds[rank], l.elemBounds[rank+1])}
+	case codec == nil && cfg.Allreduce == allreduce.AlgMultiColor:
+		b := allreduce.ColorRootBounds(comm.Size(), engine.GradSize(), cfg.AllreduceOpts)
+		l.opts = []*sgd.SGD{sgd.NewShard(engine.Params(0), cfg.SGD, b[rank], b[rank+1])}
+		l.rootUpdate = l.updateRange
+	default:
 		for d := 0; d < m; d++ {
 			l.opts = append(l.opts, sgd.New(engine.Params(d), cfg.SGD))
 		}
-		l.ownHi = engine.GradSize()
 	}
 	if err := l.broadcastInitialWeights(); err != nil {
 		engine.Close()
@@ -414,17 +427,13 @@ func (l *Learner) Step() (float64, error) {
 	}
 	t1 := time.Now()
 	l.phases.Data += t1.Sub(t0).Seconds()
-	for p := range l.unapplied {
-		lo, hi := l.engine.ParamRange(p)
-		l.unapplied[p] = hi - lo
-	}
-	lr := l.currentLR()
+	l.lr = l.currentLR()
 	var loss float64
 	var err error
 	if l.pipeline != nil {
-		loss, err = l.stepBucketMajor(t1, lr)
+		loss, err = l.stepBucketMajor(t1)
 	} else {
-		loss, err = l.stepStageMajor(t1, lr)
+		loss, err = l.stepStageMajor(t1)
 	}
 	if err != nil {
 		return 0, err
@@ -443,7 +452,7 @@ func (l *Learner) Step() (float64, error) {
 // stepStageMajor runs each stage once over the whole vector on the calling
 // goroutine: Algorithm 1 as written, its phases disjoint wall-clock
 // intervals. t1 is the batch-sampling end time (Data is already accounted).
-func (l *Learner) stepStageMajor(t1 time.Time, lr float32) (float64, error) {
+func (l *Learner) stepStageMajor(t1 time.Time) (float64, error) {
 	// 2. Per-device forward/backward.
 	loss, err := l.engine.Step(l.x, l.labels)
 	if err != nil {
@@ -467,8 +476,16 @@ func (l *Learner) stepStageMajor(t1 time.Time, lr float32) (float64, error) {
 	t4 := time.Now()
 	l.phases.AllReduce += t4.Sub(t3).Seconds()
 	// 5+6. Each device performs SGD, reading the one reduced gradient (the
-	// paper's broadcast to local devices is that shared read).
-	l.apply(l.ownLo, l.ownHi, l.gradBuf[l.ownLo:l.ownHi], lr)
+	// paper's broadcast to local devices is that shared read). On the raw
+	// multi-colour route the roots already stepped inside the exchange, and
+	// device 0 holds the new weights: the rest is the copy to the others.
+	if l.rootUpdate != nil {
+		if err := l.engine.SetValues(l.engine.Values(0)); err != nil {
+			return 0, err
+		}
+	} else {
+		l.apply(0, len(l.gradBuf), l.gradBuf)
+	}
 	l.phases.Update += time.Since(t4).Seconds()
 	return loss, nil
 }
@@ -490,10 +507,15 @@ func (l *Learner) pack(lo, hi int) error {
 }
 
 // exchange is the second stage in stage-major order: gradBuf becomes the
-// global sum (over this rank's shard's buckets when sharded). This is the
-// one place that decides raw vs bucketed; bucket-major always runs the
-// bucketed Stream (stepBucketMajor).
+// global sum (over this rank's shard's buckets when sharded) — or, on the raw
+// multi-colour route, the colour roots step their chunks and device 0's
+// weight arena becomes the new weights. This is the one place that decides
+// raw vs bucketed; bucket-major always runs the bucketed Stream
+// (stepBucketMajor).
 func (l *Learner) exchange() error {
+	if l.rootUpdate != nil {
+		return allreduce.MultiColorUpdate(l.comm, l.gradBuf, l.engine.Values(0), l.cfg.AllreduceOpts, l.rootUpdate)
+	}
 	if l.stream == nil {
 		return allreduce.AllReduce(l.comm, l.gradBuf, l.cfg.Allreduce, l.cfg.AllreduceOpts)
 	}
@@ -511,32 +533,26 @@ func (l *Learner) residual(lo, hi int) {
 	}
 }
 
-// apply is the third stage: every parameter whose last outstanding elements
-// sum — the global gradient sum over [lo, hi) — delivers takes its SGD step
-// on every replica an optimizer updates, in one pass that reads the sum
-// once and normalizes it on the way (scale turns the sum of per-device
-// partition means into the global batch mean, so the learning rate has the
-// Goyal semantics). Stage-major, sum is gradBuf's own window. Bucket-major it
-// is a Stream result the collector is about to release, so it is first
-// staged in gradBuf, where the pieces of a parameter that spans buckets
-// collect (the bucket's own gradient there has been encoded and sent; nobody
-// reads it again). Over the whole vector this is bitwise a scale pass, dpt's
-// SetGrads and a full optimizer Step; parameter updates are independent, so
-// any split into ranges gives the same bits.
-func (l *Learner) apply(lo, hi int, sum []float32, lr float32) {
-	if hi > lo && &sum[0] != &l.gradBuf[lo] {
-		copy(l.gradBuf[lo:hi], sum)
+// apply is the third stage: sum — the global gradient sum over [lo, hi) —
+// takes its SGD step on every replica an optimizer updates, each optimizer
+// keeping to its own element range, in one pass that reads the sum once and
+// normalizes it on the way (scale turns the sum of per-device partition
+// means into the global batch mean, so the learning rate has the Goyal
+// semantics). Stage-major, sum is gradBuf itself; bucket-major it is a
+// Stream result the collector is about to release. The update is
+// elementwise, so over the whole vector this is bitwise a scale pass, dpt's
+// SetGrads and a full optimizer Step, and any split into ranges gives the
+// same bits.
+func (l *Learner) apply(lo, hi int, sum []float32) {
+	for _, o := range l.opts {
+		o.StepRange(lo, hi, l.lr, sum, l.scale)
 	}
-	first, last := l.engine.ParamsOverlapping(lo, hi)
-	for p := first; p < last; p++ {
-		pLo, pHi := l.engine.ParamRange(p)
-		l.unapplied[p] -= min(pHi, hi) - max(pLo, lo)
-		if l.unapplied[p] == 0 {
-			for _, o := range l.opts {
-				o.StepParamScaled(p, lr, l.gradBuf[pLo:pHi], l.scale)
-			}
-		}
-	}
+}
+
+// updateRange is rootUpdate: at its colour's turnaround the root steps
+// [lo, hi), whose global sum is in gradBuf, into device 0's weights.
+func (l *Learner) updateRange(lo, hi int) {
+	l.opts[0].StepRange(lo, hi, l.lr, l.gradBuf[lo:hi], l.scale)
 }
 
 // Phases returns the cumulative per-phase wall times.

@@ -46,9 +46,6 @@ type bucketPlan struct {
 	mu      sync.Mutex
 	pending []int
 	isReady []bool
-	// lr is the step's learning rate, written before backward starts; the
-	// collector reads it for every bucket it applies.
-	lr float32
 
 	// hook is the tracker: it counts down each bucket's contributions as
 	// readiness arrives from the device goroutines and queues completed
@@ -122,10 +119,9 @@ func newBucketPlan(engine *dpt.Engine, bucketFloats int) *bucketPlan {
 // stepBucketMajor runs the stages per bucket underneath backward, one round
 // of the learner's Stream. t1 is the batch-sampling end time (Data is
 // already accounted).
-func (l *Learner) stepBucketMajor(t1 time.Time, lr float32) (float64, error) {
+func (l *Learner) stepBucketMajor(t1 time.Time) (float64, error) {
 	p := l.pipeline
 	copy(p.pending, p.contribs)
-	p.lr = lr
 
 	// Per-device forward/backward with incremental gradient emission; the
 	// packer and collector are already reducing and exchanging buckets while
@@ -214,7 +210,7 @@ func (l *Learner) applyBuckets() {
 		if err == nil {
 			l.residual(res.Lo, res.Hi)
 			if res.Sum != nil {
-				l.apply(res.Lo, res.Hi, res.Sum, p.lr)
+				l.apply(res.Lo, res.Hi, res.Sum)
 			}
 		}
 		res.Release()

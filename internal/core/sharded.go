@@ -28,31 +28,23 @@ import (
 // and overlap modes).
 
 // paramShardBounds partitions the engine's parameters into ranks contiguous
-// shards of whole parameters, balanced by element count: paramB[r] is the
-// first param index of rank r's shard, elemB[r] its flattened element
-// offset (both length ranks+1). Ranks beyond the parameter supply own empty
-// shards.
-func paramShardBounds(engine *dpt.Engine, ranks int) (paramB, elemB []int) {
+// shards of whole parameters, balanced by element count: b[r] is the
+// flattened element offset of rank r's shard (length ranks+1). Ranks beyond
+// the parameter supply own empty shards.
+func paramShardBounds(engine *dpt.Engine, ranks int) []int {
 	np := engine.NumParams()
 	total := engine.GradSize()
-	paramB = make([]int, ranks+1)
-	elemB = make([]int, ranks+1)
+	b := make([]int, ranks+1)
 	p, off := 0, 0
 	for r := 1; r <= ranks; r++ {
 		target := r * total / ranks
 		for p < np && off < target {
-			_, hi := engine.ParamRange(p)
-			off = hi
+			_, off = engine.ParamRange(p)
 			p++
 		}
-		paramB[r] = p
-		elemB[r] = off
+		b[r] = off
 	}
-	// The last cut always covers everything (target == total pulls every
-	// remaining param in), but make the invariant explicit.
-	paramB[ranks] = np
-	elemB[ranks] = total
-	return paramB, elemB
+	return b
 }
 
 // allGatherParams allgathers every rank's updated shard (ring, bitwise
@@ -76,9 +68,10 @@ func (l *Learner) allGatherParams() error {
 	// except shard (rank+1) mod n and receives every shard except its own.
 	if n := l.comm.Size(); n > 1 {
 		total := int64(len(values))
-		next := (l.comm.Rank() + 1) % n
+		rank := l.comm.Rank()
+		next := (rank + 1) % n
 		sent := total - int64(l.elemBounds[next+1]-l.elemBounds[next])
-		recv := total - int64(l.ownHi-l.ownLo)
+		recv := total - int64(l.elemBounds[rank+1]-l.elemBounds[rank])
 		l.paramAGBytes += 4 * (sent + recv)
 	}
 	return l.engine.SetValues(values)

@@ -3,7 +3,6 @@ package dpt
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/kernels"
 	"repro/internal/nn"
@@ -130,20 +129,6 @@ func (e *Engine) notifyAll(d *device) {
 	for p := range d.params {
 		e.hook(d.id, p)
 	}
-}
-
-// ParamsOverlapping returns the index range [first, last) of parameters
-// whose flattened extent intersects [lo, hi).
-func (e *Engine) ParamsOverlapping(lo, hi int) (first, last int) {
-	// First param whose end is beyond lo.
-	first = sort.Search(len(e.offsets), func(i int) bool {
-		_, end := e.ParamRange(i)
-		return end > lo
-	})
-	last = sort.Search(len(e.offsets), func(i int) bool {
-		return e.offsets[i] >= hi
-	})
-	return first, last
 }
 
 // ReduceRangeInto sums the devices' gradients over the flattened range

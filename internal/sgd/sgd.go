@@ -5,14 +5,15 @@
 // the total number of workers; 90-epoch regime with the learning rate
 // dropped by a factor of 10 after every 30 epochs"). The optimizer is
 // replicated or shard-aware (ZeRO-1): a shard holds momentum for one
-// contiguous parameter range, and its state is what internal/checkpoint
-// gathers and carves. Only momentum SGD is implemented: the layer-wise
-// adaptive optimizer the paper's Table 2 credits to a competitor trains no
-// run here.
+// contiguous element range of the flattened model, and its state is what
+// internal/checkpoint gathers and carves. Only momentum SGD is implemented:
+// the layer-wise adaptive optimizer the paper's Table 2 credits to a
+// competitor trains no run here.
 package sgd
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/kernels"
 	"repro/internal/nn"
@@ -28,136 +29,113 @@ type Config struct {
 // DefaultConfig returns the paper's optimizer settings.
 func DefaultConfig() Config { return Config{Momentum: 0.9, WeightDecay: 1e-4} }
 
-// SGD holds per-parameter momentum state for one model replica — or, in
-// sharded (ZeRO-1-style) data parallelism, for one rank's contiguous
-// parameter shard: NewShard allocates momentum only for params [lo, hi) and
+// SGD holds momentum state for one model replica — or, in sharded
+// (ZeRO-1-style) data parallelism, for one contiguous element range of the
+// flattened model: NewShard allocates momentum only for elements [lo, hi) and
 // restricts updates to them, so per-rank optimizer memory and update cost
-// scale as ~1/world-size.
+// scale as ~1/world-size. The range may cut a parameter; the update is
+// elementwise, so any split gives the bits of the whole.
 type SGD struct {
-	cfg      Config
-	params   []*nn.Param
-	velocity [][]float32 // indexed by param; nil outside [shardLo, shardHi)
-
-	shardLo, shardHi int // owned param-index range
-	stateLo, stateHi int // the shard's element range within the full flat state
-	fullLen          int // total momentum elements across all params
+	cfg    Config
+	params []*nn.Param
+	// offsets[i] is param i's first element in the flattened model, and
+	// offsets[len(params)] the model's element count.
+	offsets []int
+	// velocity is the momentum of elements [lo, hi), one flat slice.
+	velocity []float32
+	lo, hi   int
 }
 
-// New builds an optimizer over params (full replica: every param owned).
+// New builds an optimizer over params (full replica: every element owned).
 func New(params []*nn.Param, cfg Config) *SGD {
-	return NewShard(params, cfg, 0, len(params))
+	return NewShard(params, cfg, 0, nn.ParamCount(params))
 }
 
 // NewShard builds a shard-aware optimizer: momentum is held, and updates
-// applied, only for the contiguous parameter range [lo, hi) of params. The
-// params slice still describes the whole model, so parameter indices (and
+// applied, only for the element range [lo, hi) of the flattened params. The
+// params slice still describes the whole model, so element offsets (and the
 // checkpoint state layout) agree across all ranks; an empty range is legal
-// (a rank starved of parameters).
+// (a rank that owns nothing).
 func NewShard(params []*nn.Param, cfg Config, lo, hi int) *SGD {
-	if lo < 0 || hi > len(params) || hi < lo {
-		panic(fmt.Sprintf("sgd: shard [%d,%d) outside params [0,%d)", lo, hi, len(params)))
-	}
-	// Momentum for [lo, hi) only, and where the shard's elements sit in the
-	// full flat state vector.
-	o := &SGD{cfg: cfg, params: params, velocity: make([][]float32, len(params)), shardLo: lo, shardHi: hi}
+	offsets := make([]int, len(params)+1)
 	for i, p := range params {
-		n := p.Value.Len()
-		if i < lo {
-			o.stateLo += n
-		}
-		if i < hi {
-			o.stateHi += n
-		}
-		if i >= lo && i < hi {
-			o.velocity[i] = make([]float32, n)
-		}
-		o.fullLen += n
+		offsets[i+1] = offsets[i] + p.Value.Len()
 	}
-	return o
+	if lo < 0 || hi > offsets[len(params)] || hi < lo {
+		panic(fmt.Sprintf("sgd: shard [%d,%d) outside elements [0,%d)", lo, hi, offsets[len(params)]))
+	}
+	return &SGD{cfg: cfg, params: params, offsets: offsets, velocity: make([]float32, hi-lo), lo: lo, hi: hi}
 }
 
-// ShardRange returns the owned param-index range [lo, hi).
-func (o *SGD) ShardRange() (lo, hi int) { return o.shardLo, o.shardHi }
-
-// Owns reports whether parameter i belongs to this optimizer's shard.
-func (o *SGD) Owns(i int) bool { return i >= o.shardLo && i < o.shardHi }
-
 // Step applies one SGD update with the given learning rate to every owned
-// parameter, reading each parameter's accumulated gradient:
+// element, reading each parameter's accumulated gradient:
 // v = m·v + (g + wd·w); w -= lr·v. Parameters flagged NoWeightDecay (BN
 // scale/shift, biases) skip the decay term, matching the Torch recipe.
 func (o *SGD) Step(lr float32) {
-	for i := o.shardLo; i < o.shardHi; i++ {
-		o.StepParam(i, lr)
+	for i, p := range o.params {
+		o.StepRange(o.offsets[i], o.offsets[i+1], lr, p.Grad.Data, 1)
 	}
 }
 
-// StepParam updates the single parameter at index i (the optimizer's
-// construction order) from its own accumulated gradient. Parameter updates
-// are independent, so applying them one at a time as reduced gradient
-// buckets land — the reactive pipeline's per-bucket update — is bitwise
-// identical to a full Step. Indices outside the shard are a no-op, so a
-// per-bucket driver can count down every param uniformly and let the
-// optimizer enforce ownership.
-func (o *SGD) StepParam(i int, lr float32) {
-	o.StepParamScaled(i, lr, o.params[i].Grad.Data, 1)
-}
-
-// StepParamScaled is StepParam reading the gradient as g·scale from the
-// given slice (one element per weight) instead of the parameter's own
-// accumulator: v = m·v + (g·scale + wd·w); w -= lr·v, in one pass. It is how
-// a trainer applies a reduced gradient sum where it lies — no normalizing
-// pass, no copy into each replica — and gives the bits of scaling g first
-// and then calling StepParam.
-func (o *SGD) StepParamScaled(i int, lr float32, g []float32, scale float32) {
-	if !o.Owns(i) {
-		return
+// StepRange updates the owned elements of the flattened range [lo, hi),
+// reading the gradient as g·scale from g (g[0] is element lo's):
+// v = m·v + (g·scale + wd·w); w -= lr·v, in one pass. Elements outside the
+// owned range are skipped, so a caller can hand every range it completes to
+// every optimizer and let each keep its own. It is how a trainer applies a
+// reduced gradient sum where it lies — no normalizing pass, no copy into each
+// replica — and, the update being elementwise, any split of a vector into
+// ranges gives the bits of one Step over it.
+func (o *SGD) StepRange(lo, hi int, lr float32, g []float32, scale float32) {
+	if len(g) != hi-lo {
+		panic(fmt.Sprintf("sgd: StepRange [%d,%d) with %d gradient elements", lo, hi, len(g)))
 	}
-	p := o.params[i]
-	wd := o.cfg.WeightDecay
-	if p.NoWeightDecay {
-		wd = 0
+	a, b := max(lo, o.lo), min(hi, o.hi)
+	// The first parameter that ends past a; the loop splits at parameter
+	// boundaries, where the weight decay may change.
+	i := sort.Search(len(o.params), func(i int) bool { return o.offsets[i+1] > a })
+	for ; a < b; i++ {
+		p, pLo := o.params[i], o.offsets[i]
+		end := min(o.offsets[i+1], b)
+		wd := o.cfg.WeightDecay
+		if p.NoWeightDecay {
+			wd = 0
+		}
+		kernels.MomentumStep(p.Value.Data[a-pLo:end-pLo], o.velocity[a-o.lo:end-o.lo], g[a-lo:end-lo],
+			scale, wd, o.cfg.Momentum, lr)
+		a = end
 	}
-	kernels.MomentumStep(p.Value.Data, o.velocity[i], g, scale, wd, o.cfg.Momentum, lr)
 }
 
 // StateLen returns the number of momentum scalars this optimizer holds: the
 // model's full parameter count for a replicated optimizer, the shard's
 // element count for a sharded one.
-func (o *SGD) StateLen() int { return o.stateHi - o.stateLo }
+func (o *SGD) StateLen() int { return o.hi - o.lo }
 
 // FullStateLen returns the momentum element count of the whole model — what
 // a rank-count-independent checkpoint stores.
-func (o *SGD) FullStateLen() int { return o.fullLen }
+func (o *SGD) FullStateLen() int { return o.offsets[len(o.params)] }
 
 // StateBounds returns the element range [lo, hi) this optimizer's state
 // occupies within the full flat state vector; checkpointing uses it to
 // gather shards on save and scatter on load.
-func (o *SGD) StateBounds() (lo, hi int) { return o.stateLo, o.stateHi }
+func (o *SGD) StateBounds() (lo, hi int) { return o.lo, o.hi }
 
-// ExportState copies the owned momentum buffers into dst back-to-back, in
-// parameter order — the optimizer half of a training checkpoint (this rank's
-// shard of it, when sharded).
+// ExportState copies the held momentum into dst — the optimizer half of a
+// training checkpoint (this rank's shard of it, when sharded).
 func (o *SGD) ExportState(dst []float32) error {
 	if len(dst) != o.StateLen() {
 		return fmt.Errorf("sgd: ExportState dst size %d, want %d", len(dst), o.StateLen())
 	}
-	off := 0
-	for _, v := range o.velocity[o.shardLo:o.shardHi] {
-		off += copy(dst[off:], v)
-	}
+	copy(dst, o.velocity)
 	return nil
 }
 
-// ImportState restores momentum buffers written by ExportState.
+// ImportState restores momentum written by ExportState.
 func (o *SGD) ImportState(src []float32) error {
 	if len(src) != o.StateLen() {
 		return fmt.Errorf("sgd: ImportState src size %d, want %d", len(src), o.StateLen())
 	}
-	off := 0
-	for _, v := range o.velocity[o.shardLo:o.shardHi] {
-		off += copy(v, src[off:])
-	}
+	copy(o.velocity, src)
 	return nil
 }
 

@@ -147,10 +147,12 @@ func TestTwoReplicasStayInSyncUnderIdenticalUpdates(t *testing.T) {
 	}
 }
 
-// TestStepParamMatchesStep: updating parameters one at a time in any order
-// must be bitwise identical to a full Step — the invariant the reactive
-// pipeline's per-bucket updates rely on.
-func TestStepParamMatchesStep(t *testing.T) {
+// TestStepRangeMatchesStep: updating the flattened model range by range, in
+// any order and with cuts anywhere — inside a parameter, across a
+// NoWeightDecay boundary — must be bitwise identical to a full Step: the
+// invariant the per-bucket updates and the colour roots' per-segment updates
+// rely on.
+func TestStepRangeMatchesStep(t *testing.T) {
 	build := func() []*nn.Param {
 		return []*nn.Param{
 			onParam([]float32{1, -2, 3}, []float32{0.5, 0.25, -0.125}, false),
@@ -162,11 +164,16 @@ func TestStepParamMatchesStep(t *testing.T) {
 	piecewise := build()
 	of := New(full, DefaultConfig())
 	op := New(piecewise, DefaultConfig())
+	var g []float32
+	for _, p := range piecewise {
+		g = append(g, p.Grad.Data...)
+	}
+	cuts := []int{0, 2, 4, 6} // inside param 0, then across params 1 and 2
 	for step := 0; step < 3; step++ {
 		of.Step(0.1)
 		// Reverse order, as buckets land back-to-front during backward.
-		for i := len(piecewise) - 1; i >= 0; i-- {
-			op.StepParam(i, 0.1)
+		for c := len(cuts) - 2; c >= 0; c-- {
+			op.StepRange(cuts[c], cuts[c+1], 0.1, g[cuts[c]:cuts[c+1]], 1)
 		}
 	}
 	for i := range full {

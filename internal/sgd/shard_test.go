@@ -34,7 +34,9 @@ func TestSGDShardUnionMatchesFullBitwise(t *testing.T) {
 	full := testParams(1)
 	sharded := testParams(1)
 	fullOpt := New(full, DefaultConfig())
-	cuts := []int{0, 2, 2, 4, 5} // includes an empty shard
+	// Element cuts inside params 1 and 2 (2 skips weight decay), and an
+	// empty shard.
+	cuts := []int{0, 7, 20, 20, 41, totalLen(full)}
 	var shards []*SGD
 	for r := 0; r+1 < len(cuts); r++ {
 		shards = append(shards, NewShard(sharded, DefaultConfig(), cuts[r], cuts[r+1]))
@@ -54,33 +56,42 @@ func TestSGDShardUnionMatchesFullBitwise(t *testing.T) {
 	}
 }
 
-// StepParam outside the shard must be a no-op (the reactive collector counts
-// down every param and relies on the optimizer enforcing ownership).
-func TestSGDShardStepParamOutsideIsNoOp(t *testing.T) {
+// StepRange outside the shard must be a no-op: the trainer hands every
+// completed range to every optimizer and relies on each keeping to its own.
+func TestSGDShardStepRangeOutsideIsNoOp(t *testing.T) {
 	ps := testParams(3)
-	o := NewShard(ps, DefaultConfig(), 1, 3)
-	if o.Owns(0) || !o.Owns(1) || !o.Owns(2) || o.Owns(3) {
-		lo, hi := o.ShardRange()
-		t.Fatalf("ownership wrong for shard [%d,%d)", lo, hi)
+	total := totalLen(ps)
+	before := make([]float32, 0, total)
+	for _, p := range ps {
+		before = append(before, p.Value.Data...)
 	}
-	before := append([]float32(nil), ps[0].Value.Data...)
-	o.StepParam(0, 0.1)
-	o.StepParam(4, 0.1)
-	for j, v := range ps[0].Value.Data {
-		if v != before[j] {
-			t.Fatal("StepParam outside shard mutated the parameter")
+	g := make([]float32, total)
+	for i := range g {
+		g[i] = 1
+	}
+	o := NewShard(ps, DefaultConfig(), 10, 41)
+	o.StepRange(0, 10, 0.1, g[:10], 1)
+	o.StepRange(41, total, 0.1, g[41:], 1)
+	o.StepRange(5, 45, 0.1, g[5:45], 1)
+	off := 0
+	for _, p := range ps {
+		for _, v := range p.Value.Data {
+			if inside := off >= 10 && off < 41; (v != before[off]) != inside {
+				t.Fatalf("element %d: %v, was %v (inside the shard: %v)", off, v, before[off], inside)
+			}
+			off++
 		}
 	}
 }
 
 // Shard state accounting: StateLen/StateBounds/FullStateLen describe exactly
-// the owned params' contiguous element range, and export/import round-trip.
+// the owned contiguous element range, and export/import round-trip.
 func TestShardStateBoundsAndRoundTrip(t *testing.T) {
 	ps := testParams(4)
 	total := totalLen(ps)
-	o := NewShard(ps, DefaultConfig(), 1, 3)
 	wantLo := ps[0].Value.Len()
 	wantHi := wantLo + ps[1].Value.Len() + ps[2].Value.Len()
+	o := NewShard(ps, DefaultConfig(), wantLo, wantHi)
 	if lo, hi := o.StateBounds(); lo != wantLo || hi != wantHi {
 		t.Fatalf("StateBounds [%d,%d), want [%d,%d)", lo, hi, wantLo, wantHi)
 	}
@@ -95,7 +106,7 @@ func TestShardStateBoundsAndRoundTrip(t *testing.T) {
 	if err := o.ExportState(st); err != nil {
 		t.Fatal(err)
 	}
-	o2 := NewShard(testParams(4), DefaultConfig(), 1, 3)
+	o2 := NewShard(testParams(4), DefaultConfig(), wantLo, wantHi)
 	if err := o2.ImportState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +131,11 @@ func TestShardStateBoundsAndRoundTrip(t *testing.T) {
 func TestShardEdgeCases(t *testing.T) {
 	ps := testParams(5)
 	total := totalLen(ps)
-	for _, tc := range []struct{ lo, hi, sLo, sHi int }{
-		{0, 0, 0, 0},
-		{5, 5, total, total},
-		{2, 2, ps[0].Value.Len() + ps[1].Value.Len(), ps[0].Value.Len() + ps[1].Value.Len()},
-		{0, 5, 0, total},
-	} {
-		o := NewShard(ps, DefaultConfig(), tc.lo, tc.hi)
-		if lo, hi := o.StateBounds(); lo != tc.sLo || hi != tc.sHi {
-			t.Fatalf("shard [%d,%d): StateBounds [%d,%d), want [%d,%d)", tc.lo, tc.hi, lo, hi, tc.sLo, tc.sHi)
+	mid := ps[0].Value.Len() + ps[1].Value.Len()
+	for _, tc := range [][2]int{{0, 0}, {total, total}, {mid, mid}, {3, mid + 2}, {0, total}} {
+		o := NewShard(ps, DefaultConfig(), tc[0], tc[1])
+		if lo, hi := o.StateBounds(); lo != tc[0] || hi != tc[1] || o.StateLen() != hi-lo {
+			t.Fatalf("shard %v: StateBounds [%d,%d), StateLen %d", tc, lo, hi, o.StateLen())
 		}
 		o.Step(0.1) // must not panic, even with nothing owned
 	}
@@ -137,5 +144,5 @@ func TestShardEdgeCases(t *testing.T) {
 			t.Fatal("out-of-range shard should panic")
 		}
 	}()
-	NewShard(ps, DefaultConfig(), 3, 6)
+	NewShard(ps, DefaultConfig(), 3, total+1)
 }
