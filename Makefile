@@ -57,12 +57,14 @@ race-overlap:
 # wire's byte/float views (RecvFloatsAdd summing a payload where it lies and
 # releasing it on every path), a lent segment never entering the pool and a
 # shared buffer recycled once by its last release, the one buffer contract
-# over the four worlds, fault and TCP worlds copying (internal/mpi) — and the
+# over the four worlds, fault and TCP worlds copying, Isends leaving each
+# destination's one sender in order and a charged one allocating nothing
+# (internal/mpi) — and the
 # lending, sharing multi-colour tree held to the copying one on multi-level
 # trees, where a read of a lent window that outlived the protocol's
 # happens-before edge is a reported race (internal/allreduce).
 race-ownership:
-	$(call pinned,race-ownership,Pool SendThenMutate SendOwned SendRecvSteadyState IsendInline RecvFloatsAdd EncodeDecode LentSegment SharedBuffer LendShare TransportContract FaultAndTCPWorldsCopy TreeLendShare MultiColorReusesCallState,\
+	$(call pinned,race-ownership,Pool SendThenMutate SendOwned SendRecvSteadyState IsendInline IsendKeepsOrder ChargedIsend RecvFloatsAdd EncodeDecode LentSegment SharedBuffer LendShare TransportContract FaultAndTCPWorldsCopy TreeLendShare MultiColorReusesCallState,\
 		./internal/mpi ./internal/allreduce)
 
 # The sharded-vs-replicated (ZeRO-1) equivalence suite: the collectives
@@ -154,16 +156,17 @@ kernels-purego:
 # Im2Col+Gemm+Col2Im (internal/tensor/convref, the tests' reference), the
 # float wire's in-place add at every byte offset vs decode-then-add, then the
 # parsers of bytes that arrive off a disk or a wire (window decode vs the dense
-# reference, the shuffle's record frames, a DIMD pack, a checkpoint, a
-# recovery verdict, every codec's two decoders held to each other, the
-# Stream's poison messages): never a panic, never an allocation a header alone
-# can size. The parsers' inputs are kilobyte blobs, which the fuzzer's default
+# reference, the TCP frame reader, the shuffle's record frames, a DIMD pack,
+# a checkpoint, a recovery verdict, every codec's two decoders held to each
+# other, the Stream's poison messages): never a panic, never an allocation a
+# header alone can size. The parsers' inputs are kilobyte blobs, which the fuzzer's default
 # 60 s minimisation of every interesting input would spend the whole smoke on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGemmSIMDMatchesPortable -fuzztime 20s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzVecKernelsMatchPortable -fuzztime 20s ./internal/kernels
 	$(GO) test -run '^$$' -fuzz FuzzConvPackedMatchesIm2Col -fuzztime 20s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzAddFloat32s -fuzztime 20s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz FuzzTCPReadLoop -fuzztime 20s -fuzzminimizetime 1s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s -fuzzminimizetime 1s ./internal/imagecodec
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalRecords -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd
 	$(GO) test -run '^$$' -fuzz FuzzReadPack -fuzztime 20s -fuzzminimizetime 1s ./internal/dimd

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"runtime/pprof"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,6 +94,78 @@ func TestStreamLearnerCloseLeavesNoGoroutines(t *testing.T) {
 			requireGoroutines(t, before)
 		})
 	}
+
+	// On a charged world a member's Isend goes to its transport's sender for
+	// the destination, started by the first step and stopped by World.Close:
+	// after the first step, the count sampled mid-round is the count between
+	// rounds, and the learners' and the world's Close bring it back to before.
+	t.Run("sharded hierarchical, charged", func(t *testing.T) {
+		w, err := mpi.NewTopologyWorld(learners, mpi.UniformTopology(learners, 2),
+			mpi.LinkProfile{Latency: 100 * time.Microsecond}, mpi.LinkProfile{Latency: 200 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		cfg := fabricConfig(learners)
+		cfg.BatchPerDevice = 2
+		ls := make([]*core.Learner, learners)
+		var parked atomic.Int32 // ranks waiting at a round boundary
+		resume := []chan struct{}{make(chan struct{}), make(chan struct{})}
+		boundary := func(i int) {
+			parked.Add(1)
+			<-resume[i]
+		}
+		ran := make(chan error, 1)
+		go func() {
+			ran <- w.Run(func(c *mpi.Comm) error {
+				replicas := []nn.Layer{core.SmallBNFreeCNN(3, 8, 1), core.SmallBNFreeCNN(3, 8, 2)}
+				l, err := core.NewLearner(c, replicas, &core.SliceSource{X: x, Labels: labels, Rank: c.Rank(), Ranks: learners}, 3, 8, 8, cfg)
+				if err != nil {
+					return err
+				}
+				ls[c.Rank()] = l
+				for i := 0; i < steps; i++ {
+					if _, err := l.Step(); err != nil {
+						return err
+					}
+					if i == 0 {
+						boundary(0)
+					}
+					if i == steps-1 {
+						boundary(1)
+					}
+				}
+				return nil
+			})
+		}()
+		waitParked := func(n int32, between int) {
+			for deadline := time.Now().Add(30 * time.Second); parked.Load() < n; runtime.Gosched() {
+				if got := runtime.NumGoroutine(); between > 0 && got != between {
+					t.Errorf("%d goroutines mid-round, %d between rounds", got, between)
+					between = 0 // one report is enough; keep waiting for the ranks
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d ranks reached the round boundary", parked.Load(), n)
+				}
+			}
+		}
+		waitParked(learners, 0)
+		between := runtime.NumGoroutine()
+		close(resume[0])
+		waitParked(2*learners, between)
+		close(resume[1])
+		err = <-ran
+		for _, l := range ls {
+			if l != nil {
+				l.Close()
+			}
+		}
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireGoroutines(t, before)
+	})
 }
 
 // TestElasticCrashRejoinLeavesNoGoroutines: a run that loses a rank and

@@ -356,3 +356,95 @@ func TestFaultTCPRankDownDetection(t *testing.T) {
 		t.Fatalf("marked-down recv took %v, want fast-fail", elapsed)
 	}
 }
+
+// Receivers parked on two keys of one mailbox (tags 1 and 2 from rank 1): a
+// put wakes its own key's receiver and leaves the other parked, and each event
+// that can end every wait — a close, a suspicion, a crash, a detection
+// timeout — releases both, with its own typed error.
+func TestRankDownWakesEveryKeyAPutOnlyItsOwn(t *testing.T) {
+	tags := []int{1, 2}
+	park := func(t *testing.T, w *World) []chan error {
+		t.Helper()
+		errs := make([]chan error, len(tags))
+		for i, tag := range tags {
+			errs[i] = make(chan error, 1)
+			go func(c *Comm, tag int, out chan error) {
+				b, err := c.Recv(1, tag)
+				PutBytes(b)
+				out <- err
+			}(w.MustComm(0), tag, errs[i])
+		}
+		// A blocking wait makes its key's queue under the mutex it parks on:
+		// once both queues exist, both receivers are parked.
+		box := w.boxes[0]
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			box.mu.Lock()
+			n := len(box.queues)
+			box.mu.Unlock()
+			if n == len(tags) {
+				return errs
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d receivers parked", n, len(tags))
+			}
+		}
+	}
+	released := func(t *testing.T, errc chan error) error {
+		t.Helper()
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("a parked receiver was not released")
+			return nil
+		}
+	}
+
+	t.Run("put", func(t *testing.T) {
+		w := NewWorld(2)
+		defer w.Close()
+		errs := park(t, w)
+		if err := w.MustComm(1).Send(0, tags[0], []byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		if err := released(t, errs[0]); err != nil {
+			t.Fatalf("the put's own key: %v", err)
+		}
+		select {
+		case err := <-errs[1]:
+			t.Fatalf("the other key's receiver returned %v on a put it does not match", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		w.Close()
+		if err := released(t, errs[1]); !errors.Is(err, ErrClosed) {
+			t.Fatalf("after Close: %v, want ErrClosed", err)
+		}
+	})
+	for _, tc := range []struct {
+		name  string
+		plan  FaultPlan
+		event func(w *World)
+		check func(err error) bool
+	}{
+		{"Close", FaultPlan{}, (*World).Close, func(err error) bool { return errors.Is(err, ErrClosed) }},
+		{"Suspect", FaultPlan{}, func(w *World) { w.Suspect(0, 1) },
+			func(err error) bool { return DownRank(err) == 1 && !IsTransient(err) }},
+		{"Crash", FaultPlan{}, func(w *World) { w.Crash(1) },
+			func(err error) bool { return DownRank(err) == 1 && !IsTransient(err) }},
+		{"detection timeout", FaultPlan{DetectTimeout: 30 * time.Millisecond}, func(*World) {},
+			func(err error) bool { return DownRank(err) == 1 && IsDetectTimeout(err) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorld(2)
+			defer w.Close()
+			w.InjectFaults(tc.plan)
+			errs := park(t, w)
+			tc.event(w)
+			for i, errc := range errs {
+				if err := released(t, errc); !tc.check(err) {
+					t.Fatalf("tag %d: %v", tags[i], err)
+				}
+			}
+		})
+	}
+}

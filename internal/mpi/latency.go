@@ -38,7 +38,7 @@ func (p LinkProfile) wait(n int) {
 // node), so total communication time scales with the bytes a rank emits —
 // compression shortens it, and only genuinely concurrent compute can hide
 // it. Blocking Send occupies the caller for the delay, exactly like a real
-// wire; non-blocking Isend pays it on the request's goroutine. Experiments
+// wire; non-blocking Isend pays it on the destination's sender. Experiments
 // that need a comm-heavy configuration (the overlap benchmark) use this to
 // make inter-node traffic cost honest wall time instead of a free memcpy.
 //

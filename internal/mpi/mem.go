@@ -50,9 +50,12 @@ func (m message) owned() []byte {
 // msgQueue is one (src, ctx, tag) FIFO. It is a sliding window over items:
 // pop advances head, and when the queue drains the slice is reset to reuse
 // its capacity — steady-state traffic on a recurring key never allocates.
+// ready is the key's own condition, on the mailbox's one mutex: a put wakes
+// a receiver of its key and nobody else.
 type msgQueue struct {
 	items []message
 	head  int
+	ready sync.Cond
 }
 
 func (q *msgQueue) push(m message) { q.items = append(q.items, m) }
@@ -74,6 +77,8 @@ func (q *msgQueue) pop() (message, bool) {
 // mailbox holds undelivered messages for one rank, matched by (src, ctx, tag).
 // Queue entries persist after draining (keys recur across steps: collective
 // tags cycle in fixed bands), keeping put/wait allocation-free in steady state.
+// A put signals its key alone; a close or a down-marking wakes every key. The
+// hand-off still runs under the one mutex, so a put happens-before its pop.
 //
 // The mailbox is also where failure detection meets message matching: a
 // crashed owner refuses puts (sends to a dead rank fail with ErrRankDown),
@@ -81,7 +86,6 @@ func (q *msgQueue) pop() (message, bool) {
 // in-flight data survives the crash, like frames already on a real wire.
 type mailbox struct {
 	mu        sync.Mutex
-	cond      *sync.Cond
 	queues    map[msgKey]*msgQueue
 	closed    bool
 	owner     int  // world rank owning this mailbox, for rank-down errors
@@ -97,9 +101,25 @@ type mailbox struct {
 }
 
 func newMailbox(owner int) *mailbox {
-	m := &mailbox{queues: make(map[msgKey]*msgQueue), owner: owner}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	return &mailbox{queues: make(map[msgKey]*msgQueue), owner: owner}
+}
+
+// queue returns k's queue, creating it. Caller holds m.mu.
+func (m *mailbox) queue(k msgKey) *msgQueue {
+	q := m.queues[k]
+	if q == nil {
+		q = &msgQueue{}
+		q.ready.L = &m.mu
+		m.queues[k] = q
+	}
+	return q
+}
+
+// wakeAll wakes the waiters of every key. Caller holds m.mu.
+func (m *mailbox) wakeAll() {
+	for _, q := range m.queues {
+		q.ready.Broadcast()
+	}
 }
 
 func (m *mailbox) put(k msgKey, msg message) error {
@@ -111,13 +131,9 @@ func (m *mailbox) put(k msgKey, msg message) error {
 	if m.ownerDown {
 		return &RankDownError{Rank: m.owner}
 	}
-	q := m.queues[k]
-	if q == nil {
-		q = &msgQueue{}
-		m.queues[k] = q
-	}
+	q := m.queue(k)
 	q.push(msg)
-	m.cond.Broadcast()
+	q.ready.Signal()
 	return nil
 }
 
@@ -129,26 +145,25 @@ func (m *mailbox) put(k msgKey, msg message) error {
 // error: something final was available). d > 0 is a failure-detection
 // deadline on the blocking wait: when no matching message arrives within d
 // the source is presumed dead and a RankDownError says so. sync.Cond has no
-// timed wait, so a timer broadcasts the condition at the deadline to wake the
-// waiter.
+// timed wait, so a timer broadcasts k's condition at the deadline to wake the
+// waiter (the deadline is this waiter's own: no other key needs the wake-up).
 func (m *mailbox) wait(k msgKey, block bool, d time.Duration) (msg message, ok bool, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.queue(k)
 	var deadline time.Time
 	if block && d > 0 {
 		deadline = time.Now().Add(d)
 		timer := time.AfterFunc(d, func() {
 			m.mu.Lock()
-			m.cond.Broadcast()
+			q.ready.Broadcast()
 			m.mu.Unlock()
 		})
 		defer timer.Stop()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
-		if q := m.queues[k]; q != nil {
-			if msg, found := q.pop(); found {
-				return msg, true, nil
-			}
+		if msg, found := q.pop(); found {
+			return msg, true, nil
 		}
 		if m.closed {
 			return message{}, true, ErrClosed
@@ -162,7 +177,7 @@ func (m *mailbox) wait(k msgKey, block bool, d time.Duration) (msg message, ok b
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return message{}, true, &RankDownError{Rank: k.src, Cause: errDetectTimeout}
 		}
-		m.cond.Wait()
+		q.ready.Wait()
 	}
 }
 
@@ -185,7 +200,7 @@ func (m *mailbox) markDown(rank int) {
 		m.down = make(map[int]error)
 	}
 	m.down[rank] = nil
-	m.cond.Broadcast()
+	m.wakeAll()
 	m.mu.Unlock()
 }
 
@@ -201,7 +216,7 @@ func (m *mailbox) markDownCause(rank int, cause error) {
 	if _, ok := m.down[rank]; !ok {
 		m.down[rank] = cause
 	}
-	m.cond.Broadcast()
+	m.wakeAll()
 	m.mu.Unlock()
 }
 
@@ -220,14 +235,14 @@ func (m *mailbox) confirmedDown(rank int) bool {
 func (m *mailbox) markOwnerDown() {
 	m.mu.Lock()
 	m.ownerDown = true
-	m.cond.Broadcast()
+	m.wakeAll()
 	m.mu.Unlock()
 }
 
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
-	m.cond.Broadcast()
+	m.wakeAll()
 	m.mu.Unlock()
 }
 
@@ -246,6 +261,7 @@ type World struct {
 	faults *FaultInjector
 	downMu sync.Mutex
 	down   map[int]bool // ranks crashed via Crash
+	out    outbox       // the Isends no transport completes inline
 }
 
 // NewWorld creates an in-process world with n ranks.
@@ -310,11 +326,13 @@ func (w *World) Suspect(observer, rank int) {
 	w.boxes[observer].markDown(rank)
 }
 
-// Close shuts the world down; blocked receivers return ErrClosed.
+// Close shuts the world down; blocked receivers return ErrClosed. It
+// returns once the world's senders (Isend) have stopped.
 func (w *World) Close() {
 	for _, b := range w.boxes {
 		b.close()
 	}
+	w.out.close()
 }
 
 // Run spawns fn on a goroutine per rank and waits for all to return,
@@ -427,6 +445,18 @@ func (t *memTransport) sendMsg(dst int, ctx uint64, tag int, m message) error {
 		return err
 	}
 	return nil
+}
+
+// Isend implements Transport: an inline send completes here, data copied at
+// once; any other is queued on the world's outbox.
+func (t *memTransport) Isend(dst int, ctx uint64, tag int, data []byte) *Request {
+	if !t.inline {
+		return t.world.out.isend(t, dst, ctx, tag, data)
+	}
+	if err := t.Send(dst, ctx, tag, data); err != nil {
+		return &Request{err: err}
+	}
+	return completedSend
 }
 
 // Recv implements Transport.

@@ -77,6 +77,9 @@ type Transport interface {
 	// TryRecv is a non-blocking Recv: ok reports whether a message (or a
 	// terminal transport error) was available.
 	TryRecv(src int, ctx uint64, tag int) (data []byte, ok bool, err error)
+	// Isend is a non-blocking Send (Comm.Isend): sends to one destination
+	// leave in the order they were made.
+	Isend(dst int, ctx uint64, tag int, data []byte) *Request
 	// NumRanks returns the number of global ranks in the world.
 	NumRanks() int
 }
@@ -89,10 +92,9 @@ type Comm struct {
 	group []int // communicator rank -> global rank
 	ctx   uint64
 	tr    Transport
-	// mem is tr when that is the in-memory transport — the one whose sends
-	// may complete inline (Isend) and whose messages may carry a payload the
-	// receiver does not own (lends) — and nil over TCP or a wrapper of either
-	// transport, where every send copies.
+	// mem is tr when that is the in-memory transport — the one whose
+	// messages may carry a payload the receiver does not own (lends) — and
+	// nil over TCP, where every send copies.
 	mem *memTransport
 }
 

@@ -44,6 +44,7 @@ type TCPWorld struct {
 	wg        sync.WaitGroup
 	detect    atomic.Int64 // heartbeat-style Recv deadline in ns; 0 disables
 	policy    ReconnectPolicy
+	out       outbox // one sender per peer (Isend)
 }
 
 // ReconnectPolicy bounds how hard a TCP send tries to revive a broken
@@ -68,8 +69,8 @@ const tcpFrameHeader = 4 + 8 + 4 + 4
 
 // maxTCPFrame bounds the payload length a frame header may announce: 1 GiB
 // (a 256 Mi-float vector, more than any collective here sends) instead of
-// the 4 GiB a uint32 can say. Only a pooled size (≤ 16 MiB) is allocated
-// before its bytes arrive; a larger payload grows as they do (ReadN).
+// the 4 GiB a uint32 can say. A payload is allocated as its bytes arrive
+// (readPayload).
 const maxTCPFrame = 1 << 30
 
 // NewTCPWorld creates the transport endpoint for one rank. addrs lists every
@@ -183,18 +184,8 @@ func (w *TCPWorld) readLoop(conn net.Conn) {
 			// silence surfaces through the detection paths above.
 			return
 		}
-		var payload []byte
-		var err error
-		if n > 1<<poolMaxClass {
-			// No pool class holds it, so nothing is recycled: read it the
-			// way ReadN reads, and a peer killed mid-frame costs what it sent.
-			payload, err = ReadN(conn, int64(n))
-		} else {
-			payload = GetBytes(int(n))
-			_, err = io.ReadFull(conn, payload)
-		}
+		payload, err := readPayload(conn, int(n))
 		if err != nil {
-			PutBytes(payload)
 			return
 		}
 		lastSrc = src
@@ -202,6 +193,26 @@ func (w *TCPWorld) readLoop(conn net.Conn) {
 			PutBytes(payload)
 			return
 		}
+	}
+}
+
+// readPayload reads an n-byte frame payload as ReadN does — a peer killed
+// mid-frame costs what it sent — but from the pool, which recycles it.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := GetBytes(min(n, readChunk))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			PutBytes(buf)
+			return nil, err
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		filled = len(buf)
+		grown := GetBytes(min(n, 2*filled))
+		copy(grown, buf)
+		PutBytes(buf)
+		buf = grown
 	}
 }
 
@@ -373,6 +384,11 @@ func (w *TCPWorld) Recv(src int, ctx uint64, tag int) ([]byte, error) {
 	return m.data, err
 }
 
+// Isend implements Transport: the send is queued on the sender for dst.
+func (w *TCPWorld) Isend(dst int, ctx uint64, tag int, data []byte) *Request {
+	return w.out.isend(w, dst, ctx, tag, data)
+}
+
 // TryRecv implements Transport.
 func (w *TCPWorld) TryRecv(src int, ctx uint64, tag int) ([]byte, bool, error) {
 	m, ok, err := w.box.wait(msgKey{src: src, ctx: ctx, tag: tag}, false, 0)
@@ -383,7 +399,7 @@ func (w *TCPWorld) TryRecv(src int, ctx uint64, tag int) ([]byte, bool, error) {
 func (w *TCPWorld) NumRanks() int { return len(w.addrs) }
 
 // Close shuts down the listener and all connections; pending receives
-// return ErrClosed.
+// return ErrClosed. It returns once the senders (Isend) have stopped.
 func (w *TCPWorld) Close() error {
 	w.closeOnce.Do(func() {
 		w.listener.Close()
@@ -400,6 +416,7 @@ func (w *TCPWorld) Close() error {
 		}
 		w.mu.Unlock()
 		w.box.close()
+		w.out.close()
 		w.wg.Wait()
 	})
 	return nil

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -412,4 +413,75 @@ func TestTCPHostileFrameHeaderClosesConnection(t *testing.T) {
 		t.Fatalf("well-formed frame: %q, %v", b, err)
 	}
 	theirs.Close()
+}
+
+// wellFormedFrames is the reference reading of a byte stream sent to a rank
+// of a ranks-wide TCP world: the frames at its front whose source is a rank,
+// whose length is within the bound and whose payload is all there. The
+// reader stops at the first frame that is not.
+func wellFormedFrames(stream []byte, ranks int) (keys []msgKey, payloads [][]byte) {
+	for len(stream) >= tcpFrameHeader {
+		src := int(int32(binary.LittleEndian.Uint32(stream[0:])))
+		n := binary.LittleEndian.Uint32(stream[16:])
+		if src < 0 || src >= ranks || n > maxTCPFrame || uint64(n) > uint64(len(stream)-tcpFrameHeader) {
+			break
+		}
+		tag := int(int32(binary.LittleEndian.Uint32(stream[12:])))
+		keys = append(keys, msgKey{src: src, ctx: binary.LittleEndian.Uint64(stream[4:]), tag: tag})
+		payloads = append(payloads, stream[tcpFrameHeader:tcpFrameHeader+int(n)])
+		stream = stream[tcpFrameHeader+int(n):]
+	}
+	return keys, payloads
+}
+
+// FuzzTCPReadLoop sends arbitrary bytes to the TCP frame reader over a
+// net.Pipe and hangs up, as a peer killed mid-stream does. The reader must
+// deliver exactly the well-formed frames at the front of the stream, each
+// under its (src, ctx, tag) in order, and end: never panic, never hang, and
+// never allocate more than a small multiple of what it was sent — a header
+// alone sizes nothing. The corpus holds frames cut mid-header and
+// mid-payload, a length past the bound, a pooled length whose payload never
+// comes, and a source outside the world.
+func FuzzTCPReadLoop(f *testing.F) {
+	const ranks = 4
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		wantKeys, wantPayloads := wellFormedFrames(stream, ranks)
+		w := &TCPWorld{addrs: make([]string, ranks), box: newMailbox(0)}
+		ours, theirs := net.Pipe()
+		done := make(chan struct{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w.wg.Add(1)
+		go func() {
+			w.readLoop(ours)
+			close(done)
+		}()
+		go func() {
+			theirs.Write(stream) // fails once the reader gives up on the stream
+			theirs.Close()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the reader did not end after the peer hung up")
+		}
+		runtime.ReadMemStats(&after)
+		// A minimal frame (20 bytes, no payload) under a fresh key costs the
+		// mailbox a queue and a map slot, about ten times its size.
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, 1<<20+16*uint64(len(stream)); grew > bound {
+			t.Fatalf("%d bytes sent cost %d bytes of allocation, bound %d", len(stream), grew, bound)
+		}
+		for i, k := range wantKeys {
+			m, ok, err := w.box.wait(k, false, 0)
+			if !ok || err != nil || !bytes.Equal(m.data, wantPayloads[i]) {
+				t.Fatalf("frame %d %+v: got %q (delivered %v, %v), want %q", i, k, m.data, ok, err, wantPayloads[i])
+			}
+			PutBytes(m.data)
+		}
+		for k, q := range w.box.queues {
+			if q.head != len(q.items) {
+				t.Fatalf("%d frames under %+v that the stream does not hold", len(q.items)-q.head, k)
+			}
+		}
+	})
 }
